@@ -19,7 +19,15 @@ from pathlib import Path
 
 from . import lasso, runconfig
 from .dataset import DataError, load_table, write_table
-from .pipeline import VARIANTS, PipelineConfig, ablation_sweep, leave_one_out, render_summary
+from .pipeline import (
+    VARIANTS,
+    LassoSettings,
+    PipelineConfig,
+    ablation_sweep,
+    leave_one_out,
+    render_summary,
+    select_lambda,
+)
 from .schema import MOVEMENTS, SCHEMA_VERSION
 from .synth import generate_synthetic_network
 
@@ -106,21 +114,18 @@ def cmd_select(args) -> int:
     if data.labels is None:
         raise ValidationFailure("feature selection needs a labeled dataset")
     out_dir = Path(args.out_dir)
+    seed = 0 if args.seed is None else args.seed
+    settings = LassoSettings(lambda_mode=args.lambda_mode, lambda_value=args.lambda_value)
     movements = tuple(_movements(args.movement))
     models = {}
     for movement in movements:
         y = data.movement_labels(movement).astype(float)
-        if args.lambda_mode == "cv":
-            lam, _, _ = lasso.cross_validate_lambda(data.X, y, seed=args.seed or 0)
-        elif args.lambda_mode == "fraction":
-            lam = args.lambda_value * lasso.lambda_max(data.X, y)
-        else:
-            lam = args.lambda_value
+        lam = select_lambda(data.X, y, settings, seed)
         models[movement] = lasso.fit_lasso(data.X, y, lam)
     report = lasso.coefficient_report(models, data.schema, movements)
     out = out_dir / "coefficients.csv"
     _atomic_write(out, report)
-    _write_manifest(out_dir, "select", args.seed or 0,
+    _write_manifest(out_dir, "select", seed,
                     {"lambda_mode": args.lambda_mode, "lambda_value": args.lambda_value},
                     [Path(args.data)], [out])
     print(f"wrote {out}")

@@ -10,6 +10,15 @@ coordinate. Reported coefficients are mapped back to the original scale
 (fitted values are unchanged); optimality and objective values refer to the
 standardized problem, which makes a single lambda meaningful across columns
 with heterogeneous units.
+
+Lambda is chosen by k-fold cross-validation without coordinate descent. The
+solution of f is piecewise linear in lambda (Osborne, Presnell & Turlach
+2000; Efron, Hastie, Johnstone & Tibshirani 2004), so each CV fold follows
+the exact homotopy path from lambda_max down the grid: between consecutive
+kinks, where a column enters or leaves the active set, the active
+coefficients are one linear solve in the Gram matrix ``G = Z'Z/n``, and
+every grid point on a segment is read off that segment exactly. The path has
+no convergence tolerance; coordinate descent remains the final fit.
 """
 
 from __future__ import annotations
@@ -155,6 +164,92 @@ def fit_lasso(
     )
 
 
+# A candidate column whose residual after projection onto the active columns
+# keeps no more than this share of its own variance lies in their span (two
+# source intersections make every intersection-level column an affine copy
+# of the others): entering it would make the active Gram block singular, and
+# its correlation then stays within the penalty on its own. Zero-variance
+# columns, whose Gram row is zero, fail the same test and never enter.
+_SPAN_RTOL = 1e-10
+
+# Kinks are O(p) in practice; reaching this many means the path is cycling.
+_MAX_KINKS = 10_000
+
+
+def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Standardized lasso solutions at each point of a descending ``grid``.
+
+    ``G = Z'Z/n`` and ``c = Z'y/n`` for standardized predictors ``Z`` and a
+    centered response. On the segment below a kink the active coefficients
+    are ``beta_A(lam) = a - lam * b`` with ``G_AA a = c_A`` and
+    ``G_AA b = s_A`` (the active signs), and each inactive correlation is
+    affine in lam; the next kink is the largest lam at which an inactive
+    correlation reaches the penalty or an active coefficient reaches zero.
+    A column that entered at the last kink cannot leave at the next one, nor
+    can one that left re-enter with the same sign: in exact arithmetic
+    neither happens, and rounding must not make the path cycle.
+    """
+    p = len(c)
+    coefs = np.zeros((len(grid), p))
+    active: list[int] = []
+    signs: list[float] = []
+    filled = 0
+    entered = dropped = -1
+    dropped_sign = 0.0
+    for _ in range(_MAX_KINKS):
+        A = np.array(active, dtype=np.intp)
+        G_AA = G[np.ix_(A, A)]
+        a, b = _solve(G_AA, np.column_stack([c[A], signs])).T
+        inactive = np.setdiff1d(np.arange(p), A)
+        G_AI = G[np.ix_(A, inactive)]
+        G_II = G[inactive, inactive]
+        # Inactive correlations along the segment: c_I - G_IA beta_A = alpha + lam * delta.
+        alpha = c[inactive] - G_AI.T @ a
+        delta = G_AI.T @ b
+        schur = G_II - np.einsum("ij,ij->j", G_AI, _solve(G_AA, G_AI))
+        eligible = schur > _SPAN_RTOL * G_II
+
+        # A correlation reaches +-lam where s * (alpha + lam * delta) = lam.
+        best_in, best_j, best_s = 0.0, -1, 0.0
+        for s in (1.0, -1.0):
+            slope = 1.0 - s * delta
+            ok = eligible & (slope > 0.0) & ~((inactive == dropped) & (s == dropped_sign))
+            hits = np.full(len(inactive), -np.inf)
+            hits[ok] = s * alpha[ok] / slope[ok]
+            if len(hits) and hits.max() > best_in:
+                k = int(np.argmax(hits))
+                best_in, best_j, best_s = float(hits[k]), int(inactive[k]), s
+        # An active coefficient reaches zero where a = lam * b, if it moves
+        # toward zero as lam falls.
+        best_out, best_k = 0.0, -1
+        if active:
+            shrinking = (b * np.asarray(signs) < 0.0) & (A != entered)
+            hits = np.full(len(active), -np.inf)
+            hits[shrinking] = a[shrinking] / b[shrinking]
+            if hits.max() > best_out:
+                best_k = int(np.argmax(hits))
+                best_out = float(hits[best_k])
+
+        kink = max(best_in, best_out)
+        while filled < len(grid) and grid[filled] >= kink:
+            coefs[filled, A] = a - grid[filled] * b
+            filled += 1
+        if filled == len(grid) or kink <= 0.0:
+            return coefs
+
+        if best_in >= best_out:
+            active.append(best_j)
+            signs.append(best_s)
+            entered, dropped = best_j, -1
+        else:
+            dropped, dropped_sign, entered = active.pop(best_k), signs.pop(best_k), -1
+    raise RuntimeError(f"lasso path did not reach the end of the grid in {_MAX_KINKS} kinks")
+
+
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(M, rhs) if len(M) else np.zeros_like(rhs)
+
+
 def cross_validate_lambda(
     X: np.ndarray,
     y: np.ndarray,
@@ -162,17 +257,24 @@ def cross_validate_lambda(
     grid_size: int = 50,
     lam_min_ratio: float = 1e-3,
     seed: int = 0,
-    tol: float = 1e-7,
-    max_sweeps: int = 2_000,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Pick lambda by k-fold CV over a descending logarithmic grid.
 
-    Returns (best lambda, grid, mean validation MSE per grid point). Ties
-    resolve to the largest (sparsest) lambda. Fold assignment depends only on
-    the seed, and fold results are independent of evaluation order.
+    Returns (best lambda, grid, mean validation MSE per grid point). Each
+    fold's grid solutions are exact points of its lasso path on the
+    standardized training rows; all grid points are scored on the
+    validation rows at once. Ties resolve to the largest (sparsest) lambda.
+    Fold assignment depends only on the seed, and fold results are
+    independent of evaluation order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != len(y):
+        raise ValueError(f"X shape {X.shape} incompatible with y length {len(y)}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in inputs")
+    if not 0.0 < lam_min_ratio <= 1.0:
+        raise ValueError("lam_min_ratio must lie in (0, 1]")
     n = len(y)
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")
@@ -185,10 +287,14 @@ def cross_validate_lambda(
     errors = np.zeros((n_folds, grid_size))
     for f, val_idx in enumerate(folds):
         train = np.setdiff1d(order, val_idx)
-        for g, lam in enumerate(grid):
-            model = fit_lasso(X[train], y[train], lam, tol=tol, max_sweeps=max_sweeps)
-            resid = y[val_idx] - model.predict(X[val_idx])
-            errors[f, g] = resid @ resid / len(val_idx)
+        if len(train) < 2:
+            raise ValueError("need at least 2 training rows per fold")
+        Z, yc, std = _standardize(X[train], y[train])
+        coefs = _lasso_path(Z.T @ Z / len(train), Z.T @ yc / len(train), grid)
+        # Zero-variance columns have unit scale and zero coefficients here.
+        Z_val = (X[val_idx] - std.x_mean) / std.x_std
+        resid = (y[val_idx] - std.y_mean)[:, None] - Z_val @ coefs.T
+        errors[f] = np.mean(resid * resid, axis=0)
     mean_err = errors.mean(axis=0)
     return float(grid[int(np.argmin(mean_err))]), grid, mean_err
 

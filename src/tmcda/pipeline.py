@@ -194,6 +194,29 @@ def _selected_standardized(model: lasso.LassoModel, X: np.ndarray, selected) -> 
     return (X[:, sel] - std.x_mean[sel]) / std.x_std[sel]
 
 
+def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int) -> float:
+    """The L1 penalty for the final fit under ``settings.lambda_mode``.
+
+    ``cv`` cross-validates over the settings' grid with fold assignment from
+    ``seed``; ``fraction`` scales lambda_max by ``lambda_value``; ``fixed``
+    uses ``lambda_value`` as is.
+    """
+    if settings.lambda_mode == "cv":
+        lam, _, _ = lasso.cross_validate_lambda(
+            X, y,
+            n_folds=settings.cv_folds,
+            grid_size=settings.cv_grid_size,
+            lam_min_ratio=settings.lam_min_ratio,
+            seed=seed,
+        )
+        return lam
+    if settings.lambda_mode == "fraction":
+        return settings.lambda_value * lasso.lambda_max(X, y)
+    if settings.lambda_mode == "fixed":
+        return settings.lambda_value
+    raise ValueError(f"unknown lambda_mode {settings.lambda_mode!r}")
+
+
 def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> _PreparedStages:
     if split.source.labels is None:
         raise PipelineError("lasso", ValueError("source dataset carries no labels"))
@@ -201,22 +224,7 @@ def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> _PreparedStag
     y = split.source.movement_labels(config.movement).astype(float)
 
     ls = config.lasso
-    if ls.lambda_mode == "cv":
-        lam, _, _ = _run_stage(
-            "lasso",
-            lasso.cross_validate_lambda,
-            X, y,
-            n_folds=ls.cv_folds,
-            grid_size=ls.cv_grid_size,
-            lam_min_ratio=ls.lam_min_ratio,
-            seed=stage_seed(config.master_seed, "lasso"),
-        )
-    elif ls.lambda_mode == "fixed":
-        lam = ls.lambda_value
-    elif ls.lambda_mode == "fraction":
-        lam = ls.lambda_value * _run_stage("lasso", lasso.lambda_max, X, y)
-    else:
-        raise PipelineError("lasso", ValueError(f"unknown lambda_mode {ls.lambda_mode!r}"))
+    lam = _run_stage("lasso", select_lambda, X, y, ls, stage_seed(config.master_seed, "lasso"))
     model = _run_stage("lasso", lasso.fit_lasso, X, y, lam, tol=ls.tol, max_sweeps=ls.max_sweeps)
 
     selected = lasso.select_features(model)
@@ -323,6 +331,9 @@ def run_estimation(split: DomainSplit, config: PipelineConfig) -> EstimationResu
     return _finish_estimation(split, config, _prepare_stages(split, config))
 
 
+_METRIC_RTOL = 16 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class FoldResult:
     intersection: str
@@ -337,7 +348,9 @@ class FoldResult:
         if self.error is None:
             if self.mae is None or self.rmse is None:
                 raise ValueError("successful fold must carry metrics")
-            if not (self.rmse >= self.mae >= 0.0):
+            # RMSE >= MAE holds exactly, but when every error has the same
+            # magnitude the rounded RMSE can land a few ulps below the MAE.
+            if not (self.mae >= 0.0 and self.rmse >= self.mae * (1.0 - _METRIC_RTOL)):
                 raise ValueError(f"metric invariant violated: MAE={self.mae}, RMSE={self.rmse}")
 
 

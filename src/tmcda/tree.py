@@ -114,7 +114,12 @@ def _best_split(X, r, w, idx, min_samples_leaf):
         k = int(np.argmax(score))
         gain = score[k] - parent_score
         if gain > 1e-12 * max(1.0, abs(parent_score)) and (best is None or gain > best[2]):
-            threshold = (xs_sorted[k] + xs_sorted[k + 1]) / 2.0
+            lo, hi = xs_sorted[k], xs_sorted[k + 1]
+            threshold = (lo + hi) / 2.0
+            if not threshold < hi:
+                # The midpoint of neighbouring doubles can round up to hi,
+                # which would send every row left.
+                threshold = lo
             best = (j, float(threshold), float(gain))
     return best
 

@@ -112,6 +112,8 @@ def brute_force_split(X, r, w, min_samples_leaf):
         values = np.unique(X[:, j])
         for lo, hi in zip(values[:-1], values[1:]):
             threshold = (lo + hi) / 2.0
+            if not threshold < hi:
+                threshold = lo
             left = X[:, j] <= threshold
             if left.sum() < min_samples_leaf or (~left).sum() < min_samples_leaf:
                 continue

@@ -4,7 +4,7 @@ import pytest
 
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table
-from tmcda.lasso import coefficient_report, fit_lasso, lambda_max
+from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
 from tmcda.runconfig import ConfigError, load_config, load_grid_config
 
 FAST_CONFIG = """
@@ -85,6 +85,21 @@ def test_select_matches_direct_library_call(tmp_path, data_file):
     assert len(written.strip().splitlines()) == 26
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert str(data_file) in manifest["inputs"]
+
+
+def test_select_cv_matches_direct_library_call(tmp_path, data_file):
+    out_dir = tmp_path / "sel_cv"
+    assert main(["select", "--data", str(data_file), "--lambda-mode", "cv",
+                 "--seed", "4", "--out-dir", str(out_dir)]) == EXIT_OK
+    written = (out_dir / "coefficients.csv").read_text()
+
+    data = load_table(data_file)
+    models = {}
+    for movement in ("left", "through", "right"):
+        y = data.movement_labels(movement).astype(float)
+        lam, _, _ = cross_validate_lambda(data.X, y, seed=4)
+        models[movement] = fit_lasso(data.X, y, lam)
+    assert written == coefficient_report(models, data.schema)
 
 
 def test_select_zero_signal_gives_zero_table(tmp_path, data_file):

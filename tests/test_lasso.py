@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tmcda.dataset import split_domains
 from tmcda.lasso import (
     LassoModel,
     StandardizationParams,
+    _lasso_path,
+    _standardize,
     coefficient_report,
     cross_validate_lambda,
     fit_lasso,
@@ -11,6 +16,7 @@ from tmcda.lasso import (
     select_features,
 )
 from tmcda.schema import DEFAULT_SCHEMA
+from tmcda.synth import generate_synthetic_network
 
 from _oracles import l1_objective, proximal_gradient_lasso, standardize, subgradient_violation
 
@@ -154,6 +160,114 @@ def test_cross_validation_deterministic_and_sane():
     assert np.array_equal(err_a, err_b)
     assert grid_a[0] == pytest.approx(lambda_max(X, y))
     assert 0 < lam_a < lambda_max(X, y)
+
+
+def _cd_cross_validation(X, y, grid_size, lam_min_ratio, seed, tol, max_sweeps, n_folds=5):
+    """Per-lambda coordinate-descent CV: the same folds and grid, one fit per point."""
+    grid = lambda_max(X, y) * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
+    order = np.random.default_rng(seed).permutation(len(y))
+    errors = np.zeros((n_folds, grid_size))
+    for f, val in enumerate(np.array_split(order, n_folds)):
+        train = np.setdiff1d(order, val)
+        for g, lam in enumerate(grid):
+            model = fit_lasso(X[train], y[train], lam, tol=tol, max_sweeps=max_sweeps)
+            resid = y[val] - model.predict(X[val])
+            errors[f, g] = resid @ resid / len(val)
+    mean_err = errors.mean(axis=0)
+    return float(grid[int(np.argmin(mean_err))]), mean_err
+
+
+def _path_kkt_violation(X, y, grid):
+    Z, yc, _ = _standardize(X, y)
+    n = len(y)
+    coefs = _lasso_path(Z.T @ Z / n, Z.T @ yc / n, grid)
+    return max(subgradient_violation(Z, yc, b, lam) for b, lam in zip(coefs, grid)), coefs
+
+
+def test_path_grid_points_satisfy_optimality():
+    for seed in range(10):
+        X, y = _random_problem(20 + seed, n=40, p=8)
+        grid = lambda_max(X, y) * np.logspace(0.0, -4.0, 60)
+        worst, coefs = _path_kkt_violation(X, y, grid)
+        assert worst <= 1e-9
+        assert np.all(coefs[0] == 0.0)
+
+
+def test_path_cv_matches_per_lambda_coordinate_descent():
+    # With a 1e-12 CD tolerance both routes reach the same solutions; the
+    # validation MSEs then agree to 1e-9 relative (observed: ~2e-13).
+    for seed in range(4):
+        X, y = _random_problem(40 + seed, n=60, p=6)
+        lam_path, grid, err_path = cross_validate_lambda(X, y, grid_size=15, lam_min_ratio=1e-2, seed=seed)
+        lam_cd, err_cd = _cd_cross_validation(X, y, 15, 1e-2, seed, tol=1e-12, max_sweeps=100_000)
+        assert np.allclose(err_path, err_cd, rtol=1e-9, atol=0.0)
+        assert lam_path == lam_cd
+
+
+def test_path_cv_picks_the_coordinate_descent_lambda_on_network_folds():
+    # Two source intersections: every intersection-level column is an affine
+    # copy of the others. The CD reference runs at the tolerance CV used to.
+    for seed in range(2):
+        data = generate_synthetic_network(seed, 3, 1.0, 8)
+        split = split_domains(data, data.intersections()[seed])
+        X = split.source.X
+        for movement in ("left", "through", "right"):
+            y = split.source.movement_labels(movement).astype(float)
+            lam_path, _, err_path = cross_validate_lambda(X, y, grid_size=8, lam_min_ratio=0.1, seed=seed)
+            lam_cd, err_cd = _cd_cross_validation(X, y, 8, 0.1, seed, tol=1e-7, max_sweeps=2_000)
+            assert lam_path == lam_cd
+            assert np.allclose(err_path, err_cd, rtol=1e-5, atol=0.0)
+
+
+def test_path_handles_duplicated_collinear_and_constant_columns():
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((50, 4))
+    X = np.column_stack([
+        base,
+        base[:, 0],                           # duplicate
+        2.5 * base[:, 1] - 7.0,               # affine copy
+        base[:, 2] - 0.5 * base[:, 3] + 1.0,  # in the span of two columns
+        np.full(50, 3.0),                     # zero variance
+    ])
+    y = base @ np.array([1.5, -2.0, 0.7, 0.3]) + 0.2 * rng.standard_normal(50)
+    grid = lambda_max(X, y) * np.logspace(0.0, -4.0, 40)
+    worst, coefs = _path_kkt_violation(X, y, grid)
+    assert worst <= 1e-9
+    assert np.all(coefs[:, 7] == 0.0)
+    lam, _, err = cross_validate_lambda(X, y, grid_size=40, lam_min_ratio=1e-4, seed=1)
+    assert np.isfinite(err).all() and 0.0 < lam < lambda_max(X, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 30), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "duplicate", "affine", "constant"]))
+def test_path_optimal_on_random_small_problems(n, p, seed, degeneracy):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p)
+    if p > 1 and degeneracy == "duplicate":
+        X[:, -1] = X[:, 0]
+    elif p > 1 and degeneracy == "affine":
+        X[:, -1] = -3.0 * X[:, 0] + 2.0
+    elif degeneracy == "constant":
+        X[:, -1] = 1.5
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    lam_hi = lambda_max(X, y)
+    if lam_hi == 0.0:
+        return
+    worst, _ = _path_kkt_violation(X, y, lam_hi * np.logspace(0.0, -3.0, 25))
+    assert worst <= 1e-9
+
+
+def test_cross_validation_input_validation():
+    X, y = _random_problem(11)
+    with pytest.raises(ValueError, match="non-finite"):
+        cross_validate_lambda(np.where(X == X[0, 0], np.nan, X), y)
+    with pytest.raises(ValueError, match="incompatible"):
+        cross_validate_lambda(X, y[:-1])
+    with pytest.raises(ValueError, match="lam_min_ratio"):
+        cross_validate_lambda(X, y, lam_min_ratio=2.0)
+    with pytest.raises(ValueError, match="training rows"):
+        cross_validate_lambda(X, y, n_folds=1)
 
 
 def test_coefficient_report_layout():

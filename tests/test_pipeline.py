@@ -11,6 +11,7 @@ from tmcda.pipeline import (
     GmmSettings,
     ItmlSettings,
     LassoSettings,
+    FoldResult,
     PipelineConfig,
     PipelineError,
     ablation_sweep,
@@ -70,6 +71,19 @@ def test_rmse_mae_inequality_property(a, b):
     n = min(len(a), len(b))
     mae, rmse = evaluate(np.array(a[:n]), np.array(b[:n]))
     assert rmse >= mae - 1e-9
+
+
+def test_fold_with_equal_magnitude_errors_is_not_rejected():
+    # Every |error| is 0.1, so RMSE == MAE exactly, but the rounded RMSE
+    # (0.1) lands one ulp below the rounded MAE (0.10000000000000002).
+    mae, rmse = evaluate(np.full(3, 0.1), np.zeros(3))
+    assert rmse < mae
+    row = FoldResult("I00", "left", "GB", 3, mae, rmse)
+    assert row.error is None
+    with pytest.raises(ValueError, match="metric invariant"):
+        FoldResult("I00", "left", "GB", 3, 1.0, 0.999)
+    with pytest.raises(ValueError, match="metric invariant"):
+        FoldResult("I00", "left", "GB", 3, -1e-300, 0.0)
 
 
 def test_evaluate_validates_inputs():

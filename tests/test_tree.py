@@ -46,6 +46,21 @@ def test_split_choice_matches_exhaustive_oracle_on_random_data():
             assert tree.threshold[0] == pytest.approx(oracle[1], rel=1e-12)
 
 
+def test_split_between_neighbouring_doubles_keeps_both_children():
+    # (lo + hi) / 2 rounds up to hi for these two neighbouring doubles.
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    assert (lo + hi) / 2.0 == hi
+    X = np.array([lo, lo, hi, hi])[:, None]
+    r = np.array([1.0, 1.0, -1.0, -1.0])
+    tree = fit_tree(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
+    assert tree.threshold[0] == lo
+    assert np.array_equal(tree.predict(X), r)
+    assert np.isfinite(tree.value).all()
+    oracle = brute_force_split(X, r, np.ones(4), 1)
+    assert oracle[:2] == (0, lo)
+
+
 def test_deep_tree_predictions_match_brute_force():
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
