@@ -6,7 +6,7 @@ boosting, evaluated leave-one-intersection-out.
 """
 
 from .boosting import BoostedModel, TrainConfig, fit_gbbw, fit_gradient_boosting, predict
-from .dataset import Dataset, DomainSplit, HeldOutLabels, Instance, load_table, split_domains, write_table
+from .dataset import Dataset, DomainSplit, HeldOutLabels, load_table, split_domains, write_table
 from .gmm import EMConfig, GaussianMixture, augment, fit_gmm, gaussian_pdf, sample_gmm
 from .itml import (
     ConstraintConfig,

@@ -6,6 +6,10 @@ instance by alpha inside the loss. The constant initializer, the per-stage
 residual fit and the stage multiplier all use those weights; alpha = 0
 reduces exactly to standard gradient boosting on the source set alone, and
 alpha = 1 trains on the pseudo-target set alone.
+
+The loss is squared error only, the case gradient boosting (Friedman 2001,
+*Greedy function approximation*) reduces to least-squares residual fitting
+with a closed-form stage multiplier.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from .tree import RegressionTree, fit_tree
 MODEL_FORMAT = "boosted-model"
 MODEL_FORMAT_VERSION = 1
 
-_LOSSES = ("squared",)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -31,8 +33,6 @@ class TrainConfig:
     min_samples_leaf: int = 2
     shrinkage: float = 0.1
     alpha: float = 0.5
-    seed: int = 0
-    loss: str = "squared"
 
     def __post_init__(self):
         if self.n_stages < 0:
@@ -41,8 +41,6 @@ class TrainConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError("shrinkage must be in (0, 1]")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class BoostedModel:
     stages: tuple[tuple[float, RegressionTree], ...]
     shrinkage: float
     alpha: float
-    loss: str
     n_features: int
     loss_trace: tuple[float, ...] = ()
 
@@ -62,10 +59,8 @@ class BoostedModel:
         return len(self.stages)
 
 
-def pseudo_residuals(loss: str, y: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Negative loss gradient with respect to the current predictions."""
-    if loss not in _LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
+def pseudo_residuals(y: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Negative squared-loss gradient with respect to the current predictions."""
     y = np.asarray(y, dtype=float)
     F = np.asarray(F, dtype=float)
     if y.shape != F.shape:
@@ -73,10 +68,8 @@ def pseudo_residuals(loss: str, y: np.ndarray, F: np.ndarray) -> np.ndarray:
     return y - F
 
 
-def _loss_values(loss: str, y: np.ndarray, F: np.ndarray) -> np.ndarray:
-    if loss not in _LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
-    return 0.5 * (y - F) ** 2
+def _weighted_loss(w: np.ndarray, y: np.ndarray, F: np.ndarray) -> float:
+    return float(w @ (0.5 * (y - F) ** 2))
 
 
 def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -99,21 +92,20 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
     f0 = float(w @ y / w.sum())
     F = np.full(len(y), f0)
     stages = []
-    trace = [float(w @ _loss_values(config.loss, y, F))]
+    trace = [_weighted_loss(w, y, F)]
     for _ in range(config.n_stages):
-        r = pseudo_residuals(config.loss, y, F)
+        r = pseudo_residuals(y, F)
         tree = fit_tree(X, r, w, config.max_depth, config.min_samples_leaf)
         h = tree.predict(X)
         gamma = compute_gamma(F, h, y, w)
         F = F + config.shrinkage * gamma * h
         stages.append((gamma, tree))
-        trace.append(float(w @ _loss_values(config.loss, y, F)))
+        trace.append(_weighted_loss(w, y, F))
     return BoostedModel(
         f0=f0,
         stages=tuple(stages),
         shrinkage=config.shrinkage,
         alpha=alpha,
-        loss=config.loss,
         n_features=X.shape[1],
         loss_trace=tuple(trace),
     )
@@ -187,7 +179,6 @@ def save_model(model: BoostedModel, path: str | Path) -> None:
         "f0": model.f0,
         "shrinkage": model.shrinkage,
         "alpha": model.alpha,
-        "loss": model.loss,
         "n_features": model.n_features,
         "stages": [{"gamma": g, "tree": t.to_dict()} for g, t in model.stages],
     }
@@ -206,6 +197,5 @@ def load_model(path: str | Path) -> BoostedModel:
         stages=stages,
         shrinkage=float(payload["shrinkage"]),
         alpha=float(payload["alpha"]),
-        loss=str(payload["loss"]),
         n_features=int(payload["n_features"]),
     )

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,21 +42,24 @@ class ValidationFailure(Exception):
     pass
 
 
-class RuntimeFailure(Exception):
-    pass
-
-
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_path(path: Path):
+    """Yield a temporary path beside ``path``; move it into place only if the block succeeds."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield Path(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _digest_file(path: Path) -> str:
@@ -98,10 +102,8 @@ def cmd_synth(args) -> int:
         raise ValidationFailure("--n-intersections must be >= 2")
     data = generate_synthetic_network(args.seed, args.n_intersections, args.shift, args.n_intervals)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    write_table(data, tmp)
-    os.replace(tmp, out)
+    with _atomic_path(out) as tmp:
+        write_table(data, tmp)
     print(f"wrote {data.n} rows ({args.n_intersections} intersections) to {out}")
     return EXIT_OK
 
@@ -133,13 +135,11 @@ def cmd_select(args) -> int:
 
 
 def _loo_configs(base: PipelineConfig, movements: list[str], variants: list[str]) -> list[PipelineConfig]:
-    configs = []
-    for variant in variants:
-        for movement in movements:
-            configs.append(
-                runconfig.for_variant(runconfig.for_movement(base, movement), variant)
-            )
-    return configs
+    return [
+        replace(base, movement=movement, variant=variant)
+        for variant in variants
+        for movement in movements
+    ]
 
 
 def cmd_loo(args) -> int:
@@ -162,15 +162,17 @@ def cmd_loo(args) -> int:
     failures = [r for r in report.rows if r.error is not None]
     print(f"wrote {summary} and {folds} ({len(report.rows)} rows, {len(failures)} failed)")
     if failures and len(failures) == len(report.rows):
-        raise RuntimeFailure("every fold failed; see folds.csv")
+        raise RuntimeError("every fold failed; see folds.csv")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     try:
-        base, grid = runconfig.load_grid_config(args.grid)
+        # --config keys override the grid file's; the grid file's other keys still apply.
+        entries = runconfig.parse_flat_file(args.grid)
         if args.config:
-            base = runconfig.load_config(args.config)
+            entries.update(runconfig.parse_flat_file(args.config))
+        base, grid = runconfig.apply_entries(entries, allow_grid=True)
         if args.seed is not None:
             base = replace(base, master_seed=args.seed)
         data = load_table(args.data)
@@ -178,7 +180,7 @@ def cmd_sweep(args) -> int:
         raise ValidationFailure(str(exc)) from exc
     if data.labels is None:
         raise ValidationFailure("sweeps need a labeled dataset")
-    configs = [runconfig.for_movement(base, m) for m in _movements(args.movement)]
+    configs = [replace(base, movement=m) for m in _movements(args.movement)]
     result = ablation_sweep(data, grid, configs, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     out = out_dir / "sweep.csv"
@@ -245,9 +247,6 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RuntimeFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # stage/runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -24,31 +24,6 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True)
-class Instance:
-    """A single observation; labels are None for target-domain inference."""
-
-    intersection_id: str
-    approach: str
-    interval_index: int
-    features: np.ndarray
-    labels: tuple[int, int, int] | None = None
-
-    def validate(self, schema: FeatureSchema) -> None:
-        if self.approach not in APPROACHES:
-            raise DataError(f"unknown approach {self.approach!r}")
-        if len(self.features) != len(schema):
-            raise DataError(
-                f"feature vector length {len(self.features)} != schema length {len(schema)}"
-            )
-        for name, value in zip(schema.names(), self.features):
-            msg = schema.validate_value(name, float(value))
-            if msg:
-                raise DataError(msg)
-        if self.labels is not None and any(v < 0 for v in self.labels):
-            raise DataError(f"negative label in {self.labels}")
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Instances over a shared feature schema.
 
@@ -82,16 +57,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    def instance(self, i: int) -> Instance:
-        labels = None if self.labels is None else tuple(int(v) for v in self.labels[i])
-        return Instance(
-            str(self.intersection_ids[i]),
-            str(self.approaches[i]),
-            int(self.interval_indices[i]),
-            self.X[i],
-            labels,
-        )
 
     def intersections(self) -> list[str]:
         return sorted(set(str(s) for s in self.intersection_ids))

@@ -29,7 +29,7 @@ GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
 VARIANTS = ("full", "itml-gbbw", "source-only")
 VARIANT_LABELS = {"full": "ITMLGMM-GBBW", "itml-gbbw": "ITML-GBBW", "source-only": "GB"}
 
-_STAGE_IDS = {"lasso": 0, "constraints": 1, "gmm": 2, "boosting": 3}
+_STAGE_IDS = {"lasso": 0, "constraints": 1, "gmm": 2}
 
 
 class PipelineError(RuntimeError):
@@ -141,50 +141,44 @@ def substitute_target(
     return np.asarray(augmented_X, dtype=float), np.asarray(augmented_y, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationResult:
-    """Predictions for the target plus fitted stage artifacts."""
+    """Fitted stage artifacts for one target, then its predictions.
 
-    predictions: np.ndarray
+    ``_prepare_stages`` fills everything upstream of boosting, which alone
+    depends on alpha; ``_finish_estimation`` adds the booster and the
+    predictions. ``Zs``/``ys`` are the standardized selected source features
+    and labels, ``Zt`` the same features of the target, and
+    ``pseudo_X``/``pseudo_y`` the augmented pseudo-target set (None when
+    alpha is 0).
+    """
+
     target_id: str
     movement: str
-    selected_features: tuple[int, ...]
-    lasso_model: lasso.LassoModel
-    lasso_lambda: float
-    metric: np.ndarray | None
-    itml_result: itml.ITMLResult | None
-    constraints: itml.ConstraintSet | None
-    matched_indices: np.ndarray | None
-    gmm_model: gmm.GaussianMixture | None
-    boosted_model: boosting.BoostedModel
     config: PipelineConfig
-
-
-@dataclass
-class _PreparedStages:
-    """Everything upstream of boosting, which alone depends on alpha."""
-
-    selected: tuple[int, ...]
+    selected_features: tuple[int, ...]
     lasso_model: lasso.LassoModel
     lasso_lambda: float
     Zs: np.ndarray
     ys: np.ndarray
     Zt: np.ndarray
-    metric: np.ndarray | None
-    itml_result: itml.ITMLResult | None
-    constraints: itml.ConstraintSet | None
-    matched_indices: np.ndarray | None
-    gmm_model: gmm.GaussianMixture | None
-    pseudo_X: np.ndarray | None
-    pseudo_y: np.ndarray | None
+    metric: np.ndarray | None = None
+    itml_result: itml.ITMLResult | None = None
+    constraints: itml.ConstraintSet | None = None
+    matched_indices: np.ndarray | None = None
+    gmm_model: gmm.GaussianMixture | None = None
+    pseudo_X: np.ndarray | None = None
+    pseudo_y: np.ndarray | None = None
+    boosted_model: boosting.BoostedModel | None = None
+    predictions: np.ndarray | None = None
 
 
 def _run_stage(stage: str, fn, *args, **kwargs):
+    # Every typed stage failure (DataError, MetricError, GMMError, LinAlgError)
+    # is a ValueError; anything else is a coding bug and propagates.
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
-        raise
-    except Exception as exc:
+    except ValueError as exc:
         raise PipelineError(stage, exc) from exc
 
 
@@ -217,7 +211,7 @@ def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
     raise ValueError(f"unknown lambda_mode {settings.lambda_mode!r}")
 
 
-def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> _PreparedStages:
+def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> EstimationResult:
     if split.source.labels is None:
         raise PipelineError("lasso", ValueError("source dataset carries no labels"))
     X = split.source.X
@@ -239,13 +233,11 @@ def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> _PreparedStag
 
     Zs = _selected_standardized(model, X, selected)
     Zt = _selected_standardized(model, split.target_features.X, selected)
+    upstream = EstimationResult(split.target_id, config.movement, config, selected, model, lam, Zs, y, Zt)
 
     if config.effective_alpha() == 0.0:
         # Boosting will ignore the pseudo-target entirely; skip its stages.
-        return _PreparedStages(
-            selected, model, lam, Zs, y, Zt,
-            None, None, None, None, None, None, None,
-        )
+        return upstream
 
     it = config.itml
     constraints = _run_stage(
@@ -280,17 +272,16 @@ def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> _PreparedStag
         ),
     )
     pseudo_X, pseudo_y = _run_stage("gmm", substitute_target, matched_X, matched_y, aug_X, aug_y)
-    return _PreparedStages(
-        selected, model, lam, Zs, y, Zt,
-        itml_result.A, itml_result, constraints, matched_idx, gmm_model, pseudo_X, pseudo_y,
+    return replace(
+        upstream,
+        metric=itml_result.A, itml_result=itml_result, constraints=constraints,
+        matched_indices=matched_idx, gmm_model=gmm_model, pseudo_X=pseudo_X, pseudo_y=pseudo_y,
     )
 
 
-def _finish_estimation(split: DomainSplit, config: PipelineConfig, stages: _PreparedStages) -> EstimationResult:
+def _finish_estimation(split: DomainSplit, config: PipelineConfig, stages: EstimationResult) -> EstimationResult:
     alpha = config.effective_alpha()
-    train_cfg = replace(
-        config.boosting, alpha=alpha, seed=stage_seed(config.master_seed, "boosting")
-    )
+    train_cfg = replace(config.boosting, alpha=alpha)
     Zs, ys = stages.Zs, stages.ys
     if config.exclude_matched_from_source and stages.matched_indices is not None:
         keep = np.ones(len(ys), dtype=bool)
@@ -309,21 +300,7 @@ def _finish_estimation(split: DomainSplit, config: PipelineConfig, stages: _Prep
     preds = boosting.predict(model, stages.Zt, clamp_at_zero=config.clamp_predictions)
     if config.round_predictions:
         preds = np.rint(preds)
-    return EstimationResult(
-        predictions=preds,
-        target_id=split.target_id,
-        movement=config.movement,
-        selected_features=stages.selected,
-        lasso_model=stages.lasso_model,
-        lasso_lambda=stages.lasso_lambda,
-        metric=stages.metric,
-        itml_result=stages.itml_result,
-        constraints=stages.constraints,
-        matched_indices=stages.matched_indices,
-        gmm_model=stages.gmm_model,
-        boosted_model=model,
-        config=config,
-    )
+    return replace(stages, boosted_model=model, predictions=preds, config=config)
 
 
 def run_estimation(split: DomainSplit, config: PipelineConfig) -> EstimationResult:
@@ -383,7 +360,7 @@ def _score_fold(split: DomainSplit, config: PipelineConfig) -> FoldResult:
         y_true = split.held_out_labels.reveal_for_scoring(config.movement)
         mae, rmse = evaluate(y_true, result.predictions)
         return FoldResult(split.target_id, config.movement, label, n, mae, rmse)
-    except Exception as exc:  # fold failure policy: record and continue
+    except PipelineError as exc:  # fold failure policy: record and continue
         return FoldResult(split.target_id, config.movement, label, n, None, None, str(exc))
 
 

@@ -1,14 +1,18 @@
 """Flat key-value run configuration files with dotted section keys.
 
-Lines look like ``gmm.n_components = 4``; ``#`` starts a comment. Unknown
-keys are hard errors, reported all at once so a sweep cannot silently run
-with a misspelled setting.
+Lines look like ``gmm.n_components = 4``; ``#`` starts a comment. Every
+field of the four settings classes is a ``<section>.<field>`` key parsed by
+its annotated type, so keys and fields cannot drift apart; five more keys
+set top-level ``PipelineConfig`` fields. Unknown keys are hard errors,
+reported all at once so a sweep cannot silently run with a misspelled
+setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .boosting import TrainConfig
 from .pipeline import GmmSettings, ItmlSettings, LassoSettings, PipelineConfig
@@ -27,46 +31,39 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_optional_int(text: str):
-    return None if text.lower() == "none" else int(text)
-
-
-def _parse_optional_float(text: str):
-    return None if text.lower() == "none" else float(text)
-
-
-# key -> (section, field, parser)
-_KEYS = {
-    "seed": (None, "master_seed", int),
-    "pipeline.variant": (None, "variant", str),
-    "pipeline.clamp": (None, "clamp_predictions", _parse_bool),
-    "pipeline.round": (None, "round_predictions", _parse_bool),
-    "pipeline.exclude_matched": (None, "exclude_matched_from_source", _parse_bool),
-    "lasso.lambda_mode": ("lasso", "lambda_mode", str),
-    "lasso.lambda_value": ("lasso", "lambda_value", float),
-    "lasso.cv_folds": ("lasso", "cv_folds", int),
-    "lasso.cv_grid_size": ("lasso", "cv_grid_size", int),
-    "lasso.lam_min_ratio": ("lasso", "lam_min_ratio", float),
-    "lasso.tol": ("lasso", "tol", float),
-    "lasso.max_sweeps": ("lasso", "max_sweeps", int),
-    "itml.gamma": ("itml", "gamma", float),
-    "itml.max_passes": ("itml", "max_passes", int),
-    "itml.tol": ("itml", "tol", float),
-    "itml.percentile": ("itml", "percentile", float),
-    "itml.max_constraints": ("itml", "max_constraints", int),
-    "itml.n_candidates": ("itml", "n_candidates", int),
-    "gmm.n_components": ("gmm", "n_components", _parse_optional_int),
-    "gmm.n_samples": ("gmm", "n_samples", _parse_optional_int),
-    "gmm.tol": ("gmm", "tol", float),
-    "gmm.max_iter": ("gmm", "max_iter", int),
-    "gmm.n_init": ("gmm", "n_init", int),
-    "gmm.ridge": ("gmm", "ridge", _parse_optional_float),
-    "boosting.n_stages": ("boosting", "n_stages", int),
-    "boosting.max_depth": ("boosting", "max_depth", int),
-    "boosting.min_samples_leaf": ("boosting", "min_samples_leaf", int),
-    "boosting.shrinkage": ("boosting", "shrinkage", float),
-    "boosting.alpha": ("boosting", "alpha", float),
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    int | None: lambda text: None if text.lower() == "none" else int(text),
+    float | None: lambda text: None if text.lower() == "none" else float(text),
 }
+
+_SECTIONS = {"lasso": LassoSettings, "itml": ItmlSettings, "gmm": GmmSettings, "boosting": TrainConfig}
+
+# Top-level key -> PipelineConfig field. The movement is chosen per command.
+_TOP_LEVEL = {
+    "seed": "master_seed",
+    "pipeline.variant": "variant",
+    "pipeline.clamp": "clamp_predictions",
+    "pipeline.round": "round_predictions",
+    "pipeline.exclude_matched": "exclude_matched_from_source",
+}
+
+
+def _derive_keys() -> dict:
+    """key -> (section, field, parser), with each parser read off the field's annotation."""
+    top_hints = get_type_hints(PipelineConfig)
+    keys = {key: (None, name, _PARSERS[top_hints[name]]) for key, name in _TOP_LEVEL.items()}
+    for section, cls in _SECTIONS.items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            keys[f"{section}.{f.name}"] = (section, f.name, _PARSERS[hints[f.name]])
+    return keys
+
+
+_KEYS = _derive_keys()
 
 _GRID_KEYS = ("grid.n_components", "grid.n_samples", "grid.alpha")
 
@@ -89,12 +86,13 @@ def parse_flat_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineConfig, dict]:
+def apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineConfig, dict]:
+    """Build a configuration, and the sweep grid when ``allow_grid``, from parsed entries."""
     unknown = [k for k in entries if k not in _KEYS and not (allow_grid and k in _GRID_KEYS)]
     if unknown:
         raise ConfigError(f"unknown configuration key(s): {sorted(unknown)}")
 
-    sections = {"lasso": {}, "itml": {}, "gmm": {}, "boosting": {}}
+    sections = {section: {} for section in _SECTIONS}
     top = {}
     problems = []
     for key, text in entries.items():
@@ -126,10 +124,7 @@ def _apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineC
 
     try:
         config = PipelineConfig(
-            lasso=LassoSettings(**sections["lasso"]),
-            itml=ItmlSettings(**sections["itml"]),
-            gmm=GmmSettings(**sections["gmm"]),
-            boosting=TrainConfig(**sections["boosting"]),
+            **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},
             **top,
         )
     except (TypeError, ValueError) as exc:
@@ -141,18 +136,11 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     """Build a pipeline configuration from a flat file (defaults if None)."""
     if path is None:
         return PipelineConfig()
-    config, _ = _apply_entries(parse_flat_file(path), allow_grid=False)
+    config, _ = apply_entries(parse_flat_file(path), allow_grid=False)
     return config
 
 
 def load_grid_config(path: str | Path) -> tuple[PipelineConfig, dict]:
     """Build the base configuration and sweep grid from one flat file."""
-    return _apply_entries(parse_flat_file(path), allow_grid=True)
+    return apply_entries(parse_flat_file(path), allow_grid=True)
 
-
-def for_movement(config: PipelineConfig, movement: str) -> PipelineConfig:
-    return replace(config, movement=movement)
-
-
-def for_variant(config: PipelineConfig, variant: str) -> PipelineConfig:
-    return replace(config, variant=variant)

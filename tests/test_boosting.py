@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,12 +32,12 @@ def _two_domain_problem(seed, n1=12, n2=4, p=3):
 
 def test_residuals_zero_at_fit():
     y = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(pseudo_residuals("squared", y, y), np.zeros(3))
+    assert np.array_equal(pseudo_residuals(y, y), np.zeros(3))
 
 
 def test_residuals_hand_case():
     assert np.array_equal(
-        pseudo_residuals("squared", np.array([3.0, 1.0]), np.array([1.0, 1.0])),
+        pseudo_residuals(np.array([3.0, 1.0]), np.array([1.0, 1.0])),
         np.array([2.0, 0.0]),
     )
 
@@ -44,15 +46,8 @@ def test_residual_sign_matches_error_sign():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(50)
     F = rng.standard_normal(50)
-    r = pseudo_residuals("squared", y, F)
+    r = pseudo_residuals(y, F)
     assert np.array_equal(np.sign(r), np.sign(y - F))
-
-
-def test_unknown_loss_rejected():
-    with pytest.raises(ValueError, match="unknown loss"):
-        pseudo_residuals("huber", np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError, match="unknown loss"):
-        TrainConfig(loss="absolute")
 
 
 # ------------------------------------------------------------------ multiplier
@@ -157,7 +152,7 @@ def test_prediction_additive_in_stages():
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=2, alpha=0.5))
     probe = np.vstack([Xs, Xt])
     truncated = BoostedModel(model.f0, model.stages[:-1], model.shrinkage,
-                             model.alpha, model.loss, model.n_features)
+                             model.alpha, model.n_features)
     gamma, tree = model.stages[-1]
     recomposed = predict(truncated, probe) + model.shrinkage * gamma * tree.predict(probe)
     assert np.allclose(predict(model, probe), recomposed, atol=1e-12)
@@ -203,6 +198,14 @@ def test_model_serialization_round_trip(tmp_path):
     probe = np.vstack([Xs, Xt])
     assert np.array_equal(predict(model, probe), predict(clone, probe))
     assert clone.alpha == model.alpha
+    assert "loss" not in json.loads(path.read_text())
+
+    # files written while models still recorded a loss name load unchanged
+    payload = json.loads(path.read_text())
+    payload["loss"] = "squared"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    assert np.array_equal(predict(load_model(old), probe), predict(model, probe))
 
     payload = path.read_text().replace('"version": 1', '"version": 99')
     bad = tmp_path / "bad.json"

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from tmcda import cli
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table
 from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
@@ -52,6 +54,16 @@ def test_synth_is_byte_deterministic(tmp_path):
 def test_synth_rejects_single_intersection(tmp_path):
     code = main(["synth", "--n-intersections", "1", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_VALIDATION
+
+
+def test_synth_leaves_no_temporary_file_when_writing_fails(tmp_path, monkeypatch):
+    def failing(data, path):
+        Path(path).write_text("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_table", failing)
+    assert main(["synth", "--out", str(tmp_path / "net.csv")]) == EXIT_RUNTIME
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_output_loads_cleanly(data_file):
@@ -181,6 +193,19 @@ def test_sweep_grid_rows_and_manifest(tmp_path, data_file):
     assert manifest["config"]["grid"]["alpha"] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert manifest["config"]["base"]["gmm"]["n_components"] == 2
     assert manifest["config"]["base"]["gmm"]["n_samples"] == 8
+
+
+def test_sweep_config_keys_override_grid_file_keys_and_others_still_apply(tmp_path, data_file, config_file):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("boosting.min_samples_leaf = 3\ngmm.n_init = 2\ngrid.alpha = 0.5\n")
+    out_dir = tmp_path / "merged"
+    assert main(["sweep", "--data", str(data_file), "--grid", str(grid),
+                 "--config", str(config_file), "--out-dir", str(out_dir),
+                 "--movement", "left"]) == EXIT_OK
+    base = json.loads((out_dir / "manifest.json").read_text())["config"]["base"]
+    assert base["boosting"]["min_samples_leaf"] == 3  # grid file only
+    assert base["gmm"]["n_init"] == 1                 # both: --config wins
+    assert base["boosting"]["n_stages"] == 4          # --config only
 
 
 def test_single_cell_sweep_equals_loo(tmp_path, data_file, config_file):

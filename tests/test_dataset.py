@@ -142,9 +142,3 @@ def test_dataset_arrays_are_read_only(small_data):
     with pytest.raises(ValueError):
         small_data.labels[0, 0] = 1
 
-
-def test_instance_accessor(small_data):
-    inst = small_data.instance(0)
-    assert inst.intersection_id == "I00"
-    inst.validate(small_data.schema)
-    assert len(inst.features) == 25

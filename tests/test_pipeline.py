@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tmcda import gmm
 from tmcda.boosting import TrainConfig
 from tmcda.dataset import split_domains
 from tmcda.lasso import fit_lasso
@@ -165,6 +166,25 @@ def test_stage_errors_carry_stage_tag(data3):
     )
     with pytest.raises(PipelineError, match=r"\[lasso\]"):
         run_estimation(split, bad)
+
+
+def test_coding_bug_in_a_stage_escapes_leave_one_out(data3, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(gmm, "augment", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        leave_one_out(data3, _fast_cfg())
+
+
+def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(gmm, "augment", infeasible)
+    report = leave_one_out(data3, _fast_cfg())
+    assert len(report.rows) == 3
+    assert all(r.error == "[gmm] injected failure" for r in report.rows)
 
 
 def test_rounding_flag(data3):

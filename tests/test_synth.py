@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tmcda.schema import APPROACHES
 from tmcda.synth import generate_synthetic_network, label_coefficients
 
 
@@ -60,8 +61,10 @@ def test_acceptance_scale_dataset_well_formed():
     assert data.n == 5 * 64
     assert len(data.intersections()) == 5
     assert data.labels.min() >= 0
-    for inst_idx in (0, data.n - 1):
-        data.instance(inst_idx).validate(data.schema)
+    assert set(data.approaches) <= set(APPROACHES)
+    for name, column in zip(data.schema.names(), data.X.T):
+        for value in column:
+            assert data.schema.validate_value(name, float(value)) is None
 
 
 def test_preconditions():
