@@ -37,6 +37,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_stages < 0:
             raise ValueError("n_stages must be >= 0")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.min_samples_leaf < 1:
+            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.shrinkage <= 1.0:

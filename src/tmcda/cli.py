@@ -2,7 +2,8 @@
 
 Every run writes its outputs atomically together with a manifest recording
 the configuration snapshot, master seed, schema version and input digests.
-Exit codes: 0 success, 2 usage, 3 validation, 4 runtime stage failure.
+Exit codes: 0 success, 2 usage, 3 validation, 4 runtime failure (every fold
+failed, or an I/O error or coding bug, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -21,6 +23,7 @@ from pathlib import Path
 from . import lasso, runconfig
 from .dataset import DataError, load_table, write_table
 from .pipeline import (
+    LAMBDA_MODES,
     VARIANTS,
     LassoSettings,
     PipelineConfig,
@@ -162,7 +165,8 @@ def cmd_loo(args) -> int:
     failures = [r for r in report.rows if r.error is not None]
     print(f"wrote {summary} and {folds} ({len(report.rows)} rows, {len(failures)} failed)")
     if failures and len(failures) == len(report.rows):
-        raise RuntimeError("every fold failed; see folds.csv")
+        print("error: every fold failed; see folds.csv", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="fit per-movement coefficients and emit the table")
     p.add_argument("--data", required=True)
     p.add_argument("--movement", choices=[*MOVEMENTS, "all"], default="all")
-    p.add_argument("--lambda-mode", choices=["cv", "fixed", "fraction"], default="cv")
+    p.add_argument("--lambda-mode", choices=LAMBDA_MODES, default="cv")
     p.add_argument("--lambda-value", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
@@ -247,8 +251,9 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # stage/runtime failures
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # not a failed fold: an I/O failure or a coding bug, so show where
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

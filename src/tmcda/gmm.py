@@ -16,6 +16,10 @@ class GMMError(ValueError):
     """Raised for infeasible mixture fits."""
 
 
+class TooFewSamplesError(GMMError):
+    """Raised when a mixture has more components than there are samples to fit."""
+
+
 @dataclass(frozen=True)
 class EMConfig:
     """EM controls.
@@ -188,7 +192,7 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
     if K < 1:
         raise GMMError("K must be >= 1")
     if n < K:
-        raise GMMError(f"need at least K={K} samples, got {n}")
+        raise TooFewSamplesError(f"need at least K={K} samples, got {n}")
     ridge = effective_ridge(X, config.ridge)
 
     if K == 1:

@@ -29,27 +29,51 @@ GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
 VARIANTS = ("full", "itml-gbbw", "source-only")
 VARIANT_LABELS = {"full": "ITMLGMM-GBBW", "itml-gbbw": "ITML-GBBW", "source-only": "GB"}
 
+LAMBDA_MODES = ("cv", "fixed", "fraction")
+
 _STAGE_IDS = {"lasso": 0, "constraints": 1, "gmm": 2}
 
 
 class PipelineError(RuntimeError):
-    """A stage failure, tagged with the stage that raised it."""
+    """A stage failure, tagged with the stage that raised it and the cause's type."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
+        super().__init__(f"[{stage}] {type(cause).__name__}: {cause}")
         self.stage = stage
         self.cause = cause
 
 
+def _require(settings, checks) -> None:
+    """Raise one ValueError naming every failed (holds, message) check.
+
+    Checks are written as ``value > bound``, so a NaN fails them too.
+    """
+    problems = [message for holds, message in checks if not holds]
+    if problems:
+        raise ValueError(f"{type(settings).__name__}: " + "; ".join(problems))
+
+
 @dataclass(frozen=True)
 class LassoSettings:
-    lambda_mode: str = "cv"          # "cv" | "fixed" | "fraction"
+    lambda_mode: str = "cv"          # one of LAMBDA_MODES
     lambda_value: float = 0.01
     cv_folds: int = 5
     cv_grid_size: int = 50
     lam_min_ratio: float = 1e-3
     tol: float = 1e-8
     max_sweeps: int = 10_000
+
+    def __post_init__(self):
+        _require(self, (
+            (self.lambda_mode in LAMBDA_MODES,
+             f"lambda_mode must be one of {', '.join(LAMBDA_MODES)}, got {self.lambda_mode!r}"),
+            (self.lambda_value >= 0, f"lambda_value must be >= 0, got {self.lambda_value}"),
+            (self.cv_folds >= 2, f"cv_folds must be >= 2, got {self.cv_folds}"),
+            (self.cv_grid_size >= 1, f"cv_grid_size must be >= 1, got {self.cv_grid_size}"),
+            (0 < self.lam_min_ratio <= 1, f"lam_min_ratio must lie in (0, 1], got {self.lam_min_ratio}"),
+            (self.tol > 0, f"tol must be > 0, got {self.tol}"),
+            (self.max_sweeps >= 1, f"max_sweeps must be >= 1, got {self.max_sweeps}"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -61,6 +85,16 @@ class ItmlSettings:
     max_constraints: int = 200
     n_candidates: int = 5_000
 
+    def __post_init__(self):
+        _require(self, (
+            (self.gamma > 0, f"gamma must be > 0, got {self.gamma}"),
+            (self.max_passes >= 1, f"max_passes must be >= 1, got {self.max_passes}"),
+            (self.tol > 0, f"tol must be > 0, got {self.tol}"),
+            (0 <= self.percentile <= 100, f"percentile must lie in [0, 100], got {self.percentile}"),
+            (self.max_constraints >= 0, f"max_constraints must be >= 0, got {self.max_constraints}"),
+            (self.n_candidates >= 1, f"n_candidates must be >= 1, got {self.n_candidates}"),
+        ))
+
 
 @dataclass(frozen=True)
 class GmmSettings:
@@ -70,6 +104,17 @@ class GmmSettings:
     max_iter: int = 200
     n_init: int = 5
     ridge: float | None = None
+
+    def __post_init__(self):
+        _require(self, (
+            (self.n_components is None or self.n_components >= 1,
+             f"n_components must be >= 1, got {self.n_components}"),
+            (self.n_samples is None or self.n_samples >= 0, f"n_samples must be >= 0, got {self.n_samples}"),
+            (self.tol > 0, f"tol must be > 0, got {self.tol}"),
+            (self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}"),
+            (self.n_init >= 1, f"n_init must be >= 1, got {self.n_init}"),
+            (self.ridge is None or self.ridge >= 0, f"ridge must be >= 0, got {self.ridge}"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -150,7 +195,9 @@ class EstimationResult:
     predictions. ``Zs``/``ys`` are the standardized selected source features
     and labels, ``Zt`` the same features of the target, and
     ``pseudo_X``/``pseudo_y`` the augmented pseudo-target set (None when
-    alpha is 0).
+    alpha is 0). Within one leave-one-out fold, results whose configs agree
+    on a stage's settings share that stage's artifacts (the same objects),
+    so treat them as read-only.
     """
 
     target_id: str
@@ -173,13 +220,22 @@ class EstimationResult:
     predictions: np.ndarray | None = None
 
 
-def _run_stage(stage: str, fn, *args, **kwargs):
-    # Every typed stage failure (DataError, MetricError, GMMError, LinAlgError)
-    # is a ValueError; anything else is a coding bug and propagates.
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise PipelineError(stage, exc) from exc
+def _run_stage(memo: dict, key: tuple, fn, *args):
+    """Run stage ``key[0]`` once per key in ``memo``; later calls get its result or failure back.
+
+    Every typed stage failure (DataError, MetricError, GMMError, LinAlgError)
+    is a ValueError and is kept as a PipelineError; anything else is a
+    coding bug and propagates.
+    """
+    if key not in memo:
+        try:
+            memo[key] = fn(*args)
+        except ValueError as exc:
+            memo[key] = PipelineError(key[0], exc)
+    outcome = memo[key]
+    if isinstance(outcome, PipelineError):
+        raise outcome from outcome.cause
+    return outcome
 
 
 def _selected_standardized(model: lasso.LassoModel, X: np.ndarray, selected) -> np.ndarray:
@@ -206,21 +262,13 @@ def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
         return lam
     if settings.lambda_mode == "fraction":
         return settings.lambda_value * lasso.lambda_max(X, y)
-    if settings.lambda_mode == "fixed":
-        return settings.lambda_value
-    raise ValueError(f"unknown lambda_mode {settings.lambda_mode!r}")
+    return settings.lambda_value
 
 
-def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> EstimationResult:
-    if split.source.labels is None:
-        raise PipelineError("lasso", ValueError("source dataset carries no labels"))
-    X = split.source.X
-    y = split.source.movement_labels(config.movement).astype(float)
-
-    ls = config.lasso
-    lam = _run_stage("lasso", select_lambda, X, y, ls, stage_seed(config.master_seed, "lasso"))
-    model = _run_stage("lasso", lasso.fit_lasso, X, y, lam, tol=ls.tol, max_sweeps=ls.max_sweeps)
-
+def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int):
+    """Stage 1: the penalty, the lasso fit and the indices of the features it keeps."""
+    lam = select_lambda(X, y, settings, seed)
+    model = lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps)
     selected = lasso.select_features(model)
     if not selected:
         warnings.warn(
@@ -230,7 +278,57 @@ def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> EstimationRes
         selected = tuple(
             j for j in range(X.shape[1]) if j not in model.standardization.zero_variance
         )
+    return lam, model, selected
 
+
+def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, settings: ItmlSettings, seed: int):
+    """Stages 2-3: pair constraints, the ITML metric, and the nearest source row of each target row."""
+    constraints = itml.build_constraints(
+        Zs, ys,
+        itml.ConstraintConfig(
+            percentile=settings.percentile,
+            max_per_set=settings.max_constraints,
+            n_candidates=settings.n_candidates,
+            seed=seed,
+        ),
+    )
+    result = itml.fit_itml(
+        Zs, constraints, gamma=settings.gamma, max_passes=settings.max_passes, tol=settings.tol,
+    )
+    matched = itml.match_source_to_target(result.A, Zt, Zs, ys)
+    return constraints, result, matched
+
+
+def _augment(matched_X: np.ndarray, matched_y: np.ndarray, K: int, M: int, settings: GmmSettings, seed: int):
+    """Stage 4: the mixture-augmented matched set as the pseudo-target, and the mixture."""
+    aug_X, aug_y, model = gmm.augment(
+        matched_X, matched_y, K, M,
+        gmm.EMConfig(
+            tol=settings.tol, max_iter=settings.max_iter, ridge=settings.ridge,
+            n_init=settings.n_init, seed=seed,
+        ),
+    )
+    pseudo_X, pseudo_y = substitute_target(matched_X, matched_y, aug_X, aug_y)
+    return pseudo_X, pseudo_y, model
+
+
+def _prepare_stages(split: DomainSplit, config: PipelineConfig, memo: dict) -> EstimationResult:
+    """Every stage upstream of boosting, each looked up in ``memo`` before it runs.
+
+    A stage's key holds its name, the settings it reads and the key of the
+    stage before it, so two configs share a stage exactly when they agree on
+    everything that stage and its predecessors read. Stage seeds depend only
+    on (master seed, stage), so sharing changes no output.
+    """
+    if split.source.labels is None:
+        raise PipelineError("lasso", ValueError("source dataset carries no labels"))
+    X = split.source.X
+    y = split.source.movement_labels(config.movement).astype(float)
+
+    key = ("lasso", config.movement, config.lasso, config.master_seed)
+    lam, model, selected = _run_stage(
+        memo, key, _select_features, X, y, config.lasso, stage_seed(config.master_seed, "lasso"),
+    )
     Zs = _selected_standardized(model, X, selected)
     Zt = _selected_standardized(model, split.target_features.X, selected)
     upstream = EstimationResult(split.target_id, config.movement, config, selected, model, lam, Zs, y, Zt)
@@ -239,39 +337,16 @@ def _prepare_stages(split: DomainSplit, config: PipelineConfig) -> EstimationRes
         # Boosting will ignore the pseudo-target entirely; skip its stages.
         return upstream
 
-    it = config.itml
-    constraints = _run_stage(
-        "itml",
-        itml.build_constraints,
-        Zs, y,
-        itml.ConstraintConfig(
-            percentile=it.percentile,
-            max_per_set=it.max_constraints,
-            n_candidates=it.n_candidates,
-            seed=stage_seed(config.master_seed, "constraints"),
-        ),
+    key = ("itml", key, config.itml)
+    constraints, itml_result, (matched_X, matched_y, matched_idx) = _run_stage(
+        memo, key, _learn_metric_and_match, Zs, y, Zt, config.itml,
+        stage_seed(config.master_seed, "constraints"),
     )
-    itml_result = _run_stage(
-        "itml", itml.fit_itml, Zs, constraints,
-        gamma=it.gamma, max_passes=it.max_passes, tol=it.tol,
+    K, M = config.gmm_components(), config.gmm_samples()
+    key = ("gmm", key, config.gmm, K, M)
+    pseudo_X, pseudo_y, gmm_model = _run_stage(
+        memo, key, _augment, matched_X, matched_y, K, M, config.gmm, stage_seed(config.master_seed, "gmm"),
     )
-    matched_X, matched_y, matched_idx = _run_stage(
-        "itml", itml.match_source_to_target, itml_result.A, Zt, Zs, y,
-    )
-
-    gs = config.gmm
-    aug_X, aug_y, gmm_model = _run_stage(
-        "gmm",
-        gmm.augment,
-        matched_X, matched_y,
-        config.gmm_components(),
-        config.gmm_samples(),
-        gmm.EMConfig(
-            tol=gs.tol, max_iter=gs.max_iter, ridge=gs.ridge, n_init=gs.n_init,
-            seed=stage_seed(config.master_seed, "gmm"),
-        ),
-    )
-    pseudo_X, pseudo_y = _run_stage("gmm", substitute_target, matched_X, matched_y, aug_X, aug_y)
     return replace(
         upstream,
         metric=itml_result.A, itml_result=itml_result, constraints=constraints,
@@ -296,7 +371,8 @@ def _finish_estimation(split: DomainSplit, config: PipelineConfig, stages: Estim
         pseudo_y = np.empty(0)
     else:
         pseudo_X, pseudo_y = stages.pseudo_X, stages.pseudo_y
-    model = _run_stage("boosting", boosting.fit_gbbw, Zs, ys, pseudo_X, pseudo_y, train_cfg)
+    # Alpha enters here, so no other config shares this stage: a fresh memo.
+    model = _run_stage({}, ("boosting",), boosting.fit_gbbw, Zs, ys, pseudo_X, pseudo_y, train_cfg)
     preds = boosting.predict(model, stages.Zt, clamp_at_zero=config.clamp_predictions)
     if config.round_predictions:
         preds = np.rint(preds)
@@ -305,7 +381,7 @@ def _finish_estimation(split: DomainSplit, config: PipelineConfig, stages: Estim
 
 def run_estimation(split: DomainSplit, config: PipelineConfig) -> EstimationResult:
     """Run the full per-target pipeline; deterministic given the master seed."""
-    return _finish_estimation(split, config, _prepare_stages(split, config))
+    return _finish_estimation(split, config, _prepare_stages(split, config, {}))
 
 
 _METRIC_RTOL = 16 * np.finfo(float).eps
@@ -320,6 +396,7 @@ class FoldResult:
     mae: float | None
     rmse: float | None
     error: str | None = None
+    error_type: type[Exception] | None = None  # the failed stage's cause, e.g. gmm.TooFewSamplesError
 
     def __post_init__(self):
         if self.error is None:
@@ -352,21 +429,49 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def _score_fold(split: DomainSplit, config: PipelineConfig) -> FoldResult:
+def _score_fold(split: DomainSplit, config: PipelineConfig, memo: dict) -> FoldResult:
     label = VARIANT_LABELS[config.variant]
     n = split.target_features.n
     try:
-        result = run_estimation(split, config)
+        result = _finish_estimation(split, config, _prepare_stages(split, config, memo))
         y_true = split.held_out_labels.reveal_for_scoring(config.movement)
         mae, rmse = evaluate(y_true, result.predictions)
         return FoldResult(split.target_id, config.movement, label, n, mae, rmse)
     except PipelineError as exc:  # fold failure policy: record and continue
-        return FoldResult(split.target_id, config.movement, label, n, None, None, str(exc))
+        return FoldResult(split.target_id, config.movement, label, n, None, None, str(exc), type(exc.cause))
 
 
 def _run_fold(data: Dataset, target_id: str, configs: tuple[PipelineConfig, ...]) -> list[FoldResult]:
+    """One row per config, in order; the configs share upstream stages through one memo per split."""
     split = split_domains(data, target_id)
-    return [_score_fold(split, config) for config in configs]
+    memo = {}
+    return [_score_fold(split, config, memo) for config in configs]
+
+
+def _score_folds(data: Dataset, configs: tuple[PipelineConfig, ...], jobs: int) -> list[list[FoldResult]]:
+    """Per held-out intersection in sorted order, one row per config."""
+    ids = data.intersections()
+    if len(ids) < 2:
+        raise ValueError("leave-one-out needs at least 2 intersections")
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_fold, [data] * len(ids), ids, [configs] * len(ids)))
+    return [_run_fold(data, target_id, configs) for target_id in ids]
+
+
+def _aggregate(rows: list[FoldResult]) -> tuple[tuple[FoldResult, ...], dict]:
+    """The rows sorted for emit, and mean MAE/RMSE of the successful ones per (variant, movement)."""
+    rows = sorted(rows, key=lambda r: (r.variant, r.movement, r.intersection))
+    aggregates = {}
+    for variant in sorted({r.variant for r in rows}):
+        for movement in MOVEMENTS:
+            ok = [r for r in rows if r.variant == variant and r.movement == movement and r.error is None]
+            if ok:
+                aggregates[(variant, movement)] = (
+                    float(np.mean([r.mae for r in ok])),
+                    float(np.mean([r.rmse for r in ok])),
+                )
+    return tuple(rows), aggregates
 
 
 def leave_one_out(
@@ -377,35 +482,18 @@ def leave_one_out(
     """Score every intersection as the held-out target, once per config.
 
     Folds are independent; with ``jobs`` > 1 they run in separate processes.
-    Rows are keyed and sorted on emit, so the report does not depend on
-    scheduling order. A failed fold is recorded with its error, not dropped.
+    Within a fold, configs share every upstream stage whose settings they
+    agree on. Rows are keyed and sorted on emit, so the report does not
+    depend on scheduling order. A failed fold is recorded with its error,
+    not dropped.
     """
     if isinstance(configs, PipelineConfig):
         configs = (configs,)
     configs = tuple(configs)
-    ids = data.intersections()
-    if len(ids) < 2:
-        raise ValueError("leave-one-out needs at least 2 intersections")
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_fold, [data] * len(ids), ids, [configs] * len(ids)))
-    else:
-        chunks = [_run_fold(data, target_id, configs) for target_id in ids]
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda r: (r.variant, r.movement, r.intersection))
-
-    aggregates = {}
-    for variant in sorted({r.variant for r in rows}):
-        for movement in MOVEMENTS:
-            ok = [r for r in rows if r.variant == variant and r.movement == movement and r.error is None]
-            if ok:
-                aggregates[(variant, movement)] = (
-                    float(np.mean([r.mae for r in ok])),
-                    float(np.mean([r.rmse for r in ok])),
-                )
+    chunks = _score_folds(data, configs, jobs)
+    rows, aggregates = _aggregate([r for chunk in chunks for r in chunk])
     digest = hashlib.sha256("|".join(c.digest() for c in configs).encode()).hexdigest()[:12]
-    return EvaluationReport(tuple(rows), aggregates, digest, configs[0].master_seed)
+    return EvaluationReport(rows, aggregates, digest, configs[0].master_seed)
 
 
 def render_summary(report: EvaluationReport) -> str:
@@ -454,6 +542,22 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _grid_config(base: PipelineConfig, k, m, a) -> PipelineConfig:
+    cfg = base
+    if k is not None or m is not None:
+        cfg = replace(
+            cfg,
+            gmm=replace(
+                cfg.gmm,
+                n_components=int(k) if k is not None else cfg.gmm.n_components,
+                n_samples=int(m) if m is not None else cfg.gmm.n_samples,
+            ),
+        )
+    if a is not None:
+        cfg = replace(cfg, boosting=replace(cfg.boosting, alpha=float(a)))
+    return cfg
+
+
 def ablation_sweep(
     data: Dataset,
     grid: dict,
@@ -463,47 +567,39 @@ def ablation_sweep(
     """Run leave-one-out over a (components, samples, alpha) grid.
 
     ``grid`` maps any of "n_components", "n_samples", "alpha" to value lists;
-    missing axes use the base configs' values. A grid point whose mixture fit
-    is infeasible in some fold (more components than matched samples) is
+    missing axes use the base configs' values. All cells' configs run as one
+    leave-one-out (one process pool with ``jobs`` > 1), so each fold computes
+    an upstream stage once for every cell that shares its settings: alpha
+    enters only boosting, and n_components/n_samples only the mixture. Each
+    cell's rows are then aggregated exactly as ``leave_one_out`` would for
+    that cell alone. A cell with a fold whose mixture fit is infeasible
+    (``gmm.TooFewSamplesError``: more components than matched samples) is
     recorded as skipped.
     """
     if isinstance(base_configs, PipelineConfig):
         base_configs = (base_configs,)
     base_configs = tuple(base_configs)
-    k_list = list(grid.get("n_components") or [None])
-    m_list = list(grid.get("n_samples") or [None])
-    a_list = list(grid.get("alpha") or [None])
+    points = [
+        (k, m, a)
+        for k in grid.get("n_components") or [None]
+        for m in grid.get("n_samples") or [None]
+        for a in grid.get("alpha") or [None]
+    ]
+    configs = tuple(_grid_config(base, *point) for point in points for base in base_configs)
+    chunks = _score_folds(data, configs, jobs)
 
+    width = len(base_configs)
     cells = []
-    for k in k_list:
-        for m in m_list:
-            for a in a_list:
-                configs = []
-                for base in base_configs:
-                    cfg = base
-                    if k is not None or m is not None:
-                        cfg = replace(
-                            cfg,
-                            gmm=replace(
-                                cfg.gmm,
-                                n_components=int(k) if k is not None else cfg.gmm.n_components,
-                                n_samples=int(m) if m is not None else cfg.gmm.n_samples,
-                            ),
-                        )
-                    if a is not None:
-                        cfg = replace(cfg, boosting=replace(cfg.boosting, alpha=float(a)))
-                    configs.append(cfg)
-                report = leave_one_out(data, configs, jobs=jobs)
-                infeasible = [
-                    r for r in report.rows
-                    if r.error is not None and "need at least K" in r.error
-                ]
-                cell_k = configs[0].gmm_components()
-                cell_m = configs[0].gmm_samples()
-                cell_a = configs[0].effective_alpha()
-                if infeasible:
-                    cells.append(SweepCell(cell_k, cell_m, cell_a, "skipped", {},
-                                           reason=infeasible[0].error))
-                else:
-                    cells.append(SweepCell(cell_k, cell_m, cell_a, "ok", report.aggregates))
+    for c in range(len(points)):
+        rows, aggregates = _aggregate([r for chunk in chunks for r in chunk[c * width:(c + 1) * width]])
+        first = configs[c * width]
+        cell_k, cell_m, cell_a = first.gmm_components(), first.gmm_samples(), first.effective_alpha()
+        infeasible = [
+            r for r in rows
+            if r.error_type is not None and issubclass(r.error_type, gmm.TooFewSamplesError)
+        ]
+        if infeasible:
+            cells.append(SweepCell(cell_k, cell_m, cell_a, "skipped", {}, reason=infeasible[0].error))
+        else:
+            cells.append(SweepCell(cell_k, cell_m, cell_a, "ok", aggregates))
     return SweepResult(tuple(cells))

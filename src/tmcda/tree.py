@@ -162,4 +162,7 @@ def fit_tree(
         return node
 
     build(np.arange(len(X)), 0)
+    # ``build`` refers to itself through its closure; unbinding it breaks that
+    # cycle, so X, r and w are freed on return instead of at the next cyclic GC.
+    del build
     return tree

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tmcda import cli
+from tmcda import cli, gmm, itml, lasso
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table
 from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
@@ -267,3 +267,49 @@ def test_loo_jobs_flag_matches_sequential(tmp_path, data_file, config_file):
     assert main(base + ["--out-dir", str(seq_dir), "--jobs", "1"]) == EXIT_OK
     assert main(base + ["--out-dir", str(par_dir), "--jobs", "2"]) == EXIT_OK
     assert (seq_dir / "folds.csv").read_bytes() == (par_dir / "folds.csv").read_bytes()
+
+
+def test_out_of_domain_setting_fails_at_load_with_validation_code(tmp_path, data_file, capsys):
+    cfg = tmp_path / "crossval.cfg"
+    cfg.write_text(FAST_CONFIG + "\nlasso.lambda_mode = crossval\n")
+    out_dir = tmp_path / "out"
+    code = main(["loo", "--data", str(data_file), "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert not (out_dir / "folds.csv").exists()
+    assert "lambda_mode must be one of cv, fixed, fraction, got 'crossval'" in capsys.readouterr().err
+
+
+def test_coding_bug_exits_runtime_with_type_and_traceback(tmp_path, data_file, config_file, monkeypatch, capsys):
+    def broken_augment(*args, **kwargs):
+        raise TypeError("unexpected keyword 'K'")
+
+    monkeypatch.setattr(gmm, "augment", broken_augment)
+    code = main(["loo", "--data", str(data_file), "--config", str(config_file),
+                 "--out-dir", str(tmp_path / "out"), "--variant", "full", "--movement", "left"])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "in broken_augment" in err
+    assert err.rstrip().endswith("error: TypeError: unexpected keyword 'K'")
+
+
+def test_loo_all_variants_fits_lasso_once_per_fold_and_movement(tmp_path, data_file, config_file, monkeypatch):
+    calls = {"lasso": 0, "itml": 0}
+    fit_lasso_, fit_itml_ = lasso.fit_lasso, itml.fit_itml
+
+    def counted_lasso(*args, **kwargs):
+        calls["lasso"] += 1
+        return fit_lasso_(*args, **kwargs)
+
+    def counted_itml(*args, **kwargs):
+        calls["itml"] += 1
+        return fit_itml_(*args, **kwargs)
+
+    monkeypatch.setattr(lasso, "fit_lasso", counted_lasso)
+    monkeypatch.setattr(itml, "fit_itml", counted_itml)
+    out_dir = tmp_path / "all"
+    assert main(["loo", "--data", str(data_file), "--config", str(config_file),
+                 "--out-dir", str(out_dir), "--variant", "all", "--movement", "all"]) == EXIT_OK
+    folds = (out_dir / "folds.csv").read_text().strip().splitlines()
+    assert len(folds) == 1 + 3 * 3 * 3  # header + 3 folds x 3 movements x 3 variants
+    assert calls == {"lasso": 3 * 3, "itml": 3 * 3}  # full and itml-gbbw share ITML

@@ -1,7 +1,12 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tmcda.dataset import DataError, load_table, split_domains, write_table
+from tmcda.dataset import DataError, Dataset, load_table, split_domains, write_table
+from tmcda.schema import APPROACHES, DEFAULT_SCHEMA
 from tmcda.synth import generate_synthetic_network
 
 
@@ -26,6 +31,51 @@ def test_round_trip_preserves_rows(tmp_path, small_data):
     assert np.allclose(loaded.X, small_data.X, atol=1e-6)
     assert np.array_equal(loaded.labels, small_data.labels)
     assert list(loaded.intersection_ids) == list(small_data.intersection_ids)
+
+
+_ids = st.text(alphabet=string.ascii_letters + string.digits + ' -_,"\n', min_size=1, max_size=8).filter(
+    lambda s: s == s.strip()  # load_table strips whitespace around identifiers
+)
+
+
+def _column_values(col):
+    if col.integer:
+        return st.integers(int(col.low), int(min(col.high, 10**6))).map(float)
+    # write_table keeps 6 decimals, so draw values it writes exactly.
+    return st.floats(col.low, 1e6).map(lambda v: round(v, 6))
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 6))
+    X = np.array([[draw(_column_values(col)) for col in DEFAULT_SCHEMA.columns] for _ in range(n)])
+    labels = None
+    if draw(st.booleans()):
+        counts = st.lists(st.integers(0, 10**6), min_size=3, max_size=3)
+        labels = np.array(draw(st.lists(counts, min_size=n, max_size=n)), dtype=np.int64)
+    return Dataset(
+        DEFAULT_SCHEMA,
+        np.array(draw(st.lists(_ids, min_size=n, max_size=n)), dtype=object),
+        np.array(draw(st.lists(st.sampled_from(APPROACHES), min_size=n, max_size=n)), dtype=object),
+        np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)), dtype=np.int64),
+        X,
+        labels,
+    )
+
+
+@given(data=_datasets())
+def test_write_then_load_returns_the_same_dataset(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_table(data, path)
+    loaded = load_table(path)
+    assert list(loaded.intersection_ids) == list(data.intersection_ids)
+    assert list(loaded.approaches) == list(data.approaches)
+    assert np.array_equal(loaded.interval_indices, data.interval_indices)
+    assert np.array_equal(loaded.X, data.X)
+    if data.labels is None:
+        assert loaded.labels is None
+    else:
+        assert np.array_equal(loaded.labels, data.labels)
 
 
 def test_ten_row_file_loads_with_n_10(tmp_path, small_data):

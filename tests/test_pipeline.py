@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tmcda import gmm
+from tmcda import gmm, itml, lasso
 from tmcda.boosting import TrainConfig
 from tmcda.dataset import split_domains
 from tmcda.lasso import fit_lasso
@@ -157,15 +159,11 @@ def test_empty_selection_falls_back_to_all_features(data3):
 
 def test_stage_errors_carry_stage_tag(data3):
     split = split_domains(data3, "I00")
-    cfg = _fast_cfg()
-    bad = PipelineConfig(
-        movement=cfg.movement,
-        lasso=LassoSettings(lambda_mode="bogus"),
-        itml=cfg.itml, gmm=cfg.gmm, boosting=cfg.boosting,
-        master_seed=0, variant="full",
-    )
-    with pytest.raises(PipelineError, match=r"\[lasso\]"):
+    # More CV folds than source rows: a valid setting that this split cannot meet.
+    bad = replace(_fast_cfg(), lasso=LassoSettings(cv_folds=10_000))
+    with pytest.raises(PipelineError, match=r"^\[lasso\] ValueError: need at least 10000 rows") as exc:
         run_estimation(split, bad)
+    assert exc.value.stage == "lasso" and type(exc.value.cause) is ValueError
 
 
 def test_coding_bug_in_a_stage_escapes_leave_one_out(data3, monkeypatch):
@@ -184,7 +182,46 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     monkeypatch.setattr(gmm, "augment", infeasible)
     report = leave_one_out(data3, _fast_cfg())
     assert len(report.rows) == 3
-    assert all(r.error == "[gmm] injected failure" for r in report.rows)
+    assert all(r.error == "[gmm] ValueError: injected failure" for r in report.rows)
+    assert all(r.error_type is ValueError for r in report.rows)
+
+
+@pytest.mark.parametrize("settings, field, value", [
+    (LassoSettings, "lambda_mode", "crossval"),
+    (LassoSettings, "lambda_value", -0.1),
+    (LassoSettings, "cv_folds", 1),
+    (LassoSettings, "cv_grid_size", 0),
+    (LassoSettings, "lam_min_ratio", 0.0),
+    (LassoSettings, "lam_min_ratio", 1.5),
+    (LassoSettings, "tol", 0.0),
+    (LassoSettings, "tol", float("nan")),
+    (LassoSettings, "max_sweeps", 0),
+    (ItmlSettings, "gamma", 0.0),
+    (ItmlSettings, "max_passes", 0),
+    (ItmlSettings, "tol", -1e-3),
+    (ItmlSettings, "percentile", 101.0),
+    (ItmlSettings, "max_constraints", -1),
+    (ItmlSettings, "n_candidates", 0),
+    (GmmSettings, "n_components", 0),
+    (GmmSettings, "n_samples", -1),
+    (GmmSettings, "tol", 0.0),
+    (GmmSettings, "max_iter", 0),
+    (GmmSettings, "n_init", 0),
+    (GmmSettings, "ridge", -1e-6),
+    (TrainConfig, "max_depth", -1),
+    (TrainConfig, "min_samples_leaf", 0),
+])
+def test_settings_reject_out_of_domain_values(settings, field, value):
+    with pytest.raises(ValueError, match=f"{field} must"):
+        settings(**{field: value})
+
+
+def test_settings_accept_their_boundary_values():
+    LassoSettings(lambda_mode="fixed", lambda_value=0.0, cv_folds=2, cv_grid_size=1,
+                  lam_min_ratio=1.0, max_sweeps=1)
+    ItmlSettings(max_passes=1, percentile=0.0, max_constraints=0, n_candidates=1)
+    GmmSettings(n_components=1, n_samples=0, max_iter=1, n_init=1, ridge=0.0)
+    TrainConfig(n_stages=0, max_depth=0, min_samples_leaf=1)
 
 
 def test_rounding_flag(data3):
@@ -347,6 +384,80 @@ def test_zero_samples_config_equals_named_itml_gbbw_variant(data3):
     a_vals = {(m, i): (r.mae, r.rmse) for r in a.rows for m, i in [(r.movement, r.intersection)]}
     b_vals = {(m, i): (r.mae, r.rmse) for r in b.rows for m, i in [(r.movement, r.intersection)]}
     assert a_vals == b_vals
+
+
+def test_sweep_fails_only_on_too_few_samples_not_on_other_mixture_errors(data3, monkeypatch):
+    def singular(*args, **kwargs):
+        raise gmm.GMMError("singular covariance; increase ridge")
+
+    monkeypatch.setattr(gmm, "fit_gmm", singular)
+    cell = ablation_sweep(data3, {"n_components": [2]}, _fast_cfg()).cells[0]
+    assert cell.status == "ok" and cell.reason is None
+    report = leave_one_out(data3, _fast_cfg())
+    assert all(r.error == "[gmm] GMMError: singular covariance; increase ridge" for r in report.rows)
+    assert all(r.error_type is gmm.GMMError for r in report.rows)
+
+
+def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3):
+    grid = {"n_components": [1, 2], "n_samples": [5, 12], "alpha": [0.0, 0.5]}
+    bases = [_fast_cfg(movement=m, seed=6, n_stages=4) for m in ("left", "through")]
+    sweep = ablation_sweep(data3, grid, bases)
+    assert len(sweep.cells) == 8
+    i = 0
+    for k in grid["n_components"]:
+        for m in grid["n_samples"]:
+            for a in grid["alpha"]:
+                configs = [
+                    replace(b, gmm=replace(b.gmm, n_components=k, n_samples=m),
+                            boosting=replace(b.boosting, alpha=a))
+                    for b in bases
+                ]
+                cell = sweep.cells[i]
+                assert (cell.n_components, cell.n_samples, cell.alpha, cell.status) == (k, m, a, "ok")
+                assert cell.aggregates == leave_one_out(data3, configs).aggregates
+                assert len(cell.aggregates) == 2
+                i += 1
+    assert ablation_sweep(data3, grid, bases, jobs=2) == sweep
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_fits_lasso_and_itml_once_per_fold(data3, monkeypatch):
+    lasso_calls = _counting(monkeypatch, lasso, "fit_lasso")
+    itml_calls = _counting(monkeypatch, itml, "fit_itml")
+    gmm_calls = _counting(monkeypatch, gmm, "fit_gmm")
+    sweep = ablation_sweep(data3, {"alpha": [0.25, 0.5, 0.75, 1.0]}, _fast_cfg(n_stages=3))
+    assert [c.status for c in sweep.cells] == ["ok"] * 4
+    assert len(lasso_calls) == len(itml_calls) == len(gmm_calls) == 3
+
+
+def test_itml_failure_fails_both_itml_variants_and_spares_source_only(data3, monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise itml.MetricError("injected metric failure")
+
+    monkeypatch.setattr(itml, "fit_itml", failing)
+    report = leave_one_out(data3, [_fast_cfg(variant=v) for v in ("full", "itml-gbbw", "source-only")])
+    by_variant = {}
+    for r in report.rows:
+        by_variant.setdefault(r.variant, []).append(r)
+    for label in ("ITMLGMM-GBBW", "ITML-GBBW"):
+        assert [r.error for r in by_variant[label]] == ["[itml] MetricError: injected metric failure"] * 3
+        assert all(r.error_type is itml.MetricError for r in by_variant[label])
+    assert all(r.error is None and r.mae is not None for r in by_variant["GB"])
+    assert len(calls) == 3  # the failure is kept for the fold, not retried per variant
 
 
 def test_alpha_grid_shape(data3):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tmcda.pipeline import VARIANTS, PipelineConfig
+from tmcda.pipeline import LAMBDA_MODES, VARIANTS, PipelineConfig
 from tmcda.runconfig import _KEYS, ConfigError, load_config
 
 SECTIONS = ("lasso", "itml", "gmm", "boosting")
@@ -32,13 +32,14 @@ def test_every_settings_field_has_exactly_one_key():
 
 
 _ints = st.integers(-10**6, 10**6).map(lambda v: (v, str(v)))
-_floats = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (v, repr(v)))
+# NaN is drawn too: every float setting must reject it, or the equality below fails.
+_floats = st.floats(allow_infinity=False).map(lambda v: (v, repr(v)))
 _none = st.sampled_from(["none", "None", "NONE"]).map(lambda text: (None, text))
 _words = st.text(alphabet=string.ascii_letters + string.digits + "-_.:/ ", min_size=1).map(str.strip).filter(bool)
 _STRATEGIES = {
     int: _ints,
     float: _floats,
-    str: st.one_of(st.sampled_from(VARIANTS), _words).map(lambda v: (v, v)),
+    str: st.one_of(st.sampled_from(VARIANTS + LAMBDA_MODES), _words).map(lambda v: (v, v)),
     bool: st.sampled_from(
         [(True, "true"), (True, "Yes"), (True, "1"), (False, "FALSE"), (False, "no"), (False, "0")]
     ),
