@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tree import RegressionTree, fit_tree
+from .tree import RegressionTree, fit_tree, presort
 
 MODEL_FORMAT = "boosted-model"
 MODEL_FORMAT_VERSION = 1
@@ -97,10 +97,12 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
     F = np.full(len(y), f0)
     stages = []
     trace = [_weighted_loss(w, y, F)]
+    presorted = presort(X)
     for _ in range(config.n_stages):
         r = pseudo_residuals(y, F)
-        tree = fit_tree(X, r, w, config.max_depth, config.min_samples_leaf)
-        h = tree.predict(X)
+        h = np.zeros(len(y))
+        tree = fit_tree(X, r, w, config.max_depth, config.min_samples_leaf,
+                        presorted=presorted, leaf_values=h)
         gamma = compute_gamma(F, h, y, w)
         F = F + config.shrinkage * gamma * h
         stages.append((gamma, tree))

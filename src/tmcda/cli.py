@@ -3,7 +3,8 @@
 Every run writes its outputs atomically together with a manifest recording
 the configuration snapshot, master seed, schema version and input digests.
 Exit codes: 0 success, 2 usage, 3 validation, 4 runtime failure (every fold
-failed, or an I/O error or coding bug, printed with its traceback).
+of a ``loo`` or every cell of a ``sweep`` failed, or an I/O error or coding
+bug, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -193,7 +194,11 @@ def cmd_sweep(args) -> int:
                     {"base": asdict(base), "grid": grid},
                     [Path(args.data), Path(args.grid)], [out])
     skipped = sum(1 for c in result.cells if c.status == "skipped")
-    print(f"wrote {out} ({len(result.cells)} cells, {skipped} skipped)")
+    failed = sum(1 for c in result.cells if c.status == "failed")
+    print(f"wrote {out} ({len(result.cells)} cells, {skipped} skipped, {failed} failed)")
+    if failed and failed == len(result.cells):
+        print(f"error: every cell failed; first: {result.cells[0].reason}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

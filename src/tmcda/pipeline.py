@@ -167,8 +167,14 @@ def evaluate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
     if y_true.size == 0:
         raise ValueError("cannot evaluate empty vectors")
     err = y_true - y_pred
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err * err)))
+    # Dividing by a power of two near the largest error is exact and leaves
+    # every rounding as it was, except that squares of errors below ~1e-154
+    # no longer underflow to 0 (nor above ~1e154 overflow): RMSE is 0 only
+    # for equal inputs.
+    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(err)))[1]))
+    err = err / scale
+    mae = float(np.mean(np.abs(err)) * scale)
+    rmse = float(np.sqrt(np.mean(err * err)) * scale)
     return mae, rmse
 
 
@@ -517,7 +523,7 @@ class SweepCell:
     n_components: int
     n_samples: int
     alpha: float
-    status: str                     # "ok" | "skipped"
+    status: str                     # "ok" | "skipped" | "failed"
     aggregates: dict
     reason: str | None = None
 
@@ -574,7 +580,8 @@ def ablation_sweep(
     cell's rows are then aggregated exactly as ``leave_one_out`` would for
     that cell alone. A cell with a fold whose mixture fit is infeasible
     (``gmm.TooFewSamplesError``: more components than matched samples) is
-    recorded as skipped.
+    recorded as skipped; otherwise a cell whose every fold failed is recorded
+    as failed, with its first row's error as the reason.
     """
     if isinstance(base_configs, PipelineConfig):
         base_configs = (base_configs,)
@@ -600,6 +607,8 @@ def ablation_sweep(
         ]
         if infeasible:
             cells.append(SweepCell(cell_k, cell_m, cell_a, "skipped", {}, reason=infeasible[0].error))
+        elif all(r.error is not None for r in rows):
+            cells.append(SweepCell(cell_k, cell_m, cell_a, "failed", {}, reason=rows[0].error))
         else:
             cells.append(SweepCell(cell_k, cell_m, cell_a, "ok", aggregates))
     return SweepResult(tuple(cells))

@@ -3,8 +3,19 @@
 A split's score is the reduction in weighted sum of squared deviations of the
 residuals; leaf predictions are weighted means. Ties between equally good
 splits break to the lowest feature index, then the lowest threshold, so the
-result is independent of evaluation order. Zero-weight instances are dropped
-before fitting and cannot influence the tree.
+result is independent of evaluation order. Zero-weight instances are left out
+of the root and cannot influence the tree.
+
+The split search sorts each feature once per fit, not once per node: a
+boosting fit computes ``presort(X)`` for its fixed ``X`` and hands it to every
+stage's tree. A node is a mask over the rows. Filtering each feature's stable
+global order by that mask gives the node's sorted order for every feature in
+one gather (the attribute lists of SPRINT; Shafer, Agrawal & Mehta 1996),
+with tied values in ascending row order, as a stable sort of the node's own
+rows would leave them. Cumulative sums, split scores and the arg-max are then
+taken across all features at once; taking the first maximum keeps the tie
+rule above. The trees are the same, bit for bit, as those of a search that
+sorts every feature at every node.
 """
 
 from __future__ import annotations
@@ -83,45 +94,43 @@ class RegressionTree:
         )
 
 
-def _best_split(X, r, w, idx, min_samples_leaf):
-    """Best (feature, threshold, gain) at a node, or None if no valid split."""
-    n_node = len(idx)
+def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's stable ascending row order and the sorted values, both (n_features, n_rows)."""
+    XT = np.asarray(X, dtype=float).T
+    order = np.argsort(XT, axis=1, kind="stable")
+    return order, np.take_along_axis(XT, order, axis=1)
+
+
+def _best_split(order, xsorted, w, wr, member, n_node, total_w, total_wr, min_samples_leaf):
+    """Best (feature, threshold) at the node holding the rows in ``member``, or None."""
     if n_node < 2 * min_samples_leaf:
         return None
-    w_node = w[idx]
-    wr_node = w_node * r[idx]
-    total_w = w_node.sum()
-    total_wr = wr_node.sum()
+    n_features = len(order)
+    in_node = member[order]
+    rows = order[in_node].reshape(n_features, n_node)
+    xs = xsorted[in_node].reshape(n_features, n_node)
+    # Candidate k puts the k + 1 smallest values left; both sides keep min_samples_leaf rows.
+    lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
+    cw = w[rows].cumsum(axis=1)[:, lo:hi]
+    cwr = wr[rows].cumsum(axis=1)[:, lo:hi]
+    valid = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
+    score = np.where(valid, cwr * cwr / cw + (total_wr - cwr) ** 2 / (total_w - cw), -np.inf)
+    k = score.argmax(axis=1)
     parent_score = total_wr * total_wr / total_w
-
-    best = None
-    pos = np.arange(n_node - 1)
-    feasible = (pos + 1 >= min_samples_leaf) & (n_node - pos - 1 >= min_samples_leaf)
-    for j in range(X.shape[1]):
-        xs = X[idx, j]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        valid = feasible & (xs_sorted[:-1] < xs_sorted[1:])
-        if not valid.any():
-            continue
-        cw = np.cumsum(w_node[order])[:-1]
-        cwr = np.cumsum(wr_node[order])[:-1]
-        score = np.where(
-            valid,
-            cwr * cwr / cw + (total_wr - cwr) ** 2 / (total_w - cw),
-            -np.inf,
-        )
-        k = int(np.argmax(score))
-        gain = score[k] - parent_score
-        if gain > 1e-12 * max(1.0, abs(parent_score)) and (best is None or gain > best[2]):
-            lo, hi = xs_sorted[k], xs_sorted[k + 1]
-            threshold = (lo + hi) / 2.0
-            if not threshold < hi:
-                # The midpoint of neighbouring doubles can round up to hi,
-                # which would send every row left.
-                threshold = lo
-            best = (j, float(threshold), float(gain))
-    return best
+    gain = score[np.arange(n_features), k] - parent_score
+    ok = gain > 1e-12 * max(1.0, abs(parent_score))
+    if not ok.any():
+        return None
+    # First-occurrence arg-max: the lowest feature among equal gains, and
+    # within a feature the lowest threshold among equal scores.
+    j = int(np.argmax(np.where(ok, gain, -np.inf)))
+    below, above = xs[j, lo + k[j]], xs[j, lo + k[j] + 1]
+    threshold = (below + above) / 2.0
+    if not threshold < above:
+        # The midpoint of neighbouring doubles can round up to the upper one,
+        # which would send every row left.
+        threshold = below
+    return j, float(threshold)
 
 
 def fit_tree(
@@ -130,8 +139,17 @@ def fit_tree(
     w: np.ndarray,
     max_depth: int = 3,
     min_samples_leaf: int = 2,
+    *,
+    presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    leaf_values: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Fit a tree to residuals ``r`` under nonnegative instance weights ``w``."""
+    """Fit a tree to residuals ``r`` under nonnegative instance weights ``w``.
+
+    ``presorted`` is ``presort(X)``, passed by callers that fit many trees on
+    one ``X``. If ``leaf_values`` is given, each row with positive weight gets
+    the value of its leaf there, equal to ``tree.predict(X)`` on that row;
+    zero-weight rows are left as they are.
+    """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -139,30 +157,33 @@ def fit_tree(
         raise ValueError("weights must be nonnegative")
     if not np.any(w > 0):
         raise ValueError("at least one weight must be positive")
-    keep = w > 0
-    X, r, w = X[keep], r[keep], w[keep]
+    order, xsorted = presort(X) if presorted is None else presorted
+    wr = w * r
 
     tree = RegressionTree(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-
-    def build(idx: np.ndarray, depth: int) -> int:
+    # Depth first, left child first, so nodes are numbered in preorder.
+    pending = [(w > 0, 0, None, None)]    # (rows in the node, depth, parent, parent's child list)
+    while pending:
+        member, depth, parent, children = pending.pop()
         node = tree._add_node()
-        w_node = w[idx]
-        tree.value[node] = float((w_node * r[idx]).sum() / w_node.sum())
-        if depth >= max_depth:
-            return node
-        split = _best_split(X, r, w, idx, min_samples_leaf)
+        if parent is not None:
+            children[parent] = node
+        # Sums over the node's rows in ascending row order.
+        w_node = w[member]
+        total_w = w_node.sum()
+        total_wr = wr[member].sum()
+        tree.value[node] = float(total_wr / total_w)
+        split = None
+        if depth < max_depth:
+            split = _best_split(order, xsorted, w, wr, member, len(w_node), total_w, total_wr, min_samples_leaf)
         if split is None:
-            return node
-        j, threshold, _ = split
-        go_left = X[idx, j] <= threshold
+            if leaf_values is not None:
+                leaf_values[member] = tree.value[node]
+            continue
+        j, threshold = split
         tree.feature[node] = j
         tree.threshold[node] = threshold
-        tree.left[node] = build(idx[go_left], depth + 1)
-        tree.right[node] = build(idx[~go_left], depth + 1)
-        return node
-
-    build(np.arange(len(X)), 0)
-    # ``build`` refers to itself through its closure; unbinding it breaks that
-    # cycle, so X, r and w are freed on return instead of at the next cyclic GC.
-    del build
+        go_left = X[:, j] <= threshold
+        pending.append((member & ~go_left, depth + 1, node, tree.right))
+        pending.append((member & go_left, depth + 1, node, tree.left))
     return tree

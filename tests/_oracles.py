@@ -157,6 +157,79 @@ class BruteTree:
 
 
 # ---------------------------------------------------------------------------
+# Reference tree builder: sorts every feature of every node on its own and
+# searches features one at a time. Its node tables are the library's contract
+# bit for bit: the same arithmetic in the same order, the same tie rule.
+
+
+def _reference_split(X, r, w, idx, min_samples_leaf):
+    n_node = len(idx)
+    if n_node < 2 * min_samples_leaf:
+        return None
+    w_node = w[idx]
+    wr_node = w_node * r[idx]
+    total_w = w_node.sum()
+    total_wr = wr_node.sum()
+    parent_score = total_wr * total_wr / total_w
+
+    best = None
+    pos = np.arange(n_node - 1)
+    feasible = (pos + 1 >= min_samples_leaf) & (n_node - pos - 1 >= min_samples_leaf)
+    for j in range(X.shape[1]):
+        xs = X[idx, j]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        valid = feasible & (xs_sorted[:-1] < xs_sorted[1:])
+        if not valid.any():
+            continue
+        cw = np.cumsum(w_node[order])[:-1]
+        cwr = np.cumsum(wr_node[order])[:-1]
+        score = np.where(
+            valid,
+            cwr * cwr / cw + (total_wr - cwr) ** 2 / (total_w - cw),
+            -np.inf,
+        )
+        k = int(np.argmax(score))
+        gain = score[k] - parent_score
+        if gain > 1e-12 * max(1.0, abs(parent_score)) and (best is None or gain > best[2]):
+            lo, hi = xs_sorted[k], xs_sorted[k + 1]
+            threshold = (lo + hi) / 2.0
+            if not threshold < hi:
+                threshold = lo
+            best = (j, float(threshold), float(gain))
+    return best
+
+
+def reference_tree(X, r, w, max_depth, min_samples_leaf):
+    """Node table of the tree as ``RegressionTree.to_dict`` lays it out."""
+    keep = w > 0
+    X, r, w = X[keep], r[keep], w[keep]
+    table = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def build(idx, depth):
+        node = len(table["feature"])
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+            table[key].append(blank)
+        w_node = w[idx]
+        table["value"].append(float((w_node * r[idx]).sum() / w_node.sum()))
+        if depth >= max_depth:
+            return node
+        split = _reference_split(X, r, w, idx, min_samples_leaf)
+        if split is None:
+            return node
+        j, threshold, _ = split
+        go_left = X[idx, j] <= threshold
+        table["feature"][node] = j
+        table["threshold"][node] = threshold
+        table["left"][node] = build(idx[go_left], depth + 1)
+        table["right"][node] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(len(X)), 0)
+    return {**table, "max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
+
+
+# ---------------------------------------------------------------------------
 # Straight-line balanced-weight boosting (loops written from the procedure)
 
 

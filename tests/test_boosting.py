@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from tmcda import boosting
+from tmcda.tree import RegressionTree
 from tmcda.boosting import (
     BoostedModel,
     TrainConfig,
@@ -219,3 +221,21 @@ def test_predict_validates_dimensions():
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=2, alpha=0.5))
     with pytest.raises(ValueError, match="features"):
         predict(model, np.zeros((3, 7)))
+
+
+def test_fit_calls_fit_tree_once_per_stage_and_never_predicts(monkeypatch):
+    # The benchmark's tracer times boosting.fit_tree and RegressionTree.predict.
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(boosting, "fit_tree", counting("fit_tree", boosting.fit_tree))
+    monkeypatch.setattr(RegressionTree, "predict", counting("predict", RegressionTree.predict))
+    Xs, ys, Xt, yt = _two_domain_problem(7)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=9, max_depth=2, alpha=0.5))
+    assert model.n_stages == 9
+    assert calls == ["fit_tree"] * 9

@@ -208,6 +208,35 @@ def test_sweep_config_keys_override_grid_file_keys_and_others_still_apply(tmp_pa
     assert base["boosting"]["n_stages"] == 4          # --config only
 
 
+def test_sweep_marks_cells_whose_every_fold_failed_and_exits_runtime_when_all_did(
+        tmp_path, data_file, monkeypatch, capsys):
+    fit_gmm = gmm.fit_gmm
+
+    def singular_for_two(X, K, *args, **kwargs):
+        if K == 2:
+            raise gmm.GMMError("singular covariance; increase ridge")
+        return fit_gmm(X, K, *args, **kwargs)
+
+    monkeypatch.setattr(gmm, "fit_gmm", singular_for_two)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(FAST_CONFIG + "\ngrid.n_components = 1, 2\n")
+    out_dir = tmp_path / "some"
+    assert main(["sweep", "--data", str(data_file), "--grid", str(grid),
+                 "--out-dir", str(out_dir), "--movement", "left"]) == EXIT_OK
+    statuses = [line.split(",")[3] for line in (out_dir / "sweep.csv").read_text().splitlines()[1:]]
+    assert statuses == ["ok", "failed"]
+    assert "(2 cells, 0 skipped, 1 failed)" in capsys.readouterr().out
+
+    grid.write_text(FAST_CONFIG + "\ngrid.n_components = 2\n")
+    out_dir = tmp_path / "all"
+    assert main(["sweep", "--data", str(data_file), "--grid", str(grid),
+                 "--out-dir", str(out_dir), "--movement", "left"]) == EXIT_RUNTIME
+    lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert lines[1].split(",")[3] == "failed"
+    err = capsys.readouterr().err
+    assert "every cell failed" in err and "[gmm] GMMError: singular covariance" in err
+
+
 def test_single_cell_sweep_equals_loo(tmp_path, data_file, config_file):
     grid = tmp_path / "grid1.cfg"
     grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.5\n")

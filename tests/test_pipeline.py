@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmcda import gmm, itml, lasso
@@ -11,6 +11,7 @@ from tmcda.dataset import split_domains
 from tmcda.lasso import fit_lasso
 from tmcda.itml import build_constraints
 from tmcda.pipeline import (
+    _METRIC_RTOL,
     GmmSettings,
     ItmlSettings,
     LassoSettings,
@@ -74,6 +75,23 @@ def test_rmse_mae_inequality_property(a, b):
     n = min(len(a), len(b))
     mae, rmse = evaluate(np.array(a[:n]), np.array(b[:n]))
     assert rmse >= mae - 1e-9
+
+
+# Magnitudes 0 or >= 1e-300: a difference of two such values is 0 or at least
+# 2^-1049, so the exact MAE of up to 40 of them is a nonzero double.
+_COUNTS = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v == 0.0 or abs(v) >= 1e-300)
+
+
+@given(st.lists(st.tuples(_COUNTS, _COUNTS), min_size=1, max_size=40))
+@example([(1e-200, 0.0)])  # its square underflows to 0
+def test_evaluate_invariants(pairs):
+    a, b = (np.array(column) for column in zip(*pairs))
+    mae, rmse = evaluate(a, b)
+    assert mae >= 0.0 and rmse >= 0.0
+    assert (mae == 0.0) == (rmse == 0.0) == np.array_equal(a, b)
+    assert evaluate(b, a) == (mae, rmse)
+    assert rmse <= np.max(np.abs(a - b)) * (1.0 + _METRIC_RTOL)
+    FoldResult("I00", "left", "GB", len(a), mae, rmse)  # MAE <= RMSE within its tolerance
 
 
 def test_fold_with_equal_magnitude_errors_is_not_rejected():
@@ -392,7 +410,8 @@ def test_sweep_fails_only_on_too_few_samples_not_on_other_mixture_errors(data3, 
 
     monkeypatch.setattr(gmm, "fit_gmm", singular)
     cell = ablation_sweep(data3, {"n_components": [2]}, _fast_cfg()).cells[0]
-    assert cell.status == "ok" and cell.reason is None
+    assert cell.status == "failed" and cell.aggregates == {}
+    assert cell.reason == "[gmm] GMMError: singular covariance; increase ridge"
     report = leave_one_out(data3, _fast_cfg())
     assert all(r.error == "[gmm] GMMError: singular covariance; increase ridge" for r in report.rows)
     assert all(r.error_type is gmm.GMMError for r in report.rows)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcda.tree import RegressionTree, fit_tree
 
-from _oracles import BruteTree, brute_force_split
+from _oracles import BruteTree, brute_force_split, reference_tree
 
 
 def test_depth_zero_gives_weighted_mean_leaf():
@@ -135,3 +137,84 @@ def test_serialization_round_trip():
     tree = fit_tree(X, r, np.ones(30), max_depth=3)
     clone = RegressionTree.from_dict(tree.to_dict())
     assert np.array_equal(tree.predict(X), clone.predict(X))
+
+
+_NEXT = np.nextafter(1.0, 2.0)
+_COLUMNS = (
+    st.sampled_from([0.0, 1.0, 2.0]),                          # heavy ties
+    st.sampled_from([1.0, _NEXT, np.nextafter(_NEXT, 2.0)]),   # neighbouring doubles
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _fits(draw):
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.integers(0, len(_COLUMNS) - 1), min_size=1, max_size=4))
+    X = np.array([[draw(_COLUMNS[k]) for k in kinds] for _ in range(n)])
+    r = np.array(draw(st.lists(
+        st.sampled_from([-1.0, 0.0, 2.0]) | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0, allow_subnormal=False),
+                               min_size=n, max_size=n)))
+    if not (w > 0).any():
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return X, r, w, draw(st.integers(0, 4)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fits())
+def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
+    X, r, w, max_depth, min_samples_leaf = fit
+    leaf_values = np.full(len(r), np.nan)
+    tree = fit_tree(X, r, w, max_depth, min_samples_leaf, leaf_values=leaf_values)
+    assert tree.to_dict() == reference_tree(X, r, w, max_depth, min_samples_leaf)
+    kept = w > 0
+    assert np.array_equal(leaf_values[kept], tree.predict(X)[kept])
+    assert np.isnan(leaf_values[~kept]).all()
+
+
+@st.composite
+def _node_tables(draw):
+    """A random valid node table (root 0, other ids shuffled) and rows to route through it."""
+    n_features = draw(st.integers(1, 3))
+    cuts = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
+    nodes = []        # (feature, threshold, left, right, value), children as indices into nodes
+
+    def grow(depth):
+        index = len(nodes)
+        nodes.append(None)
+        value = draw(st.floats(-1e3, 1e3, allow_nan=False))
+        if depth < 4 and draw(st.booleans()):
+            split = (draw(st.integers(0, n_features - 1)), draw(cuts))
+            left = grow(depth + 1)
+            right = grow(depth + 1)
+            nodes[index] = (*split, left, right, value)
+        else:
+            nodes[index] = (-1, 0.0, -1, -1, value)
+        return index
+
+    grow(0)
+    ids = [0] + [1 + i for i in draw(st.permutations(range(len(nodes) - 1)))]
+    table = RegressionTree()
+    for field in ("feature", "threshold", "left", "right", "value"):
+        getattr(table, field).extend([None] * len(nodes))
+    for old, (feature, threshold, left, right, value) in enumerate(nodes):
+        new = ids[old]
+        table.feature[new], table.threshold[new], table.value[new] = feature, threshold, value
+        table.left[new] = -1 if left < 0 else ids[left]
+        table.right[new] = -1 if right < 0 else ids[right]
+    X = np.array(draw(st.lists(st.lists(cuts, min_size=n_features, max_size=n_features), max_size=25)))
+    return table, X.reshape(-1, n_features)
+
+
+@given(_node_tables())
+def test_predict_equals_walking_each_row_down_the_table(case):
+    table, X = case
+    walked = []
+    for x in X:
+        node = 0
+        while table.feature[node] != -1:
+            node = table.left[node] if x[table.feature[node]] <= table.threshold[node] else table.right[node]
+        walked.append(table.value[node])
+    assert np.array_equal(table.predict(X), np.array(walked, dtype=float))
