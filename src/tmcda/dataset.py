@@ -134,6 +134,8 @@ class DomainSplit:
             raise DataError(f"source and target intersections overlap: {sorted(src & tgt)}")
         if self.target_features.labels is not None:
             raise DataError("target features must not carry labels")
+        if self.source.labels is None:
+            raise DataError("source dataset carries no labels")
 
 
 def split_domains(data: Dataset, target_id: str) -> DomainSplit:
@@ -246,7 +248,7 @@ def write_table(data: Dataset, path: str | Path) -> None:
             cells = [str(data.intersection_ids[i]), str(data.approaches[i]), str(int(data.interval_indices[i]))]
             for j, col in enumerate(data.schema.columns):
                 v = data.X[i, j]
-                cells.append(str(int(v)) if col.integer else format(float(v), ".6f"))
+                cells.append(str(int(v)) if col.integer else repr(float(v)))
             if data.labels is not None:
                 cells += [str(int(v)) for v in data.labels[i]]
             writer.writerow(cells)

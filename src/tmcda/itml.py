@@ -105,7 +105,8 @@ def build_constraints(
     at or above the (100 - percentile)-th. When both thresholds coincide the
     pair is classified against half the label range. u and l are the 5th and
     95th percentiles of prior-metric (identity) distances over the sampled
-    pairs; degenerate equal percentiles are widened by 5% around their value.
+    pairs, u over the positive ones when that is 0 (no similar-pair slack can
+    start at 0); degenerate equal percentiles are widened by 5% around their value.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -160,6 +161,8 @@ def build_constraints(
         warnings.warn("degenerate labels: no dissimilar pairs found", RuntimeWarning)
 
     u = float(np.percentile(dists, 5.0))
+    if u == 0.0 and dists.any():
+        u = float(np.percentile(dists[dists > 0], 5.0))
     l = float(np.percentile(dists, 95.0))
     if l <= u:
         mid = max(u, 1e-9)

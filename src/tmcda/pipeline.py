@@ -5,8 +5,9 @@ selection on the labeled source, metric learning over the selected
 standardized features, nearest-source matching of target instances under the
 learned metric, mixture-based augmentation of the matched set, substitution
 of the augmented set as the pseudo-target, balanced-weight boosting, and
-prediction. Leave-one-intersection-out evaluation and parameter sweeps
-wrap that single-fold routine.
+prediction. Each stage is one ``_run_stage`` call on the fold's memo, so
+configs that agree on a stage's inputs share it. Leave-one-intersection-out
+evaluation and parameter sweeps wrap that single-fold routine.
 """
 
 from __future__ import annotations
@@ -194,16 +195,15 @@ def substitute_target(
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Fitted stage artifacts for one target, then its predictions.
+    """Fitted stage artifacts for one target, and its predictions.
 
-    ``_prepare_stages`` fills everything upstream of boosting, which alone
-    depends on alpha; ``_finish_estimation`` adds the booster and the
-    predictions. ``Zs``/``ys`` are the standardized selected source features
-    and labels, ``Zt`` the same features of the target, and
-    ``pseudo_X``/``pseudo_y`` the augmented pseudo-target set (None when
-    alpha is 0). Within one leave-one-out fold, results whose configs agree
-    on a stage's settings share that stage's artifacts (the same objects),
-    so treat them as read-only.
+    ``Zs``/``ys`` are the standardized selected source features and labels,
+    ``Zt`` the same features of the target, and ``pseudo_X``/``pseudo_y`` the
+    augmented pseudo-target set; the metric, matching and mixture fields are
+    None when the effective alpha is 0. The penalty lasso chose is
+    ``lasso_model.lam``. Within one leave-one-out fold, results whose configs
+    agree on a stage's inputs share that stage's artifacts (the same
+    objects), boosting and predictions included, so treat them as read-only.
     """
 
     target_id: str
@@ -211,7 +211,6 @@ class EstimationResult:
     config: PipelineConfig
     selected_features: tuple[int, ...]
     lasso_model: lasso.LassoModel
-    lasso_lambda: float
     Zs: np.ndarray
     ys: np.ndarray
     Zt: np.ndarray
@@ -272,7 +271,7 @@ def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
 
 
 def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int):
-    """Stage 1: the penalty, the lasso fit and the indices of the features it keeps."""
+    """Stage 1: the lasso fit (its penalty is ``model.lam``) and the indices of the features it keeps."""
     lam = select_lambda(X, y, settings, seed)
     model = lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps)
     selected = lasso.select_features(model)
@@ -284,7 +283,7 @@ def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed
         selected = tuple(
             j for j in range(X.shape[1]) if j not in model.standardization.zero_variance
         )
-    return lam, model, selected
+    return model, selected
 
 
 def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, settings: ItmlSettings, seed: int):
@@ -318,76 +317,70 @@ def _augment(matched_X: np.ndarray, matched_y: np.ndarray, K: int, M: int, setti
     return pseudo_X, pseudo_y, model
 
 
-def _prepare_stages(split: DomainSplit, config: PipelineConfig, memo: dict) -> EstimationResult:
-    """Every stage upstream of boosting, each looked up in ``memo`` before it runs.
+def _boost_and_predict(Zs, ys, Zt, pseudo_X, pseudo_y, matched_idx, train_cfg, exclude_matched, clamp, round_):
+    """Stages 5-6: balanced-weight boosting, then the target predictions."""
+    if exclude_matched and matched_idx is not None:
+        Zs, ys = np.delete(Zs, matched_idx, axis=0), np.delete(ys, matched_idx)
+        if len(ys) == 0:
+            raise ValueError("excluding matched instances empties the source set")
+    model = boosting.fit_gbbw(Zs, ys, pseudo_X, pseudo_y, train_cfg)
+    preds = boosting.predict(model, Zt, clamp_at_zero=clamp)
+    if round_:
+        preds = np.rint(preds)
+    return model, preds
+
+
+def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> EstimationResult:
+    """Every stage of one fold, each looked up in ``memo`` before it runs.
 
     A stage's key holds its name, the settings it reads and the key of the
     stage before it, so two configs share a stage exactly when they agree on
     everything that stage and its predecessors read. Stage seeds depend only
     on (master seed, stage), so sharing changes no output.
     """
-    if split.source.labels is None:
-        raise PipelineError("lasso", ValueError("source dataset carries no labels"))
     X = split.source.X
     y = split.source.movement_labels(config.movement).astype(float)
-
     key = ("lasso", config.movement, config.lasso, config.master_seed)
-    lam, model, selected = _run_stage(
+    model, selected = _run_stage(
         memo, key, _select_features, X, y, config.lasso, stage_seed(config.master_seed, "lasso"),
     )
     Zs = _selected_standardized(model, X, selected)
     Zt = _selected_standardized(model, split.target_features.X, selected)
-    upstream = EstimationResult(split.target_id, config.movement, config, selected, model, lam, Zs, y, Zt)
 
-    if config.effective_alpha() == 0.0:
-        # Boosting will ignore the pseudo-target entirely; skip its stages.
-        return upstream
-
-    key = ("itml", key, config.itml)
-    constraints, itml_result, (matched_X, matched_y, matched_idx) = _run_stage(
-        memo, key, _learn_metric_and_match, Zs, y, Zt, config.itml,
-        stage_seed(config.master_seed, "constraints"),
-    )
-    K, M = config.gmm_components(), config.gmm_samples()
-    key = ("gmm", key, config.gmm, K, M)
-    pseudo_X, pseudo_y, gmm_model = _run_stage(
-        memo, key, _augment, matched_X, matched_y, K, M, config.gmm, stage_seed(config.master_seed, "gmm"),
-    )
-    return replace(
-        upstream,
-        metric=itml_result.A, itml_result=itml_result, constraints=constraints,
-        matched_indices=matched_idx, gmm_model=gmm_model, pseudo_X=pseudo_X, pseudo_y=pseudo_y,
-    )
-
-
-def _finish_estimation(split: DomainSplit, config: PipelineConfig, stages: EstimationResult) -> EstimationResult:
     alpha = config.effective_alpha()
+    matched_idx, adapted = None, {}
+    pseudo_X, pseudo_y = np.empty((0, Zs.shape[1])), np.empty(0)
+    if alpha > 0.0:  # at alpha 0 boosting ignores the pseudo-target, so its stages are skipped
+        key = ("itml", key, config.itml)
+        constraints, itml_result, (matched_X, matched_y, matched_idx) = _run_stage(
+            memo, key, _learn_metric_and_match, Zs, y, Zt, config.itml,
+            stage_seed(config.master_seed, "constraints"),
+        )
+        K, M = config.gmm_components(), config.gmm_samples()
+        key = ("gmm", key, config.gmm, K, M)
+        pseudo_X, pseudo_y, gmm_model = _run_stage(
+            memo, key, _augment, matched_X, matched_y, K, M, config.gmm, stage_seed(config.master_seed, "gmm"),
+        )
+        adapted = dict(
+            metric=itml_result.A, itml_result=itml_result, constraints=constraints,
+            matched_indices=matched_idx, gmm_model=gmm_model, pseudo_X=pseudo_X, pseudo_y=pseudo_y,
+        )
+
     train_cfg = replace(config.boosting, alpha=alpha)
-    Zs, ys = stages.Zs, stages.ys
-    if config.exclude_matched_from_source and stages.matched_indices is not None:
-        keep = np.ones(len(ys), dtype=bool)
-        keep[np.unique(stages.matched_indices)] = False
-        if not keep.any():
-            raise PipelineError(
-                "boosting", ValueError("excluding matched instances empties the source set")
-            )
-        Zs, ys = Zs[keep], ys[keep]
-    if alpha == 0.0:
-        pseudo_X = np.empty((0, Zs.shape[1]))
-        pseudo_y = np.empty(0)
-    else:
-        pseudo_X, pseudo_y = stages.pseudo_X, stages.pseudo_y
-    # Alpha enters here, so no other config shares this stage: a fresh memo.
-    model = _run_stage({}, ("boosting",), boosting.fit_gbbw, Zs, ys, pseudo_X, pseudo_y, train_cfg)
-    preds = boosting.predict(model, stages.Zt, clamp_at_zero=config.clamp_predictions)
-    if config.round_predictions:
-        preds = np.rint(preds)
-    return replace(stages, boosted_model=model, predictions=preds, config=config)
+    flags = (config.exclude_matched_from_source, config.clamp_predictions, config.round_predictions)
+    boosted, preds = _run_stage(
+        memo, ("boosting", key, train_cfg, *flags), _boost_and_predict,
+        Zs, y, Zt, pseudo_X, pseudo_y, matched_idx, train_cfg, *flags,
+    )
+    return EstimationResult(
+        split.target_id, config.movement, config, selected, model, Zs, y, Zt,
+        **adapted, boosted_model=boosted, predictions=preds,
+    )
 
 
 def run_estimation(split: DomainSplit, config: PipelineConfig) -> EstimationResult:
     """Run the full per-target pipeline; deterministic given the master seed."""
-    return _finish_estimation(split, config, _prepare_stages(split, config, {}))
+    return _estimate(split, config, {})
 
 
 _METRIC_RTOL = 16 * np.finfo(float).eps
@@ -439,7 +432,7 @@ def _score_fold(split: DomainSplit, config: PipelineConfig, memo: dict) -> FoldR
     label = VARIANT_LABELS[config.variant]
     n = split.target_features.n
     try:
-        result = _finish_estimation(split, config, _prepare_stages(split, config, memo))
+        result = _estimate(split, config, memo)
         y_true = split.held_out_labels.reveal_for_scoring(config.movement)
         mae, rmse = evaluate(y_true, result.predictions)
         return FoldResult(split.target_id, config.movement, label, n, mae, rmse)

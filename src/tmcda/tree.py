@@ -113,8 +113,9 @@ def _best_split(order, xsorted, w, wr, member, n_node, total_w, total_wr, min_sa
     lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
     cw = w[rows].cumsum(axis=1)[:, lo:hi]
     cwr = wr[rows].cumsum(axis=1)[:, lo:hi]
-    valid = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
-    score = np.where(valid, cwr * cwr / cw + (total_wr - cwr) ** 2 / (total_w - cw), -np.inf)
+    right_w = total_w - cw  # <= 0 when the right side's weight rounds away: no split, and no division
+    valid = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w > 0)
+    score = cwr * cwr / cw + np.divide((total_wr - cwr) ** 2, right_w, out=np.full_like(cw, -np.inf), where=valid)
     k = score.argmax(axis=1)
     parent_score = total_wr * total_wr / total_w
     gain = score[np.arange(n_features), k] - parent_score

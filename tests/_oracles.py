@@ -117,6 +117,8 @@ def brute_force_split(X, r, w, min_samples_leaf):
             left = X[:, j] <= threshold
             if left.sum() < min_samples_leaf or (~left).sum() < min_samples_leaf:
                 continue
+            if w.sum() - w[left].sum() <= 0:  # the right side's weight rounds away: no split
+                continue
             gain = parent_sse - _wsse(r[left], w[left]) - _wsse(r[~left], w[~left])
             if gain > 1e-12 * guard_scale and (best is None or gain > best[2]):
                 best = (j, threshold, gain)
@@ -179,16 +181,15 @@ def _reference_split(X, r, w, idx, min_samples_leaf):
         xs = X[idx, j]
         order = np.argsort(xs, kind="stable")
         xs_sorted = xs[order]
-        valid = feasible & (xs_sorted[:-1] < xs_sorted[1:])
-        if not valid.any():
-            continue
         cw = np.cumsum(w_node[order])[:-1]
         cwr = np.cumsum(wr_node[order])[:-1]
-        score = np.where(
-            valid,
-            cwr * cwr / cw + (total_wr - cwr) ** 2 / (total_w - cw),
-            -np.inf,
-        )
+        right_w = total_w - cw
+        # A right side whose weight rounds away is no split.
+        valid = feasible & (xs_sorted[:-1] < xs_sorted[1:]) & (right_w > 0)
+        if not valid.any():
+            continue
+        score = np.full(n_node - 1, -np.inf)
+        score[valid] = cwr[valid] * cwr[valid] / cw[valid] + (total_wr - cwr[valid]) ** 2 / right_w[valid]
         k = int(np.argmax(score))
         gain = score[k] - parent_score
         if gain > 1e-12 * max(1.0, abs(parent_score)) and (best is None or gain > best[2]):

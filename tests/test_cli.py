@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tmcda import cli, gmm, itml, lasso
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table
 from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
+from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
 from tmcda.runconfig import ConfigError, load_config, load_grid_config
+from tmcda.synth import generate_synthetic_network
 
 FAST_CONFIG = """
 # fast end-to-end settings for tests
@@ -74,6 +78,18 @@ def test_synth_output_loads_cleanly(data_file):
         data = load_table(data_file)
     assert data.n == 24
     assert data.labels is not None
+
+
+def test_loo_on_synth_output_equals_leave_one_out_on_the_generated_network(tmp_path, data_file, config_file):
+    data = generate_synthetic_network(5, 3, 1.0, 8)  # the data_file fixture's settings
+    assert np.array_equal(load_table(data_file).X, data.X)
+    out_dir = tmp_path / "loo"
+    assert main(["loo", "--data", str(data_file), "--config", str(config_file),
+                 "--out-dir", str(out_dir), "--variant", "all", "--movement", "left"]) == EXIT_OK
+    base = load_config(config_file)
+    report = leave_one_out(data, [replace(base, variant=v) for v in VARIANTS])
+    assert (out_dir / "folds.csv").read_text() == report.to_long_text()
+    assert (out_dir / "summary.csv").read_text() == render_summary(report)
 
 
 def test_unknown_flags_exit_with_usage_code(capsys):

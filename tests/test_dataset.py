@@ -41,8 +41,7 @@ _ids = st.text(alphabet=string.ascii_letters + string.digits + ' -_,"\n', min_si
 def _column_values(col):
     if col.integer:
         return st.integers(int(col.low), int(min(col.high, 10**6))).map(float)
-    # write_table keeps 6 decimals, so draw values it writes exactly.
-    return st.floats(col.low, 1e6).map(lambda v: round(v, 6))
+    return st.floats(col.low, 1e6)
 
 
 @st.composite

@@ -249,6 +249,19 @@ def test_zero_distance_pair_skipped_with_warning():
     assert np.array_equal(result.A, np.eye(2))
 
 
+def test_similarity_threshold_is_positive_when_many_pairs_coincide():
+    # Binary rows repeat, so more than 5% of the sampled pairs lie at
+    # distance 0; a similar-pair slack starting at u = 0 cannot be projected.
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 2, size=(60, 3)).astype(float)
+    y = X @ np.array([3.0, 1.0, 2.0]) + rng.uniform(0.0, 1.0, 60)
+    C = build_constraints(X, y)
+    assert 0.0 < C.u < C.l
+    with pytest.warns(RuntimeWarning, match="zero distance"):
+        result = fit_itml(X, C, max_passes=50)
+    assert np.isfinite(result.A).all()
+
+
 def test_diagnostics_text_layout():
     X, _, C = _random_instance(12)
     result = fit_itml(X, C, max_passes=20, tol=1e-3)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tmcda import gmm, itml, lasso
+from tmcda import boosting, gmm, itml, lasso, pipeline
 from tmcda.boosting import TrainConfig
-from tmcda.dataset import split_domains
+from tmcda.dataset import DataError, DomainSplit, split_domains
 from tmcda.lasso import fit_lasso
 from tmcda.itml import build_constraints
 from tmcda.pipeline import (
@@ -277,14 +277,18 @@ def test_held_out_labels_rejected_by_training_paths(data3):
 
 
 def test_split_forbids_labeled_target(data3):
-    from tmcda.dataset import DataError, DomainSplit
-
     split = split_domains(data3, "I01")
     labeled_target = data3.subset(
         np.array([str(s) == "I01" for s in data3.intersection_ids])
     )
     with pytest.raises(DataError, match="must not carry labels"):
         DomainSplit(split.source, labeled_target, split.held_out_labels, "I01")
+
+
+def test_split_forbids_unlabeled_source(data3):
+    split = split_domains(data3, "I01")
+    with pytest.raises(DataError, match="source dataset carries no labels"):
+        DomainSplit(split.source.without_labels(), split.target_features, split.held_out_labels, "I01")
 
 
 # ---------------------------------------------------------------- leave one out
@@ -417,11 +421,15 @@ def test_sweep_fails_only_on_too_few_samples_not_on_other_mixture_errors(data3, 
     assert all(r.error_type is gmm.GMMError for r in report.rows)
 
 
-def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3):
+def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3, monkeypatch):
     grid = {"n_components": [1, 2], "n_samples": [5, 12], "alpha": [0.0, 0.5]}
     bases = [_fast_cfg(movement=m, seed=6, n_stages=4) for m in ("left", "through")]
+    fits = _counting(monkeypatch, boosting, "fit_gbbw")
     sweep = ablation_sweep(data3, grid, bases)
     assert len(sweep.cells) == 8
+    # Per fold and movement: one fit shared by the four alpha = 0 cells, which
+    # skip the mixture, and one for each alpha = 0.5 cell.
+    assert len(fits) == 3 * 2 * (1 + 4)
     i = 0
     for k in grid["n_components"]:
         for m in grid["n_samples"]:
@@ -479,6 +487,34 @@ def test_itml_failure_fails_both_itml_variants_and_spares_source_only(data3, mon
     assert len(calls) == 3  # the failure is kept for the fold, not retried per variant
 
 
+def test_a_fold_runs_every_stage_through_the_stage_runner_in_order(data3, monkeypatch):
+    stages = []
+    original = pipeline._run_stage
+
+    def spy(memo, key, fn, *args):
+        stages.append(key[0])
+        return original(memo, key, fn, *args)
+
+    monkeypatch.setattr(pipeline, "_run_stage", spy)
+    leave_one_out(data3, _fast_cfg())
+    assert stages == ["lasso", "itml", "gmm", "boosting"] * 3
+    stages.clear()
+    leave_one_out(data3, _fast_cfg(variant="source-only"))
+    assert stages == ["lasso", "boosting"] * 3
+
+
+def test_excluding_every_source_row_fails_the_fold_in_boosting(data3, monkeypatch):
+    def match_all(A, Zt, Zs, ys):
+        return Zs, ys, np.arange(len(ys))
+
+    monkeypatch.setattr(itml, "match_source_to_target", match_all)
+    report = leave_one_out(data3, replace(_fast_cfg(), exclude_matched_from_source=True))
+    assert [r.error for r in report.rows] == [
+        "[boosting] ValueError: excluding matched instances empties the source set"
+    ] * 3
+    assert all(r.error_type is ValueError for r in report.rows)
+
+
 def test_alpha_grid_shape(data3):
     sweep = ablation_sweep(data3, {"alpha": [0.0, 0.25, 0.5, 0.75, 1.0]},
                            _fast_cfg(n_stages=3))
@@ -525,8 +561,6 @@ def test_exclude_matched_from_source_flag(data3):
 
 
 def test_split_requires_labels(data3):
-    from tmcda.dataset import DataError
-
     with pytest.raises(DataError, match="unlabeled"):
         split_domains(data3.without_labels(), "I01")
 

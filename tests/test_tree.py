@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcda.boosting import TrainConfig, fit_gbbw
 from tmcda.tree import RegressionTree, fit_tree
 
 from _oracles import BruteTree, brute_force_split, reference_tree
@@ -61,6 +64,25 @@ def test_split_between_neighbouring_doubles_keeps_both_children():
     assert np.isfinite(tree.value).all()
     oracle = brute_force_split(X, r, np.ones(4), 1)
     assert oracle[:2] == (0, lo)
+
+
+def test_split_whose_right_side_weight_rounds_away_is_not_chosen():
+    # Pseudo-target rows weigh 1e-17, less than 2^-53 of the node, so the
+    # node total minus the source rows' weight rounds to 0 for any candidate
+    # that puts only pseudo-target rows on the right.
+    rng = np.random.default_rng(0)
+    Xs = rng.standard_normal((40, 2))
+    ys = 3.0 * Xs[:, 0] + 0.1 * rng.standard_normal(40)
+    Xt = rng.standard_normal((20, 2)) + 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=1e-17))
+    root = model.stages[0][1]
+    go_left = Xs[:, root.feature[0]] <= root.threshold[0]
+    assert go_left.any() and not go_left.all()
+    source_only = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=0.0)).stages[0][1]
+    assert root.feature[0] == source_only.feature[0]
+    assert np.array_equal(go_left, Xs[:, source_only.feature[0]] <= source_only.threshold[0])
 
 
 def test_deep_tree_predictions_match_brute_force():
