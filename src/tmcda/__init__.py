@@ -25,7 +25,6 @@ from .pipeline import (
     evaluate,
     leave_one_out,
     run_estimation,
-    substitute_target,
 )
 from .schema import DEFAULT_SCHEMA, MOVEMENTS, FeatureSchema, encode_categoricals
 from .synth import generate_synthetic_network, label_coefficients

@@ -100,13 +100,15 @@ def build_constraints(
 ) -> ConstraintSet:
     """Derive pair constraints from continuous labels.
 
-    A sampled pair is similar when its absolute label difference falls at or
-    below the ``percentile``-th percentile of sampled differences, dissimilar
-    at or above the (100 - percentile)-th. When both thresholds coincide the
-    pair is classified against half the label range. u and l are the 5th and
-    95th percentiles of prior-metric (identity) distances over the sampled
-    pairs, u over the positive ones when that is 0 (no similar-pair slack can
-    start at 0); degenerate equal percentiles are widened by 5% around their value.
+    Sampled pairs at prior-metric (identity) distance 0 are dropped first:
+    their distance is 0 under every metric, so they cannot constrain it.
+    Over the pairs that remain, a pair is similar when its absolute label
+    difference falls at or below the ``percentile``-th percentile of their
+    differences, dissimilar at or above the (100 - percentile)-th. When both
+    thresholds coincide the pair is classified against half the label range.
+    u and l are the 5th and 95th percentiles of the remaining pairs' prior
+    distances; degenerate equal percentiles are widened by 5% around their
+    value. With no pair left the set is empty.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -136,17 +138,21 @@ def build_constraints(
                 seen.add(pair)
                 pairs.append((int(pair[0]), int(pair[1])))
     pairs_arr = np.array(pairs)
+    diffs = X[pairs_arr[:, 0]] - X[pairs_arr[:, 1]]
+    dists = np.einsum("ij,ij->i", diffs, diffs)
+    kept = dists > 0.0
+    if not kept.any():  # u = l = 0, widened as below
+        warnings.warn("every sampled pair lies at distance 0: no constraints", RuntimeWarning)
+        return ConstraintSet((), (), 0.95e-9, 1.05e-9)
+    pairs_arr, dists = pairs_arr[kept], dists[kept]
 
     deltas = np.abs(y[pairs_arr[:, 0]] - y[pairs_arr[:, 1]])
     t_sim = float(np.percentile(deltas, config.percentile))
     t_dis = float(np.percentile(deltas, 100.0 - config.percentile))
     half_range = (float(y.max()) - float(y.min())) / 2.0
 
-    diffs = X[pairs_arr[:, 0]] - X[pairs_arr[:, 1]]
-    dists = np.einsum("ij,ij->i", diffs, diffs)
-
     similar, dissimilar = [], []
-    for (i, j), delta in zip(pairs, deltas):
+    for (i, j), delta in zip(pairs_arr.tolist(), deltas):
         is_sim = delta <= t_sim
         is_dis = delta >= t_dis
         if is_sim and is_dis:
@@ -161,8 +167,6 @@ def build_constraints(
         warnings.warn("degenerate labels: no dissimilar pairs found", RuntimeWarning)
 
     u = float(np.percentile(dists, 5.0))
-    if u == 0.0 and dists.any():
-        u = float(np.percentile(dists[dists > 0], 5.0))
     l = float(np.percentile(dists, 95.0))
     if l <= u:
         mid = max(u, 1e-9)

@@ -3,9 +3,9 @@
 For one target intersection the pipeline runs, in order: L1 feature
 selection on the labeled source, metric learning over the selected
 standardized features, nearest-source matching of target instances under the
-learned metric, mixture-based augmentation of the matched set, substitution
-of the augmented set as the pseudo-target, balanced-weight boosting, and
-prediction. Each stage is one ``_run_stage`` call on the fold's memo, so
+learned metric, mixture-based augmentation of the matched set as the
+pseudo-target, balanced-weight boosting, and prediction clamped at zero.
+Each stage is one ``_run_stage`` call on the fold's memo, so
 configs that agree on a stage's inputs share it. Leave-one-intersection-out
 evaluation and parameter sweeps wrap that single-fold routine.
 """
@@ -79,19 +79,15 @@ class LassoSettings:
 
 @dataclass(frozen=True)
 class ItmlSettings:
-    gamma: float = 1.0
     max_passes: int = 100
     tol: float = 1e-3
-    percentile: float = 10.0
     max_constraints: int = 200
     n_candidates: int = 5_000
 
     def __post_init__(self):
         _require(self, (
-            (self.gamma > 0, f"gamma must be > 0, got {self.gamma}"),
             (self.max_passes >= 1, f"max_passes must be >= 1, got {self.max_passes}"),
             (self.tol > 0, f"tol must be > 0, got {self.tol}"),
-            (0 <= self.percentile <= 100, f"percentile must lie in [0, 100], got {self.percentile}"),
             (self.max_constraints >= 0, f"max_constraints must be >= 0, got {self.max_constraints}"),
             (self.n_candidates >= 1, f"n_candidates must be >= 1, got {self.n_candidates}"),
         ))
@@ -101,8 +97,6 @@ class ItmlSettings:
 class GmmSettings:
     n_components: int | None = None  # None -> movement default
     n_samples: int | None = None
-    tol: float = 1e-6
-    max_iter: int = 200
     n_init: int = 5
     ridge: float | None = None
 
@@ -111,8 +105,6 @@ class GmmSettings:
             (self.n_components is None or self.n_components >= 1,
              f"n_components must be >= 1, got {self.n_components}"),
             (self.n_samples is None or self.n_samples >= 0, f"n_samples must be >= 0, got {self.n_samples}"),
-            (self.tol > 0, f"tol must be > 0, got {self.tol}"),
-            (self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}"),
             (self.n_init >= 1, f"n_init must be >= 1, got {self.n_init}"),
             (self.ridge is None or self.ridge >= 0, f"ridge must be >= 0, got {self.ridge}"),
         ))
@@ -127,9 +119,6 @@ class PipelineConfig:
     boosting: boosting.TrainConfig = field(default_factory=boosting.TrainConfig)
     master_seed: int = 0
     variant: str = "full"
-    clamp_predictions: bool = True
-    round_predictions: bool = False
-    exclude_matched_from_source: bool = False
 
     def __post_init__(self):
         if self.movement not in MOVEMENTS:
@@ -179,28 +168,14 @@ def evaluate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
     return mae, rmse
 
 
-def substitute_target(
-    matched_X: np.ndarray,
-    matched_y: np.ndarray,
-    augmented_X: np.ndarray,
-    augmented_y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Designate the augmented matched set as the pseudo-target training set."""
-    if len(augmented_X) == 0:
-        raise ValueError("augmented set is empty")
-    if augmented_X.shape[1] != matched_X.shape[1]:
-        raise ValueError("augmented features do not share the matched feature space")
-    return np.asarray(augmented_X, dtype=float), np.asarray(augmented_y, dtype=float)
-
-
 @dataclass(frozen=True)
 class EstimationResult:
     """Fitted stage artifacts for one target, and its predictions.
 
     ``Zs``/``ys`` are the standardized selected source features and labels,
     ``Zt`` the same features of the target, and ``pseudo_X``/``pseudo_y`` the
-    augmented pseudo-target set; the metric, matching and mixture fields are
-    None when the effective alpha is 0. The penalty lasso chose is
+    augmented pseudo-target set; the ITML (its metric is ``itml_result.A``),
+    matching and mixture fields are None when the effective alpha is 0. The penalty lasso chose is
     ``lasso_model.lam``. Within one leave-one-out fold, results whose configs
     agree on a stage's inputs share that stage's artifacts (the same
     objects), boosting and predictions included, so treat them as read-only.
@@ -214,7 +189,6 @@ class EstimationResult:
     Zs: np.ndarray
     ys: np.ndarray
     Zt: np.ndarray
-    metric: np.ndarray | None = None
     itml_result: itml.ITMLResult | None = None
     constraints: itml.ConstraintSet | None = None
     matched_indices: np.ndarray | None = None
@@ -290,44 +264,25 @@ def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, sett
     """Stages 2-3: pair constraints, the ITML metric, and the nearest source row of each target row."""
     constraints = itml.build_constraints(
         Zs, ys,
-        itml.ConstraintConfig(
-            percentile=settings.percentile,
-            max_per_set=settings.max_constraints,
-            n_candidates=settings.n_candidates,
-            seed=seed,
-        ),
+        itml.ConstraintConfig(max_per_set=settings.max_constraints, n_candidates=settings.n_candidates, seed=seed),
     )
-    result = itml.fit_itml(
-        Zs, constraints, gamma=settings.gamma, max_passes=settings.max_passes, tol=settings.tol,
-    )
+    result = itml.fit_itml(Zs, constraints, max_passes=settings.max_passes, tol=settings.tol)
     matched = itml.match_source_to_target(result.A, Zt, Zs, ys)
     return constraints, result, matched
 
 
 def _augment(matched_X: np.ndarray, matched_y: np.ndarray, K: int, M: int, settings: GmmSettings, seed: int):
     """Stage 4: the mixture-augmented matched set as the pseudo-target, and the mixture."""
-    aug_X, aug_y, model = gmm.augment(
+    return gmm.augment(
         matched_X, matched_y, K, M,
-        gmm.EMConfig(
-            tol=settings.tol, max_iter=settings.max_iter, ridge=settings.ridge,
-            n_init=settings.n_init, seed=seed,
-        ),
+        gmm.EMConfig(ridge=settings.ridge, n_init=settings.n_init, seed=seed),
     )
-    pseudo_X, pseudo_y = substitute_target(matched_X, matched_y, aug_X, aug_y)
-    return pseudo_X, pseudo_y, model
 
 
-def _boost_and_predict(Zs, ys, Zt, pseudo_X, pseudo_y, matched_idx, train_cfg, exclude_matched, clamp, round_):
-    """Stages 5-6: balanced-weight boosting, then the target predictions."""
-    if exclude_matched and matched_idx is not None:
-        Zs, ys = np.delete(Zs, matched_idx, axis=0), np.delete(ys, matched_idx)
-        if len(ys) == 0:
-            raise ValueError("excluding matched instances empties the source set")
+def _boost_and_predict(Zs, ys, Zt, pseudo_X, pseudo_y, train_cfg):
+    """Stages 5-6: balanced-weight boosting, then the target predictions, clamped at zero (counts)."""
     model = boosting.fit_gbbw(Zs, ys, pseudo_X, pseudo_y, train_cfg)
-    preds = boosting.predict(model, Zt, clamp_at_zero=clamp)
-    if round_:
-        preds = np.rint(preds)
-    return model, preds
+    return model, boosting.predict(model, Zt, clamp_at_zero=True)
 
 
 def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> EstimationResult:
@@ -348,7 +303,7 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
     Zt = _selected_standardized(model, split.target_features.X, selected)
 
     alpha = config.effective_alpha()
-    matched_idx, adapted = None, {}
+    adapted = {}
     pseudo_X, pseudo_y = np.empty((0, Zs.shape[1])), np.empty(0)
     if alpha > 0.0:  # at alpha 0 boosting ignores the pseudo-target, so its stages are skipped
         key = ("itml", key, config.itml)
@@ -362,15 +317,13 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
             memo, key, _augment, matched_X, matched_y, K, M, config.gmm, stage_seed(config.master_seed, "gmm"),
         )
         adapted = dict(
-            metric=itml_result.A, itml_result=itml_result, constraints=constraints,
+            itml_result=itml_result, constraints=constraints,
             matched_indices=matched_idx, gmm_model=gmm_model, pseudo_X=pseudo_X, pseudo_y=pseudo_y,
         )
 
     train_cfg = replace(config.boosting, alpha=alpha)
-    flags = (config.exclude_matched_from_source, config.clamp_predictions, config.round_predictions)
     boosted, preds = _run_stage(
-        memo, ("boosting", key, train_cfg, *flags), _boost_and_predict,
-        Zs, y, Zt, pseudo_X, pseudo_y, matched_idx, train_cfg, *flags,
+        memo, ("boosting", key, train_cfg), _boost_and_predict, Zs, y, Zt, pseudo_X, pseudo_y, train_cfg,
     )
     return EstimationResult(
         split.target_id, config.movement, config, selected, model, Zs, y, Zt,

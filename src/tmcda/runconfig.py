@@ -2,7 +2,7 @@
 
 Lines look like ``gmm.n_components = 4``; ``#`` starts a comment. Every
 field of the four settings classes is a ``<section>.<field>`` key parsed by
-its annotated type, so keys and fields cannot drift apart; five more keys
+its annotated type, so keys and fields cannot drift apart; two more keys
 set top-level ``PipelineConfig`` fields. Unknown keys are hard errors,
 reported all at once so a sweep cannot silently run with a misspelled
 setting.
@@ -22,20 +22,10 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 _PARSERS = {
     int: int,
     float: float,
     str: str,
-    bool: _parse_bool,
     int | None: lambda text: None if text.lower() == "none" else int(text),
     float | None: lambda text: None if text.lower() == "none" else float(text),
 }
@@ -43,13 +33,7 @@ _PARSERS = {
 _SECTIONS = {"lasso": LassoSettings, "itml": ItmlSettings, "gmm": GmmSettings, "boosting": TrainConfig}
 
 # Top-level key -> PipelineConfig field. The movement is chosen per command.
-_TOP_LEVEL = {
-    "seed": "master_seed",
-    "pipeline.variant": "variant",
-    "pipeline.clamp": "clamp_predictions",
-    "pipeline.round": "round_predictions",
-    "pipeline.exclude_matched": "exclude_matched_from_source",
-}
+_TOP_LEVEL = {"seed": "master_seed", "pipeline.variant": "variant"}
 
 
 def _derive_keys() -> dict:
@@ -138,9 +122,3 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         return PipelineConfig()
     config, _ = apply_entries(parse_flat_file(path), allow_grid=False)
     return config
-
-
-def load_grid_config(path: str | Path) -> tuple[PipelineConfig, dict]:
-    """Build the base configuration and sweep grid from one flat file."""
-    return apply_entries(parse_flat_file(path), allow_grid=True)
-

@@ -10,7 +10,7 @@ from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table
 from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
 from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
-from tmcda.runconfig import ConfigError, load_config, load_grid_config
+from tmcda.runconfig import ConfigError, apply_entries, load_config, parse_flat_file
 from tmcda.synth import generate_synthetic_network
 
 FAST_CONFIG = """
@@ -197,6 +197,20 @@ def test_unknown_config_keys_listed_all_at_once(tmp_path, data_file):
     assert "boosting.stages" in str(exc.value)
 
 
+@pytest.mark.parametrize("key", [
+    "itml.gamma", "itml.percentile", "gmm.tol", "gmm.max_iter",
+    "pipeline.clamp", "pipeline.round", "pipeline.exclude_matched",
+])
+def test_removed_config_key_fails_at_load(tmp_path, data_file, capsys, key):
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(FAST_CONFIG + f"\n{key} = 1\n")
+    out_dir = tmp_path / "out"
+    code = main(["loo", "--data", str(data_file), "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert not (out_dir / "folds.csv").exists()
+    assert f"unknown configuration key(s): ['{key}']" in capsys.readouterr().err
+
+
 def test_sweep_grid_rows_and_manifest(tmp_path, data_file):
     grid = tmp_path / "grid.cfg"
     grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.0, 0.25, 0.5, 0.75, 1.0\n")
@@ -273,7 +287,7 @@ def test_single_cell_sweep_equals_loo(tmp_path, data_file, config_file):
 def test_grid_config_parses_lists(tmp_path):
     grid = tmp_path / "g.cfg"
     grid.write_text("grid.n_components = 1, 2\ngrid.n_samples = 5\nseed = 4\n")
-    base, parsed = load_grid_config(grid)
+    base, parsed = apply_entries(parse_flat_file(grid), allow_grid=True)
     assert parsed == {"n_components": [1, 2], "n_samples": [5]}
     assert base.master_seed == 4
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,15 +253,27 @@ def test_zero_distance_pair_skipped_with_warning():
 
 def test_similarity_threshold_is_positive_when_many_pairs_coincide():
     # Binary rows repeat, so more than 5% of the sampled pairs lie at
-    # distance 0; a similar-pair slack starting at u = 0 cannot be projected.
+    # distance 0; such pairs are dropped, so u > 0 and ITML skips none.
     rng = np.random.default_rng(0)
     X = rng.integers(0, 2, size=(60, 3)).astype(float)
     y = X @ np.array([3.0, 1.0, 2.0]) + rng.uniform(0.0, 1.0, 60)
     C = build_constraints(X, y)
     assert 0.0 < C.u < C.l
-    with pytest.warns(RuntimeWarning, match="zero distance"):
+    assert len(C) > 0
+    assert all(np.any(X[i] != X[j]) for i, j in C.similar + C.dissimilar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = fit_itml(X, C, max_passes=50)
+    assert result.skipped_pairs == []
     assert np.isfinite(result.A).all()
+
+
+def test_no_constraints_when_every_sampled_pair_coincides():
+    X = np.ones((4, 2))
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    with pytest.warns(RuntimeWarning, match="distance 0"):
+        C = build_constraints(X, y)
+    assert len(C) == 0 and 0.0 < C.u < C.l
 
 
 def test_diagnostics_text_layout():

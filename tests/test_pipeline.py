@@ -24,7 +24,6 @@ from tmcda.pipeline import (
     render_summary,
     run_estimation,
     stage_seed,
-    substitute_target,
 )
 from tmcda.synth import generate_synthetic_network
 
@@ -114,30 +113,6 @@ def test_evaluate_validates_inputs():
         evaluate(np.ones(0), np.ones(0))
 
 
-# ------------------------------------------------------------------ substitution
-
-def test_substitute_with_no_synthetic_equals_matched():
-    rng = np.random.default_rng(1)
-    X = rng.standard_normal((10, 4))
-    y = rng.uniform(0, 5, 10)
-    Xp, yp = substitute_target(X, y, X, y)
-    assert np.array_equal(Xp, X) and np.array_equal(yp, y)
-
-
-def test_substitute_sizes_and_schema():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((10, 4))
-    y = rng.uniform(0, 5, 10)
-    aug_X = np.vstack([X, rng.standard_normal((40, 4))])
-    aug_y = np.concatenate([y, rng.uniform(0, 5, 40)])
-    Xp, yp = substitute_target(X, y, aug_X, aug_y)
-    assert Xp.shape == (50, 4)
-    with pytest.raises(ValueError, match="empty"):
-        substitute_target(X, y, np.empty((0, 4)), np.empty(0))
-    with pytest.raises(ValueError, match="feature space"):
-        substitute_target(X, y, np.zeros((5, 3)), np.zeros(5))
-
-
 # ----------------------------------------------------------------- single target
 
 def test_minimal_two_intersection_run(data3):
@@ -147,7 +122,7 @@ def test_minimal_two_intersection_run(data3):
     assert result.predictions.shape == (split.target_features.n,)
     assert np.all(result.predictions >= 0.0)  # clamped counts
     assert result.selected_features
-    assert result.metric is not None and result.gmm_model is not None
+    assert result.itml_result is not None and result.gmm_model is not None
     assert result.boosted_model.n_stages == 8
     assert result.matched_indices is not None
     assert len(result.matched_indices) == split.target_features.n
@@ -156,7 +131,7 @@ def test_minimal_two_intersection_run(data3):
 def test_source_only_variant_skips_adaptation_stages(data3):
     split = split_domains(data3, "I02")
     result = run_estimation(split, _fast_cfg(variant="source-only"))
-    assert result.metric is None
+    assert result.itml_result is None
     assert result.gmm_model is None
     assert result.boosted_model.alpha == 0.0
 
@@ -197,11 +172,13 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     def infeasible(*args, **kwargs):
         raise ValueError("injected failure")
 
-    monkeypatch.setattr(gmm, "augment", infeasible)
-    report = leave_one_out(data3, _fast_cfg())
-    assert len(report.rows) == 3
-    assert all(r.error == "[gmm] ValueError: injected failure" for r in report.rows)
-    assert all(r.error_type is ValueError for r in report.rows)
+    for module, name, stage in ((gmm, "augment", "gmm"), (boosting, "fit_gbbw", "boosting")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, infeasible)
+            report = leave_one_out(data3, _fast_cfg())
+        assert len(report.rows) == 3
+        assert all(r.error == f"[{stage}] ValueError: injected failure" for r in report.rows)
+        assert all(r.error_type is ValueError for r in report.rows)
 
 
 @pytest.mark.parametrize("settings, field, value", [
@@ -214,16 +191,12 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     (LassoSettings, "tol", 0.0),
     (LassoSettings, "tol", float("nan")),
     (LassoSettings, "max_sweeps", 0),
-    (ItmlSettings, "gamma", 0.0),
     (ItmlSettings, "max_passes", 0),
     (ItmlSettings, "tol", -1e-3),
-    (ItmlSettings, "percentile", 101.0),
     (ItmlSettings, "max_constraints", -1),
     (ItmlSettings, "n_candidates", 0),
     (GmmSettings, "n_components", 0),
     (GmmSettings, "n_samples", -1),
-    (GmmSettings, "tol", 0.0),
-    (GmmSettings, "max_iter", 0),
     (GmmSettings, "n_init", 0),
     (GmmSettings, "ridge", -1e-6),
     (TrainConfig, "max_depth", -1),
@@ -237,21 +210,9 @@ def test_settings_reject_out_of_domain_values(settings, field, value):
 def test_settings_accept_their_boundary_values():
     LassoSettings(lambda_mode="fixed", lambda_value=0.0, cv_folds=2, cv_grid_size=1,
                   lam_min_ratio=1.0, max_sweeps=1)
-    ItmlSettings(max_passes=1, percentile=0.0, max_constraints=0, n_candidates=1)
-    GmmSettings(n_components=1, n_samples=0, max_iter=1, n_init=1, ridge=0.0)
+    ItmlSettings(max_passes=1, max_constraints=0, n_candidates=1)
+    GmmSettings(n_components=1, n_samples=0, n_init=1, ridge=0.0)
     TrainConfig(n_stages=0, max_depth=0, min_samples_leaf=1)
-
-
-def test_rounding_flag(data3):
-    split = split_domains(data3, "I01")
-    cfg = _fast_cfg()
-    rounded = PipelineConfig(
-        movement=cfg.movement, lasso=cfg.lasso, itml=cfg.itml, gmm=cfg.gmm,
-        boosting=cfg.boosting, master_seed=0, variant="full",
-        round_predictions=True,
-    )
-    result = run_estimation(split, rounded)
-    assert np.array_equal(result.predictions, np.rint(result.predictions))
 
 
 # ------------------------------------------------------------------- no leakage
@@ -503,18 +464,6 @@ def test_a_fold_runs_every_stage_through_the_stage_runner_in_order(data3, monkey
     assert stages == ["lasso", "boosting"] * 3
 
 
-def test_excluding_every_source_row_fails_the_fold_in_boosting(data3, monkeypatch):
-    def match_all(A, Zt, Zs, ys):
-        return Zs, ys, np.arange(len(ys))
-
-    monkeypatch.setattr(itml, "match_source_to_target", match_all)
-    report = leave_one_out(data3, replace(_fast_cfg(), exclude_matched_from_source=True))
-    assert [r.error for r in report.rows] == [
-        "[boosting] ValueError: excluding matched instances empties the source set"
-    ] * 3
-    assert all(r.error_type is ValueError for r in report.rows)
-
-
 def test_alpha_grid_shape(data3):
     sweep = ablation_sweep(data3, {"alpha": [0.0, 0.25, 0.5, 0.75, 1.0]},
                            _fast_cfg(n_stages=3))
@@ -542,22 +491,6 @@ def test_config_digest_reflects_contents():
     c = _fast_cfg(seed=2)
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
-
-
-def test_exclude_matched_from_source_flag(data3):
-    split = split_domains(data3, "I01")
-    base = _fast_cfg(seed=2)
-    excl = PipelineConfig(
-        movement=base.movement, lasso=base.lasso, itml=base.itml, gmm=base.gmm,
-        boosting=base.boosting, master_seed=2, variant="full",
-        exclude_matched_from_source=True,
-    )
-    kept = run_estimation(split, base)
-    dropped = run_estimation(split, excl)
-    matched = set(np.unique(kept.matched_indices))
-    assert matched == set(np.unique(dropped.matched_indices))
-    # fewer source rows reach the booster, so the fits genuinely differ
-    assert not np.array_equal(kept.predictions, dropped.predictions)
 
 
 def test_split_requires_labels(data3):

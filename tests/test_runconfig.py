@@ -10,9 +10,7 @@ from tmcda.pipeline import LAMBDA_MODES, VARIANTS, PipelineConfig
 from tmcda.runconfig import _KEYS, ConfigError, load_config
 
 SECTIONS = ("lasso", "itml", "gmm", "boosting")
-TOP_LEVEL_FIELDS = (
-    "master_seed", "variant", "clamp_predictions", "round_predictions", "exclude_matched_from_source",
-)
+TOP_LEVEL_FIELDS = ("master_seed", "variant")
 
 
 def _field_type(section, name):
@@ -40,9 +38,6 @@ _STRATEGIES = {
     int: _ints,
     float: _floats,
     str: st.one_of(st.sampled_from(VARIANTS + LAMBDA_MODES), _words).map(lambda v: (v, v)),
-    bool: st.sampled_from(
-        [(True, "true"), (True, "Yes"), (True, "1"), (False, "FALSE"), (False, "no"), (False, "0")]
-    ),
     int | None: st.one_of(_none, _ints),
     float | None: st.one_of(_none, _floats),
 }
