@@ -172,13 +172,11 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     def infeasible(*args, **kwargs):
         raise ValueError("injected failure")
 
-    for module, name, stage in ((gmm, "augment", "gmm"), (boosting, "fit_gbbw", "boosting")):
-        with monkeypatch.context() as patch:
-            patch.setattr(module, name, infeasible)
-            report = leave_one_out(data3, _fast_cfg())
-        assert len(report.rows) == 3
-        assert all(r.error == f"[{stage}] ValueError: injected failure" for r in report.rows)
-        assert all(r.error_type is ValueError for r in report.rows)
+    monkeypatch.setattr(gmm, "augment", infeasible)
+    report = leave_one_out(data3, _fast_cfg())
+    assert len(report.rows) == 3
+    assert all(r.error == "[gmm] ValueError: injected failure" for r in report.rows)
+    assert all(r.error_type is ValueError for r in report.rows)
 
 
 @pytest.mark.parametrize("settings, field, value", [
@@ -462,6 +460,18 @@ def test_a_fold_runs_every_stage_through_the_stage_runner_in_order(data3, monkey
     stages.clear()
     leave_one_out(data3, _fast_cfg(variant="source-only"))
     assert stages == ["lasso", "boosting"] * 3
+
+
+def test_excluding_every_source_row_fails_the_fold_in_boosting(data3, monkeypatch):
+    fit_gbbw = boosting.fit_gbbw
+
+    def drop_every_source_row(Zs, ys, pseudo_X, pseudo_y, cfg):
+        return fit_gbbw(Zs[:0], ys[:0], pseudo_X, pseudo_y, cfg)
+
+    monkeypatch.setattr(boosting, "fit_gbbw", drop_every_source_row)
+    report = leave_one_out(data3, _fast_cfg())
+    assert [r.error for r in report.rows] == ["[boosting] ValueError: source set must be nonempty"] * 3
+    assert all(r.error_type is ValueError for r in report.rows)
 
 
 def test_alpha_grid_shape(data3):
