@@ -17,7 +17,7 @@ from .itml import (
     mahalanobis_distance,
     match_source_to_target,
 )
-from .lasso import LassoModel, coefficient_report, fit_lasso, lambda_max, select_features
+from .lasso import LassoModel, coefficient_report, fit_lasso, lambda_max
 from .pipeline import (
     EvaluationReport,
     PipelineConfig,

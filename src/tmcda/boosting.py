@@ -167,15 +167,15 @@ def fit_gbbw(
     return _boost(X, y, w, config, alpha=alpha)
 
 
-def predict(model: BoostedModel, X: np.ndarray, clamp_at_zero: bool = False) -> np.ndarray:
-    """Evaluate the staged additive model; optionally clamp counts at zero."""
+def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    """Evaluate the staged additive model, unclamped: the pipeline clamps counts at zero."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got shape {X.shape}")
     F = np.full(len(X), model.f0)
     for gamma, tree in model.stages:
         F += model.shrinkage * gamma * tree.predict(X)
-    return np.maximum(F, 0.0) if clamp_at_zero else F
+    return F
 
 
 def save_model(model: BoostedModel, path: str | Path) -> None:

@@ -104,6 +104,10 @@ def _load_base_config(args) -> PipelineConfig:
 def cmd_synth(args) -> int:
     if args.n_intersections < 2:
         raise ValidationFailure("--n-intersections must be >= 2")
+    if args.n_intervals < 1:
+        raise ValidationFailure(f"--n-intervals must be >= 1, got {args.n_intervals}")
+    if not args.shift >= 0:  # NaN too
+        raise ValidationFailure(f"--shift must be >= 0, got {args.shift}")
     data = generate_synthetic_network(args.seed, args.n_intersections, args.shift, args.n_intervals)
     out = Path(args.out)
     with _atomic_path(out) as tmp:
@@ -113,6 +117,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if not args.lambda_value >= 0:  # NaN too
+        raise ValidationFailure(f"--lambda-value must be >= 0, got {args.lambda_value}")
     try:
         data = load_table(args.data)
     except (DataError, OSError) as exc:
@@ -147,6 +153,8 @@ def _loo_configs(base: PipelineConfig, movements: list[str], variants: list[str]
 
 
 def cmd_loo(args) -> int:
+    if args.jobs < 1:
+        raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
     try:
         base = _load_base_config(args)
         data = load_table(args.data)
@@ -172,6 +180,8 @@ def cmd_loo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
     try:
         # --config keys override the grid file's; the grid file's other keys still apply.
         entries = runconfig.parse_flat_file(args.grid)

@@ -171,7 +171,8 @@ def load_table(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> Data
     """Load a comma-separated dataset file.
 
     The header must name the identifier columns, all schema columns, and may
-    name the label columns v_LM, v_TM, v_RM (all three or none). Rows failing
+    name the label columns v_LM, v_TM, v_RM (all three or none), each column
+    once. Rows failing
     type or domain validation are rejected with row/column coordinates
     (rows numbered from 1, excluding the header).
     """
@@ -183,6 +184,9 @@ def load_table(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> Data
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"{path}: column(s) named more than once: {repeated}")
         missing = [c for c in (*ID_COLUMNS, *schema.names()) if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")

@@ -20,24 +20,24 @@ class TooFewSamplesError(GMMError):
     """Raised when a mixture has more components than there are samples to fit."""
 
 
+EM_TOL = 1e-6
+EM_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class EMConfig:
-    """EM controls.
+    """EM controls; the stopping rule is fixed by ``EM_TOL`` and ``EM_MAX_ITER``.
 
     ``ridge`` is the absolute covariance regularization added to every
     component covariance diagonal; when None it defaults to 1e-6 times the
     mean diagonal variance of the data.
     """
 
-    tol: float = 1e-6
-    max_iter: int = 200
     ridge: float | None = None
     n_init: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise GMMError("tol must be > 0")
         if self.ridge is not None and self.ridge < 0:
             raise GMMError("ridge must be >= 0")
 
@@ -139,7 +139,7 @@ def _em_single(X: np.ndarray, K: int, config: EMConfig, rng: np.random.Generator
     reinitialized = np.zeros(K, dtype=bool)
     converged = False
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, EM_MAX_ITER + 1):
         log_r, ll = _log_responsibilities(X, weights, means, covs)
         r = np.exp(log_r)
         trace.append(ll)
@@ -165,7 +165,7 @@ def _em_single(X: np.ndarray, K: int, config: EMConfig, rng: np.random.Generator
 
         if prev_ll > -np.inf:
             improvement = (ll - prev_ll) / max(1.0, abs(prev_ll))
-            if improvement < config.tol:
+            if improvement < EM_TOL:
                 converged = True
                 break
         prev_ll = ll
@@ -181,7 +181,8 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
     The E-step computes responsibilities from the current parameters; the
     M-step re-estimates weights, means and (biased, responsibility-weighted)
     covariances, each regularized by ridge times the identity. Iteration
-    stops when the relative log-likelihood improvement drops below ``tol``.
+    stops when the relative log-likelihood improvement drops below
+    ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER`` (200) iterations.
     Restart selection is by final log-likelihood, ties to the earliest
     restart.
     """

@@ -24,12 +24,12 @@ class MetricError(ValueError):
     """Raised for invalid metric matrices or diverged training state."""
 
 
-def check_metric(A: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
-    """Validate that A is symmetric positive-definite; returns A as float array."""
+def check_metric(A: np.ndarray) -> np.ndarray:
+    """Validate that A is symmetric positive-definite (to a relative 1e-10); returns A as float array."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise MetricError(f"metric must be square, got shape {A.shape}")
-    if not np.all(np.abs(A - A.T) <= sym_tol * max(1.0, np.abs(A).max())):
+    if not np.all(np.abs(A - A.T) <= 1e-10 * max(1.0, np.abs(A).max())):
         raise MetricError("metric is not symmetric")
     try:
         np.linalg.cholesky(A)
@@ -85,12 +85,21 @@ class ConstraintSet:
         return len(self.similar) + len(self.dissimilar)
 
 
+# Label-difference percentile that defines a similar pair; its complement defines a dissimilar one.
+SIMILARITY_PERCENTILE = 10.0
+
+
 @dataclass(frozen=True)
 class ConstraintConfig:
-    percentile: float = 10.0       # label-difference percentile defining similarity
     max_per_set: int = 200
     n_candidates: int = 5_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_per_set < 0 or self.n_candidates < 1:
+            raise MetricError(
+                f"require max_per_set >= 0 and n_candidates >= 1, got {self.max_per_set}, {self.n_candidates}"
+            )
 
 
 def build_constraints(
@@ -100,15 +109,21 @@ def build_constraints(
 ) -> ConstraintSet:
     """Derive pair constraints from continuous labels.
 
+    Candidate pairs (i < j) are every pair in lexicographic order when there
+    are at most ``n_candidates``, a seeded permutation prefix of that order
+    when there are at most 4 x ``n_candidates``, and distinct pairs drawn by
+    rejection sampling above that, where permuting every pair costs more.
     Sampled pairs at prior-metric (identity) distance 0 are dropped first:
     their distance is 0 under every metric, so they cannot constrain it.
     Over the pairs that remain, a pair is similar when its absolute label
-    difference falls at or below the ``percentile``-th percentile of their
-    differences, dissimilar at or above the (100 - percentile)-th. When both
-    thresholds coincide the pair is classified against half the label range.
-    u and l are the 5th and 95th percentiles of the remaining pairs' prior
-    distances; degenerate equal percentiles are widened by 5% around their
-    value. With no pair left the set is empty.
+    difference falls at or below the ``SIMILARITY_PERCENTILE``-th percentile
+    of their differences, dissimilar at or above the (100 -
+    ``SIMILARITY_PERCENTILE``)-th. When both thresholds coincide the pair is
+    classified against half the label range. Each set keeps its first
+    ``max_per_set`` pairs in sampling order. u and l are the 5th and 95th
+    percentiles of the remaining pairs' prior distances; degenerate equal
+    percentiles are widened by 5% around their value. With no pair left the
+    set is empty.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -116,16 +131,8 @@ def build_constraints(
     if n < 2:
         raise MetricError("need at least 2 labeled instances")
 
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= config.n_candidates:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif total_pairs <= 4 * config.n_candidates:
-        # Dense cap: enumerate and take a seeded permutation prefix
-        # (rejection sampling stalls when the cap nears the pair count).
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        order = np.random.default_rng(config.seed).permutation(total_pairs)
-        pairs = [all_pairs[k] for k in order[: config.n_candidates]]
-    else:
+    total = n * (n - 1) // 2
+    if total > 4 * config.n_candidates:
         rng = np.random.default_rng(config.seed)
         seen = set()
         pairs = []
@@ -136,32 +143,28 @@ def build_constraints(
             pair = (min(i, j), max(i, j))
             if pair not in seen:
                 seen.add(pair)
-                pairs.append((int(pair[0]), int(pair[1])))
-    pairs_arr = np.array(pairs)
-    diffs = X[pairs_arr[:, 0]] - X[pairs_arr[:, 1]]
+                pairs.append(pair)
+        pairs = np.array(pairs)
+    else:
+        pairs = np.column_stack(np.triu_indices(n, 1))
+        if total > config.n_candidates:
+            pairs = pairs[np.random.default_rng(config.seed).permutation(total)[: config.n_candidates]]
+    diffs = X[pairs[:, 0]] - X[pairs[:, 1]]
     dists = np.einsum("ij,ij->i", diffs, diffs)
     kept = dists > 0.0
     if not kept.any():  # u = l = 0, widened as below
         warnings.warn("every sampled pair lies at distance 0: no constraints", RuntimeWarning)
         return ConstraintSet((), (), 0.95e-9, 1.05e-9)
-    pairs_arr, dists = pairs_arr[kept], dists[kept]
+    pairs, dists = pairs[kept], dists[kept]
 
-    deltas = np.abs(y[pairs_arr[:, 0]] - y[pairs_arr[:, 1]])
-    t_sim = float(np.percentile(deltas, config.percentile))
-    t_dis = float(np.percentile(deltas, 100.0 - config.percentile))
-    half_range = (float(y.max()) - float(y.min())) / 2.0
-
-    similar, dissimilar = [], []
-    for (i, j), delta in zip(pairs_arr.tolist(), deltas):
-        is_sim = delta <= t_sim
-        is_dis = delta >= t_dis
-        if is_sim and is_dis:
-            is_dis = delta > half_range
-            is_sim = not is_dis
-        if is_sim and len(similar) < config.max_per_set:
-            similar.append((i, j))
-        elif is_dis and len(dissimilar) < config.max_per_set:
-            dissimilar.append((i, j))
+    deltas = np.abs(y[pairs[:, 0]] - y[pairs[:, 1]])
+    is_sim = deltas <= np.percentile(deltas, SIMILARITY_PERCENTILE)
+    is_dis = deltas >= np.percentile(deltas, 100.0 - SIMILARITY_PERCENTILE)
+    both = is_sim & is_dis
+    is_dis[both] = deltas[both] > (float(y.max()) - float(y.min())) / 2.0
+    is_sim[both] = ~is_dis[both]
+    similar = pairs[is_sim][: config.max_per_set].tolist()
+    dissimilar = pairs[is_dis][: config.max_per_set].tolist()
 
     if not dissimilar:
         warnings.warn("degenerate labels: no dissimilar pairs found", RuntimeWarning)
@@ -171,7 +174,7 @@ def build_constraints(
     if l <= u:
         mid = max(u, 1e-9)
         u, l = 0.95 * mid, 1.05 * mid
-    return ConstraintSet(tuple(similar), tuple(dissimilar), u, l)
+    return ConstraintSet(tuple(map(tuple, similar)), tuple(map(tuple, dissimilar)), u, l)
 
 
 @dataclass

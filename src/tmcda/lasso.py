@@ -53,7 +53,7 @@ class LassoModel:
     coef: np.ndarray
     coef_std: np.ndarray
     lam: float
-    selected: tuple[int, ...]
+    selected: tuple[int, ...]          # columns with a nonzero coefficient, in column order
     objective_value: float
     converged: bool
     n_sweeps: int
@@ -297,11 +297,6 @@ def cross_validate_lambda(
         errors[f] = np.mean(resid * resid, axis=0)
     mean_err = errors.mean(axis=0)
     return float(grid[int(np.argmin(mean_err))]), grid, mean_err
-
-
-def select_features(model: LassoModel) -> tuple[int, ...]:
-    """Indices with strictly nonzero coefficients, in column order."""
-    return model.selected
 
 
 def coefficient_report(models: dict[str, LassoModel], schema=DEFAULT_SCHEMA,

@@ -248,7 +248,7 @@ def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed
     """Stage 1: the lasso fit (its penalty is ``model.lam``) and the indices of the features it keeps."""
     lam = select_lambda(X, y, settings, seed)
     model = lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps)
-    selected = lasso.select_features(model)
+    selected = model.selected
     if not selected:
         warnings.warn(
             "feature selection returned an empty set; falling back to all features",
@@ -282,7 +282,7 @@ def _augment(matched_X: np.ndarray, matched_y: np.ndarray, K: int, M: int, setti
 def _boost_and_predict(Zs, ys, Zt, pseudo_X, pseudo_y, train_cfg):
     """Stages 5-6: balanced-weight boosting, then the target predictions, clamped at zero (counts)."""
     model = boosting.fit_gbbw(Zs, ys, pseudo_X, pseudo_y, train_cfg)
-    return model, boosting.predict(model, Zt, clamp_at_zero=True)
+    return model, np.maximum(boosting.predict(model, Zt), 0.0)
 
 
 def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> EstimationResult:

@@ -16,6 +16,12 @@ rows would leave them. Cumulative sums, split scores and the arg-max are then
 taken across all features at once; taking the first maximum keeps the tie
 rule above. The trees are the same, bit for bit, as those of a search that
 sorts every feature at every node.
+
+Prediction moves all rows down the node table one level per step, with the
+same ``x <= threshold`` rule the fit used. ``from_dict`` checks the table it
+is given (node 0 the root, every other node with exactly one parent, leaves
+without children), so a loaded tree cannot send a row round a cycle or off
+the table.
 """
 
 from __future__ import annotations
@@ -52,23 +58,19 @@ class RegressionTree:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Move every row down one level per step until all rows sit at leaves."""
         X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        node_of = np.zeros(len(X), dtype=np.int64)
-        pending = [0]
-        while pending:
-            node = pending.pop()
-            mask = node_of == node
-            if not mask.any():
-                continue
-            if self.feature[node] == _LEAF:
-                out[mask] = self.value[node]
-                continue
-            go_left = mask & (X[:, self.feature[node]] <= self.threshold[node])
-            node_of[go_left] = self.left[node]
-            node_of[mask & ~go_left] = self.right[node]
-            pending += [self.left[node], self.right[node]]
-        return out
+        feature, left, right = np.array(self.feature), np.array(self.left), np.array(self.right)
+        threshold = np.array(self.threshold, dtype=float)
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.arange(len(X))     # rows not yet at a leaf
+        while len(rows):
+            at = node[rows]
+            inner = feature[at] != _LEAF
+            rows, at = rows[inner], at[inner]
+            go_left = X[rows, feature[at]] <= threshold[at]
+            node[rows] = np.where(go_left, left[at], right[at])
+        return np.array(self.value, dtype=float)[node]
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +85,8 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionTree":
-        return cls(
+        """Rebuild a tree from ``to_dict`` output; a malformed node table raises ValueError."""
+        tree = cls(
             list(data["feature"]),
             list(data["threshold"]),
             list(data["left"]),
@@ -92,6 +95,31 @@ class RegressionTree:
             int(data["max_depth"]),
             int(data["min_samples_leaf"]),
         )
+        _check_table(tree)
+        return tree
+
+
+def _check_table(tree: RegressionTree) -> None:
+    """Node 0 is the root, and every other node has exactly one parent.
+
+    So the path from the root through any inner node's children never
+    revisits a node and ends at a leaf.
+    """
+    n = tree.n_nodes
+    if n < 1 or any(len(column) != n for column in (tree.threshold, tree.left, tree.right, tree.value)):
+        raise ValueError("tree node table: lists must be nonempty and of equal length")
+    feature, left, right = np.array(tree.feature), np.array(tree.left), np.array(tree.right)
+    leaf = feature == _LEAF
+    if np.any(feature < _LEAF):
+        raise ValueError("tree node table: a feature index is below -1")
+    if np.any(left[leaf] != _LEAF) or np.any(right[leaf] != _LEAF):
+        raise ValueError("tree node table: a leaf has children")
+    children = np.concatenate([left[~leaf], right[~leaf]])
+    if np.any((children < 0) | (children >= n)):
+        raise ValueError("tree node table: a child index is out of range")
+    parents = np.bincount(children, minlength=n)
+    if parents[0] != 0 or np.any(parents[1:] != 1):
+        raise ValueError("tree node table: the root must have no parent and every other node exactly one")
 
 
 def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

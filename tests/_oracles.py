@@ -7,6 +7,8 @@ internals, so each check is a genuine second route.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 
@@ -66,6 +68,74 @@ def percentile_by_sort(values, q):
     lo = int(np.floor(h))
     hi = min(lo + 1, len(xs) - 1)
     return xs[lo] + (h - lo) * (xs[hi] - xs[lo])
+
+
+# ---------------------------------------------------------------------------
+# Reference constraint builder: enumerates pairs as Python lists, one branch
+# per pair-count range, and classifies them one pair at a time. Its output is
+# the library's contract: the same pairs in the same order, the same u and l,
+# the same warnings.
+
+
+def reference_constraints(X, y, max_per_set, n_candidates, seed):
+    """(similar, dissimilar, u, l) as ``build_constraints`` returns them."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    total_pairs = n * (n - 1) // 2
+    if total_pairs <= n_candidates:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif total_pairs <= 4 * n_candidates:
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        order = np.random.default_rng(seed).permutation(total_pairs)
+        pairs = [all_pairs[k] for k in order[:n_candidates]]
+    else:
+        rng = np.random.default_rng(seed)
+        seen = set()
+        pairs = []
+        while len(pairs) < n_candidates:
+            i, j = rng.integers(0, n, size=2)
+            if i == j:
+                continue
+            pair = (min(i, j), max(i, j))
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append((int(pair[0]), int(pair[1])))
+    pairs_arr = np.array(pairs)
+    diffs = X[pairs_arr[:, 0]] - X[pairs_arr[:, 1]]
+    dists = np.einsum("ij,ij->i", diffs, diffs)
+    kept = dists > 0.0
+    if not kept.any():
+        warnings.warn("every sampled pair lies at distance 0: no constraints", RuntimeWarning)
+        return (), (), 0.95e-9, 1.05e-9
+    pairs_arr, dists = pairs_arr[kept], dists[kept]
+
+    deltas = np.abs(y[pairs_arr[:, 0]] - y[pairs_arr[:, 1]])
+    t_sim = float(np.percentile(deltas, 10.0))
+    t_dis = float(np.percentile(deltas, 90.0))
+    half_range = (float(y.max()) - float(y.min())) / 2.0
+
+    similar, dissimilar = [], []
+    for (i, j), delta in zip(pairs_arr.tolist(), deltas):
+        is_sim = delta <= t_sim
+        is_dis = delta >= t_dis
+        if is_sim and is_dis:
+            is_dis = delta > half_range
+            is_sim = not is_dis
+        if is_sim and len(similar) < max_per_set:
+            similar.append((i, j))
+        elif is_dis and len(dissimilar) < max_per_set:
+            dissimilar.append((i, j))
+
+    if not dissimilar:
+        warnings.warn("degenerate labels: no dissimilar pairs found", RuntimeWarning)
+
+    u = float(np.percentile(dists, 5.0))
+    l = float(np.percentile(dists, 95.0))
+    if l <= u:
+        mid = max(u, 1e-9)
+        u, l = 0.95 * mid, 1.05 * mid
+    return tuple(similar), tuple(dissimilar), u, l
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,6 @@ def test_label_scaling_equivariance():
     assert np.allclose(predict(scaled, probe), 7.0 * predict(base, probe), rtol=1e-10)
 
 
-def test_clamped_prediction():
-    Xs, ys, Xt, yt = _two_domain_problem(11)
-    model = fit_gbbw(Xs, ys - 100.0, Xt, yt - 100.0, TrainConfig(n_stages=2, alpha=0.5))
-    preds = predict(model, Xs, clamp_at_zero=True)
-    assert np.all(preds >= 0.0)
-
-
 def test_boundary_validation():
     Xs, ys, Xt, yt = _two_domain_problem(12)
     empty_X, empty_y = np.empty((0, Xs.shape[1])), np.empty(0)
@@ -214,6 +207,23 @@ def test_model_serialization_round_trip(tmp_path):
     bad.write_text(payload)
     with pytest.raises(ValueError, match="unsupported"):
         load_model(bad)
+
+
+@pytest.mark.parametrize("column, node, child", [("left", 1, 0), ("right", 0, 99)])
+def test_load_model_rejects_a_malformed_tree(tmp_path, column, node, child):
+    # Nodes 0 and 1 pointing at each other would send predict round a cycle;
+    # child 99 points off the table.
+    Xs, ys, Xt, yt = _two_domain_problem(13)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    tree = payload["stages"][0]["tree"]
+    assert tree["feature"][0] != -1 and tree["feature"][1] != -1
+    tree[column][node] = child
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="tree node table"):
+        load_model(path)
 
 
 def test_predict_validates_dimensions():

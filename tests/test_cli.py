@@ -338,6 +338,42 @@ def test_out_of_domain_setting_fails_at_load_with_validation_code(tmp_path, data
     assert "lambda_mode must be one of cv, fixed, fraction, got 'crossval'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["synth", "--n-intervals", "0"], "--n-intervals"),
+    (["synth", "--shift", "-1"], "--shift"),
+    (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
+    (["loo", "--jobs", "0"], "--jobs"),
+    (["sweep", "--jobs", "0"], "--jobs"),
+], ids=["synth-n-intervals", "synth-shift", "select-lambda-value", "loo-jobs", "sweep-jobs"])
+def test_out_of_range_flag_exits_validation_without_traceback(tmp_path, data_file, capsys, command, flag):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.alpha = 0.5\n")
+    out = tmp_path / "out"
+    where = {
+        "synth": ["--out", str(out / "net.csv")],
+        "select": ["--data", str(data_file), "--out-dir", str(out)],
+        "loo": ["--data", str(data_file), "--out-dir", str(out)],
+        "sweep": ["--data", str(data_file), "--grid", str(grid), "--out-dir", str(out)],
+    }[command[0]]
+    capsys.readouterr()
+    assert main(command + where) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_loo_rejects_a_data_file_naming_a_column_twice(tmp_path, data_file, config_file, capsys):
+    lines = data_file.read_text().splitlines()
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("\n".join([lines[0] + ",o_TM"] + [line + ",999999" for line in lines[1:]]) + "\n")
+    out = tmp_path / "out"
+    code = main(["loo", "--data", str(doubled), "--config", str(config_file), "--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "o_TM" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coding_bug_exits_runtime_with_type_and_traceback(tmp_path, data_file, config_file, monkeypatch, capsys):
     def broken_augment(*args, **kwargs):
         raise TypeError("unexpected keyword 'K'")

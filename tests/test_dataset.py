@@ -96,6 +96,18 @@ def test_missing_column_names_it(tmp_path, small_data):
         load_table(path)
 
 
+def _append_second_o_tm(text):
+    lines = text.splitlines()
+    return "\n".join([lines[0] + ",o_TM"] + [line + ",999999" for line in lines[1:]]) + "\n"
+
+
+def test_column_named_twice_is_rejected(tmp_path, small_data):
+    # A second o_TM column would otherwise load silently, the first one winning.
+    path = _write_rows(tmp_path, small_data, mutate=_append_second_o_tm)
+    with pytest.raises(DataError, match=r"more than once: \['o_TM'\]"):
+        load_table(path)
+
+
 def test_negative_count_rejected_with_row(tmp_path, small_data):
     def corrupt(text):
         lines = text.splitlines()

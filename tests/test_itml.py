@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcda.itml import (
     ConstraintConfig,
@@ -14,7 +16,7 @@ from tmcda.itml import (
     match_source_to_target,
 )
 
-from _oracles import percentile_by_sort, scalar_itml_trace
+from _oracles import percentile_by_sort, reference_constraints, scalar_itml_trace
 
 
 # ---------------------------------------------------------------------- distance
@@ -362,6 +364,58 @@ def test_constraint_sampling_dense_cap_is_deterministic():
     assert len(set(pairs)) == len(pairs)
     assert all(0 <= i < j < 60 for i, j in pairs)
     assert len(a.similar) <= 50 and len(a.dissimilar) <= 50
+
+
+@st.composite
+def _constraint_inputs(draw):
+    """Rows with repeats and tied labels, and a candidate cap putting the pair
+    count at most 1x, between 1x and 4x, or above 4x the cap."""
+    n = draw(st.integers(2, 40))
+    total = n * (n - 1) // 2
+    ranges = [(total, total + 50)]                         # every pair
+    if total >= 2:
+        ranges.append(((total + 3) // 4, total - 1))       # a permutation prefix
+    if total >= 5:
+        ranges.append((1, (total - 1) // 4))               # rejection sampling
+    lo, hi = draw(st.sampled_from(ranges))
+    q = draw(st.integers(1, 3))
+    cell = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
+    distinct = draw(st.lists(st.lists(cell, min_size=q, max_size=q), min_size=1, max_size=n))
+    X = np.array([distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(n)])
+    label = st.sampled_from([0.0, 3.0, 7.0]) | st.floats(0.0, 200.0, allow_subnormal=False)
+    y = np.array(draw(st.lists(label, min_size=n, max_size=n)))
+    config = ConstraintConfig(
+        max_per_set=draw(st.integers(0, 30)),
+        n_candidates=draw(st.sampled_from([lo, hi]) | st.integers(lo, hi)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return X, y, config
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constraint_inputs())
+def test_constraints_equal_the_per_pair_reference(case):
+    X, y, config = case
+    C, caught = _with_warnings(build_constraints, X, y, config)
+    expected, expected_caught = _with_warnings(
+        reference_constraints, X, y, config.max_per_set, config.n_candidates, config.seed)
+    assert (C.similar, C.dissimilar, C.u, C.l) == expected
+    assert all(type(i) is int for pair in C.similar + C.dissimilar for i in pair)
+    assert caught == expected_caught
+
+
+def test_constraint_config_rejects_negative_cap_and_empty_sample():
+    with pytest.raises(MetricError):
+        ConstraintConfig(max_per_set=-1)
+    with pytest.raises(MetricError):
+        ConstraintConfig(n_candidates=0)
 
 
 def test_constraint_sampling_sparse_path_is_deterministic():

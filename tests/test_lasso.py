@@ -13,7 +13,6 @@ from tmcda.lasso import (
     cross_validate_lambda,
     fit_lasso,
     lambda_max,
-    select_features,
 )
 from tmcda.schema import DEFAULT_SCHEMA
 from tmcda.synth import generate_synthetic_network
@@ -114,8 +113,19 @@ def _model_with_coefs(coef_std):
 
 
 def test_select_features_support_definition():
-    assert select_features(_model_with_coefs([0.0, 0.0, 0.0])) == ()
-    assert select_features(_model_with_coefs([0.0, 1.3, 0.0, -0.2])) == (1, 3)
+    # ``selected`` is the columns with a nonzero coefficient, in column order.
+    X, y = _random_problem(8, p=6)
+    X[:, 2] = 1.5  # zero variance: never selected
+    lam_hi = lambda_max(X, y)
+    sizes = set()
+    for fraction in (1.0, 0.5, 0.2, 0.05, 0.0):
+        model = fit_lasso(X, y, fraction * lam_hi)
+        assert model.selected == tuple(j for j in range(6) if model.coef_std[j] != 0.0)
+        assert model.selected == tuple(j for j in range(6) if model.coef[j] != 0.0)
+        assert 2 not in model.selected
+        sizes.add(len(model.selected))
+    assert fit_lasso(X, y, lam_hi).selected == ()
+    assert len(sizes) > 2
 
 
 def test_selection_recovers_planted_signal_over_seeds():

@@ -150,6 +150,20 @@ def test_empty_selection_falls_back_to_all_features(data3):
     assert len(result.selected_features) >= 20  # all non-constant columns
 
 
+def test_clamped_prediction():
+    # Labels shifted down by 100 give an ensemble that is negative on part of
+    # the target; the stage predicts 0 there and the ensemble elsewhere.
+    rng = np.random.default_rng(11)
+    Zs, Zt, pseudo_X = (rng.standard_normal((m, 3)) for m in (30, 20, 10))
+    counts = lambda Z: 100.0 + 60.0 * Z[:, 0]
+    model, preds = pipeline._boost_and_predict(
+        Zs, counts(Zs) - 100.0, Zt, pseudo_X, counts(pseudo_X) - 100.0, TrainConfig(n_stages=5, alpha=0.5),
+    )
+    ensemble = boosting.predict(model, Zt)
+    assert (ensemble < 0.0).any() and (ensemble > 0.0).any()
+    assert np.array_equal(preds, np.where(ensemble < 0.0, 0.0, ensemble))
+
+
 def test_stage_errors_carry_stage_tag(data3):
     split = split_domains(data3, "I00")
     # More CV folds than source rows: a valid setting that this split cannot meet.
