@@ -10,17 +10,27 @@ alpha = 1 trains on the pseudo-target set alone.
 The loss is squared error only, the case gradient boosting (Friedman 2001,
 *Greedy function approximation*) reduces to least-squares residual fitting
 with a closed-form stage multiplier.
+
+A model stacks its trees once, when it is constructed: one node table with
+every stage's nodes laid end to end, children renumbered into it, each leaf
+its own child, and each node's stage contribution (shrinkage * gamma) *
+value. ``predict`` walks all (stage, row) pairs down that table at once, one
+level per step, until each sits at a leaf; the table, not the trees'
+``max_depth``, decides when the walk ends. A cumulative sum along the stage
+axis then adds f0 and the contributions in stage order, the same additions
+as adding one tree's output at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .tree import RegressionTree, fit_tree, presort
+from .tree import _LEAF, RegressionTree, fit_tree, presort
 
 MODEL_FORMAT = "boosted-model"
 MODEL_FORMAT_VERSION = 1
@@ -49,7 +59,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class BoostedModel:
-    """Constant initializer plus M stages of (multiplier, tree)."""
+    """Constant initializer plus M stages of (multiplier, tree).
+
+    Constructing a model also stacks its trees into one node table for
+    ``predict``; a tree that splits on a feature at or past ``n_features``
+    raises ValueError here.
+    """
 
     f0: float
     stages: tuple[tuple[float, RegressionTree], ...]
@@ -57,10 +72,56 @@ class BoostedModel:
     alpha: float
     n_features: int
     loss_trace: tuple[float, ...] = ()
+    _table: _StackedTrees = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_table", _StackedTrees.build(self))
 
     @property
     def n_stages(self) -> int:
         return len(self.stages)
+
+
+@dataclass(frozen=True)
+class _StackedTrees:
+    """Every stage's node table laid end to end, with children as table rows.
+
+    A leaf is its own left and right child, so a walk that moves every
+    (stage, row) pair one level per step leaves finished pairs in place.
+    ``contribution`` is each node's ``(shrinkage * gamma) * value``.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    contribution: np.ndarray
+
+    @classmethod
+    def build(cls, model: "BoostedModel") -> "_StackedTrees":
+        trees = [tree for _, tree in model.stages]
+
+        def column(name, dtype):
+            return np.fromiter(chain.from_iterable(getattr(tree, name) for tree in trees), dtype=dtype)
+
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+        roots = np.cumsum(sizes) - sizes
+        feature = column("feature", np.intp)
+        if np.any(feature >= model.n_features):
+            raise ValueError(f"a tree splits on a feature at or past n_features = {model.n_features}")
+        leaf = feature == _LEAF
+        offset = np.repeat(roots, sizes)
+        at = np.arange(len(feature))
+        scale = np.repeat([model.shrinkage * gamma for gamma, _ in model.stages], sizes)
+        return cls(
+            roots=roots,
+            feature=feature,
+            threshold=column("threshold", float),
+            left=np.where(leaf, at, offset + column("left", np.intp)),
+            right=np.where(leaf, at, offset + column("right", np.intp)),
+            contribution=scale * column("value", float),
+        )
 
 
 def pseudo_residuals(y: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -168,14 +229,26 @@ def fit_gbbw(
 
 
 def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    """Evaluate the staged additive model, unclamped: the pipeline clamps counts at zero."""
+    """Evaluate the staged additive model, unclamped: the pipeline clamps counts at zero.
+
+    Walks every tree at once down the stacked table (see the module docstring).
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got shape {X.shape}")
-    F = np.full(len(X), model.f0)
-    for gamma, tree in model.stages:
-        F += model.shrinkage * gamma * tree.predict(X)
-    return F
+    table = model._table
+    rows = np.arange(len(X))
+    node = np.repeat(table.roots[:, None], len(X), axis=1)     # (stages, rows)
+    while True:
+        feature = table.feature[node]
+        if np.all(feature == _LEAF):
+            break
+        # A leaf reads column -1, a valid column whose value it ignores.
+        go_left = X[rows, feature] <= table.threshold[node]
+        node = np.where(go_left, table.left[node], table.right[node])
+    # cumsum adds sequentially: ((f0 + c_1) + c_2) + ..., as a loop over stages would.
+    terms = np.concatenate([np.full((1, len(X)), model.f0), table.contribution[node]])
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def save_model(model: BoostedModel, path: str | Path) -> None:

@@ -10,10 +10,20 @@ and doubles as the convergence monitor.
 For regression labels, similar/dissimilar pairs are derived from
 label-difference percentiles; the distance thresholds come from percentiles
 of prior-metric distances over the sampled pairs.
+
+The metric stays exactly symmetric without being re-symmetrized: entry
+(i, j) of the update ``beta * (Av[:, None] * Av)`` is beta * (Av_i * Av_j),
+and IEEE multiplication is commutative, so it is the same double as entry
+(j, i), and adding it to a symmetric A keeps A symmetric. The grouping
+matters: (beta * Av_i) * Av_j need not equal (beta * Av_j) * Av_i. The
+projection loop keeps its scalars (slacks, duals, signs) as Python floats,
+which give the same doubles as numpy scalars at a fraction of the cost; the
+per-pass bookkeeping turns them into arrays once per pass.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,7 +78,7 @@ def logdet_divergence(A: np.ndarray, A0: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Similar/dissimilar index pairs with distance thresholds u < l."""
+    """Similar/dissimilar index pairs with distance thresholds 0 < u < l."""
 
     similar: tuple[tuple[int, int], ...]
     dissimilar: tuple[tuple[int, int], ...]
@@ -76,8 +86,8 @@ class ConstraintSet:
     l: float
 
     def __post_init__(self):
-        if self.u >= self.l:
-            raise MetricError(f"require u < l, got u={self.u}, l={self.l}")
+        if not 0.0 < self.u < self.l:
+            raise MetricError(f"require 0 < u < l, got u={self.u}, l={self.l}")
         if set(self.similar) & set(self.dissimilar):
             raise MetricError("a pair cannot be both similar and dissimilar")
 
@@ -250,7 +260,7 @@ def fit_itml(
     if gamma <= 0:
         raise MetricError("gamma must be > 0")
 
-    A = A0.copy()
+    A = (A0 + A0.T) / 2.0   # exactly A0 when A0 is exactly symmetric
     result = ITMLResult(A=A, converged=False, n_passes=0)
     entries = [(i, j, 1.0) for (i, j) in constraints.similar] + [
         (i, j, -1.0) for (i, j) in constraints.dissimilar
@@ -264,17 +274,18 @@ def fit_itml(
 
     m = len(entries)
     V = np.stack([X[i] - X[j] for (i, j, _) in entries])
-    deltas = np.array([d for (_, _, d) in entries])
-    xi0 = np.where(deltas > 0, constraints.u, constraints.l)
-    xi = xi0.copy()
-    lam = np.zeros(m)
+    deltas = [d for (_, _, d) in entries]
+    xi0 = [float(constraints.u) if d > 0 else float(constraints.l) for d in deltas]
+    xi = list(xi0)
+    lam = [0.0] * m
+    delta_arr, xi0_arr = np.array(deltas), np.array(xi0)
     skipped = set()
 
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
         for c in range(m):
             v = V[c]
-            p = float(v @ A @ v)
+            p = float(v @ A @ v)    # (v A) v; v (A v) reusing Av below rounds differently
             if p < 1e-12:
                 if (c not in skipped):
                     skipped.add(c)
@@ -289,7 +300,7 @@ def fit_itml(
             alpha = min(lam[c], (delta / 2.0) * (1.0 / p - gamma / xi[c]))
             beta = delta * alpha / (1.0 - delta * alpha * p)
             new_xi = gamma * xi[c] / (gamma + delta * alpha * xi[c])
-            if new_xi <= 0 or not np.isfinite(new_xi):
+            if new_xi <= 0 or not math.isfinite(new_xi):
                 raise MetricError(
                     "slack diverged during training: "
                     f"constraint {entries[c][:2]}, pass {t}, p={p:.6g}, "
@@ -300,33 +311,33 @@ def fit_itml(
             lam[c] -= alpha
             max_dual_change = max(max_dual_change, abs(alpha))
             Av = A @ v
-            A += beta * np.outer(Av, Av)
-            A = (A + A.T) / 2.0
+            A += beta * (Av[:, None] * Av)    # exactly symmetric: see the module docstring
             if validate:
                 eigs = np.linalg.eigvalsh(A)
                 if eigs.min() < -1e-9:
                     raise MetricError(f"metric lost positive-semidefiniteness: min eig {eigs.min():.3e}")
 
+        xi_arr, lam_arr = np.array(xi), np.array(lam)
         dists = np.einsum("ij,jk,ik->i", V, A, V)
         viol = int(
-            np.sum((deltas > 0) & (dists > xi * (1 + tol)))
-            + np.sum((deltas < 0) & (dists < xi * (1 - tol)))
+            np.sum((delta_arr > 0) & (dists > xi_arr * (1 + tol)))
+            + np.sum((delta_arr < 0) & (dists < xi_arr * (1 - tol)))
         )
         result.dual_changes.append(max_dual_change)
         result.violations.append(viol)
         result.divergences.append(logdet_divergence(A, A0))
-        result.objectives.append(result.divergences[-1] + gamma * _slack_divergence(xi, xi0))
+        result.objectives.append(result.divergences[-1] + gamma * _slack_divergence(xi_arr, xi0_arr))
         result.dual_objectives.append(
-            result.objectives[-1] + float(np.sum(lam * deltas * (dists - xi)))
+            result.objectives[-1] + float(np.sum(lam_arr * delta_arr * (dists - xi_arr)))
         )
         result.n_passes = t
         if max_dual_change < tol:
             result.converged = True
             break
 
-    result.A = check_metric((A + A.T) / 2.0)
-    result.final_xi = xi
-    result.final_lambda = lam
+    result.A = check_metric(A)
+    result.final_xi = np.array(xi)
+    result.final_lambda = np.array(lam)
     return result
 
 

@@ -139,6 +139,91 @@ def reference_constraints(X, y, max_per_set, n_candidates, seed):
 
 
 # ---------------------------------------------------------------------------
+# Reference ITML projection loop: numpy scalars and arrays throughout, and A
+# re-symmetrized after every projection and once more at the end. ``fit_itml``
+# must return the same result, bit for bit.
+
+
+def reference_itml(X, constraints, gamma, max_passes, tol):
+    """The fields of the ``ITMLResult`` that ``fit_itml`` returns, as a dict, from prior A0 = I."""
+    from tmcda.itml import check_metric, logdet_divergence, MetricError
+
+    X = np.asarray(X, dtype=float)
+    A0 = np.eye(X.shape[1])
+    A = A0.copy()
+    out = dict(A=A, converged=False, n_passes=0, dual_changes=[], violations=[], divergences=[],
+               objectives=[], dual_objectives=[], skipped_pairs=[])
+    entries = [(i, j, 1.0) for (i, j) in constraints.similar] + [
+        (i, j, -1.0) for (i, j) in constraints.dissimilar
+    ]
+    if not entries:
+        return {**out, "A": A0.copy(), "converged": True,
+                "final_xi": np.empty(0), "final_lambda": np.empty(0)}
+
+    m = len(entries)
+    V = np.stack([X[i] - X[j] for (i, j, _) in entries])
+    deltas = np.array([d for (_, _, d) in entries])
+    xi0 = np.where(deltas > 0, constraints.u, constraints.l)
+    xi = xi0.copy()
+    lam = np.zeros(m)
+    skipped = set()
+
+    for t in range(1, max_passes + 1):
+        max_dual_change = 0.0
+        for c in range(m):
+            v = V[c]
+            p = float(v @ A @ v)
+            if p < 1e-12:
+                if c not in skipped:
+                    skipped.add(c)
+                    i, j, _ = entries[c]
+                    out["skipped_pairs"].append((i, j))
+                    warnings.warn(
+                        f"skipping constraint ({i}, {j}): zero distance under current metric",
+                        RuntimeWarning,
+                    )
+                continue
+            delta = deltas[c]
+            alpha = min(lam[c], (delta / 2.0) * (1.0 / p - gamma / xi[c]))
+            beta = delta * alpha / (1.0 - delta * alpha * p)
+            new_xi = gamma * xi[c] / (gamma + delta * alpha * xi[c])
+            if new_xi <= 0 or not np.isfinite(new_xi):
+                raise MetricError(
+                    "slack diverged during training: "
+                    f"constraint {entries[c][:2]}, pass {t}, p={p:.6g}, "
+                    f"alpha={alpha:.6g}, xi={xi[c]:.6g} -> {new_xi:.6g}, "
+                    f"lambda={lam[c]:.6g}"
+                )
+            xi[c] = new_xi
+            lam[c] -= alpha
+            max_dual_change = max(max_dual_change, abs(alpha))
+            Av = A @ v
+            A += beta * np.outer(Av, Av)
+            A = (A + A.T) / 2.0
+
+        dists = np.einsum("ij,jk,ik->i", V, A, V)
+        viol = int(
+            np.sum((deltas > 0) & (dists > xi * (1 + tol)))
+            + np.sum((deltas < 0) & (dists < xi * (1 - tol)))
+        )
+        ratio = xi / xi0
+        out["dual_changes"].append(max_dual_change)
+        out["violations"].append(viol)
+        out["divergences"].append(logdet_divergence(A, A0))
+        out["objectives"].append(
+            out["divergences"][-1] + gamma * float(np.sum(ratio - np.log(ratio) - 1.0)))
+        out["dual_objectives"].append(
+            out["objectives"][-1] + float(np.sum(lam * deltas * (dists - xi)))
+        )
+        out["n_passes"] = t
+        if max_dual_change < tol:
+            out["converged"] = True
+            break
+
+    return {**out, "A": check_metric((A + A.T) / 2.0), "final_xi": xi, "final_lambda": lam}
+
+
+# ---------------------------------------------------------------------------
 # Scalar metric-learning trace (1-d, single similar constraint)
 
 
@@ -328,6 +413,18 @@ def straight_line_gbbw(Xs, ys, Xt, yt, alpha, n_stages, max_depth, min_leaf, shr
         return out
 
     return predict
+
+
+# ---------------------------------------------------------------------------
+# Reference ensemble prediction: the constant, then each stage's scaled tree
+# output added in stage order. ``boosting.predict`` must match it bit for bit.
+
+
+def reference_ensemble_predict(model, X):
+    F = np.full(len(X), model.f0)
+    for gamma, tree in model.stages:
+        F += model.shrinkage * gamma * tree.predict(X)
+    return F
 
 
 # ---------------------------------------------------------------------------

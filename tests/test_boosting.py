@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcda import boosting
 from tmcda.tree import RegressionTree
@@ -17,7 +21,7 @@ from tmcda.boosting import (
     save_model,
 )
 
-from _oracles import straight_line_gbbw
+from _oracles import reference_ensemble_predict, straight_line_gbbw
 
 
 def _two_domain_problem(seed, n1=12, n2=4, p=3):
@@ -249,3 +253,94 @@ def test_fit_calls_fit_tree_once_per_stage_and_never_predicts(monkeypatch):
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=9, max_depth=2, alpha=0.5))
     assert model.n_stages == 9
     assert calls == ["fit_tree"] * 9
+
+
+def test_predict_never_calls_tree_predict(monkeypatch):
+    # The tracer's tree.predict probe reads 0 calls: predict walks the stacked table.
+    Xs, ys, Xt, yt = _two_domain_problem(7)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=9, max_depth=2, alpha=0.5))
+    calls = []
+    original = RegressionTree.predict
+    monkeypatch.setattr(RegressionTree, "predict", lambda *a, **k: calls.append(1) or original(*a, **k))
+    predict(model, Xs)
+    assert calls == []
+
+
+def _saved(tmp_path, model, edit):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    for stage in payload["stages"]:
+        edit(stage["tree"])
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_load_model_rejects_a_split_on_a_feature_past_n_features(tmp_path):
+    Xs, ys, Xt, yt = _two_domain_problem(13)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
+    assert model.n_features == 3 and model.stages[0][1].feature[0] != -1
+
+    def split_on_feature_7(tree):
+        if tree["feature"][0] != -1:
+            tree["feature"][0] = 7
+
+    with pytest.raises(ValueError, match="n_features"):
+        load_model(_saved(tmp_path, model, split_on_feature_7))
+
+
+def test_predict_does_not_trust_the_trees_max_depth(tmp_path):
+    Xs, ys, Xt, yt = _two_domain_problem(13)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=3, alpha=0.5))
+
+    def understate_depth(tree):
+        tree["max_depth"] = 0
+
+    clone = load_model(_saved(tmp_path, model, understate_depth))
+    assert all(tree.max_depth == 0 for _, tree in clone.stages)
+    probe = np.vstack([Xs, Xt])
+    assert np.array_equal(predict(clone, probe), reference_ensemble_predict(model, probe))
+    assert not np.array_equal(predict(clone, probe), np.full(len(probe), model.f0))
+
+
+@st.composite
+def _models(draw):
+    """A model of 0-6 random trees of depth 0-4, whose max_depth fields say nothing,
+    and rows with NaN cells to route through it."""
+    n_features = draw(st.integers(1, 3))
+    cuts = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+    def grow(tree, depth, limit):
+        node = tree._add_node()
+        tree.value[node] = draw(finite)
+        if depth < limit and draw(st.booleans()):
+            tree.feature[node] = draw(st.integers(0, n_features - 1))
+            tree.threshold[node] = draw(cuts)
+            tree.left[node] = grow(tree, depth + 1, limit)
+            tree.right[node] = grow(tree, depth + 1, limit)
+        return node
+
+    stages = []
+    for _ in range(draw(st.integers(0, 6))):
+        tree = RegressionTree(max_depth=draw(st.integers(0, 4)))
+        grow(tree, 0, draw(st.integers(0, 4)))
+        stages.append((draw(finite), tree))
+    model = BoostedModel(f0=draw(finite), stages=tuple(stages), shrinkage=draw(st.floats(1e-3, 1.0)),
+                         alpha=0.5, n_features=n_features)
+    cell = cuts | st.just(float("nan"))
+    X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), max_size=20)))
+    return model, X.reshape(-1, n_features)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models())
+def test_predict_equals_the_stage_by_stage_reference_bit_for_bit(case):
+    model, X = case
+    expected = reference_ensemble_predict(model, X).tobytes()
+    assert predict(model, X).tobytes() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "model.json")
+        clone = load_model(Path(tmp) / "model.json")
+    assert predict(clone, X).tobytes() == expected
+    assert reference_ensemble_predict(clone, X).tobytes() == expected

@@ -16,7 +16,7 @@ from tmcda.itml import (
     match_source_to_target,
 )
 
-from _oracles import percentile_by_sort, reference_constraints, scalar_itml_trace
+from _oracles import percentile_by_sort, reference_constraints, reference_itml, scalar_itml_trace
 
 
 # ---------------------------------------------------------------------- distance
@@ -136,6 +136,19 @@ def test_constraint_set_validates_u_less_than_l():
         ConstraintSet(((0, 1),), (), u=2.0, l=1.0)
     with pytest.raises(MetricError):
         ConstraintSet(((0, 1),), ((0, 1),), u=1.0, l=2.0)
+    # The projections divide by the slacks, which start at u and l.
+    for u in (0.0, -1.0, float("nan")):
+        with pytest.raises(MetricError, match="0 < u < l"):
+            ConstraintSet(((0, 1),), (), u=u, l=2.0)
+
+
+def test_integer_thresholds_fit_as_floats():
+    # Slacks start at u and l; integer thresholds must not make them integers.
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    ints = fit_itml(X, ConstraintSet(((0, 1),), ((0, 2),), u=1, l=2), max_passes=3)
+    floats = fit_itml(X, ConstraintSet(((0, 1),), ((0, 2),), u=1.0, l=2.0), max_passes=3)
+    assert np.array_equal(ints.final_xi, floats.final_xi) and ints.final_xi.dtype == float
+    assert np.array_equal(ints.A, floats.A)
 
 
 def test_constraints_need_two_instances():
@@ -409,6 +422,45 @@ def test_constraints_equal_the_per_pair_reference(case):
     assert (C.similar, C.dissimilar, C.u, C.l) == expected
     assert all(type(i) is int for pair in C.similar + C.dissimilar for i in pair)
     assert caught == expected_caught
+
+
+def _bits(value):
+    """A value with every float spelled out exactly, so -0.0 and 0.0 differ."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return float.hex(value)
+    return value
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a fit returned, or the error it raised, plus the warnings it raised."""
+    try:
+        return _with_warnings(lambda: fn(*args, **kwargs))
+    except (MetricError, np.linalg.LinAlgError) as error:
+        return (type(error), str(error)), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraint_inputs(),
+       st.sampled_from([1.0]) | st.floats(0.01, 100.0),
+       st.sampled_from([1e-3]) | st.floats(1e-8, 0.5),
+       st.integers(1, 10))
+def test_fit_equals_the_reference_projection_loop_bit_for_bit(case, gamma, tol, max_passes):
+    X, y, config = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        C = build_constraints(X, y, config)
+    result, caught = _outcome(fit_itml, X, C, gamma=gamma, max_passes=max_passes, tol=tol)
+    expected, expected_caught = _outcome(reference_itml, X, C, gamma, max_passes, tol)
+    assert caught == expected_caught
+    if caught is None:
+        assert result == expected           # the same error
+        return
+    for name, value in expected.items():
+        assert _bits(getattr(result, name)) == _bits(value), name
 
 
 def test_constraint_config_rejects_negative_cap_and_empty_sample():
