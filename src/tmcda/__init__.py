@@ -26,7 +26,7 @@ from .pipeline import (
     leave_one_out,
     run_estimation,
 )
-from .schema import DEFAULT_SCHEMA, MOVEMENTS, FeatureSchema, encode_categoricals
+from .schema import COLUMNS, MOVEMENTS, encode_categoricals
 from .synth import generate_synthetic_network, label_coefficients
 from .tree import RegressionTree, fit_tree
 

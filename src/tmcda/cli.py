@@ -94,6 +94,11 @@ def _variants(arg: str) -> list[str]:
     return list(VARIANTS) if arg == "all" else [arg]
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValidationFailure(f"--seed must be >= 0, got {seed}")
+
+
 def _load_base_config(args) -> PipelineConfig:
     config = runconfig.load_config(getattr(args, "config", None))
     if args.seed is not None:
@@ -102,6 +107,7 @@ def _load_base_config(args) -> PipelineConfig:
 
 
 def cmd_synth(args) -> int:
+    _check_seed(args.seed)
     if args.n_intersections < 2:
         raise ValidationFailure("--n-intersections must be >= 2")
     if args.n_intervals < 1:
@@ -117,6 +123,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _check_seed(args.seed)
     if not args.lambda_value >= 0:  # NaN too
         raise ValidationFailure(f"--lambda-value must be >= 0, got {args.lambda_value}")
     try:
@@ -134,7 +141,7 @@ def cmd_select(args) -> int:
         y = data.movement_labels(movement).astype(float)
         lam = select_lambda(data.X, y, settings, seed)
         models[movement] = lasso.fit_lasso(data.X, y, lam)
-    report = lasso.coefficient_report(models, data.schema, movements)
+    report = lasso.coefficient_report(models, movements)
     out = out_dir / "coefficients.csv"
     _atomic_write(out, report)
     _write_manifest(out_dir, "select", seed,
@@ -153,6 +160,7 @@ def _loo_configs(base: PipelineConfig, movements: list[str], variants: list[str]
 
 
 def cmd_loo(args) -> int:
+    _check_seed(args.seed)
     if args.jobs < 1:
         raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
     try:
@@ -180,6 +188,7 @@ def cmd_loo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_seed(args.seed)
     if args.jobs < 1:
         raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
     try:

@@ -9,12 +9,13 @@ in schema order, and optionally the three movement-count labels.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .schema import APPROACHES, DEFAULT_SCHEMA, LABEL_COLUMNS, MOVEMENTS, FeatureSchema
+from .schema import APPROACHES, COLUMNS, LABEL_COLUMNS, MOVEMENTS
 
 ID_COLUMNS = ("intersection_id", "approach", "interval_index")
 
@@ -25,26 +26,25 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Instances over a shared feature schema.
+    """Instances over the feature schema.
 
-    ``X`` is the (n, 25) feature matrix; ``labels`` is an (n, 3) count matrix
-    ordered (left, through, right), or None when labels are unavailable.
+    ``X`` is the (n, 25) feature matrix, columns in ``schema.COLUMNS`` order;
+    ``labels`` is an (n, 3) count matrix ordered (left, through, right), or
+    None when labels are unavailable.
     """
 
-    schema: FeatureSchema
     intersection_ids: np.ndarray
     approaches: np.ndarray
     interval_indices: np.ndarray
     X: np.ndarray
     labels: np.ndarray | None
-    provenance: str = ""
 
     def __post_init__(self):
         n = self.X.shape[0]
         if n < 1:
             raise DataError("dataset must contain at least one instance")
-        if self.X.shape[1] != len(self.schema):
-            raise DataError(f"feature matrix has {self.X.shape[1]} columns, expected {len(self.schema)}")
+        if self.X.shape[1] != len(COLUMNS):
+            raise DataError(f"feature matrix has {self.X.shape[1]} columns, expected {len(COLUMNS)}")
         for arr in (self.intersection_ids, self.approaches, self.interval_indices):
             if len(arr) != n:
                 raise DataError("metadata arrays must match instance count")
@@ -66,26 +66,22 @@ class Dataset:
             raise DataError("dataset has no labels")
         return self.labels[:, MOVEMENTS.index(movement)]
 
-    def subset(self, mask: np.ndarray, provenance: str | None = None) -> "Dataset":
+    def subset(self, mask: np.ndarray) -> "Dataset":
         return Dataset(
-            self.schema,
             self.intersection_ids[mask],
             self.approaches[mask],
             self.interval_indices[mask].copy(),
             self.X[mask].copy(),
             None if self.labels is None else self.labels[mask].copy(),
-            self.provenance if provenance is None else provenance,
         )
 
     def without_labels(self) -> "Dataset":
         return Dataset(
-            self.schema,
             self.intersection_ids,
             self.approaches,
             self.interval_indices.copy(),
             self.X.copy(),
             None,
-            self.provenance,
         )
 
 
@@ -149,7 +145,7 @@ def split_domains(data: Dataset, target_id: str) -> DomainSplit:
         raise DataError("cannot split an unlabeled dataset")
     mask = np.array([str(s) == target_id for s in data.intersection_ids])
     target = data.subset(mask)
-    source = data.subset(~mask, provenance=f"{data.provenance} [source]")
+    source = data.subset(~mask)
     held_out = HeldOutLabels(target.labels)
     return DomainSplit(source, target.without_labels(), held_out, target_id)
 
@@ -162,19 +158,20 @@ def _parse_cell(text: str, row: int, name: str, integer: bool) -> float:
         value = float(text)
     except ValueError:
         raise DataError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}: non-finite value {text!r} in column {name!r}")
     if integer and value != int(value):
         raise DataError(f"row {row}: column {name!r} must be an integer, got {text!r}")
     return value
 
 
-def load_table(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> Dataset:
+def load_table(path: str | Path) -> Dataset:
     """Load a comma-separated dataset file.
 
     The header must name the identifier columns, all schema columns, and may
     name the label columns v_LM, v_TM, v_RM (all three or none), each column
-    once. Rows failing
-    type or domain validation are rejected with row/column coordinates
-    (rows numbered from 1, excluding the header).
+    once. Rows failing type, finiteness or domain validation are rejected
+    with row/column coordinates (rows numbered from 1, excluding the header).
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -187,7 +184,7 @@ def load_table(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> Data
         repeated = sorted({h for h in header if header.count(h) > 1})
         if repeated:
             raise DataError(f"{path}: column(s) named more than once: {repeated}")
-        missing = [c for c in (*ID_COLUMNS, *schema.names()) if c not in header]
+        missing = [c for c in (*ID_COLUMNS, *(col.name for col in COLUMNS)) if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
         has_labels = any(c in header for c in LABEL_COLUMNS)
@@ -206,10 +203,10 @@ def load_table(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> Data
             if approach not in APPROACHES:
                 raise DataError(f"row {r}: unknown approach {approach!r}")
             interval = int(_parse_cell(record[pos["interval_index"]], r, "interval_index", True))
-            feats = np.empty(len(schema))
-            for j, col in enumerate(schema.columns):
+            feats = np.empty(len(COLUMNS))
+            for j, col in enumerate(COLUMNS):
                 value = _parse_cell(record[pos[col.name]], r, col.name, col.integer)
-                msg = schema.validate_value(col.name, value)
+                msg = col.check(value)
                 if msg:
                     raise DataError(f"row {r}: {msg}")
                 feats[j] = value
@@ -229,20 +226,18 @@ def load_table(path: str | Path, schema: FeatureSchema = DEFAULT_SCHEMA) -> Data
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(
-        schema,
         np.array(ids, dtype=object),
         np.array(approaches, dtype=object),
         np.array(intervals, dtype=np.int64),
         np.vstack(rows),
         np.array(labels, dtype=np.int64) if has_labels else None,
-        provenance=str(path),
     )
 
 
 def write_table(data: Dataset, path: str | Path) -> None:
     """Write a dataset in the same delimited format accepted by load_table."""
     path = Path(path)
-    header = [*ID_COLUMNS, *data.schema.names()]
+    header = [*ID_COLUMNS, *(col.name for col in COLUMNS)]
     if data.labels is not None:
         header += list(LABEL_COLUMNS)
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -250,7 +245,7 @@ def write_table(data: Dataset, path: str | Path) -> None:
         writer.writerow(header)
         for i in range(data.n):
             cells = [str(data.intersection_ids[i]), str(data.approaches[i]), str(int(data.interval_indices[i]))]
-            for j, col in enumerate(data.schema.columns):
+            for j, col in enumerate(COLUMNS):
                 v = data.X[i, j]
                 cells.append(str(int(v)) if col.integer else repr(float(v)))
             if data.labels is not None:

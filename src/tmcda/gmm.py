@@ -127,7 +127,7 @@ def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return np.stack(means)
 
 
-def _em_single(X: np.ndarray, K: int, config: EMConfig, rng: np.random.Generator, ridge: float):
+def _em_single(X: np.ndarray, K: int, rng: np.random.Generator, ridge: float):
     n, d = X.shape
     means = _kmeanspp_means(X, K, rng)
     pooled = np.cov(X, rowvar=False, bias=True).reshape(d, d) + ridge * np.eye(d)
@@ -206,7 +206,7 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
     best = None
     for restart, seq in enumerate(seeds):
         rng = np.random.default_rng(seq)
-        fit = _em_single(X, K, config, rng, ridge)
+        fit = _em_single(X, K, rng, ridge)
         if best is None or fit[3] > best[1][3]:
             best = (restart, fit)
     weights, means, covs, ll, n_iter, converged, trace = best[1]

@@ -248,7 +248,8 @@ def fit_itml(
 
     Passes cycle all constraints (similar first, then dissimilar, in
     construction order) until the largest dual change in a pass falls below
-    ``tol``. Pairs with zero prior distance are skipped with a warning; a
+    ``tol``. A constraint whose distance p under the current metric is below
+    1e-12 is skipped for that projection, with a warning the first time; a
     nonpositive slack aborts with a state dump. ``validate`` additionally
     asserts A stays symmetric positive-semidefinite after every update.
     """

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import DEFAULT_SCHEMA, MOVEMENTS
+from .schema import COLUMNS, MOVEMENTS
 
 
 @dataclass(frozen=True)
@@ -299,8 +299,7 @@ def cross_validate_lambda(
     return float(grid[int(np.argmin(mean_err))]), grid, mean_err
 
 
-def coefficient_report(models: dict[str, LassoModel], schema=DEFAULT_SCHEMA,
-                       movements: tuple[str, ...] = MOVEMENTS) -> str:
+def coefficient_report(models: dict[str, LassoModel], movements: tuple[str, ...] = MOVEMENTS) -> str:
     """Render per-movement coefficients as delimited text.
 
     One row per schema column in fixed order, one column per requested
@@ -311,7 +310,7 @@ def coefficient_report(models: dict[str, LassoModel], schema=DEFAULT_SCHEMA,
         if movement not in models:
             raise ValueError(f"missing model for movement {movement!r}")
     lines = ["variable," + ",".join(movements)]
-    for j, desc in enumerate(schema.descriptions()):
+    for j, col in enumerate(COLUMNS):
         cells = [f"{models[m].coef[j]:.4f}" for m in movements]
-        lines.append(f"\"{desc}\"," + ",".join(cells))
+        lines.append(f"\"{col.description}\"," + ",".join(cells))
     return "\n".join(lines) + "\n"

@@ -80,14 +80,12 @@ class LassoSettings:
 @dataclass(frozen=True)
 class ItmlSettings:
     max_passes: int = 100
-    tol: float = 1e-3
     max_constraints: int = 200
     n_candidates: int = 5_000
 
     def __post_init__(self):
         _require(self, (
             (self.max_passes >= 1, f"max_passes must be >= 1, got {self.max_passes}"),
-            (self.tol > 0, f"tol must be > 0, got {self.tol}"),
             (self.max_constraints >= 0, f"max_constraints must be >= 0, got {self.max_constraints}"),
             (self.n_candidates >= 1, f"n_candidates must be >= 1, got {self.n_candidates}"),
         ))
@@ -98,7 +96,6 @@ class GmmSettings:
     n_components: int | None = None  # None -> movement default
     n_samples: int | None = None
     n_init: int = 5
-    ridge: float | None = None
 
     def __post_init__(self):
         _require(self, (
@@ -106,7 +103,6 @@ class GmmSettings:
              f"n_components must be >= 1, got {self.n_components}"),
             (self.n_samples is None or self.n_samples >= 0, f"n_samples must be >= 0, got {self.n_samples}"),
             (self.n_init >= 1, f"n_init must be >= 1, got {self.n_init}"),
-            (self.ridge is None or self.ridge >= 0, f"ridge must be >= 0, got {self.ridge}"),
         ))
 
 
@@ -125,6 +121,8 @@ class PipelineConfig:
             raise ValueError(f"unknown movement {self.movement!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def gmm_components(self) -> int:
         return self.gmm.n_components if self.gmm.n_components is not None else GMM_DEFAULTS[self.movement][0]
@@ -266,7 +264,7 @@ def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, sett
         Zs, ys,
         itml.ConstraintConfig(max_per_set=settings.max_constraints, n_candidates=settings.n_candidates, seed=seed),
     )
-    result = itml.fit_itml(Zs, constraints, max_passes=settings.max_passes, tol=settings.tol)
+    result = itml.fit_itml(Zs, constraints, max_passes=settings.max_passes)
     matched = itml.match_source_to_target(result.A, Zt, Zs, ys)
     return constraints, result, matched
 
@@ -275,7 +273,7 @@ def _augment(matched_X: np.ndarray, matched_y: np.ndarray, K: int, M: int, setti
     """Stage 4: the mixture-augmented matched set as the pseudo-target, and the mixture."""
     return gmm.augment(
         matched_X, matched_y, K, M,
-        gmm.EMConfig(ridge=settings.ridge, n_init=settings.n_init, seed=seed),
+        gmm.EMConfig(n_init=settings.n_init, seed=seed),
     )
 
 

@@ -27,7 +27,6 @@ _PARSERS = {
     float: float,
     str: str,
     int | None: lambda text: None if text.lower() == "none" else int(text),
-    float | None: lambda text: None if text.lower() == "none" else float(text),
 }
 
 _SECTIONS = {"lasso": LassoSettings, "itml": ItmlSettings, "gmm": GmmSettings, "boosting": TrainConfig}

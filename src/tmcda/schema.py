@@ -38,6 +38,14 @@ class Column:
     low: float = 0.0
     high: float = float("inf")
 
+    def check(self, value: float) -> str | None:
+        """Return an error message if ``value`` lies outside this column's domain."""
+        if self.integer and not float(value).is_integer():
+            return f"{self.name} must be an integer, got {value!r}"
+        if not self.low <= value <= self.high:
+            return f"{self.name}={value!r} outside [{self.low}, {self.high}]"
+        return None
+
 
 # Fixed column order; changing it is a schema-version bump.
 COLUMNS = (
@@ -67,44 +75,6 @@ COLUMNS = (
     Column("h_MOH", "Minute-of-hour quarter", True, 1, 4),
     Column("h_HOD", "Hour-of-day", True, 0, 23),
 )
-
-
-class FeatureSchema:
-    """Ordered predictor schema shared by every dataset in the toolkit."""
-
-    def __init__(self, columns: tuple[Column, ...] = COLUMNS, version: str = SCHEMA_VERSION):
-        self.columns = columns
-        self.version = version
-        self._index = {c.name: i for i, c in enumerate(columns)}
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
-    def descriptions(self) -> list[str]:
-        return [c.description for c in self.columns]
-
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FeatureSchema) and self.columns == other.columns
-
-    def validate_value(self, name: str, value: float) -> str | None:
-        """Return an error message if ``value`` is outside the column's domain."""
-        col = self.columns[self._index[name]]
-        if value != value or value in (float("inf"), float("-inf")):
-            return f"non-finite value for {name}"
-        if col.integer and value != int(value):
-            return f"{name} must be an integer, got {value!r}"
-        if not (col.low <= value <= col.high):
-            return f"{name}={value!r} outside [{col.low}, {col.high}]"
-        return None
-
-
-DEFAULT_SCHEMA = FeatureSchema()
 
 
 class EncodingError(ValueError):

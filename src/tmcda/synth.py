@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .schema import APPROACHES, DEFAULT_SCHEMA, MOVEMENTS
+from .schema import APPROACHES, COLUMNS, MOVEMENTS
 
 # Features entering the label function, with fixed scale constants mapping
 # raw values to O(1) magnitudes. The interaction term multiplies the scaled
@@ -116,15 +116,14 @@ def generate_synthetic_network(
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
     coef = label_coefficients(seed, n_intersections, shift_strength)
-    schema = DEFAULT_SCHEMA
-    col = {name: i for i, name in enumerate(schema.names())}
+    col = {c.name: i for i, c in enumerate(COLUMNS)}
     label_idx = [col[name] for name in LABEL_FEATURES]
 
     n_rows = n_intersections * n_intervals
     ids = np.empty(n_rows, dtype=object)
     approaches = np.empty(n_rows, dtype=object)
     intervals = np.empty(n_rows, dtype=np.int64)
-    X = np.zeros((n_rows, len(schema)))
+    X = np.zeros((n_rows, len(COLUMNS)))
     labels = np.zeros((n_rows, 3), dtype=np.int64)
 
     row = 0
@@ -172,7 +171,7 @@ def generate_synthetic_network(
             # distributions are identical across intersections at zero shift.
             p_lm = rng.exponential(40.0)
 
-            feats = np.zeros(len(schema))
+            feats = np.zeros(len(COLUMNS))
             feats[col["o_TM"]] = o_tm
             feats[col["d_TM"]] = d_tm
             feats[col["g_TM"]] = g_tm
@@ -205,13 +204,4 @@ def generate_synthetic_network(
             X[row] = feats
             row += 1
 
-    return Dataset(
-        schema,
-        ids,
-        approaches,
-        intervals,
-        X,
-        labels,
-        provenance=f"synthetic(seed={seed}, n_intersections={n_intersections}, "
-        f"shift={shift_strength:g}, n_intervals={n_intervals})",
-    )
+    return Dataset(ids, approaches, intervals, X, labels)

@@ -109,7 +109,7 @@ def test_select_matches_direct_library_call(tmp_path, data_file):
     for movement in ("left", "through", "right"):
         y = data.movement_labels(movement).astype(float)
         models[movement] = fit_lasso(data.X, y, 0.05 * lambda_max(data.X, y))
-    assert written == coefficient_report(models, data.schema)
+    assert written == coefficient_report(models)
     assert len(written.strip().splitlines()) == 26
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert str(data_file) in manifest["inputs"]
@@ -127,7 +127,7 @@ def test_select_cv_matches_direct_library_call(tmp_path, data_file):
         y = data.movement_labels(movement).astype(float)
         lam, _, _ = cross_validate_lambda(data.X, y, seed=4)
         models[movement] = fit_lasso(data.X, y, lam)
-    assert written == coefficient_report(models, data.schema)
+    assert written == coefficient_report(models)
 
 
 def test_select_zero_signal_gives_zero_table(tmp_path, data_file):
@@ -198,7 +198,7 @@ def test_unknown_config_keys_listed_all_at_once(tmp_path, data_file):
 
 
 @pytest.mark.parametrize("key", [
-    "itml.gamma", "itml.percentile", "gmm.tol", "gmm.max_iter",
+    "itml.gamma", "itml.percentile", "itml.tol", "gmm.tol", "gmm.max_iter", "gmm.ridge",
     "pipeline.clamp", "pipeline.round", "pipeline.exclude_matched",
 ])
 def test_removed_config_key_fails_at_load(tmp_path, data_file, capsys, key):
@@ -338,13 +338,29 @@ def test_out_of_domain_setting_fails_at_load_with_validation_code(tmp_path, data
     assert "lambda_mode must be one of cv, fixed, fraction, got 'crossval'" in capsys.readouterr().err
 
 
+def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_path, data_file, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(FAST_CONFIG + "\nseed = -1\n")
+    out_dir = tmp_path / "out"
+    code = main(["loo", "--data", str(data_file), "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err == "error: master_seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     (["synth", "--n-intervals", "0"], "--n-intervals"),
     (["synth", "--shift", "-1"], "--shift"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
     (["loo", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "0"], "--jobs"),
-], ids=["synth-n-intervals", "synth-shift", "select-lambda-value", "loo-jobs", "sweep-jobs"])
+    (["synth", "--seed", "-1"], "--seed must be >= 0"),
+    (["select", "--seed", "-1"], "--seed must be >= 0"),
+    (["loo", "--seed", "-1"], "--seed must be >= 0"),
+    (["sweep", "--seed", "-1"], "--seed must be >= 0"),
+], ids=["synth-n-intervals", "synth-shift", "select-lambda-value", "loo-jobs", "sweep-jobs",
+        "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
 def test_out_of_range_flag_exits_validation_without_traceback(tmp_path, data_file, capsys, command, flag):
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.alpha = 0.5\n")
@@ -371,6 +387,22 @@ def test_loo_rejects_a_data_file_naming_a_column_twice(tmp_path, data_file, conf
     code = main(["loo", "--data", str(doubled), "--config", str(config_file), "--out-dir", str(out)])
     assert code == EXIT_VALIDATION
     assert "o_TM" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_loo_rejects_a_non_finite_count_with_row_and_column(tmp_path, data_file, config_file, capsys):
+    lines = data_file.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index("v_LM")] = "nan"
+    lines[2] = ",".join(cells)
+    corrupt = tmp_path / "nan.csv"
+    corrupt.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["loo", "--data", str(corrupt), "--config", str(config_file), "--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "row 2: non-finite value 'nan' in column 'v_LM'" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

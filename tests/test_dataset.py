@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmcda.dataset import DataError, Dataset, load_table, split_domains, write_table
-from tmcda.schema import APPROACHES, DEFAULT_SCHEMA
+from tmcda.schema import APPROACHES, COLUMNS
 from tmcda.synth import generate_synthetic_network
 
 
@@ -47,13 +47,12 @@ def _column_values(col):
 @st.composite
 def _datasets(draw):
     n = draw(st.integers(1, 6))
-    X = np.array([[draw(_column_values(col)) for col in DEFAULT_SCHEMA.columns] for _ in range(n)])
+    X = np.array([[draw(_column_values(col)) for col in COLUMNS] for _ in range(n)])
     labels = None
     if draw(st.booleans()):
         counts = st.lists(st.integers(0, 10**6), min_size=3, max_size=3)
         labels = np.array(draw(st.lists(counts, min_size=n, max_size=n)), dtype=np.int64)
     return Dataset(
-        DEFAULT_SCHEMA,
         np.array(draw(st.lists(_ids, min_size=n, max_size=n)), dtype=object),
         np.array(draw(st.lists(st.sampled_from(APPROACHES), min_size=n, max_size=n)), dtype=object),
         np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)), dtype=np.int64),
@@ -123,17 +122,27 @@ def test_negative_count_rejected_with_row(tmp_path, small_data):
         load_table(path)
 
 
-def test_non_numeric_cell_rejected_with_coordinates(tmp_path, small_data):
-    def corrupt(text):
-        lines = text.splitlines()
-        idx = lines[0].split(",").index("o_TM")
+@pytest.mark.parametrize("column, text", [
+    ("o_TM", "abc"),
+    ("o_TM", "nan"),
+    ("d_TM", "nan"),
+    ("d_TM", "inf"),
+    ("v_LM", "nan"),
+    ("v_LM", "-inf"),
+    ("interval_index", "nan"),
+    ("interval_index", "inf"),
+])
+def test_non_numeric_cell_rejected_with_coordinates(tmp_path, small_data, column, text):
+    def corrupt(table):
+        lines = table.splitlines()
+        idx = lines[0].split(",").index(column)
         cells = lines[2].split(",")
-        cells[idx] = "abc"
+        cells[idx] = text
         lines[2] = ",".join(cells)
         return "\n".join(lines)
 
     path = _write_rows(tmp_path, small_data, mutate=corrupt)
-    with pytest.raises(DataError, match="row 2.*o_TM"):
+    with pytest.raises(DataError, match=f"row 2: non-(numeric|finite) value '{text}' in column '{column}'"):
         load_table(path)
 
 
@@ -195,6 +204,14 @@ def test_held_out_labels_refuse_numeric_use(small_data):
         held + 1
     revealed = held.reveal_for_scoring("through")
     assert revealed.shape == (split.target_features.n,)
+
+
+@pytest.mark.parametrize("width", [len(COLUMNS) - 1, len(COLUMNS) + 1])
+def test_dataset_rejects_a_feature_matrix_of_the_wrong_width(small_data, width):
+    X = np.zeros((small_data.n, width))
+    with pytest.raises(DataError, match=f"feature matrix has {width} columns, expected {len(COLUMNS)}"):
+        Dataset(small_data.intersection_ids, small_data.approaches, small_data.interval_indices.copy(), X,
+                small_data.labels.copy())
 
 
 def test_dataset_arrays_are_read_only(small_data):

@@ -14,7 +14,6 @@ from tmcda.lasso import (
     fit_lasso,
     lambda_max,
 )
-from tmcda.schema import DEFAULT_SCHEMA
 from tmcda.synth import generate_synthetic_network
 
 from _oracles import l1_objective, proximal_gradient_lasso, standardize, subgradient_violation
@@ -290,7 +289,7 @@ def test_coefficient_report_layout():
                          rng.integers(0, 24, size=(40, 1))]).astype(float)
     y = X[:, 0] + rng.standard_normal(40)
     models = {m: fit_lasso(X, y, 0.05 * lambda_max(X, y)) for m in ("left", "through", "right")}
-    text = coefficient_report(models, DEFAULT_SCHEMA)
+    text = coefficient_report(models)
     lines = text.strip().splitlines()
     assert len(lines) == 26
     assert lines[0] == "variable,left,through,right"
@@ -298,7 +297,7 @@ def test_coefficient_report_layout():
     assert "Through movement detector occupancy time" in lines[1]
 
     huge = {m: fit_lasso(X, y, 10 * lambda_max(X, y)) for m in ("left", "through", "right")}
-    zero_text = coefficient_report(huge, DEFAULT_SCHEMA)
+    zero_text = coefficient_report(huge)
     for line in zero_text.strip().splitlines()[1:]:
         assert line.endswith("0.0000,0.0000,0.0000")
 

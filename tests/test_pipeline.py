@@ -204,15 +204,14 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     (LassoSettings, "tol", float("nan")),
     (LassoSettings, "max_sweeps", 0),
     (ItmlSettings, "max_passes", 0),
-    (ItmlSettings, "tol", -1e-3),
     (ItmlSettings, "max_constraints", -1),
     (ItmlSettings, "n_candidates", 0),
     (GmmSettings, "n_components", 0),
     (GmmSettings, "n_samples", -1),
     (GmmSettings, "n_init", 0),
-    (GmmSettings, "ridge", -1e-6),
     (TrainConfig, "max_depth", -1),
     (TrainConfig, "min_samples_leaf", 0),
+    (PipelineConfig, "master_seed", -1),
 ])
 def test_settings_reject_out_of_domain_values(settings, field, value):
     with pytest.raises(ValueError, match=f"{field} must"):
@@ -223,7 +222,7 @@ def test_settings_accept_their_boundary_values():
     LassoSettings(lambda_mode="fixed", lambda_value=0.0, cv_folds=2, cv_grid_size=1,
                   lam_min_ratio=1.0, max_sweeps=1)
     ItmlSettings(max_passes=1, max_constraints=0, n_candidates=1)
-    GmmSettings(n_components=1, n_samples=0, n_init=1, ridge=0.0)
+    GmmSettings(n_components=1, n_samples=0, n_init=1)
     TrainConfig(n_stages=0, max_depth=0, min_samples_leaf=1)
 
 

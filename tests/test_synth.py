@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmcda.schema import APPROACHES
+from tmcda.schema import APPROACHES, COLUMNS
 from tmcda.synth import generate_synthetic_network, label_coefficients
 
 
@@ -62,9 +62,9 @@ def test_acceptance_scale_dataset_well_formed():
     assert len(data.intersections()) == 5
     assert data.labels.min() >= 0
     assert set(data.approaches) <= set(APPROACHES)
-    for name, column in zip(data.schema.names(), data.X.T):
+    for col, column in zip(COLUMNS, data.X.T):
         for value in column:
-            assert data.schema.validate_value(name, float(value)) is None
+            assert col.check(float(value)) is None
 
 
 def test_preconditions():
