@@ -205,7 +205,8 @@ def load_table(path: str | Path) -> Dataset:
             interval = int(_parse_cell(record[pos["interval_index"]], r, "interval_index", True))
             feats = np.empty(len(COLUMNS))
             for j, col in enumerate(COLUMNS):
-                value = _parse_cell(record[pos[col.name]], r, col.name, col.integer)
+                # Column.check owns the feature domain: integer-ness and range.
+                value = _parse_cell(record[pos[col.name]], r, col.name, False)
                 msg = col.check(value)
                 if msg:
                     raise DataError(f"row {r}: {msg}")

@@ -7,6 +7,7 @@ point-of-interest context, encoded categoricals and temporal indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 SCHEMA_VERSION = "1"
@@ -40,6 +41,8 @@ class Column:
 
     def check(self, value: float) -> str | None:
         """Return an error message if ``value`` lies outside this column's domain."""
+        if not math.isfinite(value):
+            return f"non-finite value for {self.name}"
         if self.integer and not float(value).is_integer():
             return f"{self.name} must be an integer, got {value!r}"
         if not self.low <= value <= self.high:

@@ -146,6 +146,26 @@ def test_non_numeric_cell_rejected_with_coordinates(tmp_path, small_data, column
         load_table(path)
 
 
+@pytest.mark.parametrize("column, text, message", [
+    ("d_TM", "1.5", "d_TM must be an integer, got 1.5"),
+    ("road_type", "3", r"road_type=3.0 outside \[1, 2\]"),
+    ("o_TM", "-1", r"o_TM=-1.0 outside \[0.0, inf\]"),
+])
+def test_feature_cell_outside_its_column_domain_rejected(tmp_path, small_data, column, text,
+                                                         message):
+    def corrupt(table):
+        lines = table.splitlines()
+        idx = lines[0].split(",").index(column)
+        cells = lines[2].split(",")
+        cells[idx] = text
+        lines[2] = ",".join(cells)
+        return "\n".join(lines)
+
+    path = _write_rows(tmp_path, small_data, mutate=corrupt)
+    with pytest.raises(DataError, match=f"row 2: {message}"):
+        load_table(path)
+
+
 def test_missing_value_rejected(tmp_path, small_data):
     def corrupt(text):
         lines = text.splitlines()

@@ -94,3 +94,22 @@ def test_encodings_injective_and_round_trip():
 def test_interval_encoding_round_trips(quarter, hour):
     text = decode_interval_start(quarter, hour)
     assert encode_interval_start(text) == (quarter, hour)
+
+
+@pytest.mark.parametrize("column", COLUMNS, ids=lambda c: c.name)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_column_check_rejects_non_finite_values(column, value):
+    assert column.check(value) == f"non-finite value for {column.name}"
+
+
+@pytest.mark.parametrize("column", COLUMNS, ids=lambda c: c.name)
+def test_column_check_enforces_integer_and_range(column):
+    assert column.check(float(column.low)) is None
+    assert "outside" in column.check(column.low - 1.0)
+    if column.high != float("inf"):
+        assert column.check(float(column.high)) is None
+        assert "outside" in column.check(column.high + 1.0)
+    if column.integer:
+        assert "must be an integer" in column.check(column.low + 0.5)
+    else:
+        assert column.check(column.low + 0.5) is None
