@@ -71,8 +71,10 @@ def _digest_file(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
-                    inputs: list[Path], outputs: list[Path]) -> Path:
+                    inputs: list[Path], outputs: list[Path], **ran) -> Path:
+    """``ran`` names what the command chose itself, such as the movements it ran."""
     manifest = {
+        **ran,
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "schema_version": SCHEMA_VERSION,
@@ -99,6 +101,13 @@ def _check_seed(seed: int | None) -> None:
         raise ValidationFailure(f"--seed must be >= 0, got {seed}")
 
 
+def _snapshot(config: PipelineConfig) -> dict:
+    """The config as a manifest records it, less the movement and variant, which the command sets."""
+    snapshot = asdict(config)
+    del snapshot["movement"], snapshot["variant"]
+    return snapshot
+
+
 def _load_base_config(args) -> PipelineConfig:
     config = runconfig.load_config(getattr(args, "config", None))
     if args.seed is not None:
@@ -112,9 +121,10 @@ def cmd_synth(args) -> int:
         raise ValidationFailure("--n-intersections must be >= 2")
     if args.n_intervals < 1:
         raise ValidationFailure(f"--n-intervals must be >= 1, got {args.n_intervals}")
-    if not args.shift >= 0:  # NaN too
-        raise ValidationFailure(f"--shift must be >= 0, got {args.shift}")
-    data = generate_synthetic_network(args.seed, args.n_intersections, args.shift, args.n_intervals)
+    try:  # the flags above are checked, so the generator can only reject the shift
+        data = generate_synthetic_network(args.seed, args.n_intersections, args.shift, args.n_intervals)
+    except ValueError as exc:
+        raise ValidationFailure(f"--shift: {exc}") from exc
     out = Path(args.out)
     with _atomic_path(out) as tmp:
         write_table(data, tmp)
@@ -170,15 +180,16 @@ def cmd_loo(args) -> int:
         raise ValidationFailure(str(exc)) from exc
     if data.labels is None:
         raise ValidationFailure("leave-one-out evaluation needs a labeled dataset")
-    configs = _loo_configs(base, _movements(args.movement), _variants(args.variant))
+    movements, variants = _movements(args.movement), _variants(args.variant)
+    configs = _loo_configs(base, movements, variants)
     report = leave_one_out(data, configs, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     summary = out_dir / "summary.csv"
     folds = out_dir / "folds.csv"
     _atomic_write(summary, render_summary(report))
     _atomic_write(folds, report.to_long_text())
-    _write_manifest(out_dir, "loo", base.master_seed, asdict(base),
-                    [Path(args.data)], [summary, folds])
+    _write_manifest(out_dir, "loo", base.master_seed, _snapshot(base),
+                    [Path(args.data)], [summary, folds], movements=movements, variants=variants)
     failures = [r for r in report.rows if r.error is not None]
     print(f"wrote {summary} and {folds} ({len(report.rows)} rows, {len(failures)} failed)")
     if failures and len(failures) == len(report.rows):
@@ -204,14 +215,15 @@ def cmd_sweep(args) -> int:
         raise ValidationFailure(str(exc)) from exc
     if data.labels is None:
         raise ValidationFailure("sweeps need a labeled dataset")
-    configs = [replace(base, movement=m) for m in _movements(args.movement)]
+    movements = _movements(args.movement)
+    configs = [replace(base, movement=m) for m in movements]
     result = ablation_sweep(data, grid, configs, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     out = out_dir / "sweep.csv"
     _atomic_write(out, result.to_text())
     _write_manifest(out_dir, "sweep", base.master_seed,
-                    {"base": asdict(base), "grid": grid},
-                    [Path(args.data), Path(args.grid)], [out])
+                    {"base": _snapshot(base), "grid": grid},
+                    [Path(args.data), Path(args.grid)], [out], movements=movements)
     skipped = sum(1 for c in result.cells if c.status == "skipped")
     failed = sum(1 for c in result.cells if c.status == "failed")
     print(f"wrote {out} ({len(result.cells)} cells, {skipped} skipped, {failed} failed)")

@@ -216,13 +216,6 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
     )
 
 
-def ll_trace_text(model: GaussianMixture) -> str:
-    """Per-iteration log-likelihood trace as delimited text."""
-    lines = ["iteration,log_likelihood"]
-    lines += [f"{i},{ll:.10e}" for i, ll in enumerate(model.ll_trace)]
-    return "\n".join(lines) + "\n"
-
-
 def sample_gmm(model: GaussianMixture, M: int, seed: int) -> np.ndarray:
     """Draw M joint samples: pick a component by its weight, then draw from it."""
     if M < 0:

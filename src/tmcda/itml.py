@@ -211,15 +211,6 @@ class ITMLResult:
     final_xi: np.ndarray | None = None
     final_lambda: np.ndarray | None = None
 
-    def diagnostics_text(self) -> str:
-        lines = ["pass,dual_change,violations,divergence,objective"]
-        for t in range(self.n_passes):
-            lines.append(
-                f"{t + 1},{self.dual_changes[t]:.6e},{self.violations[t]},"
-                f"{self.divergences[t]:.6e},{self.objectives[t]:.6e}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _slack_divergence(xi: np.ndarray, xi0: np.ndarray) -> float:
     ratio = xi / xi0
@@ -233,7 +224,6 @@ def fit_itml(
     gamma: float = 1.0,
     max_passes: int = 100,
     tol: float = 1e-3,
-    validate: bool = False,
 ) -> ITMLResult:
     """Learn the metric by cyclic Bregman projections with slack.
 
@@ -250,8 +240,9 @@ def fit_itml(
     construction order) until the largest dual change in a pass falls below
     ``tol``. A constraint whose distance p under the current metric is below
     1e-12 is skipped for that projection, with a warning the first time; a
-    nonpositive slack aborts with a state dump. ``validate`` additionally
-    asserts A stays symmetric positive-semidefinite after every update.
+    nonpositive slack aborts with a state dump. Every pass checks that A is
+    still symmetric positive-definite (a Cholesky factorization, through
+    ``logdet_divergence``), and so does the end of the fit.
     """
     X = np.asarray(X, dtype=float)
     q = X.shape[1]
@@ -313,10 +304,6 @@ def fit_itml(
             max_dual_change = max(max_dual_change, abs(alpha))
             Av = A @ v
             A += beta * (Av[:, None] * Av)    # exactly symmetric: see the module docstring
-            if validate:
-                eigs = np.linalg.eigvalsh(A)
-                if eigs.min() < -1e-9:
-                    raise MetricError(f"metric lost positive-semidefiniteness: min eig {eigs.min():.3e}")
 
         xi_arr, lam_arr = np.array(xi), np.array(lam)
         dists = np.einsum("ij,jk,ik->i", V, A, V)

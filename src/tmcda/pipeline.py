@@ -12,11 +12,9 @@ evaluation and parameter sweeps wrap that single-fold routine.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,10 +132,6 @@ class PipelineConfig:
 
     def effective_alpha(self) -> float:
         return 0.0 if self.variant == "source-only" else self.boosting.alpha
-
-    def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def stage_seed(master_seed: int, stage: str) -> int:
@@ -364,8 +358,6 @@ class EvaluationReport:
 
     rows: tuple[FoldResult, ...]
     aggregates: dict
-    config_digest: str
-    master_seed: int
 
     def to_long_text(self) -> str:
         lines = ["variant,movement,intersection,n,mae,rmse,error"]
@@ -400,6 +392,8 @@ def _run_fold(data: Dataset, target_id: str, configs: tuple[PipelineConfig, ...]
 
 def _score_folds(data: Dataset, configs: tuple[PipelineConfig, ...], jobs: int) -> list[list[FoldResult]]:
     """Per held-out intersection in sorted order, one row per config."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = data.intersections()
     if len(ids) < 2:
         raise ValueError("leave-one-out needs at least 2 intersections")
@@ -431,19 +425,17 @@ def leave_one_out(
 ) -> EvaluationReport:
     """Score every intersection as the held-out target, once per config.
 
-    Folds are independent; with ``jobs`` > 1 they run in separate processes.
-    Within a fold, configs share every upstream stage whose settings they
-    agree on. Rows are keyed and sorted on emit, so the report does not
-    depend on scheduling order. A failed fold is recorded with its error,
-    not dropped.
+    Folds are independent; with ``jobs`` > 1 they run in separate processes
+    (``jobs`` < 1 is a ValueError). Within a fold, configs share every
+    upstream stage whose settings they agree on. Rows are keyed and sorted
+    on emit, so the report does not depend on scheduling order. A failed
+    fold is recorded with its error, not dropped.
     """
     if isinstance(configs, PipelineConfig):
         configs = (configs,)
     configs = tuple(configs)
     chunks = _score_folds(data, configs, jobs)
-    rows, aggregates = _aggregate([r for chunk in chunks for r in chunk])
-    digest = hashlib.sha256("|".join(c.digest() for c in configs).encode()).hexdigest()[:12]
-    return EvaluationReport(rows, aggregates, digest, configs[0].master_seed)
+    return EvaluationReport(*_aggregate([r for chunk in chunks for r in chunk]))
 
 
 def render_summary(report: EvaluationReport) -> str:

@@ -2,8 +2,9 @@
 
 Lines look like ``gmm.n_components = 4``; ``#`` starts a comment. Every
 field of the four settings classes is a ``<section>.<field>`` key parsed by
-its annotated type, so keys and fields cannot drift apart; two more keys
-set top-level ``PipelineConfig`` fields. Unknown keys are hard errors,
+its annotated type, so keys and fields cannot drift apart; one more key,
+``seed``, sets ``PipelineConfig.master_seed``. Each command chooses the
+movement and variant itself. Unknown keys are hard errors,
 reported all at once so a sweep cannot silently run with a misspelled
 setting.
 """
@@ -31,14 +32,10 @@ _PARSERS = {
 
 _SECTIONS = {"lasso": LassoSettings, "itml": ItmlSettings, "gmm": GmmSettings, "boosting": TrainConfig}
 
-# Top-level key -> PipelineConfig field. The movement is chosen per command.
-_TOP_LEVEL = {"seed": "master_seed", "pipeline.variant": "variant"}
-
 
 def _derive_keys() -> dict:
     """key -> (section, field, parser), with each parser read off the field's annotation."""
-    top_hints = get_type_hints(PipelineConfig)
-    keys = {key: (None, name, _PARSERS[top_hints[name]]) for key, name in _TOP_LEVEL.items()}
+    keys = {"seed": (None, "master_seed", int)}
     for section, cls in _SECTIONS.items():
         hints = get_type_hints(cls)
         for f in fields(cls):

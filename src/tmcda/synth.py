@@ -73,8 +73,8 @@ def label_coefficients(seed: int, n_intersections: int, shift_strength: float) -
     """Recompute the per-intersection generating coefficients."""
     if n_intersections < 2:
         raise ValueError("n_intersections must be >= 2")
-    if shift_strength < 0:
-        raise ValueError("shift_strength must be >= 0")
+    if not 0 <= shift_strength < np.inf:  # NaN fails too
+        raise ValueError(f"shift_strength must be finite and >= 0, got {shift_strength}")
     log_busy = np.empty(n_intersections)
     intercepts = np.empty((n_intersections, 3))
     weights = np.empty((n_intersections, 3, 6))
@@ -111,11 +111,9 @@ def generate_synthetic_network(
     four approaches and the peak hours. Identical arguments always produce a
     bit-identical dataset.
     """
-    if n_intersections < 2:
-        raise ValueError("n_intersections must be >= 2")
+    coef = label_coefficients(seed, n_intersections, shift_strength)
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    coef = label_coefficients(seed, n_intersections, shift_strength)
     col = {c.name: i for i, c in enumerate(COLUMNS)}
     label_idx = [col[name] for name in LABEL_FEATURES]
 

@@ -199,7 +199,7 @@ def test_unknown_config_keys_listed_all_at_once(tmp_path, data_file):
 
 @pytest.mark.parametrize("key", [
     "itml.gamma", "itml.percentile", "itml.tol", "gmm.tol", "gmm.max_iter", "gmm.ridge",
-    "pipeline.clamp", "pipeline.round", "pipeline.exclude_matched",
+    "pipeline.clamp", "pipeline.round", "pipeline.exclude_matched", "pipeline.variant",
 ])
 def test_removed_config_key_fails_at_load(tmp_path, data_file, capsys, key):
     cfg = tmp_path / "removed.cfg"
@@ -209,6 +209,27 @@ def test_removed_config_key_fails_at_load(tmp_path, data_file, capsys, key):
     assert code == EXIT_VALIDATION
     assert not (out_dir / "folds.csv").exists()
     assert f"unknown configuration key(s): ['{key}']" in capsys.readouterr().err
+
+
+def test_sweep_rejects_the_variant_key(tmp_path, data_file, capsys):
+    # A sweep always runs variant full; loo takes the variant from --variant.
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.5\npipeline.variant = source-only\n")
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--data", str(data_file), "--grid", str(grid), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert not (out_dir / "sweep.csv").exists()
+    assert "unknown configuration key(s): ['pipeline.variant']" in capsys.readouterr().err
+
+
+def test_loo_manifest_names_the_movements_and_variants_it_ran(tmp_path, data_file, config_file):
+    out_dir = tmp_path / "out"
+    assert main(["loo", "--data", str(data_file), "--config", str(config_file), "--out-dir", str(out_dir),
+                 "--movement", "all", "--variant", "full"]) == EXIT_OK
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["movements"] == ["left", "through", "right"]
+    assert manifest["variants"] == ["full"]
+    assert "movement" not in manifest["config"] and "variant" not in manifest["config"]
 
 
 def test_sweep_grid_rows_and_manifest(tmp_path, data_file):
@@ -223,6 +244,8 @@ def test_sweep_grid_rows_and_manifest(tmp_path, data_file):
     assert manifest["config"]["grid"]["alpha"] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert manifest["config"]["base"]["gmm"]["n_components"] == 2
     assert manifest["config"]["base"]["gmm"]["n_samples"] == 8
+    assert manifest["movements"] == ["left"]
+    assert "movement" not in manifest["config"]["base"] and "variant" not in manifest["config"]["base"]
 
 
 def test_sweep_config_keys_override_grid_file_keys_and_others_still_apply(tmp_path, data_file, config_file):
@@ -352,6 +375,7 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
 @pytest.mark.parametrize("command, flag", [
     (["synth", "--n-intervals", "0"], "--n-intervals"),
     (["synth", "--shift", "-1"], "--shift"),
+    (["synth", "--shift", "inf"], "--shift"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
     (["loo", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "0"], "--jobs"),
@@ -359,8 +383,8 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["select", "--seed", "-1"], "--seed must be >= 0"),
     (["loo", "--seed", "-1"], "--seed must be >= 0"),
     (["sweep", "--seed", "-1"], "--seed must be >= 0"),
-], ids=["synth-n-intervals", "synth-shift", "select-lambda-value", "loo-jobs", "sweep-jobs",
-        "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
+], ids=["synth-n-intervals", "synth-shift", "synth-shift-inf", "select-lambda-value", "loo-jobs",
+        "sweep-jobs", "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
 def test_out_of_range_flag_exits_validation_without_traceback(tmp_path, data_file, capsys, command, flag):
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.alpha = 0.5\n")

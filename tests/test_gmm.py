@@ -197,14 +197,3 @@ def test_augment_validates_inputs():
         augment(np.zeros((3, 2)), np.zeros(2), K=1, M=5)
     with pytest.raises(GMMError, match="need at least K"):
         augment(np.zeros((2, 2)), np.zeros(2), K=5, M=5)
-
-
-def test_log_likelihood_trace_text():
-    from tmcda.gmm import ll_trace_text
-
-    rng = np.random.default_rng(15)
-    X = np.concatenate([rng.normal(-4, 1, 30), rng.normal(4, 1, 30)])[:, None]
-    model = fit_gmm(X, K=2, config=EMConfig(seed=4))
-    lines = ll_trace_text(model).strip().splitlines()
-    assert lines[0] == "iteration,log_likelihood"
-    assert len(lines) == len(model.ll_trace) + 1

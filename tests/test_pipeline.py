@@ -313,6 +313,14 @@ def test_parallel_folds_match_sequential(data3):
     assert seq.to_long_text() == par.to_long_text()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_is_rejected_by_both_entry_points(data3, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        leave_one_out(data3, _fast_cfg(), jobs=jobs)
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        ablation_sweep(data3, {"alpha": [0.5]}, _fast_cfg(), jobs=jobs)
+
+
 def test_metric_invariant_enforced_per_row(data3):
     report = leave_one_out(data3, _fast_cfg())
     for row in report.rows:
@@ -506,14 +514,6 @@ def test_stage_seeds_are_stable():
     assert stage_seed(7, "lasso") == stage_seed(7, "lasso")
     assert stage_seed(7, "lasso") != stage_seed(7, "gmm")
     assert stage_seed(7, "lasso") != stage_seed(8, "lasso")
-
-
-def test_config_digest_reflects_contents():
-    a = _fast_cfg(seed=1)
-    b = _fast_cfg(seed=1)
-    c = _fast_cfg(seed=2)
-    assert a.digest() == b.digest()
-    assert a.digest() != c.digest()
 
 
 def test_split_requires_labels(data3):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tmcda.pipeline import LAMBDA_MODES, VARIANTS, PipelineConfig
+from tmcda.pipeline import LAMBDA_MODES, PipelineConfig
 from tmcda.runconfig import _KEYS, ConfigError, load_config
 
 SECTIONS = ("lasso", "itml", "gmm", "boosting")
-TOP_LEVEL_FIELDS = ("master_seed", "variant")
+TOP_LEVEL_FIELDS = ("master_seed",)
 
 
 def _field_type(section, name):
@@ -29,7 +29,7 @@ def test_every_settings_field_has_exactly_one_key():
             assert key == f"{section}.{name}"
 
 
-def test_the_config_keys_are_exactly_these_twenty():
+def test_the_config_keys_are_exactly_these_nineteen():
     # Every key is an option a run can set. Adding or dropping one is a
     # deliberate change: edit this list with it.
     assert sorted(_KEYS) == [
@@ -39,7 +39,7 @@ def test_the_config_keys_are_exactly_these_twenty():
         "itml.max_constraints", "itml.max_passes", "itml.n_candidates",
         "lasso.cv_folds", "lasso.cv_grid_size", "lasso.lam_min_ratio", "lasso.lambda_mode",
         "lasso.lambda_value", "lasso.max_sweeps", "lasso.tol",
-        "pipeline.variant", "seed",
+        "seed",
     ]
 
 
@@ -51,7 +51,7 @@ _words = st.text(alphabet=string.ascii_letters + string.digits + "-_.:/ ", min_s
 _STRATEGIES = {
     int: _ints,
     float: _floats,
-    str: st.one_of(st.sampled_from(VARIANTS + LAMBDA_MODES), _words).map(lambda v: (v, v)),
+    str: st.one_of(st.sampled_from(LAMBDA_MODES), _words).map(lambda v: (v, v)),
     int | None: st.one_of(_none, _ints),
 }
 

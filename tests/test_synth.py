@@ -28,6 +28,15 @@ def test_zero_shift_identical_coefficients():
     assert np.all(coef.log_busy == 0.0)
 
 
+@pytest.mark.parametrize("shift", [-1.0, float("nan"), float("inf")])
+def test_shift_must_be_finite_and_non_negative(shift):
+    message = f"shift_strength must be finite and >= 0, got {shift}"
+    with pytest.raises(ValueError, match=message):
+        label_coefficients(seed=0, n_intersections=3, shift_strength=shift)
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic_network(0, 3, shift, 8)
+
+
 def test_coefficient_drift_linear_in_shift():
     c1 = label_coefficients(seed=9, n_intersections=4, shift_strength=0.5)
     c2 = label_coefficients(seed=9, n_intersections=4, shift_strength=1.5)
