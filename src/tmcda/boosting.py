@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tree import _LEAF, RegressionTree, fit_tree, presort
+from .tree import _LEAF, RegressionTree, SplitPlan, fit_tree
 
 MODEL_FORMAT = "boosted-model"
 MODEL_FORMAT_VERSION = 1
@@ -158,12 +158,12 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
     F = np.full(len(y), f0)
     stages = []
     trace = [_weighted_loss(w, y, F)]
-    presorted = presort(X)
+    plan = SplitPlan.build(X, w, config.min_samples_leaf)
     for _ in range(config.n_stages):
         r = pseudo_residuals(y, F)
         h = np.zeros(len(y))
         tree = fit_tree(X, r, w, config.max_depth, config.min_samples_leaf,
-                        presorted=presorted, leaf_values=h)
+                        plan=plan, leaf_values=h)
         gamma = compute_gamma(F, h, y, w)
         F = F + config.shrinkage * gamma * h
         stages.append((gamma, tree))

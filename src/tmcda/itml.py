@@ -18,7 +18,11 @@ and IEEE multiplication is commutative, so it is the same double as entry
 matters: (beta * Av_i) * Av_j need not equal (beta * Av_j) * Av_i. The
 projection loop keeps its scalars (slacks, duals, signs) as Python floats,
 which give the same doubles as numpy scalars at a fraction of the cost; the
-per-pass bookkeeping turns them into arrays once per pass.
+per-pass bookkeeping turns them into arrays once per pass. For the same
+reason it calls ``np.dot`` rather than ``@`` (the same products, with less
+dispatch), iterates over a list of the constraint vectors, and forms the
+update in one buffer allocated once per fit: ``outer = Av_i * Av_j``, then
+``outer *= beta``, which keeps the grouping above.
 """
 
 from __future__ import annotations
@@ -273,11 +277,12 @@ def fit_itml(
     delta_arr, xi0_arr = np.array(deltas), np.array(xi0)
     skipped = set()
 
+    vs = list(V)
+    outer = np.empty_like(A)
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
-        for c in range(m):
-            v = V[c]
-            p = float(v @ A @ v)    # (v A) v; v (A v) reusing Av below rounds differently
+        for c, v in enumerate(vs):
+            p = float(np.dot(np.dot(v, A), v))    # (v A) v; v (A v) reusing Av below rounds differently
             if p < 1e-12:
                 if (c not in skipped):
                     skipped.add(c)
@@ -302,8 +307,10 @@ def fit_itml(
             xi[c] = new_xi
             lam[c] -= alpha
             max_dual_change = max(max_dual_change, abs(alpha))
-            Av = A @ v
-            A += beta * (Av[:, None] * Av)    # exactly symmetric: see the module docstring
+            Av = np.dot(A, v)
+            np.multiply(Av[:, None], Av, out=outer)
+            outer *= beta
+            A += outer    # exactly symmetric: see the module docstring
 
         xi_arr, lam_arr = np.array(xi), np.array(lam)
         dists = np.einsum("ij,jk,ik->i", V, A, V)

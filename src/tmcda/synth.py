@@ -32,6 +32,11 @@ _BASE_WEIGHTS = {
 }
 _BASE_INTERACTION = {"left": 0.60, "through": 0.35, "right": 0.35}
 
+# |log_busy| <= 0.7 * shift, so the largest Poisson mean drawn from the busy
+# factor is 40 * 1.25 * e^(0.7 * 50) ~ 8e16, below the ~9.2e18 that numpy's
+# Poisson sampler accepts; larger shifts can make it raise.
+MAX_SHIFT_STRENGTH = 50.0
+
 _PEAK_HOURS = (7, 8, 16, 17)
 _RATE_CAP = np.log(200.0)
 _RATE_FLOOR = np.log(0.5)
@@ -75,6 +80,8 @@ def label_coefficients(seed: int, n_intersections: int, shift_strength: float) -
         raise ValueError("n_intersections must be >= 2")
     if not 0 <= shift_strength < np.inf:  # NaN fails too
         raise ValueError(f"shift_strength must be finite and >= 0, got {shift_strength}")
+    if shift_strength > MAX_SHIFT_STRENGTH:
+        raise ValueError(f"shift_strength must be <= {MAX_SHIFT_STRENGTH:g}, got {shift_strength}")
     log_busy = np.empty(n_intersections)
     intercepts = np.empty((n_intersections, 3))
     weights = np.empty((n_intersections, 3, 6))

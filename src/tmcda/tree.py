@@ -7,15 +7,28 @@ result is independent of evaluation order. Zero-weight instances are left out
 of the root and cannot influence the tree.
 
 The split search sorts each feature once per fit, not once per node: a
-boosting fit computes ``presort(X)`` for its fixed ``X`` and hands it to every
-stage's tree. A node is a mask over the rows. Filtering each feature's stable
-global order by that mask gives the node's sorted order for every feature in
-one gather (the attribute lists of SPRINT; Shafer, Agrawal & Mehta 1996),
-with tied values in ascending row order, as a stable sort of the node's own
-rows would leave them. Cumulative sums, split scores and the arg-max are then
-taken across all features at once; taking the first maximum keeps the tie
-rule above. The trees are the same, bit for bit, as those of a search that
-sorts every feature at every node.
+boosting fit builds one ``SplitPlan`` for its fixed ``X`` and ``w`` and hands
+it to every stage's tree. A node is a mask over the rows. Filtering each
+feature's stable global order by that mask gives the node's sorted order for
+every feature in one gather (the attribute lists of SPRINT; Shafer, Agrawal &
+Mehta 1996), with tied values in ascending row order, as a stable sort of the
+node's own rows would leave them. Cumulative sums, split scores and the
+arg-max are then taken across all features at once; taking the first maximum
+keeps the tie rule above. The trees are the same, bit for bit, as those of a
+search that sorts every feature at every node.
+
+Most of a node's search does not depend on the residuals: its rows, its
+total weight, its rows and values sorted per feature, the cumulative
+weights, the weights right of each candidate and which candidates are valid
+(distinct values on both sides, positive weight on the right). Every stage
+searches the same root, so the plan holds these arrays for the root, next to
+the presort; a stage redoes only the residual sums, the score and the
+arg-max. Other nodes get the same arrays from the same function when they
+are reached, and drop them after. The score divides by the right-side
+weight with 1.0 in place at invalid candidates, then adds 0.0 at valid
+candidates and -inf at invalid ones: the same doubles as a division masked
+to the valid candidates, without one, because the divided term is never
+-0.0.
 
 Prediction moves all rows down the node table one level per step, with the
 same ``x <= threshold`` rule the fit used. ``from_dict`` checks the table it
@@ -27,6 +40,7 @@ the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,17 +136,29 @@ def _check_table(tree: RegressionTree) -> None:
         raise ValueError("tree node table: the root must have no parent and every other node exactly one")
 
 
-def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's stable ascending row order and the sorted values, both (n_features, n_rows)."""
-    XT = np.asarray(X, dtype=float).T
-    order = np.argsort(XT, axis=1, kind="stable")
-    return order, np.take_along_axis(XT, order, axis=1)
+class _Node(NamedTuple):
+    """A node's rows and the residual-independent part of its split search.
+
+    ``search`` is None when the node is not searched (too deep, or too few rows
+    for two leaves). Otherwise it holds the node's rows and values sorted per
+    feature, (n_features, n_rows), and, per candidate threshold, the weight
+    left of it, the weight right of it (1.0 where the candidate is not valid)
+    and the candidate's mask term: 0.0 where it is valid, -inf where it is
+    not. A valid candidate has different values on its two sides and positive
+    weight on the right.
+    """
+
+    member: np.ndarray
+    total_w: float
+    search: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
 
-def _best_split(order, xsorted, w, wr, member, n_node, total_w, total_wr, min_samples_leaf):
-    """Best (feature, threshold) at the node holding the rows in ``member``, or None."""
-    if n_node < 2 * min_samples_leaf:
-        return None
+def _node(order, xsorted, w, member, min_samples_leaf, searched) -> _Node:
+    w_node = w[member]
+    total_w = w_node.sum()    # over the node's rows in ascending row order
+    n_node = len(w_node)
+    if not searched or n_node < 2 * min_samples_leaf:
+        return _Node(member, total_w, None)
     n_features = len(order)
     in_node = member[order]
     rows = order[in_node].reshape(n_features, n_node)
@@ -140,20 +166,63 @@ def _best_split(order, xsorted, w, wr, member, n_node, total_w, total_wr, min_sa
     # Candidate k puts the k + 1 smallest values left; both sides keep min_samples_leaf rows.
     lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
     cw = w[rows].cumsum(axis=1)[:, lo:hi]
-    cwr = wr[rows].cumsum(axis=1)[:, lo:hi]
     right_w = total_w - cw  # <= 0 when the right side's weight rounds away: no split, and no division
     valid = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w > 0)
-    score = cwr * cwr / cw + np.divide((total_wr - cwr) ** 2, right_w, out=np.full_like(cw, -np.inf), where=valid)
-    k = score.argmax(axis=1)
-    parent_score = total_wr * total_wr / total_w
-    gain = score[np.arange(n_features), k] - parent_score
+    mask = np.where(valid, 0.0, -np.inf)
+    return _Node(member, total_w, (rows, xs, cw, np.where(valid, right_w, 1.0), mask))
+
+
+@dataclass(frozen=True)
+class SplitPlan:
+    """What every tree fit on one ``X`` and ``w`` shares: see the module docstring.
+
+    ``order`` and ``xsorted`` are each feature's stable ascending row order
+    and the sorted values, both (n_features, n_rows); ``root`` is the root
+    node, the rows with positive weight. ``shape`` and ``min_samples_leaf``
+    record what the plan was built for, and ``fit_tree`` rejects a plan that
+    does not match its call.
+    """
+
+    shape: tuple[int, ...]
+    min_samples_leaf: int
+    order: np.ndarray
+    xsorted: np.ndarray
+    root: _Node
+
+    @classmethod
+    def build(cls, X: np.ndarray, w: np.ndarray, min_samples_leaf: int) -> "SplitPlan":
+        """Check the weights, presort ``X`` and lay out the root's search."""
+        X = np.asarray(X, dtype=float)
+        w = np.asarray(w, dtype=float)
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
+        if not np.any(w > 0):
+            raise ValueError("at least one weight must be positive")
+        order = np.argsort(X.T, axis=1, kind="stable")
+        xsorted = np.take_along_axis(X.T, order, axis=1)
+        root = _node(order, xsorted, w, w > 0, min_samples_leaf, True)
+        return cls(X.shape, min_samples_leaf, order, xsorted, root)
+
+
+def _best_split(node: _Node, wr, total_wr, min_samples_leaf):
+    """Best (feature, threshold) at ``node`` for the weighted residuals ``wr``, or None."""
+    if node.search is None:
+        return None
+    rows, xs, cw, right_safe, mask = node.search
+    lo, hi = min_samples_leaf - 1, rows.shape[1] - min_samples_leaf
+    cwr = wr[rows].cumsum(axis=1)[:, lo:hi]
+    # Adding 0.0 leaves a valid candidate's nonnegative term as it is; an invalid one scores -inf.
+    score = cwr * cwr / cw + ((total_wr - cwr) ** 2 / right_safe + mask)
+    parent_score = total_wr * total_wr / node.total_w
+    gain = score.max(axis=1) - parent_score
     ok = gain > 1e-12 * max(1.0, abs(parent_score))
     if not ok.any():
         return None
     # First-occurrence arg-max: the lowest feature among equal gains, and
     # within a feature the lowest threshold among equal scores.
-    j = int(np.argmax(np.where(ok, gain, -np.inf)))
-    below, above = xs[j, lo + k[j]], xs[j, lo + k[j] + 1]
+    j = int(np.where(ok, gain, -np.inf).argmax())
+    k = lo + int(score[j].argmax())
+    below, above = xs[j, k], xs[j, k + 1]
     threshold = (below + above) / 2.0
     if not threshold < above:
         # The midpoint of neighbouring doubles can round up to the upper one,
@@ -169,50 +238,53 @@ def fit_tree(
     max_depth: int = 3,
     min_samples_leaf: int = 2,
     *,
-    presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    plan: SplitPlan | None = None,
     leaf_values: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit a tree to residuals ``r`` under nonnegative instance weights ``w``.
 
-    ``presorted`` is ``presort(X)``, passed by callers that fit many trees on
-    one ``X``. If ``leaf_values`` is given, each row with positive weight gets
-    the value of its leaf there, equal to ``tree.predict(X)`` on that row;
-    zero-weight rows are left as they are.
+    ``plan`` is ``SplitPlan.build(X, w, min_samples_leaf)``, passed by callers
+    that fit many trees on one ``X`` and ``w``; without it ``fit_tree`` builds
+    one. A plan built for another shape of ``X`` or another
+    ``min_samples_leaf`` raises ValueError; the plan also stands for the
+    values of ``X`` and ``w``, which are not compared. If ``leaf_values`` is
+    given, each row with positive weight gets the value of its leaf there,
+    equal to ``tree.predict(X)`` on that row; zero-weight rows are left as
+    they are.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if not np.any(w > 0):
-        raise ValueError("at least one weight must be positive")
-    order, xsorted = presort(X) if presorted is None else presorted
+    if plan is None:
+        plan = SplitPlan.build(X, w, min_samples_leaf)
+    elif plan.shape != X.shape or plan.min_samples_leaf != min_samples_leaf:
+        raise ValueError(
+            f"split plan built for X of shape {plan.shape} and min_samples_leaf = {plan.min_samples_leaf}, "
+            f"used with {X.shape} and {min_samples_leaf}"
+        )
     wr = w * r
 
     tree = RegressionTree(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     # Depth first, left child first, so nodes are numbered in preorder.
-    pending = [(w > 0, 0, None, None)]    # (rows in the node, depth, parent, parent's child list)
+    pending = [(plan.root.member, 0, None, None)]    # (rows in the node, depth, parent, parent's child list)
     while pending:
         member, depth, parent, children = pending.pop()
-        node = tree._add_node()
+        node = plan.root if depth == 0 else _node(
+            plan.order, plan.xsorted, w, member, min_samples_leaf, depth < max_depth)
+        index = tree._add_node()
         if parent is not None:
-            children[parent] = node
-        # Sums over the node's rows in ascending row order.
-        w_node = w[member]
-        total_w = w_node.sum()
-        total_wr = wr[member].sum()
-        tree.value[node] = float(total_wr / total_w)
-        split = None
-        if depth < max_depth:
-            split = _best_split(order, xsorted, w, wr, member, len(w_node), total_w, total_wr, min_samples_leaf)
+            children[parent] = index
+        total_wr = wr[member].sum()    # over the node's rows in ascending row order
+        tree.value[index] = float(total_wr / node.total_w)
+        split = _best_split(node, wr, total_wr, min_samples_leaf) if depth < max_depth else None
         if split is None:
             if leaf_values is not None:
-                leaf_values[member] = tree.value[node]
+                leaf_values[member] = tree.value[index]
             continue
         j, threshold = split
-        tree.feature[node] = j
-        tree.threshold[node] = threshold
+        tree.feature[index] = j
+        tree.threshold[index] = threshold
         go_left = X[:, j] <= threshold
-        pending.append((member & ~go_left, depth + 1, node, tree.right))
-        pending.append((member & go_left, depth + 1, node, tree.left))
+        pending.append((member & ~go_left, depth + 1, index, tree.right))
+        pending.append((member & go_left, depth + 1, index, tree.left))
     return tree

@@ -21,7 +21,7 @@ from tmcda.boosting import (
     save_model,
 )
 
-from _oracles import reference_ensemble_predict, straight_line_gbbw
+from _oracles import reference_ensemble_predict, reference_tree, straight_line_gbbw
 
 
 def _two_domain_problem(seed, n1=12, n2=4, p=3):
@@ -344,3 +344,45 @@ def test_predict_equals_the_stage_by_stage_reference_bit_for_bit(case):
         clone = load_model(Path(tmp) / "model.json")
     assert predict(clone, X).tobytes() == expected
     assert reference_ensemble_predict(clone, X).tobytes() == expected
+
+
+_CELLS = (
+    st.sampled_from([0.0, 1.0, 2.0]),                          # heavy ties
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _boosting_fits(draw):
+    """Two domains over 1-3 columns (some tie-heavy) and a config whose stages reuse one split plan."""
+    alpha = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    n1 = draw(st.integers(1, 20))
+    n2 = draw(st.integers(1 if alpha > 0 else 0, 10))
+    kinds = draw(st.lists(st.integers(0, len(_CELLS) - 1), min_size=1, max_size=3))
+    X = np.array([[draw(_CELLS[k]) for k in kinds] for _ in range(n1 + n2)]).reshape(n1 + n2, len(kinds))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(-1e3, 1e3, allow_nan=False),
+                               min_size=n1 + n2, max_size=n1 + n2)))
+    config = TrainConfig(n_stages=draw(st.integers(1, 5)), max_depth=draw(st.integers(0, 3)),
+                         min_samples_leaf=draw(st.integers(1, 5)),
+                         shrinkage=draw(st.sampled_from([0.1, 0.5, 1.0])), alpha=alpha)
+    return X[:n1], y[:n1], X[n1:], y[n1:], config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_boosting_fits())
+def test_every_stage_tree_equals_the_reference_tree_on_that_stages_residuals(case):
+    Xs, ys, Xt, yt, config = case
+    model = fit_gbbw(Xs, ys, Xt, yt, config)
+    alpha = config.alpha
+    if alpha == 0.0:
+        X, y, w = Xs, ys, np.full(len(ys), 1.0)
+    elif alpha == 1.0:
+        X, y, w = Xt, yt, np.full(len(yt), 1.0)
+    else:
+        X, y = np.vstack([Xs, Xt]), np.concatenate([ys, yt])
+        w = np.concatenate([np.full(len(ys), 1.0 - alpha), np.full(len(yt), alpha)])
+    F = np.full(len(y), model.f0)
+    for gamma, tree in model.stages:
+        r = y - F
+        assert tree.to_dict() == reference_tree(X, r, w, config.max_depth, config.min_samples_leaf)
+        F = F + config.shrinkage * gamma * tree.predict(X)

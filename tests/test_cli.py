@@ -376,6 +376,7 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["synth", "--n-intervals", "0"], "--n-intervals"),
     (["synth", "--shift", "-1"], "--shift"),
     (["synth", "--shift", "inf"], "--shift"),
+    (["synth", "--shift", "100"], "--shift: shift_strength must be <= 50, got 100.0"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
     (["loo", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "0"], "--jobs"),
@@ -383,8 +384,8 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["select", "--seed", "-1"], "--seed must be >= 0"),
     (["loo", "--seed", "-1"], "--seed must be >= 0"),
     (["sweep", "--seed", "-1"], "--seed must be >= 0"),
-], ids=["synth-n-intervals", "synth-shift", "synth-shift-inf", "select-lambda-value", "loo-jobs",
-        "sweep-jobs", "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
+], ids=["synth-n-intervals", "synth-shift", "synth-shift-inf", "synth-shift-large", "select-lambda-value",
+        "loo-jobs", "sweep-jobs", "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
 def test_out_of_range_flag_exits_validation_without_traceback(tmp_path, data_file, capsys, command, flag):
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.alpha = 0.5\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tmcda.schema import APPROACHES, COLUMNS
-from tmcda.synth import generate_synthetic_network, label_coefficients
+from tmcda.synth import MAX_SHIFT_STRENGTH, generate_synthetic_network, label_coefficients
 
 
 def test_same_seed_bit_identical():
@@ -35,6 +35,17 @@ def test_shift_must_be_finite_and_non_negative(shift):
         label_coefficients(seed=0, n_intersections=3, shift_strength=shift)
     with pytest.raises(ValueError, match=message):
         generate_synthetic_network(0, 3, shift, 8)
+
+
+def test_shift_above_the_bound_is_rejected_before_the_sampler_overflows():
+    data = generate_synthetic_network(0, 3, MAX_SHIFT_STRENGTH, 8)    # the bound itself is drawn
+    assert data.labels.min() >= 0
+    for shift in (np.nextafter(MAX_SHIFT_STRENGTH, np.inf), 100.0):
+        message = f"shift_strength must be <= 50, got {shift}"
+        with pytest.raises(ValueError, match=message):
+            label_coefficients(seed=0, n_intersections=3, shift_strength=shift)
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_network(0, 3, shift, 8)
 
 
 def test_coefficient_drift_linear_in_shift():

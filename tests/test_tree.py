@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcda.boosting import TrainConfig, fit_gbbw
-from tmcda.tree import RegressionTree, fit_tree
+from tmcda.tree import RegressionTree, SplitPlan, fit_tree
 
 from _oracles import BruteTree, brute_force_split, reference_tree
 
@@ -150,6 +150,17 @@ def test_weight_validation():
         fit_tree(X, r, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         fit_tree(X, r, np.zeros(3))
+
+
+def test_a_plan_built_for_other_inputs_is_rejected():
+    rng = np.random.default_rng(5)
+    X, r, w = rng.standard_normal((30, 3)), rng.standard_normal(30), np.ones(30)
+    plan = SplitPlan.build(X, w, min_samples_leaf=2)
+    assert fit_tree(X, r, w, 3, 2, plan=plan).to_dict() == fit_tree(X, r, w, 3, 2).to_dict()
+    with pytest.raises(ValueError, match=r"shape \(30, 3\) .* used with \(30, 2\)"):
+        fit_tree(X[:, :2], r, w, 3, 2, plan=plan)
+    with pytest.raises(ValueError, match="min_samples_leaf = 2, used with .* and 3"):
+        fit_tree(X, r, w, 3, 3, plan=plan)
 
 
 def test_serialization_round_trip():
