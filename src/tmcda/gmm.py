@@ -7,6 +7,7 @@ is fit by EM, and synthetic joint samples are drawn from the fitted mixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ class EMConfig:
 
     ``ridge`` is the absolute covariance regularization added to every
     component covariance diagonal; when None it defaults to 1e-6 times the
-    mean diagonal variance of the data.
+    mean diagonal variance of the data; a given ridge must be finite and
+    >= 0. ``n_init`` (>= 1) is the number of seeded EM restarts.
     """
 
     ridge: float | None = None
@@ -38,8 +40,10 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ridge is not None and self.ridge < 0:
-            raise GMMError("ridge must be >= 0")
+        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise GMMError(f"ridge must be finite and >= 0, got {self.ridge}")
+        if self.n_init < 1:
+            raise GMMError(f"n_init must be >= 1, got {self.n_init}")
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,24 @@ projection loop keeps its scalars (slacks, duals, signs) as Python floats,
 which give the same doubles as numpy scalars at a fraction of the cost; the
 per-pass bookkeeping turns them into arrays once per pass. For the same
 reason it calls ``np.dot`` rather than ``@`` (the same products, with less
-dispatch), iterates over a list of the constraint vectors, and forms the
-update in one buffer allocated once per fit: ``outer = Av_i * Av_j``, then
-``outer *= beta``, which keeps the grouping above.
+dispatch) and iterates over a list of the constraint vectors. ``v A``,
+``A v`` and the update are written into three buffers allocated once per fit
+(``np.dot(..., out=)`` gives the same bytes as the plain call): ``outer =
+Av_i * Av_j``, then ``outer *= beta``, which keeps the grouping above.
+
+A projection whose dual step alpha is exactly 0 (a constraint satisfied with
+dual 0, most projections on the pipeline's inputs) still updates the slack,
+dual and pass bookkeeping, but skips the rank-one update, which could not
+change A: beta is then +-0.0, so every entry of the update is +-0.0, and
+adding +-0.0 leaves every entry of A unchanged except a -0.0, which +0.0
+turns into +0.0. A holds no -0.0 when A0 holds none: A starts as
+(A0 + A0^T) / 2, and round-to-nearest addition gives -0.0 only from
+-0.0 + -0.0. So for such an A0, the identity prior among them, the skip
+changes no bit of the fit; for an A0 with -0.0 entries, only the sign of an
+untouched zero can differ from always applying the update. (This takes the
+products Av_i * Av_j to be finite. Were one to overflow, the update would
+write inf * 0 = NaN into A and fail the pass's metric check, where the skip
+goes on.)
 """
 
 from __future__ import annotations
@@ -246,15 +261,22 @@ def fit_itml(
     1e-12 is skipped for that projection, with a warning the first time; a
     nonpositive slack aborts with a state dump. Every pass checks that A is
     still symmetric positive-definite (a Cholesky factorization, through
-    ``logdet_divergence``), and so does the end of the fit.
+    ``logdet_divergence``), and so does the end of the fit. A projection
+    with alpha exactly 0 leaves A as it is without forming the update (see
+    the module docstring for why that is exact). ``gamma`` must be > 0,
+    ``tol`` >= 0 and ``max_passes`` >= 1; NaN is rejected.
     """
     X = np.asarray(X, dtype=float)
     q = X.shape[1]
     if A0 is None:
         A0 = np.eye(q)
     A0 = check_metric(A0)
-    if gamma <= 0:
-        raise MetricError("gamma must be > 0")
+    if not gamma > 0:
+        raise MetricError(f"gamma must be > 0, got {gamma}")
+    if not tol >= 0:
+        raise MetricError(f"tol must be >= 0, got {tol}")
+    if max_passes < 1:
+        raise MetricError(f"max_passes must be >= 1, got {max_passes}")
 
     A = (A0 + A0.T) / 2.0   # exactly A0 when A0 is exactly symmetric
     result = ITMLResult(A=A, converged=False, n_passes=0)
@@ -278,11 +300,13 @@ def fit_itml(
     skipped = set()
 
     vs = list(V)
-    outer = np.empty_like(A)
+    vA, Av, outer = np.empty(q), np.empty(q), np.empty_like(A)
+    Av_col = Av[:, None]
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
         for c, v in enumerate(vs):
-            p = float(np.dot(np.dot(v, A), v))    # (v A) v; v (A v) reusing Av below rounds differently
+            np.dot(v, A, out=vA)
+            p = float(np.dot(vA, v))    # (v A) v; v (A v) reusing Av below rounds differently
             if p < 1e-12:
                 if (c not in skipped):
                     skipped.add(c)
@@ -307,8 +331,10 @@ def fit_itml(
             xi[c] = new_xi
             lam[c] -= alpha
             max_dual_change = max(max_dual_change, abs(alpha))
-            Av = np.dot(A, v)
-            np.multiply(Av[:, None], Av, out=outer)
+            if alpha == 0.0:
+                continue    # a satisfied constraint: the update would add only zeros to A
+            np.dot(A, v, out=Av)
+            np.multiply(Av_col, Av, out=outer)
             outer *= beta
             A += outer    # exactly symmetric: see the module docstring
 

@@ -197,3 +197,12 @@ def test_augment_validates_inputs():
         augment(np.zeros((3, 2)), np.zeros(2), K=1, M=5)
     with pytest.raises(GMMError, match="need at least K"):
         augment(np.zeros((2, 2)), np.zeros(2), K=5, M=5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_init=0), dict(n_init=-1),
+    dict(ridge=-1e-6), dict(ridge=float("nan")), dict(ridge=float("inf")),
+], ids=repr)
+def test_em_config_rejects_invalid_settings(kwargs):
+    with pytest.raises(GMMError, match=next(iter(kwargs))):
+        EMConfig(**kwargs)

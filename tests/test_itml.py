@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcda.boosting import TrainConfig
+from tmcda.dataset import split_domains
 from tmcda.itml import (
     ConstraintConfig,
     ConstraintSet,
@@ -15,6 +17,8 @@ from tmcda.itml import (
     mahalanobis_distance,
     match_source_to_target,
 )
+from tmcda.pipeline import GmmSettings, ItmlSettings, LassoSettings, PipelineConfig, run_estimation
+from tmcda.synth import generate_synthetic_network
 
 from _oracles import percentile_by_sort, reference_constraints, reference_itml, scalar_itml_trace
 
@@ -453,6 +457,67 @@ def test_fit_equals_the_reference_projection_loop_bit_for_bit(case, gamma, tol, 
         return
     for name, value in expected.items():
         assert _bits(getattr(result, name)) == _bits(value), name
+
+
+@pytest.mark.parametrize("A0", [np.diag([2.0, 3.0]), np.array([[2.0, -0.0], [-0.0, 3.0]])],
+                         ids=["diagonal", "negative-zero"])
+def test_constraints_satisfied_at_the_prior_leave_it_bit_for_bit(A0):
+    # Both constraints hold at A0 with dual 0, so every alpha is exactly 0 and no update is formed;
+    # with -0.0 in A0, adding the +0.0 update would have turned it into +0.0.
+    X = np.array([[0.0, 0.0], [0.1, 0.1], [10.0, 10.0]])
+    C = ConstraintSet(((0, 1),), ((0, 2),), u=1.0, l=2.0)    # distances 0.05 <= u and 500 >= l
+    result = fit_itml(X, C, A0=A0)
+    assert _bits(result.A) == _bits(A0)
+    assert result.dual_changes == [0.0]
+    assert result.converged and result.n_passes == 1
+
+
+def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit():
+    # The alpha-sweep benchmark's settings on one fold: 3,585 of its 6,000 projections have
+    # alpha == 0 and skip the update; more than half the constraints end with dual 0.
+    data = generate_synthetic_network(1, 3, 1.3, 64)
+    config = PipelineConfig(
+        movement="left",
+        lasso=LassoSettings(lambda_mode="fraction", lambda_value=0.06, tol=1e-7, max_sweeps=2_000),
+        itml=ItmlSettings(max_passes=30, max_constraints=100, n_candidates=3_000),
+        gmm=GmmSettings(n_init=2),
+        boosting=TrainConfig(n_stages=60, max_depth=1, shrinkage=0.3, alpha=0.5),
+        master_seed=1,
+        variant="full",
+    )
+    fold = run_estimation(split_domains(data, data.intersections()[0]), config)
+    result = fold.itml_result
+    assert np.mean(result.final_lambda == 0.0) > 0.5
+    expected = reference_itml(fold.Zs, fold.constraints, 1.0, 30, 1e-3)
+    for name, value in expected.items():
+        assert _bits(getattr(result, name)) == _bits(value), name
+
+
+def test_dot_into_a_buffer_gives_the_plain_products_bytes():
+    # fit_itml writes v A and A v into buffers allocated once per fit.
+    rng = np.random.default_rng(13)
+    for _ in range(20_000):
+        q = int(rng.integers(1, 30))
+        B = rng.standard_normal((q, q)) * 10.0 ** rng.integers(-3, 4)
+        A = B + B.T
+        v = rng.standard_normal(q)
+        vA, Av = np.empty(q), np.empty(q)
+        np.dot(v, A, out=vA)
+        np.dot(A, v, out=Av)
+        assert vA.tobytes() == np.dot(v, A).tobytes()
+        assert Av.tobytes() == np.dot(A, v).tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(gamma=0.0), dict(gamma=-1.0), dict(gamma=float("nan")),
+    dict(tol=-1e-3), dict(tol=float("nan")),
+    dict(max_passes=0), dict(max_passes=-1),
+], ids=repr)
+def test_fit_rejects_invalid_arguments(kwargs):
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    C = ConstraintSet(((0, 1),), ((0, 2),), u=1.0, l=2.0)
+    with pytest.raises(MetricError, match=next(iter(kwargs))):
+        fit_itml(X, C, **kwargs)
 
 
 def test_constraint_config_rejects_negative_cap_and_empty_sample():
