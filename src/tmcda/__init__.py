@@ -7,7 +7,7 @@ boosting, evaluated leave-one-intersection-out.
 
 from .boosting import BoostedModel, TrainConfig, fit_gbbw, fit_gradient_boosting, predict
 from .dataset import Dataset, DomainSplit, HeldOutLabels, load_table, split_domains, write_table
-from .gmm import EMConfig, GaussianMixture, augment, fit_gmm, gaussian_pdf, sample_gmm
+from .gmm import EMConfig, GaussianMixture, augment, fit_gmm, sample_gmm
 from .itml import (
     ConstraintConfig,
     ConstraintSet,
@@ -26,7 +26,7 @@ from .pipeline import (
     leave_one_out,
     run_estimation,
 )
-from .schema import COLUMNS, MOVEMENTS, encode_categoricals
+from .schema import COLUMNS, MOVEMENTS
 from .synth import generate_synthetic_network, label_coefficients
 from .tree import RegressionTree, fit_tree
 

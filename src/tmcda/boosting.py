@@ -23,17 +23,12 @@ as adding one tree's output at a time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 from .tree import _LEAF, RegressionTree, SplitPlan, fit_tree
-
-MODEL_FORMAT = "boosted-model"
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -250,31 +245,3 @@ def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     terms = np.concatenate([np.full((1, len(X)), model.f0), table.contribution[node]])
     return np.cumsum(terms, axis=0)[-1]
 
-
-def save_model(model: BoostedModel, path: str | Path) -> None:
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "f0": model.f0,
-        "shrinkage": model.shrinkage,
-        "alpha": model.alpha,
-        "n_features": model.n_features,
-        "stages": [{"gamma": g, "tree": t.to_dict()} for g, t in model.stages],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> BoostedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model file: {payload.get('format')!r} v{payload.get('version')!r}")
-    stages = tuple(
-        (float(s["gamma"]), RegressionTree.from_dict(s["tree"])) for s in payload["stages"]
-    )
-    return BoostedModel(
-        f0=float(payload["f0"]),
-        stages=stages,
-        shrinkage=float(payload["shrinkage"]),
-        alpha=float(payload["alpha"]),
-        n_features=int(payload["n_features"]),
-    )

@@ -88,16 +88,6 @@ def _chol_log_density(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
     return -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
 
 
-def gaussian_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    """Multivariate normal density at x, evaluated in log space for stability."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if x.shape != mean.shape or cov.shape != (len(mean), len(mean)):
-        raise GMMError("dimension mismatch between mean, covariance and point")
-    return float(np.exp(_chol_log_density(x[None, :], mean, cov)[0]))
-
-
 def _log_responsibilities(X, weights, means, covs) -> tuple[np.ndarray, float]:
     """Log posterior membership per row and the total log-likelihood."""
     n, K = len(X), len(weights)
@@ -107,12 +97,6 @@ def _log_responsibilities(X, weights, means, covs) -> tuple[np.ndarray, float]:
     top = log_p.max(axis=1, keepdims=True)
     log_norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
     return log_p - log_norm[:, None], float(log_norm.sum())
-
-
-def responsibilities(X: np.ndarray, model: GaussianMixture) -> np.ndarray:
-    """Posterior component memberships; rows sum to one."""
-    log_r, _ = _log_responsibilities(X, model.weights, model.means, model.covariances)
-    return np.exp(log_r)
 
 
 def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:

@@ -86,6 +86,11 @@ def logdet_divergence(A: np.ndarray, A0: np.ndarray) -> float:
     A0 = check_metric(A0)
     if A.shape != A0.shape:
         raise MetricError("metrics must share a dimension")
+    return _logdet_divergence(A, A0)
+
+
+def _logdet_divergence(A: np.ndarray, A0: np.ndarray) -> float:
+    """``logdet_divergence`` for metrics already checked, of one dimension."""
     n = A.shape[0]
     M = np.linalg.solve(A0, A)
     sign, logdet = np.linalg.slogdet(M)
@@ -260,11 +265,12 @@ def fit_itml(
     ``tol``. A constraint whose distance p under the current metric is below
     1e-12 is skipped for that projection, with a warning the first time; a
     nonpositive slack aborts with a state dump. Every pass checks that A is
-    still symmetric positive-definite (a Cholesky factorization, through
-    ``logdet_divergence``), and so does the end of the fit. A projection
-    with alpha exactly 0 leaves A as it is without forming the update (see
-    the module docstring for why that is exact). ``gamma`` must be > 0,
-    ``tol`` >= 0 and ``max_passes`` >= 1; NaN is rejected.
+    still symmetric positive-definite (a Cholesky factorization), and so
+    does the end of the fit; the fixed prior ``A0`` is checked once, at the
+    start, not on every pass. A projection with alpha exactly 0 leaves A as
+    it is without forming the update (see the module docstring for why that
+    is exact). ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` >= 1;
+    NaN is rejected.
     """
     X = np.asarray(X, dtype=float)
     q = X.shape[1]
@@ -346,7 +352,8 @@ def fit_itml(
         )
         result.dual_changes.append(max_dual_change)
         result.violations.append(viol)
-        result.divergences.append(logdet_divergence(A, A0))
+        check_metric(A)
+        result.divergences.append(_logdet_divergence(A, A0))    # A0 was checked once, above
         result.objectives.append(result.divergences[-1] + gamma * _slack_divergence(xi_arr, xi0_arr))
         result.dual_objectives.append(
             result.objectives[-1] + float(np.sum(lam_arr * delta_arr * (dists - xi_arr)))

@@ -102,6 +102,7 @@ def fit_lasso(
     Iterates full sweeps until the maximum standardized-coefficient change in
     a sweep drops below ``tol``. A run that exhausts ``max_sweeps`` is
     returned with ``converged=False`` and a warning, never silently.
+    ``tol`` must be > 0 (NaN is rejected) and ``max_sweeps`` >= 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -111,6 +112,10 @@ def fit_lasso(
         raise ValueError("need at least 2 rows")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in inputs")
 
@@ -265,7 +270,8 @@ def cross_validate_lambda(
     standardized training rows; all grid points are scored on the
     validation rows at once. Ties resolve to the largest (sparsest) lambda.
     Fold assignment depends only on the seed, and fold results are
-    independent of evaluation order.
+    independent of evaluation order. ``n_folds`` must be >= 2 and
+    ``grid_size`` >= 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -275,6 +281,10 @@ def cross_validate_lambda(
         raise ValueError("non-finite values in inputs")
     if not 0.0 < lam_min_ratio <= 1.0:
         raise ValueError("lam_min_ratio must lie in (0, 1]")
+    if n_folds < 2:
+        raise ValueError(f"n_folds must be >= 2, got {n_folds}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     n = len(y)
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")

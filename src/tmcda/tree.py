@@ -31,10 +31,10 @@ to the valid candidates, without one, because the divided term is never
 -0.0.
 
 Prediction moves all rows down the node table one level per step, with the
-same ``x <= threshold`` rule the fit used. ``from_dict`` checks the table it
-is given (node 0 the root, every other node with exactly one parent, leaves
-without children), so a loaded tree cannot send a row round a cycle or off
-the table.
+same ``x <= threshold`` rule the fit used, until every row sits at a leaf.
+It relies on the table ``fit_tree`` builds: node 0 the root, every other
+node with exactly one parent, leaves without children. Nothing checks a
+table built by hand; one with a cycle would never finish.
 """
 
 from __future__ import annotations
@@ -96,44 +96,6 @@ class RegressionTree:
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionTree":
-        """Rebuild a tree from ``to_dict`` output; a malformed node table raises ValueError."""
-        tree = cls(
-            list(data["feature"]),
-            list(data["threshold"]),
-            list(data["left"]),
-            list(data["right"]),
-            list(data["value"]),
-            int(data["max_depth"]),
-            int(data["min_samples_leaf"]),
-        )
-        _check_table(tree)
-        return tree
-
-
-def _check_table(tree: RegressionTree) -> None:
-    """Node 0 is the root, and every other node has exactly one parent.
-
-    So the path from the root through any inner node's children never
-    revisits a node and ends at a leaf.
-    """
-    n = tree.n_nodes
-    if n < 1 or any(len(column) != n for column in (tree.threshold, tree.left, tree.right, tree.value)):
-        raise ValueError("tree node table: lists must be nonempty and of equal length")
-    feature, left, right = np.array(tree.feature), np.array(tree.left), np.array(tree.right)
-    leaf = feature == _LEAF
-    if np.any(feature < _LEAF):
-        raise ValueError("tree node table: a feature index is below -1")
-    if np.any(left[leaf] != _LEAF) or np.any(right[leaf] != _LEAF):
-        raise ValueError("tree node table: a leaf has children")
-    children = np.concatenate([left[~leaf], right[~leaf]])
-    if np.any((children < 0) | (children >= n)):
-        raise ValueError("tree node table: a child index is out of range")
-    parents = np.bincount(children, minlength=n)
-    if parents[0] != 0 or np.any(parents[1:] != 1):
-        raise ValueError("tree node table: the root must have no parent and every other node exactly one")
 
 
 class _Node(NamedTuple):

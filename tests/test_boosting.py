@@ -1,6 +1,4 @@
-import json
-import tempfile
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +13,8 @@ from tmcda.boosting import (
     compute_gamma,
     fit_gbbw,
     fit_gradient_boosting,
-    load_model,
     predict,
     pseudo_residuals,
-    save_model,
 )
 
 from _oracles import reference_ensemble_predict, reference_tree, straight_line_gbbw
@@ -188,48 +184,6 @@ def test_boundary_validation():
     assert model.n_stages == 3
 
 
-def test_model_serialization_round_trip(tmp_path):
-    Xs, ys, Xt, yt = _two_domain_problem(13)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=8, max_depth=3, alpha=0.25))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    clone = load_model(path)
-    probe = np.vstack([Xs, Xt])
-    assert np.array_equal(predict(model, probe), predict(clone, probe))
-    assert clone.alpha == model.alpha
-    assert "loss" not in json.loads(path.read_text())
-
-    # files written while models still recorded a loss name load unchanged
-    payload = json.loads(path.read_text())
-    payload["loss"] = "squared"
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(payload))
-    assert np.array_equal(predict(load_model(old), probe), predict(model, probe))
-
-    payload = path.read_text().replace('"version": 1', '"version": 99')
-    bad = tmp_path / "bad.json"
-    bad.write_text(payload)
-    with pytest.raises(ValueError, match="unsupported"):
-        load_model(bad)
-
-
-@pytest.mark.parametrize("column, node, child", [("left", 1, 0), ("right", 0, 99)])
-def test_load_model_rejects_a_malformed_tree(tmp_path, column, node, child):
-    # Nodes 0 and 1 pointing at each other would send predict round a cycle;
-    # child 99 points off the table.
-    Xs, ys, Xt, yt = _two_domain_problem(13)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    payload = json.loads(path.read_text())
-    tree = payload["stages"][0]["tree"]
-    assert tree["feature"][0] != -1 and tree["feature"][1] != -1
-    tree[column][node] = child
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="tree node table"):
-        load_model(path)
-
-
 def test_predict_validates_dimensions():
     Xs, ys, Xt, yt = _two_domain_problem(14)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=2, alpha=0.5))
@@ -266,37 +220,28 @@ def test_predict_never_calls_tree_predict(monkeypatch):
     assert calls == []
 
 
-def _saved(tmp_path, model, edit):
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    payload = json.loads(path.read_text())
-    for stage in payload["stages"]:
-        edit(stage["tree"])
-    path.write_text(json.dumps(payload))
-    return path
+def _with_trees(model, edit):
+    """``model`` with every stage's tree passed through ``edit``, built by hand."""
+    return BoostedModel(f0=model.f0, stages=tuple((gamma, edit(tree)) for gamma, tree in model.stages),
+                        shrinkage=model.shrinkage, alpha=model.alpha, n_features=model.n_features)
 
 
-def test_load_model_rejects_a_split_on_a_feature_past_n_features(tmp_path):
+def test_a_model_that_splits_past_n_features_is_rejected():
     Xs, ys, Xt, yt = _two_domain_problem(13)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
     assert model.n_features == 3 and model.stages[0][1].feature[0] != -1
 
     def split_on_feature_7(tree):
-        if tree["feature"][0] != -1:
-            tree["feature"][0] = 7
+        return replace(tree, feature=[7 if f != -1 else f for f in tree.feature])
 
     with pytest.raises(ValueError, match="n_features"):
-        load_model(_saved(tmp_path, model, split_on_feature_7))
+        _with_trees(model, split_on_feature_7)
 
 
-def test_predict_does_not_trust_the_trees_max_depth(tmp_path):
+def test_predict_does_not_trust_the_trees_max_depth():
     Xs, ys, Xt, yt = _two_domain_problem(13)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=3, alpha=0.5))
-
-    def understate_depth(tree):
-        tree["max_depth"] = 0
-
-    clone = load_model(_saved(tmp_path, model, understate_depth))
+    clone = _with_trees(model, lambda tree: replace(tree, max_depth=0))
     assert all(tree.max_depth == 0 for _, tree in clone.stages)
     probe = np.vstack([Xs, Xt])
     assert np.array_equal(predict(clone, probe), reference_ensemble_predict(model, probe))
@@ -339,11 +284,6 @@ def test_predict_equals_the_stage_by_stage_reference_bit_for_bit(case):
     model, X = case
     expected = reference_ensemble_predict(model, X).tobytes()
     assert predict(model, X).tobytes() == expected
-    with tempfile.TemporaryDirectory() as tmp:
-        save_model(model, Path(tmp) / "model.json")
-        clone = load_model(Path(tmp) / "model.json")
-    assert predict(clone, X).tobytes() == expected
-    assert reference_ensemble_predict(clone, X).tobytes() == expected
 
 
 _CELLS = (

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcda import itml
 from tmcda.boosting import TrainConfig
 from tmcda.dataset import split_domains
 from tmcda.itml import (
@@ -518,6 +519,16 @@ def test_fit_rejects_invalid_arguments(kwargs):
     C = ConstraintSet(((0, 1),), ((0, 2),), u=1.0, l=2.0)
     with pytest.raises(MetricError, match=next(iter(kwargs))):
         fit_itml(X, C, **kwargs)
+
+
+def test_fit_checks_the_prior_once_and_the_metric_once_per_pass(monkeypatch):
+    calls = []
+    original = itml.check_metric
+    monkeypatch.setattr(itml, "check_metric", lambda A: calls.append(1) or original(A))
+    X, _, C = _random_instance(10)
+    result = fit_itml(X, C, max_passes=50, tol=1e-4)
+    assert result.n_passes > 1
+    assert len(calls) == result.n_passes + 2    # the prior, each pass's A, the final A
 
 
 def test_constraint_config_rejects_negative_cap_and_empty_sample():

@@ -161,6 +161,16 @@ def test_input_validation():
         fit_lasso(X[:1], y[:1], 0.1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(max_sweeps=0), dict(max_sweeps=-1),
+    dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
+], ids=repr)
+def test_fit_rejects_invalid_tol_and_max_sweeps(kwargs):
+    X, y = _random_problem(9)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        fit_lasso(X, y, 0.1, **kwargs)
+
+
 def test_cross_validation_deterministic_and_sane():
     X, y = _random_problem(10, n=70)
     lam_a, grid_a, err_a = cross_validate_lambda(X, y, seed=5, grid_size=20)
@@ -276,7 +286,16 @@ def test_cross_validation_input_validation():
     with pytest.raises(ValueError, match="lam_min_ratio"):
         cross_validate_lambda(X, y, lam_min_ratio=2.0)
     with pytest.raises(ValueError, match="training rows"):
-        cross_validate_lambda(X, y, n_folds=1)
+        cross_validate_lambda(X[:3], y[:3], n_folds=2)    # folds of 2 and 1 rows
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_folds=1), dict(n_folds=0), dict(grid_size=0), dict(grid_size=-3),
+], ids=repr)
+def test_cross_validation_rejects_too_few_folds_or_grid_points(kwargs):
+    X, y = _random_problem(11)
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >="):
+        cross_validate_lambda(X, y, **kwargs)
 
 
 def test_coefficient_report_layout():

@@ -163,15 +163,6 @@ def test_a_plan_built_for_other_inputs_is_rejected():
         fit_tree(X, r, w, 3, 3, plan=plan)
 
 
-def test_serialization_round_trip():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((30, 2))
-    r = rng.standard_normal(30)
-    tree = fit_tree(X, r, np.ones(30), max_depth=3)
-    clone = RegressionTree.from_dict(tree.to_dict())
-    assert np.array_equal(tree.predict(X), clone.predict(X))
-
-
 _NEXT = np.nextafter(1.0, 2.0)
 _COLUMNS = (
     st.sampled_from([0.0, 1.0, 2.0]),                          # heavy ties
@@ -251,24 +242,4 @@ def test_predict_equals_walking_each_row_down_the_table(case):
             node = table.left[node] if x[table.feature[node]] <= table.threshold[node] else table.right[node]
         walked.append(table.value[node])
     assert np.array_equal(table.predict(X), np.array(walked, dtype=float))
-    assert RegressionTree.from_dict(table.to_dict()).to_dict() == table.to_dict()
 
-
-def _stump():
-    return {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
-            "right": [2, -1, -1], "value": [0.0, 1.0, 2.0], "max_depth": 1, "min_samples_leaf": 1}
-
-
-@pytest.mark.parametrize("change, message", [
-    ({"value": [0.0, 1.0]}, "equal length"),
-    ({"feature": [], "threshold": [], "left": [], "right": [], "value": []}, "nonempty"),
-    ({"feature": [-2, -1, -1]}, "below -1"),
-    ({"left": [1, 2, -1]}, "leaf has children"),
-    ({"right": [99, -1, -1]}, "out of range"),
-    ({"left": [-1, -1, -1]}, "out of range"),
-    ({"left": [2, -1, -1]}, "exactly one"),               # node 2 has two parents, node 1 none
-    ({"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 2, -1]}, "exactly one"),   # 0 <-> 1
-])
-def test_from_dict_rejects_a_malformed_node_table(change, message):
-    with pytest.raises(ValueError, match=message):
-        RegressionTree.from_dict({**_stump(), **change})
