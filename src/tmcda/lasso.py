@@ -16,13 +16,17 @@ solution of f is piecewise linear in lambda (Osborne, Presnell & Turlach
 2000; Efron, Hastie, Johnstone & Tibshirani 2004), so each CV fold follows
 the exact homotopy path from lambda_max down the grid: between consecutive
 kinks, where a column enters or leaves the active set, the active
-coefficients are one linear solve in the Gram matrix ``G = Z'Z/n``, and
-every grid point on a segment is read off that segment exactly. The path has
-no convergence tolerance; coordinate descent remains the final fit.
+coefficients are affine in lambda, and every grid point on a segment is read
+off that segment exactly. Each kink makes exactly one linear solve in the
+active block of the Gram matrix ``G = Z'Z/n`` (an empty one while no column
+is active), with the segment's intercept, its slope and the inactive columns
+as its right-hand sides. The path has no convergence tolerance; coordinate
+descent remains the final fit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -102,7 +106,8 @@ def fit_lasso(
     Iterates full sweeps until the maximum standardized-coefficient change in
     a sweep drops below ``tol``. A run that exhausts ``max_sweeps`` is
     returned with ``converged=False`` and a warning, never silently.
-    ``tol`` must be > 0 (NaN is rejected) and ``max_sweeps`` >= 1.
+    ``lam`` must be >= 0 and ``tol`` > 0 (NaN is rejected for both), and
+    ``max_sweeps`` >= 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -110,8 +115,8 @@ def fit_lasso(
         raise ValueError(f"X shape {X.shape} incompatible with y length {len(y)}")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_sweeps < 1:
@@ -124,24 +129,24 @@ def fit_lasso(
     active = np.ones(p, dtype=bool)
     active[list(std.zero_variance)] = False
 
-    beta = np.zeros(p)
+    columns = [(j, Z[:, j]) for j in range(p) if active[j]]
+    beta = [0.0] * p
     r = yc.copy()
     trace = []
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         max_delta = 0.0
-        for j in range(p):
-            if not active[j]:
-                continue
+        for j, z in columns:
             old = beta[j]
-            rho = Z[:, j] @ r / n + old
-            new = np.sign(rho) * max(abs(rho) - lam, 0.0)
+            rho = float(z @ r) / n + old
+            # Soft threshold; a negative rho shrunk to zero gives -0.0.
+            new = math.copysign(max(abs(rho) - lam, 0.0), rho) if rho != 0.0 else 0.0
             if new != old:
-                r -= (new - old) * Z[:, j]
+                r -= (new - old) * z
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        trace.append(_objective(Z, yc, beta, lam))
+        trace.append(_objective(Z, yc, np.array(beta), lam))
         if max_delta < tol:
             converged = True
             break
@@ -152,6 +157,7 @@ def fit_lasso(
             RuntimeWarning,
         )
 
+    beta = np.array(beta)
     coef = np.where(active, beta / std.x_std, 0.0)
     intercept = std.y_mean - float(coef @ std.x_mean)
     selected = tuple(int(j) for j in np.flatnonzero(beta != 0.0))
@@ -180,6 +186,9 @@ _SPAN_RTOL = 1e-10
 # Kinks are O(p) in practice; reaching this many means the path is cycling.
 _MAX_KINKS = 10_000
 
+# The two signs a correlation can reach the penalty with, as a column.
+_SIGNS = np.array([[1.0], [-1.0]])
+
 
 def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Standardized lasso solutions at each point of a descending ``grid``.
@@ -190,69 +199,77 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
     ``G_AA b = s_A`` (the active signs), and each inactive correlation is
     affine in lam; the next kink is the largest lam at which an inactive
     correlation reaches the penalty or an active coefficient reaches zero.
+    A kink makes one solve in ``G_AA``, for ``a``, ``b`` and the inactive
+    columns' projections ``G_AA^-1 G_AI`` at once.
     A column that entered at the last kink cannot leave at the next one, nor
     can one that left re-enter with the same sign: in exact arithmetic
     neither happens, and rounding must not make the path cycle.
     """
     p = len(c)
     coefs = np.zeros((len(grid), p))
+    lams = grid.tolist()
+    diag = np.diagonal(G).copy()
     active: list[int] = []
     signs: list[float] = []
+    is_active = np.zeros(p, dtype=bool)
     filled = 0
     entered = dropped = -1
     dropped_sign = 0.0
     for _ in range(_MAX_KINKS):
         A = np.array(active, dtype=np.intp)
-        G_AA = G[np.ix_(A, A)]
-        a, b = _solve(G_AA, np.column_stack([c[A], signs])).T
-        inactive = np.setdiff1d(np.arange(p), A)
-        G_AI = G[np.ix_(A, inactive)]
-        G_II = G[inactive, inactive]
+        inactive = np.flatnonzero(~is_active)
+        G_AI = G[A[:, None], inactive]
+        G_II = diag[inactive]
+        # One solve for a, b and G_AA^-1 G_AI (all empty while A is).
+        sol = np.linalg.solve(G[A[:, None], A], np.column_stack([c[A], signs, G_AI]))
+        a, b, proj = sol[:, 0], sol[:, 1], sol[:, 2:]
         # Inactive correlations along the segment: c_I - G_IA beta_A = alpha + lam * delta.
         alpha = c[inactive] - G_AI.T @ a
         delta = G_AI.T @ b
-        schur = G_II - np.einsum("ij,ij->j", G_AI, _solve(G_AA, G_AI))
+        schur = G_II - np.einsum("ij,ij->j", G_AI, proj)
         eligible = schur > _SPAN_RTOL * G_II
 
         # A correlation reaches +-lam where s * (alpha + lam * delta) = lam.
+        # Row 0 holds s = +1, row 1 s = -1; of equal hits the +1 one is taken.
         best_in, best_j, best_s = 0.0, -1, 0.0
-        for s in (1.0, -1.0):
-            slope = 1.0 - s * delta
-            ok = eligible & (slope > 0.0) & ~((inactive == dropped) & (s == dropped_sign))
-            hits = np.full(len(inactive), -np.inf)
-            hits[ok] = s * alpha[ok] / slope[ok]
-            if len(hits) and hits.max() > best_in:
-                k = int(np.argmax(hits))
-                best_in, best_j, best_s = float(hits[k]), int(inactive[k]), s
+        if len(inactive):
+            slope = 1.0 - _SIGNS * delta
+            ok = eligible & (slope > 0.0)
+            if dropped >= 0:
+                ok[0 if dropped_sign > 0.0 else 1] &= inactive != dropped
+            hits = np.divide(_SIGNS * alpha, slope, out=np.full(slope.shape, -np.inf), where=ok)
+            row, k = divmod(int(hits.argmax()), len(inactive))
+            if hits[row, k] > 0.0:
+                best_in, best_j, best_s = float(hits[row, k]), int(inactive[k]), -1.0 if row else 1.0
         # An active coefficient reaches zero where a = lam * b, if it moves
         # toward zero as lam falls.
         best_out, best_k = 0.0, -1
         if active:
             shrinking = (b * np.asarray(signs) < 0.0) & (A != entered)
-            hits = np.full(len(active), -np.inf)
-            hits[shrinking] = a[shrinking] / b[shrinking]
-            if hits.max() > best_out:
-                best_k = int(np.argmax(hits))
-                best_out = float(hits[best_k])
+            hits = np.divide(a, b, out=np.full(len(active), -np.inf), where=shrinking)
+            k = int(hits.argmax())
+            if hits[k] > best_out:
+                best_k, best_out = k, float(hits[k])
 
         kink = max(best_in, best_out)
-        while filled < len(grid) and grid[filled] >= kink:
-            coefs[filled, A] = a - grid[filled] * b
-            filled += 1
-        if filled == len(grid) or kink <= 0.0:
+        stop = filled
+        while stop < len(lams) and lams[stop] >= kink:
+            stop += 1
+        if stop > filled:
+            coefs[filled:stop, A] = a - grid[filled:stop, None] * b
+        filled = stop
+        if filled == len(lams) or kink <= 0.0:
             return coefs
 
         if best_in >= best_out:
             active.append(best_j)
             signs.append(best_s)
+            is_active[best_j] = True
             entered, dropped = best_j, -1
         else:
             dropped, dropped_sign, entered = active.pop(best_k), signs.pop(best_k), -1
+            is_active[dropped] = False
     raise RuntimeError(f"lasso path did not reach the end of the grid in {_MAX_KINKS} kinks")
-
-
-def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(M, rhs) if len(M) else np.zeros_like(rhs)
 
 
 def cross_validate_lambda(
@@ -296,11 +313,13 @@ def cross_validate_lambda(
     folds = np.array_split(order, n_folds)
     errors = np.zeros((n_folds, grid_size))
     for f, val_idx in enumerate(folds):
-        train = np.setdiff1d(order, val_idx)
-        if len(train) < 2:
+        train = np.ones(n, dtype=bool)
+        train[val_idx] = False
+        n_train = n - len(val_idx)
+        if n_train < 2:
             raise ValueError("need at least 2 training rows per fold")
         Z, yc, std = _standardize(X[train], y[train])
-        coefs = _lasso_path(Z.T @ Z / len(train), Z.T @ yc / len(train), grid)
+        coefs = _lasso_path(Z.T @ Z / n_train, Z.T @ yc / n_train, grid)
         # Zero-variance columns have unit scale and zero coefficients here.
         Z_val = (X[val_idx] - std.x_mean) / std.x_std
         resid = (y[val_idx] - std.y_mean)[:, None] - Z_val @ coefs.T

@@ -57,6 +57,146 @@ def subgradient_violation(Z, yc, beta, lam):
 
 
 # ---------------------------------------------------------------------------
+# Reference lasso solvers: the homotopy path with np.ix_ gathers, a
+# setdiff1d inactive set, two solves per kink and one grid row at a time;
+# coordinate descent on a numpy coefficient vector with np.sign. The
+# library's ``_lasso_path``, ``fit_lasso`` and ``cross_validate_lambda``
+# must return the same bytes, the sign of every zero included.
+
+
+def _reference_solve(M, rhs):
+    return np.linalg.solve(M, rhs) if len(M) else np.zeros_like(rhs)
+
+
+def reference_lasso_path(G, c, grid):
+    from tmcda.lasso import _MAX_KINKS, _SPAN_RTOL
+
+    p = len(c)
+    coefs = np.zeros((len(grid), p))
+    active = []
+    signs = []
+    filled = 0
+    entered = dropped = -1
+    dropped_sign = 0.0
+    for _ in range(_MAX_KINKS):
+        A = np.array(active, dtype=np.intp)
+        G_AA = G[np.ix_(A, A)]
+        a, b = _reference_solve(G_AA, np.column_stack([c[A], signs])).T
+        inactive = np.setdiff1d(np.arange(p), A)
+        G_AI = G[np.ix_(A, inactive)]
+        G_II = G[inactive, inactive]
+        alpha = c[inactive] - G_AI.T @ a
+        delta = G_AI.T @ b
+        schur = G_II - np.einsum("ij,ij->j", G_AI, _reference_solve(G_AA, G_AI))
+        eligible = schur > _SPAN_RTOL * G_II
+
+        best_in, best_j, best_s = 0.0, -1, 0.0
+        for s in (1.0, -1.0):
+            slope = 1.0 - s * delta
+            ok = eligible & (slope > 0.0) & ~((inactive == dropped) & (s == dropped_sign))
+            hits = np.full(len(inactive), -np.inf)
+            hits[ok] = s * alpha[ok] / slope[ok]
+            if len(hits) and hits.max() > best_in:
+                k = int(np.argmax(hits))
+                best_in, best_j, best_s = float(hits[k]), int(inactive[k]), s
+        best_out, best_k = 0.0, -1
+        if active:
+            shrinking = (b * np.asarray(signs) < 0.0) & (A != entered)
+            hits = np.full(len(active), -np.inf)
+            hits[shrinking] = a[shrinking] / b[shrinking]
+            if hits.max() > best_out:
+                best_k = int(np.argmax(hits))
+                best_out = float(hits[best_k])
+
+        kink = max(best_in, best_out)
+        while filled < len(grid) and grid[filled] >= kink:
+            coefs[filled, A] = a - grid[filled] * b
+            filled += 1
+        if filled == len(grid) or kink <= 0.0:
+            return coefs
+
+        if best_in >= best_out:
+            active.append(best_j)
+            signs.append(best_s)
+            entered, dropped = best_j, -1
+        else:
+            dropped, dropped_sign, entered = active.pop(best_k), signs.pop(best_k), -1
+    raise RuntimeError(f"lasso path did not reach the end of the grid in {_MAX_KINKS} kinks")
+
+
+def reference_cross_validate_lambda(X, y, n_folds, grid_size, lam_min_ratio, seed):
+    """``(lambda, mean_err)`` of ``cross_validate_lambda`` on valid inputs, setdiff1d folds."""
+    from tmcda.lasso import _standardize, lambda_max
+
+    n = len(y)
+    lam_hi = lambda_max(X, y)
+    if lam_hi == 0.0:
+        return 0.0, np.zeros(1)
+    grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
+    order = np.random.default_rng(seed).permutation(n)
+    errors = np.zeros((n_folds, grid_size))
+    for f, val_idx in enumerate(np.array_split(order, n_folds)):
+        train = np.setdiff1d(order, val_idx)
+        Z, yc, std = _standardize(X[train], y[train])
+        coefs = reference_lasso_path(Z.T @ Z / len(train), Z.T @ yc / len(train), grid)
+        Z_val = (X[val_idx] - std.x_mean) / std.x_std
+        resid = (y[val_idx] - std.y_mean)[:, None] - Z_val @ coefs.T
+        errors[f] = np.mean(resid * resid, axis=0)
+    mean_err = errors.mean(axis=0)
+    return float(grid[int(np.argmin(mean_err))]), mean_err
+
+
+def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000):
+    """The ``LassoModel`` that ``fit_lasso`` returns on valid inputs, without its warning."""
+    from tmcda.lasso import LassoModel, _objective, _standardize
+
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    Z, yc, std = _standardize(X, y)
+    active = np.ones(p, dtype=bool)
+    active[list(std.zero_variance)] = False
+
+    beta = np.zeros(p)
+    r = yc.copy()
+    trace = []
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for j in range(p):
+            if not active[j]:
+                continue
+            old = beta[j]
+            rho = Z[:, j] @ r / n + old
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0)
+            if new != old:
+                r -= (new - old) * Z[:, j]
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        trace.append(_objective(Z, yc, beta, lam))
+        if max_delta < tol:
+            converged = True
+            break
+
+    coef = np.where(active, beta / std.x_std, 0.0)
+    intercept = std.y_mean - float(coef @ std.x_mean)
+    selected = tuple(int(j) for j in np.flatnonzero(beta != 0.0))
+    return LassoModel(
+        intercept=intercept,
+        coef=coef,
+        coef_std=beta,
+        lam=lam,
+        selected=selected,
+        objective_value=trace[-1],
+        converged=converged,
+        n_sweeps=sweeps,
+        objective_trace=tuple(trace),
+        standardization=std,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Percentiles (sort + linear interpolation, independent of numpy.percentile)
 
 

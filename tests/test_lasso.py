@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,15 @@ from tmcda.lasso import (
 )
 from tmcda.synth import generate_synthetic_network
 
-from _oracles import l1_objective, proximal_gradient_lasso, standardize, subgradient_violation
+from _oracles import (
+    l1_objective,
+    proximal_gradient_lasso,
+    reference_cross_validate_lambda,
+    reference_fit_lasso,
+    reference_lasso_path,
+    standardize,
+    subgradient_violation,
+)
 
 
 def _random_problem(seed, n=50, p=5, noise=0.5):
@@ -157,6 +167,8 @@ def test_input_validation():
         fit_lasso(np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0]]), np.ones(3), 0.1)
     with pytest.raises(ValueError):
         fit_lasso(X, y, -0.5)
+    with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
+        fit_lasso(X, y, float("nan"))
     with pytest.raises(ValueError):
         fit_lasso(X[:1], y[:1], 0.1)
 
@@ -275,6 +287,78 @@ def test_path_optimal_on_random_small_problems(n, p, seed, degeneracy):
         return
     worst, _ = _path_kkt_violation(X, y, lam_hi * np.logspace(0.0, -3.0, 25))
     assert worst <= 1e-9
+
+
+@st.composite
+def _degenerate_problems(draw):
+    """Rows with duplicate, affine and constant columns, values rounded to 1 decimal."""
+    n = draw(st.integers(6, 40))
+    p = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p), 1)
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "affine", "constant"]), max_size=4)):
+        i, j = rng.integers(p, size=2)
+        if kind == "duplicate":
+            X[:, j] = X[:, i]
+        elif kind == "affine":
+            X[:, j] = np.round(-3.0 * X[:, i] + 2.0, 1)
+        else:
+            X[:, j] = 1.5
+    y = np.round(X @ rng.standard_normal(p) + rng.standard_normal(n), 1)
+    return X, y
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_degenerate_problems(), st.sampled_from([0.1, 1e-3, 1e-5]), st.sampled_from([1, 2, 25, 50]),
+       st.integers(0, 2**32 - 1))
+def test_path_and_cross_validation_equal_the_reference_bit_for_bit(problem, lam_min_ratio, grid_size, seed):
+    X, y = problem
+    lam_hi = lambda_max(X, y)
+    Z, yc, _ = _standardize(X, y)
+    G, c = Z.T @ Z / len(y), Z.T @ yc / len(y)
+    grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
+    assert _bits(_lasso_path(G, c, grid)) == _bits(reference_lasso_path(G, c, grid))
+    lam, _, mean_err = cross_validate_lambda(X, y, grid_size=grid_size, lam_min_ratio=lam_min_ratio, seed=seed)
+    expected_lam, expected_err = reference_cross_validate_lambda(X, y, 5, grid_size, lam_min_ratio, seed)
+    assert _bits(lam) == _bits(expected_lam)
+    assert _bits(mean_err) == _bits(expected_err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_degenerate_problems(), st.sampled_from([1.0, 0.3, 0.05, 1e-3, 1e-5, 0.0]),
+       st.sampled_from([1e-8, 1e-12]), st.sampled_from([1, 3, 500]))
+def test_fit_equals_the_reference_coordinate_descent_bit_for_bit(problem, fraction, tol, max_sweeps):
+    X, y = problem
+    lam = fraction * lambda_max(X, y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_lasso(X, y, lam, tol=tol, max_sweeps=max_sweeps)
+    expected = reference_fit_lasso(X, y, lam, tol=tol, max_sweeps=max_sweeps)
+    assert len(caught) == (not expected.converged)
+    assert _bits(model.coef) == _bits(expected.coef)
+    assert _bits(model.coef_std) == _bits(expected.coef_std)
+    assert _bits(model.intercept) == _bits(expected.intercept)
+    assert _bits(model.objective_trace) == _bits(expected.objective_trace)
+    assert model.objective_value == expected.objective_value
+    assert (model.selected, model.n_sweeps, model.converged) == (
+        expected.selected, expected.n_sweeps, expected.converged)
+
+
+def test_fit_keeps_the_negative_zero_of_a_coefficient_that_left_from_below():
+    # Column 0 enters negative in the first sweep and leaves in a later one; its
+    # soft threshold of a negative rho is -0.0, which the report prints as -0.0000.
+    X = np.array([[2.0, -3.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [-1.0, 1.0]])
+    y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+    lam = 0.5 * lambda_max(X, y)
+    model = fit_lasso(X, y, lam)
+    assert model.coef_std[0] == 0.0 and np.signbit(model.coef_std[0])
+    assert f"{model.coef[0]:.4f}" == "-0.0000"
+    assert model.selected == (1,)
+    assert _bits(model.coef_std) == _bits(reference_fit_lasso(X, y, lam).coef_std)
 
 
 def test_cross_validation_input_validation():
