@@ -15,7 +15,7 @@ A model stacks its trees once, when it is constructed: one node table with
 every stage's nodes laid end to end, children renumbered into it, each leaf
 its own child, and each node's stage contribution (shrinkage * gamma) *
 value. ``predict`` walks all (stage, row) pairs down that table at once, one
-level per step, until each sits at a leaf; the table, not the trees'
+level per step, until each sits at a leaf; the table, not the config's
 ``max_depth``, decides when the walk ends. A cumulative sum along the stage
 axis then adds f0 and the contributions in stage order, the same additions
 as adding one tree's output at a time.

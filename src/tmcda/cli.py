@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -134,8 +135,8 @@ def cmd_synth(args) -> int:
 
 def cmd_select(args) -> int:
     _check_seed(args.seed)
-    if not args.lambda_value >= 0:  # NaN too
-        raise ValidationFailure(f"--lambda-value must be >= 0, got {args.lambda_value}")
+    if not 0 <= args.lambda_value < math.inf:  # NaN too
+        raise ValidationFailure(f"--lambda-value must be finite and >= 0, got {args.lambda_value}")
     try:
         data = load_table(args.data)
     except (DataError, OSError) as exc:

@@ -199,6 +199,8 @@ def load_table(path: str | Path) -> Dataset:
             if len(record) != len(header):
                 raise DataError(f"row {r}: expected {len(header)} cells, got {len(record)}")
             inter = record[pos["intersection_id"]].strip()
+            if inter == "":
+                raise DataError(f"row {r}: missing value in column 'intersection_id'")
             approach = record[pos["approach"]].strip()
             if approach not in APPROACHES:
                 raise DataError(f"row {r}: unknown approach {approach!r}")

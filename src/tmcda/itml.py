@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,7 +211,7 @@ def build_constraints(
     return ConstraintSet(tuple(map(tuple, similar)), tuple(map(tuple, dissimilar)), u, l)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ITMLResult:
     """Learned metric plus per-pass convergence diagnostics.
 
@@ -226,14 +226,14 @@ class ITMLResult:
     A: np.ndarray
     converged: bool
     n_passes: int
-    dual_changes: list[float] = field(default_factory=list)
-    violations: list[int] = field(default_factory=list)
-    divergences: list[float] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
-    dual_objectives: list[float] = field(default_factory=list)
-    skipped_pairs: list[tuple[int, int]] = field(default_factory=list)
-    final_xi: np.ndarray | None = None
-    final_lambda: np.ndarray | None = None
+    dual_changes: list[float]
+    violations: list[int]
+    divergences: list[float]
+    objectives: list[float]
+    dual_objectives: list[float]
+    skipped_pairs: list[tuple[int, int]]
+    final_xi: np.ndarray
+    final_lambda: np.ndarray
 
 
 def _slack_divergence(xi: np.ndarray, xi0: np.ndarray) -> float:
@@ -284,26 +284,26 @@ def fit_itml(
     if max_passes < 1:
         raise MetricError(f"max_passes must be >= 1, got {max_passes}")
 
-    A = (A0 + A0.T) / 2.0   # exactly A0 when A0 is exactly symmetric
-    result = ITMLResult(A=A, converged=False, n_passes=0)
     entries = [(i, j, 1.0) for (i, j) in constraints.similar] + [
         (i, j, -1.0) for (i, j) in constraints.dissimilar
     ]
     if not entries:
-        result.A = A0.copy()
-        result.converged = True
-        result.final_xi = np.empty(0)
-        result.final_lambda = np.empty(0)
-        return result
+        return ITMLResult(
+            A=A0.copy(), converged=True, n_passes=0, dual_changes=[], violations=[], divergences=[],
+            objectives=[], dual_objectives=[], skipped_pairs=[], final_xi=np.empty(0), final_lambda=np.empty(0),
+        )
 
+    A = (A0 + A0.T) / 2.0   # exactly A0 when A0 is exactly symmetric
     m = len(entries)
-    V = np.stack([X[i] - X[j] for (i, j, _) in entries])
+    I, J = np.array([(i, j) for (i, j, _) in entries]).T
+    V = X[I] - X[J]
     deltas = [d for (_, _, d) in entries]
     xi0 = [float(constraints.u) if d > 0 else float(constraints.l) for d in deltas]
     xi = list(xi0)
     lam = [0.0] * m
     delta_arr, xi0_arr = np.array(deltas), np.array(xi0)
-    skipped = set()
+    skipped, skipped_pairs = set(), []
+    dual_changes, violations, divergences, objectives, dual_objectives = [], [], [], [], []
 
     vs = list(V)
     vA, Av, outer = np.empty(q), np.empty(q), np.empty_like(A)
@@ -317,7 +317,7 @@ def fit_itml(
                 if (c not in skipped):
                     skipped.add(c)
                     i, j, _ = entries[c]
-                    result.skipped_pairs.append((i, j))
+                    skipped_pairs.append((i, j))
                     warnings.warn(
                         f"skipping constraint ({i}, {j}): zero distance under current metric",
                         RuntimeWarning,
@@ -350,23 +350,21 @@ def fit_itml(
             np.sum((delta_arr > 0) & (dists > xi_arr * (1 + tol)))
             + np.sum((delta_arr < 0) & (dists < xi_arr * (1 - tol)))
         )
-        result.dual_changes.append(max_dual_change)
-        result.violations.append(viol)
+        dual_changes.append(max_dual_change)
+        violations.append(viol)
         check_metric(A)
-        result.divergences.append(_logdet_divergence(A, A0))    # A0 was checked once, above
-        result.objectives.append(result.divergences[-1] + gamma * _slack_divergence(xi_arr, xi0_arr))
-        result.dual_objectives.append(
-            result.objectives[-1] + float(np.sum(lam_arr * delta_arr * (dists - xi_arr)))
-        )
-        result.n_passes = t
+        divergences.append(_logdet_divergence(A, A0))    # A0 was checked once, above
+        objectives.append(divergences[-1] + gamma * _slack_divergence(xi_arr, xi0_arr))
+        dual_objectives.append(objectives[-1] + float(np.sum(lam_arr * delta_arr * (dists - xi_arr))))
         if max_dual_change < tol:
-            result.converged = True
             break
 
-    result.A = check_metric(A)
-    result.final_xi = np.array(xi)
-    result.final_lambda = np.array(lam)
-    return result
+    return ITMLResult(
+        A=check_metric(A), converged=max_dual_change < tol, n_passes=t,
+        dual_changes=dual_changes, violations=violations, divergences=divergences,
+        objectives=objectives, dual_objectives=dual_objectives, skipped_pairs=skipped_pairs,
+        final_xi=np.array(xi), final_lambda=np.array(lam),
+    )
 
 
 def match_source_to_target(

@@ -64,10 +64,6 @@ class LassoModel:
     objective_trace: tuple[float, ...]
     standardization: StandardizationParams
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return self.intercept + X @ self.coef
-
 
 def _standardize(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, StandardizationParams]:
     x_mean = X.mean(axis=0)
@@ -106,8 +102,8 @@ def fit_lasso(
     Iterates full sweeps until the maximum standardized-coefficient change in
     a sweep drops below ``tol``. A run that exhausts ``max_sweeps`` is
     returned with ``converged=False`` and a warning, never silently.
-    ``lam`` must be >= 0 and ``tol`` > 0 (NaN is rejected for both), and
-    ``max_sweeps`` >= 1.
+    ``lam`` must be finite and >= 0, ``tol`` > 0 (NaN is rejected for both),
+    and ``max_sweeps`` >= 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,6 +113,8 @@ def fit_lasso(
         raise ValueError("need at least 2 rows")
     if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    if lam == math.inf:
+        raise ValueError("lambda must be finite, got inf")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_sweeps < 1:

@@ -12,6 +12,7 @@ evaluation and parameter sweeps wrap that single-fold routine.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -66,7 +67,7 @@ class LassoSettings:
         _require(self, (
             (self.lambda_mode in LAMBDA_MODES,
              f"lambda_mode must be one of {', '.join(LAMBDA_MODES)}, got {self.lambda_mode!r}"),
-            (self.lambda_value >= 0, f"lambda_value must be >= 0, got {self.lambda_value}"),
+            (0 <= self.lambda_value < math.inf, f"lambda_value must be finite and >= 0, got {self.lambda_value}"),
             (self.cv_folds >= 2, f"cv_folds must be >= 2, got {self.cv_folds}"),
             (self.cv_grid_size >= 1, f"cv_grid_size must be >= 1, got {self.cv_grid_size}"),
             (0 < self.lam_min_ratio <= 1, f"lam_min_ratio must lie in (0, 1], got {self.lam_min_ratio}"),

@@ -30,16 +30,19 @@ candidates and -inf at invalid ones: the same doubles as a division masked
 to the valid candidates, without one, because the divided term is never
 -0.0.
 
-Prediction moves all rows down the node table one level per step, with the
-same ``x <= threshold`` rule the fit used, until every row sits at a leaf.
-It relies on the table ``fit_tree`` builds: node 0 the root, every other
-node with exactly one parent, leaves without children. Nothing checks a
-table built by hand; one with a cycle would never finish.
+``fit_tree`` grows the node table depth first, left child first, so nodes
+are numbered in preorder and a split node's left child is the node right
+after it; the table becomes a frozen ``RegressionTree`` once, when the fit
+ends. Prediction moves all rows down the node table one level per step,
+with the same ``x <= threshold`` rule the fit used, until every row sits at
+a leaf. It relies on the table ``fit_tree`` builds: node 0 the root, every
+other node with exactly one parent, leaves without children. Nothing
+checks a table built by hand; one with a cycle would never finish.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,25 +50,15 @@ import numpy as np
 _LEAF = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegressionTree:
     """Flat node-table representation: node i is a leaf iff feature[i] == -1."""
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-    max_depth: int = 0
-    min_samples_leaf: int = 1
-
-    def _add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    value: tuple[float, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -93,8 +86,6 @@ class RegressionTree:
             "left": list(self.left),
             "right": list(self.right),
             "value": [float(v) for v in self.value],
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
         }
 
 
@@ -226,27 +217,31 @@ def fit_tree(
         )
     wr = w * r
 
-    tree = RegressionTree(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    # Depth first, left child first, so nodes are numbered in preorder.
-    pending = [(plan.root.member, 0, None, None)]    # (rows in the node, depth, parent, parent's child list)
+    feature, threshold, left, right, value = [], [], [], [], []
+    # Depth first, left child first, so nodes are numbered in preorder (see the module docstring).
+    pending = [(plan.root.member, 0, None)]    # (rows in the node, depth, parent if a right child)
     while pending:
-        member, depth, parent, children = pending.pop()
+        member, depth, right_of = pending.pop()
+        index = len(value)
+        if right_of is not None:
+            right[right_of] = index
         node = plan.root if depth == 0 else _node(
             plan.order, plan.xsorted, w, member, min_samples_leaf, depth < max_depth)
-        index = tree._add_node()
-        if parent is not None:
-            children[parent] = index
         total_wr = wr[member].sum()    # over the node's rows in ascending row order
-        tree.value[index] = float(total_wr / node.total_w)
+        value.append(float(total_wr / node.total_w))
         split = _best_split(node, wr, total_wr, min_samples_leaf) if depth < max_depth else None
         if split is None:
             if leaf_values is not None:
-                leaf_values[member] = tree.value[index]
-            continue
-        j, threshold = split
-        tree.feature[index] = j
-        tree.threshold[index] = threshold
-        go_left = X[:, j] <= threshold
-        pending.append((member & ~go_left, depth + 1, index, tree.right))
-        pending.append((member & go_left, depth + 1, index, tree.left))
-    return tree
+                leaf_values[member] = value[index]
+            j, t, left_child = _LEAF, 0.0, _LEAF
+        else:
+            j, t = split
+            left_child = index + 1
+            go_left = X[:, j] <= t
+            pending.append((member & ~go_left, depth + 1, index))
+            pending.append((member & go_left, depth + 1, None))
+        feature.append(j)
+        threshold.append(t)
+        left.append(left_child)
+        right.append(_LEAF)    # a split node's right child writes its index here when it is reached
+    return RegressionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))

@@ -522,7 +522,7 @@ def reference_tree(X, r, w, max_depth, min_samples_leaf):
         return node
 
     build(np.arange(len(X)), 0)
-    return {**table, "max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -232,45 +232,36 @@ def test_a_model_that_splits_past_n_features_is_rejected():
     assert model.n_features == 3 and model.stages[0][1].feature[0] != -1
 
     def split_on_feature_7(tree):
-        return replace(tree, feature=[7 if f != -1 else f for f in tree.feature])
+        return replace(tree, feature=tuple(7 if f != -1 else f for f in tree.feature))
 
     with pytest.raises(ValueError, match="n_features"):
         _with_trees(model, split_on_feature_7)
 
 
-def test_predict_does_not_trust_the_trees_max_depth():
-    Xs, ys, Xt, yt = _two_domain_problem(13)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=3, alpha=0.5))
-    clone = _with_trees(model, lambda tree: replace(tree, max_depth=0))
-    assert all(tree.max_depth == 0 for _, tree in clone.stages)
-    probe = np.vstack([Xs, Xt])
-    assert np.array_equal(predict(clone, probe), reference_ensemble_predict(model, probe))
-    assert not np.array_equal(predict(clone, probe), np.full(len(probe), model.f0))
-
-
 @st.composite
 def _models(draw):
-    """A model of 0-6 random trees of depth 0-4, whose max_depth fields say nothing,
-    and rows with NaN cells to route through it."""
+    """A model of 0-6 random trees of depth 0-4, and rows with NaN cells to route through it."""
     n_features = draw(st.integers(1, 3))
     cuts = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
     finite = st.floats(-1e3, 1e3, allow_nan=False)
 
-    def grow(tree, depth, limit):
-        node = tree._add_node()
-        tree.value[node] = draw(finite)
+    def grow(nodes, depth, limit):
+        """Append a subtree to ``nodes`` in preorder, as (feature, threshold, left, right, value) rows."""
+        index = len(nodes)
+        row = [-1, 0.0, -1, -1, draw(finite)]
+        nodes.append(row)
         if depth < limit and draw(st.booleans()):
-            tree.feature[node] = draw(st.integers(0, n_features - 1))
-            tree.threshold[node] = draw(cuts)
-            tree.left[node] = grow(tree, depth + 1, limit)
-            tree.right[node] = grow(tree, depth + 1, limit)
-        return node
+            row[0] = draw(st.integers(0, n_features - 1))
+            row[1] = draw(cuts)
+            row[2] = grow(nodes, depth + 1, limit)
+            row[3] = grow(nodes, depth + 1, limit)
+        return index
 
     stages = []
     for _ in range(draw(st.integers(0, 6))):
-        tree = RegressionTree(max_depth=draw(st.integers(0, 4)))
-        grow(tree, 0, draw(st.integers(0, 4)))
-        stages.append((draw(finite), tree))
+        nodes = []
+        grow(nodes, 0, draw(st.integers(0, 4)))
+        stages.append((draw(finite), RegressionTree(*zip(*nodes))))
     model = BoostedModel(f0=draw(finite), stages=tuple(stages), shrinkage=draw(st.floats(1e-3, 1.0)),
                          alpha=0.5, n_features=n_features)
     cell = cuts | st.just(float("nan"))

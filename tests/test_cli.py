@@ -361,6 +361,18 @@ def test_out_of_domain_setting_fails_at_load_with_validation_code(tmp_path, data
     assert "lambda_mode must be one of cv, fixed, fraction, got 'crossval'" in capsys.readouterr().err
 
 
+def test_infinite_lambda_value_in_a_config_file_exits_validation(tmp_path, data_file, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(FAST_CONFIG + "\nlasso.lambda_mode = fixed\nlasso.lambda_value = inf\n")
+    out_dir = tmp_path / "out"
+    code = main(["loo", "--data", str(data_file), "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert "lambda_value must be finite and >= 0, got inf" in err
+    assert "Traceback" not in err
+
+
 def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_path, data_file, capsys):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text(FAST_CONFIG + "\nseed = -1\n")
@@ -378,6 +390,7 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["synth", "--shift", "inf"], "--shift"),
     (["synth", "--shift", "100"], "--shift: shift_strength must be <= 50, got 100.0"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
+    (["select", "--lambda-mode", "fixed", "--lambda-value", "inf"], "--lambda-value must be finite"),
     (["loo", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "0"], "--jobs"),
     (["synth", "--seed", "-1"], "--seed must be >= 0"),
@@ -385,6 +398,7 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["loo", "--seed", "-1"], "--seed must be >= 0"),
     (["sweep", "--seed", "-1"], "--seed must be >= 0"),
 ], ids=["synth-n-intervals", "synth-shift", "synth-shift-inf", "synth-shift-large", "select-lambda-value",
+        "select-lambda-value-inf",
         "loo-jobs", "sweep-jobs", "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
 def test_out_of_range_flag_exits_validation_without_traceback(tmp_path, data_file, capsys, command, flag):
     grid = tmp_path / "grid.cfg"
@@ -427,6 +441,22 @@ def test_loo_rejects_a_non_finite_count_with_row_and_column(tmp_path, data_file,
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "row 2: non-finite value 'nan' in column 'v_LM'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_loo_rejects_a_blank_intersection_id_with_its_row(tmp_path, data_file, config_file, capsys):
+    lines = data_file.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index("intersection_id")] = "  "
+    lines[3] = ",".join(cells)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["loo", "--data", str(blank), "--config", str(config_file), "--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "row 3: missing value in column 'intersection_id'" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -180,6 +180,20 @@ def test_missing_value_rejected(tmp_path, small_data):
         load_table(path)
 
 
+def test_blank_intersection_id_rejected_as_missing(tmp_path, small_data):
+    def blank(text):
+        lines = text.splitlines()
+        idx = lines[0].split(",").index("intersection_id")
+        cells = lines[2].split(",")
+        cells[idx] = "  "
+        lines[2] = ",".join(cells)
+        return "\n".join(lines)
+
+    path = _write_rows(tmp_path, small_data, mutate=blank)
+    with pytest.raises(DataError, match="row 2: missing value in column 'intersection_id'"):
+        load_table(path)
+
+
 def test_split_29_source_intersections():
     data = generate_synthetic_network(seed=5, n_intersections=30, shift_strength=0.2, n_intervals=2)
     split = split_domains(data, "I07")

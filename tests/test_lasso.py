@@ -101,7 +101,7 @@ def test_column_scaling_leaves_fitted_values_unchanged():
     X2 = X.copy()
     X2[:, 2] *= 37.5
     m2 = fit_lasso(X2, y, lam, tol=1e-12, max_sweeps=50_000)
-    assert np.allclose(m.predict(X), m2.predict(X2), atol=1e-8)
+    assert np.allclose(m.intercept + X @ m.coef, m2.intercept + X2 @ m2.coef, atol=1e-8)
 
 
 def test_zero_variance_column_recorded_and_excluded():
@@ -169,6 +169,8 @@ def test_input_validation():
         fit_lasso(X, y, -0.5)
     with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
         fit_lasso(X, y, float("nan"))
+    with pytest.raises(ValueError, match="lambda must be finite, got inf"):
+        fit_lasso(X, y, float("inf"))
     with pytest.raises(ValueError):
         fit_lasso(X[:1], y[:1], 0.1)
 
@@ -202,7 +204,7 @@ def _cd_cross_validation(X, y, grid_size, lam_min_ratio, seed, tol, max_sweeps, 
         train = np.setdiff1d(order, val)
         for g, lam in enumerate(grid):
             model = fit_lasso(X[train], y[train], lam, tol=tol, max_sweeps=max_sweeps)
-            resid = y[val] - model.predict(X[val])
+            resid = y[val] - (model.intercept + X[val] @ model.coef)
             errors[f, g] = resid @ resid / len(val)
     mean_err = errors.mean(axis=0)
     return float(grid[int(np.argmin(mean_err))]), mean_err

@@ -196,6 +196,7 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
 @pytest.mark.parametrize("settings, field, value", [
     (LassoSettings, "lambda_mode", "crossval"),
     (LassoSettings, "lambda_value", -0.1),
+    (LassoSettings, "lambda_value", float("inf")),
     (LassoSettings, "cv_folds", 1),
     (LassoSettings, "cv_grid_size", 0),
     (LassoSettings, "lam_min_ratio", 0.0),

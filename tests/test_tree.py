@@ -220,14 +220,11 @@ def _node_tables(draw):
 
     grow(0)
     ids = [0] + [1 + i for i in draw(st.permutations(range(len(nodes) - 1)))]
-    table = RegressionTree()
-    for field in ("feature", "threshold", "left", "right", "value"):
-        getattr(table, field).extend([None] * len(nodes))
+    renumbered = [None] * len(nodes)
     for old, (feature, threshold, left, right, value) in enumerate(nodes):
-        new = ids[old]
-        table.feature[new], table.threshold[new], table.value[new] = feature, threshold, value
-        table.left[new] = -1 if left < 0 else ids[left]
-        table.right[new] = -1 if right < 0 else ids[right]
+        renumbered[ids[old]] = (feature, threshold, -1 if left < 0 else ids[left],
+                                -1 if right < 0 else ids[right], value)
+    table = RegressionTree(*zip(*renumbered))
     X = np.array(draw(st.lists(st.lists(cuts, min_size=n_features, max_size=n_features), max_size=25)))
     return table, X.reshape(-1, n_features)
 
