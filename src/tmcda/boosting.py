@@ -149,6 +149,8 @@ def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarra
 
 
 def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alpha: float) -> BoostedModel:
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in inputs")
     f0 = float(w @ y / w.sum())
     F = np.full(len(y), f0)
     stages = []
@@ -174,7 +176,10 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
 
 
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BoostedModel:
-    """Standard gradient boosting: uniform unit weights on one training set."""
+    """Standard gradient boosting: uniform unit weights on one training set.
+
+    A NaN or infinite value in ``X`` or ``y`` raises ValueError.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) != len(y) or len(y) < 1:
@@ -195,7 +200,8 @@ def fit_gbbw(
     rows. At the boundaries the irrelevant set is excluded outright, so the
     alpha = 0 model is bit-identical to standard gradient boosting on the
     source set and invariant to the pseudo-target contents (and symmetrically
-    for alpha = 1).
+    for alpha = 1). A NaN or infinite value in the features or labels of a
+    set the fit trains on raises ValueError; an excluded set is not read.
     """
     source_X = np.asarray(source_X, dtype=float)
     source_y = np.asarray(source_y, dtype=float)

@@ -12,23 +12,38 @@ it to every stage's tree. A node is a mask over the rows. Filtering each
 feature's stable global order by that mask gives the node's sorted order for
 every feature in one gather (the attribute lists of SPRINT; Shafer, Agrawal &
 Mehta 1996), with tied values in ascending row order, as a stable sort of the
-node's own rows would leave them. Cumulative sums, split scores and the
-arg-max are then taken across all features at once; taking the first maximum
-keeps the tie rule above. The trees are the same, bit for bit, as those of a
-search that sorts every feature at every node.
+node's own rows would leave them. Cumulative sums, split scores, each
+feature's best score and the arg-max are then taken across all features at
+once; taking the first maximum keeps the tie rule above. The trees are the
+same, bit for bit, as those of a search that sorts every feature at every
+node.
 
 Most of a node's search does not depend on the residuals: its rows, its
-total weight, its rows and values sorted per feature, the cumulative
-weights, the weights right of each candidate and which candidates are valid
-(distinct values on both sides, positive weight on the right). Every stage
-searches the same root, so the plan holds these arrays for the root, next to
-the presort; a stage redoes only the residual sums, the score and the
-arg-max. Other nodes get the same arrays from the same function when they
-are reached, and drop them after. The score divides by the right-side
-weight with 1.0 in place at invalid candidates, then adds 0.0 at valid
-candidates and -inf at invalid ones: the same doubles as a division masked
-to the valid candidates, without one, because the divided term is never
--0.0.
+total weight, its rows sorted per feature, which candidates are valid
+(distinct values on both sides, positive weight on the right) and the
+weights left and right of each. A node keeps these for its valid candidates
+only, listed feature by feature, and a stage redoes only the residual sums,
+the scores of those candidates, one segmented maximum per feature
+(``np.maximum.reduceat``) and the arg-max. An invalid candidate is never
+scored, so it cannot reach a maximum, not even as a NaN when a score
+overflows.
+
+Every stage searches the same root, so the plan holds the root next to the
+presort. Later stages also reach many of the same other nodes: a node is
+its row mask, and the splits near the root change little from stage to
+stage. The plan keeps the other nodes it builds, keyed by the row mask's
+bytes and whether the node is searched, up to ``_MEMO_BYTES`` of their
+arrays, and drops the least recently used first; a node is built again only
+after it has been dropped. A kept node also keeps, per split chosen at it,
+the threshold and its children's row masks. The bound counts the kept
+nodes' masks and search arrays, not the Python objects around them or
+their children's masks, so the memo's real size is larger: 1.4 to 2.2
+times the counted bytes on the benchmark's inputs. It is in bytes because a
+searched node's arrays grow with its rows times its features: at 30
+intersections x 384 intervals (11,560 rows, 21 features) a node near the
+root takes megabytes, and a bound of 128 nodes raised the peak memory of a
+60-stage fit from 70 MB to 247 MB. The memo dies with the plan, so nothing
+is shared between fits.
 
 ``fit_tree`` grows the node table depth first, left child first, so nodes
 are numbered in preorder and a split node's left child is the node right
@@ -42,12 +57,15 @@ checks a table built by hand; one with a cycle would never finish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 _LEAF = -1
+_MEMO_BYTES = 1 << 19    # array bytes of the non-root nodes a SplitPlan keeps (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -89,40 +107,80 @@ class RegressionTree:
         }
 
 
-class _Node(NamedTuple):
-    """A node's rows and the residual-independent part of its split search.
+class _Search(NamedTuple):
+    """The residual-independent part of a node's split search, over its valid candidates.
 
-    ``search`` is None when the node is not searched (too deep, or too few rows
-    for two leaves). Otherwise it holds the node's rows and values sorted per
-    feature, (n_features, n_rows), and, per candidate threshold, the weight
-    left of it, the weight right of it (1.0 where the candidate is not valid)
-    and the candidate's mask term: 0.0 where it is valid, -inf where it is
-    not. A valid candidate has different values on its two sides and positive
-    weight on the right.
+    ``rows`` holds the node's rows sorted per feature, (n_features, n_rows).
+    Candidate k of feature j puts the k + 1 smallest values left and sits at
+    ``j * n_rows + k`` of ``rows`` raveled. The valid candidates, feature by
+    feature in threshold order, are at ``flat``, with the weights ``left_w``
+    left and ``right_w`` right of each. The i-th feature with any is
+    ``features[i]``, and its candidates are ``bounds[i]:bounds[i + 1]``;
+    ``starts`` is ``bounds[:-1]`` as an array.
+    """
+
+    rows: np.ndarray
+    flat: np.ndarray
+    left_w: np.ndarray
+    right_w: np.ndarray
+    starts: np.ndarray
+    bounds: list[int]
+    features: list[int]
+
+
+class _Node(NamedTuple):
+    """A node's rows, total weight and, if it is searched, its ``_Search``.
+
+    ``search`` is None when the node is not searched: too deep, too few rows
+    for two leaves, or no valid candidate. ``children`` maps each split
+    ``fit_tree`` has chosen at the node, as (feature, candidate index), to its
+    threshold and the row masks of its left and right children.
     """
 
     member: np.ndarray
     total_w: float
-    search: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    search: _Search | None
+    children: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the node's row mask and search arrays."""
+        if self.search is None:
+            return self.member.nbytes
+        rows, flat, left_w, right_w, starts, _, _ = self.search
+        return self.member.nbytes + rows.nbytes + flat.nbytes + left_w.nbytes + right_w.nbytes + starts.nbytes
 
 
 def _node(order, xsorted, w, member, min_samples_leaf, searched) -> _Node:
     w_node = w[member]
-    total_w = w_node.sum()    # over the node's rows in ascending row order
+    total_w = np.add.reduce(w_node)    # over the node's rows in ascending row order
     n_node = len(w_node)
     if not searched or n_node < 2 * min_samples_leaf:
-        return _Node(member, total_w, None)
+        return _Node(member, total_w, None, {})
     n_features = len(order)
     in_node = member[order]
     rows = order[in_node].reshape(n_features, n_node)
     xs = xsorted[in_node].reshape(n_features, n_node)
-    # Candidate k puts the k + 1 smallest values left; both sides keep min_samples_leaf rows.
-    lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
-    cw = w[rows].cumsum(axis=1)[:, lo:hi]
+    cw = np.add.accumulate(w[rows], axis=1)
     right_w = total_w - cw  # <= 0 when the right side's weight rounds away: no split, and no division
-    valid = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w > 0)
-    mask = np.where(valid, 0.0, -np.inf)
-    return _Node(member, total_w, (rows, xs, cw, np.where(valid, right_w, 1.0), mask))
+    # Both sides keep min_samples_leaf rows.
+    lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
+    valid = np.zeros((n_features, n_node), dtype=bool)
+    valid[:, lo:hi] = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w[:, lo:hi] > 0)
+    counts = np.add.reduce(valid, axis=1).tolist()
+    features = [j for j, count in enumerate(counts) if count]
+    if not features:
+        return _Node(member, total_w, None, {})
+    bounds = [0, *accumulate(counts[j] for j in features)]
+    flat = valid.ravel().nonzero()[0]
+    search = _Search(rows, flat, cw.take(flat), right_w.take(flat), np.array(bounds[:-1]), bounds, features)
+    return _Node(member, total_w, search, {})
+
+
+class _NodeMemo(OrderedDict):
+    """Nodes by (row-mask bytes, searched), least recently used first, and their ``nbytes`` in total."""
+
+    nbytes = 0
 
 
 @dataclass(frozen=True)
@@ -133,7 +191,8 @@ class SplitPlan:
     and the sorted values, both (n_features, n_rows); ``root`` is the root
     node, the rows with positive weight. ``shape`` and ``min_samples_leaf``
     record what the plan was built for, and ``fit_tree`` rejects a plan that
-    does not match its call.
+    does not match its call. ``_memo`` holds the other nodes that ``node``
+    built last, at most ``_MEMO_BYTES`` of them.
     """
 
     shape: tuple[int, ...]
@@ -141,6 +200,7 @@ class SplitPlan:
     order: np.ndarray
     xsorted: np.ndarray
     root: _Node
+    _memo: _NodeMemo = field(init=False, compare=False, repr=False, default_factory=_NodeMemo)
 
     @classmethod
     def build(cls, X: np.ndarray, w: np.ndarray, min_samples_leaf: int) -> "SplitPlan":
@@ -156,32 +216,62 @@ class SplitPlan:
         root = _node(order, xsorted, w, w > 0, min_samples_leaf, True)
         return cls(X.shape, min_samples_leaf, order, xsorted, root)
 
+    def node(self, w: np.ndarray, member: np.ndarray, searched: bool) -> _Node:
+        """The non-root node of rows ``member``: kept from an earlier call, or built and kept."""
+        memo = self._memo
+        key = (member.tobytes(), searched)
+        node = memo.get(key)
+        if node is None:
+            node = _node(self.order, self.xsorted, w, member, self.min_samples_leaf, searched)
+            if node.nbytes <= _MEMO_BYTES:    # a node larger than the bound is not kept
+                memo[key] = node
+                memo.nbytes += node.nbytes
+                while memo.nbytes > _MEMO_BYTES:
+                    memo.nbytes -= memo.popitem(last=False)[1].nbytes
+        else:
+            memo.move_to_end(key)
+        return node
 
-def _best_split(node: _Node, wr, total_wr, min_samples_leaf):
-    """Best (feature, threshold) at ``node`` for the weighted residuals ``wr``, or None."""
-    if node.search is None:
+
+def _best_split(node: _Node, wr, total_wr):
+    """Best (feature, candidate index) at ``node`` for the weighted residuals ``wr``, or None."""
+    search = node.search
+    if search is None:
         return None
-    rows, xs, cw, right_safe, mask = node.search
-    lo, hi = min_samples_leaf - 1, rows.shape[1] - min_samples_leaf
-    cwr = wr[rows].cumsum(axis=1)[:, lo:hi]
-    # Adding 0.0 leaves a valid candidate's nonnegative term as it is; an invalid one scores -inf.
-    score = cwr * cwr / cw + ((total_wr - cwr) ** 2 / right_safe + mask)
+    cwr = np.add.accumulate(wr[search.rows], axis=1).take(search.flat)
+    # score = cwr * cwr / left_w + (total_wr - cwr) ** 2 / right_w, written in place.
+    score = cwr * cwr
+    score /= search.left_w
+    right = np.subtract(total_wr, cwr, out=cwr)
+    right *= right
+    right /= search.right_w
+    score += right
     parent_score = total_wr * total_wr / node.total_w
-    gain = score.max(axis=1) - parent_score
+    gain = np.maximum.reduceat(score, search.starts)
+    gain -= parent_score
     ok = gain > 1e-12 * max(1.0, abs(parent_score))
-    if not ok.any():
-        return None
     # First-occurrence arg-max: the lowest feature among equal gains, and
-    # within a feature the lowest threshold among equal scores.
-    j = int(np.where(ok, gain, -np.inf).argmax())
-    k = lo + int(score[j].argmax())
-    below, above = xs[j, k], xs[j, k + 1]
+    # within a feature the lowest threshold among equal scores. Where no
+    # feature gains, every entry is -inf and the first is not ok.
+    i = int(np.where(ok, gain, -np.inf).argmax())
+    if not ok[i]:
+        return None
+    begin, end = search.bounds[i], search.bounds[i + 1]
+    j = search.features[i]
+    return j, int(search.flat[begin + int(score[begin:end].argmax())]) - j * search.rows.shape[1]
+
+
+def _split(X, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Threshold and left and right row masks of candidate ``k`` of feature ``j`` at ``node``."""
+    rows = node.search.rows
+    below, above = X[rows[j, k], j], X[rows[j, k + 1], j]
     threshold = (below + above) / 2.0
     if not threshold < above:
         # The midpoint of neighbouring doubles can round up to the upper one,
         # which would send every row left.
         threshold = below
-    return j, float(threshold)
+    go_left = X[:, j] <= threshold
+    return float(threshold), node.member & go_left, node.member & ~go_left
 
 
 def fit_tree(
@@ -203,11 +293,15 @@ def fit_tree(
     values of ``X`` and ``w``, which are not compared. If ``leaf_values`` is
     given, each row with positive weight gets the value of its leaf there,
     equal to ``tree.predict(X)`` on that row; zero-weight rows are left as
-    they are.
+    they are. ``r``, ``w`` and ``leaf_values`` hold one entry per row of
+    ``X``; any other shape raises ValueError.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
     w = np.asarray(w, dtype=float)
+    for name, a in (("r", r), ("w", w), ("leaf_values", leaf_values)):
+        if a is not None and a.shape != (len(X),):
+            raise ValueError(f"{name} has shape {a.shape}; X has {len(X)} rows, and {name} needs one entry per row")
     if plan is None:
         plan = SplitPlan.build(X, w, min_samples_leaf)
     elif plan.shape != X.shape or plan.min_samples_leaf != min_samples_leaf:
@@ -225,21 +319,22 @@ def fit_tree(
         index = len(value)
         if right_of is not None:
             right[right_of] = index
-        node = plan.root if depth == 0 else _node(
-            plan.order, plan.xsorted, w, member, min_samples_leaf, depth < max_depth)
-        total_wr = wr[member].sum()    # over the node's rows in ascending row order
+        searched = depth < max_depth
+        node = plan.root if depth == 0 else plan.node(w, member, searched)
+        total_wr = np.add.reduce(wr[member])    # over the node's rows in ascending row order
         value.append(float(total_wr / node.total_w))
-        split = _best_split(node, wr, total_wr, min_samples_leaf) if depth < max_depth else None
+        split = _best_split(node, wr, total_wr) if searched else None
         if split is None:
             if leaf_values is not None:
                 leaf_values[member] = value[index]
             j, t, left_child = _LEAF, 0.0, _LEAF
         else:
-            j, t = split
-            left_child = index + 1
-            go_left = X[:, j] <= t
-            pending.append((member & ~go_left, depth + 1, index))
-            pending.append((member & go_left, depth + 1, None))
+            children = node.children.get(split)
+            if children is None:
+                children = node.children[split] = _split(X, node, *split)
+            j, t, left_child = split[0], children[0], index + 1
+            pending.append((children[2], depth + 1, index))
+            pending.append((children[1], depth + 1, None))
         feature.append(j)
         threshold.append(t)
         left.append(left_child)

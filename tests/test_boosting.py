@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcda import boosting
+from tmcda import boosting, tree
 from tmcda.tree import RegressionTree
 from tmcda.boosting import (
     BoostedModel,
@@ -317,3 +317,132 @@ def test_every_stage_tree_equals_the_reference_tree_on_that_stages_residuals(cas
         r = y - F
         assert tree.to_dict() == reference_tree(X, r, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * gamma * tree.predict(X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_or_labels_are_rejected(bad):
+    Xs, ys, Xt, yt = _two_domain_problem(15)
+    config = TrainConfig(n_stages=3, max_depth=2, alpha=0.5)
+    for spoiled in range(4):
+        arrays = [a.copy() for a in (Xs, ys, Xt, yt)]
+        arrays[spoiled].flat[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_gbbw(*arrays, config)
+        if spoiled < 2:
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_gradient_boosting(*arrays[:2], config)
+    # At alpha = 0 the pseudo-target set is left out, and not read.
+    Xt_bad = Xt.copy()
+    Xt_bad[0, 0] = bad
+    source_only = replace(config, alpha=0.0)
+    probe = np.vstack([Xs, Xt])
+    assert np.array_equal(predict(fit_gbbw(Xs, ys, Xt_bad, yt, source_only), probe),
+                          predict(fit_gbbw(Xs, ys, Xt, yt, source_only), probe))
+
+
+def _count_node_builds(monkeypatch):
+    """Record the (row-mask bytes, searched) key of every node ``tree._node`` builds, and every plan used."""
+    built, plans = [], []
+    build_node, fit = tree._node, boosting.fit_tree
+
+    def counting_node(order, xsorted, w, member, min_samples_leaf, searched):
+        built.append((member.tobytes(), searched))
+        return build_node(order, xsorted, w, member, min_samples_leaf, searched)
+
+    def recording_fit(*args, plan, **kwargs):
+        plans.append(plan)
+        return fit(*args, plan=plan, **kwargs)
+
+    monkeypatch.setattr(tree, "_node", counting_node)
+    monkeypatch.setattr(boosting, "fit_tree", recording_fit)
+    return built, plans
+
+
+def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch):
+    built, plans = _count_node_builds(monkeypatch)
+    Xs, ys, Xt, yt = _two_domain_problem(16, n1=30, n2=10)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=60, max_depth=3, alpha=0.5))
+    memo = plans[-1]._memo
+    assert len(memo) == len(built) - 1        # the plan's root, then every other node: nothing evicted
+    assert len(set(built)) == len(built)
+    visited = sum(stage_tree.n_nodes for _, stage_tree in model.stages)
+    assert len(built) < visited / 2           # most nodes came from the memo
+
+
+def test_boosting_fits_share_no_nodes(monkeypatch):
+    built, plans = _count_node_builds(monkeypatch)
+    first, second = _two_domain_problem(17, n1=30, n2=10), _two_domain_problem(18, n1=30, n2=10)
+    config = TrainConfig(n_stages=20, max_depth=3, alpha=0.5)
+    runs = []
+    for data in (first, second, first):
+        del built[:]
+        fit_gbbw(*data, config)
+        runs.append(list(built))
+    assert runs[2] == runs[0]                 # the same nodes built again: nothing kept from the fits before
+    assert len({id(plan) for plan in plans}) == 3 and len(plans) == 60
+
+
+def _reference_data(Xs, ys, Xt, yt, alpha):
+    """The rows, labels and weights ``fit_gbbw`` trains on."""
+    if alpha == 0.0:
+        return Xs, ys, np.full(len(ys), 1.0)
+    if alpha == 1.0:
+        return Xt, yt, np.full(len(yt), 1.0)
+    return (np.vstack([Xs, Xt]), np.concatenate([ys, yt]),
+            np.concatenate([np.full(len(ys), 1.0 - alpha), np.full(len(yt), alpha)]))
+
+
+@st.composite
+def _long_fits(draw):
+    """At least 30 stages of depth 2-3 trees on tie-heavy columns, and a memo bound of 0-4 roots' bytes."""
+    alpha = draw(st.sampled_from([0.0, 0.5]))
+    n1, n2 = draw(st.integers(4, 20)), draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=1, max_size=3))
+    X = np.array([[draw(_CELLS[k]) for k in kinds] for _ in range(n1 + n2)]).reshape(n1 + n2, len(kinds))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(-1e3, 1e3, allow_nan=False),
+                               min_size=n1 + n2, max_size=n1 + n2)))
+    config = TrainConfig(n_stages=draw(st.integers(30, 40)), max_depth=draw(st.integers(2, 3)),
+                         min_samples_leaf=draw(st.integers(1, 3)),
+                         shrinkage=draw(st.sampled_from([0.1, 0.5, 1.0])), alpha=alpha)
+    return X[:n1], y[:n1], X[n1:], y[n1:], config, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_fits())
+def test_long_fits_under_a_small_memo_bound_equal_the_reference_tree_at_every_stage(case):
+    Xs, ys, Xt, yt, config, roots = case
+    X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
+    bound = int(roots * tree.SplitPlan.build(X, w, config.min_samples_leaf).root.nbytes)
+    fit = boosting.fit_tree
+    sizes = []
+
+    def checked_fit(*args, plan, **kwargs):
+        result = fit(*args, plan=plan, **kwargs)
+        memo = plan._memo
+        assert memo.nbytes == sum(node.nbytes for node in memo.values()) <= bound
+        sizes.append(len(memo))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "_MEMO_BYTES", bound)
+        patch.setattr(boosting, "fit_tree", checked_fit)
+        model = fit_gbbw(Xs, ys, Xt, yt, config)
+    assert len(sizes) == config.n_stages
+    F = np.full(len(y), model.f0)
+    for gamma, stage_tree in model.stages:
+        assert stage_tree.to_dict() == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
+        F = F + config.shrinkage * gamma * stage_tree.predict(X)
+
+
+def test_a_small_memo_bound_hits_misses_and_evicts(monkeypatch):
+    Xs, ys, Xt, yt = _two_domain_problem(19, n1=30, n2=10)
+    X, y, w = _reference_data(Xs, ys, Xt, yt, 0.5)
+    config = TrainConfig(n_stages=40, max_depth=3, alpha=0.5)
+    monkeypatch.setattr(tree, "_MEMO_BYTES", 2 * tree.SplitPlan.build(X, w, config.min_samples_leaf).root.nbytes)
+    built, plans = _count_node_builds(monkeypatch)
+    model = fit_gbbw(Xs, ys, Xt, yt, config)
+    lookups = sum(stage_tree.n_nodes - 1 for _, stage_tree in model.stages)
+    misses = len(built) - 1
+    assert 0 < misses < lookups                       # some nodes are built, others come from the memo
+    assert len(set(built)) < len(built)               # and some are built again after they were evicted
+    assert len(plans[-1]._memo) < len(set(built)) - 1

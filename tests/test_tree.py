@@ -163,6 +163,31 @@ def test_a_plan_built_for_other_inputs_is_rejected():
         fit_tree(X, r, w, 3, 3, plan=plan)
 
 
+
+def test_residuals_weights_and_leaf_values_need_one_entry_per_row_of_X():
+    rng = np.random.default_rng(6)
+    X, r, w = rng.standard_normal((5, 2)), rng.standard_normal(5), np.ones(5)
+    with pytest.raises(ValueError, match=r"r has shape \(4,\); X has 5 rows"):
+        fit_tree(X, r[:4], w)
+    with pytest.raises(ValueError, match=r"r has shape \(5, 1\); X has 5 rows"):
+        fit_tree(X, r[:, None], w)
+    with pytest.raises(ValueError, match=r"w has shape \(6,\); X has 5 rows"):
+        fit_tree(X, r, np.ones(6))
+    with pytest.raises(ValueError, match=r"leaf_values has shape \(4,\); X has 5 rows"):
+        fit_tree(X, r, w, leaf_values=np.zeros(4))
+
+
+def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_overflows():
+    # Between the tied 1.0s the cumulative residual is 2e154, whose square
+    # overflows; the candidates between 0 and 1 and between 1 and 2 are valid and finite.
+    X = np.array([[0.0], [1.0], [1.0], [2.0]])
+    r = np.array([1.0, 2e154, -2e154, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = fit_tree(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
+        expected = reference_tree(X, r, np.ones(4), 1, 1)
+    assert tree.to_dict() == expected
+    assert tree.threshold == (0.5, 0.0, 0.0)
+
 _NEXT = np.nextafter(1.0, 2.0)
 _COLUMNS = (
     st.sampled_from([0.0, 1.0, 2.0]),                          # heavy ties
@@ -240,3 +265,13 @@ def test_predict_equals_walking_each_row_down_the_table(case):
         walked.append(table.value[node])
     assert np.array_equal(table.predict(X), np.array(walked, dtype=float))
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fits(), st.sampled_from([1e150, 1e153, 1e154, 1e155]))
+def test_tree_equals_the_reference_where_split_scores_overflow(fit, scale):
+    # Scores and gains reach inf and NaN; the choice among the rest stays the reference's.
+    X, r, w, max_depth, min_samples_leaf = fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = fit_tree(X, r * scale, w, max_depth, min_samples_leaf)
+        assert tree.to_dict() == reference_tree(X, r * scale, w, max_depth, min_samples_leaf)
