@@ -9,7 +9,8 @@ alpha = 1 trains on the pseudo-target set alone.
 
 The loss is squared error only, the case gradient boosting (Friedman 2001,
 *Greedy function approximation*) reduces to least-squares residual fitting
-with a closed-form stage multiplier.
+with a closed-form stage multiplier. A fit updates F, r = y - F and the stage
+tree's leaf values h in place; no tree writes h at a zero-weight row.
 
 A model stacks its trees once, when it is constructed: one node table with
 every stage's nodes laid end to end, children renumbered into it, each leaf
@@ -128,10 +129,6 @@ def pseudo_residuals(y: np.ndarray, F: np.ndarray) -> np.ndarray:
     return y - F
 
 
-def _weighted_loss(w: np.ndarray, y: np.ndarray, F: np.ndarray) -> float:
-    return float(w @ (0.5 * (y - F) ** 2))
-
-
 def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     """Closed-form weighted line search for the stage multiplier.
 
@@ -142,10 +139,14 @@ def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarra
     h = np.asarray(h, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
+    return _gamma(y - F_prev, h, w)
+
+
+def _gamma(r: np.ndarray, h: np.ndarray, w: np.ndarray) -> float:
     denom = float(w @ (h * h))
     if denom == 0.0:
         return 0.0
-    return float(w @ ((y - F_prev) * h)) / denom
+    return float(w @ (r * h)) / denom
 
 
 def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alpha: float) -> BoostedModel:
@@ -153,18 +154,19 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
         raise ValueError("non-finite values in inputs")
     f0 = float(w @ y / w.sum())
     F = np.full(len(y), f0)
+    r = y - F
+    h = np.zeros(len(y))
     stages = []
-    trace = [_weighted_loss(w, y, F)]
+    trace = [float(w @ (0.5 * r ** 2))]
     plan = SplitPlan.build(X, w, config.min_samples_leaf)
     for _ in range(config.n_stages):
-        r = pseudo_residuals(y, F)
-        h = np.zeros(len(y))
         tree = fit_tree(X, r, w, config.max_depth, config.min_samples_leaf,
                         plan=plan, leaf_values=h)
-        gamma = compute_gamma(F, h, y, w)
-        F = F + config.shrinkage * gamma * h
+        gamma = _gamma(r, h, w)
+        F += config.shrinkage * gamma * h
+        np.subtract(y, F, out=r)
         stages.append((gamma, tree))
-        trace.append(_weighted_loss(w, y, F))
+        trace.append(float(w @ (0.5 * r ** 2)))
     return BoostedModel(
         f0=f0,
         stages=tuple(stages),

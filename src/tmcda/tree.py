@@ -12,35 +12,36 @@ it to every stage's tree. A node is a mask over the rows. Filtering each
 feature's stable global order by that mask gives the node's sorted order for
 every feature in one gather (the attribute lists of SPRINT; Shafer, Agrawal &
 Mehta 1996), with tied values in ascending row order, as a stable sort of the
-node's own rows would leave them. Cumulative sums, split scores, each
-feature's best score and the arg-max are then taken across all features at
-once; taking the first maximum keeps the tie rule above. The trees are the
-same, bit for bit, as those of a search that sorts every feature at every
-node.
+node's own rows would leave them. Cumulative sums, split scores and the
+arg-max are then taken across all features at once; taking the first
+maximum keeps the tie rule above. The trees are the same, bit for bit, as
+those of a search that sorts every feature at every node.
 
 Most of a node's search does not depend on the residuals: its rows, its
 total weight, its rows sorted per feature, which candidates are valid
 (distinct values on both sides, positive weight on the right) and the
 weights left and right of each. A node keeps these for its valid candidates
-only, listed feature by feature, and a stage redoes only the residual sums,
-the scores of those candidates, one segmented maximum per feature
-(``np.maximum.reduceat``) and the arg-max. An invalid candidate is never
-scored, so it cannot reach a maximum, not even as a NaN when a score
+only, listed feature by feature in threshold order, and a stage redoes only
+the residual sums, the scores of those candidates and one arg-max over all
+of them, whose gain over the parent it then tests (see ``_best_split`` for
+when a lower score has the same gain). An invalid candidate is never
+scored, so it cannot reach the maximum, not even as a NaN when a score
 overflows.
 
 Every stage searches the same root, so the plan holds the root next to the
-presort. Later stages also reach many of the same other nodes: a node is
-its row mask, and the splits near the root change little from stage to
-stage. The plan keeps the other nodes it builds, keyed by the row mask's
-bytes and whether the node is searched, up to ``_MEMO_BYTES`` of their
-arrays, and drops the least recently used first; a node is built again only
-after it has been dropped. A kept node also keeps, per split chosen at it,
-the threshold and its children's row masks. The bound counts the kept
-nodes' masks and search arrays, not the Python objects around them or
-their children's masks, so the memo's real size is larger: 1.4 to 2.2
-times the counted bytes on the benchmark's inputs. It is in bytes because a
-searched node's arrays grow with its rows times its features: at 30
-intersections x 384 intervals (11,560 rows, 21 features) a node near the
+presort. Later stages also reach many of the same other nodes: a node is its
+row mask, and the splits near the root change little from stage to stage.
+The plan keeps the other nodes it builds, keyed by the row mask's bytes, up
+to ``_MEMO_BYTES`` of their arrays, and drops the least recently used first;
+a node is built again only after it has been dropped. A leaf at
+``max_depth`` is not built: one reduction gives its weight and weighted
+residual totals, and nothing of it is kept. A kept node also keeps, per
+split chosen at it, the threshold and its children's row masks. The bound
+counts the kept nodes' masks and search arrays, not the Python objects
+around them or their children's masks, so the memo's real size is larger:
+1.4 to 2.2 times the counted bytes on the benchmark's inputs. It is in bytes
+because a searched node's arrays grow with its rows times its features: at
+30 intersections x 384 intervals (11,560 rows, 21 features) a node near the
 root takes megabytes, and a bound of 128 nodes raised the peak memory of a
 60-stage fit from 70 MB to 247 MB. The memo dies with the plan, so nothing
 is shared between fits.
@@ -57,9 +58,9 @@ checks a table built by hand; one with a cycle would never finish.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -114,27 +115,22 @@ class _Search(NamedTuple):
     Candidate k of feature j puts the k + 1 smallest values left and sits at
     ``j * n_rows + k`` of ``rows`` raveled. The valid candidates, feature by
     feature in threshold order, are at ``flat``, with the weights ``left_w``
-    left and ``right_w`` right of each. The i-th feature with any is
-    ``features[i]``, and its candidates are ``bounds[i]:bounds[i + 1]``;
-    ``starts`` is ``bounds[:-1]`` as an array.
+    left and ``right_w`` right of each.
     """
 
     rows: np.ndarray
     flat: np.ndarray
     left_w: np.ndarray
     right_w: np.ndarray
-    starts: np.ndarray
-    bounds: list[int]
-    features: list[int]
 
 
 class _Node(NamedTuple):
-    """A node's rows, total weight and, if it is searched, its ``_Search``.
+    """A node's rows, total weight and its ``_Search``.
 
-    ``search`` is None when the node is not searched: too deep, too few rows
-    for two leaves, or no valid candidate. ``children`` maps each split
-    ``fit_tree`` has chosen at the node, as (feature, candidate index), to its
-    threshold and the row masks of its left and right children.
+    ``search`` is None when the node has too few rows for two leaves or no
+    valid candidate. ``children`` maps each split ``fit_tree`` has chosen at
+    the node, as (feature, candidate index), to its threshold and the row
+    masks of its left and right children.
     """
 
     member: np.ndarray
@@ -145,17 +141,14 @@ class _Node(NamedTuple):
     @property
     def nbytes(self) -> int:
         """Bytes of the node's row mask and search arrays."""
-        if self.search is None:
-            return self.member.nbytes
-        rows, flat, left_w, right_w, starts, _, _ = self.search
-        return self.member.nbytes + rows.nbytes + flat.nbytes + left_w.nbytes + right_w.nbytes + starts.nbytes
+        return self.member.nbytes + sum(a.nbytes for a in self.search or ())
 
 
-def _node(order, xsorted, w, member, min_samples_leaf, searched) -> _Node:
+def _node(order, xsorted, w, member, min_samples_leaf) -> _Node:
     w_node = w[member]
-    total_w = np.add.reduce(w_node)    # over the node's rows in ascending row order
+    total_w = float(np.add.reduce(w_node))    # over the node's rows in ascending row order
     n_node = len(w_node)
-    if not searched or n_node < 2 * min_samples_leaf:
+    if n_node < 2 * min_samples_leaf:
         return _Node(member, total_w, None, {})
     n_features = len(order)
     in_node = member[order]
@@ -167,18 +160,13 @@ def _node(order, xsorted, w, member, min_samples_leaf, searched) -> _Node:
     lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
     valid = np.zeros((n_features, n_node), dtype=bool)
     valid[:, lo:hi] = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w[:, lo:hi] > 0)
-    counts = np.add.reduce(valid, axis=1).tolist()
-    features = [j for j, count in enumerate(counts) if count]
-    if not features:
-        return _Node(member, total_w, None, {})
-    bounds = [0, *accumulate(counts[j] for j in features)]
     flat = valid.ravel().nonzero()[0]
-    search = _Search(rows, flat, cw.take(flat), right_w.take(flat), np.array(bounds[:-1]), bounds, features)
+    search = _Search(rows, flat, cw.take(flat), right_w.take(flat)) if len(flat) else None
     return _Node(member, total_w, search, {})
 
 
 class _NodeMemo(OrderedDict):
-    """Nodes by (row-mask bytes, searched), least recently used first, and their ``nbytes`` in total."""
+    """Nodes by row-mask bytes, least recently used first, and their ``nbytes`` in total."""
 
     nbytes = 0
 
@@ -207,22 +195,26 @@ class SplitPlan:
         """Check the weights, presort ``X`` and lay out the root's search."""
         X = np.asarray(X, dtype=float)
         w = np.asarray(w, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("at least one weight must be positive")
         order = np.argsort(X.T, axis=1, kind="stable")
         xsorted = np.take_along_axis(X.T, order, axis=1)
-        root = _node(order, xsorted, w, w > 0, min_samples_leaf, True)
+        root = _node(order, xsorted, w, w > 0, min_samples_leaf)
+        if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
+            raise ValueError(f"weights must have a finite total, got {root.total_w}")
         return cls(X.shape, min_samples_leaf, order, xsorted, root)
 
-    def node(self, w: np.ndarray, member: np.ndarray, searched: bool) -> _Node:
+    def node(self, w: np.ndarray, member: np.ndarray) -> _Node:
         """The non-root node of rows ``member``: kept from an earlier call, or built and kept."""
         memo = self._memo
-        key = (member.tobytes(), searched)
+        key = member.tobytes()
         node = memo.get(key)
         if node is None:
-            node = _node(self.order, self.xsorted, w, member, self.min_samples_leaf, searched)
+            node = _node(self.order, self.xsorted, w, member, self.min_samples_leaf)
             if node.nbytes <= _MEMO_BYTES:    # a node larger than the bound is not kept
                 memo[key] = node
                 memo.nbytes += node.nbytes
@@ -247,18 +239,23 @@ def _best_split(node: _Node, wr, total_wr):
     right /= search.right_w
     score += right
     parent_score = total_wr * total_wr / node.total_w
-    gain = np.maximum.reduceat(score, search.starts)
-    gain -= parent_score
-    ok = gain > 1e-12 * max(1.0, abs(parent_score))
-    # First-occurrence arg-max: the lowest feature among equal gains, and
-    # within a feature the lowest threshold among equal scores. Where no
-    # feature gains, every entry is -inf and the first is not ok.
-    i = int(np.where(ok, gain, -np.inf).argmax())
-    if not ok[i]:
+    # The candidates are listed feature by feature in threshold order, so the
+    # first maximum is at the lowest feature, then the lowest threshold, among
+    # equal scores; a lower score never has a higher gain.
+    i = score.argmax()
+    best = score.item(i)
+    gain = best - parent_score
+    if not gain > 1e-12 * max(1.0, abs(parent_score)):
         return None
-    begin, end = search.bounds[i], search.bounds[i + 1]
-    j = search.features[i]
-    return j, int(search.flat[begin + int(score[begin:end].argmax())]) - j * search.rows.shape[1]
+    n_rows = search.rows.shape[1]
+    if math.nextafter(best, -math.inf) - parent_score == gain:
+        # A lower score can round to the same gain (a tie to even; 2.8% of the
+        # searches on the benchmark's inputs). The lowest feature with the
+        # best gain wins, at its highest score.
+        first = int((score - parent_score == gain).argmax())
+        end = search.flat.searchsorted((search.flat.item(first) // n_rows + 1) * n_rows)
+        i = first + score[first:end].argmax()
+    return divmod(search.flat.item(i), n_rows)
 
 
 def _split(X, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -294,7 +291,8 @@ def fit_tree(
     given, each row with positive weight gets the value of its leaf there,
     equal to ``tree.predict(X)`` on that row; zero-weight rows are left as
     they are. ``r``, ``w`` and ``leaf_values`` hold one entry per row of
-    ``X``; any other shape raises ValueError.
+    ``X``; any other shape raises ValueError, and so do a non-finite weight
+    and a non-finite total of ``w`` or of ``w * r``.
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -309,7 +307,9 @@ def fit_tree(
             f"split plan built for X of shape {plan.shape} and min_samples_leaf = {plan.min_samples_leaf}, "
             f"used with {X.shape} and {min_samples_leaf}"
         )
-    wr = w * r
+    weights = np.empty((2, len(X)))    # w and w * r, summed together at the leaves at max_depth
+    weights[0] = w
+    wr = np.multiply(w, r, out=weights[1])
 
     feature, threshold, left, right, value = [], [], [], [], []
     # Depth first, left child first, so nodes are numbered in preorder (see the module docstring).
@@ -319,11 +319,18 @@ def fit_tree(
         index = len(value)
         if right_of is not None:
             right[right_of] = index
-        searched = depth < max_depth
-        node = plan.root if depth == 0 else plan.node(w, member, searched)
-        total_wr = np.add.reduce(wr[member])    # over the node's rows in ascending row order
-        value.append(float(total_wr / node.total_w))
-        split = _best_split(node, wr, total_wr) if searched else None
+        # Totals over the node's rows in ascending row order, summed pairwise.
+        if depth < max_depth:
+            node = plan.node(w, member) if depth else plan.root
+            total_w, total_wr = node.total_w, float(np.add.reduce(wr[member]))
+        else:
+            # Rows of np.compress's result are contiguous, so each is summed as w[member] is.
+            node = None
+            total_w, total_wr = np.add.reduce(np.compress(member, weights, axis=1), axis=1).tolist()
+        if depth == 0 and not math.isfinite(total_wr):
+            raise ValueError(f"weighted residuals w * r must have a finite total, got {total_wr}")
+        value.append(total_wr / total_w)
+        split = None if node is None else _best_split(node, wr, total_wr)
         if split is None:
             if leaf_values is not None:
                 leaf_values[member] = value[index]

@@ -341,13 +341,13 @@ def test_non_finite_features_or_labels_are_rejected(bad):
 
 
 def _count_node_builds(monkeypatch):
-    """Record the (row-mask bytes, searched) key of every node ``tree._node`` builds, and every plan used."""
+    """Record the row-mask bytes of every node ``tree._node`` builds, and every plan used."""
     built, plans = [], []
     build_node, fit = tree._node, boosting.fit_tree
 
-    def counting_node(order, xsorted, w, member, min_samples_leaf, searched):
-        built.append((member.tobytes(), searched))
-        return build_node(order, xsorted, w, member, min_samples_leaf, searched)
+    def counting_node(order, xsorted, w, member, min_samples_leaf):
+        built.append(member.tobytes())
+        return build_node(order, xsorted, w, member, min_samples_leaf)
 
     def recording_fit(*args, plan, **kwargs):
         plans.append(plan)
@@ -356,6 +356,16 @@ def _count_node_builds(monkeypatch):
     monkeypatch.setattr(tree, "_node", counting_node)
     monkeypatch.setattr(boosting, "fit_tree", recording_fit)
     return built, plans
+
+
+def _node_masks(stage_tree, X, member, depth=0, node=0):
+    """(depth, row mask) of ``node`` of ``stage_tree``, whose rows are ``member``, and of every node below it."""
+    yield depth, member
+    j = stage_tree.feature[node]
+    if j != -1:
+        go_left = X[:, j] <= stage_tree.threshold[node]
+        yield from _node_masks(stage_tree, X, member & go_left, depth + 1, stage_tree.left[node])
+        yield from _node_masks(stage_tree, X, member & ~go_left, depth + 1, stage_tree.right[node])
 
 
 def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch):
@@ -367,6 +377,14 @@ def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch)
     assert len(set(built)) == len(built)
     visited = sum(stage_tree.n_nodes for _, stage_tree in model.stages)
     assert len(built) < visited / 2           # most nodes came from the memo
+    # Only nodes above max_depth are built, and none of the leaves at max_depth is kept.
+    X, _, w = _reference_data(Xs, ys, Xt, yt, 0.5)
+    above, at_max_depth = set(), set()
+    for _, stage_tree in model.stages:
+        for depth, member in _node_masks(stage_tree, X, w > 0):
+            (above if depth < 3 else at_max_depth).add(member.tobytes())
+    assert set(built) <= above and set(memo) <= above
+    assert at_max_depth - above
 
 
 def test_boosting_fits_share_no_nodes(monkeypatch):
@@ -390,6 +408,20 @@ def _reference_data(Xs, ys, Xt, yt, alpha):
         return Xt, yt, np.full(len(yt), 1.0)
     return (np.vstack([Xs, Xt]), np.concatenate([ys, yt]),
             np.concatenate([np.full(len(ys), 1.0 - alpha), np.full(len(yt), alpha)]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha):
+    Xs, ys, Xt, yt = _two_domain_problem(20, n1=30, n2=10)
+    config = TrainConfig(n_stages=25, max_depth=3, shrinkage=0.3, alpha=alpha)
+    model = fit_gbbw(Xs, ys, Xt, yt, config)
+    X, y, w = _reference_data(Xs, ys, Xt, yt, alpha)
+    F = np.full(len(y), model.f0)
+    expected = [float(w @ (0.5 * (y - F) ** 2))]
+    for gamma, stage_tree in model.stages:
+        F = F + config.shrinkage * gamma * stage_tree.predict(X)
+        expected.append(float(w @ (0.5 * (y - F) ** 2)))
+    assert model.loss_trace == tuple(expected)
 
 
 @st.composite

@@ -108,6 +108,8 @@ def test_zero_weight_instances_do_not_affect_fit():
     w_extra = np.concatenate([w, np.zeros(10)])
     spiked = fit_tree(X_extra, r_extra, w_extra, max_depth=3, min_samples_leaf=2)
     assert base.to_dict() == spiked.to_dict()
+    r_nan = np.concatenate([r, np.full(10, np.nan)])
+    assert fit_tree(X_extra, r_nan, w_extra, max_depth=3, min_samples_leaf=2).to_dict() == base.to_dict()
 
 
 def test_uniform_weights_equal_any_constant_weights():
@@ -150,6 +152,79 @@ def test_weight_validation():
         fit_tree(X, r, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         fit_tree(X, r, np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree(X, r, np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            SplitPlan.build(X, np.array([1.0, bad, 1.0]), 1)
+    with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
+        fit_tree(X, r, np.array([1e308, 1e308, 1.0]))
+
+
+def test_a_non_finite_total_of_the_weighted_residuals_is_rejected():
+    X = np.arange(4, dtype=float)[:, None]
+    for r in ([0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0], [1e308, 1e308, 1e308, 0.0]):
+        for max_depth in (0, 2):
+            with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
+                fit_tree(X, np.array(r), np.ones(4), max_depth, min_samples_leaf=1)
+
+
+def _leaf_of_each_row(tree, X):
+    leaves = []
+    for x in X:
+        node = 0
+        while tree.feature[node] != -1:
+            node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+        leaves.append(node)
+    return np.array(leaves)
+
+
+def test_leaf_values_at_max_depth_are_the_pairwise_sums_of_their_rows():
+    # Leaves of 9-300 rows, where np.add.reduce sums pairwise, over residuals
+    # and weights of many magnitudes, so that another summation order shows.
+    seen = set()
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(18, 301))
+        X = rng.standard_normal((n, 3))
+        r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        w = rng.uniform(0.1, 3.0, n)
+        w[rng.random(n) < 0.1] = 0.0
+        max_depth = int(rng.integers(1, 3))
+        tree = fit_tree(X, r, w, max_depth, min_samples_leaf=9)
+        leaf = _leaf_of_each_row(tree, X)
+        for node in set(leaf[w > 0].tolist()):
+            m = (leaf == node) & (w > 0)
+            assert tree.value[node] == np.add.reduce(w[m] * r[m]) / np.add.reduce(w[m])
+            seen.add(int(m.sum()))
+    assert min(seen) >= 9 and max(seen) > 128
+
+
+def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    # Along either identical column, the cuts after the first and after the
+    # third row both score 1/1 + 1/3.
+    tree = fit_tree(np.column_stack([x, x]), np.array([1.0, 0.0, 0.0, 1.0]), np.ones(4), 1, 1)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+    # Both features score 1 at their best cut, feature 0 at its last, feature 1 at its first.
+    X = np.column_stack([x, x[::-1]])
+    r = np.array([0.0, 0.0, 0.0, 1.0])
+    tree = fit_tree(X, r, np.ones(4), 1, 1)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
+    assert tree.to_dict() == reference_tree(X, r, np.ones(4), 1, 1)
+    assert fit_tree(X[:, ::-1], r, np.ones(4), 1, 1).feature[0] == 0
+    # Both columns cut the same rows at 2.5 and sum them in other orders, so
+    # feature 1's score is one bit higher; both round to the same gain.
+    X = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [5.0, 3.0], [4.0, 4.0], [3.0, 5.0]])
+    r = np.array([0.95, -9.6, -2.39, 9.66, 7.24, 5.04])
+    tree = fit_tree(X, r, np.ones(6), 1, 1)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
+    assert tree.to_dict() == reference_tree(X, r, np.ones(6), 1, 1)
+    # Within one feature, the cut at 5.5 scores one bit higher than the cut
+    # at 1.5 and has the same gain: the higher score wins.
+    X = np.array([1.0, 4.0, 6.0, 0.0, 5.0, 2.0, 3.0, 7.0])[:, None]
+    r = np.array([-13.4, 0.3, 12.3, 3.6, -8.2, 0.5, 3.4, -6.5])
+    assert fit_tree(X, r, np.ones(8), 1, 1).threshold[0] == 5.5
 
 
 def test_a_plan_built_for_other_inputs_is_rejected():
