@@ -120,15 +120,6 @@ class _StackedTrees:
         )
 
 
-def pseudo_residuals(y: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Negative squared-loss gradient with respect to the current predictions."""
-    y = np.asarray(y, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if y.shape != F.shape:
-        raise ValueError("y and F must have the same length")
-    return y - F
-
-
 def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     """Closed-form weighted line search for the stage multiplier.
 

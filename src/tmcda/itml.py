@@ -12,32 +12,48 @@ label-difference percentiles; the distance thresholds come from percentiles
 of prior-metric distances over the sampled pairs.
 
 The metric stays exactly symmetric without being re-symmetrized: entry
-(i, j) of the update ``beta * (Av[:, None] * Av)`` is beta * (Av_i * Av_j),
-and IEEE multiplication is commutative, so it is the same double as entry
-(j, i), and adding it to a symmetric A keeps A symmetric. The grouping
-matters: (beta * Av_i) * Av_j need not equal (beta * Av_j) * Av_i. The
-projection loop keeps its scalars (slacks, duals, signs) as Python floats,
-which give the same doubles as numpy scalars at a fraction of the cost; the
-per-pass bookkeeping turns them into arrays once per pass. For the same
-reason it calls ``np.dot`` rather than ``@`` (the same products, with less
-dispatch) and iterates over a list of the constraint vectors. ``v A``,
-``A v`` and the update are written into three buffers allocated once per fit
-(``np.dot(..., out=)`` gives the same bytes as the plain call): ``outer =
-Av_i * Av_j``, then ``outer *= beta``, which keeps the grouping above.
+(i, j) of the update is beta * (Av_i * Av_j), and IEEE multiplication is
+commutative, so it is the same double as entry (j, i), and adding it to a
+symmetric A keeps A symmetric. The grouping matters: (beta * Av_i) * Av_j
+need not equal (beta * Av_j) * Av_i.
 
-A projection whose dual step alpha is exactly 0 (a constraint satisfied with
-dual 0, most projections on the pipeline's inputs) still updates the slack,
-dual and pass bookkeeping, but skips the rank-one update, which could not
+The projection loop is bound by interpreter and numpy call overhead, not by
+arithmetic, at the 6-12 features of the benchmark's inputs. It keeps its
+scalars (slacks, duals, signs) as Python floats, which give the same doubles
+as numpy scalars at a fraction of the cost; the per-pass bookkeeping turns
+them into arrays once per pass. It calls the arrays' dot methods (``v.dot(A,
+out=vA)``, ``vA.dot(v)``, ``A.dot(v, out=Av)``), which do the work of
+``np.dot`` without its ``__array_function__`` dispatch, and keeps the
+in-place operators ``*=`` and ``+=``, which cost less than calling
+``__imul__`` and ``__iadd__`` as bound methods. It iterates over a list of
+the constraint vectors. ``v A``, ``A v`` and the update are written into
+three buffers allocated once per fit (a dot into ``out=`` gives the same
+bytes as the plain call). The products Av_i * Av_j are formed as the k = 1
+matrix product ``Av[:, None].dot(Av[None, :], out=outer)``, at less than
+half the cost of the broadcast ``np.multiply``, and then ``outer *= beta``
+keeps the grouping above. Each entry of that product is one multiplication,
+so it is the same double as ``np.multiply`` gives, an underflow to -0.0
+included, except that a product with a zero factor comes out +0.0 where
+``np.multiply`` gives -0.0 (factors of opposite signs). Scaled by beta and
+added to A, a zero of either sign leaves every entry of A unchanged except a
+-0.0, so while A holds no -0.0 (below) the k = 1 product changes no bit of
+the fit.
+
+A projection whose dual step alpha is exactly 0 (a constraint satisfied
+with dual 0, most projections on the pipeline's inputs) updates its slack
+and nothing else. Its dual, lambda - alpha, would equal lambda (a dual never
+becomes -0.0: it starts at +0.0, and x - x is +0.0), the pass's largest dual
+change, max(m, |alpha|), would stay m, and the rank-one update could not
 change A: beta is then +-0.0, so every entry of the update is +-0.0, and
 adding +-0.0 leaves every entry of A unchanged except a -0.0, which +0.0
 turns into +0.0. A holds no -0.0 when A0 holds none: A starts as
 (A0 + A0^T) / 2, and round-to-nearest addition gives -0.0 only from
--0.0 + -0.0. So for such an A0, the identity prior among them, the skip
-changes no bit of the fit; for an A0 with -0.0 entries, only the sign of an
-untouched zero can differ from always applying the update. (This takes the
-products Av_i * Av_j to be finite. Were one to overflow, the update would
-write inf * 0 = NaN into A and fail the pass's metric check, where the skip
-goes on.)
+-0.0 + -0.0. So for such an A0, the identity prior among them, neither the
+skip nor the k = 1 product changes a bit of the fit; for an A0 with -0.0
+entries, they can change the sign of a zero entry of A and nothing else.
+(This takes the products Av_i * Av_j to be finite. Were one to overflow,
+the update would write inf * 0 = NaN into A and fail the pass's metric
+check, where the skip goes on.)
 """
 
 from __future__ import annotations
@@ -267,10 +283,9 @@ def fit_itml(
     nonpositive slack aborts with a state dump. Every pass checks that A is
     still symmetric positive-definite (a Cholesky factorization), and so
     does the end of the fit; the fixed prior ``A0`` is checked once, at the
-    start, not on every pass. A projection with alpha exactly 0 leaves A as
-    it is without forming the update (see the module docstring for why that
-    is exact). ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` >= 1;
-    NaN is rejected.
+    start, not on every pass. A projection with alpha exactly 0 updates only
+    its slack (see the module docstring for why that is exact). ``gamma``
+    must be > 0, ``tol`` >= 0 and ``max_passes`` >= 1; NaN is rejected.
     """
     X = np.asarray(X, dtype=float)
     q = X.shape[1]
@@ -307,12 +322,13 @@ def fit_itml(
 
     vs = list(V)
     vA, Av, outer = np.empty(q), np.empty(q), np.empty_like(A)
-    Av_col = Av[:, None]
+    Av_col, Av_row = Av[:, None], Av[None, :]
+    is_sim, is_dis = delta_arr > 0, delta_arr < 0
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
         for c, v in enumerate(vs):
-            np.dot(v, A, out=vA)
-            p = float(np.dot(vA, v))    # (v A) v; v (A v) reusing Av below rounds differently
+            v.dot(A, out=vA)
+            p = float(vA.dot(v))    # (v A) v; v (A v) reusing Av below rounds differently
             if p < 1e-12:
                 if (c not in skipped):
                     skipped.add(c)
@@ -335,20 +351,20 @@ def fit_itml(
                     f"lambda={lam[c]:.6g}"
                 )
             xi[c] = new_xi
+            if alpha == 0.0:
+                continue    # a satisfied constraint: its dual, the pass's dual change and A stay as they are
             lam[c] -= alpha
             max_dual_change = max(max_dual_change, abs(alpha))
-            if alpha == 0.0:
-                continue    # a satisfied constraint: the update would add only zeros to A
-            np.dot(A, v, out=Av)
-            np.multiply(Av_col, Av, out=outer)
+            A.dot(v, out=Av)
+            Av_col.dot(Av_row, out=outer)    # Av_i * Av_j, a k = 1 matrix product
             outer *= beta
             A += outer    # exactly symmetric: see the module docstring
 
         xi_arr, lam_arr = np.array(xi), np.array(lam)
         dists = np.einsum("ij,jk,ik->i", V, A, V)
         viol = int(
-            np.sum((delta_arr > 0) & (dists > xi_arr * (1 + tol)))
-            + np.sum((delta_arr < 0) & (dists < xi_arr * (1 - tol)))
+            np.sum(is_sim & (dists > xi_arr * (1 + tol)))
+            + np.sum(is_dis & (dists < xi_arr * (1 - tol)))
         )
         dual_changes.append(max_dual_change)
         violations.append(viol)

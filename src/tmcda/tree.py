@@ -128,20 +128,17 @@ class _Node(NamedTuple):
     """A node's rows, total weight and its ``_Search``.
 
     ``search`` is None when the node has too few rows for two leaves or no
-    valid candidate. ``children`` maps each split ``fit_tree`` has chosen at
-    the node, as (feature, candidate index), to its threshold and the row
-    masks of its left and right children.
+    valid candidate. ``nbytes`` counts the bytes of the row mask and the
+    search arrays, what the memo bound counts. ``children`` maps each split
+    ``fit_tree`` has chosen at the node, as (feature, candidate index), to
+    its threshold and the row masks of its left and right children.
     """
 
     member: np.ndarray
     total_w: float
     search: _Search | None
+    nbytes: int
     children: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the node's row mask and search arrays."""
-        return self.member.nbytes + sum(a.nbytes for a in self.search or ())
 
 
 def _node(order, xsorted, w, member, min_samples_leaf) -> _Node:
@@ -149,7 +146,7 @@ def _node(order, xsorted, w, member, min_samples_leaf) -> _Node:
     total_w = float(np.add.reduce(w_node))    # over the node's rows in ascending row order
     n_node = len(w_node)
     if n_node < 2 * min_samples_leaf:
-        return _Node(member, total_w, None, {})
+        return _Node(member, total_w, None, member.nbytes, {})
     n_features = len(order)
     in_node = member[order]
     rows = order[in_node].reshape(n_features, n_node)
@@ -162,7 +159,7 @@ def _node(order, xsorted, w, member, min_samples_leaf) -> _Node:
     valid[:, lo:hi] = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w[:, lo:hi] > 0)
     flat = valid.ravel().nonzero()[0]
     search = _Search(rows, flat, cw.take(flat), right_w.take(flat)) if len(flat) else None
-    return _Node(member, total_w, search, {})
+    return _Node(member, total_w, search, member.nbytes + sum(a.nbytes for a in search or ()), {})
 
 
 class _NodeMemo(OrderedDict):
@@ -324,9 +321,9 @@ def fit_tree(
             node = plan.node(w, member) if depth else plan.root
             total_w, total_wr = node.total_w, float(np.add.reduce(wr[member]))
         else:
-            # Rows of np.compress's result are contiguous, so each is summed as w[member] is.
+            # Rows of the compressed array are contiguous, so each is summed as w[member] is.
             node = None
-            total_w, total_wr = np.add.reduce(np.compress(member, weights, axis=1), axis=1).tolist()
+            total_w, total_wr = np.add.reduce(weights.compress(member, axis=1), axis=1).tolist()
         if depth == 0 and not math.isfinite(total_wr):
             raise ValueError(f"weighted residuals w * r must have a finite total, got {total_wr}")
         value.append(total_wr / total_w)

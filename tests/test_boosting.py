@@ -14,7 +14,6 @@ from tmcda.boosting import (
     fit_gbbw,
     fit_gradient_boosting,
     predict,
-    pseudo_residuals,
 )
 
 from _oracles import reference_ensemble_predict, reference_tree, straight_line_gbbw
@@ -28,28 +27,6 @@ def _two_domain_problem(seed, n1=12, n2=4, p=3):
     ys = f(Xs) + 0.1 * rng.standard_normal(n1)
     yt = f(Xt) + 0.1 * rng.standard_normal(n2)
     return Xs, ys, Xt, yt
-
-
-# ------------------------------------------------------------------ residuals
-
-def test_residuals_zero_at_fit():
-    y = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(pseudo_residuals(y, y), np.zeros(3))
-
-
-def test_residuals_hand_case():
-    assert np.array_equal(
-        pseudo_residuals(np.array([3.0, 1.0]), np.array([1.0, 1.0])),
-        np.array([2.0, 0.0]),
-    )
-
-
-def test_residual_sign_matches_error_sign():
-    rng = np.random.default_rng(0)
-    y = rng.standard_normal(50)
-    F = rng.standard_normal(50)
-    r = pseudo_residuals(y, F)
-    assert np.array_equal(np.sign(r), np.sign(y - F))
 
 
 # ------------------------------------------------------------------ multiplier

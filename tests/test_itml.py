@@ -379,7 +379,9 @@ def test_constraint_sampling_dense_cap_is_deterministic():
 @st.composite
 def _constraint_inputs(draw):
     """Rows with repeats and tied labels, and a candidate cap putting the pair
-    count at most 1x, between 1x and 4x, or above 4x the cap."""
+    count at most 1x, between 1x and 4x, or above 4x the cap. Half the cases
+    have 1-3 features, the other half up to 24, across the sizes where BLAS
+    changes kernels."""
     n = draw(st.integers(2, 40))
     total = n * (n - 1) // 2
     ranges = [(total, total + 50)]                         # every pair
@@ -388,7 +390,7 @@ def _constraint_inputs(draw):
     if total >= 5:
         ranges.append((1, (total - 1) // 4))               # rejection sampling
     lo, hi = draw(st.sampled_from(ranges))
-    q = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3) | st.integers(4, 24))
     cell = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
     distinct = draw(st.lists(st.lists(cell, min_size=q, max_size=q), min_size=1, max_size=n))
     X = np.array([distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(n)])
@@ -495,7 +497,7 @@ def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit():
 
 
 def test_dot_into_a_buffer_gives_the_plain_products_bytes():
-    # fit_itml writes v A and A v into buffers allocated once per fit.
+    # fit_itml writes v A and A v into buffers allocated once per fit, through the arrays' dot methods.
     rng = np.random.default_rng(13)
     for _ in range(20_000):
         q = int(rng.integers(1, 30))
@@ -503,10 +505,47 @@ def test_dot_into_a_buffer_gives_the_plain_products_bytes():
         A = B + B.T
         v = rng.standard_normal(q)
         vA, Av = np.empty(q), np.empty(q)
-        np.dot(v, A, out=vA)
-        np.dot(A, v, out=Av)
+        v.dot(A, out=vA)
+        A.dot(v, out=Av)
         assert vA.tobytes() == np.dot(v, A).tobytes()
         assert Av.tobytes() == np.dot(A, v).tobytes()
+        assert vA.dot(v) == np.dot(vA, v)
+
+
+def test_the_k_1_product_gives_the_broadcast_products_but_plus_zero_for_a_zero_factor():
+    # fit_itml forms Av_i * Av_j as Av[:, None].dot(Av[None, :]). Each entry is one product, the same
+    # double as np.multiply's (an underflow to -0.0 included), except that a product with a zero factor
+    # comes out +0.0, where np.multiply gives -0.0 for factors of opposite signs.
+    rng = np.random.default_rng(14)
+    for _ in range(5_000):
+        q = int(rng.integers(1, 30))
+        Av = rng.standard_normal(q) * 10.0 ** rng.integers(-170, 170, q)    # products underflow and overflow
+        Av[rng.random(q) < 0.2] = 0.0
+        Av[rng.random(q) < 0.1] = -0.0
+        outer = np.empty((q, q))
+        with np.errstate(over="ignore", under="ignore"):
+            Av[:, None].dot(Av[None, :], out=outer)
+            expected = np.multiply(Av[:, None], Av)
+        zero_factor = (Av == 0.0)[:, None] | (Av == 0.0)
+        assert outer[~zero_factor].tobytes() == expected[~zero_factor].tobytes()
+        assert outer[zero_factor].tobytes() == np.zeros(zero_factor.sum()).tobytes()
+
+
+@pytest.mark.parametrize("similar", [True, False], ids=["similar", "dissimilar"])
+def test_negative_zeros_of_the_prior_keep_their_sign_only_under_an_update_with_negative_beta(similar):
+    # v = (-1, 0, 0), so A v = (-2, 0, 0) and every update entry off the diagonal is a zero product,
+    # which the k = 1 product writes as +0.0 (np.multiply: -2 * 0 = -0.0). A similar pair pulled in
+    # scales it by beta < 0 to -0.0, and -0.0 + -0.0 keeps A0's -0.0; a dissimilar pair pushed out
+    # scales it by beta > 0, and -0.0 + 0.0 turns A0's -0.0 into +0.0.
+    A0 = np.array([[2.0, -0.0, -0.0], [-0.0, 3.0, -0.0], [-0.0, -0.0, 4.0]])
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    C = ConstraintSet(((0, 1),), (), u=0.5, l=1.0) if similar else ConstraintSet((), ((0, 1),), u=0.5, l=10.0)
+    result = fit_itml(X, C, A0=A0, max_passes=1)
+    assert result.dual_changes == [0.75 if similar else 0.2]    # alpha != 0: the update was applied
+    off_diagonal = result.A[~np.eye(3, dtype=bool)]
+    assert np.all(off_diagonal == 0.0) and np.all(np.signbit(off_diagonal) == similar)
+    assert (result.A[1, 1], result.A[2, 2]) == (3.0, 4.0)
+    assert result.A[0, 0] == pytest.approx(0.8 if similar else 2.0 + 4.0 / 3.0)
 
 
 @pytest.mark.parametrize("kwargs", [

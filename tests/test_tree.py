@@ -299,6 +299,45 @@ def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
 
 
 @st.composite
+def _same_cut_fits(draw):
+    """Columns whose lowest values all sit on the same k rows, each column in its own row order.
+
+    Every column's cut after its k-th value splits the same rows, and its
+    score sums the same residuals in another order. The k rows' residuals lie
+    near b and the other 2k near -2b. That cut is then every column's best,
+    with a score S near 9k b^2 and a gain near 2S/3, and a change in the last
+    bit of the left sum moves S by about one bit or less, so the columns'
+    scores there often differ by exactly one bit. b puts S's significand in
+    [1.55, 1.95], where the gain stays in S's binade and the parent score
+    falls in the binade below: two scores one bit apart can then round to the
+    same gain (a tie to even).
+    """
+    k = draw(st.integers(3, 12))
+    n = 3 * k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))    # one drawn seed is far cheaper than drawing each value
+    rows = rng.permutation(n)
+    columns = []
+    for _ in range(draw(st.integers(2, 8))):
+        x = np.empty(n)
+        x[rows[:k]] = rng.permutation(k)
+        x[rows[k:]] = k + rng.permutation(2 * k)
+        columns.append(x)
+    b = rng.choice([-1.0, 1.0]) * np.sqrt(rng.uniform(1.55, 1.95) * 2.0 ** draw(st.integers(4, 13)) / (9 * k))
+    r = np.full(n, -2.0 * b)
+    r[rows[:k]] = b
+    r += rng.integers(-999, 1000, n) * (1e-4 * abs(b))
+    return np.column_stack(columns), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_cut_fits())
+def test_stumps_equal_the_reference_where_columns_cut_the_same_rows_in_other_orders(fit):
+    X, r = fit
+    w = np.ones(len(r))
+    assert fit_tree(X, r, w, 1, 1).to_dict() == reference_tree(X, r, w, 1, 1)
+
+
+@st.composite
 def _node_tables(draw):
     """A random valid node table (root 0, other ids shuffled) and rows to route through it."""
     n_features = draw(st.integers(1, 3))
