@@ -28,6 +28,6 @@ from .pipeline import (
 )
 from .schema import COLUMNS, MOVEMENTS
 from .synth import generate_synthetic_network, label_coefficients
-from .tree import RegressionTree, fit_tree
+from .tree import RegressionTree, SplitPlan, fit_tree
 
 __version__ = "0.1.0"

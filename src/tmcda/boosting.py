@@ -134,10 +134,10 @@ def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarra
 
 
 def _gamma(r: np.ndarray, h: np.ndarray, w: np.ndarray) -> float:
-    denom = float(w @ (h * h))
+    denom = float(w.dot(h * h))
     if denom == 0.0:
         return 0.0
-    return float(w @ (r * h)) / denom
+    return float(w.dot(r * h)) / denom
 
 
 def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alpha: float) -> BoostedModel:
@@ -148,16 +148,15 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
     r = y - F
     h = np.zeros(len(y))
     stages = []
-    trace = [float(w @ (0.5 * r ** 2))]
+    trace = [float(w.dot(0.5 * r ** 2))]
     plan = SplitPlan.build(X, w, config.min_samples_leaf)
     for _ in range(config.n_stages):
-        tree = fit_tree(X, r, w, config.max_depth, config.min_samples_leaf,
-                        plan=plan, leaf_values=h)
+        tree = fit_tree(plan, r, config.max_depth, leaf_values=h)
         gamma = _gamma(r, h, w)
         F += config.shrinkage * gamma * h
         np.subtract(y, F, out=r)
         stages.append((gamma, tree))
-        trace.append(float(w @ (0.5 * r ** 2)))
+        trace.append(float(w.dot(0.5 * r ** 2)))
     return BoostedModel(
         f0=f0,
         stages=tuple(stages),

@@ -109,6 +109,13 @@ def _snapshot(config: PipelineConfig) -> dict:
     return snapshot
 
 
+def _check_loo_data(data, path: str) -> None:
+    if data.labels is None:
+        raise ValidationFailure(f"{path}: leave-one-out needs a labeled dataset")
+    if len(data.intersections()) < 2:
+        raise ValidationFailure(f"{path}: leave-one-out needs at least 2 intersections")
+
+
 def _load_base_config(args) -> PipelineConfig:
     config = runconfig.load_config(getattr(args, "config", None))
     if args.seed is not None:
@@ -179,8 +186,7 @@ def cmd_loo(args) -> int:
         data = load_table(args.data)
     except (runconfig.ConfigError, DataError, OSError) as exc:
         raise ValidationFailure(str(exc)) from exc
-    if data.labels is None:
-        raise ValidationFailure("leave-one-out evaluation needs a labeled dataset")
+    _check_loo_data(data, args.data)
     movements, variants = _movements(args.movement), _variants(args.variant)
     configs = _loo_configs(base, movements, variants)
     report = leave_one_out(data, configs, jobs=args.jobs)
@@ -214,8 +220,7 @@ def cmd_sweep(args) -> int:
         data = load_table(args.data)
     except (runconfig.ConfigError, DataError, OSError) as exc:
         raise ValidationFailure(str(exc)) from exc
-    if data.labels is None:
-        raise ValidationFailure("sweeps need a labeled dataset")
+    _check_loo_data(data, args.data)
     movements = _movements(args.movement)
     configs = [replace(base, movement=m) for m in movements]
     result = ablation_sweep(data, grid, configs, jobs=args.jobs)

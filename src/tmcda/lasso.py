@@ -79,7 +79,7 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def _objective(Z: np.ndarray, yc: np.ndarray, beta: np.ndarray, lam: float) -> float:
     r = yc - Z @ beta
     n = len(yc)
-    return float(r @ r / (2.0 * n) + lam * np.abs(beta).sum())
+    return float(r.dot(r) / (2.0 * n) + lam * np.abs(beta).sum())
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -137,7 +137,7 @@ def fit_lasso(
         max_delta = 0.0
         for j, z in columns:
             old = beta[j]
-            rho = float(z @ r) / n + old
+            rho = float(z.dot(r)) / n + old
             # Soft threshold; a negative rho shrunk to zero gives -0.0.
             new = math.copysign(max(abs(rho) - lam, 0.0), rho) if rho != 0.0 else 0.0
             if new != old:

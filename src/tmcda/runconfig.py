@@ -11,7 +11,7 @@ setting.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -45,7 +45,7 @@ def _derive_keys() -> dict:
 
 _KEYS = _derive_keys()
 
-_GRID_KEYS = ("grid.n_components", "grid.n_samples", "grid.alpha")
+_GRID_KEYS = {"grid.n_components": "gmm", "grid.n_samples": "gmm", "grid.alpha": "boosting"}  # -> section
 
 
 def parse_flat_file(path: str | Path) -> dict[str, str]:
@@ -91,17 +91,6 @@ def apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineCo
     if problems:
         raise ConfigError("; ".join(problems))
 
-    grid = {}
-    if allow_grid:
-        for key in _GRID_KEYS:
-            if key in entries:
-                axis = key.split(".", 1)[1]
-                parser = float if axis == "alpha" else int
-                try:
-                    grid[axis] = [parser(v.strip()) for v in entries[key].split(",") if v.strip()]
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
-
     try:
         config = PipelineConfig(
             **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},
@@ -109,6 +98,20 @@ def apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineCo
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+
+    grid = {}
+    for key, section in _GRID_KEYS.items():
+        if allow_grid and key in entries:
+            axis = key.split(".", 1)[1]
+            parser = float if axis == "alpha" else int
+            try:
+                grid[axis] = [parser(v.strip()) for v in entries[key].split(",") if v.strip()]
+                for value in grid[axis]:    # each must be a valid setting: fail now, not once the sweep runs
+                    replace(getattr(config, section), **{axis: value})
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+            if not grid[axis]:
+                raise ConfigError(f"{key}: no values")
     return config, grid
 
 

@@ -7,10 +7,10 @@ result is independent of evaluation order. Zero-weight instances are left out
 of the root and cannot influence the tree.
 
 The split search sorts each feature once per fit, not once per node: a
-boosting fit builds one ``SplitPlan`` for its fixed ``X`` and ``w`` and hands
-it to every stage's tree. A node is a mask over the rows. Filtering each
-feature's stable global order by that mask gives the node's sorted order for
-every feature in one gather (the attribute lists of SPRINT; Shafer, Agrawal &
+boosting fit builds one ``SplitPlan`` that holds its ``X``, ``w`` and
+``min_samples_leaf``, and fits every stage's tree from it. A node is a mask
+over the rows. Filtering each feature's stable global order by that mask
+gives the node's sorted order for every feature in one gather (the attribute lists of SPRINT; Shafer, Agrawal &
 Mehta 1996), with tied values in ascending row order, as a stable sort of the
 node's own rows would leave them. Cumulative sums, split scores and the
 arg-max are then taken across all features at once; taking the first
@@ -170,17 +170,18 @@ class _NodeMemo(OrderedDict):
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """What every tree fit on one ``X`` and ``w`` shares: see the module docstring.
+    """A boosting fit's inputs and what every tree fit on them shares: see the module docstring.
 
-    ``order`` and ``xsorted`` are each feature's stable ascending row order
-    and the sorted values, both (n_features, n_rows); ``root`` is the root
-    node, the rows with positive weight. ``shape`` and ``min_samples_leaf``
-    record what the plan was built for, and ``fit_tree`` rejects a plan that
-    does not match its call. ``_memo`` holds the other nodes that ``node``
-    built last, at most ``_MEMO_BYTES`` of them.
+    ``weights`` is (2, n_rows): ``w``, and the ``w * r`` that ``fit_tree``
+    writes for each tree. ``order`` and ``xsorted`` are each feature's stable
+    ascending row order and the sorted values, both (n_features, n_rows);
+    ``root`` is the root node, the rows with positive weight. ``_memo``
+    holds the other nodes that ``node`` built last, at most ``_MEMO_BYTES``
+    of them. ``X`` is read at each split, so it must not change meanwhile.
     """
 
-    shape: tuple[int, ...]
+    X: np.ndarray
+    weights: np.ndarray
     min_samples_leaf: int
     order: np.ndarray
     xsorted: np.ndarray
@@ -189,29 +190,33 @@ class SplitPlan:
 
     @classmethod
     def build(cls, X: np.ndarray, w: np.ndarray, min_samples_leaf: int) -> "SplitPlan":
-        """Check the weights, presort ``X`` and lay out the root's search."""
+        """Check the weights, one per row of ``X``, presort ``X`` and lay out the root's search."""
         X = np.asarray(X, dtype=float)
         w = np.asarray(w, dtype=float)
+        if w.shape != (len(X),):
+            raise ValueError(f"w has shape {w.shape}; X has {len(X)} rows, and w needs one entry per row")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("at least one weight must be positive")
+        weights = np.empty((2, len(X)))
+        weights[0] = w
         order = np.argsort(X.T, axis=1, kind="stable")
         xsorted = np.take_along_axis(X.T, order, axis=1)
         root = _node(order, xsorted, w, w > 0, min_samples_leaf)
         if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
             raise ValueError(f"weights must have a finite total, got {root.total_w}")
-        return cls(X.shape, min_samples_leaf, order, xsorted, root)
+        return cls(X, weights, min_samples_leaf, order, xsorted, root)
 
-    def node(self, w: np.ndarray, member: np.ndarray) -> _Node:
+    def node(self, member: np.ndarray) -> _Node:
         """The non-root node of rows ``member``: kept from an earlier call, or built and kept."""
         memo = self._memo
         key = member.tobytes()
         node = memo.get(key)
         if node is None:
-            node = _node(self.order, self.xsorted, w, member, self.min_samples_leaf)
+            node = _node(self.order, self.xsorted, self.weights[0], member, self.min_samples_leaf)
             if node.nbytes <= _MEMO_BYTES:    # a node larger than the bound is not kept
                 memo[key] = node
                 memo.nbytes += node.nbytes
@@ -255,9 +260,9 @@ def _best_split(node: _Node, wr, total_wr):
     return divmod(search.flat.item(i), n_rows)
 
 
-def _split(X, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+def _split(plan: SplitPlan, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Threshold and left and right row masks of candidate ``k`` of feature ``j`` at ``node``."""
-    rows = node.search.rows
+    X, rows = plan.X, node.search.rows
     below, above = X[rows[j, k], j], X[rows[j, k + 1], j]
     threshold = (below + above) / 2.0
     if not threshold < above:
@@ -269,44 +274,29 @@ def _split(X, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarra
 
 
 def fit_tree(
-    X: np.ndarray,
+    plan: SplitPlan,
     r: np.ndarray,
-    w: np.ndarray,
     max_depth: int = 3,
-    min_samples_leaf: int = 2,
     *,
-    plan: SplitPlan | None = None,
     leaf_values: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Fit a tree to residuals ``r`` under nonnegative instance weights ``w``.
+    """Fit a tree to residuals ``r`` on the plan's ``X``, weights and ``min_samples_leaf``.
 
-    ``plan`` is ``SplitPlan.build(X, w, min_samples_leaf)``, passed by callers
-    that fit many trees on one ``X`` and ``w``; without it ``fit_tree`` builds
-    one. A plan built for another shape of ``X`` or another
-    ``min_samples_leaf`` raises ValueError; the plan also stands for the
-    values of ``X`` and ``w``, which are not compared. If ``leaf_values`` is
-    given, each row with positive weight gets the value of its leaf there,
-    equal to ``tree.predict(X)`` on that row; zero-weight rows are left as
-    they are. ``r``, ``w`` and ``leaf_values`` hold one entry per row of
-    ``X``; any other shape raises ValueError, and so do a non-finite weight
-    and a non-finite total of ``w`` or of ``w * r``.
+    ``plan`` is ``SplitPlan.build(X, w, min_samples_leaf)``; the trees fit
+    from one plan share its presort, root and node memo. If ``leaf_values``
+    is given, each row with positive weight gets the value of its leaf
+    there, equal to ``tree.predict(X)`` on that row; zero-weight rows are
+    left as they are. ``r`` and ``leaf_values`` hold one entry per row of
+    ``X``; any other shape raises ValueError, and so does a non-finite total
+    of ``w * r``.
     """
-    X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for name, a in (("r", r), ("w", w), ("leaf_values", leaf_values)):
-        if a is not None and a.shape != (len(X),):
-            raise ValueError(f"{name} has shape {a.shape}; X has {len(X)} rows, and {name} needs one entry per row")
-    if plan is None:
-        plan = SplitPlan.build(X, w, min_samples_leaf)
-    elif plan.shape != X.shape or plan.min_samples_leaf != min_samples_leaf:
-        raise ValueError(
-            f"split plan built for X of shape {plan.shape} and min_samples_leaf = {plan.min_samples_leaf}, "
-            f"used with {X.shape} and {min_samples_leaf}"
-        )
-    weights = np.empty((2, len(X)))    # w and w * r, summed together at the leaves at max_depth
-    weights[0] = w
-    wr = np.multiply(w, r, out=weights[1])
+    n_rows = len(plan.X)
+    for name, a in (("r", r), ("leaf_values", leaf_values)):
+        if a is not None and a.shape != (n_rows,):
+            raise ValueError(f"{name} has shape {a.shape}; X has {n_rows} rows, and {name} needs one entry per row")
+    weights = plan.weights    # w and w * r, summed together at the leaves at max_depth
+    wr = np.multiply(weights[0], r, out=weights[1])
 
     feature, threshold, left, right, value = [], [], [], [], []
     # Depth first, left child first, so nodes are numbered in preorder (see the module docstring).
@@ -318,7 +308,7 @@ def fit_tree(
             right[right_of] = index
         # Totals over the node's rows in ascending row order, summed pairwise.
         if depth < max_depth:
-            node = plan.node(w, member) if depth else plan.root
+            node = plan.node(member) if depth else plan.root
             total_w, total_wr = node.total_w, float(np.add.reduce(wr[member]))
         else:
             # Rows of the compressed array are contiguous, so each is summed as w[member] is.
@@ -335,7 +325,7 @@ def fit_tree(
         else:
             children = node.children.get(split)
             if children is None:
-                children = node.children[split] = _split(X, node, *split)
+                children = node.children[split] = _split(plan, node, *split)
             j, t, left_child = split[0], children[0], index + 1
             pending.append((children[2], depth + 1, index))
             pending.append((children[1], depth + 1, None))

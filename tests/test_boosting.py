@@ -326,9 +326,9 @@ def _count_node_builds(monkeypatch):
         built.append(member.tobytes())
         return build_node(order, xsorted, w, member, min_samples_leaf)
 
-    def recording_fit(*args, plan, **kwargs):
+    def recording_fit(plan, *args, **kwargs):
         plans.append(plan)
-        return fit(*args, plan=plan, **kwargs)
+        return fit(plan, *args, **kwargs)
 
     monkeypatch.setattr(tree, "_node", counting_node)
     monkeypatch.setattr(boosting, "fit_tree", recording_fit)
@@ -425,8 +425,8 @@ def test_long_fits_under_a_small_memo_bound_equal_the_reference_tree_at_every_st
     fit = boosting.fit_tree
     sizes = []
 
-    def checked_fit(*args, plan, **kwargs):
-        result = fit(*args, plan=plan, **kwargs)
+    def checked_fit(plan, *args, **kwargs):
+        result = fit(plan, *args, **kwargs)
         memo = plan._memo
         assert memo.nbytes == sum(node.nbytes for node in memo.values()) <= bound
         sizes.append(len(memo))

@@ -7,7 +7,7 @@ import pytest
 
 from tmcda import cli, gmm, itml, lasso
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
-from tmcda.dataset import load_table
+from tmcda.dataset import load_table, write_table
 from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
 from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
 from tmcda.runconfig import ConfigError, apply_entries, load_config, parse_flat_file
@@ -495,3 +495,44 @@ def test_loo_all_variants_fits_lasso_once_per_fold_and_movement(tmp_path, data_f
     folds = (out_dir / "folds.csv").read_text().strip().splitlines()
     assert len(folds) == 1 + 3 * 3 * 3  # header + 3 folds x 3 movements x 3 variants
     assert calls == {"lasso": 3 * 3, "itml": 3 * 3}  # full and itml-gbbw share ITML
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid.alpha = 0.5, 1.5", "grid.alpha: alpha must be in [0, 1], got 1.5"),
+    ("grid.alpha = nan", "grid.alpha: alpha must be in [0, 1], got nan"),
+    ("grid.n_components = 0", "grid.n_components: GmmSettings: n_components must be >= 1, got 0"),
+    ("grid.n_samples = 4, -1", "grid.n_samples: GmmSettings: n_samples must be >= 0, got -1"),
+    ("grid.alpha =", "grid.alpha: no values"),
+    ("grid.alpha = ,", "grid.alpha: no values"),
+], ids=["alpha-above-1", "alpha-nan", "n-components-0", "n-samples-negative", "alpha-empty", "alpha-commas"])
+def test_sweep_rejects_an_out_of_domain_grid_value_before_loading_data(
+        tmp_path, data_file, monkeypatch, capsys, line, message):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(FAST_CONFIG + f"\n{line}\n")
+    loads = []
+    monkeypatch.setattr(cli, "load_table", lambda path: loads.append(path) or load_table(path))
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--data", str(data_file), "--grid", str(grid), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert loads == [] and not out_dir.exists()
+    with pytest.raises(ConfigError, match=line.split(" ")[0]):
+        apply_entries(parse_flat_file(grid), allow_grid=True)
+
+
+@pytest.mark.parametrize("command", ["loo", "sweep"])
+def test_a_dataset_with_one_intersection_exits_validation(tmp_path, data_file, config_file, capsys, command):
+    data = load_table(data_file)
+    one = tmp_path / "one.csv"
+    write_table(data.subset(data.intersection_ids == data.intersections()[0]), one)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.alpha = 0.5\n")
+    out_dir = tmp_path / "out"
+    args = [command, "--data", str(one), "--config", str(config_file), "--out-dir", str(out_dir)]
+    code = main(args + (["--grid", str(grid)] if command == "sweep" else []))
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {one}: leave-one-out needs at least 2 intersections\n"
+    assert not out_dir.exists()

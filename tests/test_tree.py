@@ -11,11 +11,16 @@ from tmcda.tree import RegressionTree, SplitPlan, fit_tree
 from _oracles import BruteTree, brute_force_split, reference_tree
 
 
+def _fit(X, r, w, max_depth=3, min_samples_leaf=2, leaf_values=None):
+    """One tree from a plan built for it."""
+    return fit_tree(SplitPlan.build(X, w, min_samples_leaf), r, max_depth, leaf_values=leaf_values)
+
+
 def test_depth_zero_gives_weighted_mean_leaf():
     X = np.arange(6, dtype=float)[:, None]
     r = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 5.0])
-    tree = fit_tree(X, r, w, max_depth=0)
+    tree = _fit(X, r, w, max_depth=0)
     assert tree.n_nodes == 1
     expected = (r * w).sum() / w.sum()
     assert tree.value[0] == pytest.approx(expected)
@@ -26,7 +31,7 @@ def test_step_data_splits_at_step():
     X = np.array([0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0])[:, None]
     r = np.array([5.0, 5.0, 5.0, 5.0, -3.0, -3.0, -3.0, -3.0])
     w = np.ones(8)
-    tree = fit_tree(X, r, w, max_depth=1, min_samples_leaf=1)
+    tree = _fit(X, r, w, max_depth=1, min_samples_leaf=1)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(6.5)
     preds = tree.predict(X)
@@ -42,7 +47,7 @@ def test_split_choice_matches_exhaustive_oracle_on_random_data():
         X = rng.standard_normal((40, 3))
         r = rng.standard_normal(40)
         w = rng.uniform(0.1, 2.0, 40)
-        tree = fit_tree(X, r, w, max_depth=1, min_samples_leaf=3)
+        tree = _fit(X, r, w, max_depth=1, min_samples_leaf=3)
         oracle = brute_force_split(X, r, w, 3)
         if oracle is None:
             assert tree.n_nodes == 1
@@ -58,7 +63,7 @@ def test_split_between_neighbouring_doubles_keeps_both_children():
     assert (lo + hi) / 2.0 == hi
     X = np.array([lo, lo, hi, hi])[:, None]
     r = np.array([1.0, 1.0, -1.0, -1.0])
-    tree = fit_tree(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
+    tree = _fit(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
     assert tree.threshold[0] == lo
     assert np.array_equal(tree.predict(X), r)
     assert np.isfinite(tree.value).all()
@@ -91,7 +96,7 @@ def test_deep_tree_predictions_match_brute_force():
         X = rng.standard_normal((60, 4))
         r = X[:, 0] * 2.0 + np.sin(X[:, 1]) + 0.1 * rng.standard_normal(60)
         w = rng.uniform(0.2, 1.5, 60)
-        tree = fit_tree(X, r, w, max_depth=3, min_samples_leaf=2)
+        tree = _fit(X, r, w, max_depth=3, min_samples_leaf=2)
         oracle = BruteTree(X, r, w, max_depth=3, min_samples_leaf=2)
         Xq = rng.standard_normal((30, 4))
         assert np.allclose(tree.predict(Xq), oracle.predict(Xq), atol=1e-12)
@@ -102,22 +107,22 @@ def test_zero_weight_instances_do_not_affect_fit():
     X = rng.standard_normal((30, 2))
     r = rng.standard_normal(30)
     w = rng.uniform(0.5, 1.5, 30)
-    base = fit_tree(X, r, w, max_depth=3, min_samples_leaf=2)
+    base = _fit(X, r, w, max_depth=3, min_samples_leaf=2)
     X_extra = np.vstack([X, 100.0 * rng.standard_normal((10, 2))])
     r_extra = np.concatenate([r, 50.0 * np.ones(10)])
     w_extra = np.concatenate([w, np.zeros(10)])
-    spiked = fit_tree(X_extra, r_extra, w_extra, max_depth=3, min_samples_leaf=2)
+    spiked = _fit(X_extra, r_extra, w_extra, max_depth=3, min_samples_leaf=2)
     assert base.to_dict() == spiked.to_dict()
     r_nan = np.concatenate([r, np.full(10, np.nan)])
-    assert fit_tree(X_extra, r_nan, w_extra, max_depth=3, min_samples_leaf=2).to_dict() == base.to_dict()
+    assert _fit(X_extra, r_nan, w_extra, max_depth=3, min_samples_leaf=2).to_dict() == base.to_dict()
 
 
 def test_uniform_weights_equal_any_constant_weights():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((40, 3))
     r = rng.standard_normal(40)
-    a = fit_tree(X, r, np.ones(40), max_depth=2, min_samples_leaf=2)
-    b = fit_tree(X, r, np.full(40, 3.7), max_depth=2, min_samples_leaf=2)
+    a = _fit(X, r, np.ones(40), max_depth=2, min_samples_leaf=2)
+    b = _fit(X, r, np.full(40, 3.7), max_depth=2, min_samples_leaf=2)
     assert a.feature == b.feature
     assert np.allclose(a.threshold, b.threshold)
     assert np.allclose(a.value, b.value)
@@ -127,7 +132,7 @@ def test_min_samples_leaf_respected():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 2))
     r = rng.standard_normal(50)
-    tree = fit_tree(X, r, np.ones(50), max_depth=4, min_samples_leaf=7)
+    tree = _fit(X, r, np.ones(50), max_depth=4, min_samples_leaf=7)
     node_of = np.zeros(50, dtype=int)
     for i in range(50):
         node = 0
@@ -140,25 +145,22 @@ def test_min_samples_leaf_respected():
 
 def test_constant_residuals_never_split():
     X = np.arange(20, dtype=float)[:, None]
-    tree = fit_tree(X, np.full(20, 2.5), np.ones(20), max_depth=3)
+    tree = _fit(X, np.full(20, 2.5), np.ones(20), max_depth=3)
     assert tree.n_nodes == 1
     assert tree.value[0] == pytest.approx(2.5)
 
 
 def test_weight_validation():
     X = np.zeros((3, 1))
-    r = np.zeros(3)
     with pytest.raises(ValueError, match="nonnegative"):
-        fit_tree(X, r, np.array([1.0, -1.0, 1.0]))
+        SplitPlan.build(X, np.array([1.0, -1.0, 1.0]), 1)
     with pytest.raises(ValueError, match="positive"):
-        fit_tree(X, r, np.zeros(3))
+        SplitPlan.build(X, np.zeros(3), 1)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            fit_tree(X, r, np.array([1.0, bad, 1.0]))
         with pytest.raises(ValueError, match="finite"):
             SplitPlan.build(X, np.array([1.0, bad, 1.0]), 1)
     with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
-        fit_tree(X, r, np.array([1e308, 1e308, 1.0]))
+        SplitPlan.build(X, np.array([1e308, 1e308, 1.0]), 2)
 
 
 def test_a_non_finite_total_of_the_weighted_residuals_is_rejected():
@@ -166,7 +168,7 @@ def test_a_non_finite_total_of_the_weighted_residuals_is_rejected():
     for r in ([0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0], [1e308, 1e308, 1e308, 0.0]):
         for max_depth in (0, 2):
             with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
-                fit_tree(X, np.array(r), np.ones(4), max_depth, min_samples_leaf=1)
+                _fit(X, np.array(r), np.ones(4), max_depth, min_samples_leaf=1)
 
 
 def _leaf_of_each_row(tree, X):
@@ -191,7 +193,7 @@ def test_leaf_values_at_max_depth_are_the_pairwise_sums_of_their_rows():
         w = rng.uniform(0.1, 3.0, n)
         w[rng.random(n) < 0.1] = 0.0
         max_depth = int(rng.integers(1, 3))
-        tree = fit_tree(X, r, w, max_depth, min_samples_leaf=9)
+        tree = _fit(X, r, w, max_depth, min_samples_leaf=9)
         leaf = _leaf_of_each_row(tree, X)
         for node in set(leaf[w > 0].tolist()):
             m = (leaf == node) & (w > 0)
@@ -204,52 +206,51 @@ def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     # Along either identical column, the cuts after the first and after the
     # third row both score 1/1 + 1/3.
-    tree = fit_tree(np.column_stack([x, x]), np.array([1.0, 0.0, 0.0, 1.0]), np.ones(4), 1, 1)
+    tree = _fit(np.column_stack([x, x]), np.array([1.0, 0.0, 0.0, 1.0]), np.ones(4), 1, 1)
     assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
     # Both features score 1 at their best cut, feature 0 at its last, feature 1 at its first.
     X = np.column_stack([x, x[::-1]])
     r = np.array([0.0, 0.0, 0.0, 1.0])
-    tree = fit_tree(X, r, np.ones(4), 1, 1)
+    tree = _fit(X, r, np.ones(4), 1, 1)
     assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
     assert tree.to_dict() == reference_tree(X, r, np.ones(4), 1, 1)
-    assert fit_tree(X[:, ::-1], r, np.ones(4), 1, 1).feature[0] == 0
+    assert _fit(X[:, ::-1], r, np.ones(4), 1, 1).feature[0] == 0
     # Both columns cut the same rows at 2.5 and sum them in other orders, so
     # feature 1's score is one bit higher; both round to the same gain.
     X = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [5.0, 3.0], [4.0, 4.0], [3.0, 5.0]])
     r = np.array([0.95, -9.6, -2.39, 9.66, 7.24, 5.04])
-    tree = fit_tree(X, r, np.ones(6), 1, 1)
+    tree = _fit(X, r, np.ones(6), 1, 1)
     assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
     assert tree.to_dict() == reference_tree(X, r, np.ones(6), 1, 1)
     # Within one feature, the cut at 5.5 scores one bit higher than the cut
     # at 1.5 and has the same gain: the higher score wins.
     X = np.array([1.0, 4.0, 6.0, 0.0, 5.0, 2.0, 3.0, 7.0])[:, None]
     r = np.array([-13.4, 0.3, 12.3, 3.6, -8.2, 0.5, 3.4, -6.5])
-    assert fit_tree(X, r, np.ones(8), 1, 1).threshold[0] == 5.5
+    assert _fit(X, r, np.ones(8), 1, 1).threshold[0] == 5.5
 
 
-def test_a_plan_built_for_other_inputs_is_rejected():
+def test_a_plan_fits_each_residual_vector_as_a_plan_built_for_it_alone():
+    # The memo a plan fills for one tree must not change the next tree it fits.
     rng = np.random.default_rng(5)
-    X, r, w = rng.standard_normal((30, 3)), rng.standard_normal(30), np.ones(30)
+    X, w = rng.standard_normal((30, 3)), rng.uniform(0.0, 2.0, 30)
     plan = SplitPlan.build(X, w, min_samples_leaf=2)
-    assert fit_tree(X, r, w, 3, 2, plan=plan).to_dict() == fit_tree(X, r, w, 3, 2).to_dict()
-    with pytest.raises(ValueError, match=r"shape \(30, 3\) .* used with \(30, 2\)"):
-        fit_tree(X[:, :2], r, w, 3, 2, plan=plan)
-    with pytest.raises(ValueError, match="min_samples_leaf = 2, used with .* and 3"):
-        fit_tree(X, r, w, 3, 3, plan=plan)
-
+    for _ in range(5):
+        r = rng.standard_normal(30)
+        assert fit_tree(plan, r, 3).to_dict() == _fit(X, r, w, 3, 2).to_dict() == reference_tree(X, r, w, 3, 2)
+    assert len(plan._memo)
 
 
 def test_residuals_weights_and_leaf_values_need_one_entry_per_row_of_X():
     rng = np.random.default_rng(6)
     X, r, w = rng.standard_normal((5, 2)), rng.standard_normal(5), np.ones(5)
     with pytest.raises(ValueError, match=r"r has shape \(4,\); X has 5 rows"):
-        fit_tree(X, r[:4], w)
+        _fit(X, r[:4], w)
     with pytest.raises(ValueError, match=r"r has shape \(5, 1\); X has 5 rows"):
-        fit_tree(X, r[:, None], w)
+        _fit(X, r[:, None], w)
     with pytest.raises(ValueError, match=r"w has shape \(6,\); X has 5 rows"):
-        fit_tree(X, r, np.ones(6))
+        SplitPlan.build(X, np.ones(6), 1)
     with pytest.raises(ValueError, match=r"leaf_values has shape \(4,\); X has 5 rows"):
-        fit_tree(X, r, w, leaf_values=np.zeros(4))
+        _fit(X, r, w, leaf_values=np.zeros(4))
 
 
 def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_overflows():
@@ -258,7 +259,7 @@ def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_o
     X = np.array([[0.0], [1.0], [1.0], [2.0]])
     r = np.array([1.0, 2e154, -2e154, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        tree = fit_tree(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
+        tree = _fit(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
         expected = reference_tree(X, r, np.ones(4), 1, 1)
     assert tree.to_dict() == expected
     assert tree.threshold == (0.5, 0.0, 0.0)
@@ -291,7 +292,7 @@ def _fits(draw):
 def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     X, r, w, max_depth, min_samples_leaf = fit
     leaf_values = np.full(len(r), np.nan)
-    tree = fit_tree(X, r, w, max_depth, min_samples_leaf, leaf_values=leaf_values)
+    tree = _fit(X, r, w, max_depth, min_samples_leaf, leaf_values=leaf_values)
     assert tree.to_dict() == reference_tree(X, r, w, max_depth, min_samples_leaf)
     kept = w > 0
     assert np.array_equal(leaf_values[kept], tree.predict(X)[kept])
@@ -334,7 +335,7 @@ def _same_cut_fits(draw):
 def test_stumps_equal_the_reference_where_columns_cut_the_same_rows_in_other_orders(fit):
     X, r = fit
     w = np.ones(len(r))
-    assert fit_tree(X, r, w, 1, 1).to_dict() == reference_tree(X, r, w, 1, 1)
+    assert _fit(X, r, w, 1, 1).to_dict() == reference_tree(X, r, w, 1, 1)
 
 
 @st.composite
@@ -387,5 +388,5 @@ def test_tree_equals_the_reference_where_split_scores_overflow(fit, scale):
     # Scores and gains reach inf and NaN; the choice among the rest stays the reference's.
     X, r, w, max_depth, min_samples_leaf = fit
     with np.errstate(over="ignore", invalid="ignore"):
-        tree = fit_tree(X, r * scale, w, max_depth, min_samples_leaf)
+        tree = _fit(X, r * scale, w, max_depth, min_samples_leaf)
         assert tree.to_dict() == reference_tree(X, r * scale, w, max_depth, min_samples_leaf)
