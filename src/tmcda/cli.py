@@ -1,10 +1,11 @@
 """Command-line front end: synthetic data, feature selection, evaluation, sweeps.
 
-Every run writes its outputs atomically together with a manifest recording
-the configuration snapshot, master seed, schema version and input digests.
-Exit codes: 0 success, 2 usage, 3 validation, 4 runtime failure (every fold
-of a ``loo`` or every cell of a ``sweep`` failed, or an I/O error or coding
-bug, printed with its traceback).
+Every command writes its outputs atomically; all but ``synth`` then write a
+manifest recording the configuration snapshot, master seed, schema version
+and input digests. Exit codes: 0 success, 2 usage, 3 validation (bad flags,
+config or data, or data too small to fit), 4 runtime failure (every fold of
+a ``loo`` or every cell of a ``sweep`` failed, or an I/O error or coding bug,
+printed with its traceback).
 """
 
 from __future__ import annotations
@@ -67,12 +68,8 @@ def _atomic_write(path: Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
 
 
-def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
-                    inputs: list[Path], outputs: list[Path], **ran) -> Path:
+                    inputs: list[str], outputs: list[Path], **ran) -> None:
     """``ran`` names what the command chose itself, such as the movements it ran."""
     manifest = {
         **ran,
@@ -81,12 +78,20 @@ def _write_manifest(out_dir: Path, command: str, seed: int, config: dict,
         "schema_version": SCHEMA_VERSION,
         "master_seed": seed,
         "config": config,
-        "inputs": {str(p): _digest_file(p) for p in inputs},
+        "inputs": {str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    path = out_dir / "manifest.json"
-    _atomic_write(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    return path
+    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+
+
+def _write_outputs(out_dir: str, reports: dict[str, str], command: str, seed: int, config: dict,
+                   inputs: list[str], **ran) -> list[Path]:
+    """Write each named report atomically into ``out_dir``, then the manifest listing them."""
+    outputs = [Path(out_dir) / name for name in reports]
+    for path, text in zip(outputs, reports.values()):
+        _atomic_write(path, text)
+    _write_manifest(Path(out_dir), command, seed, config, inputs, outputs, **ran)
+    return outputs
 
 
 def _movements(arg: str) -> list[str]:
@@ -109,18 +114,42 @@ def _snapshot(config: PipelineConfig) -> dict:
     return snapshot
 
 
-def _check_loo_data(data, path: str) -> None:
+def _load_labeled(path: str, purpose: str):
+    """The data file, loaded and labeled; load_table names the file in its own errors."""
+    try:
+        data = load_table(path)
+    except (DataError, OSError) as exc:
+        raise ValidationFailure(str(exc)) from exc
     if data.labels is None:
-        raise ValidationFailure(f"{path}: leave-one-out needs a labeled dataset")
-    if len(data.intersections()) < 2:
-        raise ValidationFailure(f"{path}: leave-one-out needs at least 2 intersections")
+        raise ValidationFailure(f"{path}: {purpose} needs a labeled dataset")
+    return data
 
 
-def _load_base_config(args) -> PipelineConfig:
-    config = runconfig.load_config(getattr(args, "config", None))
+def _loo_inputs(args):
+    """The checked (base config, grid, data) of ``loo`` and ``sweep``.
+
+    Flags first, then the config files, so that a bad flag, key or grid
+    value fails before any data is read.
+    """
+    _check_seed(args.seed)
+    if args.jobs < 1:
+        raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
+    grid_file = getattr(args, "grid", None)  # sweep only
+    entries = {}
+    try:
+        # --config keys override the grid file's; the grid file's other keys still apply.
+        for path in (grid_file, args.config):
+            if path is not None:
+                entries.update(runconfig.parse_flat_file(path))
+        base, grid = runconfig.apply_entries(entries, allow_grid=grid_file is not None)
+    except (runconfig.ConfigError, OSError) as exc:
+        raise ValidationFailure(str(exc)) from exc
     if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    return config
+        base = replace(base, master_seed=args.seed)
+    data = _load_labeled(args.data, "leave-one-out")
+    if len(data.intersections()) < 2:
+        raise ValidationFailure(f"{args.data}: leave-one-out needs at least 2 intersections")
+    return base, grid, data
 
 
 def cmd_synth(args) -> int:
@@ -144,59 +173,33 @@ def cmd_select(args) -> int:
     _check_seed(args.seed)
     if not 0 <= args.lambda_value < math.inf:  # NaN too
         raise ValidationFailure(f"--lambda-value must be finite and >= 0, got {args.lambda_value}")
-    try:
-        data = load_table(args.data)
-    except (DataError, OSError) as exc:
-        raise ValidationFailure(f"{args.data}: {exc}") from exc
-    if data.labels is None:
-        raise ValidationFailure("feature selection needs a labeled dataset")
-    out_dir = Path(args.out_dir)
+    data = _load_labeled(args.data, "feature selection")
     seed = 0 if args.seed is None else args.seed
     settings = LassoSettings(lambda_mode=args.lambda_mode, lambda_value=args.lambda_value)
     movements = tuple(_movements(args.movement))
     models = {}
-    for movement in movements:
-        y = data.movement_labels(movement).astype(float)
-        lam = select_lambda(data.X, y, settings, seed)
-        models[movement] = lasso.fit_lasso(data.X, y, lam)
-    report = lasso.coefficient_report(models, movements)
-    out = out_dir / "coefficients.csv"
-    _atomic_write(out, report)
-    _write_manifest(out_dir, "select", seed,
-                    {"lambda_mode": args.lambda_mode, "lambda_value": args.lambda_value},
-                    [Path(args.data)], [out])
+    try:
+        for movement in movements:
+            y = data.movement_labels(movement).astype(float)
+            lam = select_lambda(data.X, y, settings, seed)
+            models[movement] = lasso.fit_lasso(data.X, y, lam)
+    except ValueError as exc:  # a typed fit failure, such as too few rows for CV: the data's fault
+        raise ValidationFailure(f"{args.data}: {exc}") from exc
+    [out] = _write_outputs(args.out_dir, {"coefficients.csv": lasso.coefficient_report(models, movements)},
+                           "select", seed, {"lambda_mode": args.lambda_mode, "lambda_value": args.lambda_value},
+                           [args.data])
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def _loo_configs(base: PipelineConfig, movements: list[str], variants: list[str]) -> list[PipelineConfig]:
-    return [
-        replace(base, movement=movement, variant=variant)
-        for variant in variants
-        for movement in movements
-    ]
-
-
 def cmd_loo(args) -> int:
-    _check_seed(args.seed)
-    if args.jobs < 1:
-        raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        base = _load_base_config(args)
-        data = load_table(args.data)
-    except (runconfig.ConfigError, DataError, OSError) as exc:
-        raise ValidationFailure(str(exc)) from exc
-    _check_loo_data(data, args.data)
+    base, _, data = _loo_inputs(args)
     movements, variants = _movements(args.movement), _variants(args.variant)
-    configs = _loo_configs(base, movements, variants)
+    configs = [replace(base, movement=m, variant=v) for v in variants for m in movements]
     report = leave_one_out(data, configs, jobs=args.jobs)
-    out_dir = Path(args.out_dir)
-    summary = out_dir / "summary.csv"
-    folds = out_dir / "folds.csv"
-    _atomic_write(summary, render_summary(report))
-    _atomic_write(folds, report.to_long_text())
-    _write_manifest(out_dir, "loo", base.master_seed, _snapshot(base),
-                    [Path(args.data)], [summary, folds], movements=movements, variants=variants)
+    summary, folds = _write_outputs(
+        args.out_dir, {"summary.csv": render_summary(report), "folds.csv": report.to_long_text()},
+        "loo", base.master_seed, _snapshot(base), [args.data], movements=movements, variants=variants)
     failures = [r for r in report.rows if r.error is not None]
     print(f"wrote {summary} and {folds} ({len(report.rows)} rows, {len(failures)} failed)")
     if failures and len(failures) == len(report.rows):
@@ -206,30 +209,11 @@ def cmd_loo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_seed(args.seed)
-    if args.jobs < 1:
-        raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        # --config keys override the grid file's; the grid file's other keys still apply.
-        entries = runconfig.parse_flat_file(args.grid)
-        if args.config:
-            entries.update(runconfig.parse_flat_file(args.config))
-        base, grid = runconfig.apply_entries(entries, allow_grid=True)
-        if args.seed is not None:
-            base = replace(base, master_seed=args.seed)
-        data = load_table(args.data)
-    except (runconfig.ConfigError, DataError, OSError) as exc:
-        raise ValidationFailure(str(exc)) from exc
-    _check_loo_data(data, args.data)
+    base, grid, data = _loo_inputs(args)
     movements = _movements(args.movement)
-    configs = [replace(base, movement=m) for m in movements]
-    result = ablation_sweep(data, grid, configs, jobs=args.jobs)
-    out_dir = Path(args.out_dir)
-    out = out_dir / "sweep.csv"
-    _atomic_write(out, result.to_text())
-    _write_manifest(out_dir, "sweep", base.master_seed,
-                    {"base": _snapshot(base), "grid": grid},
-                    [Path(args.data), Path(args.grid)], [out], movements=movements)
+    result = ablation_sweep(data, grid, [replace(base, movement=m) for m in movements], jobs=args.jobs)
+    [out] = _write_outputs(args.out_dir, {"sweep.csv": result.to_text()}, "sweep", base.master_seed,
+                           {"base": _snapshot(base), "grid": grid}, [args.data, args.grid], movements=movements)
     skipped = sum(1 for c in result.cells if c.status == "skipped")
     failed = sum(1 for c in result.cells if c.status == "failed")
     print(f"wrote {out} ({len(result.cells)} cells, {skipped} skipped, {failed} failed)")

@@ -67,22 +67,18 @@ class Dataset:
         return self.labels[:, MOVEMENTS.index(movement)]
 
     def subset(self, mask: np.ndarray) -> "Dataset":
+        """The rows where boolean ``mask`` holds; indexing with it already copies."""
         return Dataset(
             self.intersection_ids[mask],
             self.approaches[mask],
-            self.interval_indices[mask].copy(),
-            self.X[mask].copy(),
-            None if self.labels is None else self.labels[mask].copy(),
+            self.interval_indices[mask],
+            self.X[mask],
+            None if self.labels is None else self.labels[mask],
         )
 
     def without_labels(self) -> "Dataset":
-        return Dataset(
-            self.intersection_ids,
-            self.approaches,
-            self.interval_indices.copy(),
-            self.X.copy(),
-            None,
-        )
+        """The same rows and (read-only, so shared) arrays, without labels."""
+        return Dataset(self.intersection_ids, self.approaches, self.interval_indices, self.X, None)
 
 
 class HeldOutLabels:
@@ -172,26 +168,34 @@ def load_table(path: str | Path) -> Dataset:
     name the label columns v_LM, v_TM, v_RM (all three or none), each column
     once. Rows failing type, finiteness or domain validation are rejected
     with row/column coordinates (rows numbered from 1, excluding the header).
+    Every DataError raised names the file once, as its prefix.
     """
     path = Path(path)
+    try:
+        return _read_table(path)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_table(path: Path) -> Dataset:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+            raise DataError("empty file") from None
         header = [h.strip() for h in header]
         repeated = sorted({h for h in header if header.count(h) > 1})
         if repeated:
-            raise DataError(f"{path}: column(s) named more than once: {repeated}")
+            raise DataError(f"column(s) named more than once: {repeated}")
         missing = [c for c in (*ID_COLUMNS, *(col.name for col in COLUMNS)) if c not in header]
         if missing:
-            raise DataError(f"{path}: missing column(s) {missing}")
+            raise DataError(f"missing column(s) {missing}")
         has_labels = any(c in header for c in LABEL_COLUMNS)
         if has_labels:
             absent = [c for c in LABEL_COLUMNS if c not in header]
             if absent:
-                raise DataError(f"{path}: label columns incomplete, missing {absent}")
+                raise DataError(f"label columns incomplete, missing {absent}")
         pos = {name: header.index(name) for name in header}
 
         ids, approaches, intervals, rows, labels = [], [], [], [], []
@@ -227,7 +231,7 @@ def load_table(path: str | Path) -> Dataset:
             rows.append(feats)
 
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
     return Dataset(
         np.array(ids, dtype=object),
         np.array(approaches, dtype=object),

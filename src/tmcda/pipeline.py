@@ -486,20 +486,36 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _grid_config(base: PipelineConfig, k, m, a) -> PipelineConfig:
-    cfg = base
-    if k is not None or m is not None:
-        cfg = replace(
-            cfg,
-            gmm=replace(
-                cfg.gmm,
-                n_components=int(k) if k is not None else cfg.gmm.n_components,
-                n_samples=int(m) if m is not None else cfg.gmm.n_samples,
-            ),
-        )
-    if a is not None:
-        cfg = replace(cfg, boosting=replace(cfg.boosting, alpha=float(a)))
-    return cfg
+# Sweep grid axes: axis -> (settings section, value type). The one place an axis is mapped.
+GRID_AXES = {"n_components": ("gmm", int), "n_samples": ("gmm", int), "alpha": ("boosting", float)}
+
+
+def grid_configs(base: PipelineConfig, grid: dict) -> list[PipelineConfig]:
+    """``base`` at every cell of ``grid``: K-major, then M, then alpha.
+
+    ``grid`` maps axes of ``GRID_AXES`` to value lists; a missing axis keeps
+    the base's value. An unknown axis, an empty list or a value the axis's
+    settings class rejects is a ValueError.
+    """
+    unknown = sorted(set(grid) - set(GRID_AXES))
+    if unknown:
+        raise ValueError(f"unknown grid axis(es): {unknown}")
+    configs = [base]
+    for axis, (section, kind) in GRID_AXES.items():
+        if axis not in grid:
+            continue
+        values = list(grid[axis])
+        if not values:
+            raise ValueError(f"grid.{axis}: no values")
+        try:
+            configs = [
+                replace(cfg, **{section: replace(getattr(cfg, section), **{axis: kind(value)})})
+                for cfg in configs
+                for value in values
+            ]
+        except ValueError as exc:
+            raise ValueError(f"grid.{axis}: {exc}") from None
+    return configs
 
 
 def ablation_sweep(
@@ -510,8 +526,8 @@ def ablation_sweep(
 ) -> SweepResult:
     """Run leave-one-out over a (components, samples, alpha) grid.
 
-    ``grid`` maps any of "n_components", "n_samples", "alpha" to value lists;
-    missing axes use the base configs' values. All cells' configs run as one
+    Each base config is expanded by ``grid_configs``, so cells come in its
+    order and a bad grid is its ValueError. All cells' configs run as one
     leave-one-out (one process pool with ``jobs`` > 1), so each fold computes
     an upstream stage once for every cell that shares its settings: alpha
     enters only boosting, and n_components/n_samples only the mixture. Each
@@ -524,18 +540,14 @@ def ablation_sweep(
     if isinstance(base_configs, PipelineConfig):
         base_configs = (base_configs,)
     base_configs = tuple(base_configs)
-    points = [
-        (k, m, a)
-        for k in grid.get("n_components") or [None]
-        for m in grid.get("n_samples") or [None]
-        for a in grid.get("alpha") or [None]
-    ]
-    configs = tuple(_grid_config(base, *point) for point in points for base in base_configs)
+    # cell-major: each cell's configs are adjacent, one per base config
+    by_cell = zip(*(grid_configs(base, grid) for base in base_configs))
+    configs = tuple(config for cell in by_cell for config in cell)
     chunks = _score_folds(data, configs, jobs)
 
     width = len(base_configs)
     cells = []
-    for c in range(len(points)):
+    for c in range(len(configs) // width):
         rows, aggregates = _aggregate([r for chunk in chunks for r in chunk[c * width:(c + 1) * width]])
         first = configs[c * width]
         cell_k, cell_m, cell_a = first.gmm_components(), first.gmm_samples(), first.effective_alpha()

@@ -3,7 +3,9 @@
 Lines look like ``gmm.n_components = 4``; ``#`` starts a comment. Every
 field of the four settings classes is a ``<section>.<field>`` key parsed by
 its annotated type, so keys and fields cannot drift apart; one more key,
-``seed``, sets ``PipelineConfig.master_seed``. Each command chooses the
+``seed``, sets ``PipelineConfig.master_seed``. A sweep's grid file may
+also hold ``grid.<axis> = v1, v2, ...`` for each axis of
+``pipeline.GRID_AXES``. Each command chooses the
 movement and variant itself. Unknown keys are hard errors,
 reported all at once so a sweep cannot silently run with a misspelled
 setting.
@@ -11,12 +13,12 @@ setting.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
 from .boosting import TrainConfig
-from .pipeline import GmmSettings, ItmlSettings, LassoSettings, PipelineConfig
+from .pipeline import GRID_AXES, GmmSettings, ItmlSettings, LassoSettings, PipelineConfig, grid_configs
 
 
 class ConfigError(ValueError):
@@ -45,7 +47,14 @@ def _derive_keys() -> dict:
 
 _KEYS = _derive_keys()
 
-_GRID_KEYS = {"grid.n_components": "gmm", "grid.n_samples": "gmm", "grid.alpha": "boosting"}  # -> section
+
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values; blank items are dropped."""
+    return lambda text: [kind(v) for v in text.split(",") if v.strip()]
+
+
+# A sweep's grid.<axis> keys, one per axis of the pipeline's table: key -> ("grid", axis, parser)
+_GRID_KEYS = {f"grid.{axis}": ("grid", axis, _list_of(kind)) for axis, (_, kind) in GRID_AXES.items()}
 
 
 def parse_flat_file(path: str | Path) -> dict[str, str]:
@@ -67,57 +76,34 @@ def parse_flat_file(path: str | Path) -> dict[str, str]:
 
 
 def apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineConfig, dict]:
-    """Build a configuration, and the sweep grid when ``allow_grid``, from parsed entries."""
-    unknown = [k for k in entries if k not in _KEYS and not (allow_grid and k in _GRID_KEYS)]
+    """Build a configuration, and the sweep grid when ``allow_grid``, from parsed entries.
+
+    Every grid value is checked against the configuration here, before any
+    data is read.
+    """
+    keys = {**_KEYS, **_GRID_KEYS} if allow_grid else _KEYS
+    unknown = [k for k in entries if k not in keys]
     if unknown:
         raise ConfigError(f"unknown configuration key(s): {sorted(unknown)}")
 
-    sections = {section: {} for section in _SECTIONS}
-    top = {}
+    parsed = {section: {} for section in (None, *_SECTIONS, "grid")}
     problems = []
     for key, text in entries.items():
-        if key in _GRID_KEYS:
-            continue
-        section, fname, parser = _KEYS[key]
+        section, fname, parser = keys[key]
         try:
-            value = parser(text)
+            parsed[section][fname] = parser(text)
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
-            continue
-        if section is None:
-            top[fname] = value
-        else:
-            sections[section][fname] = value
     if problems:
         raise ConfigError("; ".join(problems))
 
+    grid = parsed.pop("grid")
     try:
         config = PipelineConfig(
-            **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},
-            **top,
+            **{section: cls(**parsed[section]) for section, cls in _SECTIONS.items()},
+            **parsed[None],
         )
+        grid_configs(config, grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-
-    grid = {}
-    for key, section in _GRID_KEYS.items():
-        if allow_grid and key in entries:
-            axis = key.split(".", 1)[1]
-            parser = float if axis == "alpha" else int
-            try:
-                grid[axis] = [parser(v.strip()) for v in entries[key].split(",") if v.strip()]
-                for value in grid[axis]:    # each must be a valid setting: fail now, not once the sweep runs
-                    replace(getattr(config, section), **{axis: value})
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-            if not grid[axis]:
-                raise ConfigError(f"{key}: no values")
     return config, grid
-
-
-def load_config(path: str | Path | None) -> PipelineConfig:
-    """Build a pipeline configuration from a flat file (defaults if None)."""
-    if path is None:
-        return PipelineConfig()
-    config, _ = apply_entries(parse_flat_file(path), allow_grid=False)
-    return config

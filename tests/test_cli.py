@@ -10,7 +10,7 @@ from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table, write_table
 from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
 from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
-from tmcda.runconfig import ConfigError, apply_entries, load_config, parse_flat_file
+from tmcda.runconfig import ConfigError, apply_entries, parse_flat_file
 from tmcda.synth import generate_synthetic_network
 
 FAST_CONFIG = """
@@ -86,7 +86,7 @@ def test_loo_on_synth_output_equals_leave_one_out_on_the_generated_network(tmp_p
     out_dir = tmp_path / "loo"
     assert main(["loo", "--data", str(data_file), "--config", str(config_file),
                  "--out-dir", str(out_dir), "--variant", "all", "--movement", "left"]) == EXIT_OK
-    base = load_config(config_file)
+    base, _ = apply_entries(parse_flat_file(config_file), allow_grid=False)
     report = leave_one_out(data, [replace(base, variant=v) for v in VARIANTS])
     assert (out_dir / "folds.csv").read_text() == report.to_long_text()
     assert (out_dir / "summary.csv").read_text() == render_summary(report)
@@ -192,7 +192,7 @@ def test_unknown_config_keys_listed_all_at_once(tmp_path, data_file):
                  "--out-dir", str(out_dir)])
     assert code == EXIT_VALIDATION
     with pytest.raises(ConfigError) as exc:
-        load_config(bad)
+        apply_entries(parse_flat_file(bad), allow_grid=False)
     assert "gmm.n_component" in str(exc.value)
     assert "boosting.stages" in str(exc.value)
 
@@ -459,6 +459,43 @@ def test_loo_rejects_a_blank_intersection_id_with_its_row(tmp_path, data_file, c
     assert "row 3: missing value in column 'intersection_id'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "loo", "sweep"])
+@pytest.mark.parametrize("fault, message", [
+    ("header", "missing column(s) ['o_TM']"),
+    ("row", "row 2: non-finite value 'nan' in column 'v_LM'"),
+], ids=["header", "row"])
+def test_a_data_error_names_the_file_once(tmp_path, data_file, config_file, capsys, command, fault, message):
+    lines = data_file.read_text().splitlines()
+    header = lines[0].split(",")
+    if fault == "header":
+        lines[0] = ",".join("o_TMX" if name == "o_TM" else name for name in header)
+    else:
+        cells = lines[2].split(",")
+        cells[header.index("v_LM")] = "nan"
+        lines[2] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.alpha = 0.5\n")
+    out_dir = tmp_path / "out"
+    files = {"select": [], "loo": ["--config", str(config_file)],
+             "sweep": ["--config", str(config_file), "--grid", str(grid)]}[command]
+    code = main([command, "--data", str(bad), "--out-dir", str(out_dir), *files])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_select_on_too_few_rows_to_fit_exits_validation_naming_the_file(tmp_path, data_file, capsys):
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join(data_file.read_text().splitlines()[:5]) + "\n")  # header and 4 rows
+    out_dir = tmp_path / "out"
+    code = main(["select", "--data", str(small), "--lambda-mode", "cv", "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {small}: need at least 5 rows for 5-fold CV\n"
+    assert not out_dir.exists()
 
 
 def test_coding_bug_exits_runtime_with_type_and_traceback(tmp_path, data_file, config_file, monkeypatch, capsys):

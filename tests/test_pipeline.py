@@ -428,6 +428,20 @@ def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3, monkeypa
     assert ablation_sweep(data3, grid, bases, jobs=2) == sweep
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"alphas": [0.5]}, r"unknown grid axis\(es\): \['alphas'\]"),
+    ({"alpha": []}, "grid.alpha: no values"),
+    ({"n_components": [2], "n_samples": []}, "grid.n_samples: no values"),
+    ({"alpha": [0.5, 1.5]}, r"grid.alpha: alpha must be in \[0, 1\], got 1.5"),
+], ids=["unknown-axis", "empty-alpha", "empty-n-samples", "alpha-above-1"])
+def test_sweep_rejects_a_grid_it_cannot_run_before_any_fold(data3, monkeypatch, grid, message):
+    # An unknown axis or an empty list once ran the base config as one cell.
+    fits = _counting(monkeypatch, lasso, "fit_lasso")
+    with pytest.raises(ValueError, match=message):
+        ablation_sweep(data3, grid, _fast_cfg())
+    assert fits == []
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

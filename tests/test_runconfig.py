@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmcda.pipeline import LAMBDA_MODES, PipelineConfig
-from tmcda.runconfig import _KEYS, ConfigError, load_config
+from tmcda.runconfig import _KEYS, ConfigError, apply_entries, parse_flat_file
 
 SECTIONS = ("lasso", "itml", "gmm", "boosting")
 TOP_LEVEL_FIELDS = ("master_seed",)
@@ -80,6 +80,6 @@ def test_values_written_as_key_value_load_back_into_their_fields(tmp_path_factor
     path.write_text("".join(f"{key} = {text}\n" for key, (_, text) in entries.items()))
     if expected is None:
         with pytest.raises(ConfigError):
-            load_config(path)
+            apply_entries(parse_flat_file(path), allow_grid=False)
     else:
-        assert load_config(path) == expected
+        assert apply_entries(parse_flat_file(path), allow_grid=False) == (expected, {})
