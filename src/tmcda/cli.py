@@ -135,13 +135,15 @@ def _loo_inputs(args):
     if args.jobs < 1:
         raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
     grid_file = getattr(args, "grid", None)  # sweep only
-    entries = {}
+    entries, sources = {}, {}
     try:
         # --config keys override the grid file's; the grid file's other keys still apply.
         for path in (grid_file, args.config):
             if path is not None:
-                entries.update(runconfig.parse_flat_file(path))
-        base, grid = runconfig.apply_entries(entries, allow_grid=grid_file is not None)
+                file_entries = runconfig.parse_flat_file(path)
+                entries.update(file_entries)
+                sources.update(dict.fromkeys(file_entries, path))
+        base, grid = runconfig.apply_entries(entries, allow_grid=grid_file is not None, sources=sources)
     except (runconfig.ConfigError, OSError) as exc:
         raise ValidationFailure(str(exc)) from exc
     if args.seed is not None:

@@ -494,8 +494,9 @@ def grid_configs(base: PipelineConfig, grid: dict) -> list[PipelineConfig]:
     """``base`` at every cell of ``grid``: K-major, then M, then alpha.
 
     ``grid`` maps axes of ``GRID_AXES`` to value lists; a missing axis keeps
-    the base's value. An unknown axis, an empty list or a value the axis's
-    settings class rejects is a ValueError.
+    the base's value. An unknown axis, an empty list, a value that the axis's
+    type would change (2.7 for a count) or one its settings class rejects is
+    a ValueError.
     """
     unknown = sorted(set(grid) - set(GRID_AXES))
     if unknown:
@@ -508,12 +509,16 @@ def grid_configs(base: PipelineConfig, grid: dict) -> list[PipelineConfig]:
         if not values:
             raise ValueError(f"grid.{axis}: no values")
         try:
+            cast = [kind(value) for value in values]
+            for value, typed in zip(values, cast):
+                if typed != value and typed == typed:    # a NaN is left to the settings class
+                    raise ValueError(f"{value} is not {kind.__name__}-valued: it would run as {typed}")
             configs = [
-                replace(cfg, **{section: replace(getattr(cfg, section), **{axis: kind(value)})})
+                replace(cfg, **{section: replace(getattr(cfg, section), **{axis: typed})})
                 for cfg in configs
-                for value in values
+                for typed in cast
             ]
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"grid.{axis}: {exc}") from None
     return configs
 

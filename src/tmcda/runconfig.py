@@ -75,11 +75,13 @@ def parse_flat_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineConfig, dict]:
+def apply_entries(entries: dict[str, str], allow_grid: bool,
+                  sources: dict[str, str] | None = None) -> tuple[PipelineConfig, dict]:
     """Build a configuration, and the sweep grid when ``allow_grid``, from parsed entries.
 
-    Every grid value is checked against the configuration here, before any
-    data is read.
+    Every value is checked, grid values by ``grid_configs``, before any data
+    is read. A problem names its key, and the key's file when ``sources``
+    maps the key to one.
     """
     keys = {**_KEYS, **_GRID_KEYS} if allow_grid else _KEYS
     unknown = [k for k in entries if k not in keys]
@@ -87,23 +89,26 @@ def apply_entries(entries: dict[str, str], allow_grid: bool) -> tuple[PipelineCo
         raise ConfigError(f"unknown configuration key(s): {sorted(unknown)}")
 
     parsed = {section: {} for section in (None, *_SECTIONS, "grid")}
-    problems = []
+    problems = []    # (key, a message that names it)
     for key, text in entries.items():
         section, fname, parser = keys[key]
         try:
-            parsed[section][fname] = parser(text)
+            parsed[section][fname] = value = parser(text)
+            if section != "grid":    # every settings check is on one field; "seed" is PipelineConfig's
+                _SECTIONS.get(section, PipelineConfig)(**{fname: value})
         except ValueError as exc:
-            problems.append(f"{key}: {exc}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-
+            problems.append((key, f"{key}: {exc}"))
     grid = parsed.pop("grid")
-    try:
+    if not problems:
         config = PipelineConfig(
             **{section: cls(**parsed[section]) for section, cls in _SECTIONS.items()},
             **parsed[None],
         )
-        grid_configs(config, grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        for axis, values in grid.items():
+            try:
+                grid_configs(config, {axis: values})
+            except ValueError as exc:    # its message names the key
+                problems.append((f"grid.{axis}", str(exc)))
+    if problems:
+        raise ConfigError("; ".join(f"{sources[key]}: {text}" if sources else text for key, text in problems))
     return config, grid

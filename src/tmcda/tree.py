@@ -1,10 +1,10 @@
 """Axis-aligned regression trees fit by greedy weighted variance reduction.
 
 A split's score is the reduction in weighted sum of squared deviations of the
-residuals; leaf predictions are weighted means. Ties between equally good
-splits break to the lowest feature index, then the lowest threshold, so the
-result is independent of evaluation order. Zero-weight instances are left out
-of the root and cannot influence the tree.
+residuals; leaf predictions are weighted means. Among equal scores the first
+wins: the lowest feature index, then the lowest threshold, so the result is
+independent of evaluation order. Zero-weight instances are left out of the
+root and cannot influence the tree.
 
 The split search sorts each feature once per fit, not once per node: a
 boosting fit builds one ``SplitPlan`` that holds its ``X``, ``w`` and
@@ -13,9 +13,24 @@ over the rows. Filtering each feature's stable global order by that mask
 gives the node's sorted order for every feature in one gather (the attribute lists of SPRINT; Shafer, Agrawal &
 Mehta 1996), with tied values in ascending row order, as a stable sort of the
 node's own rows would leave them. Cumulative sums, split scores and the
-arg-max are then taken across all features at once; taking the first
-maximum keeps the tie rule above. The trees are the same, bit for bit, as
-those of a search that sorts every feature at every node.
+arg-max are then taken across all features at once.
+
+A node's value is its weighted residual total over its weight total. Only
+the root sums its rows for these, pairwise in ascending row order: the
+search at a node already holds its children's totals, the left child's as
+the cumulative sums at the cut and the right child's as the node's totals
+less those (LightGBM's histogram subtraction; Ke et al. 2017). A node's own
+search divides by its own weight total, summed like the root's. The trees
+are the same, bit for bit, as those of a search that sorts every feature at
+every node and hands each child these totals.
+
+Each cut adds to a child's totals the rounding of at most n additions and
+one subtraction over the node's n rows. So a node at depth d has totals
+within (d + 1) * n * eps of sum(|w * r|) and sum(w) over the root's n rows
+(eps = 2**-53), and its value lies within (d + 1) * n * eps * (sum(|w * r|)
++ |value| * sum(w)) / W of its rows' weighted mean, W their weight: beside
+residuals of +-2e154 a right leaf reads -1/3 where its rows' mean is 0. A
+node value that is not finite is a ValueError.
 
 Most of a node's search does not depend on the residuals: its rows, its
 total weight, its rows sorted per feature, which candidates are valid
@@ -23,10 +38,9 @@ total weight, its rows sorted per feature, which candidates are valid
 weights left and right of each. A node keeps these for its valid candidates
 only, listed feature by feature in threshold order, and a stage redoes only
 the residual sums, the scores of those candidates and one arg-max over all
-of them, whose gain over the parent it then tests (see ``_best_split`` for
-when a lower score has the same gain). An invalid candidate is never
-scored, so it cannot reach the maximum, not even as a NaN when a score
-overflows.
+of them, whose gain over the parent it then tests. An invalid candidate is
+never scored, so it cannot reach the maximum, not even as a NaN when a
+score overflows.
 
 Every stage searches the same root, so the plan holds the root next to the
 presort. Later stages also reach many of the same other nodes: a node is its
@@ -34,9 +48,9 @@ row mask, and the splits near the root change little from stage to stage.
 The plan keeps the other nodes it builds, keyed by the row mask's bytes, up
 to ``_MEMO_BYTES`` of their arrays, and drops the least recently used first;
 a node is built again only after it has been dropped. A leaf at
-``max_depth`` is not built: one reduction gives its weight and weighted
-residual totals, and nothing of it is kept. A kept node also keeps, per
-split chosen at it, the threshold and its children's row masks. The bound
+``max_depth`` is not built: its totals come from its parent's search, and
+nothing of it is kept. A kept node also keeps, per split chosen at it, the
+threshold and its children's row masks. The bound
 counts the kept nodes' masks and search arrays, not the Python objects
 around them or their children's masks, so the memo's real size is larger:
 1.4 to 2.2 times the counted bytes on the benchmark's inputs. It is in bytes
@@ -115,7 +129,8 @@ class _Search(NamedTuple):
     Candidate k of feature j puts the k + 1 smallest values left and sits at
     ``j * n_rows + k`` of ``rows`` raveled. The valid candidates, feature by
     feature in threshold order, are at ``flat``, with the weights ``left_w``
-    left and ``right_w`` right of each.
+    left and ``right_w`` right of each: the weight totals of the children
+    each would make.
     """
 
     rows: np.ndarray
@@ -172,16 +187,16 @@ class _NodeMemo(OrderedDict):
 class SplitPlan:
     """A boosting fit's inputs and what every tree fit on them shares: see the module docstring.
 
-    ``weights`` is (2, n_rows): ``w``, and the ``w * r`` that ``fit_tree``
-    writes for each tree. ``order`` and ``xsorted`` are each feature's stable
-    ascending row order and the sorted values, both (n_features, n_rows);
-    ``root`` is the root node, the rows with positive weight. ``_memo``
-    holds the other nodes that ``node`` built last, at most ``_MEMO_BYTES``
-    of them. ``X`` is read at each split, so it must not change meanwhile.
+    ``w`` holds one weight per row of ``X``. ``order`` and ``xsorted`` are
+    each feature's stable ascending row order and the sorted values, both
+    (n_features, n_rows); ``root`` is the root node, the rows with positive
+    weight. ``_memo`` holds the other nodes that ``node`` built last, at
+    most ``_MEMO_BYTES`` of them. ``X`` is read at each split, so it must not
+    change meanwhile.
     """
 
     X: np.ndarray
-    weights: np.ndarray
+    w: np.ndarray
     min_samples_leaf: int
     order: np.ndarray
     xsorted: np.ndarray
@@ -201,14 +216,12 @@ class SplitPlan:
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("at least one weight must be positive")
-        weights = np.empty((2, len(X)))
-        weights[0] = w
         order = np.argsort(X.T, axis=1, kind="stable")
         xsorted = np.take_along_axis(X.T, order, axis=1)
         root = _node(order, xsorted, w, w > 0, min_samples_leaf)
         if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
             raise ValueError(f"weights must have a finite total, got {root.total_w}")
-        return cls(X, weights, min_samples_leaf, order, xsorted, root)
+        return cls(X, w, min_samples_leaf, order, xsorted, root)
 
     def node(self, member: np.ndarray) -> _Node:
         """The non-root node of rows ``member``: kept from an earlier call, or built and kept."""
@@ -216,7 +229,7 @@ class SplitPlan:
         key = member.tobytes()
         node = memo.get(key)
         if node is None:
-            node = _node(self.order, self.xsorted, self.weights[0], member, self.min_samples_leaf)
+            node = _node(self.order, self.xsorted, self.w, member, self.min_samples_leaf)
             if node.nbytes <= _MEMO_BYTES:    # a node larger than the bound is not kept
                 memo[key] = node
                 memo.nbytes += node.nbytes
@@ -228,36 +241,34 @@ class SplitPlan:
 
 
 def _best_split(node: _Node, wr, total_wr):
-    """Best (feature, candidate index) at ``node`` for the weighted residuals ``wr``, or None."""
+    """((feature, candidate index), left totals, right totals) of the best split at ``node``, or None.
+
+    ``wr`` are the weighted residuals and ``total_wr`` their total at the
+    node; each child's totals are (weight, weighted residual), taken from
+    the search as the module docstring says.
+    """
     search = node.search
     if search is None:
         return None
     cwr = np.add.accumulate(wr[search.rows], axis=1).take(search.flat)
-    # score = cwr * cwr / left_w + (total_wr - cwr) ** 2 / right_w, written in place.
-    score = cwr * cwr
-    score /= search.left_w
-    right = np.subtract(total_wr, cwr, out=cwr)
+    # score = cwr * cwr / left_w + (total_wr - cwr) ** 2 / right_w; cwr stays, for the left child's total.
+    right = np.subtract(total_wr, cwr)
     right *= right
     right /= search.right_w
+    score = cwr * cwr
+    score /= search.left_w
     score += right
     parent_score = total_wr * total_wr / node.total_w
     # The candidates are listed feature by feature in threshold order, so the
     # first maximum is at the lowest feature, then the lowest threshold, among
-    # equal scores; a lower score never has a higher gain.
+    # equal scores.
     i = score.argmax()
-    best = score.item(i)
-    gain = best - parent_score
+    gain = score.item(i) - parent_score
     if not gain > 1e-12 * max(1.0, abs(parent_score)):
         return None
-    n_rows = search.rows.shape[1]
-    if math.nextafter(best, -math.inf) - parent_score == gain:
-        # A lower score can round to the same gain (a tie to even; 2.8% of the
-        # searches on the benchmark's inputs). The lowest feature with the
-        # best gain wins, at its highest score.
-        first = int((score - parent_score == gain).argmax())
-        end = search.flat.searchsorted((search.flat.item(first) // n_rows + 1) * n_rows)
-        i = first + score[first:end].argmax()
-    return divmod(search.flat.item(i), n_rows)
+    left_wr = cwr.item(i)
+    return (divmod(search.flat.item(i), search.rows.shape[1]),
+            (search.left_w.item(i), left_wr), (search.right_w.item(i), total_wr - left_wr))
 
 
 def _split(plan: SplitPlan, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -287,48 +298,45 @@ def fit_tree(
     is given, each row with positive weight gets the value of its leaf
     there, equal to ``tree.predict(X)`` on that row; zero-weight rows are
     left as they are. ``r`` and ``leaf_values`` hold one entry per row of
-    ``X``; any other shape raises ValueError, and so does a non-finite total
-    of ``w * r``.
+    ``X``; any other shape raises ValueError, and so does a node value that
+    is not finite, such as one from a non-finite total of ``w * r``.
     """
     r = np.asarray(r, dtype=float)
     n_rows = len(plan.X)
     for name, a in (("r", r), ("leaf_values", leaf_values)):
         if a is not None and a.shape != (n_rows,):
             raise ValueError(f"{name} has shape {a.shape}; X has {n_rows} rows, and {name} needs one entry per row")
-    weights = plan.weights    # w and w * r, summed together at the leaves at max_depth
-    wr = np.multiply(weights[0], r, out=weights[1])
+    wr = plan.w * r
 
     feature, threshold, left, right, value = [], [], [], [], []
     # Depth first, left child first, so nodes are numbered in preorder (see the module docstring).
-    pending = [(plan.root.member, 0, None)]    # (rows in the node, depth, parent if a right child)
+    # (rows in the node, depth, parent if a right child, (weight, weighted residual) totals):
+    # only the root sums its rows; the others' totals come from their parent's search.
+    root = plan.root
+    pending = [(root.member, 0, None, (root.total_w, float(np.add.reduce(wr[root.member]))))]
     while pending:
-        member, depth, right_of = pending.pop()
+        member, depth, right_of, (total_w, total_wr) = pending.pop()
         index = len(value)
         if right_of is not None:
             right[right_of] = index
-        # Totals over the node's rows in ascending row order, summed pairwise.
-        if depth < max_depth:
-            node = plan.node(member) if depth else plan.root
-            total_w, total_wr = node.total_w, float(np.add.reduce(wr[member]))
-        else:
-            # Rows of the compressed array are contiguous, so each is summed as w[member] is.
-            node = None
-            total_w, total_wr = np.add.reduce(weights.compress(member, axis=1), axis=1).tolist()
-        if depth == 0 and not math.isfinite(total_wr):
-            raise ValueError(f"weighted residuals w * r must have a finite total, got {total_wr}")
         value.append(total_wr / total_w)
+        if not math.isfinite(value[index]):
+            raise ValueError(f"weighted residuals w * r must have a finite total and mean at every node; "
+                             f"node {index} has {total_wr} / {total_w}")
+        node = (plan.node(member) if depth else root) if depth < max_depth else None
         split = None if node is None else _best_split(node, wr, total_wr)
         if split is None:
             if leaf_values is not None:
                 leaf_values[member] = value[index]
             j, t, left_child = _LEAF, 0.0, _LEAF
         else:
-            children = node.children.get(split)
+            cut, left_totals, right_totals = split
+            children = node.children.get(cut)
             if children is None:
-                children = node.children[split] = _split(plan, node, *split)
-            j, t, left_child = split[0], children[0], index + 1
-            pending.append((children[2], depth + 1, index))
-            pending.append((children[1], depth + 1, None))
+                children = node.children[cut] = _split(plan, node, *cut)
+            j, t, left_child = cut[0], children[0], index + 1
+            pending.append((children[2], depth + 1, index, right_totals))
+            pending.append((children[1], depth + 1, None, left_totals))
         feature.append(j)
         threshold.append(t)
         left.append(left_child)

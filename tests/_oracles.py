@@ -455,21 +455,29 @@ class BruteTree:
 
 # ---------------------------------------------------------------------------
 # Reference tree builder: sorts every feature of every node on its own and
-# searches features one at a time. Its node tables are the library's contract
-# bit for bit: the same arithmetic in the same order, the same tie rule.
+# searches features one at a time. The root's totals are its rows' pairwise
+# sums; each child's are its parent's cumulative sums at the chosen cut, the
+# right child's as the parent's totals less the left sums; the first maximum
+# score wins. Its node tables are the library's contract bit for bit: the
+# same arithmetic in the same order, the same tie rule.
 
 
-def _reference_split(X, r, w, idx, min_samples_leaf):
+def _reference_split(X, r, w, idx, total_wr, min_samples_leaf):
+    """(feature, threshold, left totals, right totals) of the best split of rows ``idx``, or None.
+
+    ``total_wr`` is the node's weighted residual total as its parent handed
+    it down; the weight total the search divides by is the node's own,
+    summed pairwise.
+    """
     n_node = len(idx)
     if n_node < 2 * min_samples_leaf:
         return None
     w_node = w[idx]
     wr_node = w_node * r[idx]
     total_w = w_node.sum()
-    total_wr = wr_node.sum()
     parent_score = total_wr * total_wr / total_w
 
-    best = None
+    best = None    # (score, feature, threshold, left totals, right totals)
     pos = np.arange(n_node - 1)
     feasible = (pos + 1 >= min_samples_leaf) & (n_node - pos - 1 >= min_samples_leaf)
     for j in range(X.shape[1]):
@@ -486,14 +494,15 @@ def _reference_split(X, r, w, idx, min_samples_leaf):
         score = np.full(n_node - 1, -np.inf)
         score[valid] = cwr[valid] * cwr[valid] / cw[valid] + (total_wr - cwr[valid]) ** 2 / right_w[valid]
         k = int(np.argmax(score))
-        gain = score[k] - parent_score
-        if gain > 1e-12 * max(1.0, abs(parent_score)) and (best is None or gain > best[2]):
+        if best is None or score[k] > best[0]:
             lo, hi = xs_sorted[k], xs_sorted[k + 1]
             threshold = (lo + hi) / 2.0
             if not threshold < hi:
                 threshold = lo
-            best = (j, float(threshold), float(gain))
-    return best
+            best = (score[k], j, float(threshold), (cw[k], cwr[k]), (right_w[k], total_wr - cwr[k]))
+    if best is None or not best[0] - parent_score > 1e-12 * max(1.0, abs(parent_score)):
+        return None
+    return best[1:]
 
 
 def reference_tree(X, r, w, max_depth, min_samples_leaf):
@@ -502,26 +511,26 @@ def reference_tree(X, r, w, max_depth, min_samples_leaf):
     X, r, w = X[keep], r[keep], w[keep]
     table = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
-    def build(idx, depth):
+    def build(idx, depth, totals):
         node = len(table["feature"])
         for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
             table[key].append(blank)
-        w_node = w[idx]
-        table["value"].append(float((w_node * r[idx]).sum() / w_node.sum()))
+        total_w, total_wr = totals
+        table["value"].append(float(total_wr / total_w))
         if depth >= max_depth:
             return node
-        split = _reference_split(X, r, w, idx, min_samples_leaf)
+        split = _reference_split(X, r, w, idx, total_wr, min_samples_leaf)
         if split is None:
             return node
-        j, threshold, _ = split
+        j, threshold, left_totals, right_totals = split
         go_left = X[idx, j] <= threshold
         table["feature"][node] = j
         table["threshold"][node] = threshold
-        table["left"][node] = build(idx[go_left], depth + 1)
-        table["right"][node] = build(idx[~go_left], depth + 1)
+        table["left"][node] = build(idx[go_left], depth + 1, left_totals)
+        table["right"][node] = build(idx[~go_left], depth + 1, right_totals)
         return node
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(len(X)), 0, (w.sum(), (w * r).sum()))
     return table
 
 

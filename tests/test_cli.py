@@ -381,7 +381,7 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     assert code == EXIT_VALIDATION
     assert not out_dir.exists()
     err = capsys.readouterr().err
-    assert err == "error: master_seed must be >= 0, got -1\n"
+    assert err == f"error: {cfg}: seed: master_seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -557,6 +557,20 @@ def test_sweep_rejects_an_out_of_domain_grid_value_before_loading_data(
     assert loads == [] and not out_dir.exists()
     with pytest.raises(ConfigError, match=line.split(" ")[0]):
         apply_entries(parse_flat_file(grid), allow_grid=True)
+
+
+def test_an_out_of_domain_config_value_names_the_file_whose_value_won_and_its_key(tmp_path, data_file, capsys):
+    grid, override = tmp_path / "g.cfg", tmp_path / "c.cfg"
+    grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.5\ngmm.n_init = 0\n")
+    out_dir = tmp_path / "out"
+    args = ["sweep", "--data", str(data_file), "--grid", str(grid), "--out-dir", str(out_dir)]
+    assert main(args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {grid}: gmm.n_init: GmmSettings: n_init must be >= 1, got 0\n"
+    # --config overrides the grid file's key, so its file is the one named.
+    override.write_text("gmm.n_init = -2\n")
+    assert main(args + ["--config", str(override)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {override}: gmm.n_init: GmmSettings: n_init must be >= 1, got -2\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["loo", "sweep"])

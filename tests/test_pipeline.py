@@ -433,9 +433,12 @@ def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3, monkeypa
     ({"alpha": []}, "grid.alpha: no values"),
     ({"n_components": [2], "n_samples": []}, "grid.n_samples: no values"),
     ({"alpha": [0.5, 1.5]}, r"grid.alpha: alpha must be in \[0, 1\], got 1.5"),
-], ids=["unknown-axis", "empty-alpha", "empty-n-samples", "alpha-above-1"])
+    ({"n_components": [2.7, 1.2]}, "grid.n_components: 2.7 is not int-valued: it would run as 2"),
+    ({"n_samples": [float("inf")]}, "grid.n_samples: cannot convert float infinity to integer"),
+], ids=["unknown-axis", "empty-alpha", "empty-n-samples", "alpha-above-1", "fractional-count", "infinite-count"])
 def test_sweep_rejects_a_grid_it_cannot_run_before_any_fold(data3, monkeypatch, grid, message):
-    # An unknown axis or an empty list once ran the base config as one cell.
+    # An unknown axis or an empty list once ran the base config as one cell,
+    # and a fractional count ran truncated.
     fits = _counting(monkeypatch, lasso, "fit_lasso")
     with pytest.raises(ValueError, match=message):
         ablation_sweep(data3, grid, _fast_cfg())

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -169,22 +170,26 @@ def test_a_non_finite_total_of_the_weighted_residuals_is_rejected():
         for max_depth in (0, 2):
             with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
                 _fit(X, np.array(r), np.ones(4), max_depth, min_samples_leaf=1)
+    # The root's total is 0, but the cumulative sum at the only cut, the left child's total, overflows.
+    with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore", invalid="ignore"):
+        _fit(X[[0, 2, 1, 3]], np.array([1e308, -1e308, 1e308, -1e308]), np.ones(4), 1, min_samples_leaf=2)
 
 
-def _leaf_of_each_row(tree, X):
-    leaves = []
-    for x in X:
-        node = 0
-        while tree.feature[node] != -1:
-            node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-        leaves.append(node)
-    return np.array(leaves)
+def _nodes_with_rows(tree, X, member, node=0, depth=0):
+    """(node, depth, row mask) of ``node``, whose rows are ``member``, and of every node below it."""
+    yield node, depth, member
+    j = tree.feature[node]
+    if j != -1:
+        go_left = X[:, j] <= tree.threshold[node]
+        yield from _nodes_with_rows(tree, X, member & go_left, tree.left[node], depth + 1)
+        yield from _nodes_with_rows(tree, X, member & ~go_left, tree.right[node], depth + 1)
 
 
-def test_leaf_values_at_max_depth_are_the_pairwise_sums_of_their_rows():
+def test_leaf_values_at_max_depth_are_the_prefix_sums_at_their_parents_cut():
     # Leaves of 9-300 rows, where np.add.reduce sums pairwise, over residuals
-    # and weights of many magnitudes, so that another summation order shows.
-    seen = set()
+    # and weights of many magnitudes, so that the summation order shows: the
+    # root's value is its rows' pairwise mean, the leaves' are not.
+    seen, pairwise = set(), []
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(18, 301))
@@ -194,12 +199,15 @@ def test_leaf_values_at_max_depth_are_the_pairwise_sums_of_their_rows():
         w[rng.random(n) < 0.1] = 0.0
         max_depth = int(rng.integers(1, 3))
         tree = _fit(X, r, w, max_depth, min_samples_leaf=9)
-        leaf = _leaf_of_each_row(tree, X)
-        for node in set(leaf[w > 0].tolist()):
-            m = (leaf == node) & (w > 0)
-            assert tree.value[node] == np.add.reduce(w[m] * r[m]) / np.add.reduce(w[m])
-            seen.add(int(m.sum()))
+        assert tree.to_dict() == reference_tree(X, r, w, max_depth, 9)
+        kept = w > 0
+        assert tree.value[0] == np.add.reduce(w[kept] * r[kept]) / np.add.reduce(w[kept])
+        for node, _, m in _nodes_with_rows(tree, X, kept):
+            if node and tree.feature[node] == -1:
+                pairwise.append(tree.value[node] == np.add.reduce(w[m] * r[m]) / np.add.reduce(w[m]))
+                seen.add(int(m.sum()))
     assert min(seen) >= 9 and max(seen) > 128
+    assert not all(pairwise)
 
 
 def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
@@ -216,14 +224,15 @@ def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
     assert tree.to_dict() == reference_tree(X, r, np.ones(4), 1, 1)
     assert _fit(X[:, ::-1], r, np.ones(4), 1, 1).feature[0] == 0
     # Both columns cut the same rows at 2.5 and sum them in other orders, so
-    # feature 1's score is one bit higher; both round to the same gain.
+    # feature 1's score is one bit higher. Both round to the same gain, but
+    # ties are decided on scores: feature 1 wins.
     X = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [5.0, 3.0], [4.0, 4.0], [3.0, 5.0]])
     r = np.array([0.95, -9.6, -2.39, 9.66, 7.24, 5.04])
     tree = _fit(X, r, np.ones(6), 1, 1)
-    assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
+    assert (tree.feature[0], tree.threshold[0]) == (1, 2.5)
     assert tree.to_dict() == reference_tree(X, r, np.ones(6), 1, 1)
     # Within one feature, the cut at 5.5 scores one bit higher than the cut
-    # at 1.5 and has the same gain: the higher score wins.
+    # at 1.5 and has the same gain: the higher score wins here too.
     X = np.array([1.0, 4.0, 6.0, 0.0, 5.0, 2.0, 3.0, 7.0])[:, None]
     r = np.array([-13.4, 0.3, 12.3, 3.6, -8.2, 0.5, 3.4, -6.5])
     assert _fit(X, r, np.ones(8), 1, 1).threshold[0] == 5.5
@@ -263,6 +272,9 @@ def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_o
         expected = reference_tree(X, r, np.ones(4), 1, 1)
     assert tree.to_dict() == expected
     assert tree.threshold == (0.5, 0.0, 0.0)
+    # The right leaf's total is the root's 0 less the left's 1, so it reads
+    # -1/3 where its rows' mean is 0: inside the module docstring's bound.
+    assert tree.value == (0.0, 1.0, -1 / 3)
 
 _NEXT = np.nextafter(1.0, 2.0)
 _COLUMNS = (
@@ -311,7 +323,7 @@ def _same_cut_fits(draw):
     scores there often differ by exactly one bit. b puts S's significand in
     [1.55, 1.95], where the gain stays in S's binade and the parent score
     falls in the binade below: two scores one bit apart can then round to the
-    same gain (a tie to even).
+    same gain, and only the scores tell the columns apart.
     """
     k = draw(st.integers(3, 12))
     n = 3 * k
@@ -390,3 +402,23 @@ def test_tree_equals_the_reference_where_split_scores_overflow(fit, scale):
     with np.errstate(over="ignore", invalid="ignore"):
         tree = _fit(X, r * scale, w, max_depth, min_samples_leaf)
         assert tree.to_dict() == reference_tree(X, r * scale, w, max_depth, min_samples_leaf)
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fits(), st.sampled_from([1.0, 1e150, 1e153, 1e154, 1e155]))
+def test_node_values_are_finite_and_within_the_stated_bound_of_their_rows_means(fit, scale):
+    # The module docstring's bound for a node at depth d, over the root's n
+    # rows, against the exact weighted mean; one more n * eps for the
+    # rounding of the pairwise mean it is compared with.
+    X, r, w, max_depth, min_samples_leaf = fit
+    r = r * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = _fit(X, r, w, max_depth, min_samples_leaf)
+    kept = w > 0
+    n, abs_wr, total_w = int(kept.sum()), np.add.reduce(np.abs(w * r)[kept]), np.add.reduce(w[kept])
+    for node, depth, m in _nodes_with_rows(tree, X, kept):
+        value, weight = tree.value[node], np.add.reduce(w[m])
+        assert math.isfinite(value)
+        mean = np.add.reduce(w[m] * r[m]) / weight
+        assert abs(value - mean) <= (depth + 2) * n * 2.0**-53 * (abs_wr + abs(value) * total_w) / weight
