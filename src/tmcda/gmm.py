@@ -172,11 +172,13 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
     stops when the relative log-likelihood improvement drops below
     ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER`` (200) iterations.
     Restart selection is by final log-likelihood, ties to the earliest
-    restart.
+    restart. A non-finite entry of ``X`` raises ``GMMError``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if not np.isfinite(X).all():
+        raise GMMError("samples have non-finite entries")
     n, d = X.shape
     if K < 1:
         raise GMMError("K must be >= 1")
@@ -236,7 +238,7 @@ def augment(
     is fit, M joint samples are drawn and split back. Synthetic labels are
     clamped at zero (counts). Returns original plus synthetic rows, size
     N + M, along with the fitted mixture. M = 0 returns the input unchanged
-    without fitting.
+    without fitting. Non-finite features or labels raise ``GMMError``.
     """
     matched_X = np.asarray(matched_X, dtype=float)
     matched_y = np.asarray(matched_y, dtype=float)
@@ -244,6 +246,8 @@ def augment(
         raise GMMError("matched set is empty")
     if len(matched_X) != len(matched_y):
         raise GMMError("features and labels must align")
+    if not (np.isfinite(matched_X).all() and np.isfinite(matched_y).all()):
+        raise GMMError("matched set has non-finite entries")
     if M == 0:
         return matched_X.copy(), matched_y.copy(), None
 

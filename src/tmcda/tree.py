@@ -298,11 +298,16 @@ def fit_tree(
     is given, each row with positive weight gets the value of its leaf
     there, equal to ``tree.predict(X)`` on that row; zero-weight rows are
     left as they are. ``r`` and ``leaf_values`` hold one entry per row of
-    ``X``; any other shape raises ValueError, and so does a node value that
-    is not finite, such as one from a non-finite total of ``w * r``.
+    ``X``; any other shape raises ValueError, and so does a ``leaf_values``
+    that is not a float64 ndarray (an integer one would truncate the
+    values) or a node value that is not finite, such as one from a
+    non-finite total of ``w * r``.
     """
     r = np.asarray(r, dtype=float)
     n_rows = len(plan.X)
+    if leaf_values is not None and not (isinstance(leaf_values, np.ndarray) and leaf_values.dtype == np.float64):
+        got = getattr(leaf_values, "dtype", type(leaf_values).__name__)
+        raise ValueError(f"leaf_values must be a float64 ndarray, got {got}")
     for name, a in (("r", r), ("leaf_values", leaf_values)):
         if a is not None and a.shape != (n_rows,):
             raise ValueError(f"{name} has shape {a.shape}; X has {n_rows} rows, and {name} needs one entry per row")

@@ -341,7 +341,7 @@ def reference_itml(X, constraints, gamma, max_passes, tol):
             A += beta * np.outer(Av, Av)
             A = (A + A.T) / 2.0
 
-        dists = np.einsum("ij,jk,ik->i", V, A, V)
+        dists = (V.dot(A) * V).sum(axis=1)
         viol = int(
             np.sum((deltas > 0) & (dists > xi * (1 + tol)))
             + np.sum((deltas < 0) & (dists < xi * (1 - tol)))

@@ -174,3 +174,18 @@ def test_augment_validates_inputs():
 def test_em_config_rejects_invalid_settings(kwargs):
     with pytest.raises(GMMError, match=next(iter(kwargs))):
         EMConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fit_and_augment_refuse_non_finite_input_before_seeding(value):
+    # k-means++ used to raise numpy's "Probabilities contain NaN" from rng.choice.
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+    bad_X, bad_y = X.copy(), y.copy()
+    bad_X[3, 1] = bad_y[3] = value
+    for K in (1, 2):
+        with pytest.raises(GMMError, match="samples have non-finite entries"):
+            fit_gmm(bad_X, K)
+    for features, labels in ((bad_X, y), (X, bad_y)):
+        with pytest.raises(GMMError, match="matched set has non-finite entries"):
+            augment(features, labels, K=2, M=5)

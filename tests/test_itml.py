@@ -475,9 +475,10 @@ def test_constraints_satisfied_at_the_prior_leave_it_bit_for_bit(A0):
     assert result.converged and result.n_passes == 1
 
 
-def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit():
-    # The alpha-sweep benchmark's settings on one fold: 3,585 of its 6,000 projections have
-    # alpha == 0 and skip the update; more than half the constraints end with dual 0.
+@pytest.fixture(scope="module")
+def pipeline_fold():
+    """The alpha-sweep benchmark's settings on one fold: 3,585 of its 6,000 projections have
+    alpha == 0 and skip the update; more than half the constraints end with dual 0."""
     data = generate_synthetic_network(1, 3, 1.3, 64)
     config = PipelineConfig(
         movement="left",
@@ -488,12 +489,89 @@ def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit():
         master_seed=1,
         variant="full",
     )
-    fold = run_estimation(split_domains(data, data.intersections()[0]), config)
-    result = fold.itml_result
+    return run_estimation(split_domains(data, data.intersections()[0]), config)
+
+
+def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit(pipeline_fold):
+    result = pipeline_fold.itml_result
     assert np.mean(result.final_lambda == 0.0) > 0.5
-    expected = reference_itml(fold.Zs, fold.constraints, 1.0, 30, 1e-3)
+    expected = reference_itml(pipeline_fold.Zs, pipeline_fold.constraints, 1.0, 30, 1e-3)
     for name, value in expected.items():
         assert _bits(getattr(result, name)) == _bits(value), name
+
+
+# The per-pass diagnostics the fit reports, against the formulas it used before: distances from a
+# three-operand einsum, the divergence from solve(A0, A) and slogdet. Each new value must lie within
+# DIAGNOSTIC_BOUND of the old one, relative to the sum of the magnitudes of the terms it adds up
+# (for terms that do not cancel, a relative 1e-12).
+DIAGNOSTIC_BOUND = 1e-12
+
+
+def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
+    V = np.array([X[i] - X[j] for (i, j) in C.similar + C.dissimilar])
+    deltas = np.array([1.0] * len(C.similar) + [-1.0] * len(C.dissimilar))
+    xi0 = np.where(deltas > 0, C.u, C.l)
+    q = X.shape[1]
+    for t in range(1, result.n_passes + 1):
+        # The first t passes of a fit are those of the fit stopped after pass t, whose results hold
+        # pass t's metric, slacks and duals.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            at_t = fit_itml(X, C, gamma=gamma, max_passes=t, tol=tol)
+        A, xi, lam = at_t.A, at_t.final_xi, at_t.final_lambda
+
+        dists = (V.dot(A) * V).sum(axis=1)
+        old_dists = np.einsum("ij,jk,ik->i", V, A, V)
+        dist_scale = (np.abs(V).dot(np.abs(A)) * np.abs(V)).sum(axis=1)
+        assert np.all(np.abs(dists - old_dists) <= DIAGNOSTIC_BOUND * dist_scale), t
+
+        M = np.linalg.solve(np.eye(q), A)
+        sign, logdet = np.linalg.slogdet(M)
+        assert sign > 0
+        old_divergence = float(np.trace(M) - logdet - q)
+        old_divergence = 0.0 if -1e-9 < old_divergence < 0.0 else old_divergence
+        ratio = xi / xi0
+        slack = gamma * float(np.sum(ratio - np.log(ratio) - 1.0))
+        dual_term = float(np.sum(lam * deltas * (old_dists - xi)))
+        scale = abs(float(np.trace(M))) + abs(logdet) + q
+        assert abs(result.divergences[t - 1] - old_divergence) <= DIAGNOSTIC_BOUND * scale, t
+        scale += slack
+        assert abs(result.objectives[t - 1] - (old_divergence + slack)) <= DIAGNOSTIC_BOUND * scale, t
+        scale += float(np.sum(np.abs(lam) * (dist_scale + xi)))
+        old_dual = old_divergence + slack + dual_term
+        assert abs(result.dual_objectives[t - 1] - old_dual) <= DIAGNOSTIC_BOUND * scale, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constraint_inputs(),
+       st.sampled_from([1.0]) | st.floats(0.01, 100.0),
+       st.sampled_from([1e-3]) | st.floats(1e-8, 0.5),
+       st.integers(1, 10))
+def test_per_pass_diagnostics_are_within_the_bound_of_the_former_formulas(case, gamma, tol, max_passes):
+    X, y, config = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        C = build_constraints(X, y, config)
+    result, caught = _outcome(fit_itml, X, C, gamma=gamma, max_passes=max_passes, tol=tol)
+    if caught is not None:      # not a fit that raised
+        _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result)
+
+
+def test_pipeline_shaped_diagnostics_are_within_the_bound_of_the_former_formulas(pipeline_fold):
+    result = pipeline_fold.itml_result
+    assert result.n_passes == 30
+    _check_diagnostics_against_the_former_formulas(pipeline_fold.Zs, pipeline_fold.constraints, 1.0, 1e-3, result)
+
+
+def test_a_pass_calls_neither_solve_nor_slogdet_nor_einsum(monkeypatch):
+    # The divergence comes from a Cholesky factor of A and the prior's terms, taken once per fit;
+    # the distances from one two-operand product.
+    X, _, C = _random_instance(10)
+    calls = []
+    for module, name in ((np.linalg, "solve"), (np.linalg, "slogdet"), (np, "einsum")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
+    result = fit_itml(X, C, max_passes=50, tol=1e-4)
+    assert result.n_passes > 1 and calls == []
 
 
 def test_dot_into_a_buffer_gives_the_plain_products_bytes():
@@ -588,3 +666,51 @@ def test_constraint_sampling_sparse_path_is_deterministic():
     pairs = list(a.similar) + list(a.dissimilar)
     assert len(set(pairs)) == len(pairs)
     assert all(0 <= i < j < 200 for i, j in pairs)
+
+
+def _with(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+_NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+@_NON_FINITE
+def test_constraints_refuse_non_finite_features_and_labels(value):
+    # A NaN row used to drop every pair it is in; a NaN label, every pair.
+    X = np.random.default_rng(0).standard_normal((30, 3))
+    y = X @ np.array([1.0, 2.0, 3.0])
+    with pytest.raises(MetricError, match="X has non-finite entries"):
+        build_constraints(_with(X, (3, 1), value), y)
+    with pytest.raises(MetricError, match="y has non-finite entries"):
+        build_constraints(X, _with(y, 3, value))
+
+
+@_NON_FINITE
+def test_fit_refuses_non_finite_features(value):
+    # min(0.0, nan) is 0.0: a NaN pair's projection used to be a no-op, and the fit returned a finite A.
+    X = np.random.default_rng(0).standard_normal((30, 3))
+    C = build_constraints(X, X @ np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(MetricError, match="X has non-finite entries"):
+        fit_itml(_with(X, (C.similar[0][0], 1), value), C)
+
+
+@_NON_FINITE
+def test_matching_refuses_non_finite_features(value):
+    # A NaN target row used to match source 0.
+    rng = np.random.default_rng(0)
+    source, target, y = rng.standard_normal((20, 3)), rng.standard_normal((5, 3)), rng.standard_normal(20)
+    with pytest.raises(MetricError, match="target_X has non-finite entries"):
+        match_source_to_target(np.eye(3), _with(target, (3, 1), value), source, y)
+    with pytest.raises(MetricError, match="source_X has non-finite entries"):
+        match_source_to_target(np.eye(3), target, _with(source, (3, 1), value), y)
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_check_metric_names_non_finite_entries(value, index):
+    # Such a matrix used to be called "not symmetric", and inf - inf warned on the way.
+    with pytest.raises(MetricError, match="metric has non-finite entries"):
+        itml.check_metric(_with(np.eye(2), index, value))

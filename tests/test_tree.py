@@ -262,6 +262,17 @@ def test_residuals_weights_and_leaf_values_need_one_entry_per_row_of_X():
         _fit(X, r, w, leaf_values=np.zeros(4))
 
 
+def test_leaf_values_must_be_a_float64_array():
+    # An integer array used to truncate each leaf's value (-1.032 was written as -1); a list raised
+    # AttributeError.
+    rng = np.random.default_rng(6)
+    X, r, w = rng.standard_normal((5, 2)), rng.standard_normal(5), np.ones(5)
+    for leaf_values, got in ((np.zeros(5, dtype=int), "int64"), (np.zeros(5, dtype=np.float32), "float32"),
+                             ([0.0] * 5, "list")):
+        with pytest.raises(ValueError, match=f"leaf_values must be a float64 ndarray, got {got}"):
+            _fit(X, r, w, leaf_values=leaf_values)
+
+
 def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_overflows():
     # Between the tied 1.0s the cumulative residual is 2e154, whose square
     # overflows; the candidates between 0 and 1 and between 1 and 2 are valid and finite.
