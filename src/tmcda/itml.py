@@ -94,8 +94,8 @@ def _require_finite(**arrays: np.ndarray) -> None:
 def check_metric(A: np.ndarray) -> np.ndarray:
     """Validate that A is finite and symmetric positive-definite (to a relative 1e-10); returns A as float array."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise MetricError(f"metric must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise MetricError(f"metric must be square with at least one dimension, got shape {A.shape}")
     scale = np.abs(A).max()    # NaN or inf if any entry is
     if not math.isfinite(scale):
         raise MetricError("metric has non-finite entries")
@@ -149,7 +149,7 @@ def _logdet_divergence(A: np.ndarray, A0_inv_T: np.ndarray, logdet_A0: float) ->
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Similar/dissimilar index pairs with distance thresholds 0 < u < l."""
+    """Similar/dissimilar pairs of non-negative row indices with finite distance thresholds 0 < u < l."""
 
     similar: tuple[tuple[int, int], ...]
     dissimilar: tuple[tuple[int, int], ...]
@@ -157,8 +157,11 @@ class ConstraintSet:
     l: float
 
     def __post_init__(self):
-        if not 0.0 < self.u < self.l:
-            raise MetricError(f"require 0 < u < l, got u={self.u}, l={self.l}")
+        if not (0.0 < self.u < self.l and math.isfinite(self.l)):
+            raise MetricError(f"require 0 < u < l < inf, got u={self.u}, l={self.l}")
+        pairs = np.array(self.similar + self.dissimilar)
+        if len(pairs) and not (pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,) and pairs.min() >= 0):
+            raise MetricError("a constraint pair must be two non-negative integer row indices")
         if set(self.similar) & set(self.dissimilar):
             raise MetricError("a pair cannot be both similar and dissimilar")
 
@@ -346,6 +349,8 @@ def fit_itml(
     A = (A0 + A0.T) / 2.0   # exactly A0 when A0 is exactly symmetric
     m = len(entries)
     I, J = np.array([(i, j) for (i, j, _) in entries]).T
+    if max(I.max(), J.max()) >= len(X):
+        raise MetricError(f"a constraint pair indexes row {max(I.max(), J.max())} of {len(X)}")
     V = X[I] - X[J]
     deltas = [d for (_, _, d) in entries]
     halves = [d / 2.0 for d in deltas]

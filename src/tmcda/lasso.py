@@ -17,11 +17,15 @@ solution of f is piecewise linear in lambda (Osborne, Presnell & Turlach
 the exact homotopy path from lambda_max down the grid: between consecutive
 kinks, where a column enters or leaves the active set, the active
 coefficients are affine in lambda, and every grid point on a segment is read
-off that segment exactly. Each kink makes exactly one linear solve in the
-active block of the Gram matrix ``G = Z'Z/n`` (an empty one while no column
-is active), with the segment's intercept, its slope and the inactive columns
-as its right-hand sides. The path has no convergence tolerance; coordinate
-descent remains the final fit.
+off that segment exactly. The folds' paths advance in lockstep, one kink per
+unfinished fold per step, and each step makes one stacked linear solve in
+the folds' active blocks of their Gram matrices ``G = Z'Z/n``, each padded
+to the step's largest active set with unit rows and columns (all empty
+while no column is active), with the segment's intercept, its slope and
+every column as right-hand sides. The path has no convergence tolerance;
+the padding reorders the solve's arithmetic, so a fold's path matches the
+same fold's path computed alone up to rounding. Coordinate descent remains
+the final fit.
 """
 
 from __future__ import annotations
@@ -83,11 +87,11 @@ def _objective(Z: np.ndarray, yc: np.ndarray, beta: np.ndarray, lam: float) -> f
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty for which the all-zero coefficient vector is optimal."""
+    """Smallest penalty for which the all-zero coefficient vector is optimal (0.0 with no columns)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     Z, yc, _ = _standardize(X, y)
-    return float(np.max(np.abs(Z.T @ yc)) / len(yc))
+    return float(np.max(np.abs(Z.T @ yc), initial=0.0) / len(yc))
 
 
 def fit_lasso(
@@ -189,85 +193,123 @@ _SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Standardized lasso solutions at each point of a descending ``grid``.
+    """Standardized lasso solutions at each point of a descending ``grid``, for paths stacked in lockstep.
 
-    ``G = Z'Z/n`` and ``c = Z'y/n`` for standardized predictors ``Z`` and a
-    centered response. On the segment below a kink the active coefficients
-    are ``beta_A(lam) = a - lam * b`` with ``G_AA a = c_A`` and
-    ``G_AA b = s_A`` (the active signs), and each inactive correlation is
-    affine in lam; the next kink is the largest lam at which an inactive
-    correlation reaches the penalty or an active coefficient reaches zero.
-    A kink makes one solve in ``G_AA``, for ``a``, ``b`` and the inactive
-    columns' projections ``G_AA^-1 G_AI`` at once.
-    A column that entered at the last kink cannot leave at the next one, nor
-    can one that left re-enter with the same sign: in exact arithmetic
-    neither happens, and rounding must not make the path cycle.
+    ``G`` (F, p, p) and ``c`` (F, p) stack each path's ``Z'Z/n`` and
+    ``Z'y/n`` for standardized predictors ``Z`` and a centered response; the
+    result is (F, len(grid), p), or (len(grid), p) for one (p, p) ``G`` and
+    (p,) ``c``. On the segment below a kink the active coefficients are
+    ``beta_A(lam) = a - lam * b`` with ``G_AA a = c_A`` and ``G_AA b = s_A``
+    (the active signs), and each inactive correlation is affine in lam; the
+    next kink is the largest lam at which an inactive correlation reaches
+    the penalty or an active coefficient reaches zero. Each step moves every
+    unfinished path one kink with one stacked solve, for ``a``, ``b`` and
+    every column's projection ``G_AA^-1 G_A.``: each path's active block, in
+    entry order, is padded to the step's largest one with unit rows and
+    columns and zero right-hand sides, so a padded slot solves to 0 and adds
+    0 to every sum. Of equal entering hits the +1 sign wins, then the lowest
+    column; of equal leaving hits, the earliest active position. A column
+    that entered at the last kink cannot leave at the next one, nor can one
+    that left re-enter with the same sign: in exact arithmetic neither
+    happens, and rounding must not make a path cycle. The padding reorders
+    the solve's and the sums' operations, so a path in a stack matches the
+    same path run alone up to rounding.
     """
-    p = len(c)
-    coefs = np.zeros((len(grid), p))
-    lams = grid.tolist()
-    diag = np.diagonal(G).copy()
-    active: list[int] = []
-    signs: list[float] = []
-    is_active = np.zeros(p, dtype=bool)
-    filled = 0
-    entered = dropped = -1
-    dropped_sign = 0.0
+    single = G.ndim == 2
+    if single:
+        G, c = G[None], c[None]
+    F, p = c.shape
+    # Columns 0..p-1 are the predictors, p..2p-1 the unit padding slots,
+    # 2p holds c and 2p + 1 each active column's sign (0 on padding rows).
+    ext = np.zeros((F, 2 * p, 2 * p + 2))
+    ext[:, :p, :p] = G
+    ext[:, p:, p:2 * p] = np.eye(p)
+    ext[:, :p, 2 * p] = c
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    span_floor = _SPAN_RTOL * diag
+    # Per path: the gathered columns (predictors, c, signs), then its active
+    # columns in entry order and a padding slot p + i at each free position
+    # i; ``slots`` is a view of that tail, so entering and dropping edit both.
+    layout = np.tile(np.r_[0:p, 2 * p, 2 * p + 1, p:2 * p], (F, 1))
+    slots = layout[:, p + 2:]
+    rows = np.arange(F)
+    inactive = np.ones((F, p), dtype=bool)
+    n_active = [0] * F
+    entered, dropped, dropped_sign = [-1] * F, [-1] * F, [0.0] * F
+    live = list(range(F))
+    lam_lo = float(grid[-1])
+    kinks, segments = [], []
     for _ in range(_MAX_KINKS):
-        A = np.array(active, dtype=np.intp)
-        inactive = np.flatnonzero(~is_active)
-        G_AI = G[A[:, None], inactive]
-        G_II = diag[inactive]
-        # One solve for a, b and G_AA^-1 G_AI (all empty while A is).
-        sol = np.linalg.solve(G[A[:, None], A], np.column_stack([c[A], signs, G_AI]))
-        a, b, proj = sol[:, 0], sol[:, 1], sol[:, 2:]
-        # Inactive correlations along the segment: c_I - G_IA beta_A = alpha + lam * delta.
-        alpha = c[inactive] - G_AI.T @ a
-        delta = G_AI.T @ b
-        schur = G_II - np.einsum("ij,ij->j", G_AI, proj)
-        eligible = schur > _SPAN_RTOL * G_II
+        K = max(n_active)
+        block = ext[rows[:, None, None], slots[:, :K, None], layout[:, None, :p + 2 + K]]
+        rhs = block[:, :, :p + 2]
+        sol = np.linalg.solve(block[:, :, p + 2:], rhs)
+        ab = sol[:, :, p:]
+        # Correlations along the segment: c - G_.A beta_A = alpha + lam * delta.
+        corr = ab.transpose(0, 2, 1) @ rhs[:, :, :p]
+        alpha, delta = c - corr[:, 0], corr[:, 1]
+        schur = diag - np.einsum("fkj,fkj->fj", rhs[:, :, :p], sol[:, :, :p])
+        eligible = inactive & (schur > span_floor)
 
         # A correlation reaches +-lam where s * (alpha + lam * delta) = lam.
-        # Row 0 holds s = +1, row 1 s = -1; of equal hits the +1 one is taken.
-        best_in, best_j, best_s = 0.0, -1, 0.0
-        if len(inactive):
-            slope = 1.0 - _SIGNS * delta
-            ok = eligible & (slope > 0.0)
-            if dropped >= 0:
-                ok[0 if dropped_sign > 0.0 else 1] &= inactive != dropped
-            hits = np.divide(_SIGNS * alpha, slope, out=np.full(slope.shape, -np.inf), where=ok)
-            row, k = divmod(int(hits.argmax()), len(inactive))
-            if hits[row, k] > 0.0:
-                best_in, best_j, best_s = float(hits[row, k]), int(inactive[k]), -1.0 if row else 1.0
+        # Row 0 holds s = +1, row 1 s = -1.
+        slope = 1.0 - _SIGNS * delta[:, None]
+        ok = eligible[:, None] & (slope > 0.0)
+        for f in live:
+            if dropped[f] >= 0:
+                ok[f, 0 if dropped_sign[f] > 0.0 else 1, dropped[f]] = False
+        hits = np.divide(_SIGNS * alpha[:, None], slope, out=np.full(slope.shape, -np.inf), where=ok)
+        hits = hits.reshape(F, 2 * p)
+        picks = hits.argmax(axis=1)
+        best_in = hits[rows, picks].tolist()
+        picks = picks.tolist()
         # An active coefficient reaches zero where a = lam * b, if it moves
         # toward zero as lam falls.
-        best_out, best_k = 0.0, -1
-        if active:
-            shrinking = (b * np.asarray(signs) < 0.0) & (A != entered)
-            hits = np.divide(a, b, out=np.full(len(active), -np.inf), where=shrinking)
-            k = int(hits.argmax())
-            if hits[k] > best_out:
-                best_k, best_out = k, float(hits[k])
+        best_out = [0.0] * F
+        if K:
+            a, b = ab[:, :, 0], ab[:, :, 1]
+            shrinking = (b * rhs[:, :, p + 1] < 0.0) & (slots[:, :K] != np.array(entered)[:, None])
+            hits = np.divide(a, b, out=np.full(a.shape, -np.inf), where=shrinking)
+            leaving = hits.argmax(axis=1)
+            best_out = hits[rows, leaving].tolist()
+            leaving = leaving.tolist()
 
-        kink = max(best_in, best_out)
-        stop = filled
-        while stop < len(lams) and lams[stop] >= kink:
-            stop += 1
-        if stop > filled:
-            coefs[filled:stop, A] = a - grid[filled:stop, None] * b
-        filled = stop
-        if filled == len(lams) or kink <= 0.0:
-            return coefs
+        step = np.zeros((F, 2 * p, 2))
+        step[rows[:, None], slots[:, :K]] = ab
+        segments.append(step)
+        kink_row = [math.inf] * F
+        for f in list(live):
+            enter = best_in[f] if best_in[f] > 0.0 else 0.0
+            leave = best_out[f] if best_out[f] > 0.0 else 0.0
+            kink_row[f] = kink = max(enter, leave)
+            if kink <= lam_lo:    # every grid point is read off a segment: done
+                live.remove(f)
+            elif enter >= leave:
+                j, row = picks[f] % p, picks[f] // p
+                slots[f, n_active[f]] = j
+                ext[f, j, 2 * p + 1] = -1.0 if row else 1.0
+                inactive[f, j] = False
+                n_active[f] += 1
+                entered[f], dropped[f] = j, -1
+            else:
+                k, n = leaving[f], n_active[f]
+                j = int(slots[f, k])
+                slots[f, k:n - 1] = slots[f, k + 1:n]
+                slots[f, n - 1] = p + n - 1
+                inactive[f, j] = True
+                n_active[f] -= 1
+                dropped[f], dropped_sign[f], entered[f] = j, float(ext[f, j, 2 * p + 1]), -1
+        kinks.append(kink_row)
+        if not live:
+            break
+    else:
+        raise RuntimeError(f"lasso path did not reach the end of the grid in {_MAX_KINKS} kinks")
 
-        if best_in >= best_out:
-            active.append(best_j)
-            signs.append(best_s)
-            is_active[best_j] = True
-            entered, dropped = best_j, -1
-        else:
-            dropped, dropped_sign, entered = active.pop(best_k), signs.pop(best_k), -1
-            is_active[dropped] = False
-    raise RuntimeError(f"lasso path did not reach the end of the grid in {_MAX_KINKS} kinks")
+    # A grid point lies on the segment of the first step whose kink is at or below it.
+    first = (np.array(kinks)[:, :, None] <= grid).argmax(axis=0)
+    ends = np.stack(segments)[first, rows[:, None], :p]
+    coefs = ends[..., 0] - grid[:, None] * ends[..., 1]
+    return coefs[0] if single else coefs
 
 
 def cross_validate_lambda(
@@ -282,10 +324,13 @@ def cross_validate_lambda(
 
     Returns (best lambda, grid, mean validation MSE per grid point). Each
     fold's grid solutions are exact points of its lasso path on the
-    standardized training rows; all grid points are scored on the
+    standardized training rows; one ``_lasso_path`` call follows every
+    fold's path in lockstep, and each fold's grid points are scored on its
     validation rows at once. Ties resolve to the largest (sparsest) lambda.
     Fold assignment depends only on the seed, and fold results are
-    independent of evaluation order. ``n_folds`` must be >= 2 and
+    independent of evaluation order: permuting the folds permutes the
+    paths bit for bit. With no column to penalize (lambda_max is 0) the
+    result is (0.0, [0.0], [0.0]). ``n_folds`` must be >= 2 and
     ``grid_size`` >= 1.
     """
     X = np.asarray(X, dtype=float)
@@ -309,15 +354,20 @@ def cross_validate_lambda(
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
     order = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(order, n_folds)
-    errors = np.zeros((n_folds, grid_size))
-    for f, val_idx in enumerate(folds):
+    grams, corrs, scalings = [], [], []
+    for val_idx in folds:
         train = np.ones(n, dtype=bool)
         train[val_idx] = False
         n_train = n - len(val_idx)
         if n_train < 2:
             raise ValueError("need at least 2 training rows per fold")
         Z, yc, std = _standardize(X[train], y[train])
-        coefs = _lasso_path(Z.T @ Z / n_train, Z.T @ yc / n_train, grid)
+        grams.append(Z.T @ Z / n_train)
+        corrs.append(Z.T @ yc / n_train)
+        scalings.append(std)
+    paths = _lasso_path(np.array(grams), np.array(corrs), grid)
+    errors = np.zeros((n_folds, grid_size))
+    for f, (val_idx, std, coefs) in enumerate(zip(folds, scalings, paths)):
         # Zero-variance columns have unit scale and zero coefficients here.
         Z_val = (X[val_idx] - std.x_mean) / std.x_std
         resid = (y[val_idx] - std.y_mean)[:, None] - Z_val @ coefs.T

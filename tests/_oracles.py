@@ -57,11 +57,13 @@ def subgradient_violation(Z, yc, beta, lam):
 
 
 # ---------------------------------------------------------------------------
-# Reference lasso solvers: the homotopy path with np.ix_ gathers, a
-# setdiff1d inactive set, two solves per kink and one grid row at a time;
-# coordinate descent on a numpy coefficient vector with np.sign. The
-# library's ``_lasso_path``, ``fit_lasso`` and ``cross_validate_lambda``
-# must return the same bytes, the sign of every zero included.
+# Reference lasso solvers: the homotopy path of one fold at a time with
+# np.ix_ gathers, a setdiff1d inactive set, two solves per kink and one grid
+# row at a time; coordinate descent on a numpy coefficient vector with
+# np.sign. The library's ``fit_lasso`` must return the same bytes, the sign
+# of every zero included. Its ``_lasso_path`` and ``cross_validate_lambda``,
+# which follow every fold's path in lockstep, must return the same lambda
+# and match the rest within the tolerance stated in tests/test_lasso.py.
 
 
 def _reference_solve(M, rhs):

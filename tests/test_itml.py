@@ -95,6 +95,14 @@ def test_divergence_nonnegative():
         assert logdet_divergence(A, A0) >= 0.0
 
 
+def test_a_metric_with_no_dimension_is_refused():
+    # numpy's "zero-size array to reduction operation" used to escape, from check_metric and so from fit_itml.
+    with pytest.raises(MetricError, match="at least one dimension"):
+        itml.check_metric(np.zeros((0, 0)))
+    with pytest.raises(MetricError, match="at least one dimension"):
+        fit_itml(np.zeros((3, 0)), ConstraintSet(((0, 1),), ((0, 2),), 1.0, 2.0))
+
+
 def test_divergence_rejects_non_psd():
     with pytest.raises(MetricError):
         logdet_divergence(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
@@ -145,6 +153,27 @@ def test_constraint_set_validates_u_less_than_l():
     for u in (0.0, -1.0, float("nan")):
         with pytest.raises(MetricError, match="0 < u < l"):
             ConstraintSet(((0, 1),), (), u=u, l=2.0)
+    # An infinite l used to be accepted, and the fit then stopped at its first
+    # dissimilar projection with "slack diverged".
+    with pytest.raises(MetricError, match="0 < u < l < inf"):
+        ConstraintSet(((0, 1),), ((0, 2),), u=1.0, l=float("inf"))
+
+
+@pytest.mark.parametrize("pair", [(0, -1), (-2, 1), (0, 1.5), (1.0, 2), (0, 1, 2)], ids=repr)
+def test_constraint_set_refuses_pairs_that_are_not_two_non_negative_integer_indices(pair):
+    # (0, -1) used to wrap to the last row and fit that pair without a word.
+    for similar, dissimilar in (((pair,), ()), ((), (pair,))):
+        with pytest.raises(MetricError, match="two non-negative integer row indices"):
+            ConstraintSet(similar, dissimilar, 1.0, 2.0)
+
+
+def test_fit_refuses_a_pair_past_the_last_row_and_takes_numpy_integer_indices():
+    # Row 5 of 3 used to end in numpy's IndexError.
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    with pytest.raises(MetricError, match="indexes row 5 of 3"):
+        fit_itml(X, ConstraintSet(((0, 1),), ((5, 2),), 1.0, 2.0))
+    as_numpy = fit_itml(X, ConstraintSet(((np.int64(0), np.uint8(1)),), ((np.int32(0), np.int64(2)),), 1.0, 2.0))
+    assert as_numpy.A.tobytes() == fit_itml(X, ConstraintSet(((0, 1),), ((0, 2),), 1.0, 2.0)).A.tobytes()
 
 
 def test_integer_thresholds_fit_as_floats():

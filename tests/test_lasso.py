@@ -314,20 +314,95 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+# The path advances every CV fold in lockstep and pads each fold's active
+# block to the step's largest one, which reorders the solve's and the sums'
+# operations: results match the one-path-at-a-time reference up to rounding,
+# not bit for bit. Copies of a column may then swap which one enters, so
+# paths are compared through their objective at every grid point, within
+# this share of the objective at zero; CV errors within this share of the
+# largest reference error (observed on 1,200 random problems: at most 2e-16
+# and 6e-14).
+_RTOL = 1e-12
+
+
+def _assert_same_objectives(Z, yc, coefs, expected, grid):
+    scale = yc @ yc / (2.0 * len(yc))
+    for beta, beta_expected, lam in zip(coefs, expected, grid):
+        assert abs(l1_objective(Z, yc, beta, lam) - l1_objective(Z, yc, beta_expected, lam)) <= _RTOL * scale
+
+
 @settings(max_examples=100, deadline=None)
 @given(_degenerate_problems(), st.sampled_from([0.1, 1e-3, 1e-5]), st.sampled_from([1, 2, 25, 50]),
        st.integers(0, 2**32 - 1))
-def test_path_and_cross_validation_equal_the_reference_bit_for_bit(problem, lam_min_ratio, grid_size, seed):
+def test_path_and_cross_validation_match_the_reference_within_tolerance(problem, lam_min_ratio, grid_size, seed):
     X, y = problem
     lam_hi = lambda_max(X, y)
     Z, yc, _ = _standardize(X, y)
     G, c = Z.T @ Z / len(y), Z.T @ yc / len(y)
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
-    assert _bits(_lasso_path(G, c, grid)) == _bits(reference_lasso_path(G, c, grid))
-    lam, _, mean_err = cross_validate_lambda(X, y, grid_size=grid_size, lam_min_ratio=lam_min_ratio, seed=seed)
+    _assert_same_objectives(Z, yc, _lasso_path(G, c, grid), reference_lasso_path(G, c, grid), grid)
+    lam, cv_grid, mean_err = cross_validate_lambda(X, y, grid_size=grid_size, lam_min_ratio=lam_min_ratio, seed=seed)
     expected_lam, expected_err = reference_cross_validate_lambda(X, y, 5, grid_size, lam_min_ratio, seed)
-    assert _bits(lam) == _bits(expected_lam)
-    assert _bits(mean_err) == _bits(expected_err)
+    bound = _RTOL * expected_err.max()
+    assert np.all(np.abs(mean_err - expected_err) <= bound)
+    if lam != expected_lam:
+        # Errors that each move by at most the bound can swap only two
+        # grid points whose reference errors lie within twice of it.
+        assert expected_err[list(cv_grid).index(lam)] - expected_err.min() <= 2.0 * bound
+
+
+def _fold_problems(X, y, seed, n_folds=5):
+    """Each CV fold's standardized training rows (Z, yc), as ``cross_validate_lambda`` forms them."""
+    order = np.random.default_rng(seed).permutation(len(y))
+    folds = []
+    for val in np.array_split(order, n_folds):
+        train = np.setdiff1d(order, val)
+        folds.append(_standardize(X[train], y[train])[:2])
+    return folds
+
+
+def _stack(folds):
+    G = np.array([Z.T @ Z / len(yc) for Z, yc in folds])
+    c = np.array([Z.T @ yc / len(yc) for Z, yc in folds])
+    return G, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_degenerate_problems(), st.permutations(range(5)), st.integers(0, 2**32 - 1))
+def test_permuting_the_stacked_paths_permutes_their_solutions_bit_for_bit(problem, order, seed):
+    # cross_validate_lambda promises fold results independent of evaluation order.
+    X, y = problem
+    G, c = _stack(_fold_problems(X, y, seed))
+    grid = lambda_max(X, y) * np.logspace(0.0, -3.0, 25)
+    order = list(order)
+    assert _bits(_lasso_path(G[order], c[order], grid)) == _bits(_lasso_path(G, c, grid)[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_degenerate_problems(), st.sampled_from([0.1, 1e-3]), st.integers(0, 2**32 - 1))
+def test_a_path_run_alone_and_in_a_stack_reach_the_same_objectives(problem, lam_min_ratio, seed):
+    X, y = problem
+    folds = _fold_problems(X, y, seed)
+    G, c = _stack(folds)
+    grid = lambda_max(X, y) * np.logspace(0.0, np.log10(lam_min_ratio), 25)
+    stacked = _lasso_path(G, c, grid)
+    assert stacked.shape == (5, 25, X.shape[1])
+    for (Z, yc), G_f, c_f, path in zip(folds, G, c, stacked):
+        _assert_same_objectives(Z, yc, _lasso_path(G_f, c_f, grid), path, grid)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cross_validation_picks_the_reference_lambda_on_benchmark_shaped_networks(seed):
+    # Source rows of two 64-interval intersections, 5 folds x 50 points down to a tenth of lambda_max.
+    data = generate_synthetic_network(seed, 2, 1.0, 64)
+    for target in data.intersections():
+        source = split_domains(data, target).source
+        for movement in ("left", "through", "right"):
+            y = source.movement_labels(movement).astype(float)
+            lam, _, mean_err = cross_validate_lambda(source.X, y, lam_min_ratio=0.1, seed=seed)
+            expected_lam, expected_err = reference_cross_validate_lambda(source.X, y, 5, 50, 0.1, seed)
+            assert lam == expected_lam
+            assert np.all(np.abs(mean_err - expected_err) <= _RTOL * expected_err.max())
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,6 +448,14 @@ def test_cross_validation_input_validation():
         cross_validate_lambda(X, y, lam_min_ratio=2.0)
     with pytest.raises(ValueError, match="training rows"):
         cross_validate_lambda(X[:3], y[:3], n_folds=2)    # folds of 2 and 1 rows
+
+
+def test_no_columns_give_lambda_max_zero_and_the_constant_response_cv_result():
+    # numpy's "zero-size array to reduction operation" used to escape from both.
+    X, y = np.zeros((12, 0)), np.arange(12.0)
+    assert lambda_max(X, y) == 0.0
+    lam, grid, mean_err = cross_validate_lambda(X, y)
+    assert (lam, grid.tolist(), mean_err.tolist()) == (0.0, [0.0], [0.0])
 
 
 @pytest.mark.parametrize("kwargs", [
