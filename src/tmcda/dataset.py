@@ -50,7 +50,7 @@ class Dataset:
                 raise DataError("metadata arrays must match instance count")
         if self.labels is not None and self.labels.shape != (n, 3):
             raise DataError(f"labels must have shape ({n}, 3)")
-        for arr in (self.X, self.interval_indices, self.labels):
+        for arr in (self.intersection_ids, self.approaches, self.interval_indices, self.X, self.labels):
             if arr is not None:
                 arr.setflags(write=False)
 

@@ -86,12 +86,30 @@ def _objective(Z: np.ndarray, yc: np.ndarray, beta: np.ndarray, lam: float) -> f
     return float(r.dot(r) / (2.0 * n) + lam * np.abs(beta).sum())
 
 
-def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty for which the all-zero coefficient vector is optimal (0.0 with no columns)."""
+def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float arrays, refused unless X is (n, p) and y (n,) with n >= 1, all finite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"X shape {X.shape} incompatible with y shape {y.shape}")
+    if X.shape[0] < 1:
+        raise ValueError("need at least 1 row")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in inputs")
+    return X, y
+
+
+def _lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     Z, yc, _ = _standardize(X, y)
     return float(np.max(np.abs(Z.T @ yc), initial=0.0) / len(yc))
+
+
+def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
+    """Smallest penalty for which the all-zero coefficient vector is optimal (0.0 with no columns).
+
+    Inputs are checked as in ``fit_lasso``; at least one row is needed.
+    """
+    return _lambda_max(*_checked(X, y))
 
 
 def fit_lasso(
@@ -106,13 +124,10 @@ def fit_lasso(
     Iterates full sweeps until the maximum standardized-coefficient change in
     a sweep drops below ``tol``. A run that exhausts ``max_sweeps`` is
     returned with ``converged=False`` and a warning, never silently.
-    ``lam`` must be finite and >= 0, ``tol`` > 0 (NaN is rejected for both),
-    and ``max_sweeps`` >= 1.
+    ``X`` (n, p) and ``y`` (n,) must be finite with n >= 2, ``lam`` finite
+    and >= 0, ``tol`` > 0 (NaN is rejected for both), and ``max_sweeps`` >= 1.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ValueError(f"X shape {X.shape} incompatible with y length {len(y)}")
+    X, y = _checked(X, y)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
     if not lam >= 0:
@@ -123,8 +138,6 @@ def fit_lasso(
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in inputs")
 
     n, p = X.shape
     Z, yc, std = _standardize(X, y)
@@ -333,12 +346,7 @@ def cross_validate_lambda(
     result is (0.0, [0.0], [0.0]). ``n_folds`` must be >= 2 and
     ``grid_size`` >= 1.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ValueError(f"X shape {X.shape} incompatible with y length {len(y)}")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in inputs")
+    X, y = _checked(X, y)
     if not 0.0 < lam_min_ratio <= 1.0:
         raise ValueError("lam_min_ratio must lie in (0, 1]")
     if n_folds < 2:
@@ -348,7 +356,7 @@ def cross_validate_lambda(
     n = len(y)
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")
-    lam_hi = lambda_max(X, y)
+    lam_hi = _lambda_max(X, y)
     if lam_hi == 0.0:
         return 0.0, np.zeros(1), np.zeros(1)
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)

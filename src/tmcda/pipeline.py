@@ -25,8 +25,12 @@ from .schema import MOVEMENTS
 # Mixture defaults per movement: (components, synthetic samples).
 GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
 
-VARIANTS = ("full", "itml-gbbw", "source-only")
-VARIANT_LABELS = {"full": "ITMLGMM-GBBW", "itml-gbbw": "ITML-GBBW", "source-only": "GB"}
+# A variant is the full method with some settings pinned: name -> (report label, {section: {field: value}}).
+VARIANTS = {
+    "full": ("ITMLGMM-GBBW", {}),
+    "itml-gbbw": ("ITML-GBBW", {"gmm": {"n_samples": 0}}),
+    "source-only": ("GB", {"boosting": {"alpha": 0.0}}),
+}
 
 LAMBDA_MODES = ("cv", "fixed", "fraction")
 
@@ -122,16 +126,19 @@ class PipelineConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
-    def gmm_components(self) -> int:
-        return self.gmm.n_components if self.gmm.n_components is not None else GMM_DEFAULTS[self.movement][0]
+    def as_run(self) -> "PipelineConfig":
+        """The config the stages run: movement mixture defaults filled in, then the variant's pins; idempotent."""
+        k, m = GMM_DEFAULTS[self.movement]
+        config = _with(self, "gmm", n_components=k if self.gmm.n_components is None else self.gmm.n_components,
+                       n_samples=m if self.gmm.n_samples is None else self.gmm.n_samples)
+        for section, values in VARIANTS[self.variant][1].items():
+            config = _with(config, section, **values)
+        return config
 
-    def gmm_samples(self) -> int:
-        if self.variant == "itml-gbbw":
-            return 0
-        return self.gmm.n_samples if self.gmm.n_samples is not None else GMM_DEFAULTS[self.movement][1]
 
-    def effective_alpha(self) -> float:
-        return 0.0 if self.variant == "source-only" else self.boosting.alpha
+def _with(config: PipelineConfig, section: str, **values) -> PipelineConfig:
+    """``config`` with the given fields of one settings section replaced."""
+    return replace(config, **{section: replace(getattr(config, section), **values)})
 
 
 def stage_seed(master_seed: int, stage: str) -> int:
@@ -164,11 +171,13 @@ def evaluate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
 class EstimationResult:
     """Fitted stage artifacts for one target, and its predictions.
 
-    ``Zs``/``ys`` are the standardized selected source features and labels,
-    ``Zt`` the same features of the target, and ``pseudo_X``/``pseudo_y`` the
-    augmented pseudo-target set; the ITML (its metric is ``itml_result.A``),
-    matching and mixture fields are None when the effective alpha is 0. The penalty lasso chose is
-    ``lasso_model.lam``. Within one leave-one-out fold, results whose configs
+    ``config`` is the as-run config (``PipelineConfig.as_run``): mixture
+    defaults filled in and the variant's settings pinned. ``Zs``/``ys`` are
+    the standardized selected source features and labels, ``Zt`` the same
+    features of the target, and ``pseudo_X``/``pseudo_y`` the augmented
+    pseudo-target set; the ITML (its metric is ``itml_result.A``), matching
+    and mixture fields are None when ``config.boosting.alpha`` is 0. The
+    penalty lasso chose is ``lasso_model.lam``. Within one leave-one-out fold, results whose configs
     agree on a stage's inputs share that stage's artifacts (the same
     objects), boosting and predictions included, so treat them as read-only.
     """
@@ -263,12 +272,10 @@ def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, sett
     return constraints, result, matched
 
 
-def _augment(matched_X: np.ndarray, matched_y: np.ndarray, K: int, M: int, settings: GmmSettings, seed: int):
+def _augment(matched_X: np.ndarray, matched_y: np.ndarray, settings: GmmSettings, seed: int):
     """Stage 4: the mixture-augmented matched set as the pseudo-target, and the mixture."""
-    return gmm.augment(
-        matched_X, matched_y, K, M,
-        gmm.EMConfig(n_init=settings.n_init, seed=seed),
-    )
+    em = gmm.EMConfig(n_init=settings.n_init, seed=seed)
+    return gmm.augment(matched_X, matched_y, settings.n_components, settings.n_samples, em)
 
 
 def _boost_and_predict(Zs, ys, Zt, pseudo_X, pseudo_y, train_cfg):
@@ -285,6 +292,7 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
     everything that stage and its predecessors read. Stage seeds depend only
     on (master seed, stage), so sharing changes no output.
     """
+    config = config.as_run()
     X = split.source.X
     y = split.source.movement_labels(config.movement).astype(float)
     key = ("lasso", config.movement, config.lasso, config.master_seed)
@@ -294,28 +302,25 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
     Zs = _selected_standardized(model, X, selected)
     Zt = _selected_standardized(model, split.target_features.X, selected)
 
-    alpha = config.effective_alpha()
     adapted = {}
     pseudo_X, pseudo_y = np.empty((0, Zs.shape[1])), np.empty(0)
-    if alpha > 0.0:  # at alpha 0 boosting ignores the pseudo-target, so its stages are skipped
+    if config.boosting.alpha > 0.0:  # at alpha 0 boosting ignores the pseudo-target, so its stages are skipped
         key = ("itml", key, config.itml)
         constraints, itml_result, (matched_X, matched_y, matched_idx) = _run_stage(
             memo, key, _learn_metric_and_match, Zs, y, Zt, config.itml,
             stage_seed(config.master_seed, "constraints"),
         )
-        K, M = config.gmm_components(), config.gmm_samples()
-        key = ("gmm", key, config.gmm, K, M)
+        key = ("gmm", key, config.gmm)
         pseudo_X, pseudo_y, gmm_model = _run_stage(
-            memo, key, _augment, matched_X, matched_y, K, M, config.gmm, stage_seed(config.master_seed, "gmm"),
+            memo, key, _augment, matched_X, matched_y, config.gmm, stage_seed(config.master_seed, "gmm"),
         )
         adapted = dict(
             itml_result=itml_result, constraints=constraints,
             matched_indices=matched_idx, gmm_model=gmm_model, pseudo_X=pseudo_X, pseudo_y=pseudo_y,
         )
 
-    train_cfg = replace(config.boosting, alpha=alpha)
     boosted, preds = _run_stage(
-        memo, ("boosting", key, train_cfg), _boost_and_predict, Zs, y, Zt, pseudo_X, pseudo_y, train_cfg,
+        memo, ("boosting", key, config.boosting), _boost_and_predict, Zs, y, Zt, pseudo_X, pseudo_y, config.boosting,
     )
     return EstimationResult(
         split.target_id, config.movement, config, selected, model, Zs, y, Zt,
@@ -372,7 +377,7 @@ class EvaluationReport:
 
 
 def _score_fold(split: DomainSplit, config: PipelineConfig, memo: dict) -> FoldResult:
-    label = VARIANT_LABELS[config.variant]
+    label = VARIANTS[config.variant][0]
     n = split.target_features.n
     try:
         result = _estimate(split, config, memo)
@@ -394,6 +399,8 @@ def _score_folds(data: Dataset, configs: tuple[PipelineConfig, ...], jobs: int) 
     """Per held-out intersection in sorted order, one row per config."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not configs:
+        raise ValueError("no configs to run")
     ids = data.intersections()
     if len(ids) < 2:
         raise ValueError("leave-one-out needs at least 2 intersections")
@@ -420,11 +427,7 @@ def _aggregate(rows: list[FoldResult]) -> tuple[tuple[FoldResult, ...], dict]:
     return tuple(rows), aggregates
 
 
-def leave_one_out(
-    data: Dataset,
-    configs,
-    jobs: int = 1,
-) -> EvaluationReport:
+def leave_one_out(data: Dataset, configs, jobs: int = 1) -> EvaluationReport:
     """Score every intersection as the held-out target, once per config.
 
     Folds are independent; with ``jobs`` > 1 they run in separate processes
@@ -458,9 +461,9 @@ def render_summary(report: EvaluationReport) -> str:
 
 @dataclass(frozen=True)
 class SweepCell:
-    n_components: int
-    n_samples: int
-    alpha: float
+    n_components: int | None        # the value the cell's configs ran; None where they differ
+    n_samples: int | None
+    alpha: float | None
     status: str                     # "ok" | "skipped" | "failed"
     aggregates: dict
     reason: str | None = None
@@ -478,7 +481,9 @@ class SweepResult:
         lines = ["".join(header)]
         for c in self.cells:
             by_movement = {movement: value for (_, movement), value in c.aggregates.items()}
-            cells = [f"{c.n_components},{c.n_samples},{c.alpha:g},{c.status}"]
+            k, n = ("" if v is None else v for v in (c.n_components, c.n_samples))
+            alpha = "" if c.alpha is None else f"{c.alpha:g}"
+            cells = [f"{k},{n},{alpha},{c.status}"]
             for m in movements:
                 agg = by_movement.get(m)
                 cells.append(",," if agg is None else f",{agg[0]:.4f},{agg[1]:.4f}")
@@ -513,22 +518,13 @@ def grid_configs(base: PipelineConfig, grid: dict) -> list[PipelineConfig]:
             for value, typed in zip(values, cast):
                 if typed != value and typed == typed:    # a NaN is left to the settings class
                     raise ValueError(f"{value} is not {kind.__name__}-valued: it would run as {typed}")
-            configs = [
-                replace(cfg, **{section: replace(getattr(cfg, section), **{axis: typed})})
-                for cfg in configs
-                for typed in cast
-            ]
+            configs = [_with(cfg, section, **{axis: typed}) for cfg in configs for typed in cast]
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"grid.{axis}: {exc}") from None
     return configs
 
 
-def ablation_sweep(
-    data: Dataset,
-    grid: dict,
-    base_configs,
-    jobs: int = 1,
-) -> SweepResult:
+def ablation_sweep(data: Dataset, grid: dict, base_configs, jobs: int = 1) -> SweepResult:
     """Run leave-one-out over a (components, samples, alpha) grid.
 
     Each base config is expanded by ``grid_configs``, so cells come in its
@@ -537,7 +533,9 @@ def ablation_sweep(
     an upstream stage once for every cell that shares its settings: alpha
     enters only boosting, and n_components/n_samples only the mixture. Each
     cell's rows are then aggregated exactly as ``leave_one_out`` would for
-    that cell alone. A cell with a fold whose mixture fit is infeasible
+    that cell alone. A cell reports the as-run n_components, n_samples and
+    alpha of its configs, each None where they differ (two movements' mixture
+    defaults, say). A cell with a fold whose mixture fit is infeasible
     (``gmm.TooFewSamplesError``: more components than matched samples) is
     recorded as skipped; otherwise a cell whose every fold failed is recorded
     as failed, with its first row's error as the reason.
@@ -547,15 +545,16 @@ def ablation_sweep(
     base_configs = tuple(base_configs)
     # cell-major: each cell's configs are adjacent, one per base config
     by_cell = zip(*(grid_configs(base, grid) for base in base_configs))
-    configs = tuple(config for cell in by_cell for config in cell)
+    configs = tuple(config.as_run() for cell in by_cell for config in cell)
     chunks = _score_folds(data, configs, jobs)
 
     width = len(base_configs)
     cells = []
     for c in range(len(configs) // width):
-        rows, aggregates = _aggregate([r for chunk in chunks for r in chunk[c * width:(c + 1) * width]])
-        first = configs[c * width]
-        cell_k, cell_m, cell_a = first.gmm_components(), first.gmm_samples(), first.effective_alpha()
+        cell = slice(c * width, (c + 1) * width)
+        rows, aggregates = _aggregate([r for chunk in chunks for r in chunk[cell]])
+        ran = [(cfg.gmm.n_components, cfg.gmm.n_samples, cfg.boosting.alpha) for cfg in configs[cell]]
+        cell_k, cell_m, cell_a = (values[0] if len(set(values)) == 1 else None for values in zip(*ran))
         infeasible = [
             r for r in rows
             if r.error_type is not None and issubclass(r.error_type, gmm.TooFewSamplesError)

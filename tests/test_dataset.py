@@ -254,3 +254,16 @@ def test_dataset_arrays_are_read_only(small_data):
     with pytest.raises(ValueError):
         small_data.labels[0, 0] = 1
 
+
+def test_every_dataset_array_is_read_only_after_load_and_split(tmp_path, small_data):
+    # The identifier and approach arrays were once left writable.
+    loaded = load_table(_write_rows(tmp_path, small_data))
+    split = split_domains(small_data, "I01")
+    for data in (small_data, loaded, split.source, split.target_features):
+        arrays = [data.intersection_ids, data.approaches, data.interval_indices, data.X]
+        if data.labels is not None:
+            arrays.append(data.labels)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]

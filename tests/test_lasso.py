@@ -450,6 +450,42 @@ def test_cross_validation_input_validation():
         cross_validate_lambda(X[:3], y[:3], n_folds=2)    # folds of 2 and 1 rows
 
 
+_ENTRY_POINTS = {
+    "lambda_max": lambda_max,
+    "fit_lasso": lambda X, y: fit_lasso(X, y, 0.1),
+    "cross_validate_lambda": cross_validate_lambda,
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_lasso_entry_point_refuses_bad_inputs_with_one_message(entry):
+    # lambda_max once returned nan for these (with numpy warnings for zero
+    # rows) or failed inside numpy's matmul on a length mismatch.
+    call = _ENTRY_POINTS[entry]
+    X, y = _random_problem(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite values in inputs"):
+            call(np.where(X == X[0, 0], np.inf, X), y)
+        with pytest.raises(ValueError, match="non-finite values in inputs"):
+            call(X, np.where(y == y[0], np.nan, y))
+        with pytest.raises(ValueError, match=r"X shape \(\d+, \d+\) incompatible with y shape"):
+            call(X, y[:-1])
+        with pytest.raises(ValueError, match="incompatible with y shape"):
+            call(X, y[:, None])
+        with pytest.raises(ValueError, match="need at least 1 row"):
+            call(np.zeros((0, 3)), np.zeros(0))
+
+
+def test_fraction_mode_refuses_non_finite_inputs_instead_of_a_nan_penalty():
+    from tmcda.pipeline import LassoSettings, select_lambda
+
+    X, y = _random_problem(13)
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        select_lambda(X, y, LassoSettings(lambda_mode="fraction", lambda_value=0.5), seed=0)
+
+
 def test_no_columns_give_lambda_max_zero_and_the_constant_response_cv_result():
     # numpy's "zero-size array to reduction operation" used to escape from both.
     X, y = np.zeros((12, 0)), np.arange(12.0)

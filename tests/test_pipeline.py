@@ -18,6 +18,7 @@ from tmcda.pipeline import (
     FoldResult,
     PipelineConfig,
     PipelineError,
+    VARIANTS,
     ablation_sweep,
     evaluate,
     leave_one_out,
@@ -374,19 +375,61 @@ def test_infeasible_component_count_skipped(data3):
     assert "need at least K" in cell.reason
 
 
-def test_zero_samples_config_equals_named_itml_gbbw_variant(data3):
-    base = _fast_cfg()
-    zero_samples = PipelineConfig(
-        movement=base.movement, lasso=base.lasso, itml=base.itml,
-        gmm=GmmSettings(n_components=2, n_samples=0, n_init=1),
-        boosting=base.boosting, master_seed=base.master_seed, variant="full",
-    )
-    named = _fast_cfg(variant="itml-gbbw")
-    a = leave_one_out(data3, zero_samples)
-    b = leave_one_out(data3, named)
-    a_vals = {(m, i): (r.mae, r.rmse) for r in a.rows for m, i in [(r.movement, r.intersection)]}
-    b_vals = {(m, i): (r.mae, r.rmse) for r in b.rows for m, i in [(r.movement, r.intersection)]}
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_named_variant_equals_full_with_its_pins(data3, variant):
+    pinned = _fast_cfg()
+    for section, values in VARIANTS[variant][1].items():
+        pinned = replace(pinned, **{section: replace(getattr(pinned, section), **values)})
+    a = leave_one_out(data3, pinned)
+    b = leave_one_out(data3, _fast_cfg(variant=variant))
+    a_vals = {(r.movement, r.intersection): (r.n, r.mae, r.rmse, r.error) for r in a.rows}
+    b_vals = {(r.movement, r.intersection): (r.n, r.mae, r.rmse, r.error) for r in b.rows}
     assert a_vals == b_vals
+    assert {r.variant for r in b.rows} == {VARIANTS[variant][0]}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("movement", ["left", "through", "right"])
+def test_as_run_fills_movement_defaults_pins_the_variant_and_is_idempotent(variant, movement):
+    config = PipelineConfig(movement=movement, master_seed=9, variant=variant)
+    ran = config.as_run()
+    assert ran.as_run() == ran
+    assert (ran.variant, ran.movement, ran.master_seed) == (variant, movement, 9)
+    k, m = pipeline.GMM_DEFAULTS[movement]
+    assert ran.gmm.n_components == k
+    assert ran.gmm.n_samples == (0 if variant == "itml-gbbw" else m)
+    assert ran.boosting.alpha == (0.0 if variant == "source-only" else config.boosting.alpha)
+    assert ran.lasso == config.lasso and ran.itml == config.itml
+
+
+def test_as_run_keeps_set_mixture_settings_unless_the_variant_pins_them():
+    gmm_settings = GmmSettings(n_components=3, n_samples=7, n_init=2)
+    assert PipelineConfig(gmm=gmm_settings).as_run().gmm == gmm_settings
+    pinned = PipelineConfig(gmm=gmm_settings, variant="itml-gbbw").as_run().gmm
+    assert pinned == GmmSettings(n_components=3, n_samples=0, n_init=2)
+
+
+def test_sweep_cell_reports_the_settings_its_movements_ran(data3):
+    # Movements with different mixture defaults ran different K and M; the
+    # cell once reported its first movement's defaults for all of them.
+    bases = [replace(_fast_cfg(movement=m, n_stages=3), gmm=GmmSettings(n_init=1)) for m in ("left", "through")]
+    for order in (bases, bases[::-1]):
+        cell = ablation_sweep(data3, {"alpha": [0.5]}, order).cells[0]
+        assert (cell.n_components, cell.n_samples, cell.alpha, cell.status) == (None, None, 0.5, "ok")
+    sweep = ablation_sweep(data3, {"alpha": [0.5], "n_components": [2]}, bases)
+    assert (sweep.cells[0].n_components, sweep.cells[0].n_samples) == (2, None)
+    assert sweep.to_text().splitlines()[1].startswith("2,,0.5,ok,")
+    alone = ablation_sweep(data3, {"alpha": [0.5]}, bases[1]).cells[0]
+    assert (alone.n_components, alone.n_samples, alone.alpha) == (4, 100, 0.5)
+
+
+def test_an_empty_config_list_is_refused_before_any_split(data3, monkeypatch):
+    splits = _counting(monkeypatch, pipeline, "split_domains")
+    with pytest.raises(ValueError, match="no configs to run"):
+        leave_one_out(data3, [])
+    with pytest.raises(ValueError, match="no configs to run"):
+        ablation_sweep(data3, {"alpha": [0.5]}, [])
+    assert splits == []
 
 
 def test_sweep_fails_only_on_too_few_samples_not_on_other_mixture_errors(data3, monkeypatch):
@@ -551,7 +594,7 @@ def test_default_config_runs_end_to_end():
     assert result.boosted_model.n_stages == 200
     assert result.gmm_model is not None and result.gmm_model.K == 2
     assert len(result.matched_indices) == 24
-    assert result.config.gmm_samples() == 40
+    assert result.config.gmm.n_samples == 40
     truth = split.held_out_labels.reveal_for_scoring("left")
     mae, rmse = evaluate(truth, result.predictions)
     assert rmse >= mae >= 0.0
