@@ -12,6 +12,17 @@ The loss is squared error only, the case gradient boosting (Friedman 2001,
 with a closed-form stage multiplier. A fit updates F, r = y - F and the stage
 tree's leaf values h in place; no tree writes h at a zero-weight row.
 
+That multiplier is sum(w r h) / sum(w h^2), and it is 1: each leaf's value
+is the weighted mean of its rows' residuals, WR_L / W_L, so both sums equal
+sum over leaves of WR_L^2 / W_L (h is 0 everywhere only if every leaf mean
+is, and the stage then adds 0 either way). A fit therefore takes no line
+search: it adds shrinkage * h and records 1.0 as each stage's multiplier.
+Computed leaf means are within rounding of the exact ones, so a stage's F
+differs from the line-searched one by at most shrinkage * |gamma - 1| * |h|,
+with |gamma - 1| of order 1e-14; where sum(w h^2) underflows, the line
+search would read 0 for an h below 1e-150. ``compute_gamma`` is kept as
+the reference the tests check this against.
+
 A model stacks its trees once, when it is constructed: one node table with
 every stage's nodes laid end to end, children renumbered into it, each leaf
 its own child, and each node's stage contribution (shrinkage * gamma) *
@@ -125,19 +136,17 @@ def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarra
 
     For squared loss the optimum is sum(w*r*h) / sum(w*h^2) with r = y - F;
     a zero denominator (h identically zero on weighted support) yields 0.
+    ``_boost`` does not call it: a stage tree's leaf means make it 1 (see
+    the module docstring), and it stays as the reference for that identity.
     """
     F_prev = np.asarray(F_prev, dtype=float)
     h = np.asarray(h, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    return _gamma(y - F_prev, h, w)
-
-
-def _gamma(r: np.ndarray, h: np.ndarray, w: np.ndarray) -> float:
     denom = float(w.dot(h * h))
     if denom == 0.0:
         return 0.0
-    return float(w.dot(r * h)) / denom
+    return float(w.dot((y - F_prev) * h)) / denom
 
 
 def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alpha: float) -> BoostedModel:
@@ -152,10 +161,9 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig, alp
     plan = SplitPlan.build(X, w, config.min_samples_leaf)
     for _ in range(config.n_stages):
         tree = fit_tree(plan, r, config.max_depth, leaf_values=h)
-        gamma = _gamma(r, h, w)
-        F += config.shrinkage * gamma * h
+        F += config.shrinkage * h
         np.subtract(y, F, out=r)
-        stages.append((gamma, tree))
+        stages.append((1.0, tree))
         trace.append(float(w.dot(0.5 * r ** 2)))
     return BoostedModel(
         f0=f0,

@@ -482,13 +482,19 @@ class SweepResult:
         for c in self.cells:
             by_movement = {movement: value for (_, movement), value in c.aggregates.items()}
             k, n = ("" if v is None else v for v in (c.n_components, c.n_samples))
-            alpha = "" if c.alpha is None else f"{c.alpha:g}"
+            alpha = "" if c.alpha is None else _grid_value_text(c.alpha)
             cells = [f"{k},{n},{alpha},{c.status}"]
             for m in movements:
                 agg = by_movement.get(m)
                 cells.append(",," if agg is None else f",{agg[0]:.4f},{agg[1]:.4f}")
             lines.append("".join(cells))
         return "\n".join(lines) + "\n"
+
+
+def _grid_value_text(value: float) -> str:
+    """``value`` with ``:g`` when that reads back as ``value``, else ``repr``: distinct values never print alike."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 # Sweep grid axes: axis -> (settings section, value type). The one place an axis is mapped.

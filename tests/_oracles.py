@@ -7,6 +7,7 @@ internals, so each check is a genuine second route.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -150,7 +151,7 @@ def reference_cross_validate_lambda(X, y, n_folds, grid_size, lam_min_ratio, see
 
 def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000):
     """The ``LassoModel`` that ``fit_lasso`` returns on valid inputs, without its warning."""
-    from tmcda.lasso import LassoModel, _objective, _standardize
+    from tmcda.lasso import LassoModel, _standardize
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -176,7 +177,7 @@ def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000):
                 r -= (new - old) * Z[:, j]
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        trace.append(_objective(Z, yc, beta, lam))
+        trace.append(float(r.dot(r)) / (2.0 * n) + lam * math.fsum(np.abs(beta)))
         if max_delta < tol:
             converged = True
             break

@@ -56,6 +56,55 @@ def test_gamma_matches_grid_search_oracle():
     assert abs(grid[int(np.argmin(losses))] - gamma) < 1e-4
 
 
+@st.composite
+def _one_stage(draw):
+    """One stage's inputs: 1-3 columns (some tie-heavy), weights with zeros, F and y, depth 0-4."""
+    n = draw(st.integers(1, 24))
+    kinds = draw(st.lists(st.integers(0, len(_CELLS) - 1), min_size=1, max_size=3))
+    X = np.array([[draw(_CELLS[k]) for k in kinds] for _ in range(n)]).reshape(n, len(kinds))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    if not np.any(w > 0):
+        w[draw(st.integers(0, n - 1))] = 1.0
+    values = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+    F = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    y = F.copy() if draw(st.integers(0, 3)) == 0 else np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return X, w, F, y, draw(st.integers(0, 4)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_stage())
+def test_the_line_search_after_one_stage_returns_one_within_the_leaf_mean_rounding(case):
+    # A stage's leaf values are its leaves' weighted residual means, so
+    # sum(w r h) = sum(w h^2) and the multiplier is 1 (0 when h is 0 on every
+    # weighted row); the fit adds shrinkage * h without computing it. With
+    # leaf values h_L within the tree's stated rounding of the means
+    # (d + 1) n eps (S + |h_L| W) / W_L, S = sum |w r| and W = sum w over the
+    # n rows, the two sums differ by at most (d + 1) n eps (S sum_L |h_L|
+    # + W sum_L h_L^2), and computing them adds (n + 2) eps (sum w |r h|
+    # + sum w h^2); twice that over sum w h^2 bounds |gamma - 1|, as long as
+    # sum w h^2 does not underflow.
+    X, w, F, y, depth, min_leaf = case
+    r = y - F
+    h = np.zeros(len(y))
+    fitted = tree.fit_tree(tree.SplitPlan.build(X, w, min_leaf), r, depth, leaf_values=h)
+    gamma = compute_gamma(F, h, y, w)
+    if not np.any(h[w > 0]):
+        assert gamma == 0.0
+        return
+    denom = (w * h * h).sum()
+    if denom < np.finfo(float).tiny:
+        # The line search reads a rounded-away sum, 0 if it is 0, but the
+        # stage's whole update is shrinkage * h, below 1e-150 in every row.
+        assert np.abs(h).max() < 1e-150
+        return
+    eps, n = 2.0 ** -53, len(y)
+    leaves = np.array([v for f, v in zip(fitted.feature, fitted.value) if f == -1])
+    S, W = np.abs(w * r).sum(), w.sum()
+    leaf_error = (depth + 1) * n * (S * np.abs(leaves).sum() + W * (leaves * leaves).sum())
+    sum_error = (n + 2) * ((w * np.abs(r * h)).sum() + denom)
+    assert abs(gamma - 1.0) <= 2.0 * eps * (leaf_error + sum_error) / denom
+
+
 # -------------------------------------------------------------------- training
 
 def test_zero_stages_predicts_weighted_constant():

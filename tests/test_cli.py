@@ -248,6 +248,18 @@ def test_sweep_grid_rows_and_manifest(tmp_path, data_file):
     assert "movement" not in manifest["config"]["base"] and "variant" not in manifest["config"]["base"]
 
 
+def test_sweep_rows_of_alphas_that_agree_to_six_digits_keep_distinct_keys(tmp_path, data_file):
+    # ``:g`` alone prints both as 0.123457.
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.1234567, 0.1234568\n")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--data", str(data_file), "--grid", str(grid),
+                 "--out-dir", str(out_dir), "--movement", "left"]) == EXIT_OK
+    rows = (out_dir / "sweep.csv").read_text().strip().splitlines()[1:]
+    keys = [tuple(row.split(",")[:3]) for row in rows]
+    assert keys == [("2", "8", "0.1234567"), ("2", "8", "0.1234568")]
+
+
 def test_sweep_config_keys_override_grid_file_keys_and_others_still_apply(tmp_path, data_file, config_file):
     grid = tmp_path / "grid.cfg"
     grid.write_text("boosting.min_samples_leaf = 3\ngmm.n_init = 2\ngrid.alpha = 0.5\n")
