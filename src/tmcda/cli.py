@@ -154,6 +154,11 @@ def _loo_inputs(args):
     return base, grid, data
 
 
+def _files_read(args) -> list[str]:
+    """The data, grid and config files a ``loo`` or ``sweep`` read: the manifest's inputs."""
+    return [path for path in (args.data, getattr(args, "grid", None), args.config) if path is not None]
+
+
 def cmd_synth(args) -> int:
     _check_seed(args.seed)
     if args.n_intersections < 2:
@@ -201,7 +206,7 @@ def cmd_loo(args) -> int:
     report = leave_one_out(data, configs, jobs=args.jobs)
     summary, folds = _write_outputs(
         args.out_dir, {"summary.csv": render_summary(report), "folds.csv": report.to_long_text()},
-        "loo", base.master_seed, _snapshot(base), [args.data], movements=movements, variants=variants)
+        "loo", base.master_seed, _snapshot(base), _files_read(args), movements=movements, variants=variants)
     failures = [r for r in report.rows if r.error is not None]
     print(f"wrote {summary} and {folds} ({len(report.rows)} rows, {len(failures)} failed)")
     if failures and len(failures) == len(report.rows):
@@ -215,7 +220,7 @@ def cmd_sweep(args) -> int:
     movements = _movements(args.movement)
     result = ablation_sweep(data, grid, [replace(base, movement=m) for m in movements], jobs=args.jobs)
     [out] = _write_outputs(args.out_dir, {"sweep.csv": result.to_text()}, "sweep", base.master_seed,
-                           {"base": _snapshot(base), "grid": grid}, [args.data, args.grid], movements=movements)
+                           {"base": _snapshot(base), "grid": grid}, _files_read(args), movements=movements)
     skipped = sum(1 for c in result.cells if c.status == "skipped")
     failed = sum(1 for c in result.cells if c.status == "failed")
     print(f"wrote {out} ({len(result.cells)} cells, {skipped} skipped, {failed} failed)")

@@ -59,17 +59,22 @@ The projection loop reads a constraint's slack and dual once, and takes
 min(lambda_c, step) as ``step if step < lambda_c else lambda_c``, which
 returns the same double as ``min``, NaN and ties included. The per-pass
 bookkeeping forms every constraint's distance from one product,
-``(V A) * V`` summed over each row, and the divergence from a Cholesky
-factor of A: log det A is twice the sum of the logs of its diagonal, and
-tr(A A0^-1) is the dot product of A with (A0^-1)^T, which is taken once
-per fit with log det A0. The bookkeeping feeds nothing back into the
-projections, so A, the slacks, the duals, the dual changes and the pass
-count are those of a three-operand ``einsum`` and ``solve(A0, A)`` with
-``slogdet``; the reported divergences, objectives and dual objectives
-differ from theirs by rounding, at most 1e-12 of the sum of the magnitudes
-of their terms (tested; at most 2.1e-15 relative on the benchmark's fits),
-and a violation count could differ only for a distance within rounding of
-its threshold (none did on those fits).
+``(V A) * V`` summed over each row, and the divergence from the Cholesky
+factor that checks A is a metric: log det A is twice the sum of the logs of
+its diagonal, and tr(A A0^-1) is the dot product of A with (A0^-1)^T, which
+is taken once per fit with log det A0, from the factor that checks A0. The
+bookkeeping feeds nothing back into the projections, so A, the slacks, the
+duals, the dual changes and the pass count are those of a three-operand
+``einsum`` and ``solve(A0, A)`` with ``slogdet``. The reported divergences,
+objectives and dual objectives differ from theirs by rounding. Cholesky and
+LU (which ``slogdet`` uses) are backward stable (Higham 2002, *Accuracy and
+Stability of Numerical Algorithms*, chapters 9-10), so each gives log det A
+to within about q(q+1) u kappa_2(A) for q features, u = 2**-53, to first
+order. The two results may differ by twice that plus 1e-12 of the sum of the
+magnitudes of their terms (tested; at most 2.1e-15 relative on the
+benchmark's fits, and 2.2e-8 on a fit that leaves kappa_2(A) = 6.7e8). A
+violation count could differ only for a distance within rounding of its
+threshold (none did on those fits).
 """
 
 from __future__ import annotations
@@ -94,6 +99,12 @@ def _require_finite(**arrays: np.ndarray) -> None:
 def check_metric(A: np.ndarray) -> np.ndarray:
     """Validate that A is finite and symmetric positive-definite (to a relative 1e-10); returns A as float array."""
     A = np.asarray(A, dtype=float)
+    _factor(A)
+    return A
+
+
+def _factor(A: np.ndarray) -> np.ndarray:
+    """Check the float array A as ``check_metric`` does; return the Cholesky factor that proves A positive-definite."""
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise MetricError(f"metric must be square with at least one dimension, got shape {A.shape}")
     scale = np.abs(A).max()    # NaN or inf if any entry is
@@ -102,10 +113,9 @@ def check_metric(A: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(A - A.T) <= 1e-10 * max(1.0, scale)):
         raise MetricError("metric is not symmetric")
     try:
-        np.linalg.cholesky(A)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise MetricError("metric is not positive-definite") from None
-    return A
 
 
 def mahalanobis_distance(A: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> float:
@@ -123,27 +133,27 @@ def mahalanobis_distance(A: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> flo
 
 def logdet_divergence(A: np.ndarray, A0: np.ndarray) -> float:
     """tr(A A0^-1) - log det(A A0^-1) - n; zero iff A == A0."""
-    A = check_metric(A)
-    A0 = check_metric(A0)
+    A, A0 = np.asarray(A, dtype=float), np.asarray(A0, dtype=float)
+    L, L0 = _factor(A), _factor(A0)
     if A.shape != A0.shape:
         raise MetricError("metrics must share a dimension")
-    return _logdet_divergence(A, *_prior_terms(A0))
+    return _logdet_divergence(A, L, *_prior_terms(A0, L0))
 
 
-def _logdet(A: np.ndarray) -> float:
-    """log det A of a checked metric, from its Cholesky factor."""
-    return 2.0 * float(np.log(np.linalg.cholesky(A).diagonal()).sum())
+def _logdet(L: np.ndarray) -> float:
+    """log det A from A's Cholesky factor L."""
+    return 2.0 * float(np.log(L.diagonal()).sum())
 
 
-def _prior_terms(A0: np.ndarray) -> tuple[np.ndarray, float]:
-    """(A0^-1)^T, contiguous, and log det A0: the divergence's terms that depend on the prior alone."""
-    return np.ascontiguousarray(np.linalg.inv(A0).T), _logdet(A0)
+def _prior_terms(A0: np.ndarray, L0: np.ndarray) -> tuple[np.ndarray, float]:
+    """(A0^-1)^T, contiguous, and log det A0 from its Cholesky factor L0: the divergence's terms of the prior alone."""
+    return np.ascontiguousarray(np.linalg.inv(A0).T), _logdet(L0)
 
 
-def _logdet_divergence(A: np.ndarray, A0_inv_T: np.ndarray, logdet_A0: float) -> float:
-    """``logdet_divergence`` for a checked metric A and its checked prior's ``_prior_terms``."""
+def _logdet_divergence(A: np.ndarray, L: np.ndarray, A0_inv_T: np.ndarray, logdet_A0: float) -> float:
+    """``logdet_divergence`` for a metric A with Cholesky factor L and its prior's ``_prior_terms``."""
     trace = float(np.vdot(A, A0_inv_T))    # sum_ij A_ij (A0^-1)_ji = tr(A A0^-1)
-    value = trace - (_logdet(A) - logdet_A0) - A.shape[0]
+    value = trace - (_logdet(L) - logdet_A0) - A.shape[0]
     return 0.0 if -1e-9 < value < 0.0 else value
 
 
@@ -316,9 +326,10 @@ def fit_itml(
     ``tol``. A constraint whose distance p under the current metric is below
     1e-12 is skipped for that projection, with a warning the first time; a
     nonpositive slack aborts with a state dump. Every pass checks that A is
-    still symmetric positive-definite (a Cholesky factorization), and so
-    does the end of the fit; the fixed prior ``A0`` is checked, inverted and
-    its log determinant taken once, at the start, not on every pass. A
+    still symmetric positive-definite with one Cholesky factorization, which
+    also gives the pass's log det A; the fit returns the last pass's A as
+    that check left it. The fixed prior ``A0`` is factored once, at the
+    start, for its check and its log determinant, and inverted once. A
     projection with alpha exactly 0 updates only its slack (see the module
     docstring for why that is exact). ``gamma`` must be > 0, ``tol`` >= 0
     and ``max_passes`` >= 1; NaN is rejected, and so is a non-finite entry
@@ -327,9 +338,8 @@ def fit_itml(
     X = np.asarray(X, dtype=float)
     _require_finite(X=X)
     q = X.shape[1]
-    if A0 is None:
-        A0 = np.eye(q)
-    A0 = check_metric(A0)
+    A0 = np.eye(q) if A0 is None else np.asarray(A0, dtype=float)
+    L0 = _factor(A0)
     if not gamma > 0:
         raise MetricError(f"gamma must be > 0, got {gamma}")
     if not tol >= 0:
@@ -358,7 +368,7 @@ def fit_itml(
     xi = list(xi0)
     lam = [0.0] * m
     delta_arr, xi0_arr = np.array(deltas), np.array(xi0)
-    A0_inv_T, logdet_A0 = _prior_terms(A0)
+    A0_inv_T, logdet_A0 = _prior_terms(A0, L0)
     skipped, skipped_pairs = set(), []
     dual_changes, violations, divergences, objectives, dual_objectives = [], [], [], [], []
 
@@ -414,15 +424,15 @@ def fit_itml(
                 + np.count_nonzero(is_dis & (dists < xi_arr * lower)))
         dual_changes.append(max_dual_change)
         violations.append(viol)
-        check_metric(A)
-        divergences.append(_logdet_divergence(A, A0_inv_T, logdet_A0))    # A0 was checked once, above
+        L = _factor(A)    # checks A, and gives log det A
+        divergences.append(_logdet_divergence(A, L, A0_inv_T, logdet_A0))
         objectives.append(divergences[-1] + gamma * _slack_divergence(xi_arr, xi0_arr))
         dual_objectives.append(objectives[-1] + float(np.sum(lam_arr * delta_arr * (dists - xi_arr))))
         if max_dual_change < tol:
             break
 
     return ITMLResult(
-        A=check_metric(A), converged=max_dual_change < tol, n_passes=t,
+        A=A, converged=max_dual_change < tol, n_passes=t,
         dual_changes=dual_changes, violations=violations, divergences=divergences,
         objectives=objectives, dual_objectives=dual_objectives, skipped_pairs=skipped_pairs,
         final_xi=np.array(xi), final_lambda=np.array(lam),

@@ -68,6 +68,13 @@ with the same ``x <= threshold`` rule the fit used, until every row sits at
 a leaf. It relies on the table ``fit_tree`` builds: node 0 the root, every
 other node with exactly one parent, leaves without children. Nothing
 checks a table built by hand; one with a cycle would never finish.
+
+A ``Forest`` lays many trees' node tables end to end, once, with children
+renumbered into the one table and each leaf its own left and right child.
+``Forest.leaves`` then moves every (tree, row) pair one level per step, with
+the same rule, and a pair that has reached its leaf stays there; the table,
+not a depth, decides when the walk ends. A boosted model stacks its stage
+trees this way, so that it predicts without one walk per tree.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +128,53 @@ class RegressionTree:
             "right": list(self.right),
             "value": [float(v) for v in self.value],
         }
+
+
+@dataclass(frozen=True)
+class Forest:
+    """Trees' node tables laid end to end, children as rows of the one table.
+
+    Tree t's root is row ``roots[t]``. A leaf is its own left and right
+    child, so a walk that moves every (tree, row) pair one level per step
+    leaves finished pairs in place (see the module docstring).
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def stack(cls, trees: tuple[RegressionTree, ...]) -> "Forest":
+        def column(name, dtype):
+            return np.fromiter(chain.from_iterable(getattr(tree, name) for tree in trees), dtype=dtype)
+
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+        roots = np.cumsum(sizes) - sizes
+        feature = column("feature", np.intp)
+        leaf = feature == _LEAF
+        offset = np.repeat(roots, sizes)
+        at = np.arange(len(feature))
+        return cls(roots, feature, column("threshold", float),
+                   np.where(leaf, at, offset + column("left", np.intp)),
+                   np.where(leaf, at, offset + column("right", np.intp)), column("value", float))
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The table row of each (tree, row) pair's leaf, shape (trees, rows of ``X``).
+
+        ``X`` is a float array with a column for every feature a tree splits on.
+        """
+        rows = np.arange(len(X))
+        node = np.repeat(self.roots[:, None], len(X), axis=1)
+        while True:
+            feature = self.feature[node]
+            if np.all(feature == _LEAF):
+                return node
+            # A leaf reads column -1, a valid column whose value it ignores.
+            go_left = X[rows, feature] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
 
 
 class _Search(NamedTuple):

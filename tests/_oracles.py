@@ -574,8 +574,8 @@ def straight_line_gbbw(Xs, ys, Xt, yt, alpha, n_stages, max_depth, min_leaf, shr
 
 def reference_ensemble_predict(model, X):
     F = np.full(len(X), model.f0)
-    for gamma, tree in model.stages:
-        F += model.shrinkage * gamma * tree.predict(X)
+    for tree in model.stages:
+        F += model.shrinkage * tree.predict(X)
     return F
 
 

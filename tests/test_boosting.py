@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda import boosting, tree
@@ -73,6 +73,8 @@ def _one_stage(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_one_stage())
+@example(case=(np.zeros((4, 2)), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4),
+               np.array([7.32269802e-228, 0.0, 0.0, 0.0]), 0, 1))    # sum(w h^2) underflows to 0
 def test_the_line_search_after_one_stage_returns_one_within_the_leaf_mean_rounding(case):
     # A stage's leaf values are its leaves' weighted residual means, so
     # sum(w r h) = sum(w h^2) and the multiplier is 1 (0 when h is 0 on every
@@ -121,9 +123,15 @@ def test_alpha_zero_bitwise_equals_source_only_boosting():
     config = TrainConfig(n_stages=20, max_depth=2, shrinkage=0.3, alpha=0.0)
     adapted = fit_gbbw(Xs, ys, Xt, yt, config)
     plain = fit_gradient_boosting(Xs, ys, config)
-    assert adapted.f0 == plain.f0
+    assert adapted == plain
     probe = np.vstack([Xs, Xt])
     assert np.array_equal(predict(adapted, probe), predict(plain, probe))
+
+
+def test_alpha_one_equals_gradient_boosting_on_the_pseudo_target_set():
+    Xs, ys, Xt, yt = _two_domain_problem(4)
+    config = TrainConfig(n_stages=20, max_depth=2, shrinkage=0.3, alpha=1.0)
+    assert fit_gbbw(Xs, ys, Xt, yt, config) == fit_gradient_boosting(Xt, yt, config)
 
 
 def test_alpha_zero_invariant_to_pseudo_target_contents():
@@ -167,10 +175,9 @@ def test_single_stump_hand_case():
     y = np.array([0.0, 0.0, 2.0, 2.0])
     model = fit_gradient_boosting(X, y, TrainConfig(n_stages=1, max_depth=1,
                                                     min_samples_leaf=1, shrinkage=1.0))
-    # F0 = 1; residuals (-1,-1,1,1); stump at 0.5 reproduces them; gamma = 1
+    # F0 = 1; residuals (-1,-1,1,1); stump at 0.5 reproduces them
     assert model.f0 == pytest.approx(1.0)
-    gamma, tree = model.stages[0]
-    assert gamma == pytest.approx(1.0)
+    tree = model.stages[0]
     assert tree.threshold[0] == pytest.approx(0.5)
     assert np.allclose(predict(model, X), y)
 
@@ -179,10 +186,8 @@ def test_prediction_additive_in_stages():
     Xs, ys, Xt, yt = _two_domain_problem(9)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=2, alpha=0.5))
     probe = np.vstack([Xs, Xt])
-    truncated = BoostedModel(model.f0, model.stages[:-1], model.shrinkage,
-                             model.alpha, model.n_features)
-    gamma, tree = model.stages[-1]
-    recomposed = predict(truncated, probe) + model.shrinkage * gamma * tree.predict(probe)
+    truncated = BoostedModel(model.f0, model.stages[:-1], model.shrinkage, model.n_features)
+    recomposed = predict(truncated, probe) + model.shrinkage * model.stages[-1].predict(probe)
     assert np.allclose(predict(model, probe), recomposed, atol=1e-12)
 
 
@@ -248,14 +253,14 @@ def test_predict_never_calls_tree_predict(monkeypatch):
 
 def _with_trees(model, edit):
     """``model`` with every stage's tree passed through ``edit``, built by hand."""
-    return BoostedModel(f0=model.f0, stages=tuple((gamma, edit(tree)) for gamma, tree in model.stages),
-                        shrinkage=model.shrinkage, alpha=model.alpha, n_features=model.n_features)
+    return BoostedModel(f0=model.f0, stages=tuple(edit(tree) for tree in model.stages),
+                        shrinkage=model.shrinkage, n_features=model.n_features)
 
 
 def test_a_model_that_splits_past_n_features_is_rejected():
     Xs, ys, Xt, yt = _two_domain_problem(13)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
-    assert model.n_features == 3 and model.stages[0][1].feature[0] != -1
+    assert model.n_features == 3 and model.stages[0].feature[0] != -1
 
     def split_on_feature_7(tree):
         return replace(tree, feature=tuple(7 if f != -1 else f for f in tree.feature))
@@ -287,9 +292,9 @@ def _models(draw):
     for _ in range(draw(st.integers(0, 6))):
         nodes = []
         grow(nodes, 0, draw(st.integers(0, 4)))
-        stages.append((draw(finite), RegressionTree(*zip(*nodes))))
+        stages.append(RegressionTree(*zip(*nodes)))
     model = BoostedModel(f0=draw(finite), stages=tuple(stages), shrinkage=draw(st.floats(1e-3, 1.0)),
-                         alpha=0.5, n_features=n_features)
+                         n_features=n_features)
     cell = cuts | st.just(float("nan"))
     X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), max_size=20)))
     return model, X.reshape(-1, n_features)
@@ -339,10 +344,10 @@ def test_every_stage_tree_equals_the_reference_tree_on_that_stages_residuals(cas
         X, y = np.vstack([Xs, Xt]), np.concatenate([ys, yt])
         w = np.concatenate([np.full(len(ys), 1.0 - alpha), np.full(len(yt), alpha)])
     F = np.full(len(y), model.f0)
-    for gamma, tree in model.stages:
+    for tree in model.stages:
         r = y - F
         assert tree.to_dict() == reference_tree(X, r, w, config.max_depth, config.min_samples_leaf)
-        F = F + config.shrinkage * gamma * tree.predict(X)
+        F = F + config.shrinkage * tree.predict(X)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -401,12 +406,12 @@ def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch)
     memo = plans[-1]._memo
     assert len(memo) == len(built) - 1        # the plan's root, then every other node: nothing evicted
     assert len(set(built)) == len(built)
-    visited = sum(stage_tree.n_nodes for _, stage_tree in model.stages)
+    visited = sum(stage_tree.n_nodes for stage_tree in model.stages)
     assert len(built) < visited / 2           # most nodes came from the memo
     # Only nodes above max_depth are built, and none of the leaves at max_depth is kept.
     X, _, w = _reference_data(Xs, ys, Xt, yt, 0.5)
     above, at_max_depth = set(), set()
-    for _, stage_tree in model.stages:
+    for stage_tree in model.stages:
         for depth, member in _node_masks(stage_tree, X, w > 0):
             (above if depth < 3 else at_max_depth).add(member.tobytes())
     assert set(built) <= above and set(memo) <= above
@@ -444,8 +449,8 @@ def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha):
     X, y, w = _reference_data(Xs, ys, Xt, yt, alpha)
     F = np.full(len(y), model.f0)
     expected = [float(w @ (0.5 * (y - F) ** 2))]
-    for gamma, stage_tree in model.stages:
-        F = F + config.shrinkage * gamma * stage_tree.predict(X)
+    for stage_tree in model.stages:
+        F = F + config.shrinkage * stage_tree.predict(X)
         expected.append(float(w @ (0.5 * (y - F) ** 2)))
     assert model.loss_trace == tuple(expected)
 
@@ -487,9 +492,9 @@ def test_long_fits_under_a_small_memo_bound_equal_the_reference_tree_at_every_st
         model = fit_gbbw(Xs, ys, Xt, yt, config)
     assert len(sizes) == config.n_stages
     F = np.full(len(y), model.f0)
-    for gamma, stage_tree in model.stages:
+    for stage_tree in model.stages:
         assert stage_tree.to_dict() == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
-        F = F + config.shrinkage * gamma * stage_tree.predict(X)
+        F = F + config.shrinkage * stage_tree.predict(X)
 
 
 def test_a_small_memo_bound_hits_misses_and_evicts(monkeypatch):
@@ -499,7 +504,7 @@ def test_a_small_memo_bound_hits_misses_and_evicts(monkeypatch):
     monkeypatch.setattr(tree, "_MEMO_BYTES", 2 * tree.SplitPlan.build(X, w, config.min_samples_leaf).root.nbytes)
     built, plans = _count_node_builds(monkeypatch)
     model = fit_gbbw(Xs, ys, Xt, yt, config)
-    lookups = sum(stage_tree.n_nodes - 1 for _, stage_tree in model.stages)
+    lookups = sum(stage_tree.n_nodes - 1 for stage_tree in model.stages)
     misses = len(built) - 1
     assert 0 < misses < lookups                       # some nodes are built, others come from the memo
     assert len(set(built)) < len(built)               # and some are built again after they were evicted

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -180,8 +181,22 @@ def test_loo_manifest_records_inputs_and_seed(tmp_path, data_file, config_file):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["master_seed"] == 77
     assert manifest["schema_version"] == "1"
-    assert str(data_file) in manifest["inputs"]
+    assert manifest["inputs"] == _digests(data_file, config_file)
     assert manifest["config"]["boosting"]["n_stages"] == 4
+
+
+def _digests(*paths):
+    return {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def test_sweep_manifest_records_the_data_grid_and_config_files(tmp_path, data_file, config_file):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.alpha = 0.5\n")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--data", str(data_file), "--grid", str(grid), "--config", str(config_file),
+                 "--out-dir", str(out_dir), "--movement", "left"]) == EXIT_OK
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["inputs"] == _digests(data_file, grid, config_file)
 
 
 def test_unknown_config_keys_listed_all_at_once(tmp_path, data_file):

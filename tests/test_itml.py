@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda import itml
@@ -476,6 +476,8 @@ def _outcome(fn, *args, **kwargs):
        st.sampled_from([1.0]) | st.floats(0.01, 100.0),
        st.sampled_from([1e-3]) | st.floats(1e-8, 0.5),
        st.integers(1, 10))
+@example(case=(np.array([[0.0]] * 38 + [[3.0]]), np.zeros(39), ConstraintConfig(max_per_set=1, n_candidates=741)),
+         gamma=1.0, tol=1e-3, max_passes=1)    # every candidate pair at distance 0 but the last row's 38
 def test_fit_equals_the_reference_projection_loop_bit_for_bit(case, gamma, tol, max_passes):
     X, y, config = case
     with warnings.catch_warnings():
@@ -532,8 +534,16 @@ def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit(pipeline_fold):
 # The per-pass diagnostics the fit reports, against the formulas it used before: distances from a
 # three-operand einsum, the divergence from solve(A0, A) and slogdet. Each new value must lie within
 # DIAGNOSTIC_BOUND of the old one, relative to the sum of the magnitudes of the terms it adds up
-# (for terms that do not cancel, a relative 1e-12).
+# (for terms that do not cancel, a relative 1e-12). The divergences and objectives also hold two log
+# determinants, from a Cholesky factor now and from LU (in slogdet) before. Both factorizations are
+# backward stable (Higham 2002, Accuracy and Stability of Numerical Algorithms, Thms 9.3 and 10.3):
+# the factors are those of A + dA with |dA| of order q(q+1) u |A|, u = 2**-53, and dA moves log det A
+# by tr(A^-1 dA) to first order, of order q(q+1) u kappa_2(A). So the two may differ by up to
+# LOGDET_ALLOWANCE * q(q+1) u kappa_2(A) more: one such term for each formula. Against 50-digit
+# values on 300 random SPD matrices (q 2-12, kappa_2 up to 1e12), each formula's error stayed below
+# 0.09 q(q+1) u kappa_2(A).
 DIAGNOSTIC_BOUND = 1e-12
+LOGDET_ALLOWANCE = 2.0
 
 
 def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
@@ -563,12 +573,14 @@ def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
         slack = gamma * float(np.sum(ratio - np.log(ratio) - 1.0))
         dual_term = float(np.sum(lam * deltas * (old_dists - xi)))
         scale = abs(float(np.trace(M))) + abs(logdet) + q
-        assert abs(result.divergences[t - 1] - old_divergence) <= DIAGNOSTIC_BOUND * scale, t
+        logdet_error = LOGDET_ALLOWANCE * q * (q + 1) * 2.0 ** -53 * np.linalg.cond(A)
+        assert abs(result.divergences[t - 1] - old_divergence) <= DIAGNOSTIC_BOUND * scale + logdet_error, t
         scale += slack
-        assert abs(result.objectives[t - 1] - (old_divergence + slack)) <= DIAGNOSTIC_BOUND * scale, t
+        objective_error = abs(result.objectives[t - 1] - (old_divergence + slack))
+        assert objective_error <= DIAGNOSTIC_BOUND * scale + logdet_error, t
         scale += float(np.sum(np.abs(lam) * (dist_scale + xi)))
         old_dual = old_divergence + slack + dual_term
-        assert abs(result.dual_objectives[t - 1] - old_dual) <= DIAGNOSTIC_BOUND * scale, t
+        assert abs(result.dual_objectives[t - 1] - old_dual) <= DIAGNOSTIC_BOUND * scale + logdet_error, t
 
 
 @settings(max_examples=100, deadline=None)
@@ -576,6 +588,9 @@ def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
        st.sampled_from([1.0]) | st.floats(0.01, 100.0),
        st.sampled_from([1e-3]) | st.floats(1e-8, 0.5),
        st.integers(1, 10))
+@example(case=(np.array([[0.0, 0.0, 1.0]] * 26 + [[0.0, 2.0, 0.0], [0.0, 2.0 ** -14, 1.0]]), np.zeros(28),
+               ConstraintConfig(max_per_set=1, n_candidates=378)),
+         gamma=1.0, tol=1e-3, max_passes=1)    # leaves kappa_2(A) = 6.7e8: the log dets differ by 2.2e-8
 def test_per_pass_diagnostics_are_within_the_bound_of_the_former_formulas(case, gamma, tol, max_passes):
     X, y, config = case
     with warnings.catch_warnings():
@@ -668,13 +683,15 @@ def test_fit_rejects_invalid_arguments(kwargs):
 
 
 def test_fit_checks_the_prior_once_and_the_metric_once_per_pass(monkeypatch):
+    # One Cholesky factorization checks A0 and gives its log det, one per pass does so for A,
+    # and the last pass's A is returned without another.
     calls = []
-    original = itml.check_metric
-    monkeypatch.setattr(itml, "check_metric", lambda A: calls.append(1) or original(A))
+    original = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: calls.append(1) or original(A))
     X, _, C = _random_instance(10)
     result = fit_itml(X, C, max_passes=50, tol=1e-4)
     assert result.n_passes > 1
-    assert len(calls) == result.n_passes + 2    # the prior, each pass's A, the final A
+    assert len(calls) == result.n_passes + 1
 
 
 def test_constraint_config_rejects_negative_cap_and_empty_sample():

@@ -134,7 +134,7 @@ def test_source_only_variant_skips_adaptation_stages(data3):
     result = run_estimation(split, _fast_cfg(variant="source-only"))
     assert result.itml_result is None
     assert result.gmm_model is None
-    assert result.boosted_model.alpha == 0.0
+    assert result.config.boosting.alpha == 0.0
 
 
 def test_empty_selection_falls_back_to_all_features(data3):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcda.boosting import TrainConfig, fit_gbbw
-from tmcda.tree import RegressionTree, SplitPlan, fit_tree
+from tmcda.tree import Forest, RegressionTree, SplitPlan, fit_tree
 
 from _oracles import BruteTree, brute_force_split, reference_tree
 
@@ -83,10 +83,10 @@ def test_split_whose_right_side_weight_rounds_away_is_not_chosen():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=1e-17))
-    root = model.stages[0][1]
+    root = model.stages[0]
     go_left = Xs[:, root.feature[0]] <= root.threshold[0]
     assert go_left.any() and not go_left.all()
-    source_only = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=0.0)).stages[0][1]
+    source_only = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=0.0)).stages[0]
     assert root.feature[0] == source_only.feature[0]
     assert np.array_equal(go_left, Xs[:, source_only.feature[0]] <= source_only.threshold[0])
 
@@ -402,6 +402,18 @@ def test_predict_equals_walking_each_row_down_the_table(case):
             node = table.left[node] if x[table.feature[node]] <= table.threshold[node] else table.right[node]
         walked.append(table.value[node])
     assert np.array_equal(table.predict(X), np.array(walked, dtype=float))
+
+
+@given(_node_tables())
+def test_a_forest_finds_the_leaf_each_tree_predicts_from(case):
+    # The tables are stacked behind a one-leaf tree, so the second copy's children are renumbered too.
+    table, X = case
+    trees = [RegressionTree((-1,), (0.0,), (-1,), (-1,), (2.5,)), table, table]
+    forest = Forest.stack(trees)
+    leaves = forest.leaves(X)
+    assert leaves.shape == (len(trees), len(X)) and np.all(forest.feature[leaves] == -1)
+    assert np.array_equal(forest.value[leaves], np.array([tree.predict(X) for tree in trees]).reshape(leaves.shape))
+    assert Forest.stack([]).leaves(X).shape == (0, len(X))
 
 
 
