@@ -146,28 +146,47 @@ def split_domains(data: Dataset, target_id: str) -> DomainSplit:
     return DomainSplit(source, target.without_labels(), held_out, target_id)
 
 
-def _parse_cell(text: str, row: int, name: str, integer: bool) -> float:
-    text = text.strip()
-    if text == "":
-        raise DataError(f"row {row}: missing value in column {name!r}")
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
+_FEATURES = {col.name: col for col in COLUMNS}
+
+
+def _cell(text: str, row: int, name: str, value: float | None = None) -> float:
+    """The number in cell ``text`` of column ``name`` in data row ``row``, refused unless the column may hold it.
+
+    ``value``, when given, is the number ``text`` was written from, and it is
+    checked without parsing ``text``. Every cell is finite. A feature lies in
+    its ``Column``'s domain, which ``Column.check`` owns; ``interval_index``
+    and the labels are integers, and a label is not negative.
+    """
+    if value is None:
+        text = text.strip()
+        if text == "":
+            raise DataError(f"row {row}: missing value in column {name!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
     if not math.isfinite(value):
         raise DataError(f"row {row}: non-finite value {text!r} in column {name!r}")
-    if integer and value != int(value):
+    column = _FEATURES.get(name)
+    if column is not None:
+        message = column.check(value)
+        if message:
+            raise DataError(f"row {row}: {message}")
+    elif value != int(value):
         raise DataError(f"row {row}: column {name!r} must be an integer, got {text!r}")
+    elif value < 0 and name in LABEL_COLUMNS:
+        raise DataError(f"row {row}: negative count {value:g} in column {name!r}")
     return value
 
 
 def load_table(path: str | Path) -> Dataset:
     """Load a comma-separated dataset file.
 
-    The header must name the identifier columns, all schema columns, and may
-    name the label columns v_LM, v_TM, v_RM (all three or none), each column
-    once. Rows failing type, finiteness or domain validation are rejected
-    with row/column coordinates (rows numbered from 1, excluding the header).
+    The file is UTF-8, with or without a byte-order mark. The header must
+    name the identifier columns, all schema columns, and may name the label
+    columns v_LM, v_TM, v_RM (all three or none), each column once. Rows
+    failing type, finiteness or domain validation are rejected with
+    row/column coordinates (rows numbered from 1, excluding the header).
     Every DataError raised names the file once, as its prefix.
     """
     path = Path(path)
@@ -178,7 +197,7 @@ def load_table(path: str | Path) -> Dataset:
 
 
 def _read_table(path: Path) -> Dataset:
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:    # a spreadsheet export may start with a BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -208,27 +227,13 @@ def _read_table(path: Path) -> Dataset:
             approach = record[pos["approach"]].strip()
             if approach not in APPROACHES:
                 raise DataError(f"row {r}: unknown approach {approach!r}")
-            interval = int(_parse_cell(record[pos["interval_index"]], r, "interval_index", True))
-            feats = np.empty(len(COLUMNS))
-            for j, col in enumerate(COLUMNS):
-                # Column.check owns the feature domain: integer-ness and range.
-                value = _parse_cell(record[pos[col.name]], r, col.name, False)
-                msg = col.check(value)
-                if msg:
-                    raise DataError(f"row {r}: {msg}")
-                feats[j] = value
+            interval = int(_cell(record[pos["interval_index"]], r, "interval_index"))
+            rows.append([_cell(record[pos[col.name]], r, col.name) for col in COLUMNS])
             if has_labels:
-                lab = []
-                for name in LABEL_COLUMNS:
-                    value = _parse_cell(record[pos[name]], r, name, True)
-                    if value < 0:
-                        raise DataError(f"row {r}: negative count {value:g} in column {name!r}")
-                    lab.append(int(value))
-                labels.append(lab)
+                labels.append([int(_cell(record[pos[name]], r, name)) for name in LABEL_COLUMNS])
             ids.append(inter)
             approaches.append(approach)
             intervals.append(interval)
-            rows.append(feats)
 
     if not rows:
         raise DataError("no data rows")
@@ -236,25 +241,46 @@ def _read_table(path: Path) -> Dataset:
         np.array(ids, dtype=object),
         np.array(approaches, dtype=object),
         np.array(intervals, dtype=np.int64),
-        np.vstack(rows),
+        np.array(rows, dtype=float),
         np.array(labels, dtype=np.int64) if has_labels else None,
     )
 
 
+# (column, written as an integer) of each checked value of a row, in the order write_table writes them.
+_WRITTEN = (("interval_index", True), *((col.name, col.integer) for col in COLUMNS),
+            *((name, True) for name in LABEL_COLUMNS))
+
+
+def _record(data: Dataset, i: int) -> list[str]:
+    """The cells ``write_table`` writes for row ``i``, each checked as ``load_table`` checks it."""
+    values = [data.interval_indices[i], *data.X[i].tolist(),
+              *(() if data.labels is None else data.labels[i].tolist())]
+    cells = [str(data.intersection_ids[i]), str(data.approaches[i])]
+    for (name, integer), v in zip(_WRITTEN, values):
+        value = float(v)
+        text = repr(value)
+        _cell(text, i + 1, name, value)
+        cells.append(str(int(v)) if integer else text)
+    return cells
+
+
 def write_table(data: Dataset, path: str | Path) -> None:
-    """Write a dataset in the same delimited format accepted by load_table."""
+    """Write a dataset in the same delimited format accepted by load_table.
+
+    Every value is checked first, as ``load_table`` would check it; a value
+    it would refuse, or one the file cannot hold as it is (1.5 in an integer
+    column), is a DataError naming the file and the row, and no file is
+    written.
+    """
     path = Path(path)
     header = [*ID_COLUMNS, *(col.name for col in COLUMNS)]
     if data.labels is not None:
         header += list(LABEL_COLUMNS)
+    try:
+        records = [_record(data, i) for i in range(data.n)]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(data.n):
-            cells = [str(data.intersection_ids[i]), str(data.approaches[i]), str(int(data.interval_indices[i]))]
-            for j, col in enumerate(COLUMNS):
-                v = data.X[i, j]
-                cells.append(str(int(v)) if col.integer else repr(float(v)))
-            if data.labels is not None:
-                cells += [str(int(v)) for v in data.labels[i]]
-            writer.writerow(cells)
+        writer.writerows(records)

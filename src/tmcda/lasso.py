@@ -75,13 +75,18 @@ class StandardizationParams:
     """Column means/stds of the predictors and the response mean.
 
     Zero-variance columns are recorded and excluded from penalization and
-    selection; their coefficients are fixed at zero.
+    selection; their coefficients are fixed at zero, and their ``x_std`` is
+    1. ``apply`` is the one place the predictors' scaling is written.
     """
 
     x_mean: np.ndarray
     x_std: np.ndarray
     y_mean: float
     zero_variance: tuple[int, ...]
+
+    def apply(self, X: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """``X``'s ``columns`` (all by default) standardized: less their mean, over their std."""
+        return (X[:, columns] - self.x_mean[columns]) / self.x_std[columns]
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,9 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     x_std = X.std(axis=0)
     constant = x_std <= 1e-12 * np.maximum(1.0, np.abs(x_mean))
     zero_var = tuple(int(j) for j in np.flatnonzero(constant))
-    safe_std = np.where(constant, 1.0, x_std)
-    Z = np.where(constant, 0.0, (X - x_mean) / safe_std)
     y_mean = float(y.mean())
-    return Z, y - y_mean, StandardizationParams(x_mean, safe_std, y_mean, zero_var)
+    std = StandardizationParams(x_mean, np.where(constant, 1.0, x_std), y_mean, zero_var)
+    return np.where(constant, 0.0, std.apply(X)), y - y_mean, std
 
 
 def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -272,12 +276,12 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
     ``G`` (F, p, p) and ``c`` (F, p) stack each path's ``Z'Z/n`` and
     ``Z'y/n`` for standardized predictors ``Z`` and a centered response; the
-    result is (F, len(grid), p), or (len(grid), p) for one (p, p) ``G`` and
-    (p,) ``c``. On the segment below a kink the active coefficients are
-    ``beta_A(lam) = a - lam * b`` with ``G_AA a = c_A`` and ``G_AA b = s_A``
-    (the active signs), and each inactive correlation is affine in lam; the
-    next kink is the largest lam at which an inactive correlation reaches
-    the penalty or an active coefficient reaches zero. Each step moves every
+    result is (F, len(grid), p), one path per row. On the segment below a
+    kink the active coefficients are ``beta_A(lam) = a - lam * b`` with
+    ``G_AA a = c_A`` and ``G_AA b = s_A`` (the active signs), and each
+    inactive correlation is affine in lam; the next kink is the largest lam
+    at which an inactive correlation reaches the penalty or an active
+    coefficient reaches zero. Each step moves every
     unfinished path one kink with one stacked solve, for ``a``, ``b`` and
     every column's projection ``G_AA^-1 G_A.``: each path's active block, in
     entry order, is padded to the step's largest one with unit rows and
@@ -290,9 +294,6 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
     the solve's and the sums' operations, so a path in a stack matches the
     same path run alone up to rounding.
     """
-    single = G.ndim == 2
-    if single:
-        G, c = G[None], c[None]
     F, p = c.shape
     # Columns 0..p-1 are the predictors, p..2p-1 the unit padding slots,
     # 2p holds c and 2p + 1 each active column's sign (0 on padding rows).
@@ -383,8 +384,7 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
     # A grid point lies on the segment of the first step whose kink is at or below it.
     first = (np.array(kinks)[:, :, None] <= grid).argmax(axis=0)
     ends = np.stack(segments)[first, rows[:, None], :p]
-    coefs = ends[..., 0] - grid[:, None] * ends[..., 1]
-    return coefs[0] if single else coefs
+    return ends[..., 0] - grid[:, None] * ends[..., 1]
 
 
 def cross_validate_lambda(
@@ -439,8 +439,7 @@ def cross_validate_lambda(
     errors = np.zeros((n_folds, grid_size))
     for f, (val_idx, std, coefs) in enumerate(zip(folds, scalings, paths)):
         # Zero-variance columns have unit scale and zero coefficients here.
-        Z_val = (X[val_idx] - std.x_mean) / std.x_std
-        resid = (y[val_idx] - std.y_mean)[:, None] - Z_val @ coefs.T
+        resid = (y[val_idx] - std.y_mean)[:, None] - std.apply(X[val_idx]) @ coefs.T
         errors[f] = np.mean(resid * resid, axis=0)
     mean_err = errors.mean(axis=0)
     return float(grid[int(np.argmin(mean_err))]), grid, mean_err

@@ -218,12 +218,6 @@ def _run_stage(memo: dict, key: tuple, fn, *args):
     return outcome
 
 
-def _selected_standardized(model: lasso.LassoModel, X: np.ndarray, selected) -> np.ndarray:
-    std = model.standardization
-    sel = list(selected)
-    return (X[:, sel] - std.x_mean[sel]) / std.x_std[sel]
-
-
 def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int) -> float:
     """The L1 penalty for the final fit under ``settings.lambda_mode``.
 
@@ -299,8 +293,8 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
     model, selected = _run_stage(
         memo, key, _select_features, X, y, config.lasso, stage_seed(config.master_seed, "lasso"),
     )
-    Zs = _selected_standardized(model, X, selected)
-    Zt = _selected_standardized(model, split.target_features.X, selected)
+    Zs = model.standardization.apply(X, list(selected))
+    Zt = model.standardization.apply(split.target_features.X, list(selected))
 
     adapted = {}
     pseudo_X, pseudo_y = np.empty((0, Zs.shape[1])), np.empty(0)

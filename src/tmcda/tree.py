@@ -63,18 +63,19 @@ is shared between fits.
 ``fit_tree`` grows the node table depth first, left child first, so nodes
 are numbered in preorder and a split node's left child is the node right
 after it; the table becomes a frozen ``RegressionTree`` once, when the fit
-ends. Prediction moves all rows down the node table one level per step,
-with the same ``x <= threshold`` rule the fit used, until every row sits at
-a leaf. It relies on the table ``fit_tree`` builds: node 0 the root, every
-other node with exactly one parent, leaves without children. Nothing
-checks a table built by hand; one with a cycle would never finish.
+ends.
 
-A ``Forest`` lays many trees' node tables end to end, once, with children
-renumbered into the one table and each leaf its own left and right child.
-``Forest.leaves`` then moves every (tree, row) pair one level per step, with
-the same rule, and a pair that has reached its leaf stays there; the table,
-not a depth, decides when the walk ends. A boosted model stacks its stage
-trees this way, so that it predicts without one walk per tree.
+Prediction is one walk, ``Forest.leaves``. A ``Forest`` lays trees' node
+tables end to end, once, with children renumbered into the one table and
+each leaf its own left and right child. The walk moves every (tree, row)
+pair one level per step, with the same ``x <= threshold`` rule the fit
+used, and a pair that has reached its leaf stays there; the table, not a
+depth, decides when the walk ends. It relies on the table ``fit_tree``
+builds: node 0 the root, every other node with exactly one parent, leaves
+without children. Nothing checks a table built by hand; one with a cycle
+would never finish. A boosted model stacks its stage trees, so that it
+predicts without one walk per tree, and ``RegressionTree.predict`` walks a
+forest of one tree.
 """
 
 from __future__ import annotations
@@ -106,28 +107,9 @@ class RegressionTree:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Move every row down one level per step until all rows sit at leaves."""
-        X = np.asarray(X, dtype=float)
-        feature, left, right = np.array(self.feature), np.array(self.left), np.array(self.right)
-        threshold = np.array(self.threshold, dtype=float)
-        node = np.zeros(len(X), dtype=np.intp)
-        rows = np.arange(len(X))     # rows not yet at a leaf
-        while len(rows):
-            at = node[rows]
-            inner = feature[at] != _LEAF
-            rows, at = rows[inner], at[inner]
-            go_left = X[rows, feature[at]] <= threshold[at]
-            node[rows] = np.where(go_left, left[at], right[at])
-        return np.array(self.value, dtype=float)[node]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [float(v) for v in self.value],
-        }
+        """The value of the leaf each row of ``X`` reaches, through ``Forest.leaves``."""
+        forest = Forest.stack((self,))
+        return forest.value[forest.leaves(np.asarray(X, dtype=float))[0]]
 
 
 @dataclass(frozen=True)
@@ -165,6 +147,8 @@ class Forest:
         """The table row of each (tree, row) pair's leaf, shape (trees, rows of ``X``).
 
         ``X`` is a float array with a column for every feature a tree splits on.
+        When every pair starts at a leaf (no rows, or one-leaf trees) the
+        walk returns before it reads ``X``.
         """
         rows = np.arange(len(X))
         node = np.repeat(self.roots[:, None], len(X), axis=1)

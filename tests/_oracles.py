@@ -509,7 +509,9 @@ def _reference_split(X, r, w, idx, total_wr, min_samples_leaf):
 
 
 def reference_tree(X, r, w, max_depth, min_samples_leaf):
-    """Node table of the tree as ``RegressionTree.to_dict`` lays it out."""
+    """The fitted tree as a ``RegressionTree``: its node table, nodes in preorder."""
+    from tmcda.tree import RegressionTree
+
     keep = w > 0
     X, r, w = X[keep], r[keep], w[keep]
     table = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
@@ -534,7 +536,7 @@ def reference_tree(X, r, w, max_depth, min_samples_leaf):
         return node
 
     build(np.arange(len(X)), 0, (w.sum(), (w * r).sum()))
-    return table
+    return RegressionTree(*map(tuple, table.values()))
 
 
 # ---------------------------------------------------------------------------

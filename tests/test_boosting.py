@@ -346,7 +346,7 @@ def test_every_stage_tree_equals_the_reference_tree_on_that_stages_residuals(cas
     F = np.full(len(y), model.f0)
     for tree in model.stages:
         r = y - F
-        assert tree.to_dict() == reference_tree(X, r, w, config.max_depth, config.min_samples_leaf)
+        assert tree == reference_tree(X, r, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * tree.predict(X)
 
 
@@ -493,7 +493,7 @@ def test_long_fits_under_a_small_memo_bound_equal_the_reference_tree_at_every_st
     assert len(sizes) == config.n_stages
     F = np.full(len(y), model.f0)
     for stage_tree in model.stages:
-        assert stage_tree.to_dict() == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
+        assert stage_tree == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * stage_tree.predict(X)
 
 

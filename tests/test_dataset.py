@@ -1,3 +1,4 @@
+import re
 import string
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmcda.dataset import DataError, Dataset, load_table, split_domains, write_table
-from tmcda.schema import APPROACHES, COLUMNS
+from tmcda.schema import APPROACHES, COLUMNS, LABEL_COLUMNS
 from tmcda.synth import generate_synthetic_network
 
 
@@ -74,6 +75,46 @@ def test_write_then_load_returns_the_same_dataset(tmp_path_factory, data):
         assert loaded.labels is None
     else:
         assert np.array_equal(loaded.labels, data.labels)
+
+
+def test_a_file_that_starts_with_a_byte_order_mark_loads_as_the_plain_one(tmp_path, small_data):
+    # A spreadsheet export starts with one; it used to stick to the first header cell.
+    plain = _write_rows(tmp_path, small_data)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_table(plain), load_table(marked)
+    for name in ("intersection_ids", "approaches", "interval_indices", "X", "labels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert plain.read_bytes()[:1] == b"i"    # write_table writes no mark
+
+
+def _with_value(data, column, row, value):
+    """``data`` with ``value`` in one cell: a feature, a label or ``interval_index``, as floats."""
+    X, labels, intervals = data.X.copy(), data.labels.astype(float), data.interval_indices.astype(float)
+    if column in LABEL_COLUMNS:
+        labels[row, LABEL_COLUMNS.index(column)] = value
+    elif column == "interval_index":
+        intervals[row] = value
+    else:
+        X[row, [col.name for col in COLUMNS].index(column)] = value
+    return Dataset(data.intersection_ids, data.approaches, intervals, X, labels)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    # 1.5 in d_TM was written as 1, and -3 in v_TM was written and then refused by load_table.
+    ("d_TM", 1.5, "row 3: d_TM must be an integer, got 1.5"),
+    ("v_TM", -3.0, "row 3: negative count -3 in column 'v_TM'"),
+    ("v_LM", 2.5, "row 3: column 'v_LM' must be an integer, got '2.5'"),
+    ("interval_index", 0.5, "row 3: column 'interval_index' must be an integer, got '0.5'"),
+    ("road_type", 3.0, r"row 3: road_type=3.0 outside \[1, 2\]"),
+    ("o_TM", np.nan, "row 3: non-finite value 'nan' in column 'o_TM'"),
+])
+def test_write_table_refuses_what_load_table_would_and_writes_nothing(tmp_path, small_data, column, value,
+                                                                       message):
+    path = tmp_path / "refused.csv"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
+        write_table(_with_value(small_data, column, 2, value), path)
+    assert not path.exists()
 
 
 def test_ten_row_file_loads_with_n_10(tmp_path, small_data):

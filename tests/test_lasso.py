@@ -214,7 +214,7 @@ def _cd_cross_validation(X, y, grid_size, lam_min_ratio, seed, tol, max_sweeps, 
 def _path_kkt_violation(X, y, grid):
     Z, yc, _ = _standardize(X, y)
     n = len(y)
-    coefs = _lasso_path(Z.T @ Z / n, Z.T @ yc / n, grid)
+    coefs = _lasso_path((Z.T @ Z / n)[None], (Z.T @ yc / n)[None], grid)[0]
     return max(subgradient_violation(Z, yc, b, lam) for b, lam in zip(coefs, grid)), coefs
 
 
@@ -341,7 +341,7 @@ def test_path_and_cross_validation_match_the_reference_within_tolerance(problem,
     Z, yc, _ = _standardize(X, y)
     G, c = Z.T @ Z / len(y), Z.T @ yc / len(y)
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
-    _assert_same_objectives(Z, yc, _lasso_path(G, c, grid), reference_lasso_path(G, c, grid), grid)
+    _assert_same_objectives(Z, yc, _lasso_path(G[None], c[None], grid)[0], reference_lasso_path(G, c, grid), grid)
     lam, cv_grid, mean_err = cross_validate_lambda(X, y, grid_size=grid_size, lam_min_ratio=lam_min_ratio, seed=seed)
     expected_lam, expected_err = reference_cross_validate_lambda(X, y, 5, grid_size, lam_min_ratio, seed)
     bound = _RTOL * expected_err.max()
@@ -389,7 +389,7 @@ def test_a_path_run_alone_and_in_a_stack_reach_the_same_objectives(problem, lam_
     stacked = _lasso_path(G, c, grid)
     assert stacked.shape == (5, 25, X.shape[1])
     for (Z, yc), G_f, c_f, path in zip(folds, G, c, stacked):
-        _assert_same_objectives(Z, yc, _lasso_path(G_f, c_f, grid), path, grid)
+        _assert_same_objectives(Z, yc, _lasso_path(G_f[None], c_f[None], grid)[0], path, grid)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

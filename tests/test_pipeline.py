@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda import boosting, gmm, itml, lasso, pipeline
 from tmcda.boosting import TrainConfig
-from tmcda.dataset import DataError, DomainSplit, split_domains
+from tmcda.dataset import DataError, Dataset, DomainSplit, split_domains
 from tmcda.lasso import fit_lasso
 from tmcda.itml import build_constraints
 from tmcda.pipeline import (
@@ -598,3 +598,82 @@ def test_default_config_runs_end_to_end():
     truth = split.held_out_labels.reveal_for_scoring("left")
     mae, rmse = evaluate(truth, result.predictions)
     assert rmse >= mae >= 0.0
+
+
+# ------------------------------------------------ pipeline-level properties
+
+_STAGES = ("lasso", "itml", "gmm", "boosting")
+
+
+def _small_configs(lasso_settings, master_seed=0):
+    """Every variant x movement at small settings."""
+    return [
+        PipelineConfig(
+            movement=movement, variant=variant, master_seed=master_seed, lasso=lasso_settings,
+            itml=ItmlSettings(max_passes=10, max_constraints=40, n_candidates=400),
+            gmm=GmmSettings(n_components=2, n_samples=20, n_init=1),
+            boosting=TrainConfig(n_stages=10, max_depth=2, shrinkage=0.3, alpha=0.5),
+        )
+        for variant in VARIANTS for movement in ("left", "through", "right")
+    ]
+
+
+def _scores_or_fails_in_a_stage(data, configs):
+    """The leave-one-out report, after checking each row and that a rerun prints the same text."""
+    report = leave_one_out(data, configs)
+    assert len(report.rows) == len(configs) * len(data.intersections())
+    for row in report.rows:
+        if row.error is None:
+            assert np.isfinite([row.mae, row.rmse]).all()
+            assert row.rmse >= row.mae * (1.0 - _METRIC_RTOL)
+        else:
+            assert issubclass(row.error_type, Exception)
+            assert row.error.startswith(tuple(f"[{stage}] {row.error_type.__name__}: " for stage in _STAGES))
+    assert leave_one_out(data, configs).to_long_text() == report.to_long_text()
+    return report
+
+
+_CV = LassoSettings(lambda_mode="cv", cv_folds=3, cv_grid_size=10, max_sweeps=1000)
+_LASSO = st.one_of(
+    st.just(_CV),
+    st.floats(0.01, 0.9).map(lambda f: LassoSettings(lambda_mode="fraction", lambda_value=f, max_sweeps=1000)),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.integers(2, 4), st.integers(4, 24), st.sampled_from([0.0, 0.5, 1.3, 3.0, 6.0]),
+       _LASSO, st.integers(0, 2**16))
+def test_every_fold_of_a_random_network_scores_or_fails_in_a_named_stage(
+        seed, n_intersections, n_intervals, shift, lasso_settings, master_seed):
+    data = generate_synthetic_network(seed, n_intersections, shift, n_intervals)
+    _scores_or_fails_in_a_stage(data, _small_configs(lasso_settings, master_seed))
+
+
+def _adversarial(name):
+    """A 3 x 12 network made into a case the generator cannot make."""
+    data = generate_synthetic_network(seed=8, n_intersections=3, shift_strength=1.0, n_intervals=12)
+    first = data.intersection_ids == "I00"
+    X, labels = data.X.copy(), data.labels.copy()
+    if name == "duplicate rows":
+        return data.subset(np.repeat(np.arange(data.n), 2))
+    if name == "a 2-row source intersection":
+        return data.subset(~first | (np.cumsum(first) <= 2))
+    if name == "a 1-row target":
+        return data.subset(~first | (np.cumsum(first) == 1))
+    if name == "a constant feature column":
+        X[:, 0] = 250.0
+    elif name == "all-zero target counts":
+        labels[first, 0] = 0
+    elif name == "all-zero labels":
+        labels[:] = 0
+    return Dataset(data.intersection_ids, data.approaches, data.interval_indices.copy(), X, labels)
+
+
+@pytest.mark.parametrize("name", ["duplicate rows", "a constant feature column", "all-zero target counts",
+                                  "all-zero labels", "a 2-row source intersection", "a 1-row target"])
+def test_every_fold_of_an_adversarial_network_scores_or_fails_in_a_named_stage(name):
+    report = _scores_or_fails_in_a_stage(_adversarial(name), _small_configs(_CV))
+    if name == "a 1-row target":
+        full = [r for r in report.rows if r.intersection == "I00" and r.variant == VARIANTS["full"][0]]
+        assert len(full) == 3
+        assert all(r.error.startswith("[gmm] TooFewSamplesError: ") for r in full)

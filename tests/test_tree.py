@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda.boosting import TrainConfig, fit_gbbw
@@ -113,9 +113,9 @@ def test_zero_weight_instances_do_not_affect_fit():
     r_extra = np.concatenate([r, 50.0 * np.ones(10)])
     w_extra = np.concatenate([w, np.zeros(10)])
     spiked = _fit(X_extra, r_extra, w_extra, max_depth=3, min_samples_leaf=2)
-    assert base.to_dict() == spiked.to_dict()
+    assert base == spiked
     r_nan = np.concatenate([r, np.full(10, np.nan)])
-    assert _fit(X_extra, r_nan, w_extra, max_depth=3, min_samples_leaf=2).to_dict() == base.to_dict()
+    assert _fit(X_extra, r_nan, w_extra, max_depth=3, min_samples_leaf=2) == base
 
 
 def test_uniform_weights_equal_any_constant_weights():
@@ -199,7 +199,7 @@ def test_leaf_values_at_max_depth_are_the_prefix_sums_at_their_parents_cut():
         w[rng.random(n) < 0.1] = 0.0
         max_depth = int(rng.integers(1, 3))
         tree = _fit(X, r, w, max_depth, min_samples_leaf=9)
-        assert tree.to_dict() == reference_tree(X, r, w, max_depth, 9)
+        assert tree == reference_tree(X, r, w, max_depth, 9)
         kept = w > 0
         assert tree.value[0] == np.add.reduce(w[kept] * r[kept]) / np.add.reduce(w[kept])
         for node, _, m in _nodes_with_rows(tree, X, kept):
@@ -221,7 +221,7 @@ def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
     r = np.array([0.0, 0.0, 0.0, 1.0])
     tree = _fit(X, r, np.ones(4), 1, 1)
     assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
-    assert tree.to_dict() == reference_tree(X, r, np.ones(4), 1, 1)
+    assert tree == reference_tree(X, r, np.ones(4), 1, 1)
     assert _fit(X[:, ::-1], r, np.ones(4), 1, 1).feature[0] == 0
     # Both columns cut the same rows at 2.5 and sum them in other orders, so
     # feature 1's score is one bit higher. Both round to the same gain, but
@@ -230,7 +230,7 @@ def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
     r = np.array([0.95, -9.6, -2.39, 9.66, 7.24, 5.04])
     tree = _fit(X, r, np.ones(6), 1, 1)
     assert (tree.feature[0], tree.threshold[0]) == (1, 2.5)
-    assert tree.to_dict() == reference_tree(X, r, np.ones(6), 1, 1)
+    assert tree == reference_tree(X, r, np.ones(6), 1, 1)
     # Within one feature, the cut at 5.5 scores one bit higher than the cut
     # at 1.5 and has the same gain: the higher score wins here too.
     X = np.array([1.0, 4.0, 6.0, 0.0, 5.0, 2.0, 3.0, 7.0])[:, None]
@@ -245,7 +245,7 @@ def test_a_plan_fits_each_residual_vector_as_a_plan_built_for_it_alone():
     plan = SplitPlan.build(X, w, min_samples_leaf=2)
     for _ in range(5):
         r = rng.standard_normal(30)
-        assert fit_tree(plan, r, 3).to_dict() == _fit(X, r, w, 3, 2).to_dict() == reference_tree(X, r, w, 3, 2)
+        assert fit_tree(plan, r, 3) == _fit(X, r, w, 3, 2) == reference_tree(X, r, w, 3, 2)
     assert len(plan._memo)
 
 
@@ -281,7 +281,7 @@ def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_o
     with np.errstate(over="ignore", invalid="ignore"):
         tree = _fit(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
         expected = reference_tree(X, r, np.ones(4), 1, 1)
-    assert tree.to_dict() == expected
+    assert tree == expected
     assert tree.threshold == (0.5, 0.0, 0.0)
     # The right leaf's total is the root's 0 less the left's 1, so it reads
     # -1/3 where its rows' mean is 0: inside the module docstring's bound.
@@ -316,7 +316,7 @@ def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     X, r, w, max_depth, min_samples_leaf = fit
     leaf_values = np.full(len(r), np.nan)
     tree = _fit(X, r, w, max_depth, min_samples_leaf, leaf_values=leaf_values)
-    assert tree.to_dict() == reference_tree(X, r, w, max_depth, min_samples_leaf)
+    assert tree == reference_tree(X, r, w, max_depth, min_samples_leaf)
     kept = w > 0
     assert np.array_equal(leaf_values[kept], tree.predict(X)[kept])
     assert np.isnan(leaf_values[~kept]).all()
@@ -358,7 +358,7 @@ def _same_cut_fits(draw):
 def test_stumps_equal_the_reference_where_columns_cut_the_same_rows_in_other_orders(fit):
     X, r = fit
     w = np.ones(len(r))
-    assert _fit(X, r, w, 1, 1).to_dict() == reference_tree(X, r, w, 1, 1)
+    assert _fit(X, r, w, 1, 1) == reference_tree(X, r, w, 1, 1)
 
 
 @st.composite
@@ -392,7 +392,13 @@ def _node_tables(draw):
     return table, X.reshape(-1, n_features)
 
 
+_ONE_LEAF = RegressionTree((-1,), (0.0,), (-1,), (-1,), (2.5,))
+
+
 @given(_node_tables())
+# A walk that starts with every row at a leaf, or with no rows, returns before it reads X.
+@example((_ONE_LEAF, np.zeros((2, 0))))
+@example((RegressionTree((0, -1, -1), (0.5, 0.0, 0.0), (1, -1, -1), (2, -1, -1), (0.0, 1.0, 2.0)), np.zeros((0, 1))))
 def test_predict_equals_walking_each_row_down_the_table(case):
     table, X = case
     walked = []
@@ -408,7 +414,7 @@ def test_predict_equals_walking_each_row_down_the_table(case):
 def test_a_forest_finds_the_leaf_each_tree_predicts_from(case):
     # The tables are stacked behind a one-leaf tree, so the second copy's children are renumbered too.
     table, X = case
-    trees = [RegressionTree((-1,), (0.0,), (-1,), (-1,), (2.5,)), table, table]
+    trees = [_ONE_LEAF, table, table]
     forest = Forest.stack(trees)
     leaves = forest.leaves(X)
     assert leaves.shape == (len(trees), len(X)) and np.all(forest.feature[leaves] == -1)
@@ -424,7 +430,7 @@ def test_tree_equals_the_reference_where_split_scores_overflow(fit, scale):
     X, r, w, max_depth, min_samples_leaf = fit
     with np.errstate(over="ignore", invalid="ignore"):
         tree = _fit(X, r * scale, w, max_depth, min_samples_leaf)
-        assert tree.to_dict() == reference_tree(X, r * scale, w, max_depth, min_samples_leaf)
+        assert tree == reference_tree(X, r * scale, w, max_depth, min_samples_leaf)
 
 
 
