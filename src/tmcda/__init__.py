@@ -7,9 +7,8 @@ boosting, evaluated leave-one-intersection-out.
 
 from .boosting import BoostedModel, TrainConfig, fit_gbbw, fit_gradient_boosting, predict
 from .dataset import Dataset, DomainSplit, HeldOutLabels, load_table, split_domains, write_table
-from .gmm import EMConfig, GaussianMixture, augment, fit_gmm, sample_gmm
+from .gmm import GaussianMixture, augment, fit_gmm, sample_gmm
 from .itml import (
-    ConstraintConfig,
     ConstraintSet,
     build_constraints,
     fit_itml,

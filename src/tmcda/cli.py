@@ -31,9 +31,9 @@ from .pipeline import (
     LassoSettings,
     PipelineConfig,
     ablation_sweep,
+    fit_selection,
     leave_one_out,
     render_summary,
-    select_lambda,
 )
 from .schema import MOVEMENTS, SCHEMA_VERSION
 from .synth import generate_synthetic_network
@@ -188,8 +188,7 @@ def cmd_select(args) -> int:
     try:
         for movement in movements:
             y = data.movement_labels(movement).astype(float)
-            lam = select_lambda(data.X, y, settings, seed)
-            models[movement] = lasso.fit_lasso(data.X, y, lam)
+            models[movement] = fit_selection(data.X, y, settings, seed)
     except ValueError as exc:  # a typed fit failure, such as too few rows for CV: the data's fault
         raise ValidationFailure(f"{args.data}: {exc}") from exc
     [out] = _write_outputs(args.out_dir, {"coefficients.csv": lasso.coefficient_report(models, movements)},

@@ -149,22 +149,30 @@ def split_domains(data: Dataset, target_id: str) -> DomainSplit:
 _FEATURES = {col.name: col for col in COLUMNS}
 
 
-def _cell(text: str, row: int, name: str, value: float | None = None) -> float:
+def _ids(intersection: str, approach: str, row: int) -> tuple[str, str]:
+    """Data row ``row``'s identifier cells as ``load_table`` keeps them: stripped, a non-empty id, a known approach."""
+    intersection, approach = intersection.strip(), approach.strip()
+    if intersection == "":
+        raise DataError(f"row {row}: missing value in column 'intersection_id'")
+    if approach not in APPROACHES:
+        raise DataError(f"row {row}: unknown approach {approach!r}")
+    return intersection, approach
+
+
+def _cell(text: str, row: int, name: str) -> float:
     """The number in cell ``text`` of column ``name`` in data row ``row``, refused unless the column may hold it.
 
-    ``value``, when given, is the number ``text`` was written from, and it is
-    checked without parsing ``text``. Every cell is finite. A feature lies in
-    its ``Column``'s domain, which ``Column.check`` owns; ``interval_index``
-    and the labels are integers, and a label is not negative.
+    Every cell is finite. A feature lies in its ``Column``'s domain, which
+    ``Column.check`` owns; ``interval_index`` and the labels are integers,
+    and a label is not negative.
     """
-    if value is None:
-        text = text.strip()
-        if text == "":
-            raise DataError(f"row {row}: missing value in column {name!r}")
-        try:
-            value = float(text)
-        except ValueError:
-            raise DataError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
+    text = text.strip()
+    if text == "":
+        raise DataError(f"row {row}: missing value in column {name!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
     if not math.isfinite(value):
         raise DataError(f"row {row}: non-finite value {text!r} in column {name!r}")
     column = _FEATURES.get(name)
@@ -221,12 +229,7 @@ def _read_table(path: Path) -> Dataset:
         for r, record in enumerate(reader, start=1):
             if len(record) != len(header):
                 raise DataError(f"row {r}: expected {len(header)} cells, got {len(record)}")
-            inter = record[pos["intersection_id"]].strip()
-            if inter == "":
-                raise DataError(f"row {r}: missing value in column 'intersection_id'")
-            approach = record[pos["approach"]].strip()
-            if approach not in APPROACHES:
-                raise DataError(f"row {r}: unknown approach {approach!r}")
+            inter, approach = _ids(record[pos["intersection_id"]], record[pos["approach"]], r)
             interval = int(_cell(record[pos["interval_index"]], r, "interval_index"))
             rows.append([_cell(record[pos[col.name]], r, col.name) for col in COLUMNS])
             if has_labels:
@@ -252,14 +255,16 @@ _WRITTEN = (("interval_index", True), *((col.name, col.integer) for col in COLUM
 
 
 def _record(data: Dataset, i: int) -> list[str]:
-    """The cells ``write_table`` writes for row ``i``, each checked as ``load_table`` checks it."""
+    """The cells ``write_table`` writes for row ``i``, each checked as ``load_table`` checks it, identifiers too."""
     values = [data.interval_indices[i], *data.X[i].tolist(),
               *(() if data.labels is None else data.labels[i].tolist())]
     cells = [str(data.intersection_ids[i]), str(data.approaches[i])]
+    for name, cell, kept in zip(ID_COLUMNS, cells, _ids(*cells, i + 1)):
+        if kept != cell:
+            raise DataError(f"row {i + 1}: {name} {cell!r} would read back as {kept!r}")
     for (name, integer), v in zip(_WRITTEN, values):
-        value = float(v)
-        text = repr(value)
-        _cell(text, i + 1, name, value)
+        text = repr(float(v))
+        _cell(text, i + 1, name)
         cells.append(str(int(v)) if integer else text)
     return cells
 
@@ -268,9 +273,10 @@ def write_table(data: Dataset, path: str | Path) -> None:
     """Write a dataset in the same delimited format accepted by load_table.
 
     Every value is checked first, as ``load_table`` would check it; a value
-    it would refuse, or one the file cannot hold as it is (1.5 in an integer
-    column), is a DataError naming the file and the row, and no file is
-    written.
+    or identifier it would refuse, or one the file cannot hold as it is (1.5
+    in an integer column, an identifier with surrounding whitespace, which
+    the reader strips), is a DataError naming the file and the row, and no
+    file is written.
     """
     path = Path(path)
     header = [*ID_COLUMNS, *(col.name for col in COLUMNS)]

@@ -26,27 +26,6 @@ EM_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
-class EMConfig:
-    """EM controls; the stopping rule is fixed by ``EM_TOL`` and ``EM_MAX_ITER``.
-
-    ``ridge`` is the absolute covariance regularization added to every
-    component covariance diagonal; when None it defaults to 1e-6 times the
-    mean diagonal variance of the data; a given ridge must be finite and
-    >= 0. ``n_init`` (>= 1) is the number of seeded EM restarts.
-    """
-
-    ridge: float | None = None
-    n_init: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise GMMError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if self.n_init < 1:
-            raise GMMError(f"n_init must be >= 1, got {self.n_init}")
-
-
-@dataclass(frozen=True)
 class GaussianMixture:
     """K mixing weights, component means and full covariances."""
 
@@ -163,17 +142,22 @@ def _em_single(X: np.ndarray, K: int, rng: np.random.Generator, ridge: float):
     return weights, means, covs, final_ll, it, converged, tuple(trace)
 
 
-def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMixture:
-    """Fit a K-component full-covariance mixture, best of ``n_init`` restarts.
+def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: float | None = None) -> GaussianMixture:
+    """Fit a K-component full-covariance mixture, best of ``n_init`` (>= 1) seeded restarts.
 
     The E-step computes responsibilities from the current parameters; the
     M-step re-estimates weights, means and (biased, responsibility-weighted)
-    covariances, each regularized by ridge times the identity. Iteration
-    stops when the relative log-likelihood improvement drops below
-    ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER`` (200) iterations.
-    Restart selection is by final log-likelihood, ties to the earliest
-    restart. A non-finite entry of ``X`` raises ``GMMError``.
+    covariances, each regularized by ridge times the identity. ``ridge`` is
+    absolute, finite and >= 0; when None it is 1e-6 times the mean diagonal
+    variance of the data. Iteration stops when the relative log-likelihood
+    improvement drops below ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER``
+    (200) iterations. Restart selection is by final log-likelihood, ties to
+    the earliest restart. A non-finite entry of ``X`` raises ``GMMError``.
     """
+    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
+        raise GMMError(f"ridge must be finite and >= 0, got {ridge}")
+    if n_init < 1:
+        raise GMMError(f"n_init must be >= 1, got {n_init}")
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -184,7 +168,7 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
         raise GMMError("K must be >= 1")
     if n < K:
         raise TooFewSamplesError(f"need at least K={K} samples, got {n}")
-    ridge = effective_ridge(X, config.ridge)
+    ridge = effective_ridge(X, ridge)
 
     if K == 1:
         mean = X.mean(axis=0)
@@ -192,7 +176,7 @@ def fit_gmm(X: np.ndarray, K: int, config: EMConfig = EMConfig()) -> GaussianMix
         _, ll = _log_responsibilities(X, np.ones(1), mean[None, :], cov[None, :, :])
         return GaussianMixture(np.ones(1), mean[None, :], cov[None, :, :], ll, 0, True, (ll,))
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_init)
+    seeds = np.random.SeedSequence(seed).spawn(n_init)
     best = None
     for restart, seq in enumerate(seeds):
         rng = np.random.default_rng(seq)
@@ -210,8 +194,6 @@ def sample_gmm(model: GaussianMixture, M: int, seed: int) -> np.ndarray:
     """Draw M joint samples: pick a component by its weight, then draw from it."""
     if M < 0:
         raise GMMError("M must be >= 0")
-    if M == 0:
-        return np.empty((0, model.d))
     rng = np.random.default_rng(seed)
     ks = rng.choice(model.K, size=M, p=model.weights)
     z = rng.standard_normal((M, model.d))
@@ -230,15 +212,19 @@ def augment(
     matched_y: np.ndarray,
     K: int,
     M: int,
-    config: EMConfig = EMConfig(),
+    *,
+    n_init: int = 5,
+    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, GaussianMixture | None]:
     """Augment a matched labeled set with mixture-drawn synthetic samples.
 
     Features and label are stacked into joint vectors (label last), a mixture
     is fit, M joint samples are drawn and split back. Synthetic labels are
     clamped at zero (counts). Returns original plus synthetic rows, size
-    N + M, along with the fitted mixture. M = 0 returns the input unchanged
-    without fitting. Non-finite features or labels raise ``GMMError``.
+    N + M, along with the fitted mixture (``fit_gmm`` with ``n_init`` and
+    ``seed``; the draws use ``seed`` too). M = 0 returns the input unchanged
+    without fitting, and reads neither K nor ``n_init``. Non-finite features
+    or labels raise ``GMMError``.
     """
     matched_X = np.asarray(matched_X, dtype=float)
     matched_y = np.asarray(matched_y, dtype=float)
@@ -252,8 +238,8 @@ def augment(
         return matched_X.copy(), matched_y.copy(), None
 
     joint = np.hstack([matched_X, matched_y[:, None]])
-    model = fit_gmm(joint, K, config)
-    synth = sample_gmm(model, M, config.seed)
+    model = fit_gmm(joint, K, n_init=n_init, seed=seed)
+    synth = sample_gmm(model, M, seed)
     synth_X = synth[:, :-1]
     synth_y = np.maximum(synth[:, -1], 0.0)
     return (

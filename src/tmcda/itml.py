@@ -183,23 +183,13 @@ class ConstraintSet:
 SIMILARITY_PERCENTILE = 10.0
 
 
-@dataclass(frozen=True)
-class ConstraintConfig:
-    max_per_set: int = 200
-    n_candidates: int = 5_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_per_set < 0 or self.n_candidates < 1:
-            raise MetricError(
-                f"require max_per_set >= 0 and n_candidates >= 1, got {self.max_per_set}, {self.n_candidates}"
-            )
-
-
 def build_constraints(
     X: np.ndarray,
     y: np.ndarray,
-    config: ConstraintConfig = ConstraintConfig(),
+    *,
+    max_per_set: int = 200,
+    n_candidates: int = 5_000,
+    seed: int = 0,
 ) -> ConstraintSet:
     """Derive pair constraints from continuous labels.
 
@@ -217,8 +207,12 @@ def build_constraints(
     ``max_per_set`` pairs in sampling order. u and l are the 5th and 95th
     percentiles of the remaining pairs' prior distances; degenerate equal
     percentiles are widened by 5% around their value. With no pair left the
-    set is empty. A non-finite feature or label raises ``MetricError``.
+    set is empty. ``max_per_set`` must be >= 0 and ``n_candidates`` >= 1.
+    A non-finite feature or label raises ``MetricError``. When no remaining
+    pair is dissimilar, cap aside, it warns that the labels are degenerate.
     """
+    if max_per_set < 0 or n_candidates < 1:
+        raise MetricError(f"require max_per_set >= 0 and n_candidates >= 1, got {max_per_set}, {n_candidates}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_finite(X=X, y=y)
@@ -227,11 +221,11 @@ def build_constraints(
         raise MetricError("need at least 2 labeled instances")
 
     total = n * (n - 1) // 2
-    if total > 4 * config.n_candidates:
-        rng = np.random.default_rng(config.seed)
+    if total > 4 * n_candidates:
+        rng = np.random.default_rng(seed)
         seen = set()
         pairs = []
-        while len(pairs) < config.n_candidates:
+        while len(pairs) < n_candidates:
             i, j = rng.integers(0, n, size=2)
             if i == j:
                 continue
@@ -242,8 +236,8 @@ def build_constraints(
         pairs = np.array(pairs)
     else:
         pairs = np.column_stack(np.triu_indices(n, 1))
-        if total > config.n_candidates:
-            pairs = pairs[np.random.default_rng(config.seed).permutation(total)[: config.n_candidates]]
+        if total > n_candidates:
+            pairs = pairs[np.random.default_rng(seed).permutation(total)[:n_candidates]]
     diffs = X[pairs[:, 0]] - X[pairs[:, 1]]
     dists = np.einsum("ij,ij->i", diffs, diffs)
     kept = dists > 0.0
@@ -258,11 +252,10 @@ def build_constraints(
     both = is_sim & is_dis
     is_dis[both] = deltas[both] > (float(y.max()) - float(y.min())) / 2.0
     is_sim[both] = ~is_dis[both]
-    similar = pairs[is_sim][: config.max_per_set].tolist()
-    dissimilar = pairs[is_dis][: config.max_per_set].tolist()
-
-    if not dissimilar:
+    if not is_dis.any():
         warnings.warn("degenerate labels: no dissimilar pairs found", RuntimeWarning)
+    similar = pairs[is_sim][:max_per_set].tolist()
+    dissimilar = pairs[is_dis][:max_per_set].tolist()
 
     u = float(np.percentile(dists, 5.0))
     l = float(np.percentile(dists, 95.0))

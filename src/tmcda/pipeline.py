@@ -183,7 +183,6 @@ class EstimationResult:
     """
 
     target_id: str
-    movement: str
     config: PipelineConfig
     selected_features: tuple[int, ...]
     lasso_model: lasso.LassoModel
@@ -218,12 +217,12 @@ def _run_stage(memo: dict, key: tuple, fn, *args):
     return outcome
 
 
-def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int) -> float:
-    """The L1 penalty for the final fit under ``settings.lambda_mode``.
+def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int) -> lasso.LassoModel:
+    """The lasso fit of step 1: the penalty under ``settings.lambda_mode``, then ``fit_lasso`` at its tol and sweeps.
 
     ``cv`` cross-validates over the settings' grid with fold assignment from
     ``seed``; ``fraction`` scales lambda_max by ``lambda_value``; ``fixed``
-    uses ``lambda_value`` as is.
+    uses ``lambda_value`` as is. The penalty is the model's ``lam``.
     """
     if settings.lambda_mode == "cv":
         lam, _, _ = lasso.cross_validate_lambda(
@@ -233,16 +232,16 @@ def select_lambda(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
             lam_min_ratio=settings.lam_min_ratio,
             seed=seed,
         )
-        return lam
-    if settings.lambda_mode == "fraction":
-        return settings.lambda_value * lasso.lambda_max(X, y)
-    return settings.lambda_value
+    elif settings.lambda_mode == "fraction":
+        lam = settings.lambda_value * lasso.lambda_max(X, y)
+    else:
+        lam = settings.lambda_value
+    return lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps)
 
 
 def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int):
-    """Stage 1: the lasso fit (its penalty is ``model.lam``) and the indices of the features it keeps."""
-    lam = select_lambda(X, y, settings, seed)
-    model = lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps)
+    """Stage 1: the lasso fit and the indices of the features it keeps."""
+    model = fit_selection(X, y, settings, seed)
     selected = model.selected
     if not selected:
         warnings.warn(
@@ -258,8 +257,7 @@ def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed
 def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, settings: ItmlSettings, seed: int):
     """Stages 2-3: pair constraints, the ITML metric, and the nearest source row of each target row."""
     constraints = itml.build_constraints(
-        Zs, ys,
-        itml.ConstraintConfig(max_per_set=settings.max_constraints, n_candidates=settings.n_candidates, seed=seed),
+        Zs, ys, max_per_set=settings.max_constraints, n_candidates=settings.n_candidates, seed=seed,
     )
     result = itml.fit_itml(Zs, constraints, max_passes=settings.max_passes)
     matched = itml.match_source_to_target(result.A, Zt, Zs, ys)
@@ -268,8 +266,8 @@ def _learn_metric_and_match(Zs: np.ndarray, ys: np.ndarray, Zt: np.ndarray, sett
 
 def _augment(matched_X: np.ndarray, matched_y: np.ndarray, settings: GmmSettings, seed: int):
     """Stage 4: the mixture-augmented matched set as the pseudo-target, and the mixture."""
-    em = gmm.EMConfig(n_init=settings.n_init, seed=seed)
-    return gmm.augment(matched_X, matched_y, settings.n_components, settings.n_samples, em)
+    return gmm.augment(matched_X, matched_y, settings.n_components, settings.n_samples,
+                       n_init=settings.n_init, seed=seed)
 
 
 def _boost_and_predict(Zs, ys, Zt, pseudo_X, pseudo_y, train_cfg):
@@ -317,7 +315,7 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
         memo, ("boosting", key, config.boosting), _boost_and_predict, Zs, y, Zt, pseudo_X, pseudo_y, config.boosting,
     )
     return EstimationResult(
-        split.target_id, config.movement, config, selected, model, Zs, y, Zt,
+        split.target_id, config, selected, model, Zs, y, Zt,
         **adapted, boosted_model=boosted, predictions=preds,
     )
 
@@ -538,11 +536,17 @@ def ablation_sweep(data: Dataset, grid: dict, base_configs, jobs: int = 1) -> Sw
     defaults, say). A cell with a fold whose mixture fit is infeasible
     (``gmm.TooFewSamplesError``: more components than matched samples) is
     recorded as skipped; otherwise a cell whose every fold failed is recorded
-    as failed, with its first row's error as the reason.
+    as failed, with its first row's error as the reason. Each base config
+    runs its own movement (a cell keeps one result per movement); two that
+    share one are a ValueError.
     """
     if isinstance(base_configs, PipelineConfig):
         base_configs = (base_configs,)
     base_configs = tuple(base_configs)
+    movements = [base.movement for base in base_configs]
+    shared = sorted({m for m in movements if movements.count(m) > 1})
+    if shared:
+        raise ValueError(f"base configs share movement(s) {shared}: a sweep cell keeps one result per movement")
     # cell-major: each cell's configs are adjacent, one per base config
     by_cell = zip(*(grid_configs(base, grid) for base in base_configs))
     configs = tuple(config.as_run() for cell in by_cell for config in cell)

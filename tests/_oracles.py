@@ -258,19 +258,20 @@ def reference_constraints(X, y, max_per_set, n_candidates, seed):
     t_dis = float(np.percentile(deltas, 90.0))
     half_range = (float(y.max()) - float(y.min())) / 2.0
 
-    similar, dissimilar = [], []
+    similar, dissimilar, any_dissimilar = [], [], False
     for (i, j), delta in zip(pairs_arr.tolist(), deltas):
         is_sim = delta <= t_sim
         is_dis = delta >= t_dis
         if is_sim and is_dis:
             is_dis = delta > half_range
             is_sim = not is_dis
+        any_dissimilar = any_dissimilar or is_dis
         if is_sim and len(similar) < max_per_set:
             similar.append((i, j))
         elif is_dis and len(dissimilar) < max_per_set:
             dissimilar.append((i, j))
 
-    if not dissimilar:
+    if not any_dissimilar:    # the labels, not the cap
         warnings.warn("degenerate labels: no dissimilar pairs found", RuntimeWarning)
 
     u = float(np.percentile(dists, 5.0))

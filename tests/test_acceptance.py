@@ -11,8 +11,8 @@ import pytest
 
 from tmcda.boosting import TrainConfig, fit_gbbw, fit_gradient_boosting, predict
 from tmcda.cli import EXIT_OK, main
-from tmcda.gmm import EMConfig, fit_gmm, sample_gmm
-from tmcda.itml import ConstraintConfig, build_constraints, fit_itml, logdet_divergence, mahalanobis_distance
+from tmcda.gmm import fit_gmm, sample_gmm
+from tmcda.itml import build_constraints, fit_itml, logdet_divergence, mahalanobis_distance
 from tmcda.lasso import fit_lasso, lambda_max
 from tmcda.pipeline import (
     GmmSettings,
@@ -74,7 +74,7 @@ def _itml_instances():
         rng = np.random.default_rng(7000 + seed)
         X = rng.standard_normal((30, 4))
         y = X @ rng.standard_normal(4) + 0.3 * rng.standard_normal(30)
-        C = build_constraints(X, y, ConstraintConfig(max_per_set=30, seed=seed))
+        C = build_constraints(X, y, max_per_set=30, seed=seed)
         yield seed, X, C
 
 
@@ -154,7 +154,7 @@ def test_criterion_3_gmm_correctness():
                 rng.multivariate_normal([0, 0], np.eye(2), 60),
                 rng.multivariate_normal([5, 2], [[0.5, 0.1], [0.1, 0.7]], 50),
             ])
-            model = fit_gmm(X, K=K, config=EMConfig(seed=int(rng.integers(1e6))))
+            model = fit_gmm(X, K=K, seed=int(rng.integers(1e6)))
             assert np.all(np.diff(model.ll_trace) >= -1e-8)
             assert abs(model.weights.sum() - 1.0) <= 1e-12
             independent = mixture_log_likelihood(X, model.weights, model.means, model.covariances)
@@ -162,7 +162,7 @@ def test_criterion_3_gmm_correctness():
 
     # K = 1 closed form
     X = rng.standard_normal((40, 3)) * np.array([2.0, 0.7, 1.3])
-    model = fit_gmm(X, K=1, config=EMConfig(ridge=1e-5))
+    model = fit_gmm(X, K=1, ridge=1e-5)
     assert np.max(np.abs(model.means[0] - X.mean(axis=0))) <= 1e-10
     expected = np.cov(X, rowvar=False, bias=True) + 1e-5 * np.eye(3)
     assert np.max(np.abs(model.covariances[0] - expected)) <= 1e-10
@@ -171,7 +171,7 @@ def test_criterion_3_gmm_correctness():
     for seed in range(10):
         r2 = np.random.default_rng(seed)
         X = np.concatenate([r2.normal(-10, 1, 120), r2.normal(10, 1, 80)])[:, None]
-        fitted = fit_gmm(X, K=2, config=EMConfig(seed=seed, n_init=3))
+        fitted = fit_gmm(X, K=2, seed=seed, n_init=3)
         order = np.argsort(fitted.means[:, 0])
         assert abs(fitted.means[order][0, 0] + 10.0) <= 0.5
         assert abs(fitted.means[order][1, 0] - 10.0) <= 0.5

@@ -117,6 +117,42 @@ def test_write_table_refuses_what_load_table_would_and_writes_nothing(tmp_path, 
     assert not path.exists()
 
 
+def _with_ids(data, row, intersection, approach):
+    """``data`` with one row's identifiers replaced."""
+    ids, approaches = data.intersection_ids.copy(), data.approaches.copy()
+    ids[row], approaches[row] = intersection, approach
+    return Dataset(ids, approaches, data.interval_indices, data.X, data.labels)
+
+
+@pytest.mark.parametrize("intersection, approach, message", [
+    # ' I00 ' was written and read back as 'I00'; 'XX' was written and then refused by load_table.
+    (" I00 ", "NB", "row 3: intersection_id ' I00 ' would read back as 'I00'"),
+    ("I00", "XX", "row 3: unknown approach 'XX'"),
+    ("", "NB", "row 3: missing value in column 'intersection_id'"),
+], ids=["padded-id", "unknown-approach", "empty-id"])
+def test_write_table_refuses_identifiers_that_load_table_would_refuse_or_change(tmp_path, small_data, intersection,
+                                                                                approach, message):
+    path = tmp_path / "refused.csv"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        write_table(_with_ids(small_data, 2, intersection, approach), path)
+    assert not path.exists()
+
+
+@given(intersection=st.text(max_size=6), approach=st.sampled_from(APPROACHES) | st.text(max_size=4))
+def test_written_identifiers_are_refused_or_read_back_unchanged(tmp_path_factory, small_data, intersection, approach):
+    path = tmp_path_factory.getbasetemp() / "identifiers.csv"
+    path.unlink(missing_ok=True)
+    data = _with_ids(small_data, 2, intersection, approach)
+    try:
+        write_table(data, path)
+    except DataError:
+        assert not path.exists()
+        return
+    loaded = load_table(path)
+    assert list(loaded.intersection_ids) == list(data.intersection_ids)
+    assert list(loaded.approaches) == list(data.approaches)
+
+
 def test_ten_row_file_loads_with_n_10(tmp_path, small_data):
     subset = small_data.subset(np.arange(small_data.n) < 10)
     path = _write_rows(tmp_path, subset)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tmcda.gmm import (
-    EMConfig,
     GMMError,
     augment,
     effective_ridge,
@@ -19,7 +18,7 @@ def test_single_component_closed_form_exact():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 3)) * np.array([1.0, 2.0, 0.5]) + np.array([1.0, -2.0, 3.0])
     ridge = 1e-4
-    model = fit_gmm(X, K=1, config=EMConfig(ridge=ridge))
+    model = fit_gmm(X, K=1, ridge=ridge)
     assert model.weights == pytest.approx([1.0], abs=0)
     assert np.max(np.abs(model.means[0] - X.mean(axis=0))) < 1e-10
     expected_cov = np.cov(X, rowvar=False, bias=True) + ridge * np.eye(3)
@@ -31,7 +30,7 @@ def test_two_separated_clusters_recovered_over_seeds():
         rng = np.random.default_rng(seed)
         n0, n1 = 120, 80
         X = np.concatenate([rng.normal(-10.0, 1.0, n0), rng.normal(10.0, 1.0, n1)])[:, None]
-        model = fit_gmm(X, K=2, config=EMConfig(seed=seed, n_init=3))
+        model = fit_gmm(X, K=2, seed=seed, n_init=3)
         order = np.argsort(model.means[:, 0])
         means = model.means[order, 0]
         weights = model.weights[order]
@@ -45,7 +44,7 @@ def test_log_likelihood_monotone_and_matches_independent_evaluator():
         rng.multivariate_normal([0, 0], [[1.0, 0.4], [0.4, 1.0]], 60),
         rng.multivariate_normal([4, 3], [[0.5, 0.0], [0.0, 0.8]], 40),
     ])
-    model = fit_gmm(X, K=2, config=EMConfig(seed=1))
+    model = fit_gmm(X, K=2, seed=1)
     trace = np.array(model.ll_trace)
     assert np.all(np.diff(trace) >= -1e-8)
     independent = mixture_log_likelihood(X, model.weights, model.means, model.covariances)
@@ -56,7 +55,7 @@ def test_mixing_weights_normalized_and_nonnegative():
     rng = np.random.default_rng(6)
     for K in (1, 2, 3):
         X = rng.standard_normal((50, 2)) + rng.integers(0, 3, size=(50, 1))
-        model = fit_gmm(X, K=K, config=EMConfig(seed=K))
+        model = fit_gmm(X, K=K, seed=K)
         assert abs(model.weights.sum() - 1.0) < 1e-12
         assert np.all(model.weights >= 0.0)
 
@@ -66,7 +65,7 @@ def test_density_rejects_singular_covariance():
     X = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
     for K in (1, 2):
         with pytest.raises(GMMError, match="singular covariance"):
-            fit_gmm(X, K=K, config=EMConfig(ridge=0.0))
+            fit_gmm(X, K=K, ridge=0.0)
 
 
 def test_fit_requires_enough_samples():
@@ -88,7 +87,7 @@ def test_default_ridge_follows_data_scale():
 def test_sampler_deterministic_and_empty():
     rng = np.random.default_rng(9)
     X = np.concatenate([rng.normal(-5, 1, 40), rng.normal(5, 1, 40)])[:, None]
-    model = fit_gmm(X, K=2, config=EMConfig(seed=3))
+    model = fit_gmm(X, K=2, seed=3)
     assert sample_gmm(model, 0, seed=1).shape == (0, 1)
     a = sample_gmm(model, 50, seed=42)
     b = sample_gmm(model, 50, seed=42)
@@ -99,7 +98,7 @@ def test_sampler_deterministic_and_empty():
 def test_sampler_concentrates_for_tiny_covariance():
     rng = np.random.default_rng(10)
     X = np.full((20, 2), 3.0) + 1e-8 * rng.standard_normal((20, 2))
-    model = fit_gmm(X, K=1, config=EMConfig(ridge=1e-12))
+    model = fit_gmm(X, K=1, ridge=1e-12)
     draws = sample_gmm(model, 200, seed=0)
     sigma = np.sqrt(np.diag(model.covariances[0]).max())
     assert np.max(np.abs(draws - model.means[0])) < 3.0 * sigma * 4.0
@@ -130,7 +129,7 @@ def test_augment_m0_returns_input_exactly():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((10, 3))
     y = rng.uniform(0, 10, 10)
-    out_X, out_y, model = augment(X, y, K=99, M=0)  # K ignored when M == 0
+    out_X, out_y, model = augment(X, y, K=99, M=0, n_init=0)  # K and n_init ignored when M == 0
     assert np.array_equal(out_X, X)
     assert np.array_equal(out_y, y)
     assert model is None
@@ -140,7 +139,7 @@ def test_augment_sizes_match_left_turn_defaults():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((10, 4))
     y = rng.uniform(0, 20, 10)
-    out_X, out_y, model = augment(X, y, K=2, M=40, config=EMConfig(seed=5))
+    out_X, out_y, model = augment(X, y, K=2, M=40, seed=5)
     assert out_X.shape == (50, 4)
     assert out_y.shape == (50,)
     assert model is not None and model.K == 2
@@ -152,7 +151,7 @@ def test_augment_preserves_feature_label_correlation():
     rng = np.random.default_rng(14)
     x = rng.uniform(0, 10, 120)
     y = 2.0 * x + rng.normal(0, 1.0, 120)
-    out_X, out_y, _ = augment(x[:, None], y, K=2, M=300, config=EMConfig(seed=6))
+    out_X, out_y, _ = augment(x[:, None], y, K=2, M=300, seed=6)
     synth_x, synth_y = out_X[120:, 0], out_y[120:]
     slope = np.polyfit(synth_x, synth_y, 1)[0]
     assert abs(slope - 2.0) < 0.3
@@ -173,7 +172,7 @@ def test_augment_validates_inputs():
 ], ids=repr)
 def test_em_config_rejects_invalid_settings(kwargs):
     with pytest.raises(GMMError, match=next(iter(kwargs))):
-        EMConfig(**kwargs)
+        fit_gmm(np.zeros((3, 1)), K=1, **kwargs)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -9,7 +9,6 @@ from tmcda import itml
 from tmcda.boosting import TrainConfig
 from tmcda.dataset import split_domains
 from tmcda.itml import (
-    ConstraintConfig,
     ConstraintSet,
     MetricError,
     build_constraints,
@@ -119,6 +118,16 @@ def test_two_identical_labels_land_in_similar():
     assert C.dissimilar == ()
 
 
+def test_a_cap_of_zero_keeps_no_pair_without_calling_the_labels_degenerate():
+    X = np.random.default_rng(5).standard_normal((30, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = build_constraints(X, np.arange(30.0), max_per_set=0)
+    assert (C.similar, C.dissimilar) == ((), ())
+    with pytest.warns(RuntimeWarning, match="no dissimilar"):
+        build_constraints(X, np.full(30, 4.0), max_per_set=0)
+
+
 def test_extreme_label_gap_lands_in_dissimilar():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0.0, 100.0])
@@ -131,7 +140,7 @@ def test_thresholds_match_independent_percentile_oracle():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((100, 3))
     y = rng.standard_normal(100)
-    C = build_constraints(X, y, ConstraintConfig(seed=0))
+    C = build_constraints(X, y, seed=0)
     # 100 points -> 4950 pairs, below the candidate cap, so all pairs are used
     dists = []
     for i in range(100):
@@ -234,7 +243,7 @@ def _random_instance(seed, n=30, q=4, cap=30):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, q))
     y = X @ rng.standard_normal(q) + 0.3 * rng.standard_normal(n)
-    C = build_constraints(X, y, ConstraintConfig(max_per_set=cap, seed=seed))
+    C = build_constraints(X, y, max_per_set=cap, seed=seed)
     return X, y, C
 
 
@@ -394,9 +403,9 @@ def test_constraint_sampling_dense_cap_is_deterministic():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((60, 3))
     y = rng.standard_normal(60)
-    config = ConstraintConfig(max_per_set=50, n_candidates=500, seed=3)
-    a = build_constraints(X, y, config)
-    b = build_constraints(X, y, config)
+    config = dict(max_per_set=50, n_candidates=500, seed=3)
+    a = build_constraints(X, y, **config)
+    b = build_constraints(X, y, **config)
     assert a.similar == b.similar and a.dissimilar == b.dissimilar
     assert (a.u, a.l) == (b.u, b.l)
     pairs = list(a.similar) + list(a.dissimilar)
@@ -425,7 +434,7 @@ def _constraint_inputs(draw):
     X = np.array([distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(n)])
     label = st.sampled_from([0.0, 3.0, 7.0]) | st.floats(0.0, 200.0, allow_subnormal=False)
     y = np.array(draw(st.lists(label, min_size=n, max_size=n)))
-    config = ConstraintConfig(
+    config = dict(
         max_per_set=draw(st.integers(0, 30)),
         n_candidates=draw(st.sampled_from([lo, hi]) | st.integers(lo, hi)),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -433,10 +442,10 @@ def _constraint_inputs(draw):
     return X, y, config
 
 
-def _with_warnings(fn, *args):
+def _with_warnings(fn, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = fn(*args)
+        out = fn(*args, **kwargs)
     return out, [(w.category, str(w.message)) for w in caught]
 
 
@@ -444,9 +453,8 @@ def _with_warnings(fn, *args):
 @given(_constraint_inputs())
 def test_constraints_equal_the_per_pair_reference(case):
     X, y, config = case
-    C, caught = _with_warnings(build_constraints, X, y, config)
-    expected, expected_caught = _with_warnings(
-        reference_constraints, X, y, config.max_per_set, config.n_candidates, config.seed)
+    C, caught = _with_warnings(build_constraints, X, y, **config)
+    expected, expected_caught = _with_warnings(reference_constraints, X, y, **config)
     assert (C.similar, C.dissimilar, C.u, C.l) == expected
     assert all(type(i) is int for pair in C.similar + C.dissimilar for i in pair)
     assert caught == expected_caught
@@ -476,13 +484,13 @@ def _outcome(fn, *args, **kwargs):
        st.sampled_from([1.0]) | st.floats(0.01, 100.0),
        st.sampled_from([1e-3]) | st.floats(1e-8, 0.5),
        st.integers(1, 10))
-@example(case=(np.array([[0.0]] * 38 + [[3.0]]), np.zeros(39), ConstraintConfig(max_per_set=1, n_candidates=741)),
+@example(case=(np.array([[0.0]] * 38 + [[3.0]]), np.zeros(39), dict(max_per_set=1, n_candidates=741)),
          gamma=1.0, tol=1e-3, max_passes=1)    # every candidate pair at distance 0 but the last row's 38
 def test_fit_equals_the_reference_projection_loop_bit_for_bit(case, gamma, tol, max_passes):
     X, y, config = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        C = build_constraints(X, y, config)
+        C = build_constraints(X, y, **config)
     result, caught = _outcome(fit_itml, X, C, gamma=gamma, max_passes=max_passes, tol=tol)
     expected, expected_caught = _outcome(reference_itml, X, C, gamma, max_passes, tol)
     assert caught == expected_caught
@@ -589,13 +597,13 @@ def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
        st.sampled_from([1e-3]) | st.floats(1e-8, 0.5),
        st.integers(1, 10))
 @example(case=(np.array([[0.0, 0.0, 1.0]] * 26 + [[0.0, 2.0, 0.0], [0.0, 2.0 ** -14, 1.0]]), np.zeros(28),
-               ConstraintConfig(max_per_set=1, n_candidates=378)),
+               dict(max_per_set=1, n_candidates=378)),
          gamma=1.0, tol=1e-3, max_passes=1)    # leaves kappa_2(A) = 6.7e8: the log dets differ by 2.2e-8
 def test_per_pass_diagnostics_are_within_the_bound_of_the_former_formulas(case, gamma, tol, max_passes):
     X, y, config = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        C = build_constraints(X, y, config)
+        C = build_constraints(X, y, **config)
     result, caught = _outcome(fit_itml, X, C, gamma=gamma, max_passes=max_passes, tol=tol)
     if caught is not None:      # not a fit that raised
         _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result)
@@ -695,19 +703,20 @@ def test_fit_checks_the_prior_once_and_the_metric_once_per_pass(monkeypatch):
 
 
 def test_constraint_config_rejects_negative_cap_and_empty_sample():
-    with pytest.raises(MetricError):
-        ConstraintConfig(max_per_set=-1)
-    with pytest.raises(MetricError):
-        ConstraintConfig(n_candidates=0)
+    X, y = np.full((1, 2), np.nan), np.zeros(1)    # checked before X: no "non-finite" or "at least 2" error
+    with pytest.raises(MetricError, match=r"require max_per_set >= 0 and n_candidates >= 1, got -1, 5000"):
+        build_constraints(X, y, max_per_set=-1)
+    with pytest.raises(MetricError, match=r"require max_per_set >= 0 and n_candidates >= 1, got 200, 0"):
+        build_constraints(X, y, n_candidates=0)
 
 
 def test_constraint_sampling_sparse_path_is_deterministic():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((200, 3))
     y = rng.standard_normal(200)
-    config = ConstraintConfig(max_per_set=40, n_candidates=800, seed=4)  # 19900 pairs
-    a = build_constraints(X, y, config)
-    b = build_constraints(X, y, config)
+    config = dict(max_per_set=40, n_candidates=800, seed=4)  # 19900 pairs
+    a = build_constraints(X, y, **config)
+    b = build_constraints(X, y, **config)
     assert a.similar == b.similar and a.dissimilar == b.dissimilar
     pairs = list(a.similar) + list(a.dissimilar)
     assert len(set(pairs)) == len(pairs)

@@ -585,12 +585,12 @@ def test_every_lasso_entry_point_refuses_bad_inputs_with_one_message(entry):
 
 
 def test_fraction_mode_refuses_non_finite_inputs_instead_of_a_nan_penalty():
-    from tmcda.pipeline import LassoSettings, select_lambda
+    from tmcda.pipeline import LassoSettings, fit_selection
 
     X, y = _random_problem(13)
     X[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        select_lambda(X, y, LassoSettings(lambda_mode="fraction", lambda_value=0.5), seed=0)
+        fit_selection(X, y, LassoSettings(lambda_mode="fraction", lambda_value=0.5), seed=0)
 
 
 def test_no_columns_give_lambda_max_zero_and_the_constant_response_cv_result():

@@ -488,6 +488,29 @@ def test_sweep_rejects_a_grid_it_cannot_run_before_any_fold(data3, monkeypatch, 
     assert fits == []
 
 
+def test_sweep_refuses_base_configs_that_share_a_movement_before_any_fold(data3, monkeypatch):
+    # Two variants on one movement gave a cell with both in its aggregates, and sweep.csv printed one.
+    fits = _counting(monkeypatch, lasso, "fit_lasso")
+    bases = [_fast_cfg(variant=v) for v in ("itml-gbbw", "full")] + [_fast_cfg(movement="through")]
+    with pytest.raises(ValueError, match=r"base configs share movement\(s\) \['left'\]"):
+        ablation_sweep(data3, {"alpha": [0.5]}, bases)
+    assert fits == []
+
+
+@pytest.mark.parametrize("mode", pipeline.LAMBDA_MODES)
+def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(data3, mode):
+    X, y = data3.X, data3.movement_labels("through").astype(float)
+    settings = LassoSettings(lambda_mode=mode, lambda_value=0.05, cv_folds=3, cv_grid_size=6, tol=1e-3, max_sweeps=2)
+    with pytest.warns(RuntimeWarning, match="did not converge in 2 sweeps"):
+        model = pipeline.fit_selection(X, y, settings, seed=4)
+    lam = {"cv": lasso.cross_validate_lambda(X, y, n_folds=3, grid_size=6, seed=4)[0],
+           "fraction": 0.05 * lasso.lambda_max(X, y), "fixed": 0.05}[mode]
+    with pytest.warns(RuntimeWarning, match="did not converge in 2 sweeps"):
+        expected = fit_lasso(X, y, lam, tol=1e-3, max_sweeps=2)
+    assert model.lam == lam and model.n_sweeps == expected.n_sweeps == 2
+    assert np.array_equal(model.coef, expected.coef) and model.selected == expected.selected
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
