@@ -15,9 +15,13 @@ Coordinate descent skips a coefficient it can prove stays at zero (safe
 feature elimination; El Ghaoui, Viallon & Rabbani 2012). With b_j = +-0 the
 update changes nothing exactly when the computed |rho_j| <= lambda. Let
 u = 2^-53, nu_j >= ||z_j|| the computed column norm raised by 2(n + 2)u, and
-R = 2||yc||, a bound on every residual the fit holds: CD never raises f
-above f(0) = ||yc||^2/(2n), so ||r|| <= ||yc|| up to rounding. A length-n
-dot product errs by at most gamma_n ||z|| ||r|| (gamma_n = nu/(1 - nu)), and
+R = 2 sqrt(||r_0||^2 + 2n lambda ||b_0||_1) a bound on every residual the
+fit holds. CD starts from b_0 (zero by default) with the computed residual
+r_0 = yc - Z b_0, which is exactly the residual of b_0 for a response
+within rounding of yc; CD never raises that problem's f above its value at
+b_0, ||r_0||^2/(2n) + lambda ||b_0||_1, so ||r|| <= R/2 up to rounding
+(from zero, R = 2||yc||). A length-n dot product errs by at most
+gamma_n ||z|| ||r|| (gamma_n = nu/(1 - nu)), and
 an update ``r -= d * z_k`` moves the stored r by at most
 (1 + u)|d| ||z_k|| + 2uR. If j was last evaluated at zero with
 |rho_j| = a_j, and the updates since then changed coefficients k by d_k,
@@ -55,8 +59,11 @@ to the step's largest active set with unit rows and columns (all empty
 while no column is active), with the segment's intercept, its slope and
 every column as right-hand sides. The path has no convergence tolerance;
 the padding reorders the solve's arithmetic, so a fold's path matches the
-same fold's path computed alone up to rounding. Coordinate descent remains
-the final fit.
+same fold's path computed alone up to rounding. The full data is one more
+path in the same stack, and its solution at the chosen lambda is where the
+final coordinate descent starts in ``cv`` mode (the warm start of pathwise
+coordinate descent; Friedman, Hastie & Tibshirani 2010): CD, not the path,
+still gives the final fit, and from there it usually stops after one sweep.
 """
 
 from __future__ import annotations
@@ -128,9 +135,9 @@ def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _lambda_max(X: np.ndarray, y: np.ndarray) -> float:
-    Z, yc, _ = _standardize(X, y)
-    return float(np.max(np.abs(Z.T @ yc), initial=0.0) / len(yc))
+def _max_abs(c: np.ndarray) -> float:
+    """lambda_max from the correlations ``c = Z'yc/n``: their largest magnitude, 0.0 with no columns."""
+    return float(np.max(np.abs(c), initial=0.0))
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -138,7 +145,8 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
 
     Inputs are checked as in ``fit_lasso``; at least one row is needed.
     """
-    return _lambda_max(*_checked(X, y))
+    Z, yc, _ = _standardize(*_checked(X, y))
+    return _max_abs(Z.T @ yc / len(yc))
 
 
 # Unit roundoff of float64, and the screening rule's relative margin on lambda.
@@ -152,18 +160,25 @@ def fit_lasso(
     lam: float,
     tol: float = 1e-8,
     max_sweeps: int = 10_000,
+    *,
+    start: np.ndarray | None = None,
 ) -> LassoModel:
     """Fit by cyclic coordinate descent with closed-form soft-thresholding.
 
     Iterates full sweeps until the maximum standardized-coefficient change in
     a sweep drops below ``tol``; a sweep skips the zero coefficients the
     screening rule of the module docstring proves stay at zero, which
-    changes no result. ``objective_trace`` holds each sweep's objective from
-    the running residual, within 1e-12 of f(0) of the same objective
+    changes no result. CD starts from ``start``, standardized coefficients,
+    one per column (zeros by default), with its entries at zero-variance
+    columns set to 0; the screening bound R then comes from f(start), as the
+    module docstring says. ``objective_trace`` holds each sweep's objective
+    from the running residual, within 1e-12 of f(0) of the same objective
     recomputed from ``coef_std``. A run that exhausts ``max_sweeps`` is
     returned with ``converged=False`` and a warning, never silently.
     ``X`` (n, p) and ``y`` (n,) must be finite with n >= 2, ``lam`` finite
-    and >= 0, ``tol`` > 0 (NaN is rejected for both), and ``max_sweeps`` >= 1.
+    and >= 0, ``tol`` > 0 (NaN is rejected for both), ``max_sweeps`` >= 1,
+    and ``start`` of shape (p,), finite, with a finite residual
+    ``yc - Z start``.
     """
     X, y = _checked(X, y)
     if X.shape[0] < 2:
@@ -181,6 +196,20 @@ def fit_lasso(
     Z, yc, std = _standardize(X, y)
     active = np.ones(p, dtype=bool)
     active[list(std.zero_variance)] = False
+    beta = [0.0] * p
+    r = yc.copy()
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (p,):
+            raise ValueError(f"start has shape {start.shape}; X has {p} columns, and start needs one entry per column")
+        if not np.isfinite(start).all():
+            raise ValueError("start must be finite")
+        start = np.where(active, start, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = yc - Z @ start
+        if not np.isfinite(r).all():
+            raise ValueError("start must leave a finite residual yc - Z start")
+        beta = start.tolist()
 
     columns = [(j, Z[:, j]) for j in range(p) if active[j]]
     # Screening constants (see the module docstring): nu bounds each column's
@@ -189,14 +218,12 @@ def fit_lasso(
     # that of each update.
     nu = (np.linalg.norm(Z, axis=0) * (1.0 + 2 * (n + 2) * _U)).tolist()
     n_per_nu = [n / v if v > 0.0 else 0.0 for v in nu]
-    R = 2.0 * float(np.sqrt(yc.dot(yc)))
+    R = 2.0 * math.sqrt(float(r.dot(r)) + 2.0 * n * (lam * math.fsum(map(abs, beta))))
     dots = 2 * (n + 2) * _U * R
     step = 2.0 * _U * R
     lam_low = lam * (1.0 - _SCREEN_MARGIN) if n < 2 ** 26 else 0.0    # 0 skips nothing
     moved = 0.0                    # M, each addition rounded upward
     limit = [0.0] * p              # T_j: column j is skipped while M < T_j
-    beta = [0.0] * p
-    r = yc.copy()
     trace = []
     converged = False
     sweeps = 0
@@ -394,18 +421,19 @@ def cross_validate_lambda(
     grid_size: int = 50,
     lam_min_ratio: float = 1e-3,
     seed: int = 0,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Pick lambda by k-fold CV over a descending logarithmic grid.
 
-    Returns (best lambda, grid, mean validation MSE per grid point). Each
-    fold's grid solutions are exact points of its lasso path on the
-    standardized training rows; one ``_lasso_path`` call follows every
-    fold's path in lockstep, and each fold's grid points are scored on its
-    validation rows at once. Ties resolve to the largest (sparsest) lambda.
-    Fold assignment depends only on the seed, and fold results are
+    Returns (best lambda, grid, mean validation MSE per grid point, the
+    full data's standardized solution at the best lambda). Each fold's grid
+    solutions are exact points of its lasso path on the standardized
+    training rows; one ``_lasso_path`` call follows every fold's path and
+    the full data's in lockstep, and each fold's grid points are scored on
+    its validation rows at once. Ties resolve to the largest (sparsest)
+    lambda. Fold assignment depends only on the seed, and fold results are
     independent of evaluation order: permuting the folds permutes the
     paths bit for bit. With no column to penalize (lambda_max is 0) the
-    result is (0.0, [0.0], [0.0]). ``n_folds`` must be >= 2 and
+    result is (0.0, [0.0], [0.0], zeros). ``n_folds`` must be >= 2 and
     ``grid_size`` >= 1.
     """
     X, y = _checked(X, y)
@@ -418,9 +446,11 @@ def cross_validate_lambda(
     n = len(y)
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")
-    lam_hi = _lambda_max(X, y)
+    Z, yc, _ = _standardize(X, y)
+    c = Z.T @ yc / n
+    lam_hi = _max_abs(c)
     if lam_hi == 0.0:
-        return 0.0, np.zeros(1), np.zeros(1)
+        return 0.0, np.zeros(1), np.zeros(1), np.zeros(X.shape[1])
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
     order = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(order, n_folds)
@@ -431,10 +461,13 @@ def cross_validate_lambda(
         n_train = n - len(val_idx)
         if n_train < 2:
             raise ValueError("need at least 2 training rows per fold")
-        Z, yc, std = _standardize(X[train], y[train])
-        grams.append(Z.T @ Z / n_train)
-        corrs.append(Z.T @ yc / n_train)
+        Z_train, yc_train, std = _standardize(X[train], y[train])
+        grams.append(Z_train.T @ Z_train / n_train)
+        corrs.append(Z_train.T @ yc_train / n_train)
         scalings.append(std)
+    # The full data's path runs last in the stack; only its solution at the chosen lambda is read.
+    grams.append(Z.T @ Z / n)
+    corrs.append(c)
     paths = _lasso_path(np.array(grams), np.array(corrs), grid)
     errors = np.zeros((n_folds, grid_size))
     for f, (val_idx, std, coefs) in enumerate(zip(folds, scalings, paths)):
@@ -442,7 +475,8 @@ def cross_validate_lambda(
         resid = (y[val_idx] - std.y_mean)[:, None] - std.apply(X[val_idx]) @ coefs.T
         errors[f] = np.mean(resid * resid, axis=0)
     mean_err = errors.mean(axis=0)
-    return float(grid[int(np.argmin(mean_err))]), grid, mean_err
+    best = int(np.argmin(mean_err))
+    return float(grid[best]), grid, mean_err, paths[-1, best]
 
 
 def coefficient_report(models: dict[str, LassoModel], movements: tuple[str, ...] = MOVEMENTS) -> str:

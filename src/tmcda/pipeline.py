@@ -221,11 +221,14 @@ def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
     """The lasso fit of step 1: the penalty under ``settings.lambda_mode``, then ``fit_lasso`` at its tol and sweeps.
 
     ``cv`` cross-validates over the settings' grid with fold assignment from
-    ``seed``; ``fraction`` scales lambda_max by ``lambda_value``; ``fixed``
-    uses ``lambda_value`` as is. The penalty is the model's ``lam``.
+    ``seed``, and coordinate descent starts from the full data's path
+    solution at the chosen lambda; ``fraction`` scales lambda_max by
+    ``lambda_value``; ``fixed`` uses ``lambda_value`` as is, and both start
+    from zero. The penalty is the model's ``lam``.
     """
+    start = None
     if settings.lambda_mode == "cv":
-        lam, _, _ = lasso.cross_validate_lambda(
+        lam, _, _, start = lasso.cross_validate_lambda(
             X, y,
             n_folds=settings.cv_folds,
             grid_size=settings.cv_grid_size,
@@ -236,7 +239,7 @@ def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
         lam = settings.lambda_value * lasso.lambda_max(X, y)
     else:
         lam = settings.lambda_value
-    return lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps)
+    return lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps, start=start)
 
 
 def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int):

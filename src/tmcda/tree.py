@@ -48,9 +48,13 @@ row mask, and the splits near the root change little from stage to stage.
 The plan keeps the other nodes it builds, keyed by the row mask's bytes, up
 to ``_MEMO_BYTES`` of their arrays, and drops the least recently used first;
 a node is built again only after it has been dropped. A leaf at
-``max_depth`` is not built: its totals come from its parent's search, and
-nothing of it is kept. A kept node also keeps, per split chosen at it, the
-threshold and its children's row masks. The bound
+``max_depth`` is not built and gets no row mask: its totals come from its
+parent's search, its rows are one side of the parent's rows sorted along
+the cut's feature (which ``leaf_values`` is written through), and nothing of
+it is kept. A kept node also keeps, per split chosen at it above depth
+``max_depth - 1``, the threshold and its children's row masks; a split at
+that depth reads the threshold from there if the same rows took the same
+cut higher up in an earlier tree, and keeps nothing. The bound
 counts the kept nodes' masks and search arrays, not the Python objects
 around them or their children's masks, so the memo's real size is larger:
 1.4 to 2.2 times the counted bytes on the benchmark's inputs. It is in bytes
@@ -184,8 +188,9 @@ class _Node(NamedTuple):
     ``search`` is None when the node has too few rows for two leaves or no
     valid candidate. ``nbytes`` counts the bytes of the row mask and the
     search arrays, what the memo bound counts. ``children`` maps each split
-    ``fit_tree`` has chosen at the node, as (feature, candidate index), to
-    its threshold and the row masks of its left and right children.
+    ``fit_tree`` has chosen at the node above depth ``max_depth - 1``, as
+    (feature, candidate index), to its threshold and the row masks of its
+    left and right children.
     """
 
     member: np.ndarray
@@ -310,17 +315,15 @@ def _best_split(node: _Node, wr, total_wr):
             (search.left_w.item(i), left_wr), (search.right_w.item(i), total_wr - left_wr))
 
 
-def _split(plan: SplitPlan, node: _Node, j: int, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Threshold and left and right row masks of candidate ``k`` of feature ``j`` at ``node``."""
-    X, rows = plan.X, node.search.rows
+def _threshold(X: np.ndarray, rows: np.ndarray, j: int, k: int) -> float:
+    """The threshold of candidate ``k`` of feature ``j`` at a node whose search holds ``rows``."""
     below, above = X[rows[j, k], j], X[rows[j, k + 1], j]
     threshold = (below + above) / 2.0
     if not threshold < above:
         # The midpoint of neighbouring doubles can round up to the upper one,
         # which would send every row left.
         threshold = below
-    go_left = X[:, j] <= threshold
-    return float(threshold), node.member & go_left, node.member & ~go_left
+    return float(threshold)
 
 
 def fit_tree(
@@ -353,36 +356,56 @@ def fit_tree(
     wr = plan.w * r
 
     feature, threshold, left, right, value = [], [], [], [], []
+
+    def add_leaf(totals) -> float:
+        """Append a leaf of (weight, weighted residual) ``totals`` and return its value; a split makes it inner."""
+        total_w, total_wr = totals
+        leaf = total_wr / total_w
+        if not math.isfinite(leaf):
+            raise ValueError(f"weighted residuals w * r must have a finite total and mean at every node; "
+                             f"node {len(value)} has {total_wr} / {total_w}")
+        feature.append(_LEAF)
+        threshold.append(0.0)
+        left.append(_LEAF)
+        right.append(_LEAF)
+        value.append(leaf)
+        return leaf
+
     # Depth first, left child first, so nodes are numbered in preorder (see the module docstring).
     # (rows in the node, depth, parent if a right child, (weight, weighted residual) totals):
     # only the root sums its rows; the others' totals come from their parent's search.
     root = plan.root
     pending = [(root.member, 0, None, (root.total_w, float(np.add.reduce(wr[root.member]))))]
     while pending:
-        member, depth, right_of, (total_w, total_wr) = pending.pop()
+        member, depth, right_of, totals = pending.pop()
         index = len(value)
         if right_of is not None:
             right[right_of] = index
-        value.append(total_wr / total_w)
-        if not math.isfinite(value[index]):
-            raise ValueError(f"weighted residuals w * r must have a finite total and mean at every node; "
-                             f"node {index} has {total_wr} / {total_w}")
+        leaf = add_leaf(totals)
         node = (plan.node(member) if depth else root) if depth < max_depth else None
-        split = None if node is None else _best_split(node, wr, total_wr)
+        split = None if node is None else _best_split(node, wr, totals[1])
         if split is None:
             if leaf_values is not None:
-                leaf_values[member] = value[index]
-            j, t, left_child = _LEAF, 0.0, _LEAF
-        else:
-            cut, left_totals, right_totals = split
-            children = node.children.get(cut)
-            if children is None:
-                children = node.children[cut] = _split(plan, node, *cut)
-            j, t, left_child = cut[0], children[0], index + 1
-            pending.append((children[2], depth + 1, index, right_totals))
-            pending.append((children[1], depth + 1, None, left_totals))
-        feature.append(j)
-        threshold.append(t)
-        left.append(left_child)
-        right.append(_LEAF)    # a split node's right child writes its index here when it is reached
+                leaf_values[member] = leaf
+            continue
+        (j, k), left_totals, right_totals = split
+        children = node.children.get((j, k))
+        t = _threshold(plan.X, node.search.rows, j, k) if children is None else children[0]
+        feature[index], threshold[index], left[index] = j, t, index + 1
+        if depth + 1 == max_depth:
+            # Both children are leaves, and their rows are the search's rows
+            # sorted along j, split at the cut: no masks, and nothing kept.
+            left_leaf = add_leaf(left_totals)
+            right[index] = index + 2
+            right_leaf = add_leaf(right_totals)
+            if leaf_values is not None:
+                rows = node.search.rows[j]
+                leaf_values[rows[:k + 1]] = left_leaf
+                leaf_values[rows[k + 1:]] = right_leaf
+            continue
+        if children is None:
+            go_left = plan.X[:, j] <= t
+            children = node.children[j, k] = (t, member & go_left, member & ~go_left)
+        pending.append((children[2], depth + 1, index, right_totals))
+        pending.append((children[1], depth + 1, None, left_totals))
     return RegressionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))

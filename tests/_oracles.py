@@ -149,8 +149,12 @@ def reference_cross_validate_lambda(X, y, n_folds, grid_size, lam_min_ratio, see
     return float(grid[int(np.argmin(mean_err))]), mean_err
 
 
-def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000):
-    """The ``LassoModel`` that ``fit_lasso`` returns on valid inputs, without its warning."""
+def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000, start=None):
+    """The ``LassoModel`` that ``fit_lasso`` returns on valid inputs, without its warning.
+
+    CD starts from ``start`` (zeros by default) with its zero-variance
+    entries set to 0, and from the residual ``yc - Z start``.
+    """
     from tmcda.lasso import LassoModel, _standardize
 
     X = np.asarray(X, dtype=float)
@@ -160,8 +164,8 @@ def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000):
     active = np.ones(p, dtype=bool)
     active[list(std.zero_variance)] = False
 
-    beta = np.zeros(p)
-    r = yc.copy()
+    beta = np.zeros(p) if start is None else np.where(active, np.asarray(start, dtype=float), 0.0)
+    r = yc - Z @ beta
     trace = []
     converged = False
     sweeps = 0

@@ -126,8 +126,8 @@ def test_select_cv_matches_direct_library_call(tmp_path, data_file):
     models = {}
     for movement in ("left", "through", "right"):
         y = data.movement_labels(movement).astype(float)
-        lam, _, _ = cross_validate_lambda(data.X, y, seed=4)
-        models[movement] = fit_lasso(data.X, y, lam)
+        lam, _, _, start = cross_validate_lambda(data.X, y, seed=4)
+        models[movement] = fit_lasso(data.X, y, lam, start=start)
     assert written == coefficient_report(models)
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -501,13 +502,20 @@ def test_sweep_refuses_base_configs_that_share_a_movement_before_any_fold(data3,
 def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(data3, mode):
     X, y = data3.X, data3.movement_labels("through").astype(float)
     settings = LassoSettings(lambda_mode=mode, lambda_value=0.05, cv_folds=3, cv_grid_size=6, tol=1e-3, max_sweeps=2)
-    with pytest.warns(RuntimeWarning, match="did not converge in 2 sweeps"):
+    # cv starts coordinate descent from the CV path's solution, where one
+    # sweep converges; fraction and fixed start from zero and stop at the cap.
+    start = None
+    if mode == "cv":
+        lam, _, _, start = lasso.cross_validate_lambda(X, y, n_folds=3, grid_size=6, seed=4)
+    else:
+        lam = {"fraction": 0.05 * lasso.lambda_max(X, y), "fixed": 0.05}[mode]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         model = pipeline.fit_selection(X, y, settings, seed=4)
-    lam = {"cv": lasso.cross_validate_lambda(X, y, n_folds=3, grid_size=6, seed=4)[0],
-           "fraction": 0.05 * lasso.lambda_max(X, y), "fixed": 0.05}[mode]
-    with pytest.warns(RuntimeWarning, match="did not converge in 2 sweeps"):
-        expected = fit_lasso(X, y, lam, tol=1e-3, max_sweeps=2)
-    assert model.lam == lam and model.n_sweeps == expected.n_sweeps == 2
+        expected = fit_lasso(X, y, lam, tol=1e-3, max_sweeps=2, start=start)
+    cap = "coordinate descent did not converge in 2 sweeps (last max coefficient change >= 0.001)"
+    assert [str(w.message) for w in caught] == ([] if mode == "cv" else [cap, cap])
+    assert model.lam == lam and model.n_sweeps == expected.n_sweeps == (1 if mode == "cv" else 2)
     assert np.array_equal(model.coef, expected.coef) and model.selected == expected.selected
 
 

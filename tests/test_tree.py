@@ -249,6 +249,33 @@ def test_a_plan_fits_each_residual_vector_as_a_plan_built_for_it_alone():
     assert len(plan._memo)
 
 
+def test_a_node_split_just_above_max_depth_in_one_tree_and_higher_up_in_a_later_one():
+    # x = 0..15; rows 0-7 are the node S. The first residuals cut the root
+    # at 11.5, then 7.5, so S sits at depth 2 = max_depth - 1 and its cut at
+    # 3.5 writes two leaves and keeps nothing. The second residuals cut the
+    # root at 7.5, so S sits at depth 1 and its children at 3.5 are searched,
+    # which keeps the cut's threshold and masks; the third fit reads them.
+    X = np.arange(16, dtype=float)[:, None]
+    w = np.ones(16)
+    plan = SplitPlan.build(X, w, min_samples_leaf=1)
+    low = np.repeat([-10.0, 0.0, 30.0, 100.0], 4)
+    high = np.repeat([-10.0, 0.0, 100.0, 100.0], 4) + np.tile([-2.0, -2.0, 2.0, 2.0], 4)
+    rows = np.arange(16)
+    S = rows < 8
+    for r, thresholds, kept in ((low, (11.5, 7.5, 3.5), False), (high, (7.5, 3.5), True), (low, (11.5, 7.5, 3.5), True)):
+        leaf_values = np.full(16, np.nan)
+        tree = fit_tree(plan, r, 3, leaf_values=leaf_values)
+        assert tree == reference_tree(X, r, w, 3, 1)
+        assert np.array_equal(leaf_values, tree.predict(X))
+        assert tree.threshold[:len(thresholds)] == thresholds
+        children = plan._memo[S.tobytes()].children
+        if kept:
+            ((t, left_mask, right_mask),) = children.values()
+            assert t == 3.5 and np.array_equal(left_mask, rows < 4) and np.array_equal(right_mask, S & (rows >= 4))
+        else:
+            assert not children
+
+
 def test_residuals_weights_and_leaf_values_need_one_entry_per_row_of_X():
     rng = np.random.default_rng(6)
     X, r, w = rng.standard_normal((5, 2)), rng.standard_normal(5), np.ones(5)
@@ -310,8 +337,23 @@ def _fits(draw):
     return X, r, w, draw(st.integers(0, 4)), draw(st.integers(1, 5))
 
 
+_LO = _NEXT                         # (_LO + _HI) / 2 rounds up to _HI: the threshold falls back to _LO
+_HI = np.nextafter(_NEXT, 2.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_fits())
+# A split at depth max_depth - 1 writes both leaves from its sorted rows; here
+# its cut lies between neighbouring doubles, at max_depth 1 and 2, and some
+# rows weigh 0, whose leaf values stay NaN.
+@example((np.array([[_LO], [_LO], [_HI], [_HI]]), np.array([1.0, 1.0, -1.0, -1.0]), np.ones(4), 1, 1))
+@example((np.array([[0.0], [0.0], [_LO], [_LO], [_HI], [_HI]]), np.array([10.0, 10.0, 1.0, 1.0, -1.0, -1.0]),
+          np.ones(6), 2, 1))
+@example((np.array([[_LO], [_LO], [_HI], [_HI], [_LO], [_HI]]), np.array([1.0, 1.0, -1.0, -1.0, 50.0, -50.0]),
+          np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]), 1, 1))
+@example((np.array([[0.0], [0.0], [_LO], [_LO], [_HI], [_HI], [_LO], [_HI], [0.0]]),
+          np.array([10.0, 10.0, 1.0, 1.0, -1.0, -1.0, 50.0, -50.0, 7.0]),
+          np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), 2, 1))
 def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     X, r, w, max_depth, min_samples_leaf = fit
     leaf_values = np.full(len(r), np.nan)
