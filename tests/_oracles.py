@@ -292,8 +292,12 @@ def reference_constraints(X, y, max_per_set, n_candidates, seed):
 # must return the same result, bit for bit.
 
 
-def reference_itml(X, constraints, gamma, max_passes, tol):
-    """The fields of the ``ITMLResult`` that ``fit_itml`` returns, as a dict, from prior A0 = I."""
+def reference_itml(X, constraints, gamma, max_passes, tol, former=False):
+    """The fields of the ``ITMLResult`` that ``fit_itml`` returns, as a dict, from prior A0 = I.
+
+    Each distance v^T A v is the dot product of vec(v v^T) with vec(A), as ``fit_itml`` takes it.
+    With ``former`` it is (v A) v, the formula of earlier versions, which rounds differently.
+    """
     from tmcda.itml import check_metric, logdet_divergence, MetricError
 
     X = np.asarray(X, dtype=float)
@@ -310,6 +314,7 @@ def reference_itml(X, constraints, gamma, max_passes, tol):
 
     m = len(entries)
     V = np.stack([X[i] - X[j] for (i, j, _) in entries])
+    VV = np.stack([np.outer(v, v).ravel() for v in V])
     deltas = np.array([d for (_, _, d) in entries])
     xi0 = np.where(deltas > 0, constraints.u, constraints.l)
     xi = xi0.copy()
@@ -320,7 +325,7 @@ def reference_itml(X, constraints, gamma, max_passes, tol):
         max_dual_change = 0.0
         for c in range(m):
             v = V[c]
-            p = float(v @ A @ v)
+            p = float(v @ A @ v) if former else float(np.dot(VV[c], A.ravel()))
             if p < 1e-12:
                 if c not in skipped:
                     skipped.add(c)
@@ -349,7 +354,7 @@ def reference_itml(X, constraints, gamma, max_passes, tol):
             A += beta * np.outer(Av, Av)
             A = (A + A.T) / 2.0
 
-        dists = (V.dot(A) * V).sum(axis=1)
+        dists = (V.dot(A) * V).sum(axis=1) if former else np.dot(VV, A.ravel())
         viol = int(
             np.sum((deltas > 0) & (dists > xi * (1 + tol)))
             + np.sum((deltas < 0) & (dists < xi * (1 - tol)))

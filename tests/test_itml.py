@@ -499,6 +499,7 @@ def test_fit_equals_the_reference_projection_loop_bit_for_bit(case, gamma, tol, 
         return
     for name, value in expected.items():
         assert _bits(getattr(result, name)) == _bits(value), name
+    assert np.array_equal(result.A, result.A.T)     # exactly symmetric, as the module docstring says
 
 
 @pytest.mark.parametrize("A0", [np.diag([2.0, 3.0]), np.array([[2.0, -0.0], [-0.0, 3.0]])],
@@ -539,6 +540,51 @@ def test_pipeline_shaped_fit_equals_the_reference_bit_for_bit(pipeline_fold):
         assert _bits(getattr(result, name)) == _bits(value), name
 
 
+# Each projection's distance is vec(v v^T) . vec(A); earlier versions took (v A) v. Both add up the q^2
+# terms v_i A_ij v_j, so by the dot-product error bound (Higham 2002, section 3.1) the first lies within
+# gamma_{q^2+1} S of the exact value and the second within gamma_{2q} S, S = sum_ij |A_ij| |v_i v_j|,
+# gamma_n = n u / (1 - n u), u = 2**-53: they differ by at most their sum, (q + 1)^2 u S to first order.
+def _distance_bound(A, v):
+    q = len(v)
+    gamma = lambda n: n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+    return (gamma(q * q + 1) + gamma(2 * q)) * float(np.abs(A).ravel().dot(np.abs(np.outer(v, v)).ravel()))
+
+
+def _distances(A, V):
+    """Each row's vec(v v^T) . vec(A), as fit_itml takes it, and (v A) v, as earlier versions did."""
+    m, q = V.shape
+    VV = (V[:, :, None] * V[:, None, :]).reshape(m, q * q)
+    a = A.reshape(-1)
+    return [float(vv.dot(a)) for vv in VV], [float(v.dot(A).dot(v)) for v in V]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_a_projections_distance_is_within_the_rounding_bound_of_the_former_formula(q, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((q, q)) * 10.0 ** rng.integers(-8, 9, (q, q))
+    A = B + B.T
+    V = rng.standard_normal((20, q)) * 10.0 ** rng.integers(-8, 9, (20, q))
+    V[rng.random((20, q)) < 0.2] = 0.0
+    for v, p, former in zip(V, *_distances(A, V)):
+        assert abs(p - former) <= _distance_bound(A, v)
+
+
+def test_pipeline_shaped_fit_keeps_the_former_formulas_passes_violations_and_zero_duals(pipeline_fold):
+    # alpha == 0 and the 1e-12 skip could decide differently only for a distance within the bound above
+    # of its threshold; on this fold none does, and A stays within 1e-12 of its largest entry.
+    result = pipeline_fold.itml_result
+    former = reference_itml(pipeline_fold.Zs, pipeline_fold.constraints, 1.0, 30, 1e-3, former=True)
+    assert (result.n_passes, result.converged) == (former["n_passes"], former["converged"])
+    assert result.violations == former["violations"]
+    assert np.array_equal(result.final_lambda == 0.0, former["final_lambda"] == 0.0)
+    assert np.abs(result.A - former["A"]).max() <= 1e-12 * np.abs(former["A"]).max()
+    V = np.array([pipeline_fold.Zs[i] - pipeline_fold.Zs[j]
+                  for (i, j) in pipeline_fold.constraints.similar + pipeline_fold.constraints.dissimilar])
+    for v, p, old in zip(V, *_distances(result.A, V)):
+        assert abs(p - old) <= _distance_bound(result.A, v)
+
+
 # The per-pass diagnostics the fit reports, against the formulas it used before: distances from a
 # three-operand einsum, the divergence from solve(A0, A) and slogdet. Each new value must lie within
 # DIAGNOSTIC_BOUND of the old one, relative to the sum of the magnitudes of the terms it adds up
@@ -567,7 +613,7 @@ def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
             at_t = fit_itml(X, C, gamma=gamma, max_passes=t, tol=tol)
         A, xi, lam = at_t.A, at_t.final_xi, at_t.final_lambda
 
-        dists = (V.dot(A) * V).sum(axis=1)
+        dists = (V[:, :, None] * V[:, None, :]).reshape(len(V), q * q).dot(A.reshape(-1))
         old_dists = np.einsum("ij,jk,ik->i", V, A, V)
         dist_scale = (np.abs(V).dot(np.abs(A)) * np.abs(V)).sum(axis=1)
         assert np.all(np.abs(dists - old_dists) <= DIAGNOSTIC_BOUND * dist_scale), t
@@ -627,19 +673,16 @@ def test_a_pass_calls_neither_solve_nor_slogdet_nor_einsum(monkeypatch):
 
 
 def test_dot_into_a_buffer_gives_the_plain_products_bytes():
-    # fit_itml writes v A and A v into buffers allocated once per fit, through the arrays' dot methods.
+    # fit_itml writes A v into a buffer allocated once per fit, through the array's dot method.
     rng = np.random.default_rng(13)
     for _ in range(20_000):
         q = int(rng.integers(1, 30))
         B = rng.standard_normal((q, q)) * 10.0 ** rng.integers(-3, 4)
         A = B + B.T
         v = rng.standard_normal(q)
-        vA, Av = np.empty(q), np.empty(q)
-        v.dot(A, out=vA)
+        Av = np.empty(q)
         A.dot(v, out=Av)
-        assert vA.tobytes() == np.dot(v, A).tobytes()
         assert Av.tobytes() == np.dot(A, v).tobytes()
-        assert vA.dot(v) == np.dot(vA, v)
 
 
 def test_the_k_1_product_gives_the_broadcast_products_but_plus_zero_for_a_zero_factor():
