@@ -338,17 +338,20 @@ def fit_itml(
 
     Passes cycle all constraints (similar first, then dissimilar, in
     construction order) until the largest dual change in a pass falls below
-    ``tol``. A constraint whose distance p under the current metric is below
-    1e-12 is skipped for that projection, with a warning the first time; a
-    nonpositive slack aborts with a state dump. Every pass checks that A is
-    still symmetric positive-definite with one Cholesky factorization, which
-    also gives the pass's log det A; the fit returns the last pass's A as
-    that check left it. The fixed prior ``A0`` is factored once, at the
-    start, for its check and its log determinant, and inverted once. A
-    projection with alpha exactly 0 updates only its slack (see the module
-    docstring for why that is exact). ``gamma`` must be > 0, ``tol`` >= 0
-    and ``max_passes`` >= 1; NaN is rejected, and so is a non-finite entry
-    of ``X``.
+    ``tol``. A constraint whose distance p under the current metric is at
+    most 1e-12 |v|^2 tr(A), with A's trace as of the start of the pass, is
+    skipped for that projection, with a warning the first time: v is then
+    numerically in A's null space. The floor scales with v and A, so a pair
+    at a tiny but nonzero distance, or one that similar pairs have drawn
+    close, is projected as any other. A nonpositive slack aborts with a
+    state dump. Every pass checks that A is still symmetric positive-definite
+    with one Cholesky factorization, which also gives the pass's log det A;
+    the fit returns the last pass's A as that check left it. The fixed prior
+    ``A0`` is factored once, at the start, for its check and its log
+    determinant, and inverted once. A projection with alpha exactly 0
+    updates only its slack (see the module docstring for why that is exact).
+    ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` >= 1; NaN is
+    rejected, and so is a non-finite entry of ``X``.
     """
     X = np.asarray(X, dtype=float)
     _require_finite(X=X)
@@ -390,6 +393,7 @@ def fit_itml(
     vs = list(V)
     VV = (V[:, :, None] * V[:, None, :]).reshape(m, q * q)    # row c: vec(v v^T), each entry v_i * v_j
     vvs = list(VV)
+    norms = VV[:, ::q + 1].sum(axis=1).tolist()    # |v|^2 per constraint
     a = A.reshape(-1)    # vec(A), a view that follows A's in-place updates
     Av, outer = np.empty(q), np.empty_like(A)
     Av_col, Av_row = Av[:, None], Av[None, :]
@@ -397,9 +401,10 @@ def fit_itml(
     upper, lower = 1 + tol, 1 - tol
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
+        floor = 1e-12 * float(A.trace())
         for c, vv in enumerate(vvs):
             p = float(vv.dot(a))    # vec(v v^T) . vec(A) = v^T A v, to the rounding in the module docstring
-            if p < 1e-12:
+            if p <= norms[c] * floor:
                 if (c not in skipped):
                     skipped.add(c)
                     i, j, _ = entries[c]

@@ -11,36 +11,6 @@ coordinate. Reported coefficients are mapped back to the original scale
 standardized problem, which makes a single lambda meaningful across columns
 with heterogeneous units.
 
-Coordinate descent skips a coefficient it can prove stays at zero (safe
-feature elimination; El Ghaoui, Viallon & Rabbani 2012). With b_j = +-0 the
-update changes nothing exactly when the computed |rho_j| <= lambda. Let
-u = 2^-53, nu_j >= ||z_j|| the computed column norm raised by 2(n + 2)u, and
-R = 2 sqrt(||r_0||^2 + 2n lambda ||b_0||_1) a bound on every residual the
-fit holds. CD starts from b_0 (zero by default) with the computed residual
-r_0 = yc - Z b_0, which is exactly the residual of b_0 for a response
-within rounding of yc; CD never raises that problem's f above its value at
-b_0, ||r_0||^2/(2n) + lambda ||b_0||_1, so ||r|| <= R/2 up to rounding
-(from zero, R = 2||yc||). A length-n dot product errs by at most
-gamma_n ||z|| ||r|| (gamma_n = nu/(1 - nu)), and
-an update ``r -= d * z_k`` moves the stored r by at most
-(1 + u)|d| ||z_k|| + 2uR. If j was last evaluated at zero with
-|rho_j| = a_j, and the updates since then changed coefficients k by d_k,
-Cauchy-Schwarz on the residual's movement gives
-
-    computed |rho_j| <= (1 + u)/(1 - u) a_j
-                        + (1 + u)(||z_j||/n)(sum_k ((1 + u)|d_k| ||z_k|| + 2uR) + 2 gamma_n R).
-
-The fit keeps M = sum_k (|d_k| nu_k + 2uR), each addition rounded upward,
-and skips j while M < T_j, where j's last evaluation at zero, with M = M_j
-then, set T_j (a_j and M_j in one number, rounded downward) to
-
-    M_j + (lambda (1 - 16u) - a_j) n / nu_j - 2(n + 2)uR.
-
-The last term is e_j = 2(n + 2)u R nu_j / n in units of rho, which covers
-the two dot products; the margin 16u covers the (1 + u) factors above and
-the roundings made in T_j and in each term of M, about ten in all. For n < 2^26 the rule then holds, so a fit is bit for bit the fit
-without it; with more rows, or lambda = 0, nothing is skipped.
-
 Each sweep logs the objective from the residual CD holds,
 r.r/(2n) + lambda * sum |b_j| (``math.fsum``), not from a fresh yc - Z b:
 the two differ by the residual's rounding drift, stated as at most
@@ -149,11 +119,6 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return _max_abs(Z.T @ yc / len(yc))
 
 
-# Unit roundoff of float64, and the screening rule's relative margin on lambda.
-_U = 2.0 ** -53
-_SCREEN_MARGIN = 16 * _U
-
-
 def fit_lasso(
     X: np.ndarray,
     y: np.ndarray,
@@ -165,16 +130,14 @@ def fit_lasso(
 ) -> LassoModel:
     """Fit by cyclic coordinate descent with closed-form soft-thresholding.
 
-    Iterates full sweeps until the maximum standardized-coefficient change in
-    a sweep drops below ``tol``; a sweep skips the zero coefficients the
-    screening rule of the module docstring proves stay at zero, which
-    changes no result. CD starts from ``start``, standardized coefficients,
-    one per column (zeros by default), with its entries at zero-variance
-    columns set to 0; the screening bound R then comes from f(start), as the
-    module docstring says. ``objective_trace`` holds each sweep's objective
-    from the running residual, within 1e-12 of f(0) of the same objective
-    recomputed from ``coef_std``. A run that exhausts ``max_sweeps`` is
-    returned with ``converged=False`` and a warning, never silently.
+    Iterates full sweeps, each visiting every non-constant column, until the
+    maximum standardized-coefficient change in a sweep drops below ``tol``.
+    CD starts from ``start``, standardized coefficients, one per column
+    (zeros by default), with its entries at zero-variance columns set to 0.
+    ``objective_trace`` holds each sweep's objective from the running
+    residual, within 1e-12 of f(0) of the same objective recomputed from
+    ``coef_std``. A run that exhausts ``max_sweeps`` is returned with
+    ``converged=False`` and a warning, never silently.
     ``X`` (n, p) and ``y`` (n,) must be finite with n >= 2, ``lam`` finite
     and >= 0, ``tol`` > 0 (NaN is rejected for both), ``max_sweeps`` >= 1,
     and ``start`` of shape (p,), finite, with a finite residual
@@ -212,38 +175,21 @@ def fit_lasso(
         beta = start.tolist()
 
     columns = [(j, Z[:, j]) for j in range(p) if active[j]]
-    # Screening constants (see the module docstring): nu bounds each column's
-    # norm from above (0 for a zero-variance column, never visited), R every
-    # residual's; dots covers the rounding of the two dot products, and step
-    # that of each update.
-    nu = (np.linalg.norm(Z, axis=0) * (1.0 + 2 * (n + 2) * _U)).tolist()
-    n_per_nu = [n / v if v > 0.0 else 0.0 for v in nu]
-    R = 2.0 * math.sqrt(float(r.dot(r)) + 2.0 * n * (lam * math.fsum(map(abs, beta))))
-    dots = 2 * (n + 2) * _U * R
-    step = 2.0 * _U * R
-    lam_low = lam * (1.0 - _SCREEN_MARGIN) if n < 2 ** 26 else 0.0    # 0 skips nothing
-    moved = 0.0                    # M, each addition rounded upward
-    limit = [0.0] * p              # T_j: column j is skipped while M < T_j
     trace = []
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         max_delta = 0.0
         for j, z in columns:
-            if moved < limit[j]:
-                continue
             old = beta[j]
             rho = float(z.dot(r)) / n + old
-            # Soft threshold. Between -lam and lam a coefficient at zero stays
-            # there and sets its screening threshold; any other goes to zero,
-            # -0.0 for a negative rho (rho is not -0.0 here, as old is not 0).
+            # Soft threshold; between -lam and lam the coefficient goes to
+            # zero, -0.0 for a negative rho, but one already at +-0 keeps its
+            # sign, as -0.0 == 0.0.
             if rho > lam:
                 new = rho - lam
             elif rho < -lam:
                 new = rho + lam
-            elif old == 0.0:
-                limit[j] = math.nextafter(moved + ((lam_low - abs(rho)) * n_per_nu[j] - dots), -math.inf)
-                continue
             else:
                 new = math.copysign(0.0, rho)
             if new != old:
@@ -252,8 +198,6 @@ def fit_lasso(
                 delta = abs(new - old)
                 if delta > max_delta:
                     max_delta = delta
-                moved = math.nextafter(moved + delta * nu[j] + step, math.inf)
-                limit[j] = 0.0
         trace.append(float(r.dot(r)) / (2.0 * n) + lam * math.fsum(map(abs, beta)))
         if max_delta < tol:
             converged = True

@@ -323,10 +323,11 @@ def reference_itml(X, constraints, gamma, max_passes, tol, former=False):
 
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
+        trace = float(np.trace(A))
         for c in range(m):
             v = V[c]
             p = float(v @ A @ v) if former else float(np.dot(VV[c], A.ravel()))
-            if p < 1e-12:
+            if p <= 1e-12 * float(np.sum(v * v)) * trace:
                 if c not in skipped:
                     skipped.add(c)
                     i, j, _ = entries[c]

@@ -40,7 +40,8 @@ def _in_a_git_checkout():
 
 
 @pytest.mark.skipif(not _in_a_git_checkout(), reason="the base side is extracted from a git revision")
-@pytest.mark.parametrize("stage", [[], ["--stage", "itml.fit_itml"]], ids=["whole-calls", "stage"])
+@pytest.mark.parametrize("stage", [[], ["--stage", "itml.fit_itml"], ["--stage", "lasso.fit_lasso"]],
+                         ids=["whole-calls", "stage", "lasso-stage"])
 def test_smoke_run_against_head(stage):
     out = subprocess.run([sys.executable, str(_TOOL), "--workload", "alpha-sweep", "--seed", "1", "--inputs", "1",
                           "--rounds", "1", "--smoke", "--base", "HEAD"] + stage,
@@ -53,12 +54,12 @@ def test_smoke_run_against_head(stage):
         assert len(out) == 6 and out[5].split()[1] in ("same", "DIFFERS")
         return
     calls = int(header[2].split()[0])
-    assert header[2] == f"{calls} calls of itml.fit_itml x 1 rounds" and calls > 0
+    assert header[2] == f"{calls} calls of {stage[1]} x 1 rounds" and calls > 0
     assert out[4] in ("  reports the same on 1/1 inputs", "  reports the same on 0/1 inputs")
     assert out[5].split() == ["call", "input", "change/base", "median", "arguments", "output"]
     rows = [line.split() for line in out[6:]]
     assert len(rows) == calls
     for i, row in enumerate(rows):
         assert row[:2] == [str(i), "0"] and float(row[2]) > 0
-        assert row[3] == "same"        # both sides fit the same constraints
+        assert row[3] == "same"        # upstream of the stage both sides are the same
         assert row[4] in ("same", "rel", "DIFFERS")

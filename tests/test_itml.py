@@ -309,6 +309,19 @@ def test_zero_distance_pair_skipped_with_warning():
     assert np.array_equal(result.A, np.eye(2))
 
 
+def test_a_pair_at_a_tiny_nonzero_distance_is_projected_not_skipped():
+    # The similar pair (2, 3) shrinks the 1-D metric until (0, 1), 3e-5 apart,
+    # lies below 1e-12 in absolute terms; it is still no zero distance.
+    X = np.array([[0.0], [3e-5], [0.0], [4.0], [1.0]])
+    C = ConstraintSet(((2, 3), (0, 1)), ((2, 4),), u=1e-3, l=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_itml(X, C, max_passes=20, tol=1e-8)
+    assert result.skipped_pairs == []
+    assert result.A[0, 0] * 9e-10 < 1e-12
+    assert np.array_equal(result.A, reference_itml(X, C, 1.0, 20, 1e-8)["A"])
+
+
 def test_similarity_threshold_is_positive_when_many_pairs_coincide():
     # Binary rows repeat, so more than 5% of the sampled pairs lie at
     # distance 0; such pairs are dropped, so u > 0 and ITML skips none.

@@ -411,7 +411,7 @@ def test_cross_validation_picks_the_reference_lambda_on_benchmark_shaped_network
 
 
 def _assert_fit_equals_the_reference(X, y, lam, **kwargs):
-    """``fit_lasso`` against ``reference_fit_lasso`` (no screening) bit for bit; the fit is returned."""
+    """``fit_lasso`` against ``reference_fit_lasso`` bit for bit; the fit is returned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = fit_lasso(X, y, lam, **kwargs)
@@ -524,6 +524,22 @@ def test_on_benchmark_shaped_networks_a_fit_from_the_cv_solution_takes_one_sweep
             assert started.converged and started.n_sweeps == 1
             gap = l1_objective(Z, yc, started.coef_std, lam) - l1_objective(Z, yc, cold.coef_std, lam)
             assert abs(gap) <= _START_RTOL * (yc @ yc) / (2.0 * len(yc))
+
+
+# The benchmark's ``fraction`` fits, cold starts at 0.06 lambda_max: ``alpha-sweep``'s
+# networks under its tol and sweep cap, and ``loo-variants``' at the defaults.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape, settings", [
+    ((3, 1.3, 64), {"tol": 1e-7, "max_sweeps": 2_000}),
+    ((2, 1.0, 32), {}),
+], ids=["alpha-sweep", "loo-variants"])
+def test_fraction_fits_on_benchmark_shaped_networks_equal_the_reference_bit_for_bit(seed, shape, settings):
+    data = generate_synthetic_network(seed, *shape)
+    for target in data.intersections():
+        source = split_domains(data, target).source
+        for movement in ("left", "through", "right"):
+            y = source.movement_labels(movement).astype(float)
+            _assert_fit_equals_the_reference(source.X, y, 0.06 * lambda_max(source.X, y), **settings)
 
 
 def _block_problem():

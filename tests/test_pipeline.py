@@ -674,6 +674,8 @@ _LASSO = st.one_of(
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2**16), st.integers(2, 4), st.integers(4, 24), st.sampled_from([0.0, 0.5, 1.3, 3.0, 6.0]),
        _LASSO, st.integers(0, 2**16))
+# one selected feature: similar pairs shrink the metric until a close pair lies below 1e-12
+@example(1362, 4, 12, 1.3, LassoSettings(lambda_mode="fraction", lambda_value=0.75, max_sweeps=1000), 1)
 def test_every_fold_of_a_random_network_scores_or_fails_in_a_named_stage(
         seed, n_intersections, n_intervals, shift, lasso_settings, master_seed):
     data = generate_synthetic_network(seed, n_intersections, shift, n_intervals)
