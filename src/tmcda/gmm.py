@@ -3,6 +3,17 @@
 Used to augment a matched labeled set: features and label are stacked into
 joint vectors of dimension d = q + 1, a K-component full-covariance mixture
 is fit by EM, and synthetic joint samples are drawn from the fitted mixture.
+
+EM takes every component at once where that gives the same doubles as one
+component at a time: the E-step factors the (K, d, d) stack of covariances
+with one Cholesky call and solves the (K, d, n) stack of residuals with one
+triangular solve, and the M-step's means are one stacked product of the
+responsibilities with the data. The covariance products stay one per
+component: stacked, their bits depend on the BLAS kernel (OpenBLAS's Katmai
+kernel rounds a product on a slice of a stacked array differently from the
+same product on its own), while per component they are the former loop's
+on every kernel tested. K = 1 runs the same EM, whose second step computes
+the closed form's mean and covariance up to rounding (tested).
 """
 
 from __future__ import annotations
@@ -53,48 +64,36 @@ def effective_ridge(X: np.ndarray, ridge: float | None) -> float:
     return 1e-6 * float(var.mean()) if var.mean() > 0 else 1e-6
 
 
-def _chol_log_density(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Row-wise Gaussian log-density via a Cholesky factorization."""
-    d = len(mean)
+def _log_responsibilities(X, weights, means, covs) -> tuple[np.ndarray, float]:
+    """Log posterior membership per row and the total log-likelihood, every component at once."""
     try:
-        L = np.linalg.cholesky(cov)
+        L = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise GMMError("singular covariance; increase ridge") from None
-    diff = X - mean
-    z = np.linalg.solve(L, diff.T)
-    maha = np.sum(z * z, axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
-
-
-def _log_responsibilities(X, weights, means, covs) -> tuple[np.ndarray, float]:
-    """Log posterior membership per row and the total log-likelihood."""
-    n, K = len(X), len(weights)
-    log_p = np.empty((n, K))
-    for k in range(K):
-        log_p[:, k] = np.log(weights[k]) + _chol_log_density(X, means[k], covs[k])
+    z = np.linalg.solve(L, (X - means[:, None, :]).transpose(0, 2, 1))
+    log_det = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    log_density = -0.5 * ((X.shape[1] * np.log(2.0 * np.pi) + log_det)[:, None] + np.sum(z * z, axis=1))
+    # (n, K) in C order: a transposed view would change the order in which the sums over components
+    # here, and over rows in the M-step, add up
+    log_p = (np.log(weights)[:, None] + log_density).T.copy()
     top = log_p.max(axis=1, keepdims=True)
     log_norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
     return log_p - log_norm[:, None], float(log_norm.sum())
 
 
 def _kmeanspp_means(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed component means at data points, spread by squared distance."""
+    """Seed component means at data points, spread by squared distance to the nearest mean so far."""
     n = len(X)
     means = [X[rng.integers(n)]]
+    d2 = np.full(n, np.inf)
     for _ in range(1, K):
-        d2 = np.min(
-            [np.sum((X - m) ** 2, axis=1) for m in means], axis=0
-        )
+        d2 = np.minimum(d2, np.sum((X - means[-1]) ** 2, axis=1))
         total = d2.sum()
-        if total <= 0:
-            means.append(X[rng.integers(n)])
-            continue
-        means.append(X[rng.choice(n, p=d2 / total)])
+        means.append(X[rng.integers(n)] if total <= 0 else X[rng.choice(n, p=d2 / total)])
     return np.stack(means)
 
 
-def _em_single(X: np.ndarray, K: int, rng: np.random.Generator, ridge: float):
+def _em_single(X: np.ndarray, K: int, rng: np.random.Generator, ridge: float) -> GaussianMixture:
     n, d = X.shape
     means = _kmeanspp_means(X, K, rng)
     pooled = np.cov(X, rowvar=False, bias=True).reshape(d, d) + ridge * np.eye(d)
@@ -125,8 +124,9 @@ def _em_single(X: np.ndarray, K: int, rng: np.random.Generator, ridge: float):
                 nk = r.sum(axis=0)
 
         weights = nk / n
+        means = (r.T[:, None, :] @ X)[:, 0, :] / nk[:, None]
         for k in range(K):
-            means[k] = (r[:, k] @ X) / nk[k]
+            # one product per component: a batched product's bits depend on the BLAS kernel
             diff = X - means[k]
             covs[k] = (r[:, k, None] * diff).T @ diff / nk[k] + ridge * np.eye(d)
 
@@ -139,7 +139,8 @@ def _em_single(X: np.ndarray, K: int, rng: np.random.Generator, ridge: float):
 
     _, final_ll = _log_responsibilities(X, weights, means, covs)
     trace.append(final_ll)
-    return weights, means, covs, final_ll, it, converged, tuple(trace)
+    order = np.argsort(-weights, kind="stable")
+    return GaussianMixture(weights[order], means[order], covs[order], final_ll, it, converged, tuple(trace))
 
 
 def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: float | None = None) -> GaussianMixture:
@@ -151,8 +152,10 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     absolute, finite and >= 0; when None it is 1e-6 times the mean diagonal
     variance of the data. Iteration stops when the relative log-likelihood
     improvement drops below ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER``
-    (200) iterations. Restart selection is by final log-likelihood, ties to
-    the earliest restart. A non-finite entry of ``X`` raises ``GMMError``.
+    (200) iterations. K = 1 runs the same EM. Restart selection is by final
+    log-likelihood, ties to the earliest restart. Components are returned in
+    order of decreasing weight, ties in component order. A non-finite entry
+    of ``X`` raises ``GMMError``.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise GMMError(f"ridge must be finite and >= 0, got {ridge}")
@@ -163,31 +166,13 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
         X = X[:, None]
     if not np.isfinite(X).all():
         raise GMMError("samples have non-finite entries")
-    n, d = X.shape
     if K < 1:
         raise GMMError("K must be >= 1")
-    if n < K:
-        raise TooFewSamplesError(f"need at least K={K} samples, got {n}")
+    if len(X) < K:
+        raise TooFewSamplesError(f"need at least K={K} samples, got {len(X)}")
     ridge = effective_ridge(X, ridge)
-
-    if K == 1:
-        mean = X.mean(axis=0)
-        cov = np.cov(X, rowvar=False, bias=True).reshape(d, d) + ridge * np.eye(d)
-        _, ll = _log_responsibilities(X, np.ones(1), mean[None, :], cov[None, :, :])
-        return GaussianMixture(np.ones(1), mean[None, :], cov[None, :, :], ll, 0, True, (ll,))
-
-    seeds = np.random.SeedSequence(seed).spawn(n_init)
-    best = None
-    for restart, seq in enumerate(seeds):
-        rng = np.random.default_rng(seq)
-        fit = _em_single(X, K, rng, ridge)
-        if best is None or fit[3] > best[1][3]:
-            best = (restart, fit)
-    weights, means, covs, ll, n_iter, converged, trace = best[1]
-    order = np.argsort(-weights, kind="stable")
-    return GaussianMixture(
-        weights[order].copy(), means[order].copy(), covs[order].copy(), ll, n_iter, converged, trace
-    )
+    fits = (_em_single(X, K, np.random.default_rng(seq), ridge) for seq in np.random.SeedSequence(seed).spawn(n_init))
+    return max(fits, key=lambda fit: fit.log_likelihood)
 
 
 def sample_gmm(model: GaussianMixture, M: int, seed: int) -> np.ndarray:

@@ -53,13 +53,16 @@ allocated once per fit (a dot into ``out=`` gives the same bytes as the
 plain call). The products Av_i * Av_j are formed as the k = 1
 matrix product ``Av[:, None].dot(Av[None, :], out=outer)``, at less than
 half the cost of the broadcast ``np.multiply``, and then ``outer *= beta``
-keeps the grouping above. Each entry of that product is one multiplication,
-so it is the same double as ``np.multiply`` gives, an underflow to -0.0
-included, except that a product with a zero factor comes out +0.0 where
-``np.multiply`` gives -0.0 (factors of opposite signs). Scaled by beta and
-added to A, a zero of either sign leaves every entry of A unchanged except a
--0.0, so while A holds no -0.0 (below) the k = 1 product changes no bit of
-the fit.
+keeps the grouping above. Each entry of that product is one multiplication:
+a nonzero entry is the same double as ``np.multiply`` gives, and a product
+with a zero factor comes out +0.0 where ``np.multiply`` gives -0.0 (factors
+of opposite signs). A product of nonzero factors that underflows is a zero
+whose sign is the BLAS kernel's: OpenBLAS's SkylakeX kernel gives -0.0 for
+factors of opposite signs, as ``np.multiply`` does, and its Haswell and
+Katmai kernels give +0.0 (tested). Scaled by beta and added to A, a zero
+of either sign leaves every entry of A unchanged except a -0.0, so while A
+holds no -0.0 (below) neither the k = 1 product nor the kernel's sign of an
+underflow changes a bit of the fit.
 
 A projection whose dual step alpha is exactly 0 (a constraint satisfied
 with dual 0, most projections on the pipeline's inputs) updates its slack

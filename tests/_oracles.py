@@ -608,3 +608,95 @@ def mixture_log_likelihood(X, weights, means, covs):
             density += pi * np.exp(-0.5 * quad) / norm
         total += np.log(density)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference mixture EM: ``fit_gmm``'s EM written one component at a time (each
+# log-density, mean and covariance in its own loop step), K = 1 included, as
+# the library wrote it before it stacked the components. The library must
+# return the same bytes, or raise the same GMMError.
+
+
+def _reference_log_responsibilities(X, weights, means, covs):
+    from tmcda.gmm import GMMError
+
+    n, d = X.shape
+    log_p = np.empty((n, len(weights)))
+    for k in range(len(weights)):
+        try:
+            L = np.linalg.cholesky(covs[k])
+        except np.linalg.LinAlgError:
+            raise GMMError("singular covariance; increase ridge") from None
+        z = np.linalg.solve(L, (X - means[k]).T)
+        log_det = 2.0 * np.sum(np.log(np.diag(L)))
+        log_p[:, k] = np.log(weights[k]) + -0.5 * (d * np.log(2.0 * np.pi) + log_det + np.sum(z * z, axis=0))
+    top = log_p.max(axis=1, keepdims=True)
+    log_norm = top[:, 0] + np.log(np.exp(log_p - top).sum(axis=1))
+    return log_p - log_norm[:, None], float(log_norm.sum())
+
+
+def _reference_em_single(X, K, rng, ridge, reseeds):
+    from tmcda.gmm import EM_MAX_ITER, EM_TOL, GMMError
+
+    n, d = X.shape
+    means = [X[rng.integers(n)]]
+    for _ in range(1, K):
+        d2 = np.min([np.sum((X - m) ** 2, axis=1) for m in means], axis=0)
+        total = d2.sum()
+        means.append(X[rng.integers(n)] if total <= 0 else X[rng.choice(n, p=d2 / total)])
+    means = np.stack(means)
+    pooled = np.cov(X, rowvar=False, bias=True).reshape(d, d) + ridge * np.eye(d)
+    covs = np.tile(pooled, (K, 1, 1))
+    weights = np.full(K, 1.0 / K)
+    trace, prev_ll, reinitialized, converged = [], -np.inf, np.zeros(K, dtype=bool), False
+    for it in range(1, EM_MAX_ITER + 1):
+        log_r, ll = _reference_log_responsibilities(X, weights, means, covs)
+        r = np.exp(log_r)
+        trace.append(ll)
+        nk = r.sum(axis=0)
+        for k in range(K):
+            if nk[k] < 1e-12:
+                if reinitialized[k]:
+                    raise GMMError(f"component {k} lost all responsibility mass twice")
+                reinitialized[k] = True
+                reseeds.append(k)
+                means[k] = X[rng.integers(n)]
+                covs[k] = pooled.copy()
+                weights = np.full(K, 1.0 / K)
+                log_r, ll = _reference_log_responsibilities(X, weights, means, covs)
+                r = np.exp(log_r)
+                nk = r.sum(axis=0)
+        weights = nk / n
+        for k in range(K):
+            means[k] = (r[:, k] @ X) / nk[k]
+            diff = X - means[k]
+            covs[k] = (r[:, k, None] * diff).T @ diff / nk[k] + ridge * np.eye(d)
+        if prev_ll > -np.inf and (ll - prev_ll) / max(1.0, abs(prev_ll)) < EM_TOL:
+            converged = True
+            break
+        prev_ll = ll
+    _, final_ll = _reference_log_responsibilities(X, weights, means, covs)
+    trace.append(final_ll)
+    return weights, means, covs, final_ll, it, converged, tuple(trace)
+
+
+def reference_em(X, K, n_init, seed, ridge=None, reseeds=None):
+    """``fit_gmm(X, K, n_init=n_init, seed=seed, ridge=ridge)`` on valid 2-D inputs, one component at a time.
+
+    Appends the index of every component it reseeds to ``reseeds`` (a list),
+    when given one.
+    """
+    from tmcda.gmm import GaussianMixture
+
+    if ridge is None:
+        var = np.var(X, axis=0)
+        ridge = 1e-6 * float(var.mean()) if var.mean() > 0 else 1e-6
+    reseeds = [] if reseeds is None else reseeds
+    best = None
+    for seq in np.random.SeedSequence(seed).spawn(n_init):
+        fit = _reference_em_single(X, K, np.random.default_rng(seq), ridge, reseeds)
+        if best is None or fit[3] > best[3]:
+            best = fit
+    weights, means, covs, ll, n_iter, converged, trace = best
+    order = np.argsort(-weights, kind="stable")
+    return GaussianMixture(weights[order], means[order], covs[order], ll, n_iter, converged, trace)

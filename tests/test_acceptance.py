@@ -160,7 +160,7 @@ def test_criterion_3_gmm_correctness():
             independent = mixture_log_likelihood(X, model.weights, model.means, model.covariances)
             assert model.log_likelihood == pytest.approx(independent, abs=1e-6)
 
-    # K = 1 closed form
+    # K = 1 runs EM, which lands within rounding of the closed form
     X = rng.standard_normal((40, 3)) * np.array([2.0, 0.7, 1.3])
     model = fit_gmm(X, K=1, ridge=1e-5)
     assert np.max(np.abs(model.means[0] - X.mean(axis=0))) <= 1e-10

@@ -699,9 +699,11 @@ def test_dot_into_a_buffer_gives_the_plain_products_bytes():
 
 
 def test_the_k_1_product_gives_the_broadcast_products_but_plus_zero_for_a_zero_factor():
-    # fit_itml forms Av_i * Av_j as Av[:, None].dot(Av[None, :]). Each entry is one product, the same
-    # double as np.multiply's (an underflow to -0.0 included), except that a product with a zero factor
-    # comes out +0.0, where np.multiply gives -0.0 for factors of opposite signs.
+    # fit_itml forms Av_i * Av_j as Av[:, None].dot(Av[None, :]). Each entry is one product: a nonzero
+    # one is the same double as np.multiply's, and a product with a zero factor comes out +0.0, where
+    # np.multiply gives -0.0 for factors of opposite signs. A product of nonzero factors that
+    # underflows is a zero whose sign is the BLAS kernel's: OpenBLAS's SkylakeX kernel gives -0.0 for
+    # factors of opposite signs, as np.multiply does, and its Haswell and Katmai kernels give +0.0.
     rng = np.random.default_rng(14)
     for _ in range(5_000):
         q = int(rng.integers(1, 30))
@@ -713,16 +715,34 @@ def test_the_k_1_product_gives_the_broadcast_products_but_plus_zero_for_a_zero_f
             Av[:, None].dot(Av[None, :], out=outer)
             expected = np.multiply(Av[:, None], Av)
         zero_factor = (Av == 0.0)[:, None] | (Av == 0.0)
-        assert outer[~zero_factor].tobytes() == expected[~zero_factor].tobytes()
+        nonzero = expected != 0.0
+        assert outer[nonzero].tobytes() == expected[nonzero].tobytes()
         assert outer[zero_factor].tobytes() == np.zeros(zero_factor.sum()).tobytes()
+        assert np.all(outer[~zero_factor & ~nonzero] == 0.0)    # underflowed: a zero of either sign
+
+
+@pytest.mark.parametrize("similar", [True, False], ids=["similar", "dissimilar"])
+def test_an_underflowed_product_leaves_the_same_metric_as_np_multiply_on_every_kernel(similar):
+    # v = (1, 1e-170, -1e-170): Av_2 * Av_3 = -1e-340 underflows to a zero whose sign is the BLAS
+    # kernel's (np.multiply: -0.0). Scaled by beta and added to the identity prior's +0.0 it gives +0.0
+    # either way, so A is the np.multiply-based update's bit for bit.
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 1e-170, -1e-170]])
+    C = ConstraintSet(((0, 1),), (), u=0.5, l=1.0) if similar else ConstraintSet((), ((0, 1),), u=0.5, l=10.0)
+    with np.errstate(under="ignore"):
+        assert np.signbit(np.multiply(X[1, 1], X[1, 2]))
+        result = fit_itml(X, C, max_passes=1)
+        expected = reference_itml(X, C, 1.0, 1, 1e-3)["A"]
+    assert result.dual_changes == [0.5 if similar else 0.45]    # alpha != 0: the update was applied
+    assert result.A.tobytes() == expected.tobytes()
+    assert result.A[1, 2] == 0.0 and not np.signbit(result.A[1, 2])
 
 
 @pytest.mark.parametrize("similar", [True, False], ids=["similar", "dissimilar"])
 def test_negative_zeros_of_the_prior_keep_their_sign_only_under_an_update_with_negative_beta(similar):
     # v = (-1, 0, 0), so A v = (-2, 0, 0) and every update entry off the diagonal is a zero product,
-    # which the k = 1 product writes as +0.0 (np.multiply: -2 * 0 = -0.0). A similar pair pulled in
-    # scales it by beta < 0 to -0.0, and -0.0 + -0.0 keeps A0's -0.0; a dissimilar pair pushed out
-    # scales it by beta > 0, and -0.0 + 0.0 turns A0's -0.0 into +0.0.
+    # which the k = 1 product writes as +0.0 on every kernel (np.multiply: -2 * 0 = -0.0). A similar
+    # pair pulled in scales it by beta < 0 to -0.0, and -0.0 + -0.0 keeps A0's -0.0; a dissimilar pair
+    # pushed out scales it by beta > 0, and -0.0 + 0.0 turns A0's -0.0 into +0.0.
     A0 = np.array([[2.0, -0.0, -0.0], [-0.0, 3.0, -0.0], [-0.0, -0.0, 4.0]])
     X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     C = ConstraintSet(((0, 1),), (), u=0.5, l=1.0) if similar else ConstraintSet((), ((0, 1),), u=0.5, l=10.0)
