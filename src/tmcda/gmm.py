@@ -152,8 +152,11 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     absolute, finite and >= 0; when None it is 1e-6 times the mean diagonal
     variance of the data. Iteration stops when the relative log-likelihood
     improvement drops below ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER``
-    (200) iterations. K = 1 runs the same EM. Restart selection is by final
-    log-likelihood, ties to the earliest restart. Components are returned in
+    (200) iterations. Restart selection is by final log-likelihood, ties to
+    the earliest restart. K = 1 runs the same EM, and only its first
+    restart: from the second step on every row's responsibility is 1, so
+    every restart returns the same fit, bit for bit, whatever its seeding
+    (tested against all ``n_init`` restarts). Components are returned in
     order of decreasing weight, ties in component order. A non-finite entry
     of ``X`` raises ``GMMError``.
     """
@@ -171,7 +174,8 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     if len(X) < K:
         raise TooFewSamplesError(f"need at least K={K} samples, got {len(X)}")
     ridge = effective_ridge(X, ridge)
-    fits = (_em_single(X, K, np.random.default_rng(seq), ridge) for seq in np.random.SeedSequence(seed).spawn(n_init))
+    restarts = np.random.SeedSequence(seed).spawn(1 if K == 1 else n_init)
+    fits = (_em_single(X, K, np.random.default_rng(seq), ridge) for seq in restarts)
     return max(fits, key=lambda fit: fit.log_likelihood)
 
 

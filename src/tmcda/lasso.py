@@ -32,15 +32,29 @@ the padding reorders the solve's arithmetic, so a fold's path matches the
 same fold's path computed alone up to rounding. The full data is one more
 path in the same stack, and its solution at the chosen lambda is where the
 final coordinate descent starts in ``cv`` mode (the warm start of pathwise
-coordinate descent; Friedman, Hastie & Tibshirani 2010): CD, not the path,
-still gives the final fit, and from there it usually stops after one sweep.
+coordinate descent; Friedman, Hastie & Tibshirani 2010). At a given lambda,
+``exact_solution`` reads the same path at that one point, so the pipeline
+starts every final fit from the exact path: CD, not the path, still gives
+the final fit, and from there it usually stops after one sweep.
+
+Standardization is one exact pass: the column sums, then the deviations,
+which give both the std and the standardized design, with the sums and the
+order of ``X.mean``/``X.std``, so every value is theirs bit for bit.
+
+With few source intersections many columns are affine copies of others, and
+the lasso solution is then not unique (Tibshirani 2013): which copy a
+solver keeps is up to its rounding. ``canonical_columns`` drops each column
+in the span of the intercept and of the columns kept before it, by the
+path's Schur test, so that the pipeline's lasso runs on a design of full
+column rank and its support does not depend on the solver.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,15 +65,17 @@ from .schema import COLUMNS, MOVEMENTS
 class StandardizationParams:
     """Column means/stds of the predictors and the response mean.
 
-    Zero-variance columns are recorded and excluded from penalization and
-    selection; their coefficients are fixed at zero, and their ``x_std`` is
-    1. ``apply`` is the one place the predictors' scaling is written.
+    ``excluded`` lists the columns left out of penalization and selection,
+    whose coefficients are fixed at zero: the zero-variance columns, whose
+    ``x_std`` is 1, and in a model that ``widen`` made, also the columns
+    outside its fit. ``apply`` is the one place the predictors' scaling is
+    written.
     """
 
     x_mean: np.ndarray
     x_std: np.ndarray
     y_mean: float
-    zero_variance: tuple[int, ...]
+    excluded: tuple[int, ...]
 
     def apply(self, X: np.ndarray, columns=slice(None)) -> np.ndarray:
         """``X``'s ``columns`` (all by default) standardized: less their mean, over their std."""
@@ -83,13 +99,26 @@ class LassoModel:
 
 
 def _standardize(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, StandardizationParams]:
-    x_mean = X.mean(axis=0)
-    x_std = X.std(axis=0)
+    """Standardized ``X``, centered ``y`` and their parameters, in one pass over the deviations.
+
+    The sums and their order are those of ``X.mean``/``X.std``/``y.mean``
+    (``np.add.reduce`` over the rows), and the design is the deviations
+    over the std, so every value, signed zeros included, is that of
+    ``StandardizationParams.apply`` with constant columns zeroed.
+    """
+    n = len(X)
+    x_mean = np.add.reduce(X, axis=0) / n
+    Z = X - x_mean
+    x_std = np.sqrt(np.add.reduce(Z * Z, axis=0) / n)
     constant = x_std <= 1e-12 * np.maximum(1.0, np.abs(x_mean))
-    zero_var = tuple(int(j) for j in np.flatnonzero(constant))
-    y_mean = float(y.mean())
-    std = StandardizationParams(x_mean, np.where(constant, 1.0, x_std), y_mean, zero_var)
-    return np.where(constant, 0.0, std.apply(X)), y - y_mean, std
+    excluded = ()
+    if constant.any():
+        x_std[constant] = 1.0
+        Z[:, constant] = 0.0
+        excluded = tuple(np.flatnonzero(constant).tolist())
+    Z /= x_std
+    y_mean = float(np.add.reduce(y) / n)
+    return Z, y - y_mean, StandardizationParams(x_mean, x_std, y_mean, excluded)
 
 
 def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -108,6 +137,13 @@ def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
 def _max_abs(c: np.ndarray) -> float:
     """lambda_max from the correlations ``c = Z'yc/n``: their largest magnitude, 0.0 with no columns."""
     return float(np.max(np.abs(c), initial=0.0))
+
+
+def _check_lambda(lam: float) -> None:
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if lam == math.inf:
+        raise ValueError("lambda must be finite, got inf")
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -146,10 +182,7 @@ def fit_lasso(
     X, y = _checked(X, y)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if lam == math.inf:
-        raise ValueError("lambda must be finite, got inf")
+    _check_lambda(lam)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_sweeps < 1:
@@ -158,7 +191,7 @@ def fit_lasso(
     n, p = X.shape
     Z, yc, std = _standardize(X, y)
     active = np.ones(p, dtype=bool)
-    active[list(std.zero_variance)] = False
+    active[list(std.excluded)] = False
     beta = [0.0] * p
     r = yc.copy()
     if start is not None:
@@ -358,6 +391,94 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return ends[..., 0] - grid[:, None] * ends[..., 1]
 
 
+def canonical_columns(X: np.ndarray, y: np.ndarray) -> tuple[tuple[int, ...], StandardizationParams]:
+    """The columns of ``X`` that the lasso can tell apart, and the standardization of (X, y).
+
+    A column is kept when it is not constant and lies outside the span of
+    the intercept and of the columns kept before it, by the path's Schur
+    test: its residual after projection keeps more than ``_SPAN_RTOL`` of
+    its own sum of squares. A QR of the standardized (so centered)
+    non-constant columns gives each column's squared residual against every
+    column before it, R[j, j]^2. A column that passes there passes against
+    the kept ones, which span less, so it is kept. A column that fails may
+    not fail against the kept ones alone: a failed column's R[j, j] is
+    rounding, and its Householder step still takes up one direction. So a
+    second QR, of R's kept columns followed by its failed ones (as Z = QR,
+    the factor of the design's columns in that order), gives each failed
+    column's projection on the kept columns before it: the sum of squares
+    of its entries in their rows. While one of them passes, the first that
+    does is kept, and the test is made again. On the kept columns, in
+    column order, the design has full column rank and the lasso a unique
+    solution; of each set of copies the earliest column is kept. Inputs are
+    checked as in ``fit_lasso``.
+    """
+    Z, _, std = _standardize(*_checked(X, y))
+    sums = np.add.reduce(Z * Z, axis=0)
+    candidates = np.flatnonzero(sums)    # constant columns are zero
+    if not len(candidates):
+        return (), std
+    R = np.linalg.qr(Z[:, candidates], mode="r")
+    own = sums[candidates]
+    passed = np.zeros(len(candidates), dtype=bool)
+    passed[:len(R)] = np.diagonal(R) ** 2 > _SPAN_RTOL * own[:len(R)]
+    kept, failed = np.flatnonzero(passed), np.flatnonzero(~passed)    # positions among the candidates
+    while len(failed):
+        # Z[:, candidates] = Q R, so R's columns reordered factor as the design's would.
+        T = np.linalg.qr(R[:, np.concatenate((kept, failed))], mode="r")
+        # Row i of a failed column's T is its component along the i-th kept column's own direction.
+        along = np.cumsum(T[:len(kept), len(kept):] ** 2, axis=0)
+        before = np.searchsorted(kept, failed)
+        projected = np.where(before > 0, along[before - 1, np.arange(len(failed))], 0.0)
+        passes = np.flatnonzero(own[failed] - projected > _SPAN_RTOL * own[failed])
+        if not len(passes):
+            break
+        f = passes[0]
+        kept, failed = np.insert(kept, before[f], failed[f]), np.delete(failed, f)
+    return tuple(candidates[kept].tolist()), std
+
+
+def exact_solution(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The lasso's standardized solution at ``lam``, read off its exact path (zeros at or above lambda_max).
+
+    This is where ``fit_selection`` starts coordinate descent in ``fraction``
+    and ``fixed`` mode; ``lam`` must be finite and >= 0, and inputs are
+    checked as in ``fit_lasso``.
+    """
+    X, y = _checked(X, y)
+    _check_lambda(lam)
+    Z, yc, _ = _standardize(X, y)
+    n = len(yc)
+    c = Z.T @ yc / n
+    if lam >= _max_abs(c):
+        return np.zeros(X.shape[1])
+    return _lasso_path((Z.T @ Z / n)[None], c[None], np.array([lam]))[0, 0]
+
+
+def widen(model: LassoModel, columns: tuple[int, ...], std: StandardizationParams) -> LassoModel:
+    """``model``, fit on ``columns`` of a design standardized by ``std``, as a model of that whole design.
+
+    The other columns get coefficient 0 and join ``excluded``; the fitted
+    columns keep the fit's own standardization, and ``selected`` is given
+    in the design's column numbers.
+    """
+    index = list(columns)
+    coef, coef_std = np.zeros(len(std.x_mean)), np.zeros(len(std.x_mean))
+    coef[index], coef_std[index] = model.coef, model.coef_std
+    x_mean, x_std = std.x_mean.copy(), std.x_std.copy()
+    x_mean[index], x_std[index] = model.standardization.x_mean, model.standardization.x_std
+    kept = set(columns) - {columns[j] for j in model.standardization.excluded}
+    return replace(
+        model,
+        coef=coef,
+        coef_std=coef_std,
+        selected=tuple(columns[j] for j in model.selected),
+        standardization=StandardizationParams(
+            x_mean, x_std, model.standardization.y_mean,
+            tuple(j for j in range(len(x_mean)) if j not in kept),
+        ),
+    )
+
+
 def cross_validate_lambda(
     X: np.ndarray,
     y: np.ndarray,
@@ -397,7 +518,10 @@ def cross_validate_lambda(
         return 0.0, np.zeros(1), np.zeros(1), np.zeros(X.shape[1])
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
     order = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(order, n_folds)
+    # np.array_split's folds: consecutive slices, the first n % n_folds one row longer.
+    size, extra = divmod(n, n_folds)
+    ends = list(accumulate([size + 1] * extra + [size] * (n_folds - extra), initial=0))
+    folds = [order[a:b] for a, b in zip(ends, ends[1:])]
     grams, corrs, scalings = [], [], []
     for val_idx in folds:
         train = np.ones(n, dtype=bool)
@@ -417,8 +541,8 @@ def cross_validate_lambda(
     for f, (val_idx, std, coefs) in enumerate(zip(folds, scalings, paths)):
         # Zero-variance columns have unit scale and zero coefficients here.
         resid = (y[val_idx] - std.y_mean)[:, None] - std.apply(X[val_idx]) @ coefs.T
-        errors[f] = np.mean(resid * resid, axis=0)
-    mean_err = errors.mean(axis=0)
+        errors[f] = np.add.reduce(resid * resid, axis=0) / len(val_idx)
+    mean_err = np.add.reduce(errors, axis=0) / n_folds
     best = int(np.argmin(mean_err))
     return float(grid[best]), grid, mean_err, paths[-1, best]
 

@@ -218,42 +218,51 @@ def _run_stage(memo: dict, key: tuple, fn, *args):
 
 
 def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int) -> lasso.LassoModel:
-    """The lasso fit of step 1: the penalty under ``settings.lambda_mode``, then ``fit_lasso`` at its tol and sweeps.
+    """The lasso fit of step 1, on the canonical design: the penalty under ``settings.lambda_mode``, then ``fit_lasso``.
 
-    ``cv`` cross-validates over the settings' grid with fold assignment from
-    ``seed``, and coordinate descent starts from the full data's path
-    solution at the chosen lambda; ``fraction`` scales lambda_max by
-    ``lambda_value``; ``fixed`` uses ``lambda_value`` as is, and both start
-    from zero. The penalty is the model's ``lam``.
+    The canonical design is ``X``'s canonical columns
+    (``lasso.canonical_columns``): the non-constant columns outside the span
+    of the intercept and of the columns kept before them, on these rows. On
+    it the lasso solution is unique, so the support does not depend on the
+    solver. ``cv`` cross-validates over the settings' grid with fold
+    assignment from ``seed``; ``fraction`` scales that design's lambda_max
+    by ``lambda_value``; ``fixed`` uses ``lambda_value`` as is. In every
+    mode coordinate descent, at the settings' tol and sweeps, starts from
+    the exact path's solution at that penalty: in ``cv`` mode the full
+    data's path in the CV stack, otherwise ``lasso.exact_solution``. The
+    model is returned for all of ``X``'s columns (``lasso.widen``), with 0
+    for the columns outside the canonical design, which join
+    ``standardization.excluded``; the penalty is its ``lam``.
     """
-    start = None
+    columns, std = lasso.canonical_columns(X, y)
+    X_fit = X[:, list(columns)]
     if settings.lambda_mode == "cv":
         lam, _, _, start = lasso.cross_validate_lambda(
-            X, y,
+            X_fit, y,
             n_folds=settings.cv_folds,
             grid_size=settings.cv_grid_size,
             lam_min_ratio=settings.lam_min_ratio,
             seed=seed,
         )
-    elif settings.lambda_mode == "fraction":
-        lam = settings.lambda_value * lasso.lambda_max(X, y)
     else:
         lam = settings.lambda_value
-    return lasso.fit_lasso(X, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps, start=start)
+        if settings.lambda_mode == "fraction":
+            lam *= lasso.lambda_max(X_fit, y)
+        start = lasso.exact_solution(X_fit, y, lam)
+    model = lasso.fit_lasso(X_fit, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps, start=start)
+    return lasso.widen(model, columns, std)
 
 
 def _select_features(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int):
-    """Stage 1: the lasso fit and the indices of the features it keeps."""
+    """Stage 1: the lasso fit and the indices of the features it keeps (the canonical columns if none)."""
     model = fit_selection(X, y, settings, seed)
     selected = model.selected
     if not selected:
         warnings.warn(
-            "feature selection returned an empty set; falling back to all features",
+            "feature selection returned an empty set; falling back to the canonical columns",
             RuntimeWarning,
         )
-        selected = tuple(
-            j for j in range(X.shape[1]) if j not in model.standardization.zero_variance
-        )
+        selected = tuple(j for j in range(X.shape[1]) if j not in model.standardization.excluded)
     return model, selected
 
 

@@ -24,6 +24,18 @@ def standardize(X, y):
     return (X - mean) / std, y - y.mean()
 
 
+def reference_standardize(X, y):
+    """``(Z, yc, StandardizationParams)`` through numpy's ``mean`` and ``std`` and ``apply``, constant columns zeroed."""
+    from tmcda.lasso import StandardizationParams
+
+    x_mean = X.mean(axis=0)
+    x_std = X.std(axis=0)
+    constant = x_std <= 1e-12 * np.maximum(1.0, np.abs(x_mean))
+    excluded = tuple(int(j) for j in np.flatnonzero(constant))
+    std = StandardizationParams(x_mean, np.where(constant, 1.0, x_std), float(y.mean()), excluded)
+    return np.where(constant, 0.0, std.apply(X)), y - std.y_mean, std
+
+
 def l1_objective(Z, yc, beta, lam):
     r = yc - Z @ beta
     return r @ r / (2.0 * len(yc)) + lam * np.abs(beta).sum()
@@ -162,7 +174,7 @@ def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000, start=None):
     n, p = X.shape
     Z, yc, std = _standardize(X, y)
     active = np.ones(p, dtype=bool)
-    active[list(std.zero_variance)] = False
+    active[list(std.excluded)] = False
 
     beta = np.zeros(p) if start is None else np.where(active, np.asarray(start, dtype=float), 0.0)
     r = yc - Z @ beta

@@ -9,7 +9,9 @@ import pytest
 from tmcda import cli, gmm, itml, lasso
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table, write_table
-from tmcda.lasso import coefficient_report, cross_validate_lambda, fit_lasso, lambda_max
+from tmcda.lasso import (
+    canonical_columns, coefficient_report, cross_validate_lambda, exact_solution, fit_lasso, lambda_max, widen,
+)
 from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
 from tmcda.runconfig import ConfigError, apply_entries, parse_flat_file
 from tmcda.synth import generate_synthetic_network
@@ -109,9 +111,15 @@ def test_select_matches_direct_library_call(tmp_path, data_file):
     models = {}
     for movement in ("left", "through", "right"):
         y = data.movement_labels(movement).astype(float)
-        models[movement] = fit_lasso(data.X, y, 0.05 * lambda_max(data.X, y))
+        columns, std = canonical_columns(data.X, y)
+        X = data.X[:, list(columns)]
+        lam = 0.05 * lambda_max(X, y)
+        models[movement] = widen(fit_lasso(X, y, lam, start=exact_solution(X, y, lam)), columns, std)
     assert written == coefficient_report(models)
     assert len(written.strip().splitlines()) == 26
+    # The columns outside the canonical design (constants and copies) print 0.
+    dropped = [j for j in range(data.X.shape[1]) if j not in columns]
+    assert dropped and all(written.splitlines()[1 + j].endswith("0.0000,0.0000,0.0000") for j in dropped)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert str(data_file) in manifest["inputs"]
 
@@ -126,8 +134,10 @@ def test_select_cv_matches_direct_library_call(tmp_path, data_file):
     models = {}
     for movement in ("left", "through", "right"):
         y = data.movement_labels(movement).astype(float)
-        lam, _, _, start = cross_validate_lambda(data.X, y, seed=4)
-        models[movement] = fit_lasso(data.X, y, lam, start=start)
+        columns, std = canonical_columns(data.X, y)
+        X = data.X[:, list(columns)]
+        lam, _, _, start = cross_validate_lambda(X, y, seed=4)
+        models[movement] = widen(fit_lasso(X, y, lam, start=start), columns, std)
     assert written == coefficient_report(models)
 
 

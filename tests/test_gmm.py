@@ -179,6 +179,20 @@ def test_k_1_runs_em_and_lands_within_rounding_of_the_closed_form():
     assert worst["ll_singular"] <= 2e-10      # per row and dimension
 
 
+def test_k_1_fits_its_first_restart_which_every_restart_equals_bit_for_bit():
+    # fit_gmm runs one restart for K = 1; the reference runs all five and keeps the best, ties to
+    # the first. From EM's second step every responsibility is 1, so the seeding leaves no trace.
+    rng = np.random.default_rng(37)
+    for i in range(200):
+        d, n = int(rng.integers(1, 14)), int(rng.integers(1, 121))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + rng.uniform(-5.0, 5.0, d)
+        if i % 3 == 1:
+            X[:, : (d + 1) // 2] = rng.integers(0, 3, (n, (d + 1) // 2))
+        expected = _outcome(reference_em, X, 1, 5, i)
+        _assert_same_fit(_outcome(fit_gmm, X, 1, n_init=5, seed=i), expected)
+        _assert_same_fit(_outcome(fit_gmm, X, 1, n_init=1, seed=i), expected)
+
+
 # ----------------------------------------------------------------------- sampling
 
 def test_sampler_deterministic_and_empty():

@@ -12,11 +12,14 @@ from tmcda.lasso import (
     StandardizationParams,
     _lasso_path,
     _standardize,
+    canonical_columns,
     coefficient_report,
     cross_validate_lambda,
+    exact_solution,
     fit_lasso,
     lambda_max,
 )
+from tmcda.pipeline import LassoSettings, fit_selection
 from tmcda.synth import generate_synthetic_network
 
 from _oracles import (
@@ -25,6 +28,7 @@ from _oracles import (
     reference_cross_validate_lambda,
     reference_fit_lasso,
     reference_lasso_path,
+    reference_standardize,
     standardize,
     subgradient_violation,
 )
@@ -109,7 +113,7 @@ def test_zero_variance_column_recorded_and_excluded():
     X, y = _random_problem(7)
     X[:, 1] = 4.2
     model = fit_lasso(X, y, 0.05 * lambda_max(X, y))
-    assert model.standardization.zero_variance == (1,)
+    assert model.standardization.excluded == (1,)
     assert model.coef[1] == 0.0
     assert 1 not in model.selected
 
@@ -672,6 +676,8 @@ _ENTRY_POINTS = {
     "lambda_max": lambda_max,
     "fit_lasso": lambda X, y: fit_lasso(X, y, 0.1),
     "cross_validate_lambda": cross_validate_lambda,
+    "canonical_columns": canonical_columns,
+    "exact_solution": lambda X, y: exact_solution(X, y, 0.1),
 }
 
 
@@ -696,8 +702,6 @@ def test_every_lasso_entry_point_refuses_bad_inputs_with_one_message(entry):
 
 
 def test_fraction_mode_refuses_non_finite_inputs_instead_of_a_nan_penalty():
-    from tmcda.pipeline import LassoSettings, fit_selection
-
     X, y = _random_problem(13)
     X[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -710,6 +714,119 @@ def test_no_columns_give_lambda_max_zero_and_the_constant_response_cv_result():
     assert lambda_max(X, y) == 0.0
     lam, grid, mean_err, start = cross_validate_lambda(X, y)
     assert (lam, grid.tolist(), mean_err.tolist(), start.shape) == (0.0, [0.0], [0.0], (0,))
+
+
+# --------------------------------------------------------------------------- one standardization pass
+
+
+@st.composite
+def _scaled_designs(draw):
+    """Columns at scales 1e-8 to 1e8 and offsets up to 1e6, some constant, some entries -0.0, C or F order."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8.0, 8.0, p)
+    X += rng.uniform(-1e6, 1e6, p) * (rng.random(p) < 0.5)
+    for j in np.flatnonzero(rng.random(p) < 0.25):
+        X[:, j] = rng.choice([0.0, -0.0, 1.5, -3e5, 7e-9])
+    X[rng.random((n, p)) < 0.05] = -0.0
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return X, rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_designs())
+def test_standardization_is_numpys_mean_std_and_apply_bit_for_bit(design):
+    X, y = design
+    got, expected = _standardize(X, y), reference_standardize(X, y)
+    for a, b in zip(got[:2], expected[:2]):
+        assert _bits(a) == _bits(b)      # signed zeros included
+    for field in ("x_mean", "x_std", "y_mean"):
+        assert _bits(getattr(got[2], field)) == _bits(getattr(expected[2], field)), field
+    assert got[2].excluded == expected[2].excluded
+
+
+# --------------------------------------------------------------------------- the canonical design
+
+_COPIES = ["duplicate", "negated", "scaled", "shifted", "two", "constant"]
+
+
+@st.composite
+def _designs_with_copies(draw):
+    """``(X, y, kept)``: independent columns at random scales and offsets, and among them copies of
+    earlier columns (duplicated, negated, scaled, shifted, in the span of two) and constant columns.
+    ``kept`` lists the independent ones, which the copies follow."""
+    n = draw(st.integers(8, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, kept = [], []
+    for kind in draw(st.lists(st.sampled_from(["new"] * 3 + _COPIES), min_size=1, max_size=25)):
+        earlier = [j for j, col in enumerate(columns) if col.std() > 0.0]
+        if kind == "constant":
+            columns.append(np.full(n, rng.uniform(-5.0, 5.0)))
+        elif kind == "new" or not earlier:
+            if len(kept) >= n - 3:    # a new column stays well outside the span of n - 3 others
+                continue
+            kept.append(len(columns))
+            columns.append(rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.uniform(-100.0, 100.0))
+        else:
+            a, b = (columns[j] for j in rng.choice(earlier, 2))
+            columns.append({
+                "duplicate": a,
+                "negated": -a,
+                "scaled": 10.0 ** rng.uniform(-3.0, 3.0) * a,
+                "shifted": a + rng.uniform(-100.0, 100.0),
+                "two": 2.5 * a - 0.5 * b + 3.0,
+            }[kind])
+    X = np.column_stack(columns) if columns else np.zeros((n, 0))
+    Z, _, _ = reference_standardize(X, np.zeros(n))
+    y = Z @ rng.standard_normal(X.shape[1]) + 0.5 * rng.standard_normal(n)
+    return X, y, tuple(kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_designs_with_copies(), st.sampled_from([0.5, 0.2, 0.05, 0.01]))
+def test_the_canonical_columns_are_the_first_of_each_set_of_copies_with_full_rank_and_one_support(problem, fraction):
+    X, y, kept = problem
+    columns, std = canonical_columns(X, y)
+    # Schema order: each copy follows the column it copies, so exactly the independent columns stay.
+    assert columns == kept
+    Z, _, _ = reference_standardize(X[:, list(columns)], y)
+    assert np.linalg.matrix_rank(Z) == len(columns)
+    assert std.excluded == tuple(j for j in range(X.shape[1]) if np.ptp(X[:, j]) == 0.0)
+    # On the canonical design the lasso solution is unique: coordinate descent from zero keeps the
+    # support that fit_selection keeps from the exact path.
+    settings_ = LassoSettings(lambda_mode="fraction", lambda_value=fraction)
+    model = fit_selection(X, y, settings_, seed=0)
+    cold = fit_lasso(X[:, list(columns)], y, model.lam, tol=settings_.tol, max_sweeps=settings_.max_sweeps)
+    assert model.selected == tuple(columns[j] for j in cold.selected)
+    assert model.n_sweeps == 1
+
+
+def test_a_dropped_copy_takes_up_no_direction_that_a_later_column_needs():
+    # 8 rows: four independent columns, four copies, then a fifth independent column. A single QR
+    # spends one direction on each copy's rounding and has none left for the fifth column.
+    rng = np.random.default_rng(0)
+    first, fifth = rng.standard_normal((8, 4)), rng.standard_normal(8)
+    copies = [first[:, 2], -first[:, 1], 3.0 * first[:, 2] + 1.0, first[:, 0] - first[:, 3]]
+    X = np.column_stack([first, *copies, fifth])
+    columns, _ = canonical_columns(X, rng.standard_normal(8))
+    assert columns == (0, 1, 2, 3, 8)
+
+
+def test_the_exact_solution_is_the_path_at_lambda_and_zero_from_lambda_max_on():
+    X, y = _random_problem(14, n=40, p=6)
+    Z, yc, _ = _standardize(X, y)
+    G, c = Z.T @ Z / len(y), Z.T @ yc / len(y)
+    lam_hi = lambda_max(X, y)
+    for lam in (0.5 * lam_hi, 0.05 * lam_hi, 0.0):
+        expected = _lasso_path(G[None], c[None], np.array([lam]))[0, 0]
+        assert _bits(exact_solution(X, y, lam)) == _bits(expected)
+        assert subgradient_violation(Z, yc, expected, lam) <= 1e-9
+    for lam in (lam_hi, 2.0 * lam_hi):
+        assert _bits(exact_solution(X, y, lam)) == _bits(np.zeros(6))
+    for lam, message in ((-1.0, "lambda must be >= 0"), (math.nan, "lambda must be >= 0"), (math.inf, "finite")):
+        with pytest.raises(ValueError, match=message):
+            exact_solution(X, y, lam)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -138,7 +138,7 @@ def test_source_only_variant_skips_adaptation_stages(data3):
     assert result.config.boosting.alpha == 0.0
 
 
-def test_empty_selection_falls_back_to_all_features(data3):
+def test_empty_selection_falls_back_to_the_canonical_columns(data3):
     split = split_domains(data3, "I00")
     cfg = _fast_cfg()
     cfg = PipelineConfig(
@@ -147,9 +147,13 @@ def test_empty_selection_falls_back_to_all_features(data3):
         itml=cfg.itml, gmm=cfg.gmm, boosting=cfg.boosting,
         master_seed=cfg.master_seed, variant=cfg.variant,
     )
-    with pytest.warns(RuntimeWarning, match="empty"):
+    with pytest.warns(RuntimeWarning, match="falling back to the canonical columns"):
         result = run_estimation(split, cfg)
-    assert len(result.selected_features) >= 20  # all non-constant columns
+    # Not every non-constant column: that would bring the affine copies back.
+    X = split.source.X
+    columns, std = lasso.canonical_columns(X, split.source.movement_labels("left").astype(float))
+    assert result.selected_features == columns
+    assert len(columns) < X.shape[1] - len(std.excluded)
 
 
 def test_clamped_prediction():
@@ -502,21 +506,25 @@ def test_sweep_refuses_base_configs_that_share_a_movement_before_any_fold(data3,
 def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(data3, mode):
     X, y = data3.X, data3.movement_labels("through").astype(float)
     settings = LassoSettings(lambda_mode=mode, lambda_value=0.05, cv_folds=3, cv_grid_size=6, tol=1e-3, max_sweeps=2)
-    # cv starts coordinate descent from the CV path's solution, where one
-    # sweep converges; fraction and fixed start from zero and stop at the cap.
-    start = None
+    # The fit runs on the canonical columns, and in every mode coordinate
+    # descent starts from the exact path's solution, where one sweep converges.
+    columns, _ = lasso.canonical_columns(X, y)
+    X_fit = X[:, list(columns)]
     if mode == "cv":
-        lam, _, _, start = lasso.cross_validate_lambda(X, y, n_folds=3, grid_size=6, seed=4)
+        lam, _, _, start = lasso.cross_validate_lambda(X_fit, y, n_folds=3, grid_size=6, seed=4)
     else:
-        lam = {"fraction": 0.05 * lasso.lambda_max(X, y), "fixed": 0.05}[mode]
+        lam = {"fraction": 0.05 * lasso.lambda_max(X_fit, y), "fixed": 0.05}[mode]
+        start = lasso.exact_solution(X_fit, y, lam)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = pipeline.fit_selection(X, y, settings, seed=4)
-        expected = fit_lasso(X, y, lam, tol=1e-3, max_sweeps=2, start=start)
-    cap = "coordinate descent did not converge in 2 sweeps (last max coefficient change >= 0.001)"
-    assert [str(w.message) for w in caught] == ([] if mode == "cv" else [cap, cap])
-    assert model.lam == lam and model.n_sweeps == expected.n_sweeps == (1 if mode == "cv" else 2)
-    assert np.array_equal(model.coef, expected.coef) and model.selected == expected.selected
+        expected = fit_lasso(X_fit, y, lam, tol=1e-3, max_sweeps=2, start=start)
+    assert caught == []
+    assert 0 < len(columns) < X.shape[1]
+    assert model.lam == lam and model.n_sweeps == expected.n_sweeps == 1
+    assert np.array_equal(model.coef[list(columns)], expected.coef)
+    assert not model.coef[[j for j in range(X.shape[1]) if j not in columns]].any()
+    assert model.selected == tuple(columns[j] for j in expected.selected)
 
 
 def _counting(monkeypatch, module, name):
