@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -396,62 +395,49 @@ def canonical_columns(X: np.ndarray, y: np.ndarray) -> tuple[tuple[int, ...], St
 
     A column is kept when it is not constant and lies outside the span of
     the intercept and of the columns kept before it, by the path's Schur
-    test: its residual after projection keeps more than ``_SPAN_RTOL`` of
-    its own sum of squares. A QR of the standardized (so centered)
-    non-constant columns gives each column's squared residual against every
-    column before it, R[j, j]^2. A column that passes there passes against
-    the kept ones, which span less, so it is kept. A column that fails may
-    not fail against the kept ones alone: a failed column's R[j, j] is
-    rounding, and its Householder step still takes up one direction. So a
-    second QR, of R's kept columns followed by its failed ones (as Z = QR,
-    the factor of the design's columns in that order), gives each failed
-    column's projection on the kept columns before it: the sum of squares
-    of its entries in their rows. While one of them passes, the first that
-    does is kept, and the test is made again. On the kept columns, in
-    column order, the design has full column rank and the lasso a unique
+    test on the Gram matrix ``G`` of the standardized (so centered) design:
+    what the kept columns before it leave of its sum of squares,
+    ``G_jj - G_jK G_KK^-1 G_Kj``, exceeds ``_SPAN_RTOL`` of ``G_jj``. One
+    pass in column order builds the Cholesky factor of the kept columns'
+    block of ``G`` and reads each column's test off it. On the kept columns,
+    in column order, the design has full column rank and the lasso a unique
     solution; of each set of copies the earliest column is kept. Inputs are
     checked as in ``fit_lasso``.
     """
     Z, _, std = _standardize(*_checked(X, y))
-    sums = np.add.reduce(Z * Z, axis=0)
-    candidates = np.flatnonzero(sums)    # constant columns are zero
-    if not len(candidates):
-        return (), std
-    R = np.linalg.qr(Z[:, candidates], mode="r")
-    own = sums[candidates]
-    passed = np.zeros(len(candidates), dtype=bool)
-    passed[:len(R)] = np.diagonal(R) ** 2 > _SPAN_RTOL * own[:len(R)]
-    kept, failed = np.flatnonzero(passed), np.flatnonzero(~passed)    # positions among the candidates
-    while len(failed):
-        # Z[:, candidates] = Q R, so R's columns reordered factor as the design's would.
-        T = np.linalg.qr(R[:, np.concatenate((kept, failed))], mode="r")
-        # Row i of a failed column's T is its component along the i-th kept column's own direction.
-        along = np.cumsum(T[:len(kept), len(kept):] ** 2, axis=0)
-        before = np.searchsorted(kept, failed)
-        projected = np.where(before > 0, along[before - 1, np.arange(len(failed))], 0.0)
-        passes = np.flatnonzero(own[failed] - projected > _SPAN_RTOL * own[failed])
-        if not len(passes):
-            break
-        f = passes[0]
-        kept, failed = np.insert(kept, before[f], failed[f]), np.delete(failed, f)
-    return tuple(candidates[kept].tolist()), std
+    G = Z.T @ Z
+    # W[:k].T @ W[:k] is G's block on the k kept columns, and W[:k, j] is column j's projection on them.
+    W = np.zeros_like(G)
+    kept = []
+    for j, own in enumerate(np.diagonal(G).tolist()):
+        w = W[:len(kept), j]
+        schur = own - float(w.dot(w))
+        if schur > _SPAN_RTOL * own:    # constant columns are zero, 0 > 0 fails
+            W[len(kept)] = (G[j] - w @ W[:len(kept)]) / math.sqrt(schur)
+            kept.append(j)
+    return tuple(kept), std
 
 
-def exact_solution(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """The lasso's standardized solution at ``lam``, read off its exact path (zeros at or above lambda_max).
+def exact_solution(X: np.ndarray, y: np.ndarray, lam: float, *, of_lambda_max: bool = False) -> tuple[float, np.ndarray]:
+    """The penalty and the lasso's standardized solution there, read off its exact path.
 
-    This is where ``fit_selection`` starts coordinate descent in ``fraction``
-    and ``fixed`` mode; ``lam`` must be finite and >= 0, and inputs are
-    checked as in ``fit_lasso``.
+    The penalty is ``lam``, or with ``of_lambda_max`` ``lam`` times
+    ``lambda_max(X, y)``; at or above lambda_max the solution is zeros.
+    This is where ``fit_selection`` starts coordinate descent in
+    ``fraction`` and ``fixed`` mode. ``lam`` must be finite and >= 0, and
+    inputs are checked as in ``fit_lasso``.
     """
     X, y = _checked(X, y)
     _check_lambda(lam)
     Z, yc, _ = _standardize(X, y)
     n = len(yc)
     c = Z.T @ yc / n
-    if lam >= _max_abs(c):
-        return np.zeros(X.shape[1])
-    return _lasso_path((Z.T @ Z / n)[None], c[None], np.array([lam]))[0, 0]
+    lam_hi = _max_abs(c)
+    if of_lambda_max:
+        lam *= lam_hi
+    if lam >= lam_hi:
+        return lam, np.zeros(X.shape[1])
+    return lam, _lasso_path((Z.T @ Z / n)[None], c[None], np.array([lam]))[0, 0]
 
 
 def widen(model: LassoModel, columns: tuple[int, ...], std: StandardizationParams) -> LassoModel:
@@ -518,10 +504,9 @@ def cross_validate_lambda(
         return 0.0, np.zeros(1), np.zeros(1), np.zeros(X.shape[1])
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
     order = np.random.default_rng(seed).permutation(n)
-    # np.array_split's folds: consecutive slices, the first n % n_folds one row longer.
+    # np.array_split's folds, sliced without its overhead: the first n % n_folds are one row longer.
     size, extra = divmod(n, n_folds)
-    ends = list(accumulate([size + 1] * extra + [size] * (n_folds - extra), initial=0))
-    folds = [order[a:b] for a, b in zip(ends, ends[1:])]
+    folds = [order[f * size + min(f, extra):(f + 1) * size + min(f + 1, extra)] for f in range(n_folds)]
     grams, corrs, scalings = [], [], []
     for val_idx in folds:
         train = np.ones(n, dtype=bool)
@@ -541,8 +526,8 @@ def cross_validate_lambda(
     for f, (val_idx, std, coefs) in enumerate(zip(folds, scalings, paths)):
         # Zero-variance columns have unit scale and zero coefficients here.
         resid = (y[val_idx] - std.y_mean)[:, None] - std.apply(X[val_idx]) @ coefs.T
-        errors[f] = np.add.reduce(resid * resid, axis=0) / len(val_idx)
-    mean_err = np.add.reduce(errors, axis=0) / n_folds
+        errors[f] = np.mean(resid * resid, axis=0)
+    mean_err = errors.mean(axis=0)
     best = int(np.argmin(mean_err))
     return float(grid[best]), grid, mean_err, paths[-1, best]
 

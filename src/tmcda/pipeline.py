@@ -245,10 +245,9 @@ def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
             seed=seed,
         )
     else:
-        lam = settings.lambda_value
-        if settings.lambda_mode == "fraction":
-            lam *= lasso.lambda_max(X_fit, y)
-        start = lasso.exact_solution(X_fit, y, lam)
+        lam, start = lasso.exact_solution(
+            X_fit, y, settings.lambda_value, of_lambda_max=settings.lambda_mode == "fraction",
+        )
     model = lasso.fit_lasso(X_fit, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps, start=start)
     return lasso.widen(model, columns, std)
 

@@ -113,8 +113,9 @@ def test_select_matches_direct_library_call(tmp_path, data_file):
         y = data.movement_labels(movement).astype(float)
         columns, std = canonical_columns(data.X, y)
         X = data.X[:, list(columns)]
-        lam = 0.05 * lambda_max(X, y)
-        models[movement] = widen(fit_lasso(X, y, lam, start=exact_solution(X, y, lam)), columns, std)
+        lam, start = exact_solution(X, y, 0.05, of_lambda_max=True)
+        assert lam == 0.05 * lambda_max(X, y)
+        models[movement] = widen(fit_lasso(X, y, lam, start=start), columns, std)
     assert written == coefficient_report(models)
     assert len(written.strip().splitlines()) == 26
     # The columns outside the canonical design (constants and copies) print 0.

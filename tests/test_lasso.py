@@ -803,8 +803,8 @@ def test_the_canonical_columns_are_the_first_of_each_set_of_copies_with_full_ran
 
 
 def test_a_dropped_copy_takes_up_no_direction_that_a_later_column_needs():
-    # 8 rows: four independent columns, four copies, then a fifth independent column. A single QR
-    # spends one direction on each copy's rounding and has none left for the fifth column.
+    # 8 rows: four independent columns, four copies, then a fifth independent column. One QR of
+    # every column spends a direction on each copy's rounding and has none left for the fifth.
     rng = np.random.default_rng(0)
     first, fifth = rng.standard_normal((8, 4)), rng.standard_normal(8)
     copies = [first[:, 2], -first[:, 1], 3.0 * first[:, 2] + 1.0, first[:, 0] - first[:, 3]]
@@ -818,15 +818,19 @@ def test_the_exact_solution_is_the_path_at_lambda_and_zero_from_lambda_max_on():
     Z, yc, _ = _standardize(X, y)
     G, c = Z.T @ Z / len(y), Z.T @ yc / len(y)
     lam_hi = lambda_max(X, y)
-    for lam in (0.5 * lam_hi, 0.05 * lam_hi, 0.0):
+    for fraction in (0.5, 0.05, 0.0):
+        lam = fraction * lam_hi
         expected = _lasso_path(G[None], c[None], np.array([lam]))[0, 0]
-        assert _bits(exact_solution(X, y, lam)) == _bits(expected)
+        for got in (exact_solution(X, y, lam), exact_solution(X, y, fraction, of_lambda_max=True)):
+            assert got[0] == lam and _bits(got[1]) == _bits(expected)
         assert subgradient_violation(Z, yc, expected, lam) <= 1e-9
-    for lam in (lam_hi, 2.0 * lam_hi):
-        assert _bits(exact_solution(X, y, lam)) == _bits(np.zeros(6))
+    for fraction in (1.0, 2.0):
+        for got in (exact_solution(X, y, fraction * lam_hi), exact_solution(X, y, fraction, of_lambda_max=True)):
+            assert got[0] == fraction * lam_hi and _bits(got[1]) == _bits(np.zeros(6))
     for lam, message in ((-1.0, "lambda must be >= 0"), (math.nan, "lambda must be >= 0"), (math.inf, "finite")):
-        with pytest.raises(ValueError, match=message):
-            exact_solution(X, y, lam)
+        for of_lambda_max in (False, True):
+            with pytest.raises(ValueError, match=message):
+                exact_solution(X, y, lam, of_lambda_max=of_lambda_max)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -503,7 +503,7 @@ def test_sweep_refuses_base_configs_that_share_a_movement_before_any_fold(data3,
 
 
 @pytest.mark.parametrize("mode", pipeline.LAMBDA_MODES)
-def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(data3, mode):
+def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(data3, monkeypatch, mode):
     X, y = data3.X, data3.movement_labels("through").astype(float)
     settings = LassoSettings(lambda_mode=mode, lambda_value=0.05, cv_folds=3, cv_grid_size=6, tol=1e-3, max_sweeps=2)
     # The fit runs on the canonical columns, and in every mode coordinate
@@ -513,13 +513,24 @@ def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(da
     if mode == "cv":
         lam, _, _, start = lasso.cross_validate_lambda(X_fit, y, n_folds=3, grid_size=6, seed=4)
     else:
-        lam = {"fraction": 0.05 * lasso.lambda_max(X_fit, y), "fixed": 0.05}[mode]
-        start = lasso.exact_solution(X_fit, y, lam)
+        lam, start = lasso.exact_solution(X_fit, y, 0.05, of_lambda_max=mode == "fraction")
+        assert lam == {"fraction": 0.05 * lasso.lambda_max(X_fit, y), "fixed": 0.05}[mode]
+    # From the exact start one sweep converges at any tolerance, so the fit
+    # alone cannot show that the settings' tol and sweeps reach fit_lasso.
+    passed = []
+    original = lasso.fit_lasso
+
+    def recording(*args, **kwargs):
+        passed.append({k: kwargs.get(k) for k in ("tol", "max_sweeps")})
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lasso, "fit_lasso", recording)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = pipeline.fit_selection(X, y, settings, seed=4)
-        expected = fit_lasso(X_fit, y, lam, tol=1e-3, max_sweeps=2, start=start)
+    expected = original(X_fit, y, lam, tol=1e-3, max_sweeps=2, start=start)
     assert caught == []
+    assert passed == [{"tol": 1e-3, "max_sweeps": 2}]
     assert 0 < len(columns) < X.shape[1]
     assert model.lam == lam and model.n_sweeps == expected.n_sweeps == 1
     assert np.array_equal(model.coef[list(columns)], expected.coef)
