@@ -1,41 +1,30 @@
-"""L1-penalized linear regression via cyclic coordinate descent.
+"""L1-penalized linear regression, read off the exact homotopy path.
 
 The solver standardizes predictors to zero mean and unit variance, centers
 the response, and minimizes
 
     f(b) = (1/(2n)) * sum_i (y_i - yhat_i)^2 + lambda * sum_j |b_j|
 
-over the standardized coefficients, with an exact soft-threshold update per
-coordinate. Reported coefficients are mapped back to the original scale
-(fitted values are unchanged); optimality and objective values refer to the
-standardized problem, which makes a single lambda meaningful across columns
-with heterogeneous units.
+over the standardized coefficients. Reported coefficients are mapped back to
+the original scale (fitted values are unchanged); the objective value
+refers to the standardized problem, which makes a single lambda meaningful
+across columns with heterogeneous units.
 
-Each sweep logs the objective from the residual CD holds,
-r.r/(2n) + lambda * sum |b_j| (``math.fsum``), not from a fresh yc - Z b:
-the two differ by the residual's rounding drift, stated as at most
-1e-12 * f(0) and tested.
-
-Lambda is chosen by k-fold cross-validation without coordinate descent. The
-solution of f is piecewise linear in lambda (Osborne, Presnell & Turlach
-2000; Efron, Hastie, Johnstone & Tibshirani 2004), so each CV fold follows
-the exact homotopy path from lambda_max down the grid: between consecutive
-kinks, where a column enters or leaves the active set, the active
-coefficients are affine in lambda, and every grid point on a segment is read
-off that segment exactly. The folds' paths advance in lockstep, one kink per
-unfinished fold per step, and each step makes one stacked linear solve in
-the folds' active blocks of their Gram matrices ``G = Z'Z/n``, each padded
-to the step's largest active set with unit rows and columns (all empty
-while no column is active), with the segment's intercept, its slope and
-every column as right-hand sides. The path has no convergence tolerance;
-the padding reorders the solve's arithmetic, so a fold's path matches the
-same fold's path computed alone up to rounding. The full data is one more
-path in the same stack, and its solution at the chosen lambda is where the
-final coordinate descent starts in ``cv`` mode (the warm start of pathwise
-coordinate descent; Friedman, Hastie & Tibshirani 2010). At a given lambda,
-``exact_solution`` reads the same path at that one point, so the pipeline
-starts every final fit from the exact path: CD, not the path, still gives
-the final fit, and from there it usually stops after one sweep.
+The solution of f is piecewise linear in lambda (Osborne, Presnell & Turlach
+2000; Efron, Hastie, Johnstone & Tibshirani 2004), so the solver follows the
+exact homotopy path from lambda_max down: between consecutive kinks, where a
+column enters or leaves the active set, the active coefficients are affine
+in lambda, and every wanted lambda is read off its segment exactly. The path
+has no convergence tolerance and no sweep cap. ``fit_lasso`` follows one
+path down to one lambda. ``cross_validate_lambda`` follows every k-fold
+training set's path and the full data's in lockstep, one kink per unfinished
+path per step, and each step makes one stacked linear solve in the paths'
+active blocks of their Gram matrices ``G = Z'Z/n``, each padded to the
+step's largest active set with unit rows and columns (all empty while no
+column is active), with the segment's intercept, its slope and every column
+as right-hand sides. The padding reorders the solve's arithmetic, so a path
+in the stack matches the same path computed alone up to rounding. The full
+data's path, read at the chosen lambda, is the fitted model in ``cv`` mode.
 
 Standardization is one exact pass: the column sums, then the deviations,
 which give both the std and the standardized design, with the sums and the
@@ -52,7 +41,6 @@ column rank and its support does not depend on the solver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,11 +78,11 @@ class LassoModel:
     coef_std: np.ndarray
     lam: float
     selected: tuple[int, ...]          # columns with a nonzero coefficient, in column order
-    objective_value: float
-    converged: bool
-    n_sweeps: int
-    objective_trace: tuple[float, ...]
+    objective_value: float             # f at coef_std, from the residual yc - Z coef_std
     standardization: StandardizationParams
+    # Constants of the exact solver, kept because perfbench/tracer.py counts them on every fit.
+    converged: bool = True
+    n_sweeps: int = 0
 
 
 def _standardize(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, StandardizationParams]:
@@ -152,111 +140,6 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     """
     Z, yc, _ = _standardize(*_checked(X, y))
     return _max_abs(Z.T @ yc / len(yc))
-
-
-def fit_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
-    *,
-    start: np.ndarray | None = None,
-) -> LassoModel:
-    """Fit by cyclic coordinate descent with closed-form soft-thresholding.
-
-    Iterates full sweeps, each visiting every non-constant column, until the
-    maximum standardized-coefficient change in a sweep drops below ``tol``.
-    CD starts from ``start``, standardized coefficients, one per column
-    (zeros by default), with its entries at zero-variance columns set to 0.
-    ``objective_trace`` holds each sweep's objective from the running
-    residual, within 1e-12 of f(0) of the same objective recomputed from
-    ``coef_std``. A run that exhausts ``max_sweeps`` is returned with
-    ``converged=False`` and a warning, never silently.
-    ``X`` (n, p) and ``y`` (n,) must be finite with n >= 2, ``lam`` finite
-    and >= 0, ``tol`` > 0 (NaN is rejected for both), ``max_sweeps`` >= 1,
-    and ``start`` of shape (p,), finite, with a finite residual
-    ``yc - Z start``.
-    """
-    X, y = _checked(X, y)
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
-    _check_lambda(lam)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-
-    n, p = X.shape
-    Z, yc, std = _standardize(X, y)
-    active = np.ones(p, dtype=bool)
-    active[list(std.excluded)] = False
-    beta = [0.0] * p
-    r = yc.copy()
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (p,):
-            raise ValueError(f"start has shape {start.shape}; X has {p} columns, and start needs one entry per column")
-        if not np.isfinite(start).all():
-            raise ValueError("start must be finite")
-        start = np.where(active, start, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = yc - Z @ start
-        if not np.isfinite(r).all():
-            raise ValueError("start must leave a finite residual yc - Z start")
-        beta = start.tolist()
-
-    columns = [(j, Z[:, j]) for j in range(p) if active[j]]
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        max_delta = 0.0
-        for j, z in columns:
-            old = beta[j]
-            rho = float(z.dot(r)) / n + old
-            # Soft threshold; between -lam and lam the coefficient goes to
-            # zero, -0.0 for a negative rho, but one already at +-0 keeps its
-            # sign, as -0.0 == 0.0.
-            if rho > lam:
-                new = rho - lam
-            elif rho < -lam:
-                new = rho + lam
-            else:
-                new = math.copysign(0.0, rho)
-            if new != old:
-                r -= (new - old) * z
-                beta[j] = new
-                delta = abs(new - old)
-                if delta > max_delta:
-                    max_delta = delta
-        trace.append(float(r.dot(r)) / (2.0 * n) + lam * math.fsum(map(abs, beta)))
-        if max_delta < tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"coordinate descent did not converge in {max_sweeps} sweeps "
-            f"(last max coefficient change >= {tol:g})",
-            RuntimeWarning,
-        )
-
-    beta = np.array(beta)
-    coef = np.where(active, beta / std.x_std, 0.0)
-    intercept = std.y_mean - float(coef @ std.x_mean)
-    selected = tuple(int(j) for j in np.flatnonzero(beta != 0.0))
-    return LassoModel(
-        intercept=intercept,
-        coef=coef,
-        coef_std=beta,
-        lam=lam,
-        selected=selected,
-        objective_value=trace[-1],
-        converged=converged,
-        n_sweeps=sweeps,
-        objective_trace=tuple(trace),
-        standardization=std,
-    )
 
 
 # A candidate column whose residual after projection onto the active columns
@@ -418,26 +301,43 @@ def canonical_columns(X: np.ndarray, y: np.ndarray) -> tuple[tuple[int, ...], St
     return tuple(kept), std
 
 
-def exact_solution(X: np.ndarray, y: np.ndarray, lam: float, *, of_lambda_max: bool = False) -> tuple[float, np.ndarray]:
-    """The penalty and the lasso's standardized solution there, read off its exact path.
+def _model(Z: np.ndarray, yc: np.ndarray, std: StandardizationParams, lam: float, beta: np.ndarray) -> LassoModel:
+    """The model of the standardized solution ``beta`` at ``lam`` on ``Z``, ``yc``, standardized by ``std``."""
+    r = yc - Z @ beta
+    coef = beta / std.x_std
+    return LassoModel(
+        intercept=std.y_mean - float(coef @ std.x_mean),
+        coef=coef,
+        coef_std=beta,
+        lam=lam,
+        selected=tuple(np.flatnonzero(beta).tolist()),
+        objective_value=float(r @ r) / (2.0 * len(yc)) + lam * math.fsum(np.abs(beta)),
+        standardization=std,
+    )
+
+
+def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, *, of_lambda_max: bool = False) -> LassoModel:
+    """The lasso solution at penalty ``lam``, read off its exact path.
 
     The penalty is ``lam``, or with ``of_lambda_max`` ``lam`` times
-    ``lambda_max(X, y)``; at or above lambda_max the solution is zeros.
-    This is where ``fit_selection`` starts coordinate descent in
-    ``fraction`` and ``fixed`` mode. ``lam`` must be finite and >= 0, and
-    inputs are checked as in ``fit_lasso``.
+    ``lambda_max(X, y)``, and is the model's ``lam``; at or above
+    lambda_max every coefficient is exactly zero. Zero-variance columns are
+    excluded and keep coefficient 0. ``X`` (n, p) and ``y`` (n,) must be
+    finite with n >= 2, and ``lam`` finite and >= 0.
     """
     X, y = _checked(X, y)
+    if X.shape[0] < 2:
+        raise ValueError("need at least 2 rows")
     _check_lambda(lam)
-    Z, yc, _ = _standardize(X, y)
+    Z, yc, std = _standardize(X, y)
     n = len(yc)
     c = Z.T @ yc / n
     lam_hi = _max_abs(c)
     if of_lambda_max:
         lam *= lam_hi
     if lam >= lam_hi:
-        return lam, np.zeros(X.shape[1])
-    return lam, _lasso_path((Z.T @ Z / n)[None], c[None], np.array([lam]))[0, 0]
+        return _model(Z, yc, std, lam, np.zeros(X.shape[1]))
+    return _model(Z, yc, std, lam, _lasso_path((Z.T @ Z / n)[None], c[None], np.array([lam]))[0, 0])
 
 
 def widen(model: LassoModel, columns: tuple[int, ...], std: StandardizationParams) -> LassoModel:
@@ -472,19 +372,21 @@ def cross_validate_lambda(
     grid_size: int = 50,
     lam_min_ratio: float = 1e-3,
     seed: int = 0,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, LassoModel]:
     """Pick lambda by k-fold CV over a descending logarithmic grid.
 
     Returns (best lambda, grid, mean validation MSE per grid point, the
-    full data's standardized solution at the best lambda). Each fold's grid
+    full data's ``LassoModel`` at the best lambda). Each fold's grid
     solutions are exact points of its lasso path on the standardized
     training rows; one ``_lasso_path`` call follows every fold's path and
     the full data's in lockstep, and each fold's grid points are scored on
-    its validation rows at once. Ties resolve to the largest (sparsest)
-    lambda. Fold assignment depends only on the seed, and fold results are
-    independent of evaluation order: permuting the folds permutes the
-    paths bit for bit. With no column to penalize (lambda_max is 0) the
-    result is (0.0, [0.0], [0.0], zeros). ``n_folds`` must be >= 2 and
+    its validation rows at once. The model is the full data's path read at
+    the best lambda, on the full data's standardization, which is
+    ``fit_lasso``'s. Ties resolve to the largest (sparsest) lambda. Fold
+    assignment depends only on the seed, and fold results are independent
+    of evaluation order: permuting the folds permutes the paths bit for
+    bit. With no column to penalize (lambda_max is 0) the result is (0.0,
+    [0.0], [0.0], the all-zero model at 0.0). ``n_folds`` must be >= 2 and
     ``grid_size`` >= 1.
     """
     X, y = _checked(X, y)
@@ -497,11 +399,11 @@ def cross_validate_lambda(
     n = len(y)
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")
-    Z, yc, _ = _standardize(X, y)
+    Z, yc, full = _standardize(X, y)
     c = Z.T @ yc / n
     lam_hi = _max_abs(c)
     if lam_hi == 0.0:
-        return 0.0, np.zeros(1), np.zeros(1), np.zeros(X.shape[1])
+        return 0.0, np.zeros(1), np.zeros(1), _model(Z, yc, full, 0.0, np.zeros(X.shape[1]))
     grid = lam_hi * np.logspace(0.0, np.log10(lam_min_ratio), grid_size)
     order = np.random.default_rng(seed).permutation(n)
     # np.array_split's folds, sliced without its overhead: the first n % n_folds are one row longer.
@@ -529,7 +431,8 @@ def cross_validate_lambda(
         errors[f] = np.mean(resid * resid, axis=0)
     mean_err = errors.mean(axis=0)
     best = int(np.argmin(mean_err))
-    return float(grid[best]), grid, mean_err, paths[-1, best]
+    lam = float(grid[best])
+    return lam, grid, mean_err, _model(Z, yc, full, lam, paths[-1, best])
 
 
 def coefficient_report(models: dict[str, LassoModel], movements: tuple[str, ...] = MOVEMENTS) -> str:

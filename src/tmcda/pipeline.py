@@ -63,6 +63,8 @@ class LassoSettings:
     cv_folds: int = 5
     cv_grid_size: int = 50
     lam_min_ratio: float = 1e-3
+    # Accepted and checked, but read by nothing: the fit is the exact path, which has no
+    # tolerance or sweep cap. They go when the benchmark's workloads stop passing them.
     tol: float = 1e-8
     max_sweeps: int = 10_000
 
@@ -218,26 +220,25 @@ def _run_stage(memo: dict, key: tuple, fn, *args):
 
 
 def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: int) -> lasso.LassoModel:
-    """The lasso fit of step 1, on the canonical design: the penalty under ``settings.lambda_mode``, then ``fit_lasso``.
+    """The lasso fit of step 1, on the canonical design, at the penalty ``settings.lambda_mode`` gives.
 
     The canonical design is ``X``'s canonical columns
     (``lasso.canonical_columns``): the non-constant columns outside the span
     of the intercept and of the columns kept before them, on these rows. On
     it the lasso solution is unique, so the support does not depend on the
     solver. ``cv`` cross-validates over the settings' grid with fold
-    assignment from ``seed``; ``fraction`` scales that design's lambda_max
-    by ``lambda_value``; ``fixed`` uses ``lambda_value`` as is. In every
-    mode coordinate descent, at the settings' tol and sweeps, starts from
-    the exact path's solution at that penalty: in ``cv`` mode the full
-    data's path in the CV stack, otherwise ``lasso.exact_solution``. The
-    model is returned for all of ``X``'s columns (``lasso.widen``), with 0
-    for the columns outside the canonical design, which join
-    ``standardization.excluded``; the penalty is its ``lam``.
+    assignment from ``seed`` and takes the full data's model from the CV;
+    ``fraction`` scales that design's lambda_max by ``lambda_value``;
+    ``fixed`` uses ``lambda_value`` as is. In every mode the fit is the
+    exact path at the penalty. The model is returned for all of ``X``'s
+    columns (``lasso.widen``), with 0 for the columns outside the canonical
+    design, which join ``standardization.excluded``; the penalty is its
+    ``lam``.
     """
     columns, std = lasso.canonical_columns(X, y)
     X_fit = X[:, list(columns)]
     if settings.lambda_mode == "cv":
-        lam, _, _, start = lasso.cross_validate_lambda(
+        _, _, _, model = lasso.cross_validate_lambda(
             X_fit, y,
             n_folds=settings.cv_folds,
             grid_size=settings.cv_grid_size,
@@ -245,10 +246,7 @@ def fit_selection(X: np.ndarray, y: np.ndarray, settings: LassoSettings, seed: i
             seed=seed,
         )
     else:
-        lam, start = lasso.exact_solution(
-            X_fit, y, settings.lambda_value, of_lambda_max=settings.lambda_mode == "fraction",
-        )
-    model = lasso.fit_lasso(X_fit, y, lam, tol=settings.tol, max_sweeps=settings.max_sweeps, start=start)
+        model = lasso.fit_lasso(X_fit, y, settings.lambda_value, of_lambda_max=settings.lambda_mode == "fraction")
     return lasso.widen(model, columns, std)
 
 

@@ -73,10 +73,11 @@ def subgradient_violation(Z, yc, beta, lam):
 # Reference lasso solvers: the homotopy path of one fold at a time with
 # np.ix_ gathers, a setdiff1d inactive set, two solves per kink and one grid
 # row at a time; coordinate descent on a numpy coefficient vector with
-# np.sign. The library's ``fit_lasso`` must return the same bytes, the sign
-# of every zero included. Its ``_lasso_path`` and ``cross_validate_lambda``,
-# which follow every fold's path in lockstep, must return the same lambda
-# and match the rest within the tolerance stated in tests/test_lasso.py.
+# np.sign. The library's ``_lasso_path`` and ``cross_validate_lambda``, which
+# follow every fold's path in lockstep, must return the same lambda and
+# match the rest within the tolerance stated in tests/test_lasso.py; its
+# ``fit_lasso``, the path at one lambda, must reach coordinate descent's
+# support and objective on a design of full column rank.
 
 
 def _reference_solve(M, rhs):
@@ -161,11 +162,12 @@ def reference_cross_validate_lambda(X, y, n_folds, grid_size, lam_min_ratio, see
     return float(grid[int(np.argmin(mean_err))]), mean_err
 
 
-def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000, start=None):
-    """The ``LassoModel`` that ``fit_lasso`` returns on valid inputs, without its warning.
+def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000):
+    """The ``LassoModel`` of cyclic coordinate descent, on valid inputs, with its sweeps and convergence.
 
-    CD starts from ``start`` (zeros by default) with its zero-variance
-    entries set to 0, and from the residual ``yc - Z start``.
+    CD starts from zero; sweeps stop when no coefficient moves by ``tol`` or
+    more, or after ``max_sweeps``. The objective is that of its final
+    residual.
     """
     from tmcda.lasso import LassoModel, _standardize
 
@@ -176,9 +178,8 @@ def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000, start=None):
     active = np.ones(p, dtype=bool)
     active[list(std.excluded)] = False
 
-    beta = np.zeros(p) if start is None else np.where(active, np.asarray(start, dtype=float), 0.0)
-    r = yc - Z @ beta
-    trace = []
+    beta = np.zeros(p)
+    r = yc.copy()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -193,7 +194,7 @@ def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000, start=None):
                 r -= (new - old) * Z[:, j]
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        trace.append(float(r.dot(r)) / (2.0 * n) + lam * math.fsum(np.abs(beta)))
+        objective = float(r.dot(r)) / (2.0 * n) + lam * math.fsum(np.abs(beta))
         if max_delta < tol:
             converged = True
             break
@@ -207,11 +208,10 @@ def reference_fit_lasso(X, y, lam, tol=1e-8, max_sweeps=10_000, start=None):
         coef_std=beta,
         lam=lam,
         selected=selected,
-        objective_value=trace[-1],
+        objective_value=objective,
+        standardization=std,
         converged=converged,
         n_sweeps=sweeps,
-        objective_trace=tuple(trace),
-        standardization=std,
     )
 
 

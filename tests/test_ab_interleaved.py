@@ -39,12 +39,19 @@ def _in_a_git_checkout():
     return subprocess.run(["git", "-C", str(_ROOT), "rev-parse", "HEAD"], capture_output=True).returncode == 0
 
 
+def _working_tree_commit():
+    """A commit of the working tree's tracked files (``git stash create``, which moves no ref and
+    changes no file), or HEAD when they equal it: as the base, the same code as the change side."""
+    out = subprocess.run(["git", "-C", str(_ROOT), "stash", "create"], capture_output=True, text=True, check=True)
+    return out.stdout.strip() or "HEAD"
+
+
 @pytest.mark.skipif(not _in_a_git_checkout(), reason="the base side is extracted from a git revision")
 @pytest.mark.parametrize("stage", [[], ["--stage", "itml.fit_itml"], ["--stage", "lasso.fit_lasso"]],
                          ids=["whole-calls", "stage", "lasso-stage"])
 def test_smoke_run_against_head(stage):
     out = subprocess.run([sys.executable, str(_TOOL), "--workload", "alpha-sweep", "--seed", "1", "--inputs", "1",
-                          "--rounds", "1", "--smoke", "--base", "HEAD"] + stage,
+                          "--rounds", "1", "--smoke", "--base", _working_tree_commit()] + stage,
                          capture_output=True, text=True, check=True).stdout.splitlines()
     header = out[0].split(", ")
     assert header[0] == "workload alpha-sweep (smoke)" and header[-1] == "process time"

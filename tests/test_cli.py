@@ -10,7 +10,7 @@ from tmcda import cli, gmm, itml, lasso
 from tmcda.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from tmcda.dataset import load_table, write_table
 from tmcda.lasso import (
-    canonical_columns, coefficient_report, cross_validate_lambda, exact_solution, fit_lasso, lambda_max, widen,
+    canonical_columns, coefficient_report, cross_validate_lambda, fit_lasso, lambda_max, widen,
 )
 from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
 from tmcda.runconfig import ConfigError, apply_entries, parse_flat_file
@@ -113,9 +113,9 @@ def test_select_matches_direct_library_call(tmp_path, data_file):
         y = data.movement_labels(movement).astype(float)
         columns, std = canonical_columns(data.X, y)
         X = data.X[:, list(columns)]
-        lam, start = exact_solution(X, y, 0.05, of_lambda_max=True)
-        assert lam == 0.05 * lambda_max(X, y)
-        models[movement] = widen(fit_lasso(X, y, lam, start=start), columns, std)
+        model = fit_lasso(X, y, 0.05, of_lambda_max=True)
+        assert model.lam == 0.05 * lambda_max(X, y)
+        models[movement] = widen(model, columns, std)
     assert written == coefficient_report(models)
     assert len(written.strip().splitlines()) == 26
     # The columns outside the canonical design (constants and copies) print 0.
@@ -137,8 +137,7 @@ def test_select_cv_matches_direct_library_call(tmp_path, data_file):
         y = data.movement_labels(movement).astype(float)
         columns, std = canonical_columns(data.X, y)
         X = data.X[:, list(columns)]
-        lam, _, _, start = cross_validate_lambda(X, y, seed=4)
-        models[movement] = widen(fit_lasso(X, y, lam, start=start), columns, std)
+        models[movement] = widen(cross_validate_lambda(X, y, seed=4)[3], columns, std)
     assert written == coefficient_report(models)
 
 

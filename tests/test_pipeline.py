@@ -503,39 +503,45 @@ def test_sweep_refuses_base_configs_that_share_a_movement_before_any_fold(data3,
 
 
 @pytest.mark.parametrize("mode", pipeline.LAMBDA_MODES)
-def test_selection_fits_at_the_lambda_mode_penalty_and_the_settings_tolerance(data3, monkeypatch, mode):
+def test_selection_is_the_fit_at_the_lambda_mode_penalty_whatever_the_tolerance_settings(data3, mode):
     X, y = data3.X, data3.movement_labels("through").astype(float)
-    settings = LassoSettings(lambda_mode=mode, lambda_value=0.05, cv_folds=3, cv_grid_size=6, tol=1e-3, max_sweeps=2)
-    # The fit runs on the canonical columns, and in every mode coordinate
-    # descent starts from the exact path's solution, where one sweep converges.
+    # The fit runs on the canonical columns: in cv mode it is the CV's model of
+    # the full data, otherwise fit_lasso at the mode's penalty.
     columns, _ = lasso.canonical_columns(X, y)
     X_fit = X[:, list(columns)]
     if mode == "cv":
-        lam, _, _, start = lasso.cross_validate_lambda(X_fit, y, n_folds=3, grid_size=6, seed=4)
+        expected = lasso.cross_validate_lambda(X_fit, y, n_folds=3, grid_size=6, seed=4)[3]
     else:
-        lam, start = lasso.exact_solution(X_fit, y, 0.05, of_lambda_max=mode == "fraction")
-        assert lam == {"fraction": 0.05 * lasso.lambda_max(X_fit, y), "fixed": 0.05}[mode]
-    # From the exact start one sweep converges at any tolerance, so the fit
-    # alone cannot show that the settings' tol and sweeps reach fit_lasso.
-    passed = []
-    original = lasso.fit_lasso
-
-    def recording(*args, **kwargs):
-        passed.append({k: kwargs.get(k) for k in ("tol", "max_sweeps")})
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lasso, "fit_lasso", recording)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        model = pipeline.fit_selection(X, y, settings, seed=4)
-    expected = original(X_fit, y, lam, tol=1e-3, max_sweeps=2, start=start)
-    assert caught == []
-    assert passed == [{"tol": 1e-3, "max_sweeps": 2}]
+        expected = fit_lasso(X_fit, y, 0.05, of_lambda_max=mode == "fraction")
+        assert expected.lam == {"fraction": 0.05 * lasso.lambda_max(X_fit, y), "fixed": 0.05}[mode]
     assert 0 < len(columns) < X.shape[1]
-    assert model.lam == lam and model.n_sweeps == expected.n_sweeps == 1
-    assert np.array_equal(model.coef[list(columns)], expected.coef)
-    assert not model.coef[[j for j in range(X.shape[1]) if j not in columns]].any()
-    assert model.selected == tuple(columns[j] for j in expected.selected)
+    others = [j for j in range(X.shape[1]) if j not in columns]
+    # lasso.tol and lasso.max_sweeps are accepted and change nothing.
+    for tol, max_sweeps in ((1e-8, 10_000), (1e-3, 2), (0.5, 1)):
+        settings = LassoSettings(lambda_mode=mode, lambda_value=0.05, cv_folds=3, cv_grid_size=6,
+                                 tol=tol, max_sweeps=max_sweeps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = pipeline.fit_selection(X, y, settings, seed=4)
+        assert caught == []
+        assert (model.lam, model.intercept, model.objective_value) == (
+            expected.lam, expected.intercept, expected.objective_value)
+        for field in ("coef", "coef_std"):
+            assert getattr(model, field)[list(columns)].tobytes() == getattr(expected, field).tobytes()
+            assert not getattr(model, field)[others].any()
+        assert model.selected == tuple(columns[j] for j in expected.selected)
+
+
+def test_selection_at_lambda_max_keeps_no_column_whatever_the_blas_kernel():
+    # loo-cv seed 4, input 4, fold 0: CV picks lambda_max. Coordinate descent, comparing it with
+    # its own z.r/n, kept column 1 at 8.9e-16 under OpenBLAS's Katmai kernels only; the path
+    # gives exact zeros under every kernel.
+    seed = int(np.random.SeedSequence((4, 4)).generate_state(1)[0])
+    split = split_domains(generate_synthetic_network(seed, 2, 1.0, 64), "I00")
+    y = split.source.movement_labels("through").astype(float)
+    model = pipeline.fit_selection(split.source.X, y, LassoSettings(lam_min_ratio=0.1), stage_seed(seed, "lasso"))
+    assert model.selected == ()
+    assert not model.coef_std.any()
 
 
 def _counting(monkeypatch, module, name):
