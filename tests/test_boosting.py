@@ -441,10 +441,11 @@ def _reference_data(Xs, ys, Xt, yt, alpha):
             np.concatenate([np.full(len(ys), 1.0 - alpha), np.full(len(yt), alpha)]))
 
 
+@pytest.mark.parametrize("max_depth", [1, 3])
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha):
+def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha, max_depth):
     Xs, ys, Xt, yt = _two_domain_problem(20, n1=30, n2=10)
-    config = TrainConfig(n_stages=25, max_depth=3, shrinkage=0.3, alpha=alpha)
+    config = TrainConfig(n_stages=25, max_depth=max_depth, shrinkage=0.3, alpha=alpha)
     model = fit_gbbw(Xs, ys, Xt, yt, config)
     X, y, w = _reference_data(Xs, ys, Xt, yt, alpha)
     F = np.full(len(y), model.f0)
@@ -453,6 +454,79 @@ def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha):
         F = F + config.shrinkage * stage_tree.predict(X)
         expected.append(float(w @ (0.5 * (y - F) ** 2)))
     assert model.loss_trace == tuple(expected)
+
+
+@st.composite
+def _stump_fits(draw):
+    """Two domains over 1-3 columns (some tie-heavy) and a stump config, ``min_samples_leaf`` up to the rows fit on."""
+    alpha = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    n1 = draw(st.integers(1, 20))
+    n2 = draw(st.integers(1 if alpha > 0 else 0, 10))
+    kinds = draw(st.lists(st.integers(0, len(_CELLS) - 1), min_size=1, max_size=3))
+    X = np.array([[draw(_CELLS[k]) for k in kinds] for _ in range(n1 + n2)]).reshape(n1 + n2, len(kinds))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(-1e3, 1e3, allow_nan=False),
+                               min_size=n1 + n2, max_size=n1 + n2)))
+    n = {0.0: n1, 1.0: n2}.get(alpha, n1 + n2)
+    config = TrainConfig(n_stages=draw(st.integers(1, 8)), max_depth=1, min_samples_leaf=draw(st.integers(1, n)),
+                         shrinkage=draw(st.sampled_from([0.1, 1.0])), alpha=alpha)
+    return X[:n1], y[:n1], X[n1:], y[n1:], config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stump_fits())
+# Every column ties on every row: the root has no candidate, and every stage is one leaf.
+@example(case=(np.ones((3, 2)), np.array([0.0, 1.0, 5.0]), np.ones((2, 2)), np.array([2.0, -3.0]),
+               TrainConfig(n_stages=4, max_depth=1, min_samples_leaf=1, shrinkage=1.0, alpha=0.3)))
+def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
+    # A stump stage moves F in place, leaf by leaf, through fit_stump's rows;
+    # each stage's weighted residuals, the loss trace and the predictions on
+    # the training rows are those of F + shrinkage * tree.predict(X).
+    Xs, ys, Xt, yt, config = case
+    X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
+    fit, seen = boosting.fit_stump, []
+
+    def recording_fit(plan, wr):
+        seen.append(wr.copy())
+        return fit(plan, wr)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boosting, "fit_stump", recording_fit)
+        model = fit_gbbw(Xs, ys, Xt, yt, config)
+    assert model.f0 == float(w @ y / w.sum())
+    assert len(seen) == model.n_stages == config.n_stages
+    F = np.full(len(y), model.f0)
+    expected = [float(w.dot(0.5 * (y - F) ** 2))]
+    for stage_tree, wr in zip(model.stages, seen):
+        assert wr.tobytes() == (w * (y - F)).tobytes()
+        assert stage_tree == reference_tree(X, y - F, w, 1, config.min_samples_leaf)
+        F = F + config.shrinkage * stage_tree.predict(X)
+        expected.append(float(w.dot(0.5 * (y - F) ** 2)))
+    assert model.loss_trace == tuple(expected)
+    assert predict(model, X).tobytes() == F.tobytes()
+
+
+_TINY = (1.0 + 2.0 ** -52) * 2.0 ** -1022      # below 2^-1021, with the lowest mantissa bit set
+
+
+@pytest.mark.parametrize("w, r, same", [
+    (np.full(2, _TINY), np.ones(2), False),        # each halved term rounds on its own: 2^-1022 against _TINY
+    (np.full(2, 2.0 * _TINY), np.ones(2), True),   # at 2^-1021 halving is exact
+    (np.ones(2), np.full(2, 1e154), False),        # 2e308 overflows; the halved total, 1e308, does not
+    (np.ones(2), np.full(2, 9e153), True),         # 1.62e308 is finite
+])
+def test_the_loss_is_the_halved_terms_sum_inside_the_stated_range_and_not_past_either_edge(w, r, same):
+    with np.errstate(over="ignore"):
+        assert (boosting._weighted_loss(w, r) == float(w.dot(0.5 * r ** 2))) == same
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(1e-3, 10.0),
+                          st.sampled_from([0.0, -1.0]) | st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)),
+                min_size=1, max_size=24))
+def test_the_loss_is_the_halved_terms_sum_bit_for_bit_inside_the_stated_range(pairs):
+    # Every nonzero w r^2 is at least 1e-303 > 2^-1021, and the total at most 2.4e302.
+    w, r = (np.array(column) for column in zip(*pairs))
+    assert boosting._weighted_loss(w, r) == float(w.dot(0.5 * r ** 2))
 
 
 @st.composite

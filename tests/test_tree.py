@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda.boosting import TrainConfig, fit_gbbw
-from tmcda.tree import Forest, RegressionTree, SplitPlan, fit_tree
+from tmcda.tree import Forest, RegressionTree, SplitPlan, fit_stump, fit_tree
 
 from _oracles import BruteTree, brute_force_split, reference_tree
 
@@ -362,6 +362,22 @@ def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     kept = w > 0
     assert np.array_equal(leaf_values[kept], tree.predict(X)[kept])
     assert np.isnan(leaf_values[~kept]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fits())
+@example((np.ones((4, 2)), np.array([1.0, -1.0, 2.0, 0.0]), np.array([1.0, 0.0, 2.0, 1.0]), 1, 1))   # no candidate
+def test_a_stumps_leaves_hold_every_weighted_row_once_with_the_value_it_predicts(fit):
+    X, r, w, _, min_samples_leaf = fit
+    plan = SplitPlan.build(X, w, min_samples_leaf)
+    stump, leaves = fit_stump(plan, w * r)
+    assert stump == fit_tree(plan, r, 1) == reference_tree(X, r, w, 1, min_samples_leaf)
+    assert len(leaves) == (stump.n_nodes + 1) // 2
+    predicted, hits = stump.predict(X), np.zeros(len(r), dtype=int)
+    for rows, value in leaves:
+        hits += np.bincount(np.arange(len(r))[rows], minlength=len(r))
+        assert np.array_equal(predicted[rows], np.full(len(predicted[rows]), value))
+    assert np.array_equal(hits, (w > 0).astype(int))
 
 
 @st.composite
