@@ -12,16 +12,10 @@ The loss is squared error only, the case gradient boosting (Friedman 2001,
 with a closed-form stage multiplier. A fit updates F, r = y - F and the stage
 tree's leaf values h in place; no tree writes h at a zero-weight row.
 
-A stump fit (``max_depth`` 1, the paper's 60-stage setting) takes each stage
-from ``tree.fit_stump``: one search of the plan's root on w * r, no tree
-loop and no h. It moves F in place, F[rows] += shrinkage * leaf for each
-leaf's rows, which are the root's rows sorted along the cut's feature, up
-to the cut and after it (the root's rows for a one-leaf stage). Each row
-gets the same double as from h and F += shrinkage * h: one product of
-shrinkage and its leaf's value, then one addition. The rows outside the
-root, those of weight 0, are not touched, where F += shrinkage * h added
-+0.0 to them; ``fit_gbbw`` and ``fit_gradient_boosting`` give every row a
-positive weight, so there are none.
+Every stage, at every ``max_depth``, is one ``tree.fit_tree`` call on the
+fit's ``SplitPlan``, which writes h, and one update F += shrinkage * h. A
+stump fit (``max_depth`` 1, the paper's 60-stage setting) searches only the
+plan's root, which every stage shares.
 
 That multiplier is sum(w r h) / sum(w h^2), and it is 1: each leaf's value
 is the weighted mean of its rows' residuals, WR_L / W_L, so both sums equal
@@ -47,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import Forest, RegressionTree, SplitPlan, fit_stump, fit_tree
+from .tree import Forest, RegressionTree, SplitPlan, fit_tree
 
 
 @dataclass(frozen=True)
@@ -136,22 +130,14 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig) -> 
     F = np.full(len(y), f0)
     r = y - F
     h = np.zeros(len(y))
-    # Under unit weights (fit_gradient_boosting's) w * r is r itself, bit for bit.
-    wr = r if np.all(w == 1.0) else np.empty(len(y))
     stages = []
     trace = [_weighted_loss(w, r)]
     plan = SplitPlan.build(X, w, config.min_samples_leaf)
-    shrinkage = config.shrinkage
+    max_depth, shrinkage = config.max_depth, config.shrinkage
     for _ in range(config.n_stages):
-        if config.max_depth == 1:
-            tree, leaves = fit_stump(plan, wr if wr is r else np.multiply(w, r, out=wr))
-            for rows, leaf in leaves:
-                F[rows] += shrinkage * leaf
-        else:
-            tree = fit_tree(plan, r, config.max_depth, leaf_values=h)
-            F += shrinkage * h
+        stages.append(fit_tree(plan, r, max_depth, leaf_values=h))
+        F += shrinkage * h
         np.subtract(y, F, out=r)
-        stages.append(tree)
         trace.append(_weighted_loss(w, r))
     return BoostedModel(
         f0=f0,

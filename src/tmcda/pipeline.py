@@ -296,9 +296,11 @@ def _estimate(split: DomainSplit, config: PipelineConfig, memo: dict) -> Estimat
     config = config.as_run()
     X = split.source.X
     y = split.source.movement_labels(config.movement).astype(float)
-    key = ("lasso", config.movement, config.lasso, config.master_seed)
+    settings = config.lasso    # keyed on what fit_selection reads: tol and max_sweeps do not change the fit
+    key = ("lasso", config.movement, settings.lambda_mode, settings.lambda_value, settings.cv_folds,
+           settings.cv_grid_size, settings.lam_min_ratio, config.master_seed)
     model, selected = _run_stage(
-        memo, key, _select_features, X, y, config.lasso, stage_seed(config.master_seed, "lasso"),
+        memo, key, _select_features, X, y, settings, stage_seed(config.master_seed, "lasso"),
     )
     Zs = model.standardization.apply(X, list(selected))
     Zt = model.standardization.apply(split.target_features.X, list(selected))

@@ -67,16 +67,14 @@ is shared between fits.
 ``fit_tree`` grows the node table depth first, left child first, so nodes
 are numbered in preorder and a split node's left child is the node right
 after it; the table becomes a frozen ``RegressionTree`` once, when the fit
-ends. A depth-1 tree, a stump, needs none of that: ``fit_stump`` searches
-the plan's root, which holds the search every stage of a stump boosting fit
-shares, and writes the table of at most three nodes directly. It also
-returns where its leaves go, as the root's rows sorted along the cut's
-feature split at the cut, so a boosting stage can move F by a stump without
-a vector of leaf values. ``fit_tree`` fits its depth-1 trees through it, so
-there is one depth-1 implementation; the loop above fits depths 0 and 2 on.
-The root's total is the pairwise sum of ``w * r`` over its rows either way,
-taken over ``w * r`` itself, with no gather, when every row has positive
-weight (the same additions in the same order).
+ends. Every depth, stumps included, goes through that one loop. It starts
+at the plan's root, whose search every tree of the fit shares; a depth-1
+tree is a root split at ``max_depth - 1``, so both its leaves come from
+the root's search, with no row masks. The root's total is the pairwise sum
+of ``w * r`` over its rows, taken over ``w * r`` itself, with no gather,
+when every row has positive weight (the same additions in the same order).
+The plan decides once whether every weight is 1, and then hands ``r`` on
+as ``w * r``, the same doubles, without the product.
 
 Prediction is one walk, ``Forest.leaves``. A ``Forest`` lays trees' node
 tables end to end, once, with children renumbered into the one table and
@@ -247,7 +245,8 @@ class SplitPlan:
     ``w`` holds one weight per row of ``X``. ``order`` and ``xsorted`` are
     each feature's stable ascending row order and the sorted values, both
     (n_features, n_rows); ``root`` is the root node, the rows with positive
-    weight, and ``every_row`` tells whether that is every row. ``_memo``
+    weight, ``every_row`` tells whether that is every row and
+    ``unit_weights`` whether every weight is 1. ``_memo``
     holds the other nodes that ``node`` built last, at most ``_MEMO_BYTES``
     of them. ``X`` is read at each split, so it must not change meanwhile.
     """
@@ -259,6 +258,7 @@ class SplitPlan:
     xsorted: np.ndarray
     root: _Node
     every_row: bool
+    unit_weights: bool
     _memo: _NodeMemo = field(init=False, compare=False, repr=False, default_factory=_NodeMemo)
 
     @classmethod
@@ -279,7 +279,11 @@ class SplitPlan:
         root = _node(order, xsorted, w, w > 0, min_samples_leaf)
         if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
             raise ValueError(f"weights must have a finite total, got {root.total_w}")
-        return cls(X, w, min_samples_leaf, order, xsorted, root, bool(root.member.all()))
+        return cls(X, w, min_samples_leaf, order, xsorted, root, bool(root.member.all()), bool(np.all(w == 1.0)))
+
+    def weighted(self, r: np.ndarray) -> np.ndarray:
+        """The weighted residuals ``w * r``: ``r`` itself, the same doubles, under unit weights."""
+        return r if self.unit_weights else self.w * r
 
     def root_total(self, wr: np.ndarray) -> float:
         """The total of the weighted residuals ``wr`` over the root's rows, summed pairwise in row order."""
@@ -353,31 +357,6 @@ def _leaf_value(total_w: float, total_wr: float, index: int) -> float:
     return value
 
 
-def fit_stump(plan: SplitPlan, wr: np.ndarray) -> tuple[RegressionTree, tuple[tuple[np.ndarray, float], ...]]:
-    """The depth-1 tree ``fit_tree(plan, r, 1)`` on weighted residuals ``wr = plan.w * r``, and where its leaves go.
-
-    The second item holds one (rows, value) pair per leaf, left leaf first:
-    the root's row mask for a one-leaf tree; for a split, the root's rows
-    sorted along the cut's feature, the part up to the cut and the part
-    after it. Together they index every row with positive weight once, and
-    no other row. A node value that is not finite is a ValueError, as in
-    ``fit_tree``.
-    """
-    root = plan.root
-    total_wr = plan.root_total(wr)
-    value = _leaf_value(root.total_w, total_wr, 0)
-    split = _best_split(root, wr, total_wr)
-    if split is None:
-        return RegressionTree((_LEAF,), (0.0,), (_LEAF,), (_LEAF,), (value,)), ((root.member, value),)
-    (j, k), left_totals, right_totals = split
-    left_value = _leaf_value(*left_totals, 1)
-    right_value = _leaf_value(*right_totals, 2)
-    rows = root.search.rows
-    stump = RegressionTree((j, _LEAF, _LEAF), (_threshold(plan.X, rows, j, k), 0.0, 0.0),
-                           (1, _LEAF, _LEAF), (2, _LEAF, _LEAF), (value, left_value, right_value))
-    return stump, ((rows[j, :k + 1], left_value), (rows[j, k + 1:], right_value))
-
-
 def fit_tree(
     plan: SplitPlan,
     r: np.ndarray,
@@ -395,71 +374,58 @@ def fit_tree(
     ``X``; any other shape raises ValueError, and so does a ``leaf_values``
     that is not a float64 ndarray (an integer one would truncate the
     values) or a node value that is not finite, such as one from a
-    non-finite total of ``w * r``. A depth-1 tree is ``fit_stump``'s.
+    non-finite total of ``w * r``.
     """
     r = np.asarray(r, dtype=float)
-    n_rows = len(plan.X)
-    if leaf_values is not None and not (isinstance(leaf_values, np.ndarray) and leaf_values.dtype == np.float64):
-        got = getattr(leaf_values, "dtype", type(leaf_values).__name__)
-        raise ValueError(f"leaf_values must be a float64 ndarray, got {got}")
-    for name, a in (("r", r), ("leaf_values", leaf_values)):
-        if a is not None and a.shape != (n_rows,):
-            raise ValueError(f"{name} has shape {a.shape}; X has {n_rows} rows, and {name} needs one entry per row")
-    wr = plan.w * r
-    if max_depth == 1:
-        stump, leaves = fit_stump(plan, wr)
-        if leaf_values is not None:
-            for rows, leaf in leaves:
-                leaf_values[rows] = leaf
-        return stump
-
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add_leaf(totals) -> float:
-        """Append a leaf of (weight, weighted residual) ``totals`` and return its value; a split makes it inner."""
-        leaf = _leaf_value(*totals, len(value))
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(leaf)
-        return leaf
-
-    # Depth first, left child first, so nodes are numbered in preorder (see the module docstring).
-    # (rows in the node, depth, parent if a right child, (weight, weighted residual) totals):
+    shape = plan.w.shape
+    if r.shape != shape:
+        raise ValueError(f"r has shape {r.shape}; X has {shape[0]} rows, and r needs one entry per row")
+    if leaf_values is not None:
+        if not (isinstance(leaf_values, np.ndarray) and leaf_values.dtype == np.float64):
+            got = getattr(leaf_values, "dtype", type(leaf_values).__name__)
+            raise ValueError(f"leaf_values must be a float64 ndarray, got {got}")
+        if leaf_values.shape != shape:
+            raise ValueError(f"leaf_values has shape {leaf_values.shape}; X has {shape[0]} rows, "
+                             f"and leaf_values needs one entry per row")
+    wr = plan.weighted(r)
+    # One (feature, threshold, left, right, value) row per node, in preorder (see the module docstring).
+    nodes = []
+    # (rows in the node, depth, parent if a right child, weight total, weighted residual total):
     # only the root sums its rows; the others' totals come from their parent's search.
     root = plan.root
-    pending = [(root.member, 0, None, (root.total_w, plan.root_total(wr)))]
+    pending = [(root.member, 0, None, root.total_w, plan.root_total(wr))]
     while pending:
-        member, depth, right_of, totals = pending.pop()
-        index = len(value)
+        member, depth, right_of, total_w, total_wr = pending.pop()
+        index = len(nodes)
         if right_of is not None:
-            right[right_of] = index
-        leaf = add_leaf(totals)
+            nodes[right_of][3] = index
+        leaf = _leaf_value(total_w, total_wr, index)
         node = (plan.node(member) if depth else root) if depth < max_depth else None
-        split = None if node is None else _best_split(node, wr, totals[1])
+        split = None if node is None else _best_split(node, wr, total_wr)
         if split is None:
+            nodes.append((_LEAF, 0.0, _LEAF, _LEAF, leaf))
             if leaf_values is not None:
                 leaf_values[member] = leaf
             continue
         (j, k), left_totals, right_totals = split
         children = node.children.get((j, k))
         t = _threshold(plan.X, node.search.rows, j, k) if children is None else children[0]
-        feature[index], threshold[index], left[index] = j, t, index + 1
         if depth + 1 == max_depth:
             # Both children are leaves, and their rows are the search's rows
             # sorted along j, split at the cut: no masks, and nothing kept.
-            left_leaf = add_leaf(left_totals)
-            right[index] = index + 2
-            right_leaf = add_leaf(right_totals)
+            left_leaf = _leaf_value(*left_totals, index + 1)
+            right_leaf = _leaf_value(*right_totals, index + 2)
+            nodes += ((j, t, index + 1, index + 2, leaf), (_LEAF, 0.0, _LEAF, _LEAF, left_leaf),
+                      (_LEAF, 0.0, _LEAF, _LEAF, right_leaf))
             if leaf_values is not None:
                 rows = node.search.rows[j]
                 leaf_values[rows[:k + 1]] = left_leaf
                 leaf_values[rows[k + 1:]] = right_leaf
             continue
+        nodes.append([j, t, index + 1, _LEAF, leaf])    # the right child's index is set when it is placed
         if children is None:
             go_left = plan.X[:, j] <= t
             children = node.children[j, k] = (t, member & go_left, member & ~go_left)
-        pending.append((children[2], depth + 1, index, right_totals))
-        pending.append((children[1], depth + 1, None, left_totals))
-    return RegressionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(value))
+        pending.append((children[2], depth + 1, index, *right_totals))
+        pending.append((children[1], depth + 1, None, *left_totals))
+    return RegressionTree(*zip(*nodes))

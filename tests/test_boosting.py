@@ -223,7 +223,8 @@ def test_predict_validates_dimensions():
 
 
 def test_fit_calls_fit_tree_once_per_stage_and_never_predicts(monkeypatch):
-    # The benchmark's tracer times boosting.fit_tree and RegressionTree.predict.
+    # The benchmark's tracer times boosting.fit_tree and RegressionTree.predict,
+    # and a stage makes one fit_tree call at every max_depth, stumps included.
     calls = []
 
     def counting(name, original):
@@ -235,9 +236,11 @@ def test_fit_calls_fit_tree_once_per_stage_and_never_predicts(monkeypatch):
     monkeypatch.setattr(boosting, "fit_tree", counting("fit_tree", boosting.fit_tree))
     monkeypatch.setattr(RegressionTree, "predict", counting("predict", RegressionTree.predict))
     Xs, ys, Xt, yt = _two_domain_problem(7)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=9, max_depth=2, alpha=0.5))
-    assert model.n_stages == 9
-    assert calls == ["fit_tree"] * 9
+    for max_depth in range(4):
+        calls.clear()
+        model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=9, max_depth=max_depth, alpha=0.5))
+        assert model.n_stages == 9
+        assert calls == ["fit_tree"] * 9
 
 
 def test_predict_never_calls_tree_predict(monkeypatch):
@@ -457,8 +460,11 @@ def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha, max_depth):
 
 
 @st.composite
-def _stump_fits(draw):
-    """Two domains over 1-3 columns (some tie-heavy) and a stump config, ``min_samples_leaf`` up to the rows fit on."""
+def _stage_fits(draw):
+    """Two domains over 1-3 columns (some tie-heavy) and a config of depth 0-3, ``min_samples_leaf`` up to the rows fit on.
+
+    Alpha 0 and 1 fit under unit weights, 0.3 under balanced ones.
+    """
     alpha = draw(st.sampled_from([0.0, 0.3, 1.0]))
     n1 = draw(st.integers(1, 20))
     n2 = draw(st.integers(1 if alpha > 0 else 0, 10))
@@ -467,30 +473,36 @@ def _stump_fits(draw):
     y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(-1e3, 1e3, allow_nan=False),
                                min_size=n1 + n2, max_size=n1 + n2)))
     n = {0.0: n1, 1.0: n2}.get(alpha, n1 + n2)
-    config = TrainConfig(n_stages=draw(st.integers(1, 8)), max_depth=1, min_samples_leaf=draw(st.integers(1, n)),
-                         shrinkage=draw(st.sampled_from([0.1, 1.0])), alpha=alpha)
+    config = TrainConfig(n_stages=draw(st.integers(1, 8)), max_depth=draw(st.integers(0, 3)),
+                         min_samples_leaf=draw(st.integers(1, n)), shrinkage=draw(st.sampled_from([0.1, 1.0])),
+                         alpha=alpha)
     return X[:n1], y[:n1], X[n1:], y[n1:], config
 
 
 @settings(max_examples=200, deadline=None)
-@given(_stump_fits())
+@given(_stage_fits())
 # Every column ties on every row: the root has no candidate, and every stage is one leaf.
 @example(case=(np.ones((3, 2)), np.array([0.0, 1.0, 5.0]), np.ones((2, 2)), np.array([2.0, -3.0]),
                TrainConfig(n_stages=4, max_depth=1, min_samples_leaf=1, shrinkage=1.0, alpha=0.3)))
+# Unit weights: the plan hands r on as w * r.
+@example(case=(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 5.0, 2.0]), np.empty((0, 1)),
+               np.empty(0), TrainConfig(n_stages=3, max_depth=1, min_samples_leaf=1, shrinkage=0.1, alpha=0.0)))
 def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
-    # A stump stage moves F in place, leaf by leaf, through fit_stump's rows;
-    # each stage's weighted residuals, the loss trace and the predictions on
-    # the training rows are those of F + shrinkage * tree.predict(X).
+    # Every stage, stumps included, is one fit_tree call that writes h, then
+    # F += shrinkage * h; each stage's weighted residuals, the loss trace and
+    # the predictions on the training rows are those of
+    # F + shrinkage * tree.predict(X).
     Xs, ys, Xt, yt, config = case
     X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
-    fit, seen = boosting.fit_stump, []
+    fit, seen = boosting.fit_tree, []
 
-    def recording_fit(plan, wr):
-        seen.append(wr.copy())
-        return fit(plan, wr)
+    def recording_fit(plan, r, max_depth, *, leaf_values):
+        assert max_depth == config.max_depth
+        seen.append(plan.weighted(r).copy())
+        return fit(plan, r, max_depth, leaf_values=leaf_values)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(boosting, "fit_stump", recording_fit)
+        patch.setattr(boosting, "fit_tree", recording_fit)
         model = fit_gbbw(Xs, ys, Xt, yt, config)
     assert model.f0 == float(w @ y / w.sum())
     assert len(seen) == model.n_stages == config.n_stages
@@ -498,7 +510,7 @@ def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
     expected = [float(w.dot(0.5 * (y - F) ** 2))]
     for stage_tree, wr in zip(model.stages, seen):
         assert wr.tobytes() == (w * (y - F)).tobytes()
-        assert stage_tree == reference_tree(X, y - F, w, 1, config.min_samples_leaf)
+        assert stage_tree == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * stage_tree.predict(X)
         expected.append(float(w.dot(0.5 * (y - F) ** 2)))
     assert model.loss_trace == tuple(expected)

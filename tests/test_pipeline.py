@@ -565,6 +565,17 @@ def test_sweep_fits_lasso_and_itml_once_per_fold(data3, monkeypatch):
     assert len(lasso_calls) == len(itml_calls) == len(gmm_calls) == 3
 
 
+def test_configs_that_differ_only_in_the_inert_lasso_settings_share_the_lasso_stage(data3, monkeypatch):
+    # fit_selection reads neither tol nor max_sweeps, so they are not part of the stage's key.
+    cv_calls = _counting(monkeypatch, lasso, "cross_validate_lambda")
+    base = _fast_cfg(variant="source-only", n_stages=2)
+    settings = LassoSettings(lambda_mode="cv", cv_folds=3, cv_grid_size=6)
+    configs = [replace(base, lasso=replace(settings, tol=tol)) for tol in (1e-8, 1e-4)]
+    report = leave_one_out(data3, configs)
+    assert [r.error for r in report.rows] == [None] * 6
+    assert len(cv_calls) == 3    # one per fold
+
+
 def test_itml_failure_fails_both_itml_variants_and_spares_source_only(data3, monkeypatch):
     calls = []
 

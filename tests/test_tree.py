@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda.boosting import TrainConfig, fit_gbbw
-from tmcda.tree import Forest, RegressionTree, SplitPlan, fit_stump, fit_tree
+from tmcda.tree import Forest, RegressionTree, SplitPlan, fit_tree
 
 from _oracles import BruteTree, brute_force_split, reference_tree
 
@@ -354,6 +354,8 @@ _HI = np.nextafter(_NEXT, 2.0)
 @example((np.array([[0.0], [0.0], [_LO], [_LO], [_HI], [_HI], [_LO], [_HI], [0.0]]),
           np.array([10.0, 10.0, 1.0, 1.0, -1.0, -1.0, 50.0, -50.0, 7.0]),
           np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), 2, 1))
+# A stump with no candidate: one leaf, written at every positive-weight row and at no other.
+@example((np.ones((4, 2)), np.array([1.0, -1.0, 2.0, 0.0]), np.array([1.0, 0.0, 2.0, 1.0]), 1, 1))
 def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     X, r, w, max_depth, min_samples_leaf = fit
     leaf_values = np.full(len(r), np.nan)
@@ -362,22 +364,6 @@ def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     kept = w > 0
     assert np.array_equal(leaf_values[kept], tree.predict(X)[kept])
     assert np.isnan(leaf_values[~kept]).all()
-
-
-@settings(max_examples=200, deadline=None)
-@given(_fits())
-@example((np.ones((4, 2)), np.array([1.0, -1.0, 2.0, 0.0]), np.array([1.0, 0.0, 2.0, 1.0]), 1, 1))   # no candidate
-def test_a_stumps_leaves_hold_every_weighted_row_once_with_the_value_it_predicts(fit):
-    X, r, w, _, min_samples_leaf = fit
-    plan = SplitPlan.build(X, w, min_samples_leaf)
-    stump, leaves = fit_stump(plan, w * r)
-    assert stump == fit_tree(plan, r, 1) == reference_tree(X, r, w, 1, min_samples_leaf)
-    assert len(leaves) == (stump.n_nodes + 1) // 2
-    predicted, hits = stump.predict(X), np.zeros(len(r), dtype=int)
-    for rows, value in leaves:
-        hits += np.bincount(np.arange(len(r))[rows], minlength=len(r))
-        assert np.array_equal(predicted[rows], np.full(len(predicted[rows]), value))
-    assert np.array_equal(hits, (w > 0).astype(int))
 
 
 @st.composite

@@ -2,7 +2,7 @@
 """Time two copies of the package on one benchmark workload, interleaved in one process.
 
     python3 tools/ab_interleaved.py --workload loo-cv --seed 12 [--inputs 20] [--rounds 5] [--base HEAD]
-        [--stage MODULE.FUNCTION] [--smoke]
+        [--stage MODULE.FUNCTION ...] [--smoke]
 
 The base side is the package at a git revision (``--base``, HEAD by
 default), extracted with ``git archive`` into a temporary directory; the
@@ -20,7 +20,10 @@ Without ``--stage`` the timed calls are the workload's calls, one per
 input. With ``--stage`` (say ``itml.fit_itml``) each side records, during
 its untimed calls, every call of that function of ``tmcda.<MODULE>`` with
 its arguments and output, and the timed calls replay those recorded calls
-alone. The two sides must record as many calls, and at least one. Per recorded call the
+alone. ``--stage`` may repeat: the one untimed pass records every stage
+named, and each stage is then replayed, timed and reported on its own, in
+the order given. For each stage the two sides must record as many calls,
+and at least one. Per recorded call the
 output tells whether the two sides' arguments and outputs are bitwise
 equal, and for outputs that are not, the largest relative difference of
 their arrays (max |change - base| / max |base| over each array of floats)
@@ -31,7 +34,8 @@ changed inputs after its first replay.
 The output gives each side's total and median call time, the calls the
 change won (its time below the base's on the same call and round), and, per
 timed call, whether the reports (or the stage's outputs) matched and the
-ratio of the change's median time to the base's.
+ratio of the change's median time to the base's; with ``--stage``, one such
+block per stage, each opening with its own ``workload`` line.
 """
 
 from __future__ import annotations
@@ -61,22 +65,22 @@ def _drop_package() -> None:
         del sys.modules[name]
 
 
-def load_workloads(src: Path, side: str, stage_module: str | None = None):
+def load_workloads(src: Path, side: str, stage_modules=()):
     """``perfbench/workloads.py``, as ``workloads_<side>``, imported against the ``tmcda`` under ``src``,
-    and that package's ``tmcda.<stage_module>`` (None without one)."""
+    and that package's ``tmcda.<module>`` for each of ``stage_modules``, by name."""
     _drop_package()
     sys.path.insert(0, str(src))
     try:
         spec = importlib.util.spec_from_file_location(f"workloads_{side}", ROOT / "perfbench" / "workloads.py")
         module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)    # dataclasses look it up
         spec.loader.exec_module(module)
-        owner = importlib.import_module(f"tmcda.{stage_module}") if stage_module else None
+        owners = {name: importlib.import_module(f"tmcda.{name}") for name in stage_modules}
     finally:
         sys.path.remove(str(src))
         _drop_package()
     if not Path(module.cli.__file__).is_relative_to(src):
         raise RuntimeError(f"{side} imported tmcda from {module.cli.__file__}, not from {src}")
-    return module, owner
+    return module, owners
 
 
 class StageCall(NamedTuple):
@@ -86,23 +90,27 @@ class StageCall(NamedTuple):
     output: object
 
 
-def record_stage(owner, name: str, run, index: int) -> tuple[object, list[StageCall]]:
-    """``run()``'s result, and the calls of ``owner.<name>`` it made."""
-    original = getattr(owner, name)
-    calls = []
+def record_stages(stages, run, index: int) -> tuple[object, dict[str, list[StageCall]]]:
+    """``run()``'s result, and the calls it made of each stage, as (stage, owner, function name)."""
+    calls = {stage: [] for stage, _, _ in stages}
+    originals = [(owner, name, getattr(owner, name)) for _, owner, name in stages]
 
-    @functools.wraps(original)
-    def recording(*args, **kwargs):
-        args_copy, kwargs_copy = copy.deepcopy((args, kwargs))
-        output = original(*args, **kwargs)
-        calls.append(StageCall(index, args_copy, kwargs_copy, output))
-        return output
+    def recording(made, original):
+        @functools.wraps(original)
+        def recorded(*args, **kwargs):
+            args_copy, kwargs_copy = copy.deepcopy((args, kwargs))
+            output = original(*args, **kwargs)
+            made.append(StageCall(index, args_copy, kwargs_copy, output))
+            return output
+        return recorded
 
-    setattr(owner, name, recording)
+    for (stage, _, _), (owner, name, original) in zip(stages, originals):
+        setattr(owner, name, recording(calls[stage], original))
     try:
         return run(), calls
     finally:
-        setattr(owner, name, original)
+        for owner, name, original in originals:
+            setattr(owner, name, original)
 
 
 def leaves(value, path: str = "") -> list[tuple[str, object]]:
@@ -148,6 +156,33 @@ def compare(base, change) -> str:
     return f"rel {largest:.1e} {where}" if differing else "same"
 
 
+def time_interleaved(calls: dict[str, list], rounds: int) -> dict[str, list[list[float]]]:
+    """Process seconds of every call, per side and call: each round makes every call once per side, the
+    sides in an order that alternates from call to call and from round to round."""
+    n = len(calls["base"])
+    seconds = {side: [[] for _ in range(n)] for side in SIDES}
+    for round_ in range(rounds):
+        for i in range(n):
+            for side in SIDES if (round_ + i) % 2 == 0 else SIDES[::-1]:
+                start = time.process_time()
+                calls[side][i]()
+                seconds[side][i].append(time.process_time() - start)
+    return seconds
+
+
+def report(header: str, seconds: dict[str, list[list[float]]]) -> list[float]:
+    """Print ``header`` and each side's total and median call time; return each call's change/base median."""
+    print(header)
+    for side in SIDES:
+        flat = [s for per_call in seconds[side] for s in per_call]
+        print(f"  {side:6s} total {sum(flat):8.3f} s   median call {statistics.median(flat) * 1e3:8.3f} ms")
+    pairs = [(b, c) for per_base, per_change in zip(seconds["base"], seconds["change"])
+             for b, c in zip(per_base, per_change)]
+    print(f"  change/base total {sum(c for _, c in pairs) / sum(b for b, _ in pairs):.4f}; "
+          f"change faster in {sum(c < b for b, c in pairs)}/{len(pairs)} calls")
+    return [statistics.median(c) / statistics.median(b) for b, c in zip(seconds["base"], seconds["change"])]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", required=True, choices=("loo-cv", "loo-variants", "alpha-sweep"))
@@ -155,11 +190,12 @@ def main(argv=None) -> int:
     p.add_argument("--inputs", type=int, default=20)
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--base", default="HEAD", help="git revision of the base side (default HEAD)")
-    p.add_argument("--stage", metavar="MODULE.FUNCTION", help="time only this function's calls, e.g. itml.fit_itml")
+    p.add_argument("--stage", metavar="MODULE.FUNCTION", action="append", default=[],
+                   help="time only this function's calls, e.g. itml.fit_itml; may repeat")
     p.add_argument("--smoke", action="store_true", help="the benchmark's smoke sizes and settings")
     args = p.parse_args(argv)
-    stage_module, _, stage_name = args.stage.rpartition(".") if args.stage else (None, None, None)
-    if args.stage and not stage_module:
+    stages = {stage: stage.rpartition(".")[::2] for stage in args.stage}    # (module, function), in order
+    if any(not module for module, _ in stages.values()):
         p.error("--stage takes MODULE.FUNCTION, e.g. itml.fit_itml")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -168,61 +204,48 @@ def main(argv=None) -> int:
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
         sources = {"base": tmp / "src", "change": ROOT / "src"}
-        calls, texts, recorded = {}, {}, {}
+        calls, texts = {}, {}
+        functions, recorded = {stage: {} for stage in stages}, {stage: {} for stage in stages}
         for side in SIDES:
-            workloads, owner = load_workloads(sources[side], side, stage_module)
+            workloads, owners = load_workloads(sources[side], side, {module for module, _ in stages.values()})
             workload = workloads.WORKLOADS[args.workload]
             calls[side] = [workload.prepare_input(args.seed, i, tmp / "work" / side, args.smoke)
                            for i in range(args.inputs)]
-            if owner is None:
-                texts[side] = [call().text for call in calls[side]]
-                continue
-            if not callable(getattr(owner, stage_name, None)):
-                p.error(f"{side}: tmcda.{stage_module} has no function {stage_name}")
-            texts[side], recorded[side] = [], []
+            targets = [(stage, owners[module], name) for stage, (module, name) in stages.items()]
+            for stage, owner, name in targets:
+                if not callable(getattr(owner, name, None)):
+                    p.error(f"{side}: tmcda.{stages[stage][0]} has no function {name}")
+                functions[stage][side], recorded[stage][side] = getattr(owner, name), []
+            texts[side] = []
             for i, call in enumerate(calls[side]):
-                outcome, stage_calls = record_stage(owner, stage_name, call, i)
+                outcome, stage_calls = record_stages(targets, call, i)
                 texts[side].append(outcome.text)
-                recorded[side] += stage_calls
-            original = getattr(owner, stage_name)
-            calls[side] = [functools.partial(original, *c.args, **c.kwargs) for c in recorded[side]]
+                for stage, made in stage_calls.items():
+                    recorded[stage][side] += made
         reports = [texts["base"][i] == texts["change"][i] for i in range(args.inputs)]
-        if args.stage and (len(recorded["base"]) != len(recorded["change"]) or not recorded["base"]):
-            print(f"{args.stage}: base made {len(recorded['base'])} calls, change {len(recorded['change'])}")
-            return 1
+        for stage, by_side in recorded.items():
+            if len(by_side["base"]) != len(by_side["change"]) or not by_side["base"]:
+                print(f"{stage}: base made {len(by_side['base'])} calls, change {len(by_side['change'])}")
+                return 1
 
-        n = len(calls["base"])
-        seconds = {side: [[] for _ in range(n)] for side in SIDES}
-        for round_ in range(args.rounds):
-            for i in range(n):
-                for side in SIDES if (round_ + i) % 2 == 0 else SIDES[::-1]:
-                    start = time.process_time()
-                    calls[side][i]()
-                    seconds[side][i].append(time.process_time() - start)
-
-    timed = f"{n} calls of {args.stage}" if args.stage else f"{n} inputs"
-    print(f"workload {args.workload}{' (smoke)' if args.smoke else ''}, seed {args.seed}, "
-          f"{timed} x {args.rounds} rounds, base {args.base}, process time")
-    for side in SIDES:
-        flat = [s for per_call in seconds[side] for s in per_call]
-        print(f"  {side:6s} total {sum(flat):8.3f} s   median call {statistics.median(flat) * 1e3:8.3f} ms")
-    pairs = [(b, c) for i in range(n) for b, c in zip(seconds["base"][i], seconds["change"][i])]
-    print(f"  change/base total {sum(c for _, c in pairs) / sum(b for b, _ in pairs):.4f}; "
-          f"change faster in {sum(c < b for b, c in pairs)}/{len(pairs)} calls")
-
-    def ratio(i):
-        return statistics.median(seconds["change"][i]) / statistics.median(seconds["base"][i])
-
-    if not args.stage:
-        print("  input  report  change/base median")
-        for i in range(n):
-            print(f"  {i:5d}  {'same' if reports[i] else 'DIFFERS':7s} {ratio(i):.4f}")
-        return 0
-    print(f"  reports the same on {sum(reports)}/{args.inputs} inputs")
-    print("  call  input  change/base median  arguments  output")
-    for i, (b, c) in enumerate(zip(recorded["base"], recorded["change"])):
-        arguments = compare((b.args, b.kwargs), (c.args, c.kwargs))
-        print(f"  {i:4d}  {b.input:5d}  {ratio(i):18.4f}  {arguments}  {compare(b.output, c.output)}")
+        context = f"workload {args.workload}{' (smoke)' if args.smoke else ''}, seed {args.seed}"
+        rounds = f" x {args.rounds} rounds, base {args.base}, process time"
+        if not stages:
+            ratios = report(f"{context}, {args.inputs} inputs{rounds}", time_interleaved(calls, args.rounds))
+            print("  input  report  change/base median")
+            for i, ratio in enumerate(ratios):
+                print(f"  {i:5d}  {'same' if reports[i] else 'DIFFERS':7s} {ratio:.4f}")
+            return 0
+        for stage, by_side in recorded.items():
+            replays = {side: [functools.partial(functions[stage][side], *c.args, **c.kwargs) for c in by_side[side]]
+                       for side in SIDES}
+            ratios = report(f"{context}, {len(replays['base'])} calls of {stage}{rounds}",
+                            time_interleaved(replays, args.rounds))
+            print(f"  reports the same on {sum(reports)}/{args.inputs} inputs")
+            print("  call  input  change/base median  arguments  output")
+            for i, (b, c) in enumerate(zip(by_side["base"], by_side["change"])):
+                arguments = compare((b.args, b.kwargs), (c.args, c.kwargs))
+                print(f"  {i:4d}  {b.input:5d}  {ratios[i]:18.4f}  {arguments}  {compare(b.output, c.output)}")
     return 0
 
 
