@@ -11,6 +11,19 @@ For regression labels, similar/dissimilar pairs are derived from
 label-difference percentiles; the distance thresholds come from percentiles
 of prior-metric distances over the sampled pairs.
 
+Each pair of percentiles is read off one ``np.sort``, with numpy's default
+(linear) method written out: for n sorted values s and percentile q, the
+index h = (n - 1) * (q / 100), lo = floor(h), g = h - lo, a = s[lo],
+b = s[lo + 1] (s[lo] when lo is the last index), d = b - a, and the
+percentile is a + d * g below g = 0.5 and b - d * (1 - g) from 0.5 on. That
+is numpy's own interpolation, operation for operation and in the same
+order, so the result equals ``np.percentile``'s bit for bit for the finite
+values >= +0.0 taken here (tested against it). ``np.percentile`` itself is
+avoided because it calls ``np.unique`` on its indices, and ``np.unique``
+calls ``np.ma.is_masked``: the first call in a process imports ``numpy.ma``,
+about 1.25 MB of peak RSS and 15 ms once, in every process that builds
+constraints (tested in a fresh interpreter).
+
 The metric stays exactly symmetric without being re-symmetrized: entry
 (i, j) of the update is beta * (Av_i * Av_j), and IEEE multiplication is
 commutative, so it is the same double as entry (j, i), and adding it to a
@@ -47,8 +60,9 @@ them into arrays once per pass. It calls the arrays' dot methods
 (``vv.dot(a)`` for p, ``A.dot(v, out=Av)``), which do the work of
 ``np.dot`` without its ``__array_function__`` dispatch, and keeps the
 in-place operators ``*=`` and ``+=``, which cost less than calling
-``__imul__`` and ``__iadd__`` as bound methods. It iterates over a list of
-the rows vec(v v^T). ``A v`` and the update are written into two buffers
+``__imul__`` and ``__iadd__`` as bound methods. It iterates over one tuple
+per constraint, (vec(v v^T), v, |v|^2, delta / 2, delta), in place of a
+list lookup for each. ``A v`` and the update are written into two buffers
 allocated once per fit (a dot into ``out=`` gives the same bytes as the
 plain call). The products Av_i * Av_j are formed as the k = 1
 matrix product ``Av[:, None].dot(Av[None, :], out=outer)``, at less than
@@ -65,8 +79,15 @@ holds no -0.0 (below) neither the k = 1 product nor the kernel's sign of an
 underflow changes a bit of the fit.
 
 A projection whose dual step alpha is exactly 0 (a constraint satisfied
-with dual 0, most projections on the pipeline's inputs) updates its slack
-and nothing else. Its dual, lambda - alpha, would equal lambda (a dual never
+with dual 0, most projections on the pipeline's inputs) can move its slack
+and nothing else. Under gamma = 1, the pipeline's value, it moves nothing,
+and the loop stops before the slack arithmetic: gamma * xi is xi,
+gamma + (+-0.0) * xi is exactly 1 (xi is finite and positive, which the
+slack check keeps true), and xi / 1 is xi, so the slack, its check, the
+dual, A and the pass's dual change all stay as they were. Under any other
+gamma, gamma * xi / gamma can round, so the loop keeps the slack update:
+at gamma = 7, xi = 847.4338895034957 becomes 847.4338895034956, one ulp
+lower (tested). Its dual, lambda - alpha, would equal lambda (a dual never
 becomes -0.0: it starts at +0.0, and x - x is +0.0), the pass's largest dual
 change, max(m, |alpha|), would stay m, and the rank-one update could not
 change A: beta is then +-0.0, so every entry of the update is +-0.0, and
@@ -208,6 +229,20 @@ class ConstraintSet:
 SIMILARITY_PERCENTILE = 10.0
 
 
+def _percentiles(values: np.ndarray, *qs: float) -> list[float]:
+    """``np.percentile(values, qs).tolist()`` for a float array of finite values >= +0.0 and 0 <= q < 100,
+    bit for bit, from one sort: numpy's default (linear) method, written out (see the module docstring)."""
+    s = np.sort(values)
+    out = []
+    for q in qs:
+        h = (len(s) - 1) * (q / 100.0)
+        lo = int(h)    # floor, as h >= 0
+        a, b = float(s[lo]), float(s[min(lo + 1, len(s) - 1)])
+        g, d = h - lo, b - a
+        out.append(a + d * g if g < 0.5 else b - d * (1.0 - g))
+    return out
+
+
 def build_constraints(
     X: np.ndarray,
     y: np.ndarray,
@@ -272,7 +307,7 @@ def build_constraints(
     pairs, dists = pairs[kept], dists[kept]
 
     deltas = np.abs(y[pairs[:, 0]] - y[pairs[:, 1]])
-    sim_cut, dis_cut = np.percentile(deltas, [SIMILARITY_PERCENTILE, 100.0 - SIMILARITY_PERCENTILE])
+    sim_cut, dis_cut = _percentiles(deltas, SIMILARITY_PERCENTILE, 100.0 - SIMILARITY_PERCENTILE)
     is_sim = deltas <= sim_cut
     is_dis = deltas >= dis_cut
     both = is_sim & is_dis
@@ -283,7 +318,7 @@ def build_constraints(
     similar = pairs[is_sim][:max_per_set].tolist()
     dissimilar = pairs[is_dis][:max_per_set].tolist()
 
-    u, l = np.percentile(dists, [5.0, 95.0]).tolist()
+    u, l = _percentiles(dists, 5.0, 95.0)
     if l <= u:
         mid = max(u, 1e-9)
         u, l = 0.95 * mid, 1.05 * mid
@@ -352,7 +387,8 @@ def fit_itml(
     the fit returns the last pass's A as that check left it. The fixed prior
     ``A0`` is factored once, at the start, for its check and its log
     determinant, and inverted once. A projection with alpha exactly 0
-    updates only its slack (see the module docstring for why that is exact).
+    updates only its slack, and under ``gamma`` = 1 not even that (see the
+    module docstring for why both are exact).
     ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` >= 1; NaN is
     rejected, and so is a non-finite entry of ``X``.
     """
@@ -393,21 +429,21 @@ def fit_itml(
     skipped, skipped_pairs = set(), []
     dual_changes, violations, divergences, objectives, dual_objectives = [], [], [], [], []
 
-    vs = list(V)
     VV = (V[:, :, None] * V[:, None, :]).reshape(m, q * q)    # row c: vec(v v^T), each entry v_i * v_j
-    vvs = list(VV)
     norms = VV[:, ::q + 1].sum(axis=1).tolist()    # |v|^2 per constraint
+    rows = list(zip(VV, V, norms, halves, deltas))
     a = A.reshape(-1)    # vec(A), a view that follows A's in-place updates
     Av, outer = np.empty(q), np.empty_like(A)
     Av_col, Av_row = Av[:, None], Av[None, :]
     is_sim, is_dis = delta_arr > 0, delta_arr < 0
     upper, lower = 1 + tol, 1 - tol
+    unit_gamma = gamma == 1.0
     for t in range(1, max_passes + 1):
         max_dual_change = 0.0
         floor = 1e-12 * float(A.trace())
-        for c, vv in enumerate(vvs):
+        for c, (vv, v, norm, half, delta) in enumerate(rows):
             p = float(vv.dot(a))    # vec(v v^T) . vec(A) = v^T A v, to the rounding in the module docstring
-            if p <= norms[c] * floor:
+            if p <= norm * floor:
                 if (c not in skipped):
                     skipped.add(c)
                     i, j, _ = entries[c]
@@ -418,9 +454,11 @@ def fit_itml(
                     )
                 continue
             xi_c, lam_c = xi[c], lam[c]
-            step = halves[c] * (1.0 / p - gamma / xi_c)
+            step = half * (1.0 / p - gamma / xi_c)
             alpha = step if step < lam_c else lam_c    # min(lam_c, step), NaN and ties included
-            delta_alpha = deltas[c] * alpha
+            if alpha == 0.0 and unit_gamma:
+                continue    # a satisfied constraint: its slack, dual, the pass's dual change and A stay as they are
+            delta_alpha = delta * alpha
             new_xi = gamma * xi_c / (gamma + delta_alpha * xi_c)
             if new_xi <= 0 or not math.isfinite(new_xi):
                 raise MetricError(
@@ -431,12 +469,12 @@ def fit_itml(
                 )
             xi[c] = new_xi
             if alpha == 0.0:
-                continue    # a satisfied constraint: its dual, the pass's dual change and A stay as they are
+                continue    # as above, but gamma * xi / gamma can round: the slack moves, nothing else
             lam[c] = lam_c - alpha
             abs_alpha = abs(alpha)
             if abs_alpha > max_dual_change:
                 max_dual_change = abs_alpha
-            A.dot(vs[c], out=Av)
+            A.dot(v, out=Av)
             Av_col.dot(Av_row, out=outer)    # Av_i * Av_j, a k = 1 matrix product
             outer *= delta_alpha / (1.0 - delta_alpha * p)    # beta
             A += outer    # exactly symmetric: see the module docstring

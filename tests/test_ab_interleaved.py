@@ -52,16 +52,25 @@ def _smoke_run(stage):
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
 
+def _check_process_wall_line(line):
+    """Each side's total process seconds over its total wall seconds, positive."""
+    words = line.split()
+    assert [words[0], words[1], words[3]] == ["process/wall", "base", "change"]
+    assert float(words[2]) > 0 and float(words[4]) > 0
+
+
 def _check_stage_block(out, stage):
-    """One stage's block of output: its header, the two sides, the totals and one row per recorded call."""
+    """One stage's block of output: its header, the two sides, the totals, the process/wall ratios and one
+    row per recorded call."""
     header = out[0].split(", ")
     assert header[0] == "workload alpha-sweep (smoke)" and header[-1] == "process time"
     assert [line.split()[0] for line in out[1:3]] == ["base", "change"]
     calls = int(header[2].split()[0])
     assert header[2] == f"{calls} calls of {stage} x 1 rounds" and calls > 0
-    assert out[4] in ("  reports the same on 1/1 inputs", "  reports the same on 0/1 inputs")
-    assert out[5].split() == ["call", "input", "change/base", "median", "arguments", "output"]
-    rows = [line.split() for line in out[6:]]
+    _check_process_wall_line(out[4])
+    assert out[5] in ("  reports the same on 1/1 inputs", "  reports the same on 0/1 inputs")
+    assert out[6].split() == ["call", "input", "change/base", "median", "arguments", "output"]
+    rows = [line.split() for line in out[7:]]
     assert len(rows) == calls
     for i, row in enumerate(rows):
         assert row[:2] == [str(i), "0"] and float(row[2]) > 0
@@ -80,8 +89,9 @@ def test_smoke_run_against_head(stage):
     header = out[0].split(", ")
     assert header[0] == "workload alpha-sweep (smoke)" and header[-1] == "process time"
     assert [line.split()[0] for line in out[1:3]] == ["base", "change"]
-    assert out[4].split() == ["input", "report", "change/base", "median"]
-    assert len(out) == 6 and out[5].split()[1] in ("same", "DIFFERS")
+    _check_process_wall_line(out[4])
+    assert out[5].split() == ["input", "report", "change/base", "median"]
+    assert len(out) == 7 and out[6].split()[1] in ("same", "DIFFERS")
 
 
 @pytest.mark.skipif(not _in_a_git_checkout(), reason="the base side is extracted from a git revision")

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -181,6 +184,38 @@ def test_loo_reruns_are_byte_identical(tmp_path, data_file, config_file):
                      "--movement", "left"]) == EXIT_OK
     assert (dirs[0] / "summary.csv").read_bytes() == (dirs[1] / "summary.csv").read_bytes()
     assert (dirs[0] / "folds.csv").read_bytes() == (dirs[1] / "folds.csv").read_bytes()
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from tmcda import cli
+from tmcda.dataset import load_table
+from tmcda.pipeline import ablation_sweep
+from tmcda.runconfig import apply_entries, parse_flat_file
+data, config, out_dir = sys.argv[1:]
+assert cli.main(["loo", "--data", data, "--config", config, "--out-dir", out_dir,
+                 "--variant", "all", "--movement", "left"]) == 0
+sweep = ablation_sweep(load_table(data), {"alpha": [0.25, 0.75]},
+                       apply_entries(parse_flat_file(config), allow_grid=False)[0])
+assert [cell.status for cell in sweep.cells] == ["ok", "ok"]
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_loo_of_every_variant_and_an_alpha_sweep_never_import_numpy_ma(tmp_path, data_file, config_file):
+    """In a fresh interpreter, neither run imports ``numpy.ma``.
+
+    ``np.percentile`` imports it on its first call, through the chain
+    ``np.percentile`` -> ``np.unique`` -> ``np.ma.is_masked``, and that adds
+    about 1.25 MB to the peak RSS of every process that builds ITML
+    constraints. A later ``np.unique`` or ``np.percentile`` in ``src/`` fails
+    this test.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    args = [str(data_file), str(config_file), str(tmp_path / "loo")]
+    run = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, *args], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_loo_manifest_records_inputs_and_seed(tmp_path, data_file, config_file):

@@ -153,6 +153,15 @@ def test_thresholds_match_independent_percentile_oracle():
     assert len(C.similar) <= 200 and len(C.dissimilar) <= 200
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 1e6, allow_subnormal=False), min_size=1,
+                max_size=60),
+       st.lists(st.sampled_from([5.0, 10.0, 90.0, 95.0]) | st.floats(0.0, 99.99), min_size=1, max_size=4))
+def test_percentiles_equal_numpys_bit_for_bit(values, qs):
+    values = np.array(values)
+    assert _bits(itml._percentiles(values, *qs)) == _bits(np.percentile(values, qs).tolist())
+
+
 def test_constraint_set_validates_u_less_than_l():
     with pytest.raises(MetricError):
         ConstraintSet(((0, 1),), (), u=2.0, l=1.0)
@@ -513,6 +522,21 @@ def test_fit_equals_the_reference_projection_loop_bit_for_bit(case, gamma, tol, 
     for name, value in expected.items():
         assert _bits(getattr(result, name)) == _bits(value), name
     assert np.array_equal(result.A, result.A.T)     # exactly symmetric, as the module docstring says
+
+
+@pytest.mark.parametrize("gamma", [1.0, 7.0])
+def test_a_zero_alpha_stops_before_the_slack_only_under_unit_gamma(gamma):
+    # p = 1 < u and dual 0, so alpha = min(0, step) is 0. The slack update gamma * xi / (gamma + 0 * xi) is xi
+    # itself at gamma 1, but at gamma 7 it rounds to one ulp below u: a stop that ignored gamma would keep u.
+    u = 847.4338895034957
+    X = np.array([[0.0], [1.0]])
+    C = ConstraintSet(((0, 1),), (), u=u, l=2.0 * u)
+    result = fit_itml(X, C, gamma=gamma, max_passes=1)
+    expected = reference_itml(X, C, gamma, 1, 1e-3)
+    for name, value in expected.items():
+        assert _bits(getattr(result, name)) == _bits(value), name
+    assert result.final_lambda[0] == 0.0
+    assert result.final_xi[0] == (u if gamma == 1.0 else 847.4338895034956)
 
 
 @pytest.mark.parametrize("A0", [np.diag([2.0, 3.0]), np.array([[2.0, -0.0], [-0.0, 3.0]])],

@@ -14,7 +14,11 @@ smoke sizes and settings). One untimed call per input and side comes first,
 and its report texts are compared. Then every round makes each timed call
 once per side, the two sides in turn, in an order that alternates from call
 to call and from round to round, and times it in process time
-(``time.process_time``), so both sides share whatever load the host has.
+(``time.process_time``), so both sides share whatever load the host has,
+and in wall time (``time.perf_counter``). Process time counts the spin of a
+BLAS worker thread as the caller's cost: each side's process/wall ratio
+(its total process seconds over its total wall seconds) reads about 1 when
+its calls ran on one thread, and up to the thread count when they did not.
 
 Without ``--stage`` the timed calls are the workload's calls, one per
 input. With ``--stage`` (say ``itml.fit_itml``) each side records, during
@@ -32,7 +36,8 @@ arguments, so a stage that changes its arguments in place is timed on
 changed inputs after its first replay.
 
 The output gives each side's total and median call time, the calls the
-change won (its time below the base's on the same call and round), and, per
+change won (its time below the base's on the same call and round), each
+side's process/wall ratio, and, per
 timed call, whether the reports (or the stage's outputs) matched and the
 ratio of the change's median time to the base's; with ``--stage``, one such
 block per stage, each opening with its own ``workload`` line.
@@ -156,30 +161,36 @@ def compare(base, change) -> str:
     return f"rel {largest:.1e} {where}" if differing else "same"
 
 
-def time_interleaved(calls: dict[str, list], rounds: int) -> dict[str, list[list[float]]]:
-    """Process seconds of every call, per side and call: each round makes every call once per side, the
-    sides in an order that alternates from call to call and from round to round."""
+def time_interleaved(calls: dict[str, list], rounds: int) -> tuple[dict[str, list[list[float]]], dict[str, float]]:
+    """Process seconds of every call, per side and call, and each side's total wall seconds: each round makes
+    every call once per side, the sides in an order that alternates from call to call and from round to round."""
     n = len(calls["base"])
     seconds = {side: [[] for _ in range(n)] for side in SIDES}
+    wall = dict.fromkeys(SIDES, 0.0)
     for round_ in range(rounds):
         for i in range(n):
             for side in SIDES if (round_ + i) % 2 == 0 else SIDES[::-1]:
-                start = time.process_time()
+                start, start_wall = time.process_time(), time.perf_counter()
                 calls[side][i]()
                 seconds[side][i].append(time.process_time() - start)
-    return seconds
+                wall[side] += time.perf_counter() - start_wall
+    return seconds, wall
 
 
-def report(header: str, seconds: dict[str, list[list[float]]]) -> list[float]:
-    """Print ``header`` and each side's total and median call time; return each call's change/base median."""
+def report(header: str, seconds: dict[str, list[list[float]]], wall: dict[str, float]) -> list[float]:
+    """Print ``header``, each side's total and median call time, and each side's process/wall ratio; return
+    each call's change/base median."""
     print(header)
+    process = {}
     for side in SIDES:
         flat = [s for per_call in seconds[side] for s in per_call]
-        print(f"  {side:6s} total {sum(flat):8.3f} s   median call {statistics.median(flat) * 1e3:8.3f} ms")
+        process[side] = sum(flat)
+        print(f"  {side:6s} total {process[side]:8.3f} s   median call {statistics.median(flat) * 1e3:8.3f} ms")
     pairs = [(b, c) for per_base, per_change in zip(seconds["base"], seconds["change"])
              for b, c in zip(per_base, per_change)]
     print(f"  change/base total {sum(c for _, c in pairs) / sum(b for b, _ in pairs):.4f}; "
           f"change faster in {sum(c < b for b, c in pairs)}/{len(pairs)} calls")
+    print(f"  process/wall  base {process['base'] / wall['base']:.3f}  change {process['change'] / wall['change']:.3f}")
     return [statistics.median(c) / statistics.median(b) for b, c in zip(seconds["base"], seconds["change"])]
 
 
@@ -231,7 +242,7 @@ def main(argv=None) -> int:
         context = f"workload {args.workload}{' (smoke)' if args.smoke else ''}, seed {args.seed}"
         rounds = f" x {args.rounds} rounds, base {args.base}, process time"
         if not stages:
-            ratios = report(f"{context}, {args.inputs} inputs{rounds}", time_interleaved(calls, args.rounds))
+            ratios = report(f"{context}, {args.inputs} inputs{rounds}", *time_interleaved(calls, args.rounds))
             print("  input  report  change/base median")
             for i, ratio in enumerate(ratios):
                 print(f"  {i:5d}  {'same' if reports[i] else 'DIFFERS':7s} {ratio:.4f}")
@@ -240,7 +251,7 @@ def main(argv=None) -> int:
             replays = {side: [functools.partial(functions[stage][side], *c.args, **c.kwargs) for c in by_side[side]]
                        for side in SIDES}
             ratios = report(f"{context}, {len(replays['base'])} calls of {stage}{rounds}",
-                            time_interleaved(replays, args.rounds))
+                            *time_interleaved(replays, args.rounds))
             print(f"  reports the same on {sum(reports)}/{args.inputs} inputs")
             print("  call  input  change/base median  arguments  output")
             for i, (b, c) in enumerate(zip(by_side["base"], by_side["change"])):
