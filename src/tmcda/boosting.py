@@ -148,12 +148,21 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig) -> 
     )
 
 
+def _features(X, name: str) -> np.ndarray:
+    """``X`` as a float array; one that is not 2-D, one row per instance, is a ValueError."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, one row per instance, got shape {X.shape}")
+    return X
+
+
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BoostedModel:
     """Standard gradient boosting: uniform unit weights on one training set.
 
-    A NaN or infinite value in ``X`` or ``y`` raises ValueError.
+    An ``X`` that is not 2-D, or a NaN or infinite value in ``X`` or ``y``,
+    raises ValueError.
     """
-    X = np.asarray(X, dtype=float)
+    X = _features(X, "X")
     y = np.asarray(y, dtype=float)
     if len(X) != len(y) or len(y) < 1:
         raise ValueError("X and y must be nonempty and aligned")
@@ -174,12 +183,13 @@ def fit_gbbw(
     alpha = 0 model is ``fit_gradient_boosting`` on the source set, whatever
     the pseudo-target contents, and the alpha = 1 model that on the
     pseudo-target set. An empty pseudo-target set is valid only at alpha = 0.
-    A NaN or infinite value in the features or labels of a set the fit
-    trains on raises ValueError; an excluded set is not read.
+    Features that are not 2-D, in either set, raise ValueError, and so does
+    a NaN or infinite value in the features or labels of a set the fit
+    trains on; an excluded set's values are not read.
     """
-    source_X = np.asarray(source_X, dtype=float)
+    source_X = _features(source_X, "source_X")
     source_y = np.asarray(source_y, dtype=float)
-    target_X = np.asarray(target_X, dtype=float)
+    target_X = _features(target_X, "target_X")
     target_y = np.asarray(target_y, dtype=float)
     n1, n2 = len(source_y), len(target_y)
     if n1 < 1:

@@ -42,6 +42,21 @@ of them, whose gain over the parent it then tests. An invalid candidate is
 never scored, so it cannot reach the maximum, not even as a NaN when a
 score overflows.
 
+When every positive weight is one value c (the paper's alpha = 1/2 fits,
+and every source-only or alpha = 1 fit), the weights need no sums: the
+count path. ``SplitPlan.build`` checks once that every multiple c * m up
+to the root's row count N is an exact double, which holds when c's odd
+significand (c with its trailing zero bits dropped) has at most
+53 - bit_length(N) bits: 1, 1/2 and 3 pass, 0.1 and 0.7 do not, nor
+1 + 2**-49 beyond 7 rows. The plan then keeps counts = c * (1, 2, ..., N),
+and a node of n rows reads its total weight as counts[n - 1] and the
+left and right weights of its candidate k as counts[k] and counts[n - 1]
+- counts[k], with no gather of its rows' weights, no cumulative sum and
+no test that the right weight is positive (k + 1 < n rows go left). These
+are the doubles the sums give, bit for bit: every partial sum of equal
+weights is then an exact multiple of c, whatever the order of its
+additions. Any other weights take the sums.
+
 Every stage searches the same root, so the plan holds the root next to the
 presort. Later stages also reach many of the same other nodes: a node is its
 row mask, and the splits near the root change little from stage to stage.
@@ -73,8 +88,8 @@ tree is a root split at ``max_depth - 1``, so both its leaves come from
 the root's search, with no row masks. The root's total is the pairwise sum
 of ``w * r`` over its rows, taken over ``w * r`` itself, with no gather,
 when every row has positive weight (the same additions in the same order).
-The plan decides once whether every weight is 1, and then hands ``r`` on
-as ``w * r``, the same doubles, without the product.
+On the count path with c = 1 the plan hands ``r`` on as ``w * r``, the
+same doubles at every row with positive weight, without the product.
 
 Prediction is one walk, ``Forest.leaves``. A ``Forest`` lays trees' node
 tables end to end, once, with children renumbered into the one table and
@@ -211,25 +226,50 @@ class _Node(NamedTuple):
     children: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
 
 
-def _node(order, xsorted, w, member, min_samples_leaf) -> _Node:
-    w_node = w[member]
-    total_w = float(np.add.reduce(w_node))    # over the node's rows in ascending row order
-    n_node = len(w_node)
+def _node(order, xsorted, w, counts, member, min_samples_leaf) -> _Node:
+    """The node of rows ``member``; ``counts`` is the plan's (see ``SplitPlan``), None off the count path."""
+    if counts is None:
+        w_node = w[member]
+        total_w = float(np.add.reduce(w_node))    # over the node's rows in ascending row order
+        n_node = len(w_node)
+    else:
+        n_node = np.count_nonzero(member)
+        total_w = counts.item(n_node - 1)
     if n_node < 2 * min_samples_leaf:
         return _Node(member, total_w, None, member.nbytes, {})
     n_features = len(order)
     in_node = member[order]
     rows = order[in_node].reshape(n_features, n_node)
     xs = xsorted[in_node].reshape(n_features, n_node)
-    cw = np.add.accumulate(w[rows], axis=1)
-    right_w = total_w - cw  # <= 0 when the right side's weight rounds away: no split, and no division
     # Both sides keep min_samples_leaf rows.
     lo, hi = min_samples_leaf - 1, n_node - min_samples_leaf
     valid = np.zeros((n_features, n_node), dtype=bool)
-    valid[:, lo:hi] = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]) & (right_w[:, lo:hi] > 0)
-    flat = valid.ravel().nonzero()[0]
-    search = _Search(rows, flat, cw.take(flat), right_w.take(flat)) if len(flat) else None
+    valid[:, lo:hi] = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
+    if counts is None:
+        cw = np.add.accumulate(w[rows], axis=1)
+        right_w = total_w - cw  # <= 0 when the right side's weight rounds away: no split, and no division
+        valid[:, lo:hi] &= right_w[:, lo:hi] > 0
+        flat = valid.ravel().nonzero()[0]
+        left_w, right_w = cw.take(flat), right_w.take(flat)
+    else:
+        # Candidate k leaves k + 1 rows left and at least one right, so right_w > 0 holds.
+        flat = valid.ravel().nonzero()[0]
+        left_w = counts.take(flat % n_node)
+        right_w = total_w - left_w
+    search = _Search(rows, flat, left_w, right_w) if len(flat) else None
     return _Node(member, total_w, search, member.nbytes + sum(a.nbytes for a in search or ()), {})
+
+
+def _counts(w: np.ndarray, member: np.ndarray) -> np.ndarray | None:
+    """c * (1, 2, ..., N) when each of the N rows of ``member`` weighs c and every such multiple is an
+    exact double, by the significand test of the module docstring; else None."""
+    w_root = w[member]
+    c = w_root.item(0)
+    numerator = c.as_integer_ratio()[0]
+    odd = numerator // (numerator & -numerator)    # c's significand with its trailing zero bits dropped
+    if odd.bit_length() + len(w_root).bit_length() > 53 or not np.all(w_root == c):
+        return None
+    return c * np.arange(1, len(w_root) + 1)
 
 
 class _NodeMemo(OrderedDict):
@@ -245,10 +285,13 @@ class SplitPlan:
     ``w`` holds one weight per row of ``X``. ``order`` and ``xsorted`` are
     each feature's stable ascending row order and the sorted values, both
     (n_features, n_rows); ``root`` is the root node, the rows with positive
-    weight, ``every_row`` tells whether that is every row and
-    ``unit_weights`` whether every weight is 1. ``_memo``
-    holds the other nodes that ``node`` built last, at most ``_MEMO_BYTES``
-    of them. ``X`` is read at each split, so it must not change meanwhile.
+    weight, and ``every_row`` tells whether that is every row. ``counts``
+    is c * (1, 2, ..., N) when each of the root's N rows weighs c and every
+    such multiple is an exact double, the count path of the module
+    docstring, and None otherwise; ``unit_weights`` tells whether it is the
+    count path with c = 1, every positive weight 1. ``_memo`` holds the
+    other nodes that ``node`` built last, at most ``_MEMO_BYTES`` of them.
+    ``X`` is read at each split, so it must not change meanwhile.
     """
 
     X: np.ndarray
@@ -256,6 +299,7 @@ class SplitPlan:
     min_samples_leaf: int
     order: np.ndarray
     xsorted: np.ndarray
+    counts: np.ndarray | None
     root: _Node
     every_row: bool
     unit_weights: bool
@@ -263,9 +307,11 @@ class SplitPlan:
 
     @classmethod
     def build(cls, X: np.ndarray, w: np.ndarray, min_samples_leaf: int) -> "SplitPlan":
-        """Check the weights, one per row of ``X``, presort ``X`` and lay out the root's search."""
+        """Check ``X``, 2-D, and the weights, one per row, presort ``X`` and lay out the root's search."""
         X = np.asarray(X, dtype=float)
         w = np.asarray(w, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, one row per instance, got shape {X.shape}")
         if w.shape != (len(X),):
             raise ValueError(f"w has shape {w.shape}; X has {len(X)} rows, and w needs one entry per row")
         if not np.isfinite(w).all():
@@ -276,13 +322,17 @@ class SplitPlan:
             raise ValueError("at least one weight must be positive")
         order = np.argsort(X.T, axis=1, kind="stable")
         xsorted = np.take_along_axis(X.T, order, axis=1)
-        root = _node(order, xsorted, w, w > 0, min_samples_leaf)
+        member = w > 0
+        counts = _counts(w, member)
+        root = _node(order, xsorted, w, counts, member, min_samples_leaf)
         if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
             raise ValueError(f"weights must have a finite total, got {root.total_w}")
-        return cls(X, w, min_samples_leaf, order, xsorted, root, bool(root.member.all()), bool(np.all(w == 1.0)))
+        return cls(X, w, min_samples_leaf, order, xsorted, counts, root, bool(member.all()),
+                   counts is not None and counts.item(0) == 1.0)
 
     def weighted(self, r: np.ndarray) -> np.ndarray:
-        """The weighted residuals ``w * r``: ``r`` itself, the same doubles, under unit weights."""
+        """The weighted residuals ``w * r``: ``r`` itself, the same doubles at every row with positive
+        weight, under unit weights."""
         return r if self.unit_weights else self.w * r
 
     def root_total(self, wr: np.ndarray) -> float:
@@ -295,7 +345,7 @@ class SplitPlan:
         key = member.tobytes()
         node = memo.get(key)
         if node is None:
-            node = _node(self.order, self.xsorted, self.w, member, self.min_samples_leaf)
+            node = _node(self.order, self.xsorted, self.w, self.counts, member, self.min_samples_leaf)
             if node.nbytes <= _MEMO_BYTES:    # a node larger than the bound is not kept
                 memo[key] = node
                 memo.nbytes += node.nbytes

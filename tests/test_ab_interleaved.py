@@ -21,6 +21,19 @@ class _Result:
     pairs: list
 
 
+def test_digest_reads_every_leaf_in_order():
+    base = _Result(np.array([[2.0, 1.0], [1.0, 4.0]]), [0.5, 0.25], [(0, 1)])
+    copied = dataclasses.replace(base, A=base.A.copy())
+    assert ab_interleaved.digest([base, copied]) == ab_interleaved.digest([copied, base])
+    for other in (dataclasses.replace(base, A=np.array([[2.0, 1.0], [1.0, np.nextafter(4.0, 5.0)]])),
+                  dataclasses.replace(base, A=base.A.astype(np.float32)),
+                  dataclasses.replace(base, A=base.A.reshape(1, 4)),
+                  dataclasses.replace(base, trace=[0.25, 0.5]),
+                  dataclasses.replace(base, pairs=[(0, 2)])):
+        assert ab_interleaved.digest([base]) != ab_interleaved.digest([other])
+    assert ab_interleaved.digest([base, base]) != ab_interleaved.digest([base])
+
+
 def test_compare_reports_same_the_largest_relative_array_difference_or_differs():
     base = _Result(np.array([[2.0, 1.0], [1.0, 4.0]]), [0.5, 0.25], [(0, 1)])
     assert ab_interleaved.compare(base, dataclasses.replace(base, A=base.A.copy())) == "same"
@@ -60,8 +73,8 @@ def _check_process_wall_line(line):
 
 
 def _check_stage_block(out, stage):
-    """One stage's block of output: its header, the two sides, the totals, the process/wall ratios and one
-    row per recorded call."""
+    """One stage's block of output: its header, the two sides, the totals, the process/wall ratios, one
+    row per recorded call and the two sides' output digests, equal against the same code."""
     header = out[0].split(", ")
     assert header[0] == "workload alpha-sweep (smoke)" and header[-1] == "process time"
     assert [line.split()[0] for line in out[1:3]] == ["base", "change"]
@@ -70,12 +83,16 @@ def _check_stage_block(out, stage):
     _check_process_wall_line(out[4])
     assert out[5] in ("  reports the same on 1/1 inputs", "  reports the same on 0/1 inputs")
     assert out[6].split() == ["call", "input", "change/base", "median", "arguments", "output"]
-    rows = [line.split() for line in out[7:]]
+    rows = [line.split() for line in out[7:-1]]
     assert len(rows) == calls
     for i, row in enumerate(rows):
         assert row[:2] == [str(i), "0"] and float(row[2]) > 0
         assert row[3] == "same"        # upstream of the stage both sides are the same
         assert row[4] in ("same", "rel", "DIFFERS")
+    words = out[-1].split()
+    assert words[:3] == ["output", "digest", "base"] and words[4] == "change" and words[6] == "same"
+    assert len(words[3]) == 64 and words[3] == words[5]
+    assert words[7:] == [f"{sum(row[4] == 'same' for row in rows)}/{calls}", "calls"]
 
 
 @pytest.mark.skipif(not _in_a_git_checkout(), reason="the base side is extracted from a git revision")

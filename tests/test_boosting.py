@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -215,6 +216,28 @@ def test_boundary_validation():
     assert model.n_stages == 3
 
 
+@pytest.mark.parametrize("shape", [(), (12,), (12, 2, 1)])
+def test_gradient_boosting_refuses_features_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"X must be 2-D, one row per instance, got shape {shape}")):
+        fit_gradient_boosting(np.zeros(shape), np.zeros(12), TrainConfig(n_stages=2))
+
+
+@pytest.mark.parametrize("source_shape, target_shape, bad", [
+    ((10,), (10,), "source_X"),           # equal lengths would stack into a 2-row matrix
+    ((10,), (4,), "source_X"),
+    ((10, 2), (4,), "target_X"),
+    ((10, 2, 1), (4, 2), "source_X"),
+    ((10, 2), (), "target_X"),
+])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_gbbw_refuses_features_that_are_not_2d_in_either_set(source_shape, target_shape, bad, alpha):
+    shape = source_shape if bad == "source_X" else target_shape
+    message = re.escape(f"{bad} must be 2-D, one row per instance, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        fit_gbbw(np.zeros(source_shape), np.zeros(10), np.zeros(target_shape), np.zeros(target_shape[:1]),
+                 TrainConfig(n_stages=2, alpha=alpha))
+
+
 def test_predict_validates_dimensions():
     Xs, ys, Xt, yt = _two_domain_problem(14)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=2, alpha=0.5))
@@ -379,9 +402,9 @@ def _count_node_builds(monkeypatch):
     built, plans = [], []
     build_node, fit = tree._node, boosting.fit_tree
 
-    def counting_node(order, xsorted, w, member, min_samples_leaf):
-        built.append(member.tobytes())
-        return build_node(order, xsorted, w, member, min_samples_leaf)
+    def counting_node(*args):
+        built.append(args[-2].tobytes())    # the row mask, before min_samples_leaf
+        return build_node(*args)
 
     def recording_fit(plan, *args, **kwargs):
         plans.append(plan)

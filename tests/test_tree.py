@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +165,30 @@ def test_weight_validation():
         SplitPlan.build(X, np.array([1e308, 1e308, 1.0]), 2)
 
 
+@pytest.mark.parametrize("shape", [(), (6,), (6, 2, 1)])
+def test_a_plan_refuses_features_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"X must be 2-D, one row per instance, got shape {shape}")):
+        SplitPlan.build(np.zeros(shape), np.ones(6), 1)
+
+
+def test_a_plan_takes_the_count_path_when_every_positive_weight_is_one_value_whose_multiples_are_exact():
+    for c in (0.5, 1.0, 3.0):
+        for w in (np.full(32, c), np.where(np.arange(40) % 5 == 1, 0.0, c)):
+            plan = SplitPlan.build(np.arange(len(w), dtype=float)[:, None], w, 2)
+            n = np.count_nonzero(w)
+            assert np.array_equal(plan.counts, c * np.arange(1, n + 1))
+            assert plan.root.total_w == np.add.reduce(w[w > 0]) == c * n
+            assert plan.unit_weights == (c == 1.0)
+    one_bit_too_many = 1.0 + 2.0**-49    # 50 significant bits, and 32 rows take 6 more
+    for w in (np.full(32, 0.1), np.full(32, 0.7), np.tile([0.25, 0.75], 16), np.tile([1.0, 2.0], 16),
+              np.full(32, one_bit_too_many),
+              np.where(np.arange(40) % 5 == 1, 0.0, 0.1)):
+        plan = SplitPlan.build(np.arange(len(w), dtype=float)[:, None], w, 2)
+        assert plan.counts is None and not plan.unit_weights
+    assert SplitPlan.build(np.zeros((7, 1)), np.full(7, one_bit_too_many), 2).counts is not None
+    assert SplitPlan.build(np.zeros((8, 1)), np.full(8, one_bit_too_many), 2).counts is None
+
+
 def test_a_non_finite_total_of_the_weighted_residuals_is_rejected():
     X = np.arange(4, dtype=float)[:, None]
     for r in ([0.0, np.nan, 1.0, 2.0], [0.0, np.inf, 1.0, 2.0], [1e308, 1e308, 1e308, 0.0]):
@@ -322,6 +347,9 @@ _COLUMNS = (
 )
 
 
+_ONE_VALUE_WEIGHTS = (0.5, 1.0, 3.0, 0.1, 0.7, 1.0 + 2.0**-49)
+
+
 @st.composite
 def _fits(draw):
     n = draw(st.integers(1, 30))
@@ -330,8 +358,13 @@ def _fits(draw):
     r = np.array(draw(st.lists(
         st.sampled_from([-1.0, 0.0, 2.0]) | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
         min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0, allow_subnormal=False),
-                               min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0, allow_subnormal=False),
+                                   min_size=n, max_size=n)))
+    else:
+        # Every positive weight one value: the count path, where c * n is exact for every n up to the rows.
+        c = draw(st.sampled_from(_ONE_VALUE_WEIGHTS))
+        w = np.array(draw(st.lists(st.sampled_from([0.0, c, c, c]), min_size=n, max_size=n)))
     if not (w > 0).any():
         w[draw(st.integers(0, n - 1))] = 1.0
     return X, r, w, draw(st.integers(0, 4)), draw(st.integers(1, 5))

@@ -40,7 +40,11 @@ change won (its time below the base's on the same call and round), each
 side's process/wall ratio, and, per
 timed call, whether the reports (or the stage's outputs) matched and the
 ratio of the change's median time to the base's; with ``--stage``, one such
-block per stage, each opening with its own ``workload`` line.
+block per stage, each opening with its own ``workload`` line and closing
+with one ``output digest`` line: each side's SHA-256 over the bits of
+every leaf of every recorded output, in call order, and the number of
+calls whose outputs are the same, so that a bit-for-bit claim is one
+comparison.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import argparse
 import copy
 import dataclasses
 import functools
+import hashlib
 import importlib
 import importlib.util
 import statistics
@@ -136,6 +141,20 @@ def _bits(leaf):
     if isinstance(leaf, np.ndarray):
         return leaf.dtype.str, leaf.shape, leaf.tobytes()
     return float.hex(leaf) if isinstance(leaf, float) else leaf
+
+
+def digest(outputs) -> str:
+    """The SHA-256, in hex, over ``_bits`` of every leaf of every one of ``outputs``, in order."""
+    sha = hashlib.sha256()
+    for output in outputs:
+        for _, leaf in leaves(output):
+            bits = _bits(leaf)
+            if isinstance(leaf, np.ndarray):
+                sha.update(repr(bits[:2]).encode())
+                sha.update(bits[2])
+            else:
+                sha.update(repr(bits).encode())
+    return sha.hexdigest()
 
 
 def compare(base, change) -> str:
@@ -254,9 +273,13 @@ def main(argv=None) -> int:
                             *time_interleaved(replays, args.rounds))
             print(f"  reports the same on {sum(reports)}/{args.inputs} inputs")
             print("  call  input  change/base median  arguments  output")
+            same = 0
             for i, (b, c) in enumerate(zip(by_side["base"], by_side["change"])):
-                arguments = compare((b.args, b.kwargs), (c.args, c.kwargs))
-                print(f"  {i:4d}  {b.input:5d}  {ratios[i]:18.4f}  {arguments}  {compare(b.output, c.output)}")
+                arguments, output = compare((b.args, b.kwargs), (c.args, c.kwargs)), compare(b.output, c.output)
+                same += output == "same"
+                print(f"  {i:4d}  {b.input:5d}  {ratios[i]:18.4f}  {arguments}  {output}")
+            print(f"  output digest  base {digest(c.output for c in by_side['base'])}  "
+                  f"change {digest(c.output for c in by_side['change'])}  same {same}/{len(by_side['base'])} calls")
     return 0
 
 
