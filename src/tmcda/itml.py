@@ -243,6 +243,33 @@ def _percentiles(values: np.ndarray, *qs: float) -> list[float]:
     return out
 
 
+def _candidate_pairs(n: int, n_candidates: int, seed: int) -> np.ndarray:
+    """The candidate pairs (i < j) of ``build_constraints`` over ``n`` rows, one row each, in sampling order.
+
+    A permutation prefix is taken from ``np.triu_indices``' two index arrays
+    before they are stacked, so no (all pairs, 2) table is made.
+    """
+    total = n * (n - 1) // 2
+    if total > 4 * n_candidates:
+        rng = np.random.default_rng(seed)
+        seen = set()
+        pairs = []
+        while len(pairs) < n_candidates:
+            i, j = rng.integers(0, n, size=2)
+            if i == j:
+                continue
+            pair = (min(i, j), max(i, j))
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+        return np.array(pairs)
+    first, second = np.triu_indices(n, 1)
+    if total > n_candidates:
+        drawn = np.random.default_rng(seed).permutation(total)[:n_candidates]
+        first, second = first[drawn], second[drawn]
+    return np.column_stack((first, second))
+
+
 def build_constraints(
     X: np.ndarray,
     y: np.ndarray,
@@ -280,25 +307,9 @@ def build_constraints(
     if n < 2:
         raise MetricError("need at least 2 labeled instances")
 
-    total = n * (n - 1) // 2
-    if total > 4 * n_candidates:
-        rng = np.random.default_rng(seed)
-        seen = set()
-        pairs = []
-        while len(pairs) < n_candidates:
-            i, j = rng.integers(0, n, size=2)
-            if i == j:
-                continue
-            pair = (min(i, j), max(i, j))
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-        pairs = np.array(pairs)
-    else:
-        pairs = np.column_stack(np.triu_indices(n, 1))
-        if total > n_candidates:
-            pairs = pairs[np.random.default_rng(seed).permutation(total)[:n_candidates]]
-    diffs = X[pairs[:, 0]] - X[pairs[:, 1]]
+    pairs = _candidate_pairs(n, n_candidates, seed)
+    diffs = X[pairs[:, 0]]
+    diffs -= X[pairs[:, 1]]    # X[i] - X[j] in place: two (pairs, features) arrays alive, not three
     dists = np.einsum("ij,ij->i", diffs, diffs)
     kept = dists > 0.0
     if not kept.any():  # u = l = 0, widened as below
@@ -527,7 +538,12 @@ def match_source_to_target(
     AS = source_X @ A
     ss = np.einsum("ij,ij->i", source_X, AS)
     tt = np.einsum("ij,ij->i", target_X, target_X @ A)
+    # tt[:, None] + ss[None, :] - 2.0 * cross: the same operations in the same order (doubling is exact),
+    # with two (target, source) arrays alive, not three, and one ufunc buffer for a broadcast operand, not two.
     cross = target_X @ AS.T
-    dists = tt[:, None] + ss[None, :] - 2.0 * cross
+    cross *= 2.0
+    dists = np.repeat(tt, len(ss)).reshape(cross.shape)
+    dists += ss
+    dists -= cross
     idx = np.argmin(dists, axis=1)
-    return source_X[idx].copy(), source_y[idx].copy(), idx
+    return source_X[idx], source_y[idx], idx

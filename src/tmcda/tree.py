@@ -99,16 +99,17 @@ used, and a pair that has reached its leaf stays there; the table, not a
 depth, decides when the walk ends. It relies on the table ``fit_tree``
 builds: node 0 the root, every other node with exactly one parent, leaves
 without children. Nothing checks a table built by hand; one with a cycle
-would never finish. A boosted model stacks its stage trees, so that it
-predicts without one walk per tree, and ``RegressionTree.predict`` walks a
-forest of one tree.
+would never finish. A boosted model holds only the forest of its stage
+trees, so that it predicts without one walk per tree and keeps arrays, not
+one Python float per node; ``Forest.trees`` rebuilds the trees from it, bit
+for bit. ``RegressionTree.predict`` walks a forest of one tree.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -137,13 +138,15 @@ class RegressionTree:
         return forest.value[forest.leaves(np.asarray(X, dtype=float))[0]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forest:
     """Trees' node tables laid end to end, children as rows of the one table.
 
     Tree t's root is row ``roots[t]``. A leaf is its own left and right
     child, so a walk that moves every (tree, row) pair one level per step
-    leaves finished pairs in place (see the module docstring).
+    leaves finished pairs in place (see the module docstring). Two forests
+    are equal when their arrays are, entry for entry, as the trees' tuples
+    compare.
     """
 
     roots: np.ndarray
@@ -172,6 +175,24 @@ class Forest:
         return cls(roots, feature, np.array(threshold, dtype=float),
                    np.where(leaf, at, offset + np.array(left, dtype=np.intp)),
                    np.where(leaf, at, offset + np.array(right, dtype=np.intp)), np.array(value, dtype=float))
+
+    def __eq__(self, other):
+        if not isinstance(other, Forest):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def trees(self) -> tuple[RegressionTree, ...]:
+        """The trees ``stack`` laid end to end, each its own node table again, a leaf's children -1.
+
+        Thresholds and values are the stacked doubles, bit for bit.
+        """
+        sizes = np.diff(self.roots, append=len(self.feature))
+        offset = np.repeat(self.roots, sizes)
+        leaf = self.feature == _LEAF
+        columns = (self.feature.tolist(), self.threshold.tolist(), np.where(leaf, _LEAF, self.left - offset).tolist(),
+                   np.where(leaf, _LEAF, self.right - offset).tolist(), self.value.tolist())
+        return tuple(RegressionTree(*(tuple(column[start:end]) for column in columns))
+                     for start, end in zip(self.roots.tolist(), (self.roots + sizes).tolist()))
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """The table row of each (tree, row) pair's leaf, shape (trees, rows of ``X``).

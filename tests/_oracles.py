@@ -299,6 +299,28 @@ def reference_constraints(X, y, max_per_set, n_candidates, seed):
 
 
 # ---------------------------------------------------------------------------
+# Reference nearest-source matching: the distance expression written as one
+# line, as the library once wrote it. ``match_source_to_target`` must return
+# the same indices, rows and labels, bit for bit, ties at rounding level
+# included.
+
+
+def reference_match(A, target_X, source_X, source_y):
+    """(matched features, matched labels, source indices) as ``match_source_to_target`` returns them."""
+    A = np.asarray(A, dtype=float)
+    target_X = np.asarray(target_X, dtype=float)
+    source_X = np.asarray(source_X, dtype=float)
+    source_y = np.asarray(source_y)
+    AS = source_X @ A
+    ss = np.einsum("ij,ij->i", source_X, AS)
+    tt = np.einsum("ij,ij->i", target_X, target_X @ A)
+    cross = target_X @ AS.T
+    dists = tt[:, None] + ss[None, :] - 2.0 * cross
+    idx = np.argmin(dists, axis=1)
+    return source_X[idx].copy(), source_y[idx].copy(), idx
+
+
+# ---------------------------------------------------------------------------
 # Reference ITML projection loop: numpy scalars and arrays throughout, and A
 # re-symmetrized after every projection and once more at the end. ``fit_itml``
 # must return the same result, bit for bit.

@@ -74,7 +74,8 @@ def _check_process_wall_line(line):
 
 def _check_stage_block(out, stage):
     """One stage's block of output: its header, the two sides, the totals, the process/wall ratios, one
-    row per recorded call and the two sides' output digests, equal against the same code."""
+    row per recorded call, the two sides' output digests and their traced peaks, each equal against the
+    same code."""
     header = out[0].split(", ")
     assert header[0] == "workload alpha-sweep (smoke)" and header[-1] == "process time"
     assert [line.split()[0] for line in out[1:3]] == ["base", "change"]
@@ -83,16 +84,20 @@ def _check_stage_block(out, stage):
     _check_process_wall_line(out[4])
     assert out[5] in ("  reports the same on 1/1 inputs", "  reports the same on 0/1 inputs")
     assert out[6].split() == ["call", "input", "change/base", "median", "arguments", "output"]
-    rows = [line.split() for line in out[7:-1]]
+    rows = [line.split() for line in out[7:-2]]
     assert len(rows) == calls
     for i, row in enumerate(rows):
         assert row[:2] == [str(i), "0"] and float(row[2]) > 0
         assert row[3] == "same"        # upstream of the stage both sides are the same
         assert row[4] in ("same", "rel", "DIFFERS")
-    words = out[-1].split()
+    words = out[-2].split()
     assert words[:3] == ["output", "digest", "base"] and words[4] == "change" and words[6] == "same"
     assert len(words[3]) == 64 and words[3] == words[5]
     assert words[7:] == [f"{sum(row[4] == 'same' for row in rows)}/{calls}", "calls"]
+    words = out[-1].split()
+    assert [words[0], words[1], words[3], words[4], words[6], words[7]] == ["memory", "base", "B", "change", "B",
+                                                                            "change/base"]
+    assert int(words[2]) > 0 and words[2] == words[5] and words[8] == "1.0000"
 
 
 @pytest.mark.skipif(not _in_a_git_checkout(), reason="the base side is extracted from a git revision")

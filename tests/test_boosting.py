@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda import boosting, tree
-from tmcda.tree import RegressionTree
+from tmcda.tree import Forest, RegressionTree
 from tmcda.boosting import (
     BoostedModel,
     TrainConfig,
@@ -187,7 +188,7 @@ def test_prediction_additive_in_stages():
     Xs, ys, Xt, yt = _two_domain_problem(9)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=2, alpha=0.5))
     probe = np.vstack([Xs, Xt])
-    truncated = BoostedModel(model.f0, model.stages[:-1], model.shrinkage, model.n_features)
+    truncated = BoostedModel(model.f0, Forest.stack(model.stages[:-1]), model.shrinkage, model.n_features)
     recomposed = predict(truncated, probe) + model.shrinkage * model.stages[-1].predict(probe)
     assert np.allclose(predict(model, probe), recomposed, atol=1e-12)
 
@@ -238,6 +239,15 @@ def test_gbbw_refuses_features_that_are_not_2d_in_either_set(source_shape, targe
                  TrainConfig(n_stages=2, alpha=alpha))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_gbbw_refuses_sets_with_different_column_counts_before_any_fit(alpha, monkeypatch):
+    Xs, ys, Xt, yt = _two_domain_problem(20)
+    monkeypatch.setattr(boosting, "_boost", lambda *args: pytest.fail("fit before the column check"))
+    message = re.escape("source_X has shape (12, 3) and target_X has shape (4, 2)")
+    with pytest.raises(ValueError, match=message):
+        fit_gbbw(Xs, ys, Xt[:, :2], yt, TrainConfig(n_stages=2, alpha=alpha))
+
+
 def test_predict_validates_dimensions():
     Xs, ys, Xt, yt = _two_domain_problem(14)
     model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=2, alpha=0.5))
@@ -279,7 +289,7 @@ def test_predict_never_calls_tree_predict(monkeypatch):
 
 def _with_trees(model, edit):
     """``model`` with every stage's tree passed through ``edit``, built by hand."""
-    return BoostedModel(f0=model.f0, stages=tuple(edit(tree) for tree in model.stages),
+    return BoostedModel(f0=model.f0, forest=Forest.stack(tuple(edit(tree) for tree in model.stages)),
                         shrinkage=model.shrinkage, n_features=model.n_features)
 
 
@@ -319,7 +329,7 @@ def _models(draw):
         nodes = []
         grow(nodes, 0, draw(st.integers(0, 4)))
         stages.append(RegressionTree(*zip(*nodes)))
-    model = BoostedModel(f0=draw(finite), stages=tuple(stages), shrinkage=draw(st.floats(1e-3, 1.0)),
+    model = BoostedModel(f0=draw(finite), forest=Forest.stack(tuple(stages)), shrinkage=draw(st.floats(1e-3, 1.0)),
                          n_features=n_features)
     cell = cuts | st.just(float("nan"))
     X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), max_size=20)))
@@ -618,3 +628,67 @@ def test_a_small_memo_bound_hits_misses_and_evicts(monkeypatch):
     assert 0 < misses < lookups                       # some nodes are built, others come from the memo
     assert len(set(built)) < len(built)               # and some are built again after they were evicted
     assert len(plans[-1]._memo) < len(set(built)) - 1
+
+
+# ------------------------------------------------------------------ what a model keeps
+
+def _held(value):
+    """Every object reachable from ``value`` through instance attributes, tuples, lists and dicts."""
+    todo, seen = [value], []
+    while todo:
+        item = todo.pop()
+        seen.append(item)
+        if isinstance(item, (tuple, list)):
+            todo += item
+        elif isinstance(item, dict):
+            todo += item.values()
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            todo += vars(item).values()
+    return seen
+
+
+def test_a_fitted_model_keeps_its_forest_and_no_stage_tree():
+    Xs, ys, Xt, yt = _two_domain_problem(22, n1=80, n2=24, p=6)
+    config = TrainConfig(n_stages=200, max_depth=3, alpha=0.5)
+    fit_gbbw(Xs, ys, Xt, yt, config)    # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model = fit_gbbw(Xs, ys, Xt, yt, config)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(item, RegressionTree) for item in _held(model))
+    forest = model.forest
+    arrays = sum(a.nbytes for a in (forest.roots, forest.feature, forest.threshold, forest.left, forest.right,
+                                    forest.value))
+    # The forest's arrays, the loss trace (a tuple slot and a float object per entry), and 32 KiB for the
+    # objects around them and the tuples and floats of the fit that Python's free lists hold on to (about
+    # 16 KB). The stage trees would add a tuple slot and a float per node, about 100 KB here.
+    assert kept <= arrays + len(model.loss_trace) * (8 + 24) + 32768
+    assert model.n_stages == len(forest.roots) == config.n_stages
+
+
+def _tree_bits(stage_tree):
+    """A tree's columns, every float as its hex string and every int checked to be a Python int."""
+    assert all(type(v) is int for column in (stage_tree.feature, stage_tree.left, stage_tree.right) for v in column)
+    assert all(type(v) is float for column in (stage_tree.threshold, stage_tree.value) for v in column)
+    return (stage_tree.feature, tuple(map(float.hex, stage_tree.threshold)), stage_tree.left, stage_tree.right,
+            tuple(map(float.hex, stage_tree.value)))
+
+
+@pytest.mark.parametrize("alpha, max_depth", [(0.25, 3), (0.5, 3), (0.5, 1), (1.0, 2)])
+def test_stage_trees_rebuilt_from_the_forest_are_the_fit_trees_bit_for_bit(alpha, max_depth, monkeypatch):
+    Xs, ys, Xt, yt = _two_domain_problem(23, n1=40, n2=16)
+    fitted = []
+    fit = boosting.fit_tree
+
+    def recording(*args, **kwargs):
+        fitted.append(fit(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(boosting, "fit_tree", recording)
+    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=30, max_depth=max_depth, alpha=alpha))
+    assert any(stage_tree.n_nodes > 1 for stage_tree in fitted)
+    assert [_tree_bits(t) for t in model.forest.trees()] == [_tree_bits(t) for t in fitted]
+    assert model.stages == tuple(fitted) and model.n_stages == len(fitted)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from tmcda.itml import (
 from tmcda.pipeline import GmmSettings, ItmlSettings, LassoSettings, PipelineConfig, run_estimation
 from tmcda.synth import generate_synthetic_network
 
-from _oracles import percentile_by_sort, reference_constraints, reference_itml, scalar_itml_trace
+from _oracles import percentile_by_sort, reference_constraints, reference_itml, reference_match, scalar_itml_trace
 
 
 # ---------------------------------------------------------------------- distance
@@ -418,6 +419,80 @@ def test_matching_ties_break_to_lowest_index():
 def test_matching_empty_source_errors():
     with pytest.raises(MetricError):
         match_source_to_target(np.eye(2), np.zeros((1, 2)), np.zeros((0, 2)), np.zeros(0))
+
+
+@st.composite
+def _matching_cases(draw):
+    """(A, target, source, labels): source rows with exact copies and neighbours a few ulps away, which tie
+    with their originals at rounding level, and target rows that are source rows or new ones."""
+    q = draw(st.integers(1, 4))
+    cell = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    row = st.lists(cell, min_size=q, max_size=q)
+    source = []
+    for values in draw(st.lists(row, min_size=1, max_size=6)):
+        source.append(values)
+        for _ in range(draw(st.integers(0, 2))):
+            near = np.array(values)
+            j, steps = draw(st.integers(0, q - 1)), draw(st.integers(-2, 2))
+            for _ in range(abs(steps)):
+                near[j] = np.nextafter(near[j], np.copysign(np.inf, steps))
+            source.append(near.tolist())
+    source = np.array(draw(st.permutations(source)))
+    target = np.array(draw(st.lists(st.sampled_from(source.tolist()) | row, min_size=1, max_size=8)))
+    B = np.array(draw(st.lists(row, min_size=q, max_size=q)))
+    A = B @ B.T + draw(st.sampled_from([1e-3, 0.5, 2.0])) * np.eye(q)
+    return A, target, source, np.arange(len(source)) * 1.5
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matching_cases())
+@example(case=(np.eye(1), np.array([[1.0]]), np.array([[np.nextafter(1.0, 2.0)], [1.0], [np.nextafter(1.0, 0.0)]]),
+               np.array([0.0, 1.5, 3.0])))
+def test_matching_equals_the_one_line_distance_expression_bit_for_bit(case):
+    A, target, source, y = case
+    got, expected = match_source_to_target(A, target, source, y), reference_match(A, target, source, y)
+    for g, e in zip(got, expected):
+        assert (g.dtype, g.shape, g.tobytes()) == (e.dtype, e.shape, e.tobytes())
+
+
+def _traced_peak(call):
+    """``call()``'s tracemalloc peak above the traced memory at its start, in bytes, after one untraced call
+    (first-call allocations stay out of it)."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_matching_holds_at_most_two_target_by_source_arrays():
+    rng = np.random.default_rng(31)
+    n_target, n_source, q = 96, 1500, 5
+    target, source = rng.standard_normal((n_target, q)), rng.standard_normal((n_source, q))
+    y = rng.standard_normal(n_source)
+    peak = _traced_peak(lambda: match_source_to_target(np.eye(q), target, source, y))
+    distances = n_target * n_source * 8
+    # Two (target, source) arrays: the doubled cross products and the distances. Beside them A S (source,
+    # features), its row products (source) and one ufunc buffer for the broadcast ss, plus 16 KiB.
+    assert peak <= 2 * distances + (n_source * q + n_source) * 8 + np.getbufsize() * 8 + 16384
+
+
+def test_constraint_building_holds_two_difference_arrays_and_no_all_pairs_table():
+    rng = np.random.default_rng(32)
+    n, q, m = 128, 6, 3_000
+    X, y = rng.standard_normal((n, q)), rng.standard_normal(n)
+    total = n * (n - 1) // 2    # 8,128 pairs: a permutation prefix of m of them
+    peak = _traced_peak(lambda: build_constraints(X, y, n_candidates=m))
+    differences = m * q * 8
+    # The larger of two phases, plus 16 KiB. Sampling: np.triu_indices' two index arrays and the
+    # permutation (total entries each), the two drawn index arrays and the stacked pairs (m, 2). Distances:
+    # X[i] and X[j] (m, q) and the stacked pairs. A stacked (total, 2) table or a third (m, q) array
+    # would not fit.
+    sampling = 3 * total * 8 + 4 * m * 8
+    assert peak <= max(sampling, 2 * differences + 2 * m * 8) + 16384
 
 
 def test_constraint_sampling_dense_cap_is_deterministic():
