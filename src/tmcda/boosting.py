@@ -10,7 +10,7 @@ alone and on the pseudo-target set alone.
 The loss is squared error only, the case gradient boosting (Friedman 2001,
 *Greedy function approximation*) reduces to least-squares residual fitting
 with a closed-form stage multiplier. A fit updates F, r = y - F and the stage
-tree's leaf values h in place; no tree writes h at a zero-weight row.
+tree's leaf values h in place.
 
 Every stage, at every ``max_depth``, is one ``tree.fit_tree`` call on the
 fit's ``SplitPlan``, which writes h, and one update F += shrinkage * h. A
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Forest, RegressionTree, SplitPlan, fit_tree
+from .tree import Forest, RegressionTree, SplitPlan, check_count, fit_tree
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,9 @@ class TrainConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.n_stages < 0:
-            raise ValueError("n_stages must be >= 0")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        check_count("n_stages", self.n_stages, 0)
+        check_count("max_depth", self.max_depth, 0)
+        check_count("min_samples_leaf", self.min_samples_leaf, 1)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.shrinkage <= 1.0:

@@ -58,7 +58,10 @@ _GRID_KEYS = {f"grid.{axis}": ("grid", axis, _list_of(kind)) for axis, (_, kind)
 
 
 def parse_flat_file(path: str | Path) -> dict[str, str]:
-    """Read key = value lines; later duplicates override earlier ones."""
+    """Read key = value lines; later duplicates override earlier ones.
+
+    Malformed lines are reported all at once, each under the file's name.
+    """
     entries: dict[str, str] = {}
     problems = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -66,7 +69,7 @@ def parse_flat_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")
+            problems.append(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
         entries[key] = value
@@ -81,12 +84,16 @@ def apply_entries(entries: dict[str, str], allow_grid: bool,
 
     Every value is checked, grid values by ``grid_configs``, before any data
     is read. A problem names its key, and the key's file when ``sources``
-    maps the key to one.
+    maps the key to one; unknown keys are listed file by file.
     """
     keys = {**_KEYS, **_GRID_KEYS} if allow_grid else _KEYS
-    unknown = [k for k in entries if k not in keys]
+    unknown = sorted(k for k in entries if k not in keys)
     if unknown:
-        raise ConfigError(f"unknown configuration key(s): {sorted(unknown)}")
+        prefixes = {}    # "<file>: ", or "" without sources -> its unknown keys
+        for key in unknown:
+            prefixes.setdefault(f"{sources[key]}: " if sources else "", []).append(key)
+        raise ConfigError("; ".join(f"{prefix}unknown configuration key(s): {names}"
+                                    for prefix, names in prefixes.items()))
 
     parsed = {section: {} for section in (None, *_SECTIONS, "grid")}
     problems = []    # (key, a message that names it)

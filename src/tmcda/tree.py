@@ -3,8 +3,8 @@
 A split's score is the reduction in weighted sum of squared deviations of the
 residuals; leaf predictions are weighted means. Among equal scores the first
 wins: the lowest feature index, then the lowest threshold, so the result is
-independent of evaluation order. Zero-weight instances are left out of the
-root and cannot influence the tree.
+independent of evaluation order. Every weight is finite and positive, and
+the root holds every row.
 
 The split search sorts each feature once per fit, not once per node: a
 boosting fit builds one ``SplitPlan`` that holds its ``X``, ``w`` and
@@ -42,10 +42,10 @@ of them, whose gain over the parent it then tests. An invalid candidate is
 never scored, so it cannot reach the maximum, not even as a NaN when a
 score overflows.
 
-When every positive weight is one value c (the paper's alpha = 1/2 fits,
+When every weight is one value c (the paper's alpha = 1/2 fits,
 and every source-only or alpha = 1 fit), the weights need no sums: the
 count path. ``SplitPlan.build`` checks once that every multiple c * m up
-to the root's row count N is an exact double, which holds when c's odd
+to the row count N is an exact double, which holds when c's odd
 significand (c with its trailing zero bits dropped) has at most
 53 - bit_length(N) bits: 1, 1/2 and 3 pass, 0.1 and 0.7 do not, nor
 1 + 2**-49 beyond 7 rows. The plan then keeps counts = c * (1, 2, ..., N),
@@ -86,10 +86,7 @@ ends. Every depth, stumps included, goes through that one loop. It starts
 at the plan's root, whose search every tree of the fit shares; a depth-1
 tree is a root split at ``max_depth - 1``, so both its leaves come from
 the root's search, with no row masks. The root's total is the pairwise sum
-of ``w * r`` over its rows, taken over ``w * r`` itself, with no gather,
-when every row has positive weight (the same additions in the same order).
-On the count path with c = 1 the plan hands ``r`` on as ``w * r``, the
-same doubles at every row with positive weight, without the product.
+of ``w * r`` over every row; with c = 1 the product is ``r``, bit for bit.
 
 Prediction is one walk, ``Forest.leaves``. A ``Forest`` lays trees' node
 tables end to end, once, with children renumbered into the one table and
@@ -108,6 +105,7 @@ for bit. ``RegressionTree.predict`` walks a forest of one tree.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -281,16 +279,21 @@ def _node(order, xsorted, w, counts, member, min_samples_leaf) -> _Node:
     return _Node(member, total_w, search, member.nbytes + sum(a.nbytes for a in search or ()), {})
 
 
-def _counts(w: np.ndarray, member: np.ndarray) -> np.ndarray | None:
-    """c * (1, 2, ..., N) when each of the N rows of ``member`` weighs c and every such multiple is an
-    exact double, by the significand test of the module docstring; else None."""
-    w_root = w[member]
-    c = w_root.item(0)
+def _counts(w: np.ndarray) -> np.ndarray | None:
+    """c * (1, 2, ..., N) when each of the N weights ``w`` is c and every such multiple is an exact
+    double, by the significand test of the module docstring; else None."""
+    c = w.item(0)
     numerator = c.as_integer_ratio()[0]
     odd = numerator // (numerator & -numerator)    # c's significand with its trailing zero bits dropped
-    if odd.bit_length() + len(w_root).bit_length() > 53 or not np.all(w_root == c):
+    if odd.bit_length() + len(w).bit_length() > 53 or not np.all(w == c):
         return None
-    return c * np.arange(1, len(w_root) + 1)
+    return c * np.arange(1, len(w) + 1)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """A ValueError unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class _NodeMemo(OrderedDict):
@@ -303,16 +306,14 @@ class _NodeMemo(OrderedDict):
 class SplitPlan:
     """A boosting fit's inputs and what every tree fit on them shares: see the module docstring.
 
-    ``w`` holds one weight per row of ``X``. ``order`` and ``xsorted`` are
-    each feature's stable ascending row order and the sorted values, both
-    (n_features, n_rows); ``root`` is the root node, the rows with positive
-    weight, and ``every_row`` tells whether that is every row. ``counts``
-    is c * (1, 2, ..., N) when each of the root's N rows weighs c and every
-    such multiple is an exact double, the count path of the module
-    docstring, and None otherwise; ``unit_weights`` tells whether it is the
-    count path with c = 1, every positive weight 1. ``_memo`` holds the
-    other nodes that ``node`` built last, at most ``_MEMO_BYTES`` of them.
-    ``X`` is read at each split, so it must not change meanwhile.
+    ``w`` holds one finite, positive weight per row of ``X``. ``order`` and
+    ``xsorted`` are each feature's stable ascending row order and the sorted
+    values, both (n_features, n_rows); ``root`` is the root node, every row.
+    ``counts`` is c * (1, 2, ..., N) when each of the N rows weighs c and
+    every such multiple is an exact double, the count path of the module
+    docstring, and None otherwise. ``_memo`` holds the other nodes that
+    ``node`` built last, at most ``_MEMO_BYTES`` of them. ``X`` is read at
+    each split, so it must not change meanwhile.
     """
 
     X: np.ndarray
@@ -322,43 +323,28 @@ class SplitPlan:
     xsorted: np.ndarray
     counts: np.ndarray | None
     root: _Node
-    every_row: bool
-    unit_weights: bool
     _memo: _NodeMemo = field(init=False, compare=False, repr=False, default_factory=_NodeMemo)
 
     @classmethod
     def build(cls, X: np.ndarray, w: np.ndarray, min_samples_leaf: int) -> "SplitPlan":
-        """Check ``X``, 2-D, and the weights, one per row, presort ``X`` and lay out the root's search."""
+        """Check ``X``, 2-D with at least one row, the weights, one finite positive weight per row,
+        and ``min_samples_leaf``, then presort ``X`` and lay out the root's search."""
         X = np.asarray(X, dtype=float)
         w = np.asarray(w, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, one row per instance, got shape {X.shape}")
         if w.shape != (len(X),):
             raise ValueError(f"w has shape {w.shape}; X has {len(X)} rows, and w needs one entry per row")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if not np.any(w > 0):
-            raise ValueError("at least one weight must be positive")
+        if not (len(w) and np.all((w > 0) & (w < math.inf))):
+            raise ValueError("weights must be finite and positive, over at least one row")
+        check_count("min_samples_leaf", min_samples_leaf, 1)
         order = np.argsort(X.T, axis=1, kind="stable")
         xsorted = np.take_along_axis(X.T, order, axis=1)
-        member = w > 0
-        counts = _counts(w, member)
-        root = _node(order, xsorted, w, counts, member, min_samples_leaf)
+        counts = _counts(w)
+        root = _node(order, xsorted, w, counts, np.ones(len(w), dtype=bool), min_samples_leaf)
         if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
             raise ValueError(f"weights must have a finite total, got {root.total_w}")
-        return cls(X, w, min_samples_leaf, order, xsorted, counts, root, bool(member.all()),
-                   counts is not None and counts.item(0) == 1.0)
-
-    def weighted(self, r: np.ndarray) -> np.ndarray:
-        """The weighted residuals ``w * r``: ``r`` itself, the same doubles at every row with positive
-        weight, under unit weights."""
-        return r if self.unit_weights else self.w * r
-
-    def root_total(self, wr: np.ndarray) -> float:
-        """The total of the weighted residuals ``wr`` over the root's rows, summed pairwise in row order."""
-        return float(np.add.reduce(wr if self.every_row else wr[self.root.member]))
+        return cls(X, w, min_samples_leaf, order, xsorted, counts, root)
 
     def node(self, member: np.ndarray) -> _Node:
         """The non-root node of rows ``member``: kept from an earlier call, or built and kept."""
@@ -439,14 +425,15 @@ def fit_tree(
 
     ``plan`` is ``SplitPlan.build(X, w, min_samples_leaf)``; the trees fit
     from one plan share its presort, root and node memo. If ``leaf_values``
-    is given, each row with positive weight gets the value of its leaf
-    there, equal to ``tree.predict(X)`` on that row; zero-weight rows are
-    left as they are. ``r`` and ``leaf_values`` hold one entry per row of
-    ``X``; any other shape raises ValueError, and so does a ``leaf_values``
-    that is not a float64 ndarray (an integer one would truncate the
-    values) or a node value that is not finite, such as one from a
-    non-finite total of ``w * r``.
+    is given, each row gets the value of its leaf there, equal to
+    ``tree.predict(X)`` on that row. ``r`` and ``leaf_values`` hold one
+    entry per row of ``X``; any other shape raises ValueError, and so do a
+    ``leaf_values`` that is not a float64 ndarray (an integer one would
+    truncate the values), a ``max_depth`` that is not an integer >= 0 and a
+    node value that is not finite, such as one from a non-finite total of
+    ``w * r``.
     """
+    check_count("max_depth", max_depth, 0)
     r = np.asarray(r, dtype=float)
     shape = plan.w.shape
     if r.shape != shape:
@@ -458,13 +445,13 @@ def fit_tree(
         if leaf_values.shape != shape:
             raise ValueError(f"leaf_values has shape {leaf_values.shape}; X has {shape[0]} rows, "
                              f"and leaf_values needs one entry per row")
-    wr = plan.weighted(r)
+    wr = plan.w * r
     # One (feature, threshold, left, right, value) row per node, in preorder (see the module docstring).
     nodes = []
     # (rows in the node, depth, parent if a right child, weight total, weighted residual total):
     # only the root sums its rows; the others' totals come from their parent's search.
     root = plan.root
-    pending = [(root.member, 0, None, root.total_w, plan.root_total(wr))]
+    pending = [(root.member, 0, None, root.total_w, float(np.add.reduce(wr)))]
     while pending:
         member, depth, right_of, total_w, total_wr = pending.pop()
         index = len(nodes)

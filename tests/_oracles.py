@@ -470,8 +470,7 @@ def brute_force_split(X, r, w, min_samples_leaf):
 
 class BruteTree:
     def __init__(self, X, r, w, max_depth, min_samples_leaf):
-        keep = w > 0
-        self.root = self._build(X[keep], r[keep], w[keep], max_depth, min_samples_leaf)
+        self.root = self._build(X, r, w, max_depth, min_samples_leaf)
 
     def _build(self, X, r, w, depth, min_leaf):
         value = (w * r).sum() / w.sum()
@@ -557,8 +556,6 @@ def reference_tree(X, r, w, max_depth, min_samples_leaf):
     """The fitted tree as a ``RegressionTree``: its node table, nodes in preorder."""
     from tmcda.tree import RegressionTree
 
-    keep = w > 0
-    X, r, w = X[keep], r[keep], w[keep]
     table = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
     def build(idx, depth, totals):

@@ -60,13 +60,11 @@ def test_gamma_matches_grid_search_oracle():
 
 @st.composite
 def _one_stage(draw):
-    """One stage's inputs: 1-3 columns (some tie-heavy), weights with zeros, F and y, depth 0-4."""
+    """One stage's inputs: 1-3 columns (some tie-heavy), positive weights, F and y, depth 0-4."""
     n = draw(st.integers(1, 24))
     kinds = draw(st.lists(st.integers(0, len(_CELLS) - 1), min_size=1, max_size=3))
     X = np.array([[draw(_CELLS[k]) for k in kinds] for _ in range(n)]).reshape(n, len(kinds))
-    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-3, 10.0), min_size=n, max_size=n)))
-    if not np.any(w > 0):
-        w[draw(st.integers(0, n - 1))] = 1.0
+    w = np.array(draw(st.lists(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 10.0), min_size=n, max_size=n)))
     values = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_nan=False)
     F = np.array(draw(st.lists(values, min_size=n, max_size=n)))
     y = F.copy() if draw(st.integers(0, 3)) == 0 else np.array(draw(st.lists(values, min_size=n, max_size=n)))
@@ -75,12 +73,12 @@ def _one_stage(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_one_stage())
-@example(case=(np.zeros((4, 2)), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4),
+@example(case=(np.zeros((4, 2)), np.ones(4), np.zeros(4),
                np.array([7.32269802e-228, 0.0, 0.0, 0.0]), 0, 1))    # sum(w h^2) underflows to 0
 def test_the_line_search_after_one_stage_returns_one_within_the_leaf_mean_rounding(case):
     # A stage's leaf values are its leaves' weighted residual means, so
     # sum(w r h) = sum(w h^2) and the multiplier is 1 (0 when h is 0 on every
-    # weighted row); the fit adds shrinkage * h without computing it. With
+    # row); the fit adds shrinkage * h without computing it. With
     # leaf values h_L within the tree's stated rounding of the means
     # (d + 1) n eps (S + |h_L| W) / W_L, S = sum |w r| and W = sum w over the
     # n rows, the two sums differ by at most (d + 1) n eps (S sum_L |h_L|
@@ -92,7 +90,7 @@ def test_the_line_search_after_one_stage_returns_one_within_the_leaf_mean_roundi
     h = np.zeros(len(y))
     fitted = tree.fit_tree(tree.SplitPlan.build(X, w, min_leaf), r, depth, leaf_values=h)
     gamma = compute_gamma(F, h, y, w)
-    if not np.any(h[w > 0]):
+    if not np.any(h):
         assert gamma == 0.0
         return
     denom = (w * h * h).sum()
@@ -237,6 +235,19 @@ def test_gbbw_refuses_features_that_are_not_2d_in_either_set(source_shape, targe
     with pytest.raises(ValueError, match=message):
         fit_gbbw(np.zeros(source_shape), np.zeros(10), np.zeros(target_shape), np.zeros(target_shape[:1]),
                  TrainConfig(n_stages=2, alpha=alpha))
+
+
+@pytest.mark.parametrize("misaligned", ["X", "source_y", "target_y"])
+def test_misaligned_rows_are_refused_by_both_entry_points(misaligned):
+    Xs, ys, Xt, yt = _two_domain_problem(19)
+    config = TrainConfig(n_stages=2, alpha=0.5)
+    if misaligned == "X":
+        with pytest.raises(ValueError, match="X and y must be nonempty and aligned"):
+            fit_gradient_boosting(Xs, ys[:-1], config)
+    else:
+        ys, yt = (ys[:-1], yt) if misaligned == "source_y" else (ys, yt[:-1])
+        with pytest.raises(ValueError, match="features and labels must align"):
+            fit_gbbw(Xs, ys, Xt, yt, config)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -517,7 +528,7 @@ def _stage_fits(draw):
 # Every column ties on every row: the root has no candidate, and every stage is one leaf.
 @example(case=(np.ones((3, 2)), np.array([0.0, 1.0, 5.0]), np.ones((2, 2)), np.array([2.0, -3.0]),
                TrainConfig(n_stages=4, max_depth=1, min_samples_leaf=1, shrinkage=1.0, alpha=0.3)))
-# Unit weights: the plan hands r on as w * r.
+# Unit weights, where w * r is r, bit for bit.
 @example(case=(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 5.0, 2.0]), np.empty((0, 1)),
                np.empty(0), TrainConfig(n_stages=3, max_depth=1, min_samples_leaf=1, shrinkage=0.1, alpha=0.0)))
 def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
@@ -531,7 +542,7 @@ def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
 
     def recording_fit(plan, r, max_depth, *, leaf_values):
         assert max_depth == config.max_depth
-        seen.append(plan.weighted(r).copy())
+        seen.append(plan.w * r)
         return fit(plan, r, max_depth, leaf_values=leaf_values)
 
     with pytest.MonkeyPatch.context() as patch:

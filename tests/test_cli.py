@@ -253,8 +253,8 @@ def test_unknown_config_keys_listed_all_at_once(tmp_path, data_file):
     assert code == EXIT_VALIDATION
     with pytest.raises(ConfigError) as exc:
         apply_entries(parse_flat_file(bad), allow_grid=False)
-    assert "gmm.n_component" in str(exc.value)
-    assert "boosting.stages" in str(exc.value)
+    # Without the keys' sources the message names no file.
+    assert str(exc.value) == "unknown configuration key(s): ['boosting.stages', 'gmm.n_component']"
 
 
 @pytest.mark.parametrize("key", [
@@ -537,18 +537,40 @@ def test_loo_rejects_a_blank_intersection_id_with_its_row(tmp_path, data_file, c
 @pytest.mark.parametrize("fault, message", [
     ("header", "missing column(s) ['o_TM']"),
     ("row", "row 2: non-finite value 'nan' in column 'v_LM'"),
-], ids=["header", "row"])
+    ("empty", "empty file"),
+    ("no-rows", "no data rows"),
+    ("cells", "row 3: expected {cells} cells, got {short}"),
+    ("labels", "label columns incomplete, missing ['v_RM']"),
+    ("unlabeled", "{purpose} needs a labeled dataset"),
+], ids=["header", "row", "empty", "no-rows", "cells", "labels", "unlabeled"])
 def test_a_data_error_names_the_file_once(tmp_path, data_file, config_file, capsys, command, fault, message):
     lines = data_file.read_text().splitlines()
     header = lines[0].split(",")
+
+    def without(*names):
+        gone = [header.index(name) for name in names]
+        return [",".join(c for i, c in enumerate(line.split(",")) if i not in gone) for line in lines]
+
     if fault == "header":
         lines[0] = ",".join("o_TMX" if name == "o_TM" else name for name in header)
-    else:
+    elif fault == "row":
         cells = lines[2].split(",")
         cells[header.index("v_LM")] = "nan"
         lines[2] = ",".join(cells)
+    elif fault == "empty":
+        lines = []
+    elif fault == "no-rows":
+        lines = lines[:1]
+    elif fault == "cells":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+    elif fault == "labels":
+        lines = without("v_RM")
+    else:
+        lines = without("v_LM", "v_TM", "v_RM")
+    message = message.format(cells=len(header), short=len(header) - 1,
+                             purpose="feature selection" if command == "select" else "leave-one-out")
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("".join(line + "\n" for line in lines))
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.alpha = 0.5\n")
     out_dir = tmp_path / "out"
@@ -642,6 +664,17 @@ def test_an_out_of_domain_config_value_names_the_file_whose_value_won_and_its_ke
     override.write_text("gmm.n_init = -2\n")
     assert main(args + ["--config", str(override)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {override}: gmm.n_init: GmmSettings: n_init must be >= 1, got -2\n"
+    # Unknown keys are listed under the file each came from, and a malformed line names its file.
+    grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.5\nboosting.stages = 5\n")
+    override.write_text("gmm.n_component = 2\n")
+    assert main(args + ["--config", str(override)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: {grid}: unknown configuration key(s): ['boosting.stages']; "
+                                       f"{override}: unknown configuration key(s): ['gmm.n_component']\n")
+    for malformed, other in ((override, grid), (grid, override)):
+        malformed.write_text("seed 3\n")
+        other.write_text(FAST_CONFIG + "\ngrid.alpha = 0.5\n")
+        assert main(args + ["--config", str(override)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {malformed}: line 1: expected 'key = value', got 'seed 3'\n"
     assert not out_dir.exists()
 
 

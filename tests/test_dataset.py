@@ -325,6 +325,34 @@ def test_dataset_rejects_a_feature_matrix_of_the_wrong_width(small_data, width):
                 small_data.labels.copy())
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("no rows", "dataset must contain at least one instance"),
+    ("short intersection_ids", "metadata arrays must match instance count"),
+    ("short approaches", "metadata arrays must match instance count"),
+    ("short interval_indices", "metadata arrays must match instance count"),
+    ("labels of two movements", "labels must have shape"),
+    ("labels of one row too few", "labels must have shape"),
+])
+def test_dataset_rejects_arrays_that_do_not_fit_together(small_data, fault, message):
+    arrays = {"intersection_ids": small_data.intersection_ids, "approaches": small_data.approaches,
+              "interval_indices": small_data.interval_indices, "X": small_data.X, "labels": small_data.labels}
+    if fault == "no rows":
+        arrays = {name: a[:0] for name, a in arrays.items()}
+    elif fault.startswith("short"):
+        arrays[fault.split()[1]] = arrays[fault.split()[1]][1:]
+    elif fault == "labels of two movements":
+        arrays["labels"] = arrays["labels"][:, :2]
+    else:
+        arrays["labels"] = arrays["labels"][1:]
+    with pytest.raises(DataError, match=re.escape(message)):
+        Dataset(**{name: a.copy() for name, a in arrays.items()})
+
+
+def test_movement_labels_of_an_unlabeled_dataset_are_refused(small_data):
+    with pytest.raises(DataError, match="dataset has no labels"):
+        small_data.without_labels().movement_labels("left")
+
+
 def test_dataset_arrays_are_read_only(small_data):
     with pytest.raises(ValueError):
         small_data.X[0, 0] = 1.0

@@ -206,6 +206,12 @@ def test_sampler_deterministic_and_empty():
     assert not np.array_equal(a, sample_gmm(model, 50, seed=43))
 
 
+def test_sampler_refuses_a_negative_sample_count():
+    model = fit_gmm(np.random.default_rng(9).standard_normal((20, 1)), K=1, seed=3)
+    with pytest.raises(GMMError, match="M must be >= 0"):
+        sample_gmm(model, -1, seed=1)
+
+
 def test_sampler_concentrates_for_tiny_covariance():
     rng = np.random.default_rng(10)
     X = np.full((20, 2), 3.0) + 1e-8 * rng.standard_normal((20, 2))

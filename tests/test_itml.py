@@ -103,6 +103,15 @@ def test_a_metric_with_no_dimension_is_refused():
         fit_itml(np.zeros((3, 0)), ConstraintSet(((0, 1),), ((0, 2),), 1.0, 2.0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: itml.check_metric(np.array([[2.0, 1.0], [0.5, 2.0]])), "metric is not symmetric"),
+    (lambda: logdet_divergence(np.eye(2), np.eye(3)), "metrics must share a dimension"),
+], ids=["asymmetric", "mismatched-shapes"])
+def test_malformed_metrics_are_refused(call, message):
+    with pytest.raises(MetricError, match=message):
+        call()
+
+
 def test_divergence_rejects_non_psd():
     with pytest.raises(MetricError):
         logdet_divergence(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
@@ -419,6 +428,15 @@ def test_matching_ties_break_to_lowest_index():
 def test_matching_empty_source_errors():
     with pytest.raises(MetricError):
         match_source_to_target(np.eye(2), np.zeros((1, 2)), np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("source_X, source_y, message", [
+    (np.zeros((4, 2)), np.zeros(3), "source features and labels must align"),
+    (np.zeros((4, 3)), np.zeros(4), "feature dimensions do not match the metric"),
+], ids=["misaligned-labels", "wrong-width"])
+def test_matching_refuses_a_source_set_it_cannot_match_from(source_X, source_y, message):
+    with pytest.raises(MetricError, match=message):
+        match_source_to_target(np.eye(2), np.zeros((1, 2)), source_X, source_y)
 
 
 @st.composite

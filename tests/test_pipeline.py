@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -216,13 +217,30 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     (GmmSettings, "n_components", 0),
     (GmmSettings, "n_samples", -1),
     (GmmSettings, "n_init", 0),
+    (TrainConfig, "n_stages", -1),
+    (TrainConfig, "n_stages", 2.5),           # raised TypeError in the fit
     (TrainConfig, "max_depth", -1),
+    (TrainConfig, "max_depth", 2.5),          # trained trees of 11-13 nodes
     (TrainConfig, "min_samples_leaf", 0),
+    (TrainConfig, "min_samples_leaf", 1.5),   # raised TypeError in the fit
     (PipelineConfig, "master_seed", -1),
 ])
 def test_settings_reject_out_of_domain_values(settings, field, value):
     with pytest.raises(ValueError, match=f"{field} must"):
         settings(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("movement", "u-turn"), ("variant", "target-only")])
+def test_pipeline_config_rejects_an_unknown_movement_or_variant(field, value):
+    with pytest.raises(ValueError, match=f"unknown {field} {value!r}"):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("mae, rmse", [(None, 1.0), (1.0, None), (None, None)])
+def test_a_successful_fold_must_carry_both_metrics(mae, rmse):
+    with pytest.raises(ValueError, match="successful fold must carry metrics"):
+        FoldResult("I00", "left", "GB", 3, mae, rmse)
+    assert FoldResult("I00", "left", "GB", 3, mae, rmse, error="gmm: too few samples").error is not None
 
 
 def test_settings_accept_their_boundary_values():
@@ -262,6 +280,12 @@ def test_split_forbids_labeled_target(data3):
     )
     with pytest.raises(DataError, match="must not carry labels"):
         DomainSplit(split.source, labeled_target, split.held_out_labels, "I01")
+
+
+def test_split_forbids_overlapping_source_and_target(data3):
+    split = split_domains(data3, "I01")
+    with pytest.raises(DataError, match=re.escape("source and target intersections overlap: ['I01']")):
+        DomainSplit(data3, split.target_features, split.held_out_labels, "I01")
 
 
 def test_split_forbids_unlabeled_source(data3):
@@ -326,6 +350,14 @@ def test_fewer_than_one_job_is_rejected_by_both_entry_points(data3, jobs):
         leave_one_out(data3, _fast_cfg(), jobs=jobs)
     with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
         ablation_sweep(data3, {"alpha": [0.5]}, _fast_cfg(), jobs=jobs)
+
+
+def test_one_intersection_is_refused_by_both_entry_points(data3):
+    one = data3.subset(data3.intersection_ids == data3.intersections()[0])
+    with pytest.raises(ValueError, match="leave-one-out needs at least 2 intersections"):
+        leave_one_out(one, _fast_cfg())
+    with pytest.raises(ValueError, match="leave-one-out needs at least 2 intersections"):
+        ablation_sweep(one, {"alpha": [0.5]}, _fast_cfg())
 
 
 def test_metric_invariant_enforced_per_row(data3):

@@ -104,19 +104,14 @@ def test_deep_tree_predictions_match_brute_force():
         assert np.allclose(tree.predict(Xq), oracle.predict(Xq), atol=1e-12)
 
 
-def test_zero_weight_instances_do_not_affect_fit():
-    rng = np.random.default_rng(1)
-    X = rng.standard_normal((30, 2))
-    r = rng.standard_normal(30)
-    w = rng.uniform(0.5, 1.5, 30)
-    base = _fit(X, r, w, max_depth=3, min_samples_leaf=2)
-    X_extra = np.vstack([X, 100.0 * rng.standard_normal((10, 2))])
-    r_extra = np.concatenate([r, 50.0 * np.ones(10)])
-    w_extra = np.concatenate([w, np.zeros(10)])
-    spiked = _fit(X_extra, r_extra, w_extra, max_depth=3, min_samples_leaf=2)
-    assert base == spiked
-    r_nan = np.concatenate([r, np.full(10, np.nan)])
-    assert _fit(X_extra, r_nan, w_extra, max_depth=3, min_samples_leaf=2) == base
+def test_zero_weight_instances_are_refused():
+    # The root holds every row: a row that must not count is left out of X, not given weight 0.
+    X = np.random.default_rng(1).standard_normal((40, 2))
+    for zero in (0.0, -0.0):
+        w = np.ones(40)
+        w[-1] = zero
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            SplitPlan.build(X, w, 2)
 
 
 def test_uniform_weights_equal_any_constant_weights():
@@ -154,13 +149,11 @@ def test_constant_residuals_never_split():
 
 def test_weight_validation():
     X = np.zeros((3, 1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        SplitPlan.build(X, np.array([1.0, -1.0, 1.0]), 1)
-    with pytest.raises(ValueError, match="positive"):
-        SplitPlan.build(X, np.zeros(3), 1)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for bad in (-1.0, -np.inf, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
             SplitPlan.build(X, np.array([1.0, bad, 1.0]), 1)
+    with pytest.raises(ValueError, match="weights must be finite and positive, over at least one row"):
+        SplitPlan.build(np.zeros((0, 1)), np.zeros(0), 1)
     with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
         SplitPlan.build(X, np.array([1e308, 1e308, 1.0]), 2)
 
@@ -171,20 +164,35 @@ def test_a_plan_refuses_features_that_are_not_2d(shape):
         SplitPlan.build(np.zeros(shape), np.ones(6), 1)
 
 
-def test_a_plan_takes_the_count_path_when_every_positive_weight_is_one_value_whose_multiples_are_exact():
+@pytest.mark.parametrize("min_samples_leaf", [0, -1, 1.5, 2.0, None])
+def test_a_plan_refuses_a_min_samples_leaf_that_is_not_an_integer_of_at_least_one(min_samples_leaf):
+    # 0 used to fail in numpy's broadcasting, and -1 fitted a tree.
+    message = re.escape(f"min_samples_leaf must be an integer >= 1, got {min_samples_leaf!r}")
+    with pytest.raises(ValueError, match=message):
+        SplitPlan.build(np.arange(10, dtype=float)[:, None], np.ones(10), min_samples_leaf)
+
+
+@pytest.mark.parametrize("max_depth", [-1, 1.5, 2.0, None])
+def test_fit_tree_refuses_a_max_depth_that_is_not_an_integer_of_at_least_zero(max_depth):
+    # -1 used to give one leaf.
+    plan = SplitPlan.build(np.arange(10, dtype=float)[:, None], np.ones(10), 1)
+    with pytest.raises(ValueError, match=re.escape(f"max_depth must be an integer >= 0, got {max_depth!r}")):
+        fit_tree(plan, np.arange(10, dtype=float), max_depth)
+
+
+def test_a_plan_takes_the_count_path_when_every_weight_is_one_value_whose_multiples_are_exact():
     for c in (0.5, 1.0, 3.0):
-        for w in (np.full(32, c), np.where(np.arange(40) % 5 == 1, 0.0, c)):
-            plan = SplitPlan.build(np.arange(len(w), dtype=float)[:, None], w, 2)
-            n = np.count_nonzero(w)
+        for n in (32, 40):
+            w = np.full(n, c)
+            plan = SplitPlan.build(np.arange(n, dtype=float)[:, None], w, 2)
             assert np.array_equal(plan.counts, c * np.arange(1, n + 1))
-            assert plan.root.total_w == np.add.reduce(w[w > 0]) == c * n
-            assert plan.unit_weights == (c == 1.0)
+            assert plan.root.total_w == np.add.reduce(w) == c * n
     one_bit_too_many = 1.0 + 2.0**-49    # 50 significant bits, and 32 rows take 6 more
     for w in (np.full(32, 0.1), np.full(32, 0.7), np.tile([0.25, 0.75], 16), np.tile([1.0, 2.0], 16),
               np.full(32, one_bit_too_many),
-              np.where(np.arange(40) % 5 == 1, 0.0, 0.1)):
+              np.where(np.arange(40) % 5 == 1, 1e-300, 1.0)):
         plan = SplitPlan.build(np.arange(len(w), dtype=float)[:, None], w, 2)
-        assert plan.counts is None and not plan.unit_weights
+        assert plan.counts is None
     assert SplitPlan.build(np.zeros((7, 1)), np.full(7, one_bit_too_many), 2).counts is not None
     assert SplitPlan.build(np.zeros((8, 1)), np.full(8, one_bit_too_many), 2).counts is None
 
@@ -221,13 +229,12 @@ def test_leaf_values_at_max_depth_are_the_prefix_sums_at_their_parents_cut():
         X = rng.standard_normal((n, 3))
         r = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
         w = rng.uniform(0.1, 3.0, n)
-        w[rng.random(n) < 0.1] = 0.0
+        w[rng.random(n) < 0.1] = 1e-300
         max_depth = int(rng.integers(1, 3))
         tree = _fit(X, r, w, max_depth, min_samples_leaf=9)
         assert tree == reference_tree(X, r, w, max_depth, 9)
-        kept = w > 0
-        assert tree.value[0] == np.add.reduce(w[kept] * r[kept]) / np.add.reduce(w[kept])
-        for node, _, m in _nodes_with_rows(tree, X, kept):
+        assert tree.value[0] == np.add.reduce(w * r) / np.add.reduce(w)
+        for node, _, m in _nodes_with_rows(tree, X, np.ones(n, dtype=bool)):
             if node and tree.feature[node] == -1:
                 pairwise.append(tree.value[node] == np.add.reduce(w[m] * r[m]) / np.add.reduce(w[m]))
                 seen.add(int(m.sum()))
@@ -359,14 +366,12 @@ def _fits(draw):
         st.sampled_from([-1.0, 0.0, 2.0]) | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
         min_size=n, max_size=n)))
     if draw(st.booleans()):
-        w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0, allow_subnormal=False),
+        # Weights of many magnitudes: beside 1, a right side of 1e-300 rows rounds away, and is no split.
+        w = np.array(draw(st.lists(st.sampled_from([1e-300, 0.5, 1.0, 3.0]) | st.floats(1e-300, 10.0),
                                    min_size=n, max_size=n)))
     else:
-        # Every positive weight one value: the count path, where c * n is exact for every n up to the rows.
-        c = draw(st.sampled_from(_ONE_VALUE_WEIGHTS))
-        w = np.array(draw(st.lists(st.sampled_from([0.0, c, c, c]), min_size=n, max_size=n)))
-    if not (w > 0).any():
-        w[draw(st.integers(0, n - 1))] = 1.0
+        # Every weight one value: the count path, where c * n is exact for every n up to the rows.
+        w = np.full(n, draw(st.sampled_from(_ONE_VALUE_WEIGHTS)))
     return X, r, w, draw(st.integers(0, 4)), draw(st.integers(1, 5))
 
 
@@ -378,25 +383,25 @@ _HI = np.nextafter(_NEXT, 2.0)
 @given(_fits())
 # A split at depth max_depth - 1 writes both leaves from its sorted rows; here
 # its cut lies between neighbouring doubles, at max_depth 1 and 2, and some
-# rows weigh 0, whose leaf values stay NaN.
+# rows weigh 1e-300 beside rows of weight 1.
 @example((np.array([[_LO], [_LO], [_HI], [_HI]]), np.array([1.0, 1.0, -1.0, -1.0]), np.ones(4), 1, 1))
 @example((np.array([[0.0], [0.0], [_LO], [_LO], [_HI], [_HI]]), np.array([10.0, 10.0, 1.0, 1.0, -1.0, -1.0]),
           np.ones(6), 2, 1))
 @example((np.array([[_LO], [_LO], [_HI], [_HI], [_LO], [_HI]]), np.array([1.0, 1.0, -1.0, -1.0, 50.0, -50.0]),
-          np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]), 1, 1))
+          np.array([1.0, 1.0, 1.0, 1.0, 1e-300, 1e-300]), 1, 1))
 @example((np.array([[0.0], [0.0], [_LO], [_LO], [_HI], [_HI], [_LO], [_HI], [0.0]]),
           np.array([10.0, 10.0, 1.0, 1.0, -1.0, -1.0, 50.0, -50.0, 7.0]),
-          np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), 2, 1))
-# A stump with no candidate: one leaf, written at every positive-weight row and at no other.
-@example((np.ones((4, 2)), np.array([1.0, -1.0, 2.0, 0.0]), np.array([1.0, 0.0, 2.0, 1.0]), 1, 1))
+          np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-300, 1e-300, 1e-300]), 2, 1))
+# The only cut leaves 1e-300 right of 1, a weight that rounds away: no split.
+@example((np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), np.array([1.0, 1e-300]), 1, 1))
+# A stump with no candidate: one leaf, written at every row.
+@example((np.ones((4, 2)), np.array([1.0, -1.0, 2.0, 0.0]), np.array([1.0, 1e-300, 2.0, 1.0]), 1, 1))
 def test_tree_equals_per_node_sort_reference_and_fills_its_leaf_values(fit):
     X, r, w, max_depth, min_samples_leaf = fit
     leaf_values = np.full(len(r), np.nan)
     tree = _fit(X, r, w, max_depth, min_samples_leaf, leaf_values=leaf_values)
     assert tree == reference_tree(X, r, w, max_depth, min_samples_leaf)
-    kept = w > 0
-    assert np.array_equal(leaf_values[kept], tree.predict(X)[kept])
-    assert np.isnan(leaf_values[~kept]).all()
+    assert np.array_equal(leaf_values, tree.predict(X))
 
 
 @st.composite
@@ -523,9 +528,8 @@ def test_node_values_are_finite_and_within_the_stated_bound_of_their_rows_means(
     r = r * scale
     with np.errstate(over="ignore", invalid="ignore"):
         tree = _fit(X, r, w, max_depth, min_samples_leaf)
-    kept = w > 0
-    n, abs_wr, total_w = int(kept.sum()), np.add.reduce(np.abs(w * r)[kept]), np.add.reduce(w[kept])
-    for node, depth, m in _nodes_with_rows(tree, X, kept):
+    n, abs_wr, total_w = len(w), np.add.reduce(np.abs(w * r)), np.add.reduce(w)
+    for node, depth, m in _nodes_with_rows(tree, X, np.ones(n, dtype=bool)):
         value, weight = tree.value[node], np.add.reduce(w[m])
         assert math.isfinite(value)
         mean = np.add.reduce(w[m] * r[m]) / weight
