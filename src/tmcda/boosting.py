@@ -33,11 +33,10 @@ and the model holds only that forest: its arrays, not also a tuple slot
 and a Python float per node of every stage tree (a 200-stage depth-3 model
 on 104 rows of 6 features keeps 103 KB traced, 95 KB of it the forest's
 arrays, where it kept 199 KB with its stage trees beside the forest).
-``BoostedModel.stages`` rebuilds the stage trees from the forest, bit for
-bit, on each call. ``predict`` finds every (stage, row) pair's leaf at
-once, and a cumulative sum along the stage axis then adds f0 and each
-stage's shrinkage * leaf value in stage order, the same additions as
-adding one tree's output at a time.
+``predict`` finds every (stage, row) pair's leaf at once, and a cumulative
+sum along the stage axis then adds f0 and each stage's shrinkage * leaf
+value in stage order, the same additions as adding one tree's output at a
+time.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Forest, RegressionTree, SplitPlan, check_count, fit_tree
+from .tree import Forest, SplitPlan, check_count, fit_tree
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,6 @@ class BoostedModel:
     @property
     def n_stages(self) -> int:
         return len(self.forest.roots)
-
-    @property
-    def stages(self) -> tuple[RegressionTree, ...]:
-        """The stage trees, in stage order, rebuilt from ``forest`` on each call."""
-        return self.forest.trees()
 
 
 def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:

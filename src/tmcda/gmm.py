@@ -157,16 +157,17 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     restart: from the second step on every row's responsibility is 1, so
     every restart returns the same fit, bit for bit, whatever its seeding
     (tested against all ``n_init`` restarts). Components are returned in
-    order of decreasing weight, ties in component order. A non-finite entry
-    of ``X`` raises ``GMMError``.
+    order of decreasing weight, ties in component order. An ``X`` that is
+    not 2-D, one row per sample, or has a non-finite entry raises
+    ``GMMError``.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise GMMError(f"ridge must be finite and >= 0, got {ridge}")
     if n_init < 1:
         raise GMMError(f"n_init must be >= 1, got {n_init}")
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    if X.ndim != 2:
+        raise GMMError(f"samples must be 2-D, one row per sample, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise GMMError("samples have non-finite entries")
     if K < 1:

@@ -13,6 +13,7 @@ evaluation and parameter sweeps wrap that single-fold routine.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import boosting, gmm, itml, lasso
 from .dataset import Dataset, DomainSplit, split_domains
 from .schema import MOVEMENTS
+from .tree import check_count
 
 # Mixture defaults per movement: (components, synthetic samples).
 GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
@@ -56,6 +58,14 @@ def _require(settings, checks) -> None:
         raise ValueError(f"{type(settings).__name__}: " + "; ".join(problems))
 
 
+def _count(settings, name: str, least: int, optional: bool = False):
+    """The check that field ``name`` is an integer, not a bool, of at least ``least`` (or None if ``optional``),
+    worded as ``tree.check_count`` words it."""
+    value = getattr(settings, name)
+    holds = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+    return holds or (optional and value is None), f"{name} must be an integer >= {least}, got {value!r}"
+
+
 @dataclass(frozen=True)
 class LassoSettings:
     lambda_mode: str = "cv"          # one of LAMBDA_MODES
@@ -73,11 +83,11 @@ class LassoSettings:
             (self.lambda_mode in LAMBDA_MODES,
              f"lambda_mode must be one of {', '.join(LAMBDA_MODES)}, got {self.lambda_mode!r}"),
             (0 <= self.lambda_value < math.inf, f"lambda_value must be finite and >= 0, got {self.lambda_value}"),
-            (self.cv_folds >= 2, f"cv_folds must be >= 2, got {self.cv_folds}"),
-            (self.cv_grid_size >= 1, f"cv_grid_size must be >= 1, got {self.cv_grid_size}"),
+            _count(self, "cv_folds", 2),
+            _count(self, "cv_grid_size", 1),
             (0 < self.lam_min_ratio <= 1, f"lam_min_ratio must lie in (0, 1], got {self.lam_min_ratio}"),
             (self.tol > 0, f"tol must be > 0, got {self.tol}"),
-            (self.max_sweeps >= 1, f"max_sweeps must be >= 1, got {self.max_sweeps}"),
+            _count(self, "max_sweeps", 1),
         ))
 
 
@@ -89,9 +99,9 @@ class ItmlSettings:
 
     def __post_init__(self):
         _require(self, (
-            (self.max_passes >= 1, f"max_passes must be >= 1, got {self.max_passes}"),
-            (self.max_constraints >= 0, f"max_constraints must be >= 0, got {self.max_constraints}"),
-            (self.n_candidates >= 1, f"n_candidates must be >= 1, got {self.n_candidates}"),
+            _count(self, "max_passes", 1),
+            _count(self, "max_constraints", 0),
+            _count(self, "n_candidates", 1),
         ))
 
 
@@ -103,10 +113,9 @@ class GmmSettings:
 
     def __post_init__(self):
         _require(self, (
-            (self.n_components is None or self.n_components >= 1,
-             f"n_components must be >= 1, got {self.n_components}"),
-            (self.n_samples is None or self.n_samples >= 0, f"n_samples must be >= 0, got {self.n_samples}"),
-            (self.n_init >= 1, f"n_init must be >= 1, got {self.n_init}"),
+            _count(self, "n_components", 1, optional=True),
+            _count(self, "n_samples", 0, optional=True),
+            _count(self, "n_init", 1),
         ))
 
 
@@ -125,8 +134,7 @@ class PipelineConfig:
             raise ValueError(f"unknown movement {self.movement!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_count("master_seed", self.master_seed, 0)
 
     def as_run(self) -> "PipelineConfig":
         """The config the stages run: movement mixture defaults filled in, then the variant's pins; idempotent."""

@@ -98,8 +98,8 @@ builds: node 0 the root, every other node with exactly one parent, leaves
 without children. Nothing checks a table built by hand; one with a cycle
 would never finish. A boosted model holds only the forest of its stage
 trees, so that it predicts without one walk per tree and keeps arrays, not
-one Python float per node; ``Forest.trees`` rebuilds the trees from it, bit
-for bit. ``RegressionTree.predict`` walks a forest of one tree.
+one Python float per node. ``RegressionTree.predict`` walks a forest of one
+tree.
 """
 
 from __future__ import annotations
@@ -178,19 +178,6 @@ class Forest:
         if not isinstance(other, Forest):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-    def trees(self) -> tuple[RegressionTree, ...]:
-        """The trees ``stack`` laid end to end, each its own node table again, a leaf's children -1.
-
-        Thresholds and values are the stacked doubles, bit for bit.
-        """
-        sizes = np.diff(self.roots, append=len(self.feature))
-        offset = np.repeat(self.roots, sizes)
-        leaf = self.feature == _LEAF
-        columns = (self.feature.tolist(), self.threshold.tolist(), np.where(leaf, _LEAF, self.left - offset).tolist(),
-                   np.where(leaf, _LEAF, self.right - offset).tolist(), self.value.tolist())
-        return tuple(RegressionTree(*(tuple(column[start:end]) for column in columns))
-                     for start, end in zip(self.roots.tolist(), (self.roots + sizes).tolist()))
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """The table row of each (tree, row) pair's leaf, shape (trees, rows of ``X``).
@@ -291,8 +278,8 @@ def _counts(w: np.ndarray) -> np.ndarray | None:
 
 
 def check_count(name: str, value, least: int) -> None:
-    """A ValueError unless ``value`` is an integer of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """A ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -419,32 +406,30 @@ def fit_tree(
     r: np.ndarray,
     max_depth: int = 3,
     *,
-    leaf_values: np.ndarray | None = None,
+    leaf_values: np.ndarray,
 ) -> RegressionTree:
     """Fit a tree to residuals ``r`` on the plan's ``X``, weights and ``min_samples_leaf``.
 
     ``plan`` is ``SplitPlan.build(X, w, min_samples_leaf)``; the trees fit
-    from one plan share its presort, root and node memo. If ``leaf_values``
-    is given, each row gets the value of its leaf there, equal to
-    ``tree.predict(X)`` on that row. ``r`` and ``leaf_values`` hold one
-    entry per row of ``X``; any other shape raises ValueError, and so do a
-    ``leaf_values`` that is not a float64 ndarray (an integer one would
-    truncate the values), a ``max_depth`` that is not an integer >= 0 and a
-    node value that is not finite, such as one from a non-finite total of
-    ``w * r``.
+    from one plan share its presort, root and node memo. Each row gets the
+    value of its leaf in ``leaf_values``, equal to ``tree.predict(X)`` on
+    that row. ``r`` and ``leaf_values`` hold one entry per row of ``X``; any
+    other shape raises ValueError, and so do a ``leaf_values`` that is not a
+    float64 ndarray (an integer one would truncate the values), a
+    ``max_depth`` that is not an integer >= 0 and a node value that is not
+    finite, such as one from a non-finite total of ``w * r``.
     """
     check_count("max_depth", max_depth, 0)
     r = np.asarray(r, dtype=float)
     shape = plan.w.shape
     if r.shape != shape:
         raise ValueError(f"r has shape {r.shape}; X has {shape[0]} rows, and r needs one entry per row")
-    if leaf_values is not None:
-        if not (isinstance(leaf_values, np.ndarray) and leaf_values.dtype == np.float64):
-            got = getattr(leaf_values, "dtype", type(leaf_values).__name__)
-            raise ValueError(f"leaf_values must be a float64 ndarray, got {got}")
-        if leaf_values.shape != shape:
-            raise ValueError(f"leaf_values has shape {leaf_values.shape}; X has {shape[0]} rows, "
-                             f"and leaf_values needs one entry per row")
+    if not (isinstance(leaf_values, np.ndarray) and leaf_values.dtype == np.float64):
+        got = getattr(leaf_values, "dtype", type(leaf_values).__name__)
+        raise ValueError(f"leaf_values must be a float64 ndarray, got {got}")
+    if leaf_values.shape != shape:
+        raise ValueError(f"leaf_values has shape {leaf_values.shape}; X has {shape[0]} rows, "
+                         f"and leaf_values needs one entry per row")
     wr = plan.w * r
     # One (feature, threshold, left, right, value) row per node, in preorder (see the module docstring).
     nodes = []
@@ -462,8 +447,7 @@ def fit_tree(
         split = None if node is None else _best_split(node, wr, total_wr)
         if split is None:
             nodes.append((_LEAF, 0.0, _LEAF, _LEAF, leaf))
-            if leaf_values is not None:
-                leaf_values[member] = leaf
+            leaf_values[member] = leaf
             continue
         (j, k), left_totals, right_totals = split
         children = node.children.get((j, k))
@@ -475,10 +459,9 @@ def fit_tree(
             right_leaf = _leaf_value(*right_totals, index + 2)
             nodes += ((j, t, index + 1, index + 2, leaf), (_LEAF, 0.0, _LEAF, _LEAF, left_leaf),
                       (_LEAF, 0.0, _LEAF, _LEAF, right_leaf))
-            if leaf_values is not None:
-                rows = node.search.rows[j]
-                leaf_values[rows[:k + 1]] = left_leaf
-                leaf_values[rows[k + 1:]] = right_leaf
+            rows = node.search.rows[j]
+            leaf_values[rows[:k + 1]] = left_leaf
+            leaf_values[rows[k + 1:]] = right_leaf
             continue
         nodes.append([j, t, index + 1, _LEAF, leaf])    # the right child's index is set when it is placed
         if children is None:

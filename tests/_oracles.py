@@ -613,13 +613,14 @@ def straight_line_gbbw(Xs, ys, Xt, yt, alpha, n_stages, max_depth, min_leaf, shr
 
 # ---------------------------------------------------------------------------
 # Reference ensemble prediction: the constant, then each stage's scaled tree
-# output added in stage order. ``boosting.predict`` must match it bit for bit.
+# output added in stage order. ``boosting.predict`` of the model built from
+# ``f0``, ``shrinkage`` and these stage trees must match it bit for bit.
 
 
-def reference_ensemble_predict(model, X):
-    F = np.full(len(X), model.f0)
-    for tree in model.stages:
-        F += model.shrinkage * tree.predict(X)
+def reference_ensemble_predict(f0, shrinkage, trees, X):
+    F = np.full(len(X), f0)
+    for tree in trees:
+        F += shrinkage * tree.predict(X)
     return F
 
 

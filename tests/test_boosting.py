@@ -31,6 +31,27 @@ def _two_domain_problem(seed, n1=12, n2=4, p=3):
     return Xs, ys, Xt, yt
 
 
+def _fit_with_trees(fit, *args, check=None):
+    """``fit(*args)`` and the trees its ``boosting.fit_tree`` calls return, in stage order.
+
+    ``check(plan, r, max_depth)``, if given, runs after each of those calls,
+    before the stage moves F. The model's forest must be the trees' stack.
+    """
+    trees, fit_tree = [], boosting.fit_tree
+
+    def recording(plan, r, max_depth, *, leaf_values):
+        trees.append(fit_tree(plan, r, max_depth, leaf_values=leaf_values))
+        if check is not None:
+            check(plan, r, max_depth)
+        return trees[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boosting, "fit_tree", recording)
+        model = fit(*args)
+    assert model.forest == Forest.stack(trees)
+    return model, trees
+
+
 # ------------------------------------------------------------------ multiplier
 
 def test_gamma_one_when_tree_reproduces_residuals():
@@ -173,21 +194,20 @@ def test_full_fit_matches_straight_line_re_implementation():
 def test_single_stump_hand_case():
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 2.0, 2.0])
-    model = fit_gradient_boosting(X, y, TrainConfig(n_stages=1, max_depth=1,
-                                                    min_samples_leaf=1, shrinkage=1.0))
+    model, (stump,) = _fit_with_trees(fit_gradient_boosting, X, y, TrainConfig(n_stages=1, max_depth=1,
+                                                                              min_samples_leaf=1, shrinkage=1.0))
     # F0 = 1; residuals (-1,-1,1,1); stump at 0.5 reproduces them
     assert model.f0 == pytest.approx(1.0)
-    tree = model.stages[0]
-    assert tree.threshold[0] == pytest.approx(0.5)
+    assert stump.threshold[0] == pytest.approx(0.5)
     assert np.allclose(predict(model, X), y)
 
 
 def test_prediction_additive_in_stages():
     Xs, ys, Xt, yt = _two_domain_problem(9)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=2, alpha=0.5))
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=2, alpha=0.5))
     probe = np.vstack([Xs, Xt])
-    truncated = BoostedModel(model.f0, Forest.stack(model.stages[:-1]), model.shrinkage, model.n_features)
-    recomposed = predict(truncated, probe) + model.shrinkage * model.stages[-1].predict(probe)
+    truncated = BoostedModel(model.f0, Forest.stack(fitted[:-1]), model.shrinkage, model.n_features)
+    recomposed = predict(truncated, probe) + model.shrinkage * fitted[-1].predict(probe)
     assert np.allclose(predict(model, probe), recomposed, atol=1e-12)
 
 
@@ -298,27 +318,20 @@ def test_predict_never_calls_tree_predict(monkeypatch):
     assert calls == []
 
 
-def _with_trees(model, edit):
-    """``model`` with every stage's tree passed through ``edit``, built by hand."""
-    return BoostedModel(f0=model.f0, forest=Forest.stack(tuple(edit(tree) for tree in model.stages)),
-                        shrinkage=model.shrinkage, n_features=model.n_features)
-
-
 def test_a_model_that_splits_past_n_features_is_rejected():
     Xs, ys, Xt, yt = _two_domain_problem(13)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
-    assert model.n_features == 3 and model.stages[0].feature[0] != -1
-
-    def split_on_feature_7(tree):
-        return replace(tree, feature=tuple(7 if f != -1 else f for f in tree.feature))
-
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
+    assert model.n_features == 3 and fitted[0].feature[0] != -1
+    # The same trees built by hand, each split moved to feature 7.
+    edited = tuple(replace(t, feature=tuple(7 if f != -1 else f for f in t.feature)) for t in fitted)
     with pytest.raises(ValueError, match="n_features"):
-        _with_trees(model, split_on_feature_7)
+        BoostedModel(f0=model.f0, forest=Forest.stack(edited), shrinkage=model.shrinkage,
+                     n_features=model.n_features)
 
 
 @st.composite
 def _models(draw):
-    """A model of 0-6 random trees of depth 0-4, and rows with NaN cells to route through it."""
+    """A model of 0-6 random trees of depth 0-4, its trees, and rows with NaN cells to route through it."""
     n_features = draw(st.integers(1, 3))
     cuts = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
     finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -344,14 +357,14 @@ def _models(draw):
                          n_features=n_features)
     cell = cuts | st.just(float("nan"))
     X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), max_size=20)))
-    return model, X.reshape(-1, n_features)
+    return model, stages, X.reshape(-1, n_features)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_models())
 def test_predict_equals_the_stage_by_stage_reference_bit_for_bit(case):
-    model, X = case
-    expected = reference_ensemble_predict(model, X).tobytes()
+    model, stages, X = case
+    expected = reference_ensemble_predict(model.f0, model.shrinkage, stages, X).tobytes()
     assert predict(model, X).tobytes() == expected
 
 
@@ -381,7 +394,7 @@ def _boosting_fits(draw):
 @given(_boosting_fits())
 def test_every_stage_tree_equals_the_reference_tree_on_that_stages_residuals(case):
     Xs, ys, Xt, yt, config = case
-    model = fit_gbbw(Xs, ys, Xt, yt, config)
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config)
     alpha = config.alpha
     if alpha == 0.0:
         X, y, w = Xs, ys, np.full(len(ys), 1.0)
@@ -391,7 +404,7 @@ def test_every_stage_tree_equals_the_reference_tree_on_that_stages_residuals(cas
         X, y = np.vstack([Xs, Xt]), np.concatenate([ys, yt])
         w = np.concatenate([np.full(len(ys), 1.0 - alpha), np.full(len(yt), alpha)])
     F = np.full(len(y), model.f0)
-    for tree in model.stages:
+    for tree in fitted:
         r = y - F
         assert tree == reference_tree(X, r, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * tree.predict(X)
@@ -419,21 +432,22 @@ def test_non_finite_features_or_labels_are_rejected(bad):
 
 
 def _count_node_builds(monkeypatch):
-    """Record the row-mask bytes of every node ``tree._node`` builds, and every plan used."""
-    built, plans = [], []
-    build_node, fit = tree._node, boosting.fit_tree
+    """Record the row-mask bytes of every node ``tree._node`` builds."""
+    built, build_node = [], tree._node
 
     def counting_node(*args):
         built.append(args[-2].tobytes())    # the row mask, before min_samples_leaf
         return build_node(*args)
 
-    def recording_fit(plan, *args, **kwargs):
-        plans.append(plan)
-        return fit(plan, *args, **kwargs)
-
     monkeypatch.setattr(tree, "_node", counting_node)
-    monkeypatch.setattr(boosting, "fit_tree", recording_fit)
-    return built, plans
+    return built
+
+
+def _fit_recording_plans(*args):
+    """The stage trees of ``fit_gbbw(*args)``, and the plan of each ``fit_tree`` call."""
+    plans = []
+    _, fitted = _fit_with_trees(fit_gbbw, *args, check=lambda plan, *_: plans.append(plan))
+    return fitted, plans
 
 
 def _node_masks(stage_tree, X, member, depth=0, node=0):
@@ -447,18 +461,18 @@ def _node_masks(stage_tree, X, member, depth=0, node=0):
 
 
 def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch):
-    built, plans = _count_node_builds(monkeypatch)
+    built = _count_node_builds(monkeypatch)
     Xs, ys, Xt, yt = _two_domain_problem(16, n1=30, n2=10)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=60, max_depth=3, alpha=0.5))
+    fitted, plans = _fit_recording_plans(Xs, ys, Xt, yt, TrainConfig(n_stages=60, max_depth=3, alpha=0.5))
     memo = plans[-1]._memo
     assert len(memo) == len(built) - 1        # the plan's root, then every other node: nothing evicted
     assert len(set(built)) == len(built)
-    visited = sum(stage_tree.n_nodes for stage_tree in model.stages)
+    visited = sum(stage_tree.n_nodes for stage_tree in fitted)
     assert len(built) < visited / 2           # most nodes came from the memo
     # Only nodes above max_depth are built, and none of the leaves at max_depth is kept.
     X, _, w = _reference_data(Xs, ys, Xt, yt, 0.5)
     above, at_max_depth = set(), set()
-    for stage_tree in model.stages:
+    for stage_tree in fitted:
         for depth, member in _node_masks(stage_tree, X, w > 0):
             (above if depth < 3 else at_max_depth).add(member.tobytes())
     assert set(built) <= above and set(memo) <= above
@@ -466,13 +480,13 @@ def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch)
 
 
 def test_boosting_fits_share_no_nodes(monkeypatch):
-    built, plans = _count_node_builds(monkeypatch)
+    built = _count_node_builds(monkeypatch)
     first, second = _two_domain_problem(17, n1=30, n2=10), _two_domain_problem(18, n1=30, n2=10)
     config = TrainConfig(n_stages=20, max_depth=3, alpha=0.5)
-    runs = []
+    runs, plans = [], []
     for data in (first, second, first):
         del built[:]
-        fit_gbbw(*data, config)
+        plans += _fit_recording_plans(*data, config)[1]
         runs.append(list(built))
     assert runs[2] == runs[0]                 # the same nodes built again: nothing kept from the fits before
     assert len({id(plan) for plan in plans}) == 3 and len(plans) == 60
@@ -493,11 +507,11 @@ def _reference_data(Xs, ys, Xt, yt, alpha):
 def test_loss_trace_is_the_weighted_loss_after_each_stage(alpha, max_depth):
     Xs, ys, Xt, yt = _two_domain_problem(20, n1=30, n2=10)
     config = TrainConfig(n_stages=25, max_depth=max_depth, shrinkage=0.3, alpha=alpha)
-    model = fit_gbbw(Xs, ys, Xt, yt, config)
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config)
     X, y, w = _reference_data(Xs, ys, Xt, yt, alpha)
     F = np.full(len(y), model.f0)
     expected = [float(w @ (0.5 * (y - F) ** 2))]
-    for stage_tree in model.stages:
+    for stage_tree in fitted:
         F = F + config.shrinkage * stage_tree.predict(X)
         expected.append(float(w @ (0.5 * (y - F) ** 2)))
     assert model.loss_trace == tuple(expected)
@@ -531,6 +545,9 @@ def _stage_fits(draw):
 # Unit weights, where w * r is r, bit for bit.
 @example(case=(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 5.0, 2.0]), np.empty((0, 1)),
                np.empty(0), TrainConfig(n_stages=3, max_depth=1, min_samples_leaf=1, shrinkage=0.1, alpha=0.0)))
+# Squared residuals near 3.7e-316, below _weighted_loss's stated range: the halved terms' sum reads one bit more.
+@example(case=(np.zeros((1, 1)), np.zeros(1), np.zeros((3, 1)), np.array([0.0, 0.0, 1.0251888e-157]),
+               TrainConfig(n_stages=1, max_depth=0, min_samples_leaf=1, shrinkage=0.1, alpha=0.3)))
 def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
     # Every stage, stumps included, is one fit_tree call that writes h, then
     # F += shrinkage * h; each stage's weighted residuals, the loss trace and
@@ -538,27 +555,38 @@ def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
     # F + shrinkage * tree.predict(X).
     Xs, ys, Xt, yt, config = case
     X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
-    fit, seen = boosting.fit_tree, []
+    seen = []
 
-    def recording_fit(plan, r, max_depth, *, leaf_values):
+    def check(plan, r, max_depth):
         assert max_depth == config.max_depth
         seen.append(plan.w * r)
-        return fit(plan, r, max_depth, leaf_values=leaf_values)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(boosting, "fit_tree", recording_fit)
-        model = fit_gbbw(Xs, ys, Xt, yt, config)
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config, check=check)
     assert model.f0 == float(w @ y / w.sum())
     assert len(seen) == model.n_stages == config.n_stages
     F = np.full(len(y), model.f0)
-    expected = [float(w.dot(0.5 * (y - F) ** 2))]
-    for stage_tree, wr in zip(model.stages, seen):
+    expected = [_stated_loss(w, y - F)]
+    for stage_tree, wr in zip(fitted, seen):
         assert wr.tobytes() == (w * (y - F)).tobytes()
         assert stage_tree == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * stage_tree.predict(X)
-        expected.append(float(w.dot(0.5 * (y - F) ** 2)))
+        expected.append(_stated_loss(w, y - F))
     assert model.loss_trace == tuple(expected)
     assert predict(model, X).tobytes() == F.tobytes()
+
+
+def _stated_loss(w, r):
+    """The loss as ``_weighted_loss`` states it: the halved terms' sum, w.dot(0.5 * r ** 2), inside its stated
+    range, and its own formula outside.
+
+    The range holds when every nonzero r^2 and w * r^2 is at least 2^-1021 and the total is finite; the terms
+    are not negative, so every nonzero partial sum is then at least 2^-1021 too.
+    """
+    squares = r * r
+    inside = np.all((squares == 0) | ((squares >= 2.0 ** -1021) & (w * squares >= 2.0 ** -1021)))
+    if inside and np.isfinite(w.dot(squares)):
+        return float(w.dot(0.5 * r ** 2))
+    return 0.5 * float(w.dot(squares))
 
 
 _TINY = (1.0 + 2.0 ** -52) * 2.0 ** -1022      # below 2^-1021, with the lowest mantissa bit set
@@ -606,23 +634,19 @@ def test_long_fits_under_a_small_memo_bound_equal_the_reference_tree_at_every_st
     Xs, ys, Xt, yt, config, roots = case
     X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
     bound = int(roots * tree.SplitPlan.build(X, w, config.min_samples_leaf).root.nbytes)
-    fit = boosting.fit_tree
     sizes = []
 
-    def checked_fit(plan, *args, **kwargs):
-        result = fit(plan, *args, **kwargs)
+    def check(plan, *_):
         memo = plan._memo
         assert memo.nbytes == sum(node.nbytes for node in memo.values()) <= bound
         sizes.append(len(memo))
-        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree, "_MEMO_BYTES", bound)
-        patch.setattr(boosting, "fit_tree", checked_fit)
-        model = fit_gbbw(Xs, ys, Xt, yt, config)
+        model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config, check=check)
     assert len(sizes) == config.n_stages
     F = np.full(len(y), model.f0)
-    for stage_tree in model.stages:
+    for stage_tree in fitted:
         assert stage_tree == reference_tree(X, y - F, w, config.max_depth, config.min_samples_leaf)
         F = F + config.shrinkage * stage_tree.predict(X)
 
@@ -632,9 +656,9 @@ def test_a_small_memo_bound_hits_misses_and_evicts(monkeypatch):
     X, y, w = _reference_data(Xs, ys, Xt, yt, 0.5)
     config = TrainConfig(n_stages=40, max_depth=3, alpha=0.5)
     monkeypatch.setattr(tree, "_MEMO_BYTES", 2 * tree.SplitPlan.build(X, w, config.min_samples_leaf).root.nbytes)
-    built, plans = _count_node_builds(monkeypatch)
-    model = fit_gbbw(Xs, ys, Xt, yt, config)
-    lookups = sum(stage_tree.n_nodes - 1 for stage_tree in model.stages)
+    built = _count_node_builds(monkeypatch)
+    fitted, plans = _fit_recording_plans(Xs, ys, Xt, yt, config)
+    lookups = sum(stage_tree.n_nodes - 1 for stage_tree in fitted)
     misses = len(built) - 1
     assert 0 < misses < lookups                       # some nodes are built, others come from the memo
     assert len(set(built)) < len(built)               # and some are built again after they were evicted
@@ -689,17 +713,13 @@ def _tree_bits(stage_tree):
 
 
 @pytest.mark.parametrize("alpha, max_depth", [(0.25, 3), (0.5, 3), (0.5, 1), (1.0, 2)])
-def test_stage_trees_rebuilt_from_the_forest_are_the_fit_trees_bit_for_bit(alpha, max_depth, monkeypatch):
+def test_the_forest_holds_the_fit_trees_bit_for_bit(alpha, max_depth):
+    # Forest equality compares values; here every threshold and leaf value keeps its bits.
     Xs, ys, Xt, yt = _two_domain_problem(23, n1=40, n2=16)
-    fitted = []
-    fit = boosting.fit_tree
-
-    def recording(*args, **kwargs):
-        fitted.append(fit(*args, **kwargs))
-        return fitted[-1]
-
-    monkeypatch.setattr(boosting, "fit_tree", recording)
-    model = fit_gbbw(Xs, ys, Xt, yt, TrainConfig(n_stages=30, max_depth=max_depth, alpha=alpha))
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt,
+                                    TrainConfig(n_stages=30, max_depth=max_depth, alpha=alpha))
     assert any(stage_tree.n_nodes > 1 for stage_tree in fitted)
-    assert [_tree_bits(t) for t in model.forest.trees()] == [_tree_bits(t) for t in fitted]
-    assert model.stages == tuple(fitted) and model.n_stages == len(fitted)
+    bits = [_tree_bits(t) for t in fitted]
+    assert tuple(map(float.hex, model.forest.threshold.tolist())) == sum((b[1] for b in bits), ())
+    assert tuple(map(float.hex, model.forest.value.tolist())) == sum((b[4] for b in bits), ())
+    assert model.n_stages == len(fitted)

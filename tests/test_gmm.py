@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,12 @@ def test_augment_validates_inputs():
         augment(np.zeros((3, 2)), np.zeros(2), K=1, M=5)
     with pytest.raises(GMMError, match="need at least K"):
         augment(np.zeros((2, 2)), np.zeros(2), K=5, M=5)
+    # The mixture is fit to 2-D samples only: a 1-D one used to be read as one column, a 3-D one raised
+    # a bare ValueError from unpacking its shape.
+    for shape in ((5,), (5, 2, 1)):
+        message = re.escape(f"samples must be 2-D, one row per sample, got shape {shape}")
+        with pytest.raises(GMMError, match=message):
+            fit_gmm(np.zeros(shape), K=1)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -205,25 +205,37 @@ def test_stage_value_error_is_a_failed_fold(data3, monkeypatch):
     (LassoSettings, "lambda_value", -0.1),
     (LassoSettings, "lambda_value", float("inf")),
     (LassoSettings, "cv_folds", 1),
+    (LassoSettings, "cv_folds", 2.5),         # raised TypeError in a pipeline stage
     (LassoSettings, "cv_grid_size", 0),
+    (LassoSettings, "cv_grid_size", 3.5),     # raised TypeError in a pipeline stage
     (LassoSettings, "lam_min_ratio", 0.0),
     (LassoSettings, "lam_min_ratio", 1.5),
     (LassoSettings, "tol", 0.0),
     (LassoSettings, "tol", float("nan")),
     (LassoSettings, "max_sweeps", 0),
+    (LassoSettings, "max_sweeps", 2.5),       # was accepted
     (ItmlSettings, "max_passes", 0),
+    (ItmlSettings, "max_passes", 2.5),        # raised TypeError in a pipeline stage
     (ItmlSettings, "max_constraints", -1),
+    (ItmlSettings, "max_constraints", 2.5),   # raised TypeError in a pipeline stage
     (ItmlSettings, "n_candidates", 0),
+    (ItmlSettings, "n_candidates", 2.5),      # was accepted
     (GmmSettings, "n_components", 0),
+    (GmmSettings, "n_components", 1.5),       # raised TypeError in a pipeline stage
+    (GmmSettings, "n_components", True),      # a bool is no count
     (GmmSettings, "n_samples", -1),
+    (GmmSettings, "n_samples", 2.5),          # raised TypeError in a pipeline stage
     (GmmSettings, "n_init", 0),
+    (GmmSettings, "n_init", 1.5),             # raised TypeError in a pipeline stage
     (TrainConfig, "n_stages", -1),
     (TrainConfig, "n_stages", 2.5),           # raised TypeError in the fit
     (TrainConfig, "max_depth", -1),
     (TrainConfig, "max_depth", 2.5),          # trained trees of 11-13 nodes
     (TrainConfig, "min_samples_leaf", 0),
     (TrainConfig, "min_samples_leaf", 1.5),   # raised TypeError in the fit
+    (TrainConfig, "max_depth", True),         # a bool is no count
     (PipelineConfig, "master_seed", -1),
+    (PipelineConfig, "master_seed", 1.5),     # raised TypeError in a pipeline stage
 ])
 def test_settings_reject_out_of_domain_values(settings, field, value):
     with pytest.raises(ValueError, match=f"{field} must"):

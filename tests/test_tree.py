@@ -14,7 +14,8 @@ from _oracles import BruteTree, brute_force_split, reference_tree
 
 
 def _fit(X, r, w, max_depth=3, min_samples_leaf=2, leaf_values=None):
-    """One tree from a plan built for it."""
+    """One tree from a plan built for it, its leaf values written to ``leaf_values`` or to a buffer of its own."""
+    leaf_values = np.empty(len(X)) if leaf_values is None else leaf_values
     return fit_tree(SplitPlan.build(X, w, min_samples_leaf), r, max_depth, leaf_values=leaf_values)
 
 
@@ -84,10 +85,11 @@ def test_split_whose_right_side_weight_rounds_away_is_not_chosen():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=1e-17))
-    root = model.stages[0]
+    # Row 0 of a model's forest is its first stage tree's root.
+    root = model.forest
     go_left = Xs[:, root.feature[0]] <= root.threshold[0]
     assert go_left.any() and not go_left.all()
-    source_only = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=0.0)).stages[0]
+    source_only = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=0.0)).forest
     assert root.feature[0] == source_only.feature[0]
     assert np.array_equal(go_left, Xs[:, source_only.feature[0]] <= source_only.threshold[0])
 
@@ -177,7 +179,13 @@ def test_fit_tree_refuses_a_max_depth_that_is_not_an_integer_of_at_least_zero(ma
     # -1 used to give one leaf.
     plan = SplitPlan.build(np.arange(10, dtype=float)[:, None], np.ones(10), 1)
     with pytest.raises(ValueError, match=re.escape(f"max_depth must be an integer >= 0, got {max_depth!r}")):
-        fit_tree(plan, np.arange(10, dtype=float), max_depth)
+        fit_tree(plan, np.arange(10, dtype=float), max_depth, leaf_values=np.empty(10))
+
+
+def test_fit_tree_requires_a_leaf_values_buffer():
+    plan = SplitPlan.build(np.arange(10, dtype=float)[:, None], np.ones(10), 1)
+    with pytest.raises(TypeError, match="leaf_values"):
+        fit_tree(plan, np.arange(10, dtype=float), 3)
 
 
 def test_a_plan_takes_the_count_path_when_every_weight_is_one_value_whose_multiples_are_exact():
@@ -277,7 +285,7 @@ def test_a_plan_fits_each_residual_vector_as_a_plan_built_for_it_alone():
     plan = SplitPlan.build(X, w, min_samples_leaf=2)
     for _ in range(5):
         r = rng.standard_normal(30)
-        assert fit_tree(plan, r, 3) == _fit(X, r, w, 3, 2) == reference_tree(X, r, w, 3, 2)
+        assert fit_tree(plan, r, 3, leaf_values=np.empty(30)) == _fit(X, r, w, 3, 2) == reference_tree(X, r, w, 3, 2)
     assert len(plan._memo)
 
 
