@@ -13,9 +13,9 @@ with a closed-form stage multiplier. A fit updates F, r = y - F and the stage
 tree's leaf values h in place.
 
 Every stage, at every ``max_depth``, is one ``tree.fit_tree`` call on the
-fit's ``SplitPlan``, which writes h, and one update F += shrinkage * h. A
-stump fit (``max_depth`` 1, the paper's 60-stage setting) searches only the
-plan's root, which every stage shares.
+fit's ``SplitPlan``, which writes h and the stage's tree, and one update
+F += shrinkage * h. A stump fit (``max_depth`` 1, the paper's 60-stage
+setting) searches only the plan's root, which every stage shares.
 
 That multiplier is sum(w r h) / sum(w h^2), and it is 1: each leaf's value
 is the weighted mean of its rows' residuals, WR_L / W_L, so both sums equal
@@ -28,15 +28,17 @@ most shrinkage * |gamma - 1| * |h|, with |gamma - 1| of order 1e-14; where
 sum(w h^2) underflows, the line search would read 0 for an h below 1e-150.
 ``compute_gamma`` is kept as the reference the tests check this against.
 
-A fit stacks its stage trees once, when it ends, into a ``tree.Forest``,
-and the model holds only that forest: its arrays, not also a tuple slot
-and a Python float per node of every stage tree (a 200-stage depth-3 model
-on 104 rows of 6 features keeps 103 KB traced, 95 KB of it the forest's
-arrays, where it kept 199 KB with its stage trees beside the forest).
-``predict`` finds every (stage, row) pair's leaf at once, and a cumulative
-sum along the stage axis then adds f0 and each stage's shrinkage * leaf
-value in stage order, the same additions as adding one tree's output at a
-time.
+A fit allocates the model's ``tree.Forest`` once, at the depth of its
+plan's trees and with every split slot padding, and each stage's
+``fit_tree`` call writes that stage's tree straight into its row, so the
+fit keeps no other copy of its trees. A 200-stage depth-3 fit on 104 rows
+of 6 features peaks 748 KB above its start, traced, and its model keeps
+44 KB, 34 KB of it the forest's arrays; with a preorder node table per
+stage, kept until the fit ended and then renumbered into the forest, it
+peaked at 1,018 KB and kept 124 KB. ``predict`` finds every (stage, row)
+pair's leaf at once, and a cumulative sum along the stage axis then adds
+f0 and each stage's shrinkage * leaf value in stage order, the same
+additions as adding one tree's output at a time.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Forest, SplitPlan, check_count, fit_tree
+from .tree import Forest, SplitPlan, check_count, check_depth, fit_tree
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Boosting settings; ``max_depth`` is an integer from 0 to ``tree.MAX_DEPTH``, 10."""
+
     n_stages: int = 200
     max_depth: int = 3
     min_samples_leaf: int = 2
@@ -58,7 +62,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_count("n_stages", self.n_stages, 0)
-        check_count("max_depth", self.max_depth, 0)
+        check_depth(self.max_depth)
         check_count("min_samples_leaf", self.min_samples_leaf, 1)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
@@ -71,10 +75,10 @@ class BoostedModel:
     """f0 plus one regression tree per stage, each added at ``shrinkage``.
 
     The model predicts f0 + shrinkage * h_1(x) + ... + shrinkage * h_M(x),
-    added in stage order. ``forest`` is ``tree.Forest.stack`` of the stage
-    trees, and the model keeps nothing else of them (see the module
-    docstring); a tree that splits on a feature at or past ``n_features``
-    raises ValueError here.
+    added in stage order. Row t of ``forest`` is stage t's tree, and the
+    model keeps nothing else of them (see the module docstring); a tree
+    that splits on a feature at or past ``n_features`` raises ValueError
+    here.
     """
 
     f0: float
@@ -89,7 +93,7 @@ class BoostedModel:
 
     @property
     def n_stages(self) -> int:
-        return len(self.forest.roots)
+        return len(self.forest.value)
 
 
 def compute_gamma(F_prev: np.ndarray, h: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -129,22 +133,16 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig) -> 
     F = np.full(len(y), f0)
     r = y - F
     h = np.zeros(len(y))
-    stages = []
     trace = [_weighted_loss(w, r)]
     plan = SplitPlan.build(X, w, config.min_samples_leaf)
-    max_depth, shrinkage = config.max_depth, config.shrinkage
-    for _ in range(config.n_stages):
-        stages.append(fit_tree(plan, r, max_depth, leaf_values=h))
+    shrinkage = config.shrinkage
+    forest = Forest.padded(config.n_stages, plan.depth(config.max_depth))
+    for t in range(config.n_stages):
+        fit_tree(plan, r, leaf_values=h, out=forest.tree(t))
         F += shrinkage * h
         np.subtract(y, F, out=r)
         trace.append(_weighted_loss(w, r))
-    return BoostedModel(
-        f0=f0,
-        forest=Forest.stack(stages),
-        shrinkage=config.shrinkage,
-        n_features=X.shape[1],
-        loss_trace=tuple(trace),
-    )
+    return BoostedModel(f0=f0, forest=forest, shrinkage=shrinkage, n_features=X.shape[1], loss_trace=tuple(trace))
 
 
 def _features(X, name: str) -> np.ndarray:
@@ -215,12 +213,12 @@ def fit_gbbw(
 def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     """Evaluate the staged additive model, unclamped: the pipeline clamps counts at zero.
 
-    Finds every stage's leaves at once in the stacked forest (see the module docstring).
+    Finds every stage's leaves at once in the forest (see the module docstring).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got shape {X.shape}")
     forest = model.forest
     # cumsum adds sequentially: ((f0 + c_1) + c_2) + ..., as a loop over stages would.
-    terms = np.concatenate([np.full((1, len(X)), model.f0), model.shrinkage * forest.value[forest.leaves(X)]])
+    terms = np.concatenate([np.full((1, len(X)), model.f0), model.shrinkage * forest.value.take(forest.leaves(X))])
     return np.cumsum(terms, axis=0)[-1]

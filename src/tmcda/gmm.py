@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tree import check_count
+
 
 class GMMError(ValueError):
     """Raised for infeasible mixture fits."""
@@ -159,19 +161,18 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     (tested against all ``n_init`` restarts). Components are returned in
     order of decreasing weight, ties in component order. An ``X`` that is
     not 2-D, one row per sample, or has a non-finite entry raises
-    ``GMMError``.
+    ``GMMError``, and so does a ``K`` or ``n_init`` that is not an integer
+    >= 1, a bool included.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise GMMError(f"ridge must be finite and >= 0, got {ridge}")
-    if n_init < 1:
-        raise GMMError(f"n_init must be >= 1, got {n_init}")
+    check_count("n_init", n_init, 1, GMMError)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise GMMError(f"samples must be 2-D, one row per sample, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise GMMError("samples have non-finite entries")
-    if K < 1:
-        raise GMMError("K must be >= 1")
+    check_count("K", K, 1, GMMError)
     if len(X) < K:
         raise TooFewSamplesError(f"need at least K={K} samples, got {len(X)}")
     ridge = effective_ridge(X, ridge)
@@ -181,9 +182,11 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
 
 
 def sample_gmm(model: GaussianMixture, M: int, seed: int) -> np.ndarray:
-    """Draw M joint samples: pick a component by its weight, then draw from it."""
-    if M < 0:
-        raise GMMError("M must be >= 0")
+    """Draw M joint samples: pick a component by its weight, then draw from it.
+
+    An ``M`` that is not an integer >= 0, a bool included, raises ``GMMError``.
+    """
+    check_count("M", M, 0, GMMError)
     rng = np.random.default_rng(seed)
     ks = rng.choice(model.K, size=M, p=model.weights)
     z = rng.standard_normal((M, model.d))

@@ -143,14 +143,22 @@ def _require_finite(**arrays: np.ndarray) -> None:
 
 
 def check_metric(A: np.ndarray) -> np.ndarray:
-    """Validate that A is finite and symmetric positive-definite (to a relative 1e-10); returns A as float array."""
+    """Validate that A is finite, symmetric (to a relative 1e-10) and positive-definite, not numerically
+    singular (see ``_factor``); returns A as float array."""
     A = np.asarray(A, dtype=float)
     _factor(A)
     return A
 
 
 def _factor(A: np.ndarray) -> np.ndarray:
-    """Check the float array A as ``check_metric`` does; return the Cholesky factor that proves A positive-definite."""
+    """Check the float array A as ``check_metric`` does; return the Cholesky factor that proves A positive-definite.
+
+    A whose factor completes is still refused as numerically singular when
+    the squared ratio of its smallest pivot (diagonal entry of the factor)
+    to its largest is at most 3u, u = 2^-53: its condition number is then
+    at least about 1 / (3u), so its smallest direction is within rounding
+    of zero, and its log det and distances along it carry no digits.
+    """
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise MetricError(f"metric must be square with at least one dimension, got shape {A.shape}")
     scale = np.abs(A).max()    # NaN or inf if any entry is
@@ -159,9 +167,14 @@ def _factor(A: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(A - A.T) <= 1e-10 * max(1.0, scale)):
         raise MetricError("metric is not symmetric")
     try:
-        return np.linalg.cholesky(A)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise MetricError("metric is not positive-definite") from None
+    pivots = L.diagonal()
+    ratio = pivots.min() / pivots.max()
+    if ratio * ratio <= 3.0 * 2.0**-53:
+        raise MetricError("metric is numerically singular")
+    return L
 
 
 def mahalanobis_distance(A: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> float:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .schema import COLUMNS, MOVEMENTS
+from .tree import check_count
 
 
 @dataclass(frozen=True)
@@ -386,16 +387,15 @@ def cross_validate_lambda(
     assignment depends only on the seed, and fold results are independent
     of evaluation order: permuting the folds permutes the paths bit for
     bit. With no column to penalize (lambda_max is 0) the result is (0.0,
-    [0.0], [0.0], the all-zero model at 0.0). ``n_folds`` must be >= 2 and
-    ``grid_size`` >= 1.
+    [0.0], [0.0], the all-zero model at 0.0). ``n_folds`` must be an integer
+    >= 2 and ``grid_size`` one >= 1, neither a bool; anything else is a
+    ValueError that names it.
     """
     X, y = _checked(X, y)
     if not 0.0 < lam_min_ratio <= 1.0:
         raise ValueError("lam_min_ratio must lie in (0, 1]")
-    if n_folds < 2:
-        raise ValueError(f"n_folds must be >= 2, got {n_folds}")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    check_count("n_folds", n_folds, 2)
+    check_count("grid_size", grid_size, 1)
     n = len(y)
     if n < n_folds:
         raise ValueError(f"need at least {n_folds} rows for {n_folds}-fold CV")

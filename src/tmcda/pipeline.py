@@ -13,7 +13,6 @@ evaluation and parameter sweeps wrap that single-fold routine.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import boosting, gmm, itml, lasso
 from .dataset import Dataset, DomainSplit, split_domains
 from .schema import MOVEMENTS
-from .tree import check_count
+from .tree import check_count, count_problem
 
 # Mixture defaults per movement: (components, synthetic samples).
 GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
@@ -60,10 +59,10 @@ def _require(settings, checks) -> None:
 
 def _count(settings, name: str, least: int, optional: bool = False):
     """The check that field ``name`` is an integer, not a bool, of at least ``least`` (or None if ``optional``),
-    worded as ``tree.check_count`` words it."""
+    by ``tree.count_problem``."""
     value = getattr(settings, name)
-    holds = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-    return holds or (optional and value is None), f"{name} must be an integer >= {least}, got {value!r}"
+    problem = count_problem(name, value, least)
+    return problem is None or (optional and value is None), problem
 
 
 @dataclass(frozen=True)

@@ -79,27 +79,49 @@ root takes megabytes, and a bound of 128 nodes raised the peak memory of a
 60-stage fit from 70 MB to 247 MB. The memo dies with the plan, so nothing
 is shared between fits.
 
-``fit_tree`` grows the node table depth first, left child first, so nodes
-are numbered in preorder and a split node's left child is the node right
-after it; the table becomes a frozen ``RegressionTree`` once, when the fit
-ends. Every depth, stumps included, goes through that one loop. It starts
-at the plan's root, whose search every tree of the fit shares; a depth-1
-tree is a root split at ``max_depth - 1``, so both its leaves come from
-the root's search, with no row masks. The root's total is the pairwise sum
-of ``w * r`` over every row; with c = 1 the product is ``r``, bit for bit.
+A tree is three arrays in heap order, the layout of Hummingbird's
+PerfectTreeTraversal (Nakandala et al. 2020, *A tensor compiler for
+unified machine learning prediction serving*): a tree of depth d has
+2^d - 1 split slots, ``feature`` and ``threshold``, and 2^d leaf slots,
+``value``. Slot 0 is the root, the children of split slot k are slots
+2k + 1 and 2k + 2, and slot 2^d - 1 + i is leaf slot i. A row goes left
+when ``x <= threshold``. A node at depth e < d that is a leaf is padding:
+every split slot under it, its own included, holds feature 0 at threshold
++inf, and each of the 2^(d - e) leaf slots under it holds its value.
+Padding sends a finite cell left and a NaN cell right, and either way the
+row reaches a slot that holds the leaf's value, so no prediction depends
+on how padding routes a row. A real split's threshold is below +inf (the
+midpoint of two values whose upper one is finite, or the lower value), so
+``RegressionTree.n_nodes``, 1 + 2 per split below +inf, counts the nodes
+of the tree without its padding.
 
-Prediction is one walk, ``Forest.leaves``. A ``Forest`` lays trees' node
-tables end to end, once, with children renumbered into the one table and
-each leaf its own left and right child. The walk moves every (tree, row)
-pair one level per step, with the same ``x <= threshold`` rule the fit
-used, and a pair that has reached its leaf stays there; the table, not a
-depth, decides when the walk ends. It relies on the table ``fit_tree``
-builds: node 0 the root, every other node with exactly one parent, leaves
-without children. Nothing checks a table built by hand; one with a cycle
-would never finish. A boosted model holds only the forest of its stage
-trees, so that it predicts without one walk per tree and keeps arrays, not
-one Python float per node. ``RegressionTree.predict`` walks a forest of one
-tree.
+The trees fit from one plan at ``max_depth`` take ``SplitPlan.depth``:
+``max_depth``, or 0 when the root has no valid split (no column, every
+column constant, too few rows for two leaves, or no cut that keeps weight
+on its right), since no tree of the plan can then split. A tree of depth 0
+is one leaf slot and reads no column, so a fit on zero columns predicts.
+``max_depth`` is at most ``MAX_DEPTH`` = 10, because the slots do not
+shrink with the tree's real nodes: at depth 10 a tree takes 1,023 split
+slots of 16 bytes and 1,024 leaf slots of 8, about 24 KB, where a
+depth-3 tree takes 176 bytes.
+
+``fit_tree`` writes into a tree of ``Forest.padded``, whose split slots
+are all padding and whose depth is the fit's ``max_depth``, each real
+split's feature and threshold and each leaf's value as it reaches them,
+depth first, left child first. A boosting fit passes row t of its forest
+(``Forest.tree``), so that it keeps no other copy of its trees. Every
+depth, stumps included, goes through that one loop. It starts at the
+plan's root, whose search every tree of the fit shares; a depth-1 tree
+is a root split at ``max_depth - 1``, so both its leaves come from the
+root's search, with no row masks. The root's total is the pairwise sum of
+``w * r`` over every row; with c = 1 the product is ``r``, bit for bit.
+
+Prediction is ``Forest.leaves``: every (tree, row) pair starts at slot 0
+and takes d steps, each a gather of the slot's feature and threshold and
+of the row's cell, to child 2k + 2 - (x <= threshold), with no leaf test.
+It gives each pair's position in ``value`` raveled, so the leaf values are
+one more gather. ``RegressionTree`` is a forest of one tree, the one
+``fit_tree`` returns, and ``RegressionTree.predict`` reads it the same way.
 """
 
 from __future__ import annotations
@@ -112,89 +134,75 @@ from typing import NamedTuple
 
 import numpy as np
 
-_LEAF = -1
+MAX_DEPTH = 10    # a tree takes 2**d - 1 split slots and 2**d leaf slots: about 24 KB at depth 10
 _MEMO_BYTES = 1 << 19    # array bytes of the non-root nodes a SplitPlan keeps (see the module docstring)
-
-
-@dataclass(frozen=True)
-class RegressionTree:
-    """Flat node-table representation: node i is a leaf iff feature[i] == -1."""
-
-    feature: tuple[int, ...]
-    threshold: tuple[float, ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    value: tuple[float, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """The value of the leaf each row of ``X`` reaches, through ``Forest.leaves``."""
-        forest = Forest.stack((self,))
-        return forest.value[forest.leaves(np.asarray(X, dtype=float))[0]]
 
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Trees' node tables laid end to end, children as rows of the one table.
+    """Trees of one depth d in heap order, one tree per row (see the module docstring).
 
-    Tree t's root is row ``roots[t]``. A leaf is its own left and right
-    child, so a walk that moves every (tree, row) pair one level per step
-    leaves finished pairs in place (see the module docstring). Two forests
-    are equal when their arrays are, entry for entry, as the trees' tuples
-    compare.
+    ``feature`` and ``threshold``, each (trees, 2^d - 1), hold the split
+    slots, where slot k's children are slots 2k + 1 and 2k + 2, and
+    ``value``, (trees, 2^d), the leaf slots. Two forests are equal when
+    their arrays are, entry for entry.
     """
 
-    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
     @classmethod
-    def stack(cls, trees: tuple[RegressionTree, ...]) -> "Forest":
-        # One pass of list += tuple per column: a third faster than one np.fromiter per column.
-        feature, threshold, left, right, value = [], [], [], [], []
-        for tree in trees:
-            feature += tree.feature
-            threshold += tree.threshold
-            left += tree.left
-            right += tree.right
-            value += tree.value
-        sizes = np.array([len(tree.feature) for tree in trees], dtype=np.intp)
-        roots = np.cumsum(sizes) - sizes
-        feature = np.array(feature, dtype=np.intp)
-        leaf = feature == _LEAF
-        offset = np.repeat(roots, sizes)
-        at = np.arange(len(feature))
-        return cls(roots, feature, np.array(threshold, dtype=float),
-                   np.where(leaf, at, offset + np.array(left, dtype=np.intp)),
-                   np.where(leaf, at, offset + np.array(right, dtype=np.intp)), np.array(value, dtype=float))
+    def padded(cls, n_trees: int, depth: int):
+        """``n_trees`` trees of depth ``depth`` whose every split slot is padding, feature 0 at threshold
+        +inf, and whose leaf slots are not yet written; a ValueError unless ``depth`` is a ``max_depth``
+        from 0 to ``MAX_DEPTH``."""
+        check_depth(depth)
+        splits = (n_trees, 2**depth - 1)
+        return cls(np.zeros(splits, dtype=np.intp), np.full(splits, math.inf), np.empty((n_trees, 2**depth)))
 
     def __eq__(self, other):
         if not isinstance(other, Forest):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-    def leaves(self, X: np.ndarray) -> np.ndarray:
-        """The table row of each (tree, row) pair's leaf, shape (trees, rows of ``X``).
+    def tree(self, t: int) -> "RegressionTree":
+        """Tree ``t`` as a one-tree forest whose arrays are views of row t."""
+        return RegressionTree(self.feature[t:t + 1], self.threshold[t:t + 1], self.value[t:t + 1])
 
-        ``X`` is a float array with a column for every feature a tree splits on.
-        When every pair starts at a leaf (no rows, or one-leaf trees) the
-        walk returns before it reads ``X``.
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Each (tree, row) pair's leaf as its position in ``value`` raveled, shape (trees, rows of ``X``).
+
+        ``X`` is a float array with a column for every feature a tree splits
+        on; trees of depth 0 never read it.
         """
-        rows = np.arange(len(X))
-        node = np.repeat(self.roots[:, None], len(X), axis=1)
-        while True:
-            feature = self.feature[node]
-            if np.all(feature == _LEAF):
-                return node
-            # A leaf reads column -1, a valid column whose value it ignores.
-            go_left = X[rows, feature] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+        n_trees, n_splits = self.feature.shape
+        n_rows, n_columns = X.shape
+        tree = np.arange(n_trees)[:, None]
+        first = tree * n_splits    # each tree's slot 0 in the split arrays raveled
+        cells = np.arange(n_rows) * n_columns    # each row's first cell in X raveled
+        X, feature, threshold = X.ravel(), self.feature.ravel(), self.threshold.ravel()
+        at = np.repeat(first, n_rows, axis=1)    # first + k for a pair at slot k
+        for _ in range(n_splits.bit_length()):    # d steps, each from slot k to 2k + 2 - (x <= threshold)
+            go_left = X.take(feature.take(at) + cells) <= threshold.take(at)
+            at *= 2
+            at -= first - 2
+            at -= go_left
+        return at + (tree - n_splits)    # tree t's leaf slot i sits at t * 2^d + i of value raveled
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionTree(Forest):
+    """The one tree ``fit_tree`` returns, as a forest of one tree."""
+
+    @property
+    def n_nodes(self) -> int:
+        """The nodes of the tree without its padding: 1 + 2 per split whose threshold is below +inf."""
+        return 1 + 2 * int(np.count_nonzero(self.threshold < math.inf))
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The value of the leaf each row of ``X`` reaches, through ``Forest.leaves``."""
+        return self.value.take(self.leaves(np.asarray(X, dtype=float)))[0]
 
 
 class _Search(NamedTuple):
@@ -277,10 +285,25 @@ def _counts(w: np.ndarray) -> np.ndarray | None:
     return c * np.arange(1, len(w) + 1)
 
 
-def check_count(name: str, value, least: int) -> None:
-    """A ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def count_problem(name: str, value, least: int) -> str | None:
+    """Why ``value`` is not an integer, not a bool, of at least ``least``; None when it is one."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return None
+    return f"{name} must be an integer >= {least}, got {value!r}"
+
+
+def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` with ``count_problem``'s message, if it has one."""
+    problem = count_problem(name, value, least)
+    if problem is not None:
+        raise error(problem)
+
+
+def check_depth(max_depth) -> None:
+    """A ValueError unless ``max_depth`` is an integer from 0 to ``MAX_DEPTH``."""
+    check_count("max_depth", max_depth, 0)
+    if max_depth > MAX_DEPTH:
+        raise ValueError(f"max_depth must be at most {MAX_DEPTH}, got {max_depth}")
 
 
 class _NodeMemo(OrderedDict):
@@ -332,6 +355,10 @@ class SplitPlan:
         if not math.isfinite(root.total_w):    # no node total, and so no split score, can be inf / inf
             raise ValueError(f"weights must have a finite total, got {root.total_w}")
         return cls(X, w, min_samples_leaf, order, xsorted, counts, root)
+
+    def depth(self, max_depth: int) -> int:
+        """The depth of the trees fit from this plan at ``max_depth``: 0 when the root has no valid split."""
+        return max_depth if self.root.search is not None else 0
 
     def node(self, member: np.ndarray) -> _Node:
         """The non-root node of rows ``member``: kept from an earlier call, or built and kept."""
@@ -392,34 +419,30 @@ def _threshold(X: np.ndarray, rows: np.ndarray, j: int, k: int) -> float:
     return threshold
 
 
-def _leaf_value(total_w: float, total_wr: float, index: int) -> float:
-    """The value of node ``index``, of (weight, weighted residual) totals; not finite is a ValueError."""
+def _leaf_value(total_w: float, total_wr: float, slot: int) -> float:
+    """The value of the node at ``slot``, of (weight, weighted residual) totals; not finite is a ValueError."""
     value = total_wr / total_w
     if not math.isfinite(value):
         raise ValueError(f"weighted residuals w * r must have a finite total and mean at every node; "
-                         f"node {index} has {total_wr} / {total_w}")
+                         f"the node at slot {slot} has {total_wr} / {total_w}")
     return value
 
 
-def fit_tree(
-    plan: SplitPlan,
-    r: np.ndarray,
-    max_depth: int = 3,
-    *,
-    leaf_values: np.ndarray,
-) -> RegressionTree:
+def fit_tree(plan: SplitPlan, r: np.ndarray, *, leaf_values: np.ndarray, out: RegressionTree) -> RegressionTree:
     """Fit a tree to residuals ``r`` on the plan's ``X``, weights and ``min_samples_leaf``.
 
     ``plan`` is ``SplitPlan.build(X, w, min_samples_leaf)``; the trees fit
-    from one plan share its presort, root and node memo. Each row gets the
-    value of its leaf in ``leaf_values``, equal to ``tree.predict(X)`` on
-    that row. ``r`` and ``leaf_values`` hold one entry per row of ``X``; any
-    other shape raises ValueError, and so do a ``leaf_values`` that is not a
-    float64 ndarray (an integer one would truncate the values), a
-    ``max_depth`` that is not an integer >= 0 and a node value that is not
+    from one plan share its presort, root and node memo. The tree is written
+    into ``out`` and returned: a tree whose split slots are all still
+    padding, such as ``Forest.tree(t)`` of a ``Forest.padded``, whose depth
+    is the tree's ``max_depth``; ``plan.depth(max_depth)`` is the least
+    that holds every tree of the plan. Each row gets the value of its leaf
+    in ``leaf_values``, equal to ``tree.predict(X)`` on that row. ``r`` and
+    ``leaf_values`` hold one entry per row of ``X``; any other shape raises
+    ValueError, and so do a ``leaf_values`` that is not a float64 ndarray
+    (an integer one would truncate the values) and a node value that is not
     finite, such as one from a non-finite total of ``w * r``.
     """
-    check_count("max_depth", max_depth, 0)
     r = np.asarray(r, dtype=float)
     shape = plan.w.shape
     if r.shape != shape:
@@ -430,43 +453,43 @@ def fit_tree(
     if leaf_values.shape != shape:
         raise ValueError(f"leaf_values has shape {leaf_values.shape}; X has {shape[0]} rows, "
                          f"and leaf_values needs one entry per row")
+    feature, threshold, value = out.feature[0], out.threshold[0], out.value[0]
+    n_splits = len(feature)
+    depth = n_splits.bit_length()
     wr = plan.w * r
-    # One (feature, threshold, left, right, value) row per node, in preorder (see the module docstring).
-    nodes = []
-    # (rows in the node, depth, parent if a right child, weight total, weighted residual total):
+    # (rows in the node, its slot, its depth, weight total, weighted residual total):
     # only the root sums its rows; the others' totals come from their parent's search.
     root = plan.root
-    pending = [(root.member, 0, None, root.total_w, float(np.add.reduce(wr)))]
+    pending = [(root.member, 0, 0, root.total_w, float(np.add.reduce(wr)))]
     while pending:
-        member, depth, right_of, total_w, total_wr = pending.pop()
-        index = len(nodes)
-        if right_of is not None:
-            nodes[right_of][3] = index
-        leaf = _leaf_value(total_w, total_wr, index)
-        node = (plan.node(member) if depth else root) if depth < max_depth else None
+        member, slot, level, total_w, total_wr = pending.pop()
+        leaf = _leaf_value(total_w, total_wr, slot)
+        node = (plan.node(member) if level else root) if level < depth else None
         split = None if node is None else _best_split(node, wr, total_wr)
         if split is None:
-            nodes.append((_LEAF, 0.0, _LEAF, _LEAF, leaf))
+            # Its value goes to every leaf slot under it, the first of them at (slot + 1) * span - 1.
+            span = 1 << (depth - level)
+            first = (slot + 1) * span - 1 - n_splits
+            value[first:first + span] = leaf
             leaf_values[member] = leaf
             continue
         (j, k), left_totals, right_totals = split
         children = node.children.get((j, k))
-        t = _threshold(plan.X, node.search.rows, j, k) if children is None else children[0]
-        if depth + 1 == max_depth:
+        feature[slot] = j
+        threshold[slot] = t = _threshold(plan.X, node.search.rows, j, k) if children is None else children[0]
+        left = 2 * slot + 1
+        if level + 1 == depth:
             # Both children are leaves, and their rows are the search's rows
             # sorted along j, split at the cut: no masks, and nothing kept.
-            left_leaf = _leaf_value(*left_totals, index + 1)
-            right_leaf = _leaf_value(*right_totals, index + 2)
-            nodes += ((j, t, index + 1, index + 2, leaf), (_LEAF, 0.0, _LEAF, _LEAF, left_leaf),
-                      (_LEAF, 0.0, _LEAF, _LEAF, right_leaf))
+            value[left - n_splits] = left_leaf = _leaf_value(*left_totals, left)
+            value[left + 1 - n_splits] = right_leaf = _leaf_value(*right_totals, left + 1)
             rows = node.search.rows[j]
             leaf_values[rows[:k + 1]] = left_leaf
             leaf_values[rows[k + 1:]] = right_leaf
             continue
-        nodes.append([j, t, index + 1, _LEAF, leaf])    # the right child's index is set when it is placed
         if children is None:
             go_left = plan.X[:, j] <= t
             children = node.children[j, k] = (t, member & go_left, member & ~go_left)
-        pending.append((children[2], depth + 1, index, *right_totals))
-        pending.append((children[1], depth + 1, None, *left_totals))
-    return RegressionTree(*zip(*nodes))
+        pending.append((children[2], left + 1, level + 1, *right_totals))
+        pending.append((children[1], left, level + 1, *left_totals))
+    return out

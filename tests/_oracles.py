@@ -552,10 +552,9 @@ def _reference_split(X, r, w, idx, total_wr, min_samples_leaf):
     return best[1:]
 
 
-def reference_tree(X, r, w, max_depth, min_samples_leaf):
-    """The fitted tree as a ``RegressionTree``: its node table, nodes in preorder."""
-    from tmcda.tree import RegressionTree
-
+def reference_node_table(X, r, w, max_depth, min_samples_leaf):
+    """The fitted tree as a node table, nodes in preorder: a dict of ``feature``, ``threshold``, ``left``,
+    ``right`` and ``value`` lists, -1 for a leaf's feature and children."""
     table = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
     def build(idx, depth, totals):
@@ -578,7 +577,64 @@ def reference_tree(X, r, w, max_depth, min_samples_leaf):
         return node
 
     build(np.arange(len(X)), 0, (w.sum(), (w * r).sum()))
-    return RegressionTree(*map(tuple, table.values()))
+    return table
+
+
+def _has_candidate(X, w, min_samples_leaf):
+    """Whether some cut between two distinct values of a column leaves min_samples_leaf rows and a positive
+    weight total on each side."""
+    n = len(X)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, cw = X[order, j], np.cumsum(w[order])
+        cuts = range(min_samples_leaf - 1, n - min_samples_leaf)
+        if any(xs[k] < xs[k + 1] and w.sum() - cw[k] > 0 for k in cuts):
+            return True
+    return False
+
+
+def heap_layout(table, depth):
+    """A node table laid out in heap order at ``depth``: (feature, threshold, value) of 2^d - 1, 2^d - 1 and
+    2^d slots. The children of the node at slot k go to slots 2k + 1 and 2k + 2; a leaf above ``depth``
+    becomes splits on feature 0 at +inf, and its value fills every leaf slot under it."""
+    feature = np.zeros(2**depth - 1, dtype=np.intp)
+    threshold = np.full(2**depth - 1, np.inf)
+    value = np.full(2**depth, np.nan)
+
+    def place(node, slot, level):
+        if table["feature"][node] == -1:
+            span = 2 ** (depth - level)
+            first = (slot + 1) * span - 2**depth
+            value[first:first + span] = table["value"][node]
+            return
+        feature[slot], threshold[slot] = table["feature"][node], table["threshold"][node]
+        place(table["left"][node], 2 * slot + 1, level + 1)
+        place(table["right"][node], 2 * slot + 2, level + 1)
+
+    place(0, 0, 0)
+    return feature, threshold, value
+
+
+def reference_tree(X, r, w, max_depth, min_samples_leaf):
+    """The fitted tree as a one-tree ``RegressionTree``: ``reference_node_table`` laid out in heap order at
+    ``max_depth``, or at depth 0 when no cut of the root is valid."""
+    from tmcda.tree import RegressionTree
+
+    depth = max_depth if _has_candidate(X, w, min_samples_leaf) else 0
+    table = reference_node_table(X, r, w, max_depth, min_samples_leaf)
+    return RegressionTree(*(a[None] for a in heap_layout(table, depth)))
+
+
+def reference_walk(table, X):
+    """Each row's leaf value, the row walked down the node table from node 0 by ``x <= threshold``."""
+    values = []
+    for x in X:
+        node = 0
+        while table["feature"][node] != -1:
+            go_left = x[table["feature"][node]] <= table["threshold"][node]
+            node = table["left"][node] if go_left else table["right"][node]
+        values.append(table["value"][node])
+    return np.array(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +669,15 @@ def straight_line_gbbw(Xs, ys, Xt, yt, alpha, n_stages, max_depth, min_leaf, shr
 
 # ---------------------------------------------------------------------------
 # Reference ensemble prediction: the constant, then each stage's scaled tree
-# output added in stage order. ``boosting.predict`` of the model built from
-# ``f0``, ``shrinkage`` and these stage trees must match it bit for bit.
+# output added in stage order, each tree walked as a node table. The
+# ``boosting.predict`` of the model built from ``f0``, ``shrinkage`` and
+# these tables laid out in heap order must match it bit for bit.
 
 
-def reference_ensemble_predict(f0, shrinkage, trees, X):
+def reference_ensemble_predict(f0, shrinkage, tables, X):
     F = np.full(len(X), f0)
-    for tree in trees:
-        F += shrinkage * tree.predict(X)
+    for table in tables:
+        F += shrinkage * reference_walk(table, X)
     return F
 
 

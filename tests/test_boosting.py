@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda import boosting, tree
-from tmcda.tree import Forest, RegressionTree
+from tmcda.tree import MAX_DEPTH, Forest, RegressionTree
 from tmcda.boosting import (
     BoostedModel,
     TrainConfig,
@@ -18,7 +18,14 @@ from tmcda.boosting import (
     predict,
 )
 
-from _oracles import reference_ensemble_predict, reference_tree, straight_line_gbbw
+from _oracles import (
+    heap_layout,
+    reference_ensemble_predict,
+    reference_node_table,
+    reference_tree,
+    reference_walk,
+    straight_line_gbbw,
+)
 
 
 def _two_domain_problem(seed, n1=12, n2=4, p=3):
@@ -34,21 +41,25 @@ def _two_domain_problem(seed, n1=12, n2=4, p=3):
 def _fit_with_trees(fit, *args, check=None):
     """``fit(*args)`` and the trees its ``boosting.fit_tree`` calls return, in stage order.
 
-    ``check(plan, r, max_depth)``, if given, runs after each of those calls,
-    before the stage moves F. The model's forest must be the trees' stack.
+    ``check(plan, r)``, if given, runs after each of those calls,
+    before the stage moves F. Stage t's tree must be written into row t of
+    the model's forest, and each tree's copy is taken when its call returns.
     """
     trees, fit_tree = [], boosting.fit_tree
 
-    def recording(plan, r, max_depth, *, leaf_values):
-        trees.append(fit_tree(plan, r, max_depth, leaf_values=leaf_values))
+    def recording(plan, r, *, leaf_values, out):
+        fitted = fit_tree(plan, r, leaf_values=leaf_values, out=out)
+        assert fitted is out
+        trees.append(RegressionTree(*(np.copy(a) for a in (out.feature, out.threshold, out.value))))
         if check is not None:
-            check(plan, r, max_depth)
-        return trees[-1]
+            check(plan, r)
+        return fitted
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(boosting, "fit_tree", recording)
         model = fit(*args)
-    assert model.forest == Forest.stack(trees)
+    assert len(trees) == model.n_stages
+    assert all(model.forest.tree(t) == tree for t, tree in enumerate(trees))
     return model, trees
 
 
@@ -92,6 +103,15 @@ def _one_stage(draw):
     return X, w, F, y, draw(st.integers(0, 4)), draw(st.integers(1, 3))
 
 
+def _leaves(stage_tree, slot=0, depth=0):
+    """The value of each leaf at or below split slot ``slot`` of ``stage_tree``, once per leaf: a padding split
+    (threshold +inf) is a leaf, whose value fills the leaf slots under it."""
+    feature, threshold, value = stage_tree.feature[0], stage_tree.threshold[0], stage_tree.value[0]
+    if slot < len(feature) and threshold[slot] < np.inf:
+        return _leaves(stage_tree, 2 * slot + 1, depth + 1) + _leaves(stage_tree, 2 * slot + 2, depth + 1)
+    return [value[(slot + 1) * (len(value) >> depth) - len(value)]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_one_stage())
 @example(case=(np.zeros((4, 2)), np.ones(4), np.zeros(4),
@@ -109,7 +129,8 @@ def test_the_line_search_after_one_stage_returns_one_within_the_leaf_mean_roundi
     X, w, F, y, depth, min_leaf = case
     r = y - F
     h = np.zeros(len(y))
-    fitted = tree.fit_tree(tree.SplitPlan.build(X, w, min_leaf), r, depth, leaf_values=h)
+    plan = tree.SplitPlan.build(X, w, min_leaf)
+    fitted = tree.fit_tree(plan, r, leaf_values=h, out=tree.RegressionTree.padded(1, plan.depth(depth)))
     gamma = compute_gamma(F, h, y, w)
     if not np.any(h):
         assert gamma == 0.0
@@ -121,7 +142,7 @@ def test_the_line_search_after_one_stage_returns_one_within_the_leaf_mean_roundi
         assert np.abs(h).max() < 1e-150
         return
     eps, n = 2.0 ** -53, len(y)
-    leaves = np.array([v for f, v in zip(fitted.feature, fitted.value) if f == -1])
+    leaves = np.array(_leaves(fitted))
     S, W = np.abs(w * r).sum(), w.sum()
     leaf_error = (depth + 1) * n * (S * np.abs(leaves).sum() + W * (leaves * leaves).sum())
     sum_error = (n + 2) * ((w * np.abs(r * h)).sum() + denom)
@@ -206,7 +227,9 @@ def test_prediction_additive_in_stages():
     Xs, ys, Xt, yt = _two_domain_problem(9)
     model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, TrainConfig(n_stages=10, max_depth=2, alpha=0.5))
     probe = np.vstack([Xs, Xt])
-    truncated = BoostedModel(model.f0, Forest.stack(fitted[:-1]), model.shrinkage, model.n_features)
+    forest = model.forest
+    truncated = BoostedModel(model.f0, Forest(forest.feature[:-1], forest.threshold[:-1], forest.value[:-1]),
+                             model.shrinkage, model.n_features)
     recomposed = predict(truncated, probe) + model.shrinkage * fitted[-1].predict(probe)
     assert np.allclose(predict(model, probe), recomposed, atol=1e-12)
 
@@ -219,6 +242,29 @@ def test_label_scaling_equivariance():
     probe = np.vstack([Xs, Xt])
     assert scaled.f0 == pytest.approx(7.0 * base.f0, rel=1e-12)
     assert np.allclose(predict(scaled, probe), 7.0 * predict(base, probe), rtol=1e-10)
+
+
+@pytest.mark.parametrize("max_depth", [MAX_DEPTH + 1, 64])
+def test_a_max_depth_above_the_bound_is_refused(max_depth):
+    with pytest.raises(ValueError, match=re.escape(f"max_depth must be at most {MAX_DEPTH}, got {max_depth}")):
+        TrainConfig(max_depth=max_depth)
+    assert TrainConfig(max_depth=MAX_DEPTH).max_depth == MAX_DEPTH
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_a_fit_on_zero_columns_keeps_one_leaf_slot_per_stage_and_predicts(alpha):
+    Xs, ys, Xt, yt = np.zeros((5, 0)), np.arange(5.0), np.zeros((3, 0)), np.arange(3.0) + 10.0
+    config = TrainConfig(n_stages=4, max_depth=3, shrinkage=0.5, alpha=alpha)
+    model = fit_gbbw(Xs, ys, Xt, yt, config)
+    assert model.forest.feature.shape == model.forest.threshold.shape == (4, 0)
+    assert model.forest.value.shape == (4, 1)
+    X, y, w = _reference_data(Xs, ys, Xt, yt, alpha)
+    F, tables = np.full(len(y), model.f0), []
+    for _ in range(config.n_stages):
+        tables.append(reference_node_table(X, y - F, w, config.max_depth, config.min_samples_leaf))
+        F = F + config.shrinkage * reference_walk(tables[-1], X)
+    expected = reference_ensemble_predict(model.f0, config.shrinkage, tables, np.zeros((2, 0)))
+    assert predict(model, np.zeros((2, 0))).tobytes() == expected.tobytes()
 
 
 def test_boundary_validation():
@@ -321,50 +367,54 @@ def test_predict_never_calls_tree_predict(monkeypatch):
 def test_a_model_that_splits_past_n_features_is_rejected():
     Xs, ys, Xt, yt = _two_domain_problem(13)
     model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, TrainConfig(n_stages=3, max_depth=2, alpha=0.5))
-    assert model.n_features == 3 and fitted[0].feature[0] != -1
-    # The same trees built by hand, each split moved to feature 7.
-    edited = tuple(replace(t, feature=tuple(7 if f != -1 else f for f in t.feature)) for t in fitted)
+    assert model.n_features == 3 and fitted[0].n_nodes > 1
+    # The same forest, each split moved to feature 7.
+    forest = model.forest
+    edited = replace(forest, feature=np.where(forest.threshold < np.inf, 7, forest.feature))
     with pytest.raises(ValueError, match="n_features"):
-        BoostedModel(f0=model.f0, forest=Forest.stack(edited), shrinkage=model.shrinkage,
-                     n_features=model.n_features)
+        BoostedModel(f0=model.f0, forest=edited, shrinkage=model.shrinkage, n_features=model.n_features)
 
 
 @st.composite
 def _models(draw):
-    """A model of 0-6 random trees of depth 0-4, its trees, and rows with NaN cells to route through it."""
+    """A model of 0-6 random trees of height 0-4 laid out at one depth, their node tables, and rows with NaN
+    cells to route through it."""
     n_features = draw(st.integers(1, 3))
     cuts = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
     finite = st.floats(-1e3, 1e3, allow_nan=False)
 
-    def grow(nodes, depth, limit):
-        """Append a subtree to ``nodes`` in preorder, as (feature, threshold, left, right, value) rows."""
-        index = len(nodes)
-        row = [-1, 0.0, -1, -1, draw(finite)]
-        nodes.append(row)
+    def grow(table, depth, limit):
+        """Append a subtree to ``table`` in preorder; a leaf's feature and children are -1."""
+        node = len(table["value"])
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+            table[key].append(blank)
+        table["value"].append(draw(finite))
         if depth < limit and draw(st.booleans()):
-            row[0] = draw(st.integers(0, n_features - 1))
-            row[1] = draw(cuts)
-            row[2] = grow(nodes, depth + 1, limit)
-            row[3] = grow(nodes, depth + 1, limit)
-        return index
+            table["feature"][node] = draw(st.integers(0, n_features - 1))
+            table["threshold"][node] = draw(cuts)
+            table["left"][node] = grow(table, depth + 1, limit)
+            table["right"][node] = grow(table, depth + 1, limit)
+        return node
 
-    stages = []
+    depth = draw(st.integers(0, 4))
+    tables = []
     for _ in range(draw(st.integers(0, 6))):
-        nodes = []
-        grow(nodes, 0, draw(st.integers(0, 4)))
-        stages.append(RegressionTree(*zip(*nodes)))
-    model = BoostedModel(f0=draw(finite), forest=Forest.stack(tuple(stages)), shrinkage=draw(st.floats(1e-3, 1.0)),
-                         n_features=n_features)
+        tables.append({"feature": [], "threshold": [], "left": [], "right": [], "value": []})
+        grow(tables[-1], 0, draw(st.integers(0, depth)))
+    forest = Forest.padded(len(tables), depth)
+    for t, table in enumerate(tables):
+        forest.feature[t], forest.threshold[t], forest.value[t] = heap_layout(table, depth)
+    model = BoostedModel(f0=draw(finite), forest=forest, shrinkage=draw(st.floats(1e-3, 1.0)), n_features=n_features)
     cell = cuts | st.just(float("nan"))
     X = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), max_size=20)))
-    return model, stages, X.reshape(-1, n_features)
+    return model, tables, X.reshape(-1, n_features)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_models())
 def test_predict_equals_the_stage_by_stage_reference_bit_for_bit(case):
-    model, stages, X = case
-    expected = reference_ensemble_predict(model.f0, model.shrinkage, stages, X).tobytes()
+    model, tables, X = case
+    expected = reference_ensemble_predict(model.f0, model.shrinkage, tables, X).tobytes()
     assert predict(model, X).tobytes() == expected
 
 
@@ -450,14 +500,15 @@ def _fit_recording_plans(*args):
     return fitted, plans
 
 
-def _node_masks(stage_tree, X, member, depth=0, node=0):
-    """(depth, row mask) of ``node`` of ``stage_tree``, whose rows are ``member``, and of every node below it."""
+def _node_masks(stage_tree, X, member, depth=0, slot=0):
+    """(depth, row mask) of the node at split slot ``slot`` of ``stage_tree``, whose rows are ``member``, and of
+    every node below it; a padding split (threshold +inf) is a leaf."""
     yield depth, member
-    j = stage_tree.feature[node]
-    if j != -1:
-        go_left = X[:, j] <= stage_tree.threshold[node]
-        yield from _node_masks(stage_tree, X, member & go_left, depth + 1, stage_tree.left[node])
-        yield from _node_masks(stage_tree, X, member & ~go_left, depth + 1, stage_tree.right[node])
+    feature, threshold = stage_tree.feature[0], stage_tree.threshold[0]
+    if slot < len(feature) and threshold[slot] < np.inf:
+        go_left = X[:, feature[slot]] <= threshold[slot]
+        yield from _node_masks(stage_tree, X, member & go_left, depth + 1, 2 * slot + 1)
+        yield from _node_masks(stage_tree, X, member & ~go_left, depth + 1, 2 * slot + 2)
 
 
 def test_each_node_is_built_once_per_fit_while_it_stays_in_the_memo(monkeypatch):
@@ -557,8 +608,7 @@ def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
     X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
     seen = []
 
-    def check(plan, r, max_depth):
-        assert max_depth == config.max_depth
+    def check(plan, r):
         seen.append(plan.w * r)
 
     model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config, check=check)
@@ -573,6 +623,33 @@ def test_a_stump_fit_moves_F_by_each_stages_tree_bit_for_bit(case):
         expected.append(_stated_loss(w, y - F))
     assert model.loss_trace == tuple(expected)
     assert predict(model, X).tobytes() == F.tobytes()
+
+
+@st.composite
+def _deep_fits(draw):
+    """``_stage_fits`` at depth 0-4, and rows with NaN cells to predict."""
+    Xs, ys, Xt, yt, config = draw(_stage_fits())
+    n_features = Xs.shape[1]
+    cell = st.sampled_from([0.0, 1.0, 2.0, float("nan")]) | st.floats(-1e3, 1e3, allow_nan=False)
+    Xq = np.array(draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), max_size=20)))
+    return Xs, ys, Xt, yt, replace(config, max_depth=draw(st.integers(0, 4))), Xq.reshape(-1, n_features)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_deep_fits())
+def test_stage_trees_count_the_reference_nodes_and_the_model_predicts_the_reference_walk(case):
+    # Each stage's tree has the reference preorder table's nodes, padding aside, and the model predicts
+    # what walking those tables stage by stage gives, on rows whose NaN cells padding may route either way.
+    Xs, ys, Xt, yt, config, Xq = case
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config)
+    X, y, w = _reference_data(Xs, ys, Xt, yt, config.alpha)
+    F, tables = np.full(len(y), model.f0), []
+    for stage_tree in fitted:
+        tables.append(reference_node_table(X, y - F, w, config.max_depth, config.min_samples_leaf))
+        assert stage_tree.n_nodes == len(tables[-1]["value"])
+        F = F + config.shrinkage * reference_walk(tables[-1], X)
+    expected = reference_ensemble_predict(model.f0, config.shrinkage, tables, Xq)
+    assert predict(model, Xq).tobytes() == expected.tobytes()
 
 
 def _stated_loss(w, r):
@@ -695,31 +772,28 @@ def test_a_fitted_model_keeps_its_forest_and_no_stage_tree():
         tracemalloc.stop()
     assert not any(isinstance(item, RegressionTree) for item in _held(model))
     forest = model.forest
-    arrays = sum(a.nbytes for a in (forest.roots, forest.feature, forest.threshold, forest.left, forest.right,
-                                    forest.value))
+    arrays = sum(a.nbytes for a in (forest.feature, forest.threshold, forest.value))
     # The forest's arrays, the loss trace (a tuple slot and a float object per entry), and 32 KiB for the
     # objects around them and the tuples and floats of the fit that Python's free lists hold on to (about
-    # 16 KB). The stage trees would add a tuple slot and a float per node, about 100 KB here.
+    # 16 KB). Preorder stage trees would add a tuple slot and a float per node, about 100 KB here.
     assert kept <= arrays + len(model.loss_trace) * (8 + 24) + 32768
-    assert model.n_stages == len(forest.roots) == config.n_stages
-
-
-def _tree_bits(stage_tree):
-    """A tree's columns, every float as its hex string and every int checked to be a Python int."""
-    assert all(type(v) is int for column in (stage_tree.feature, stage_tree.left, stage_tree.right) for v in column)
-    assert all(type(v) is float for column in (stage_tree.threshold, stage_tree.value) for v in column)
-    return (stage_tree.feature, tuple(map(float.hex, stage_tree.threshold)), stage_tree.left, stage_tree.right,
-            tuple(map(float.hex, stage_tree.value)))
+    assert model.n_stages == len(forest.value) == config.n_stages
+    assert forest.feature.shape == forest.threshold.shape == (200, 7) and forest.value.shape == (200, 8)
 
 
 @pytest.mark.parametrize("alpha, max_depth", [(0.25, 3), (0.5, 3), (0.5, 1), (1.0, 2)])
 def test_the_forest_holds_the_fit_trees_bit_for_bit(alpha, max_depth):
-    # Forest equality compares values; here every threshold and leaf value keeps its bits.
+    # Forest equality compares values; here every row's bytes are the reference tree's, signed zeros included.
     Xs, ys, Xt, yt = _two_domain_problem(23, n1=40, n2=16)
-    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt,
-                                    TrainConfig(n_stages=30, max_depth=max_depth, alpha=alpha))
+    config = TrainConfig(n_stages=30, max_depth=max_depth, alpha=alpha)
+    model, fitted = _fit_with_trees(fit_gbbw, Xs, ys, Xt, yt, config)
     assert any(stage_tree.n_nodes > 1 for stage_tree in fitted)
-    bits = [_tree_bits(t) for t in fitted]
-    assert tuple(map(float.hex, model.forest.threshold.tolist())) == sum((b[1] for b in bits), ())
-    assert tuple(map(float.hex, model.forest.value.tolist())) == sum((b[4] for b in bits), ())
+    X, y, w = _reference_data(Xs, ys, Xt, yt, alpha)
+    F = np.full(len(y), model.f0)
+    for t, stage_tree in enumerate(fitted):
+        expected = reference_tree(X, y - F, w, max_depth, config.min_samples_leaf)
+        row = model.forest.tree(t)
+        assert all(getattr(row, name).tobytes() == getattr(expected, name).tobytes()
+                   for name in ("feature", "threshold", "value"))
+        F = F + config.shrinkage * stage_tree.predict(X)
     assert model.n_stages == len(fitted)

@@ -445,6 +445,18 @@ def test_infinite_lambda_value_in_a_config_file_exits_validation(tmp_path, data_
     assert "Traceback" not in err
 
 
+def test_a_max_depth_above_the_bound_in_a_config_file_exits_validation(tmp_path, data_file, capsys):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(FAST_CONFIG + "\nboosting.max_depth = 11\n")
+    out_dir = tmp_path / "out"
+    code = main(["loo", "--data", str(data_file), "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_depth must be at most 10, got 11" in err
+    assert "Traceback" not in err
+
+
 def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_path, data_file, capsys):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text(FAST_CONFIG + "\nseed = -1\n")

@@ -208,10 +208,12 @@ def test_sampler_deterministic_and_empty():
     assert not np.array_equal(a, sample_gmm(model, 50, seed=43))
 
 
-def test_sampler_refuses_a_negative_sample_count():
+@pytest.mark.parametrize("M", [-1, 1.5, True])
+def test_sampler_refuses_a_sample_count_that_is_not_an_integer_of_at_least_zero(M):
+    # 1.5 and True used to end in a bare TypeError from numpy.
     model = fit_gmm(np.random.default_rng(9).standard_normal((20, 1)), K=1, seed=3)
-    with pytest.raises(GMMError, match="M must be >= 0"):
-        sample_gmm(model, -1, seed=1)
+    with pytest.raises(GMMError, match=re.escape(f"M must be an integer >= 0, got {M!r}")):
+        sample_gmm(model, M, seed=1)
 
 
 def test_sampler_concentrates_for_tiny_covariance():
@@ -292,12 +294,19 @@ def test_augment_validates_inputs():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_init=0), dict(n_init=-1),
+    dict(n_init=0), dict(n_init=-1), dict(n_init=1.5), dict(n_init=True),
     dict(ridge=-1e-6), dict(ridge=float("nan")), dict(ridge=float("inf")),
 ], ids=repr)
 def test_em_config_rejects_invalid_settings(kwargs):
     with pytest.raises(GMMError, match=next(iter(kwargs))):
         fit_gmm(np.zeros((3, 1)), K=1, **kwargs)
+
+
+@pytest.mark.parametrize("K", [0, -1, 1.5, True])
+def test_fit_gmm_refuses_a_component_count_that_is_not_an_integer_of_at_least_one(K):
+    # 1.5 and True used to end in a bare TypeError from numpy.
+    with pytest.raises(GMMError, match=re.escape(f"K must be an integer >= 1, got {K!r}")):
+        fit_gmm(np.random.default_rng(9).standard_normal((20, 2)), K=K)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -112,6 +112,29 @@ def test_malformed_metrics_are_refused(call, message):
         call()
 
 
+def test_a_metric_whose_squared_pivot_ratio_is_at_most_three_units_of_rounding_is_numerically_singular():
+    # diag(1, d) has Cholesky pivots 1 and sqrt(d), exact for these powers of two: a squared ratio of d.
+    for d in (2.0**-1000, 2.0**-60, 2.0**-52):
+        with pytest.raises(MetricError, match="metric is numerically singular"):
+            itml.check_metric(np.diag([1.0, d]))
+    assert np.array_equal(itml.check_metric(np.diag([1.0, 2.0**-50])), np.diag([1.0, 2.0**-50]))
+    # The floor is relative: a metric of any scale keeps or loses it alike.
+    with pytest.raises(MetricError, match="metric is numerically singular"):
+        itml.check_metric(np.diag([2.0**200, 2.0**148]))
+    itml.check_metric(np.diag([2.0**-200, 2.0**-250]))
+
+
+def test_a_fit_that_collapses_a_direction_raises_metric_error():
+    # Near-duplicate rows put u at 1.96e-90, and one pass leaves A with eigenvalues (0, 1, 1).
+    X = np.array([[0.0, 1.0, 2.0]] * 34 + [[0.0, 0.0, 1.0], [1.4e-45, 1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        C = build_constraints(X, np.zeros(36), max_per_set=1, n_candidates=630)
+    assert C.u < 1e-89
+    with pytest.raises(MetricError, match="metric is numerically singular"):
+        fit_itml(X, C, gamma=1.0, max_passes=1, tol=1e-3)
+
+
 def test_divergence_rejects_non_psd():
     with pytest.raises(MetricError):
         logdet_divergence(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
@@ -775,6 +798,11 @@ def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
 @example(case=(np.array([[0.0, 0.0, 1.0]] * 26 + [[0.0, 2.0, 0.0], [0.0, 2.0 ** -14, 1.0]]), np.zeros(28),
                dict(max_per_set=1, n_candidates=378)),
          gamma=1.0, tol=1e-3, max_passes=1)    # leaves kappa_2(A) = 6.7e8: the log dets differ by 2.2e-8
+# u = 1.96e-90 from the near-duplicate rows; the one similar pair's projection leaves A with eigenvalues
+# (0, 1, 1), whose squared pivot ratio, 1.1e-16, is under the floor: the fit raises MetricError.
+@example(case=(np.array([[0.0, 1.0, 2.0]] * 34 + [[0.0, 0.0, 1.0], [1.4e-45, 1.0, 2.0]]), np.zeros(36),
+               dict(max_per_set=1, n_candidates=630)),
+         gamma=1.0, tol=1e-3, max_passes=1)
 def test_per_pass_diagnostics_are_within_the_bound_of_the_former_formulas(case, gamma, tol, max_passes):
     X, y, config = case
     with warnings.catch_warnings():

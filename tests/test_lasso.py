@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -840,11 +841,15 @@ def test_the_fit_follows_a_shift_or_a_scaling_of_the_response(change):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_folds=1), dict(n_folds=0), dict(grid_size=0), dict(grid_size=-3),
+    dict(n_folds=1), dict(n_folds=0), dict(n_folds=2.5), dict(n_folds=True),
+    dict(grid_size=0), dict(grid_size=-3), dict(grid_size=2.5), dict(grid_size=True),
 ], ids=repr)
 def test_cross_validation_rejects_too_few_folds_or_grid_points(kwargs):
+    # 2.5 and True used to end in a bare TypeError from numpy.
     X, y = _random_problem(11)
-    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >="):
+    ((name, value),) = kwargs.items()
+    least = 2 if name == "n_folds" else 1
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {least}, got {value!r}")):
         cross_validate_lambda(X, y, **kwargs)
 
 

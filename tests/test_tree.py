@@ -8,15 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcda.boosting import TrainConfig, fit_gbbw
-from tmcda.tree import Forest, RegressionTree, SplitPlan, fit_tree
+from tmcda.tree import MAX_DEPTH, Forest, RegressionTree, SplitPlan, fit_tree
 
-from _oracles import BruteTree, brute_force_split, reference_tree
+from _oracles import BruteTree, brute_force_split, heap_layout, reference_node_table, reference_tree, reference_walk
+
+
+def _fit_on(plan, r, max_depth=3, leaf_values=None):
+    """One tree from ``plan`` at ``max_depth``, in a tree of the plan's depth, its leaf values written to
+    ``leaf_values`` or to a buffer of its own."""
+    leaf_values = np.empty(len(r)) if leaf_values is None else leaf_values
+    return fit_tree(plan, r, leaf_values=leaf_values, out=RegressionTree.padded(1, plan.depth(max_depth)))
 
 
 def _fit(X, r, w, max_depth=3, min_samples_leaf=2, leaf_values=None):
-    """One tree from a plan built for it, its leaf values written to ``leaf_values`` or to a buffer of its own."""
-    leaf_values = np.empty(len(X)) if leaf_values is None else leaf_values
-    return fit_tree(SplitPlan.build(X, w, min_samples_leaf), r, max_depth, leaf_values=leaf_values)
+    """One tree from a plan built for it, as ``_fit_on`` fits it."""
+    return _fit_on(SplitPlan.build(X, w, min_samples_leaf), r, max_depth, leaf_values)
 
 
 def test_depth_zero_gives_weighted_mean_leaf():
@@ -24,9 +30,9 @@ def test_depth_zero_gives_weighted_mean_leaf():
     r = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 5.0])
     tree = _fit(X, r, w, max_depth=0)
-    assert tree.n_nodes == 1
+    assert tree.n_nodes == 1 and tree.value.shape == (1, 1)
     expected = (r * w).sum() / w.sum()
-    assert tree.value[0] == pytest.approx(expected)
+    assert tree.value[0, 0] == pytest.approx(expected)
     assert np.allclose(tree.predict(X), expected)
 
 
@@ -35,8 +41,8 @@ def test_step_data_splits_at_step():
     r = np.array([5.0, 5.0, 5.0, 5.0, -3.0, -3.0, -3.0, -3.0])
     w = np.ones(8)
     tree = _fit(X, r, w, max_depth=1, min_samples_leaf=1)
-    assert tree.feature[0] == 0
-    assert tree.threshold[0] == pytest.approx(6.5)
+    assert tree.feature[0, 0] == 0
+    assert tree.threshold[0, 0] == pytest.approx(6.5)
     preds = tree.predict(X)
     assert np.allclose(preds[:4], 5.0)
     assert np.allclose(preds[4:], -3.0)
@@ -55,8 +61,8 @@ def test_split_choice_matches_exhaustive_oracle_on_random_data():
         if oracle is None:
             assert tree.n_nodes == 1
         else:
-            assert tree.feature[0] == oracle[0]
-            assert tree.threshold[0] == pytest.approx(oracle[1], rel=1e-12)
+            assert tree.feature[0, 0] == oracle[0]
+            assert tree.threshold[0, 0] == pytest.approx(oracle[1], rel=1e-12)
 
 
 def test_split_between_neighbouring_doubles_keeps_both_children():
@@ -67,7 +73,7 @@ def test_split_between_neighbouring_doubles_keeps_both_children():
     X = np.array([lo, lo, hi, hi])[:, None]
     r = np.array([1.0, 1.0, -1.0, -1.0])
     tree = _fit(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
-    assert tree.threshold[0] == lo
+    assert tree.threshold[0, 0] == lo
     assert np.array_equal(tree.predict(X), r)
     assert np.isfinite(tree.value).all()
     oracle = brute_force_split(X, r, np.ones(4), 1)
@@ -85,13 +91,13 @@ def test_split_whose_right_side_weight_rounds_away_is_not_chosen():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=1e-17))
-    # Row 0 of a model's forest is its first stage tree's root.
+    # Slot 0 of row 0 of a model's forest is its first stage tree's root.
     root = model.forest
-    go_left = Xs[:, root.feature[0]] <= root.threshold[0]
+    go_left = Xs[:, root.feature[0, 0]] <= root.threshold[0, 0]
     assert go_left.any() and not go_left.all()
     source_only = fit_gbbw(Xs, ys, Xt, 3.0 * Xt[:, 0], TrainConfig(n_stages=20, alpha=0.0)).forest
-    assert root.feature[0] == source_only.feature[0]
-    assert np.array_equal(go_left, Xs[:, source_only.feature[0]] <= source_only.threshold[0])
+    assert root.feature[0, 0] == source_only.feature[0, 0]
+    assert np.array_equal(go_left, Xs[:, source_only.feature[0, 0]] <= source_only.threshold[0, 0])
 
 
 def test_deep_tree_predictions_match_brute_force():
@@ -122,7 +128,7 @@ def test_uniform_weights_equal_any_constant_weights():
     r = rng.standard_normal(40)
     a = _fit(X, r, np.ones(40), max_depth=2, min_samples_leaf=2)
     b = _fit(X, r, np.full(40, 3.7), max_depth=2, min_samples_leaf=2)
-    assert a.feature == b.feature
+    assert np.array_equal(a.feature, b.feature)
     assert np.allclose(a.threshold, b.threshold)
     assert np.allclose(a.value, b.value)
 
@@ -132,21 +138,16 @@ def test_min_samples_leaf_respected():
     X = rng.standard_normal((50, 2))
     r = rng.standard_normal(50)
     tree = _fit(X, r, np.ones(50), max_depth=4, min_samples_leaf=7)
-    node_of = np.zeros(50, dtype=int)
-    for i in range(50):
-        node = 0
-        while tree.feature[node] != -1:
-            node = tree.left[node] if X[i, tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-        node_of[i] = node
-    for leaf in set(node_of):
-        assert (node_of == leaf).sum() >= 7
+    assert tree.n_nodes > 3
+    for _, _, member in _leaves_with_rows(tree, X, np.ones(50, dtype=bool)):
+        assert member.sum() >= 7
 
 
 def test_constant_residuals_never_split():
     X = np.arange(20, dtype=float)[:, None]
     tree = _fit(X, np.full(20, 2.5), np.ones(20), max_depth=3)
     assert tree.n_nodes == 1
-    assert tree.value[0] == pytest.approx(2.5)
+    assert tree.value.shape == (1, 8) and np.all(tree.value == 2.5)
 
 
 def test_weight_validation():
@@ -175,17 +176,49 @@ def test_a_plan_refuses_a_min_samples_leaf_that_is_not_an_integer_of_at_least_on
 
 
 @pytest.mark.parametrize("max_depth", [-1, 1.5, 2.0, None])
-def test_fit_tree_refuses_a_max_depth_that_is_not_an_integer_of_at_least_zero(max_depth):
+def test_a_padded_tree_refuses_a_depth_that_is_not_an_integer_of_at_least_zero(max_depth):
     # -1 used to give one leaf.
-    plan = SplitPlan.build(np.arange(10, dtype=float)[:, None], np.ones(10), 1)
     with pytest.raises(ValueError, match=re.escape(f"max_depth must be an integer >= 0, got {max_depth!r}")):
-        fit_tree(plan, np.arange(10, dtype=float), max_depth, leaf_values=np.empty(10))
+        RegressionTree.padded(1, max_depth)
 
 
-def test_fit_tree_requires_a_leaf_values_buffer():
+def test_a_padded_tree_refuses_a_depth_above_the_bound_and_fits_one_at_it():
+    rng = np.random.default_rng(7)
+    X, r = rng.standard_normal((60, 2)), rng.standard_normal(60)
+    with pytest.raises(ValueError, match=re.escape(f"max_depth must be at most {MAX_DEPTH}, got {MAX_DEPTH + 1}")):
+        Forest.padded(2, MAX_DEPTH + 1)
+    leaf_values = np.empty(60)
+    tree = _fit(X, r, np.ones(60), MAX_DEPTH, 1, leaf_values)
+    assert tree.value.shape == (1, 2**MAX_DEPTH) and tree == reference_tree(X, r, np.ones(60), MAX_DEPTH, 1)
+    assert np.array_equal(tree.predict(X), leaf_values)
+    assert tree.n_nodes == len(reference_node_table(X, r, np.ones(60), MAX_DEPTH, 1)["value"])
+    assert np.any(tree.threshold[0, 2 ** (MAX_DEPTH - 1) - 1:] < np.inf)    # a split at depth MAX_DEPTH - 1
+
+
+def test_a_plan_whose_root_has_no_valid_split_fits_trees_of_one_leaf_slot():
+    # No column, every column constant, too few rows for two leaves, a right side whose weight rounds away.
+    # A deeper tree is padding only, with the leaf's value in every leaf slot; it reads column 0.
+    for X, w, min_samples_leaf in ((np.zeros((5, 0)), np.ones(5), 1), (np.ones((5, 2)), np.ones(5), 1),
+                                   (np.arange(5.0)[:, None], np.ones(5), 3),
+                                   (np.arange(2.0)[:, None], np.array([1.0, 1e-300]), 1)):
+        plan = SplitPlan.build(X, w, min_samples_leaf)
+        r = np.arange(len(X), dtype=float)
+        leaf_values = np.empty(len(X))
+        tree = _fit_on(plan, r, 3, leaf_values)
+        assert plan.depth(3) == 0 and tree.feature.shape == tree.threshold.shape == (1, 0)
+        assert tree.n_nodes == 1 and tree.value.shape == (1, 1)
+        assert np.array_equal(tree.predict(X), leaf_values) and np.all(leaf_values == tree.value[0, 0])
+        deep = fit_tree(plan, r, leaf_values=np.empty(len(X)), out=RegressionTree.padded(1, 3))
+        assert deep.n_nodes == 1 and np.all(deep.threshold == np.inf) and np.all(deep.value == tree.value[0, 0])
+        assert X.shape[1] == 0 or np.array_equal(deep.predict(X), leaf_values)
+
+
+def test_fit_tree_requires_a_leaf_values_buffer_and_an_out_tree():
     plan = SplitPlan.build(np.arange(10, dtype=float)[:, None], np.ones(10), 1)
     with pytest.raises(TypeError, match="leaf_values"):
-        fit_tree(plan, np.arange(10, dtype=float), 3)
+        fit_tree(plan, np.arange(10, dtype=float), out=RegressionTree.padded(1, 3))
+    with pytest.raises(TypeError, match="out"):
+        fit_tree(plan, np.arange(10, dtype=float), leaf_values=np.empty(10))
 
 
 def test_a_plan_takes_the_count_path_when_every_weight_is_one_value_whose_multiples_are_exact():
@@ -216,14 +249,22 @@ def test_a_non_finite_total_of_the_weighted_residuals_is_rejected():
         _fit(X[[0, 2, 1, 3]], np.array([1e308, -1e308, 1e308, -1e308]), np.ones(4), 1, min_samples_leaf=2)
 
 
-def _nodes_with_rows(tree, X, member, node=0, depth=0):
-    """(node, depth, row mask) of ``node``, whose rows are ``member``, and of every node below it."""
-    yield node, depth, member
-    j = tree.feature[node]
-    if j != -1:
-        go_left = X[:, j] <= tree.threshold[node]
-        yield from _nodes_with_rows(tree, X, member & go_left, tree.left[node], depth + 1)
-        yield from _nodes_with_rows(tree, X, member & ~go_left, tree.right[node], depth + 1)
+def _leaves_with_rows(tree, X, member, slot=0, depth=0):
+    """(depth, value, row mask) of every leaf at or below split slot ``slot``, whose rows are ``member``.
+
+    A slot past the split slots, or a padding split (threshold +inf), is a leaf; every leaf slot under it
+    must hold its value.
+    """
+    feature, threshold, value = tree.feature[0], tree.threshold[0], tree.value[0]
+    if slot >= len(feature) or threshold[slot] == np.inf:
+        span = len(value) >> depth
+        first = (slot + 1) * span - len(value)
+        assert np.array_equal(value[first:first + span], np.full(span, value[first]))
+        yield depth, value[first], member
+        return
+    go_left = X[:, feature[slot]] <= threshold[slot]
+    yield from _leaves_with_rows(tree, X, member & go_left, 2 * slot + 1, depth + 1)
+    yield from _leaves_with_rows(tree, X, member & ~go_left, 2 * slot + 2, depth + 1)
 
 
 def test_leaf_values_at_max_depth_are_the_prefix_sums_at_their_parents_cut():
@@ -241,10 +282,10 @@ def test_leaf_values_at_max_depth_are_the_prefix_sums_at_their_parents_cut():
         max_depth = int(rng.integers(1, 3))
         tree = _fit(X, r, w, max_depth, min_samples_leaf=9)
         assert tree == reference_tree(X, r, w, max_depth, 9)
-        assert tree.value[0] == np.add.reduce(w * r) / np.add.reduce(w)
-        for node, _, m in _nodes_with_rows(tree, X, np.ones(n, dtype=bool)):
-            if node and tree.feature[node] == -1:
-                pairwise.append(tree.value[node] == np.add.reduce(w[m] * r[m]) / np.add.reduce(w[m]))
+        assert _fit(X, r, w, 0, 9).value[0, 0] == np.add.reduce(w * r) / np.add.reduce(w)
+        for depth, value, m in _leaves_with_rows(tree, X, np.ones(n, dtype=bool)):
+            if depth:
+                pairwise.append(value == np.add.reduce(w[m] * r[m]) / np.add.reduce(w[m]))
                 seen.add(int(m.sum()))
     assert min(seen) >= 9 and max(seen) > 128
     assert not all(pairwise)
@@ -255,27 +296,27 @@ def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold():
     # Along either identical column, the cuts after the first and after the
     # third row both score 1/1 + 1/3.
     tree = _fit(np.column_stack([x, x]), np.array([1.0, 0.0, 0.0, 1.0]), np.ones(4), 1, 1)
-    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+    assert (tree.feature[0, 0], tree.threshold[0, 0]) == (0, 0.5)
     # Both features score 1 at their best cut, feature 0 at its last, feature 1 at its first.
     X = np.column_stack([x, x[::-1]])
     r = np.array([0.0, 0.0, 0.0, 1.0])
     tree = _fit(X, r, np.ones(4), 1, 1)
-    assert (tree.feature[0], tree.threshold[0]) == (0, 2.5)
+    assert (tree.feature[0, 0], tree.threshold[0, 0]) == (0, 2.5)
     assert tree == reference_tree(X, r, np.ones(4), 1, 1)
-    assert _fit(X[:, ::-1], r, np.ones(4), 1, 1).feature[0] == 0
+    assert _fit(X[:, ::-1], r, np.ones(4), 1, 1).feature[0, 0] == 0
     # Both columns cut the same rows at 2.5 and sum them in other orders, so
     # feature 1's score is one bit higher. Both round to the same gain, but
     # ties are decided on scores: feature 1 wins.
     X = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [5.0, 3.0], [4.0, 4.0], [3.0, 5.0]])
     r = np.array([0.95, -9.6, -2.39, 9.66, 7.24, 5.04])
     tree = _fit(X, r, np.ones(6), 1, 1)
-    assert (tree.feature[0], tree.threshold[0]) == (1, 2.5)
+    assert (tree.feature[0, 0], tree.threshold[0, 0]) == (1, 2.5)
     assert tree == reference_tree(X, r, np.ones(6), 1, 1)
     # Within one feature, the cut at 5.5 scores one bit higher than the cut
     # at 1.5 and has the same gain: the higher score wins here too.
     X = np.array([1.0, 4.0, 6.0, 0.0, 5.0, 2.0, 3.0, 7.0])[:, None]
     r = np.array([-13.4, 0.3, 12.3, 3.6, -8.2, 0.5, 3.4, -6.5])
-    assert _fit(X, r, np.ones(8), 1, 1).threshold[0] == 5.5
+    assert _fit(X, r, np.ones(8), 1, 1).threshold[0, 0] == 5.5
 
 
 def test_a_plan_fits_each_residual_vector_as_a_plan_built_for_it_alone():
@@ -285,7 +326,7 @@ def test_a_plan_fits_each_residual_vector_as_a_plan_built_for_it_alone():
     plan = SplitPlan.build(X, w, min_samples_leaf=2)
     for _ in range(5):
         r = rng.standard_normal(30)
-        assert fit_tree(plan, r, 3, leaf_values=np.empty(30)) == _fit(X, r, w, 3, 2) == reference_tree(X, r, w, 3, 2)
+        assert _fit_on(plan, r, 3) == _fit(X, r, w, 3, 2) == reference_tree(X, r, w, 3, 2)
     assert len(plan._memo)
 
 
@@ -304,10 +345,10 @@ def test_a_node_split_just_above_max_depth_in_one_tree_and_higher_up_in_a_later_
     S = rows < 8
     for r, thresholds, kept in ((low, (11.5, 7.5, 3.5), False), (high, (7.5, 3.5), True), (low, (11.5, 7.5, 3.5), True)):
         leaf_values = np.full(16, np.nan)
-        tree = fit_tree(plan, r, 3, leaf_values=leaf_values)
+        tree = _fit_on(plan, r, 3, leaf_values)
         assert tree == reference_tree(X, r, w, 3, 1)
         assert np.array_equal(leaf_values, tree.predict(X))
-        assert tree.threshold[:len(thresholds)] == thresholds
+        assert tuple(tree.threshold[0, [0, 1, 3][:len(thresholds)]]) == thresholds    # the leftmost splits
         children = plan._memo[S.tobytes()].children
         if kept:
             ((t, left_mask, right_mask),) = children.values()
@@ -349,10 +390,10 @@ def test_a_candidate_that_is_not_valid_cannot_spoil_its_feature_when_its_score_o
         tree = _fit(X, r, np.ones(4), max_depth=1, min_samples_leaf=1)
         expected = reference_tree(X, r, np.ones(4), 1, 1)
     assert tree == expected
-    assert tree.threshold == (0.5, 0.0, 0.0)
+    assert tree.threshold.tolist() == [[0.5]]
     # The right leaf's total is the root's 0 less the left's 1, so it reads
     # -1/3 where its rows' mean is 0: inside the module docstring's bound.
-    assert tree.value == (0.0, 1.0, -1 / 3)
+    assert tree.value.tolist() == [[1.0, -1 / 3]]
 
 _NEXT = np.nextafter(1.0, 2.0)
 _COLUMNS = (
@@ -451,66 +492,85 @@ def test_stumps_equal_the_reference_where_columns_cut_the_same_rows_in_other_ord
     assert _fit(X, r, w, 1, 1) == reference_tree(X, r, w, 1, 1)
 
 
+_CUTS = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _rows(draw, n_features):
+    """Up to 25 rows of cuts and NaN cells."""
+    X = np.array(draw(st.lists(st.lists(_CUTS | st.just(np.nan), min_size=n_features, max_size=n_features),
+                               max_size=25)))
+    return X.reshape(-1, n_features)
+
+
 @st.composite
-def _node_tables(draw):
-    """A random valid node table (root 0, other ids shuffled) and rows to route through it."""
-    n_features = draw(st.integers(1, 3))
-    cuts = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0, allow_nan=False)
-    nodes = []        # (feature, threshold, left, right, value), children as indices into nodes
-
-    def grow(depth):
-        index = len(nodes)
-        nodes.append(None)
-        value = draw(st.floats(-1e3, 1e3, allow_nan=False))
-        if depth < 4 and draw(st.booleans()):
-            split = (draw(st.integers(0, n_features - 1)), draw(cuts))
-            left = grow(depth + 1)
-            right = grow(depth + 1)
-            nodes[index] = (*split, left, right, value)
-        else:
-            nodes[index] = (-1, 0.0, -1, -1, value)
-        return index
-
-    grow(0)
-    ids = [0] + [1 + i for i in draw(st.permutations(range(len(nodes) - 1)))]
-    renumbered = [None] * len(nodes)
-    for old, (feature, threshold, left, right, value) in enumerate(nodes):
-        renumbered[ids[old]] = (feature, threshold, -1 if left < 0 else ids[left],
-                                -1 if right < 0 else ids[right], value)
-    table = RegressionTree(*zip(*renumbered))
-    X = np.array(draw(st.lists(st.lists(cuts, min_size=n_features, max_size=n_features), max_size=25)))
-    return table, X.reshape(-1, n_features)
+def _heap_trees(draw):
+    """A tree of depth 0-4 with random slots, padding or not, and rows to route through it."""
+    n_features, depth = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    n_splits = 2**depth - 1
+    feature = np.array(draw(st.lists(st.integers(0, n_features - 1), min_size=n_splits, max_size=n_splits)),
+                       dtype=np.intp)
+    threshold = np.array(draw(st.lists(_CUTS | st.just(np.inf), min_size=n_splits, max_size=n_splits)), dtype=float)
+    value = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n_splits + 1, max_size=n_splits + 1)))
+    return RegressionTree(feature[None], threshold[None], value[None]), _rows(draw, n_features)
 
 
-_ONE_LEAF = RegressionTree((-1,), (0.0,), (-1,), (-1,), (2.5,))
-
-
-@given(_node_tables())
-# A walk that starts with every row at a leaf, or with no rows, returns before it reads X.
-@example((_ONE_LEAF, np.zeros((2, 0))))
-@example((RegressionTree((0, -1, -1), (0.5, 0.0, 0.0), (1, -1, -1), (2, -1, -1), (0.0, 1.0, 2.0)), np.zeros((0, 1))))
+@given(_heap_trees())
+# Trees of depth 0 never read X, which may have no column; with no rows there is nothing to route.
+@example((RegressionTree(np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0)), np.array([[2.5]])), np.zeros((2, 0))))
+@example((RegressionTree(np.zeros((1, 1), dtype=np.intp), np.array([[0.5]]), np.array([[1.0, 2.0]])), np.zeros((0, 1))))
 def test_predict_equals_walking_each_row_down_the_table(case):
-    table, X = case
+    tree, X = case
+    feature, threshold, value = tree.feature[0], tree.threshold[0], tree.value[0]
     walked = []
     for x in X:
-        node = 0
-        while table.feature[node] != -1:
-            node = table.left[node] if x[table.feature[node]] <= table.threshold[node] else table.right[node]
-        walked.append(table.value[node])
-    assert np.array_equal(table.predict(X), np.array(walked, dtype=float))
+        slot = 0
+        while slot < len(feature):
+            slot = 2 * slot + 1 if x[feature[slot]] <= threshold[slot] else 2 * slot + 2
+        walked.append(value[slot - len(feature)])
+    assert np.array_equal(tree.predict(X), np.array(walked, dtype=float))
 
 
-@given(_node_tables())
-def test_a_forest_finds_the_leaf_each_tree_predicts_from(case):
-    # The tables are stacked behind a one-leaf tree, so the second copy's children are renumbered too.
-    table, X = case
-    trees = [_ONE_LEAF, table, table]
-    forest = Forest.stack(trees)
+@st.composite
+def _node_tables(draw):
+    """A random node table in preorder, a depth at least its height, and rows to route through it."""
+    n_features = draw(st.integers(1, 3))
+    table = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    height = 0
+
+    def grow(depth):
+        nonlocal height
+        height = max(height, depth)
+        node = len(table["value"])
+        for key in ("feature", "left", "right"):
+            table[key].append(-1)
+        table["threshold"].append(0.0)
+        table["value"].append(draw(st.floats(-1e3, 1e3)))
+        if depth < 4 and draw(st.booleans()):
+            table["feature"][node] = draw(st.integers(0, n_features - 1))
+            table["threshold"][node] = draw(_CUTS)
+            table["left"][node] = grow(depth + 1)
+            table["right"][node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return table, draw(st.integers(height, 4)), _rows(draw, n_features)
+
+
+@given(_node_tables(), st.integers(0, 3))
+def test_a_forest_finds_the_leaf_each_tree_predicts_from(case, n_trees):
+    # Padding routes a NaN cell right and every other cell left: either way the leaf holds the table's value.
+    table, depth, X = case
+    feature, threshold, value = heap_layout(table, depth)
+    tree = RegressionTree(feature[None], threshold[None], value[None])
+    assert tree.n_nodes == len(table["value"])
+    walked = reference_walk(table, X)
+    assert np.array_equal(tree.predict(X), walked)
+    # Tree t's values are the table's plus t, so a leaf of another tree would show.
+    shift = np.arange(n_trees, dtype=float)[:, None]
+    forest = Forest(np.tile(feature, (n_trees, 1)), np.tile(threshold, (n_trees, 1)), value + shift)
     leaves = forest.leaves(X)
-    assert leaves.shape == (len(trees), len(X)) and np.all(forest.feature[leaves] == -1)
-    assert np.array_equal(forest.value[leaves], np.array([tree.predict(X) for tree in trees]).reshape(leaves.shape))
-    assert Forest.stack([]).leaves(X).shape == (0, len(X))
-
+    assert leaves.shape == (n_trees, len(X))
+    assert np.array_equal(forest.value.take(leaves), walked + shift)
 
 
 @settings(max_examples=200, deadline=None)
@@ -528,7 +588,7 @@ def test_tree_equals_the_reference_where_split_scores_overflow(fit, scale):
 @given(_fits(), st.sampled_from([1.0, 1e150, 1e153, 1e154, 1e155]))
 @example((np.array([[0.0], [1.0]]), np.array([-1.0, 0.0]), np.array([2.86926498e-204, 0.5]), 1, 1), 1e150)
 def test_node_values_are_finite_and_within_the_stated_bound_of_their_rows_means(fit, scale):
-    # The module docstring's bound for a node at depth d, over the root's n
+    # The module docstring's bound for a leaf at depth d, over the root's n
     # rows, against the exact weighted mean; one more n * eps for the
     # rounding of the pairwise mean it is compared with. Over a tiny node
     # weight the bound can exceed the float range: it is then inf, and holds.
@@ -537,8 +597,8 @@ def test_node_values_are_finite_and_within_the_stated_bound_of_their_rows_means(
     with np.errstate(over="ignore", invalid="ignore"):
         tree = _fit(X, r, w, max_depth, min_samples_leaf)
     n, abs_wr, total_w = len(w), np.add.reduce(np.abs(w * r)), np.add.reduce(w)
-    for node, depth, m in _nodes_with_rows(tree, X, np.ones(n, dtype=bool)):
-        value, weight = tree.value[node], np.add.reduce(w[m])
+    for depth, value, m in _leaves_with_rows(tree, X, np.ones(n, dtype=bool)):
+        weight = np.add.reduce(w[m])
         assert math.isfinite(value)
         mean = np.add.reduce(w[m] * r[m]) / weight
         with np.errstate(over="ignore"):
