@@ -33,9 +33,7 @@ plan's trees and with every split slot padding, and each stage's
 ``fit_tree`` call writes that stage's tree straight into its row, so the
 fit keeps no other copy of its trees. A 200-stage depth-3 fit on 104 rows
 of 6 features peaks 748 KB above its start, traced, and its model keeps
-44 KB, 34 KB of it the forest's arrays; with a preorder node table per
-stage, kept until the fit ended and then renumbered into the forest, it
-peaked at 1,018 KB and kept 124 KB. ``predict`` finds every (stage, row)
+44 KB, 34 KB of it the forest's arrays. ``predict`` finds every (stage, row)
 pair's leaf at once, and a cumulative sum along the stage axis then adds
 f0 and each stage's shrinkage * leaf value in stage order, the same
 additions as adding one tree's output at a time.
@@ -47,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Forest, SplitPlan, check_count, check_depth, fit_tree
+from .schema import check_count
+from .tree import Forest, SplitPlan, check_depth, fit_tree
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import check_count
+from .schema import check_count
 
 
 class GMMError(ValueError):

@@ -131,6 +131,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import check_count
+
 
 class MetricError(ValueError):
     """Raised for invalid metric matrices or diverged training state."""
@@ -307,12 +309,13 @@ def build_constraints(
     ``max_per_set`` pairs in sampling order. u and l are the 5th and 95th
     percentiles of the remaining pairs' prior distances; degenerate equal
     percentiles are widened by 5% around their value. With no pair left the
-    set is empty. ``max_per_set`` must be >= 0 and ``n_candidates`` >= 1.
+    set is empty. ``max_per_set`` must be an integer >= 0 and ``n_candidates``
+    one >= 1.
     A non-finite feature or label raises ``MetricError``. When no remaining
     pair is dissimilar, cap aside, it warns that the labels are degenerate.
     """
-    if max_per_set < 0 or n_candidates < 1:
-        raise MetricError(f"require max_per_set >= 0 and n_candidates >= 1, got {max_per_set}, {n_candidates}")
+    check_count("max_per_set", max_per_set, 0, MetricError)
+    check_count("n_candidates", n_candidates, 1, MetricError)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_finite(X=X, y=y)
@@ -413,8 +416,8 @@ def fit_itml(
     determinant, and inverted once. A projection with alpha exactly 0
     updates only its slack, and under ``gamma`` = 1 not even that (see the
     module docstring for why both are exact).
-    ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` >= 1; NaN is
-    rejected, and so is a non-finite entry of ``X``.
+    ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` an integer >= 1;
+    NaN is rejected, and so is a non-finite entry of ``X``.
     """
     X = np.asarray(X, dtype=float)
     _require_finite(X=X)
@@ -425,8 +428,7 @@ def fit_itml(
         raise MetricError(f"gamma must be > 0, got {gamma}")
     if not tol >= 0:
         raise MetricError(f"tol must be >= 0, got {tol}")
-    if max_passes < 1:
-        raise MetricError(f"max_passes must be >= 1, got {max_passes}")
+    check_count("max_passes", max_passes, 1, MetricError)
 
     entries = [(i, j, 1.0) for (i, j) in constraints.similar] + [
         (i, j, -1.0) for (i, j) in constraints.dissimilar

@@ -45,8 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schema import COLUMNS, MOVEMENTS
-from .tree import check_count
+from .schema import COLUMNS, MOVEMENTS, check_count
 
 
 @dataclass(frozen=True)

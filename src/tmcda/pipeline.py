@@ -20,8 +20,7 @@ import numpy as np
 
 from . import boosting, gmm, itml, lasso
 from .dataset import Dataset, DomainSplit, split_domains
-from .schema import MOVEMENTS
-from .tree import check_count, count_problem
+from .schema import MOVEMENTS, check_count, count_problem
 
 # Mixture defaults per movement: (components, synthetic samples).
 GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
@@ -59,7 +58,7 @@ def _require(settings, checks) -> None:
 
 def _count(settings, name: str, least: int, optional: bool = False):
     """The check that field ``name`` is an integer, not a bool, of at least ``least`` (or None if ``optional``),
-    by ``tree.count_problem``."""
+    by ``schema.count_problem``."""
     value = getattr(settings, name)
     problem = count_problem(name, value, least)
     return problem is None or (optional and value is None), problem
@@ -407,8 +406,7 @@ def _run_fold(data: Dataset, target_id: str, configs: tuple[PipelineConfig, ...]
 
 def _score_folds(data: Dataset, configs: tuple[PipelineConfig, ...], jobs: int) -> list[list[FoldResult]]:
     """Per held-out intersection in sorted order, one row per config."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_count("jobs", jobs, 1)
     if not configs:
         raise ValueError("no configs to run")
     ids = data.intersections()
@@ -441,7 +439,7 @@ def leave_one_out(data: Dataset, configs, jobs: int = 1) -> EvaluationReport:
     """Score every intersection as the held-out target, once per config.
 
     Folds are independent; with ``jobs`` > 1 they run in separate processes
-    (``jobs`` < 1 is a ValueError). Within a fold, configs share every
+    (``jobs`` must be an integer >= 1). Within a fold, configs share every
     upstream stage whose settings they agree on. Rows are keyed and sorted
     on emit, so the report does not depend on scheduling order. A failed
     fold is recorded with its error, not dropped.

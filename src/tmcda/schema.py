@@ -6,11 +6,16 @@ point-of-interest context, categoricals and temporal indices. Categoricals
 and temporal indices arrive as integer codes (the README's data format
 lists what each code means); each ``Column`` holds its domain, which
 ``Column.check`` enforces.
+
+``count_problem`` and ``check_count`` are the one rule for a count argument
+(an integer, not a bool, of at least some least value), shared by every
+module that takes one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 SCHEMA_VERSION = "1"
@@ -19,6 +24,20 @@ MOVEMENTS = ("left", "through", "right")
 LABEL_COLUMNS = ("v_LM", "v_TM", "v_RM")
 
 APPROACHES = ("NB", "SB", "EB", "WB")
+
+
+def count_problem(name: str, value, least: int) -> str | None:
+    """Why ``value`` is not an integer, not a bool, of at least ``least``; None when it is one."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return None
+    return f"{name} must be an integer >= {least}, got {value!r}"
+
+
+def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` with ``count_problem``'s message, if it has one."""
+    problem = count_problem(name, value, least)
+    if problem is not None:
+        raise error(problem)
 
 
 @dataclass(frozen=True)

@@ -127,12 +127,13 @@ one more gather. ``RegressionTree`` is a forest of one tree, the one
 from __future__ import annotations
 
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+
+from .schema import check_count
 
 MAX_DEPTH = 10    # a tree takes 2**d - 1 split slots and 2**d leaf slots: about 24 KB at depth 10
 _MEMO_BYTES = 1 << 19    # array bytes of the non-root nodes a SplitPlan keeps (see the module docstring)
@@ -283,20 +284,6 @@ def _counts(w: np.ndarray) -> np.ndarray | None:
     if odd.bit_length() + len(w).bit_length() > 53 or not np.all(w == c):
         return None
     return c * np.arange(1, len(w) + 1)
-
-
-def count_problem(name: str, value, least: int) -> str | None:
-    """Why ``value`` is not an integer, not a bool, of at least ``least``; None when it is one."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
-        return None
-    return f"{name} must be an integer >= {least}, got {value!r}"
-
-
-def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` with ``count_problem``'s message, if it has one."""
-    problem = count_problem(name, value, least)
-    if problem is not None:
-        raise error(problem)
 
 
 def check_depth(max_depth) -> None:

@@ -358,9 +358,9 @@ def test_parallel_folds_match_sequential(data3):
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_fewer_than_one_job_is_rejected_by_both_entry_points(data3, jobs):
-    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+    with pytest.raises(ValueError, match=f"^jobs must be an integer >= 1, got {jobs}$"):
         leave_one_out(data3, _fast_cfg(), jobs=jobs)
-    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+    with pytest.raises(ValueError, match=f"^jobs must be an integer >= 1, got {jobs}$"):
         ablation_sweep(data3, {"alpha": [0.5]}, _fast_cfg(), jobs=jobs)
 
 

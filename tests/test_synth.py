@@ -4,6 +4,47 @@ import pytest
 from tmcda.schema import APPROACHES, COLUMNS
 from tmcda.synth import MAX_SHIFT_STRENGTH, generate_synthetic_network, label_coefficients
 
+from _oracles import reference_label_coefficients, reference_network
+
+
+def _same_bytes(a, b):
+    if a.dtype == object:
+        return b.dtype == object and a.shape == b.shape and a.tolist() == b.tolist()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (seed, intersections, shift, intervals): shift 0 and the bound, 2 and 30
+# intersections, 1, 5 and 33 intervals, and integer shifts.
+_ORACLE_CASES = [
+    (0, 2, 0.0, 1), (1, 2, MAX_SHIFT_STRENGTH, 5), (2, 30, 1.3, 5), (3, 5, 3.0, 33),
+    (4, 30, MAX_SHIFT_STRENGTH, 33), (5, 3, 0, 33), (6, 2, 1.0, 64), (7, 6, 3, 20),
+]
+
+
+@pytest.mark.parametrize("seed, n_intersections, shift, n_intervals", _ORACLE_CASES)
+def test_the_network_and_its_coefficients_equal_the_reference_byte_for_byte(seed, n_intersections, shift, n_intervals):
+    data = generate_synthetic_network(seed, n_intersections, shift, n_intervals)
+    ref = reference_network(seed, n_intersections, shift, n_intervals)
+    for field in ("intersection_ids", "approaches", "interval_indices", "X", "labels"):
+        assert _same_bytes(getattr(data, field), getattr(ref, field)), field
+    coef = label_coefficients(seed, n_intersections, shift)
+    ref_coef = reference_label_coefficients(seed, n_intersections, shift)
+    assert coef.shift_strength == ref_coef.shift_strength
+    for field in ("log_busy", "intercepts", "weights", "interactions"):
+        assert _same_bytes(getattr(coef, field), getattr(ref_coef, field)), field
+
+
+@pytest.mark.parametrize("shift", [-1.0, float("nan"), float("inf"),
+                                   np.nextafter(MAX_SHIFT_STRENGTH, np.inf), 100.0])
+def test_an_invalid_shift_raises_the_reference_error(shift):
+    for call, reference in ((lambda: label_coefficients(0, 3, shift), lambda: reference_label_coefficients(0, 3, shift)),
+                            (lambda: generate_synthetic_network(0, 3, shift, 8), lambda: reference_network(0, 3, shift, 8))):
+        with pytest.raises(ValueError) as raised:
+            call()
+        with pytest.raises(ValueError) as expected:
+            reference()
+        assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
+
 
 def test_same_seed_bit_identical():
     a = generate_synthetic_network(7, 5, 1.0, 16)
