@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_count
+from .schema import check_count, check_samples
 from .tree import Forest, SplitPlan, check_depth, fit_tree
 
 
@@ -126,8 +126,6 @@ def _weighted_loss(w: np.ndarray, r: np.ndarray) -> float:
 
 
 def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig) -> BoostedModel:
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in inputs")
     f0 = float(w @ y / w.sum())
     F = np.full(len(y), f0)
     r = y - F
@@ -144,24 +142,12 @@ def _boost(X: np.ndarray, y: np.ndarray, w: np.ndarray, config: TrainConfig) -> 
     return BoostedModel(f0=f0, forest=forest, shrinkage=shrinkage, n_features=X.shape[1], loss_trace=tuple(trace))
 
 
-def _features(X, name: str) -> np.ndarray:
-    """``X`` as a float array; one that is not 2-D, one row per instance, is a ValueError."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, one row per instance, got shape {X.shape}")
-    return X
-
-
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> BoostedModel:
     """Standard gradient boosting: uniform unit weights on one training set.
 
-    An ``X`` that is not 2-D, or a NaN or infinite value in ``X`` or ``y``,
-    raises ValueError.
+    ``X`` and ``y`` that fail ``schema.check_samples`` raise ValueError.
     """
-    X = _features(X, "X")
-    y = np.asarray(y, dtype=float)
-    if len(X) != len(y) or len(y) < 1:
-        raise ValueError("X and y must be nonempty and aligned")
+    X, y = check_samples(X, y)
     return _boost(X, y, np.ones(len(y)), config)
 
 
@@ -179,23 +165,17 @@ def fit_gbbw(
     alpha = 0 model is ``fit_gradient_boosting`` on the source set, whatever
     the pseudo-target contents, and the alpha = 1 model that on the
     pseudo-target set. An empty pseudo-target set is valid only at alpha = 0.
-    Features that are not 2-D, in either set, or two sets with different
-    column counts raise ValueError at every alpha, before any fit, and so
-    does a NaN or infinite value in the features or labels of a set the fit
-    trains on; an excluded set's values are not read.
+    At every alpha, before any fit, both sets must pass
+    ``schema.check_samples`` (the source set with at least one row) and
+    have the same column count, or raise ValueError: an excluded set is
+    checked too.
     """
-    source_X = _features(source_X, "source_X")
-    source_y = np.asarray(source_y, dtype=float)
-    target_X = _features(target_X, "target_X")
+    source_X, source_y = check_samples(source_X, source_y, names=("source_X", "source_y"))
+    target_X, target_y = check_samples(target_X, target_y, least=0, names=("target_X", "target_y"))
     if source_X.shape[1] != target_X.shape[1]:
         raise ValueError(f"source_X has shape {source_X.shape} and target_X has shape {target_X.shape}; "
                          f"both sets need the same number of columns")
-    target_y = np.asarray(target_y, dtype=float)
     n1, n2 = len(source_y), len(target_y)
-    if n1 < 1:
-        raise ValueError("source set must be nonempty")
-    if len(source_X) != n1 or len(target_X) != n2:
-        raise ValueError("features and labels must align")
     alpha = config.alpha
     if n2 == 0 and alpha > 0.0:
         raise ValueError(f"an empty pseudo-target set is only valid with alpha = 0, got alpha = {alpha}")

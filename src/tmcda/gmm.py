@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_count
+from .schema import check_count, check_samples
 
 
 class GMMError(ValueError):
@@ -159,19 +159,15 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     restart: from the second step on every row's responsibility is 1, so
     every restart returns the same fit, bit for bit, whatever its seeding
     (tested against all ``n_init`` restarts). Components are returned in
-    order of decreasing weight, ties in component order. An ``X`` that is
-    not 2-D, one row per sample, or has a non-finite entry raises
-    ``GMMError``, and so does a ``K`` or ``n_init`` that is not an integer
-    >= 1, a bool included.
+    order of decreasing weight, ties in component order. An ``X`` that
+    fails ``schema.check_samples`` raises ``GMMError``, and so does a ``K``
+    or ``n_init`` that is not an integer >= 1, a bool included; fewer rows
+    than ``K`` raise ``TooFewSamplesError``.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise GMMError(f"ridge must be finite and >= 0, got {ridge}")
     check_count("n_init", n_init, 1, GMMError)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise GMMError(f"samples must be 2-D, one row per sample, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise GMMError("samples have non-finite entries")
+    X = check_samples(X, least=0, error=GMMError)
     check_count("K", K, 1, GMMError)
     if len(X) < K:
         raise TooFewSamplesError(f"need at least K={K} samples, got {len(X)}")
@@ -216,17 +212,10 @@ def augment(
     clamped at zero (counts). Returns original plus synthetic rows, size
     N + M, along with the fitted mixture (``fit_gmm`` with ``n_init`` and
     ``seed``; the draws use ``seed`` too). M = 0 returns the input unchanged
-    without fitting, and reads neither K nor ``n_init``. Non-finite features
-    or labels raise ``GMMError``.
+    without fitting, and reads neither K nor ``n_init``. A matched set that
+    fails ``schema.check_samples`` raises ``GMMError``.
     """
-    matched_X = np.asarray(matched_X, dtype=float)
-    matched_y = np.asarray(matched_y, dtype=float)
-    if len(matched_X) == 0:
-        raise GMMError("matched set is empty")
-    if len(matched_X) != len(matched_y):
-        raise GMMError("features and labels must align")
-    if not (np.isfinite(matched_X).all() and np.isfinite(matched_y).all()):
-        raise GMMError("matched set has non-finite entries")
+    matched_X, matched_y = check_samples(matched_X, matched_y, error=GMMError, names=("matched_X", "matched_y"))
     if M == 0:
         return matched_X.copy(), matched_y.copy(), None
 

@@ -131,17 +131,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_count
+from .schema import check_count, check_samples
 
 
 class MetricError(ValueError):
     """Raised for invalid metric matrices or diverged training state."""
-
-
-def _require_finite(**arrays: np.ndarray) -> None:
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise MetricError(f"{name} has non-finite entries")
 
 
 def check_metric(A: np.ndarray) -> np.ndarray:
@@ -243,6 +237,9 @@ class ConstraintSet:
 # Label-difference percentile that defines a similar pair; its complement defines a dissimilar one.
 SIMILARITY_PERCENTILE = 10.0
 
+# A sampled pair whose prior distance is at most this share of the largest one counts as at distance 0.
+ZERO_DISTANCE_RTOL = 1e-12
+
 
 def _percentiles(values: np.ndarray, *qs: float) -> list[float]:
     """``np.percentile(values, qs).tolist()`` for a float array of finite values >= +0.0 and 0 <= q < 100,
@@ -299,35 +296,40 @@ def build_constraints(
     are at most ``n_candidates``, a seeded permutation prefix of that order
     when there are at most 4 x ``n_candidates``, and distinct pairs drawn by
     rejection sampling above that, where permuting every pair costs more.
-    Sampled pairs at prior-metric (identity) distance 0 are dropped first:
-    their distance is 0 under every metric, so they cannot constrain it.
-    Over the pairs that remain, a pair is similar when its absolute label
-    difference falls at or below the ``SIMILARITY_PERCENTILE``-th percentile
-    of their differences, dissimilar at or above the (100 -
-    ``SIMILARITY_PERCENTILE``)-th. When both thresholds coincide the pair is
-    classified against half the label range. Each set keeps its first
-    ``max_per_set`` pairs in sampling order. u and l are the 5th and 95th
+    Sampled pairs at prior-metric (identity) distance 0 are dropped first,
+    where a pair counts as at distance 0 when its distance is at most
+    ``ZERO_DISTANCE_RTOL`` (1e-12) times the largest sampled distance. A
+    pair at exactly 0 cannot constrain any metric, and one within that share
+    of 0 would put u so far below l that meeting it collapses a direction of
+    the metric: near-duplicate rows 1.4e-45 apart once set u to 1.96e-90.
+    With them dropped, l / u is below 1e12. A sampled distance that
+    overflows to inf raises ``MetricError``. Over the pairs that remain, a
+    pair is similar when its absolute label difference falls at or below
+    the ``SIMILARITY_PERCENTILE``-th percentile of their differences,
+    dissimilar at or above the (100 - ``SIMILARITY_PERCENTILE``)-th. When
+    both thresholds coincide the pair is classified against half the label
+    range. Each set keeps its first ``max_per_set`` pairs in sampling
+    order. u and l are the 5th and 95th
     percentiles of the remaining pairs' prior distances; degenerate equal
     percentiles are widened by 5% around their value. With no pair left the
     set is empty. ``max_per_set`` must be an integer >= 0 and ``n_candidates``
-    one >= 1.
-    A non-finite feature or label raises ``MetricError``. When no remaining
-    pair is dissimilar, cap aside, it warns that the labels are degenerate.
+    one >= 1. ``X`` and ``y`` that fail ``schema.check_samples``, with at
+    least 2 rows, raise ``MetricError``. When no remaining pair is
+    dissimilar, cap aside, it warns that the labels are degenerate.
     """
     check_count("max_per_set", max_per_set, 0, MetricError)
     check_count("n_candidates", n_candidates, 1, MetricError)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_finite(X=X, y=y)
+    X, y = check_samples(X, y, least=2, error=MetricError)
     n = len(y)
-    if n < 2:
-        raise MetricError("need at least 2 labeled instances")
 
     pairs = _candidate_pairs(n, n_candidates, seed)
     diffs = X[pairs[:, 0]]
     diffs -= X[pairs[:, 1]]    # X[i] - X[j] in place: two (pairs, features) arrays alive, not three
     dists = np.einsum("ij,ij->i", diffs, diffs)
-    kept = dists > 0.0
+    top = float(dists.max())
+    if top == math.inf:
+        raise MetricError("a sampled pair's distance overflows to inf")
+    kept = dists > ZERO_DISTANCE_RTOL * top
     if not kept.any():  # u = l = 0, widened as below
         warnings.warn("every sampled pair lies at distance 0: no constraints", RuntimeWarning)
         return ConstraintSet((), (), 0.95e-9, 1.05e-9)
@@ -417,10 +419,9 @@ def fit_itml(
     updates only its slack, and under ``gamma`` = 1 not even that (see the
     module docstring for why both are exact).
     ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` an integer >= 1;
-    NaN is rejected, and so is a non-finite entry of ``X``.
+    NaN is rejected, and so is an ``X`` that fails ``schema.check_samples``.
     """
-    X = np.asarray(X, dtype=float)
-    _require_finite(X=X)
+    X = check_samples(X, error=MetricError)
     q = X.shape[1]
     A0 = np.eye(q) if A0 is None else np.asarray(A0, dtype=float)
     L0 = _factor(A0)
@@ -536,17 +537,13 @@ def match_source_to_target(
 
     Returns (matched features, matched labels, source indices), one row per
     target instance; a source instance may be matched repeatedly. Ties break
-    to the lowest source index. Non-finite features raise ``MetricError``.
+    to the lowest source index. Both sets must pass ``schema.check_samples``,
+    the target with any number of rows and the source with at least one,
+    or raise ``MetricError``; the labels come back as floats.
     """
     A = check_metric(A)
-    target_X = np.asarray(target_X, dtype=float)
-    source_X = np.asarray(source_X, dtype=float)
-    source_y = np.asarray(source_y)
-    _require_finite(target_X=target_X, source_X=source_X)
-    if len(source_X) == 0:
-        raise MetricError("source set is empty")
-    if len(source_X) != len(source_y):
-        raise MetricError("source features and labels must align")
+    target_X = check_samples(target_X, least=0, error=MetricError, names=("target_X",))
+    source_X, source_y = check_samples(source_X, source_y, error=MetricError, names=("source_X", "source_y"))
     if target_X.shape[1] != source_X.shape[1] or source_X.shape[1] != A.shape[0]:
         raise MetricError("feature dimensions do not match the metric")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schema import COLUMNS, MOVEMENTS, check_count
+from .schema import COLUMNS, MOVEMENTS, check_count, check_samples
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,6 @@ def _standardize(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return Z, y - y_mean, StandardizationParams(x_mean, x_std, y_mean, excluded)
 
 
-def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` and ``y`` as float arrays, refused unless X is (n, p) and y (n,) with n >= 1, all finite."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"X shape {X.shape} incompatible with y shape {y.shape}")
-    if X.shape[0] < 1:
-        raise ValueError("need at least 1 row")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in inputs")
-    return X, y
-
-
 def _max_abs(c: np.ndarray) -> float:
     """lambda_max from the correlations ``c = Z'yc/n``: their largest magnitude, 0.0 with no columns."""
     return float(np.max(np.abs(c), initial=0.0))
@@ -136,9 +123,9 @@ def _check_lambda(lam: float) -> None:
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest penalty for which the all-zero coefficient vector is optimal (0.0 with no columns).
 
-    Inputs are checked as in ``fit_lasso``; at least one row is needed.
+    ``X`` and ``y`` must pass ``schema.check_samples``: finite, (n, p) and (n,), n >= 1.
     """
-    Z, yc, _ = _standardize(*_checked(X, y))
+    Z, yc, _ = _standardize(*check_samples(X, y))
     return _max_abs(Z.T @ yc / len(yc))
 
 
@@ -284,10 +271,10 @@ def canonical_columns(X: np.ndarray, y: np.ndarray) -> tuple[tuple[int, ...], St
     pass in column order builds the Cholesky factor of the kept columns'
     block of ``G`` and reads each column's test off it. On the kept columns,
     in column order, the design has full column rank and the lasso a unique
-    solution; of each set of copies the earliest column is kept. Inputs are
-    checked as in ``fit_lasso``.
+    solution; of each set of copies the earliest column is kept. ``X`` and
+    ``y`` are checked as in ``lambda_max``.
     """
-    Z, _, std = _standardize(*_checked(X, y))
+    Z, _, std = _standardize(*check_samples(X, y))
     G = Z.T @ Z
     # W[:k].T @ W[:k] is G's block on the k kept columns, and W[:k, j] is column j's projection on them.
     W = np.zeros_like(G)
@@ -322,12 +309,10 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, *, of_lambda_max: bool =
     The penalty is ``lam``, or with ``of_lambda_max`` ``lam`` times
     ``lambda_max(X, y)``, and is the model's ``lam``; at or above
     lambda_max every coefficient is exactly zero. Zero-variance columns are
-    excluded and keep coefficient 0. ``X`` (n, p) and ``y`` (n,) must be
-    finite with n >= 2, and ``lam`` finite and >= 0.
+    excluded and keep coefficient 0. ``X`` (n, p) and ``y`` (n,) must pass
+    ``schema.check_samples`` with n >= 2, and ``lam`` be finite and >= 0.
     """
-    X, y = _checked(X, y)
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
+    X, y = check_samples(X, y, least=2)
     _check_lambda(lam)
     Z, yc, std = _standardize(X, y)
     n = len(yc)
@@ -388,9 +373,10 @@ def cross_validate_lambda(
     bit. With no column to penalize (lambda_max is 0) the result is (0.0,
     [0.0], [0.0], the all-zero model at 0.0). ``n_folds`` must be an integer
     >= 2 and ``grid_size`` one >= 1, neither a bool; anything else is a
-    ValueError that names it.
+    ValueError that names it. ``X`` and ``y`` are checked as in
+    ``lambda_max``, and need at least ``n_folds`` rows.
     """
-    X, y = _checked(X, y)
+    X, y = check_samples(X, y)
     if not 0.0 < lam_min_ratio <= 1.0:
         raise ValueError("lam_min_ratio must lie in (0, 1]")
     check_count("n_folds", n_folds, 2)

@@ -9,7 +9,10 @@ lists what each code means); each ``Column`` holds its domain, which
 
 ``count_problem`` and ``check_count`` are the one rule for a count argument
 (an integer, not a bool, of at least some least value), shared by every
-module that takes one.
+module that takes one. ``check_samples`` is the one rule for a fitting
+stage's arrays: a finite 2-D float ``X`` of enough rows and, when given, a
+finite float vector with one entry per row. Prediction has its own shape
+check, since a NaN cell is valid there.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 SCHEMA_VERSION = "1"
 
@@ -38,6 +43,27 @@ def check_count(name: str, value, least: int, error: type[Exception] = ValueErro
     problem = count_problem(name, value, least)
     if problem is not None:
         raise error(problem)
+
+
+def check_samples(X, y=None, *, least: int = 1, error: type[Exception] = ValueError, names=("X", "y")):
+    """``X`` as a finite float (n, p) array with n >= ``least``, and ``y``, when given, as a finite float
+    array of shape (n,): ``X``, or the pair (X, y). Anything else raises ``error`` with a message that
+    names the array by ``names``, (name of X, name of y)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise error(f"{names[0]} must be 2-D, one row per sample, got shape {X.shape}")
+    if len(X) < least:
+        raise error(f"{names[0]} must have >= {least} rows, got {len(X)}")
+    if not np.isfinite(X).all():
+        raise error(f"{names[0]} has non-finite entries")
+    if y is None:
+        return X
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(X),):
+        raise error(f"{names[1]} must have shape ({len(X)},), one entry per row of {names[0]}, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise error(f"{names[1]} has non-finite entries")
+    return X, y
 
 
 @dataclass(frozen=True)

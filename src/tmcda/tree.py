@@ -133,7 +133,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import check_count
+from .schema import check_count, check_samples
 
 MAX_DEPTH = 10    # a tree takes 2**d - 1 split slots and 2**d leaf slots: about 24 KB at depth 10
 _MEMO_BYTES = 1 << 19    # array bytes of the non-root nodes a SplitPlan keeps (see the module docstring)
@@ -324,16 +324,11 @@ class SplitPlan:
 
     @classmethod
     def build(cls, X: np.ndarray, w: np.ndarray, min_samples_leaf: int) -> "SplitPlan":
-        """Check ``X``, 2-D with at least one row, the weights, one finite positive weight per row,
-        and ``min_samples_leaf``, then presort ``X`` and lay out the root's search."""
-        X = np.asarray(X, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, one row per instance, got shape {X.shape}")
-        if w.shape != (len(X),):
-            raise ValueError(f"w has shape {w.shape}; X has {len(X)} rows, and w needs one entry per row")
-        if not (len(w) and np.all((w > 0) & (w < math.inf))):
-            raise ValueError("weights must be finite and positive, over at least one row")
+        """Check ``X`` and ``w`` by ``schema.check_samples``, each weight positive, and
+        ``min_samples_leaf``, then presort ``X`` and lay out the root's search."""
+        X, w = check_samples(X, w, names=("X", "w"))
+        if not np.all(w > 0):
+            raise ValueError("weights must be positive")
         check_count("min_samples_leaf", min_samples_leaf, 1)
         order = np.argsort(X.T, axis=1, kind="stable")
         xsorted = np.take_along_axis(X.T, order, axis=1)

@@ -263,7 +263,7 @@ def reference_constraints(X, y, max_per_set, n_candidates, seed):
     pairs_arr = np.array(pairs)
     diffs = X[pairs_arr[:, 0]] - X[pairs_arr[:, 1]]
     dists = np.einsum("ij,ij->i", diffs, diffs)
-    kept = dists > 0.0
+    kept = dists > 1e-12 * dists.max()    # at most 1e-12 of the largest distance counts as 0
     if not kept.any():
         warnings.warn("every sampled pair lies at distance 0: no constraints", RuntimeWarning)
         return (), (), 0.95e-9, 1.05e-9

@@ -283,7 +283,7 @@ def test_boundary_validation():
 
 @pytest.mark.parametrize("shape", [(), (12,), (12, 2, 1)])
 def test_gradient_boosting_refuses_features_that_are_not_2d(shape):
-    with pytest.raises(ValueError, match=re.escape(f"X must be 2-D, one row per instance, got shape {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"X must be 2-D, one row per sample, got shape {shape}")):
         fit_gradient_boosting(np.zeros(shape), np.zeros(12), TrainConfig(n_stages=2))
 
 
@@ -297,7 +297,7 @@ def test_gradient_boosting_refuses_features_that_are_not_2d(shape):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_gbbw_refuses_features_that_are_not_2d_in_either_set(source_shape, target_shape, bad, alpha):
     shape = source_shape if bad == "source_X" else target_shape
-    message = re.escape(f"{bad} must be 2-D, one row per instance, got shape {shape}")
+    message = re.escape(f"{bad} must be 2-D, one row per sample, got shape {shape}")
     with pytest.raises(ValueError, match=message):
         fit_gbbw(np.zeros(source_shape), np.zeros(10), np.zeros(target_shape), np.zeros(target_shape[:1]),
                  TrainConfig(n_stages=2, alpha=alpha))
@@ -308,11 +308,12 @@ def test_misaligned_rows_are_refused_by_both_entry_points(misaligned):
     Xs, ys, Xt, yt = _two_domain_problem(19)
     config = TrainConfig(n_stages=2, alpha=0.5)
     if misaligned == "X":
-        with pytest.raises(ValueError, match="X and y must be nonempty and aligned"):
+        with pytest.raises(ValueError, match=r"^y must have shape \(\d+,\), one entry per row of X, got shape"):
             fit_gradient_boosting(Xs, ys[:-1], config)
     else:
         ys, yt = (ys[:-1], yt) if misaligned == "source_y" else (ys, yt[:-1])
-        with pytest.raises(ValueError, match="features and labels must align"):
+        features = misaligned.replace("y", "X")
+        with pytest.raises(ValueError, match=rf"^{misaligned} must have shape \(\d+,\), one entry per row of {features}"):
             fit_gbbw(Xs, ys, Xt, yt, config)
 
 
@@ -472,13 +473,13 @@ def test_non_finite_features_or_labels_are_rejected(bad):
         if spoiled < 2:
             with pytest.raises(ValueError, match="non-finite"):
                 fit_gradient_boosting(*arrays[:2], config)
-    # At alpha = 0 the pseudo-target set is left out, and not read.
-    Xt_bad = Xt.copy()
-    Xt_bad[0, 0] = bad
-    source_only = replace(config, alpha=0.0)
-    probe = np.vstack([Xs, Xt])
-    assert np.array_equal(predict(fit_gbbw(Xs, ys, Xt_bad, yt, source_only), probe),
-                          predict(fit_gbbw(Xs, ys, Xt, yt, source_only), probe))
+    # At alpha = 0 and 1 one set is left out of the fit, and its values are checked all the same.
+    Xt_bad, ys_bad = Xt.copy(), ys.copy()
+    Xt_bad[0, 0] = ys_bad[0] = bad
+    with pytest.raises(ValueError, match="^target_X has non-finite entries$"):
+        fit_gbbw(Xs, ys, Xt_bad, yt, replace(config, alpha=0.0))
+    with pytest.raises(ValueError, match="^source_y has non-finite entries$"):
+        fit_gbbw(Xs, ys_bad, Xt, yt, replace(config, alpha=1.0))
 
 
 def _count_node_builds(monkeypatch):

@@ -279,16 +279,16 @@ def test_augment_preserves_feature_label_correlation():
 
 
 def test_augment_validates_inputs():
-    with pytest.raises(GMMError, match="empty"):
+    with pytest.raises(GMMError, match=r"^matched_X must have >= 1 rows, got 0$"):
         augment(np.zeros((0, 2)), np.zeros(0), K=1, M=5)
-    with pytest.raises(GMMError, match="align"):
+    with pytest.raises(GMMError, match=r"^matched_y must have shape \(3,\), one entry per row of matched_X"):
         augment(np.zeros((3, 2)), np.zeros(2), K=1, M=5)
     with pytest.raises(GMMError, match="need at least K"):
         augment(np.zeros((2, 2)), np.zeros(2), K=5, M=5)
     # The mixture is fit to 2-D samples only: a 1-D one used to be read as one column, a 3-D one raised
     # a bare ValueError from unpacking its shape.
     for shape in ((5,), (5, 2, 1)):
-        message = re.escape(f"samples must be 2-D, one row per sample, got shape {shape}")
+        message = re.escape(f"X must be 2-D, one row per sample, got shape {shape}")
         with pytest.raises(GMMError, match=message):
             fit_gmm(np.zeros(shape), K=1)
 
@@ -317,8 +317,8 @@ def test_fit_and_augment_refuse_non_finite_input_before_seeding(value):
     bad_X, bad_y = X.copy(), y.copy()
     bad_X[3, 1] = bad_y[3] = value
     for K in (1, 2):
-        with pytest.raises(GMMError, match="samples have non-finite entries"):
+        with pytest.raises(GMMError, match="^X has non-finite entries$"):
             fit_gmm(bad_X, K)
-    for features, labels in ((bad_X, y), (X, bad_y)):
-        with pytest.raises(GMMError, match="matched set has non-finite entries"):
+    for features, labels, name in ((bad_X, y, "matched_X"), (X, bad_y, "matched_y")):
+        with pytest.raises(GMMError, match=f"^{name} has non-finite entries$"):
             augment(features, labels, K=2, M=5)

@@ -124,15 +124,30 @@ def test_a_metric_whose_squared_pivot_ratio_is_at_most_three_units_of_rounding_i
     itml.check_metric(np.diag([2.0**-200, 2.0**-250]))
 
 
+_NEAR_DUPLICATES = np.array([[0.0, 1.0, 2.0]] * 34 + [[0.0, 0.0, 1.0], [1.4e-45, 1.0, 2.0]])
+
+
 def test_a_fit_that_collapses_a_direction_raises_metric_error():
-    # Near-duplicate rows put u at 1.96e-90, and one pass leaves A with eigenvalues (0, 1, 1).
-    X = np.array([[0.0, 1.0, 2.0]] * 34 + [[0.0, 0.0, 1.0], [1.4e-45, 1.0, 2.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        C = build_constraints(X, np.zeros(36), max_per_set=1, n_candidates=630)
-    assert C.u < 1e-89
+    # The pair (0, 34) at distance 2 held to u = 1.96e-90, the square of the rows' 1.4e-45 gap that
+    # build_constraints once took for u: one pass leaves A with eigenvalues (0, 1, 1).
+    C = ConstraintSet(((0, 34),), (), 1.4e-45**2, 2.0)
     with pytest.raises(MetricError, match="metric is numerically singular"):
-        fit_itml(X, C, gamma=1.0, max_passes=1, tol=1e-3)
+        fit_itml(_NEAR_DUPLICATES, C, gamma=1.0, max_passes=1, tol=1e-3)
+
+
+def test_pairs_within_the_relative_floor_of_zero_are_dropped_and_the_fit_keeps_a_metric():
+    # The 34 pairs 1.4e-45 apart lie within 1e-12 of the largest distance, 2, and count as at distance 0.
+    # The 35 left are all at distance 2, so u and l are 2 widened by 5%.
+    with pytest.warns(RuntimeWarning, match="no dissimilar"):
+        C = build_constraints(_NEAR_DUPLICATES, np.zeros(36), max_per_set=1, n_candidates=630)
+    assert (C.similar, C.dissimilar, C.u, C.l) == (((0, 34),), (), 0.95 * 2.0, 1.05 * 2.0)
+    itml.check_metric(fit_itml(_NEAR_DUPLICATES, C, gamma=1.0, max_passes=1, tol=1e-3).A)
+    # The pair (1, 2) at distance d^2 against a largest distance of about 1: kept above 1e-12, dropped below.
+    for d, kept in ((1e-5, True), (1e-7, False)):
+        C = build_constraints(np.array([[0.0], [1.0], [1.0 + d]]), np.arange(3.0))
+        assert ((1, 2) in C.similar) is kept and C.dissimilar == ((0, 2),)
+    with pytest.raises(MetricError, match="^a sampled pair's distance overflows to inf$"):
+        build_constraints(np.array([[0.0], [1e200]]), np.arange(2.0))
 
 
 def test_divergence_rejects_non_psd():
@@ -454,7 +469,7 @@ def test_matching_empty_source_errors():
 
 
 @pytest.mark.parametrize("source_X, source_y, message", [
-    (np.zeros((4, 2)), np.zeros(3), "source features and labels must align"),
+    (np.zeros((4, 2)), np.zeros(3), r"source_y must have shape \(4,\), one entry per row of source_X, got shape \(3,\)"),
     (np.zeros((4, 3)), np.zeros(4), "feature dimensions do not match the metric"),
 ], ids=["misaligned-labels", "wrong-width"])
 def test_matching_refuses_a_source_set_it_cannot_match_from(source_X, source_y, message):
@@ -798,8 +813,8 @@ def _check_diagnostics_against_the_former_formulas(X, C, gamma, tol, result):
 @example(case=(np.array([[0.0, 0.0, 1.0]] * 26 + [[0.0, 2.0, 0.0], [0.0, 2.0 ** -14, 1.0]]), np.zeros(28),
                dict(max_per_set=1, n_candidates=378)),
          gamma=1.0, tol=1e-3, max_passes=1)    # leaves kappa_2(A) = 6.7e8: the log dets differ by 2.2e-8
-# u = 1.96e-90 from the near-duplicate rows; the one similar pair's projection leaves A with eigenvalues
-# (0, 1, 1), whose squared pivot ratio, 1.1e-16, is under the floor: the fit raises MetricError.
+# Near-duplicate rows once put u at 1.96e-90, and the one similar pair's projection left A singular; their
+# pairs now count as at distance 0, u is 1.9 and the fit keeps a metric.
 @example(case=(np.array([[0.0, 1.0, 2.0]] * 34 + [[0.0, 0.0, 1.0], [1.4e-45, 1.0, 2.0]]), np.zeros(36),
                dict(max_per_set=1, n_candidates=630)),
          gamma=1.0, tol=1e-3, max_passes=1)

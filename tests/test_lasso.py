@@ -560,7 +560,7 @@ def test_cross_validation_input_validation():
     X, y = _random_problem(11)
     with pytest.raises(ValueError, match="non-finite"):
         cross_validate_lambda(np.where(X == X[0, 0], np.nan, X), y)
-    with pytest.raises(ValueError, match="incompatible"):
+    with pytest.raises(ValueError, match="y must have shape"):
         cross_validate_lambda(X, y[:-1])
     with pytest.raises(ValueError, match="lam_min_ratio"):
         cross_validate_lambda(X, y, lam_min_ratio=2.0)
@@ -585,15 +585,15 @@ def test_every_lasso_entry_point_refuses_bad_inputs_with_one_message(entry):
     X, y = _random_problem(12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite values in inputs"):
+        with pytest.raises(ValueError, match=r"^X has non-finite entries$"):
             call(np.where(X == X[0, 0], np.inf, X), y)
-        with pytest.raises(ValueError, match="non-finite values in inputs"):
+        with pytest.raises(ValueError, match=r"^y has non-finite entries$"):
             call(X, np.where(y == y[0], np.nan, y))
-        with pytest.raises(ValueError, match=r"X shape \(\d+, \d+\) incompatible with y shape"):
+        with pytest.raises(ValueError, match=rf"^y must have shape \({len(y)},\), one entry per row of X, got shape"):
             call(X, y[:-1])
-        with pytest.raises(ValueError, match="incompatible with y shape"):
+        with pytest.raises(ValueError, match=rf"^y must have shape \({len(y)},\), one entry per row of X, got shape"):
             call(X, y[:, None])
-        with pytest.raises(ValueError, match="need at least 1 row"):
+        with pytest.raises(ValueError, match=r"^X must have >= [12] rows, got 0$"):
             call(np.zeros((0, 3)), np.zeros(0))
 
 

@@ -28,6 +28,7 @@ from tmcda.pipeline import (
     run_estimation,
     stage_seed,
 )
+from tmcda.schema import COLUMNS
 from tmcda.synth import generate_synthetic_network
 
 
@@ -663,7 +664,7 @@ def test_excluding_every_source_row_fails_the_fold_in_boosting(data3, monkeypatc
 
     monkeypatch.setattr(boosting, "fit_gbbw", drop_every_source_row)
     report = leave_one_out(data3, _fast_cfg())
-    assert [r.error for r in report.rows] == ["[boosting] ValueError: source set must be nonempty"] * 3
+    assert [r.error for r in report.rows] == ["[boosting] ValueError: source_X must have >= 1 rows, got 0"] * 3
     assert all(r.error_type is ValueError for r in report.rows)
 
 
@@ -769,6 +770,13 @@ def _adversarial(name):
     X, labels = data.X.copy(), data.labels.copy()
     if name == "duplicate rows":
         return data.subset(np.repeat(np.arange(data.n), 2))
+    if name == "near-duplicate rows":
+        # Each row twice, the copy's continuous cells one ulp higher: pairs at a rounding-level distance.
+        twice = data.subset(np.repeat(np.arange(data.n), 2))
+        X = twice.X.copy()
+        continuous = [j for j, column in enumerate(COLUMNS) if not column.integer]
+        X[1::2, continuous] = np.nextafter(X[1::2, continuous], np.inf)
+        return Dataset(twice.intersection_ids, twice.approaches, twice.interval_indices, X, twice.labels)
     if name == "a 2-row source intersection":
         return data.subset(~first | (np.cumsum(first) <= 2))
     if name == "a 1-row target":
@@ -782,8 +790,9 @@ def _adversarial(name):
     return Dataset(data.intersection_ids, data.approaches, data.interval_indices.copy(), X, labels)
 
 
-@pytest.mark.parametrize("name", ["duplicate rows", "a constant feature column", "all-zero target counts",
-                                  "all-zero labels", "a 2-row source intersection", "a 1-row target"])
+@pytest.mark.parametrize("name", ["duplicate rows", "near-duplicate rows", "a constant feature column",
+                                  "all-zero target counts", "all-zero labels", "a 2-row source intersection",
+                                  "a 1-row target"])
 def test_every_fold_of_an_adversarial_network_scores_or_fails_in_a_named_stage(name):
     report = _scores_or_fails_in_a_stage(_adversarial(name), _small_configs(_CV))
     if name == "a 1-row target":

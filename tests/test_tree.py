@@ -118,7 +118,7 @@ def test_zero_weight_instances_are_refused():
     for zero in (0.0, -0.0):
         w = np.ones(40)
         w[-1] = zero
-        with pytest.raises(ValueError, match="weights must be finite and positive"):
+        with pytest.raises(ValueError, match="^weights must be positive$"):
             SplitPlan.build(X, w, 2)
 
 
@@ -152,10 +152,12 @@ def test_constant_residuals_never_split():
 
 def test_weight_validation():
     X = np.zeros((3, 1))
-    for bad in (-1.0, -np.inf, np.nan, np.inf):
-        with pytest.raises(ValueError, match="weights must be finite and positive"):
+    with pytest.raises(ValueError, match="^weights must be positive$"):
+        SplitPlan.build(X, np.array([1.0, -1.0, 1.0]), 1)
+    for bad in (-np.inf, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^w has non-finite entries$"):
             SplitPlan.build(X, np.array([1.0, bad, 1.0]), 1)
-    with pytest.raises(ValueError, match="weights must be finite and positive, over at least one row"):
+    with pytest.raises(ValueError, match=r"^X must have >= 1 rows, got 0$"):
         SplitPlan.build(np.zeros((0, 1)), np.zeros(0), 1)
     with pytest.raises(ValueError, match="finite total"), np.errstate(over="ignore"):
         SplitPlan.build(X, np.array([1e308, 1e308, 1.0]), 2)
@@ -163,7 +165,7 @@ def test_weight_validation():
 
 @pytest.mark.parametrize("shape", [(), (6,), (6, 2, 1)])
 def test_a_plan_refuses_features_that_are_not_2d(shape):
-    with pytest.raises(ValueError, match=re.escape(f"X must be 2-D, one row per instance, got shape {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"X must be 2-D, one row per sample, got shape {shape}")):
         SplitPlan.build(np.zeros(shape), np.ones(6), 1)
 
 
@@ -364,7 +366,7 @@ def test_residuals_weights_and_leaf_values_need_one_entry_per_row_of_X():
         _fit(X, r[:4], w)
     with pytest.raises(ValueError, match=r"r has shape \(5, 1\); X has 5 rows"):
         _fit(X, r[:, None], w)
-    with pytest.raises(ValueError, match=r"w has shape \(6,\); X has 5 rows"):
+    with pytest.raises(ValueError, match=r"^w must have shape \(5,\), one entry per row of X, got shape \(6,\)$"):
         SplitPlan.build(X, np.ones(6), 1)
     with pytest.raises(ValueError, match=r"leaf_values has shape \(4,\); X has 5 rows"):
         _fit(X, r, w, leaf_values=np.zeros(4))
