@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_count, check_samples
+from .schema import check_samples, count_problem, real_problem, refuse
 from .tree import Forest, SplitPlan, check_depth, fit_tree
 
 
@@ -60,13 +60,13 @@ class TrainConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
-        check_count("n_stages", self.n_stages, 0)
+        refuse((
+            count_problem("n_stages", self.n_stages, 0),
+            count_problem("min_samples_leaf", self.min_samples_leaf, 1),
+            real_problem("shrinkage", self.shrinkage, 0, 1, "(]"),
+            real_problem("alpha", self.alpha, 0, 1),
+        ))
         check_depth(self.max_depth)
-        check_count("min_samples_leaf", self.min_samples_leaf, 1)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise ValueError("shrinkage must be in (0, 1]")
 
 
 @dataclass(frozen=True)

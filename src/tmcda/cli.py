@@ -35,7 +35,7 @@ from .pipeline import (
     leave_one_out,
     render_summary,
 )
-from .schema import MOVEMENTS, SCHEMA_VERSION
+from .schema import MOVEMENTS, SCHEMA_VERSION, count_problem, real_problem, refuse
 from .synth import generate_synthetic_network
 
 EXIT_OK = 0
@@ -102,9 +102,9 @@ def _variants(arg: str) -> list[str]:
     return list(VARIANTS) if arg == "all" else [arg]
 
 
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ValidationFailure(f"--seed must be >= 0, got {seed}")
+def _seed_problem(seed: int | None) -> str | None:
+    """Why ``--seed`` is refused, by the count rule; None when it is valid or not given."""
+    return None if seed is None else count_problem("--seed", seed, 0)
 
 
 def _snapshot(config: PipelineConfig) -> dict:
@@ -131,9 +131,7 @@ def _loo_inputs(args):
     Flags first, then the config files, so that a bad flag, key or grid
     value fails before any data is read.
     """
-    _check_seed(args.seed)
-    if args.jobs < 1:
-        raise ValidationFailure(f"--jobs must be >= 1, got {args.jobs}")
+    refuse((_seed_problem(args.seed), count_problem("--jobs", args.jobs, 1)), ValidationFailure)
     grid_file = getattr(args, "grid", None)  # sweep only
     entries, sources = {}, {}
     try:
@@ -160,11 +158,8 @@ def _files_read(args) -> list[str]:
 
 
 def cmd_synth(args) -> int:
-    _check_seed(args.seed)
-    if args.n_intersections < 2:
-        raise ValidationFailure("--n-intersections must be >= 2")
-    if args.n_intervals < 1:
-        raise ValidationFailure(f"--n-intervals must be >= 1, got {args.n_intervals}")
+    refuse((_seed_problem(args.seed), count_problem("--n-intersections", args.n_intersections, 2),
+            count_problem("--n-intervals", args.n_intervals, 1)), ValidationFailure)
     try:  # the flags above are checked, so the generator can only reject the shift
         data = generate_synthetic_network(args.seed, args.n_intersections, args.shift, args.n_intervals)
     except ValueError as exc:
@@ -177,9 +172,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_select(args) -> int:
-    _check_seed(args.seed)
-    if not 0 <= args.lambda_value < math.inf:  # NaN too
-        raise ValidationFailure(f"--lambda-value must be finite and >= 0, got {args.lambda_value}")
+    refuse((_seed_problem(args.seed), real_problem("--lambda-value", args.lambda_value, 0, math.inf, "[)")),
+           ValidationFailure)
     data = _load_labeled(args.data, "feature selection")
     seed = 0 if args.seed is None else args.seed
     settings = LassoSettings(lambda_mode=args.lambda_mode, lambda_value=args.lambda_value)

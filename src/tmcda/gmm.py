@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_count, check_samples
+from .schema import check_count, check_samples, count_problem, real_problem, refuse
 
 
 class GMMError(ValueError):
@@ -151,7 +151,7 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     The E-step computes responsibilities from the current parameters; the
     M-step re-estimates weights, means and (biased, responsibility-weighted)
     covariances, each regularized by ridge times the identity. ``ridge`` is
-    absolute, finite and >= 0; when None it is 1e-6 times the mean diagonal
+    absolute, a number in [0, inf); when None it is 1e-6 times the mean diagonal
     variance of the data. Iteration stops when the relative log-likelihood
     improvement drops below ``EM_TOL`` (1e-6), or after ``EM_MAX_ITER``
     (200) iterations. Restart selection is by final log-likelihood, ties to
@@ -161,12 +161,11 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
     (tested against all ``n_init`` restarts). Components are returned in
     order of decreasing weight, ties in component order. An ``X`` that
     fails ``schema.check_samples`` raises ``GMMError``, and so does a ``K``
-    or ``n_init`` that is not an integer >= 1, a bool included; fewer rows
-    than ``K`` raise ``TooFewSamplesError``.
+    or ``n_init`` that is not an integer >= 1, or a ``seed`` that is not one
+    >= 0, a bool included; fewer rows than ``K`` raise ``TooFewSamplesError``.
     """
-    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
-        raise GMMError(f"ridge must be finite and >= 0, got {ridge}")
-    check_count("n_init", n_init, 1, GMMError)
+    refuse((count_problem("n_init", n_init, 1), count_problem("seed", seed, 0),
+            None if ridge is None else real_problem("ridge", ridge, 0, math.inf, "[)")), GMMError)
     X = check_samples(X, least=0, error=GMMError)
     check_count("K", K, 1, GMMError)
     if len(X) < K:
@@ -180,9 +179,9 @@ def fit_gmm(X: np.ndarray, K: int, *, n_init: int = 5, seed: int = 0, ridge: flo
 def sample_gmm(model: GaussianMixture, M: int, seed: int) -> np.ndarray:
     """Draw M joint samples: pick a component by its weight, then draw from it.
 
-    An ``M`` that is not an integer >= 0, a bool included, raises ``GMMError``.
+    An ``M`` or ``seed`` that is not an integer >= 0, a bool included, raises ``GMMError``.
     """
-    check_count("M", M, 0, GMMError)
+    refuse((count_problem("M", M, 0), count_problem("seed", seed, 0)), GMMError)
     rng = np.random.default_rng(seed)
     ks = rng.choice(model.K, size=M, p=model.weights)
     z = rng.standard_normal((M, model.d))

@@ -131,7 +131,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import check_count, check_samples
+from .schema import check_samples, count_problem, real_problem, refuse
 
 
 class MetricError(ValueError):
@@ -312,13 +312,14 @@ def build_constraints(
     order. u and l are the 5th and 95th
     percentiles of the remaining pairs' prior distances; degenerate equal
     percentiles are widened by 5% around their value. With no pair left the
-    set is empty. ``max_per_set`` must be an integer >= 0 and ``n_candidates``
-    one >= 1. ``X`` and ``y`` that fail ``schema.check_samples``, with at
-    least 2 rows, raise ``MetricError``. When no remaining pair is
-    dissimilar, cap aside, it warns that the labels are degenerate.
+    set is empty. ``max_per_set`` and ``seed`` must be integers >= 0 and
+    ``n_candidates`` one >= 1, the seed even when it draws nothing. ``X``
+    and ``y`` that fail ``schema.check_samples``, with at least 2 rows,
+    raise ``MetricError``. When no remaining pair is dissimilar, cap aside,
+    it warns that the labels are degenerate.
     """
-    check_count("max_per_set", max_per_set, 0, MetricError)
-    check_count("n_candidates", n_candidates, 1, MetricError)
+    refuse((count_problem("max_per_set", max_per_set, 0), count_problem("n_candidates", n_candidates, 1),
+            count_problem("seed", seed, 0)), MetricError)
     X, y = check_samples(X, y, least=2, error=MetricError)
     n = len(y)
 
@@ -418,18 +419,16 @@ def fit_itml(
     determinant, and inverted once. A projection with alpha exactly 0
     updates only its slack, and under ``gamma`` = 1 not even that (see the
     module docstring for why both are exact).
-    ``gamma`` must be > 0, ``tol`` >= 0 and ``max_passes`` an integer >= 1;
-    NaN is rejected, and so is an ``X`` that fails ``schema.check_samples``.
+    ``gamma`` must be a number in (0, inf), ``max_passes`` an integer >= 1
+    and ``tol`` a number in [0, inf], or a ``MetricError`` names every one
+    that is not; so it does for an ``X`` that fails ``schema.check_samples``.
     """
     X = check_samples(X, error=MetricError)
     q = X.shape[1]
     A0 = np.eye(q) if A0 is None else np.asarray(A0, dtype=float)
     L0 = _factor(A0)
-    if not gamma > 0:
-        raise MetricError(f"gamma must be > 0, got {gamma}")
-    if not tol >= 0:
-        raise MetricError(f"tol must be >= 0, got {tol}")
-    check_count("max_passes", max_passes, 1, MetricError)
+    refuse((real_problem("gamma", gamma, 0, math.inf, "()"), count_problem("max_passes", max_passes, 1),
+            real_problem("tol", tol, 0, math.inf)), MetricError)
 
     entries = [(i, j, 1.0) for (i, j) in constraints.similar] + [
         (i, j, -1.0) for (i, j) in constraints.dissimilar

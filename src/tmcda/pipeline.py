@@ -20,7 +20,7 @@ import numpy as np
 
 from . import boosting, gmm, itml, lasso
 from .dataset import Dataset, DomainSplit, split_domains
-from .schema import MOVEMENTS, check_count, count_problem
+from .schema import MOVEMENTS, check_count, count_problem, real_problem, refuse
 
 # Mixture defaults per movement: (components, synthetic samples).
 GMM_DEFAULTS = {"left": (2, 40), "through": (4, 100), "right": (5, 180)}
@@ -46,24 +46,6 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
-def _require(settings, checks) -> None:
-    """Raise one ValueError naming every failed (holds, message) check.
-
-    Checks are written as ``value > bound``, so a NaN fails them too.
-    """
-    problems = [message for holds, message in checks if not holds]
-    if problems:
-        raise ValueError(f"{type(settings).__name__}: " + "; ".join(problems))
-
-
-def _count(settings, name: str, least: int, optional: bool = False):
-    """The check that field ``name`` is an integer, not a bool, of at least ``least`` (or None if ``optional``),
-    by ``schema.count_problem``."""
-    value = getattr(settings, name)
-    problem = count_problem(name, value, least)
-    return problem is None or (optional and value is None), problem
-
-
 @dataclass(frozen=True)
 class LassoSettings:
     lambda_mode: str = "cv"          # one of LAMBDA_MODES
@@ -77,15 +59,15 @@ class LassoSettings:
     max_sweeps: int = 10_000
 
     def __post_init__(self):
-        _require(self, (
-            (self.lambda_mode in LAMBDA_MODES,
-             f"lambda_mode must be one of {', '.join(LAMBDA_MODES)}, got {self.lambda_mode!r}"),
-            (0 <= self.lambda_value < math.inf, f"lambda_value must be finite and >= 0, got {self.lambda_value}"),
-            _count(self, "cv_folds", 2),
-            _count(self, "cv_grid_size", 1),
-            (0 < self.lam_min_ratio <= 1, f"lam_min_ratio must lie in (0, 1], got {self.lam_min_ratio}"),
-            (self.tol > 0, f"tol must be > 0, got {self.tol}"),
-            _count(self, "max_sweeps", 1),
+        refuse((
+            None if self.lambda_mode in LAMBDA_MODES else
+            f"lambda_mode must be one of {', '.join(LAMBDA_MODES)}, got {self.lambda_mode!r}",
+            real_problem("lambda_value", self.lambda_value, 0, math.inf, "[)"),
+            count_problem("cv_folds", self.cv_folds, 2),
+            count_problem("cv_grid_size", self.cv_grid_size, 1),
+            real_problem("lam_min_ratio", self.lam_min_ratio, 0, 1, "(]"),
+            real_problem("tol", self.tol, 0, math.inf, "(]"),
+            count_problem("max_sweeps", self.max_sweeps, 1),
         ))
 
 
@@ -96,10 +78,10 @@ class ItmlSettings:
     n_candidates: int = 5_000
 
     def __post_init__(self):
-        _require(self, (
-            _count(self, "max_passes", 1),
-            _count(self, "max_constraints", 0),
-            _count(self, "n_candidates", 1),
+        refuse((
+            count_problem("max_passes", self.max_passes, 1),
+            count_problem("max_constraints", self.max_constraints, 0),
+            count_problem("n_candidates", self.n_candidates, 1),
         ))
 
 
@@ -110,10 +92,10 @@ class GmmSettings:
     n_init: int = 5
 
     def __post_init__(self):
-        _require(self, (
-            _count(self, "n_components", 1, optional=True),
-            _count(self, "n_samples", 0, optional=True),
-            _count(self, "n_init", 1),
+        refuse((
+            None if self.n_components is None else count_problem("n_components", self.n_components, 1),
+            None if self.n_samples is None else count_problem("n_samples", self.n_samples, 0),
+            count_problem("n_init", self.n_init, 1),
         ))
 
 
@@ -128,11 +110,11 @@ class PipelineConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        if self.movement not in MOVEMENTS:
-            raise ValueError(f"unknown movement {self.movement!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        check_count("master_seed", self.master_seed, 0)
+        refuse((
+            None if self.movement in MOVEMENTS else f"unknown movement {self.movement!r}",
+            None if self.variant in VARIANTS else f"unknown variant {self.variant!r}",
+            count_problem("master_seed", self.master_seed, 0),
+        ))
 
     def as_run(self) -> "PipelineConfig":
         """The config the stages run: movement mixture defaults filled in, then the variant's pins; idempotent."""

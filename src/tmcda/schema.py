@@ -8,8 +8,11 @@ lists what each code means); each ``Column`` holds its domain, which
 ``Column.check`` enforces.
 
 ``count_problem`` and ``check_count`` are the one rule for a count argument
-(an integer, not a bool, of at least some least value), shared by every
-module that takes one. ``check_samples`` is the one rule for a fitting
+(an integer, not a bool, of at least some least value), and
+``real_problem`` and ``check_real`` the one rule for a real-valued one (a
+real number, not a bool, in an interval), shared by every module that takes
+one. ``refuse`` raises the problems found among several arguments at once,
+in the caller's error class. ``check_samples`` is the one rule for a fitting
 stage's arrays: a finite 2-D float ``X`` of enough rows and, when given, a
 finite float vector with one entry per row. Prediction has its own shape
 check, since a NaN cell is valid there.
@@ -40,9 +43,31 @@ def count_problem(name: str, value, least: int) -> str | None:
 
 def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` with ``count_problem``'s message, if it has one."""
-    problem = count_problem(name, value, least)
-    if problem is not None:
-        raise error(problem)
+    refuse((count_problem(name, value, least),), error)
+
+
+def real_problem(name: str, value, low: float, high: float, ends: str = "[]") -> str | None:
+    """Why ``value`` is not a real number, not a bool, in the interval from ``low`` to ``high``; None when it is.
+
+    ``ends`` gives the two brackets: ``[`` or ``]`` for a closed end, ``(`` or ``)`` for an open one. A string,
+    None, an array and NaN lie in no interval.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if (value > low if ends[0] == "(" else value >= low) and (value < high if ends[1] == ")" else value <= high):
+            return None
+    return f"{name} must be a number in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}"
+
+
+def check_real(name: str, value, low: float, high: float, ends: str = "[]", error: type[Exception] = ValueError):
+    """Raise ``error`` with ``real_problem``'s message, if it has one."""
+    refuse((real_problem(name, value, low, high, ends),), error)
+
+
+def refuse(problems, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming every one of ``problems`` that is not None, joined by "; ", if there is one."""
+    problems = [problem for problem in problems if problem is not None]
+    if problems:
+        raise error("; ".join(problems))
 
 
 def check_samples(X, y=None, *, least: int = 1, error: type[Exception] = ValueError, names=("X", "y")):

@@ -83,6 +83,7 @@ def _intersections(
         raise ValueError(f"shift_strength must be finite and >= 0, got {shift_strength}")
     if shift_strength > MAX_SHIFT_STRENGTH:
         raise ValueError(f"shift_strength must be <= {MAX_SHIFT_STRENGTH:g}, got {shift_strength}")
+    check_count("seed", seed, 0)
     rngs, drifts = [], []
     for k in range(n_intersections):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))

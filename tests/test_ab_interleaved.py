@@ -59,8 +59,8 @@ def _working_tree_commit():
     return out.stdout.strip() or "HEAD"
 
 
-def _smoke_run(stage):
-    return subprocess.run([sys.executable, str(_TOOL), "--workload", "alpha-sweep", "--seed", "1", "--inputs", "1",
+def _smoke_run(stage, workload="alpha-sweep"):
+    return subprocess.run([sys.executable, str(_TOOL), "--workload", workload, "--seed", "1", "--inputs", "1",
                            "--rounds", "1", "--smoke", "--base", _working_tree_commit()] + stage,
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
@@ -72,12 +72,12 @@ def _check_process_wall_line(line):
     assert float(words[2]) > 0 and float(words[4]) > 0
 
 
-def _check_stage_block(out, stage):
+def _check_stage_block(out, stage, workload="alpha-sweep"):
     """One stage's block of output: its header, the two sides, the totals, the process/wall ratios, one
     row per recorded call, the two sides' output digests and their traced peaks, each equal against the
     same code."""
     header = out[0].split(", ")
-    assert header[0] == "workload alpha-sweep (smoke)" and header[-1] == "process time"
+    assert header[0] == f"workload {workload} (smoke)" and header[-1] == "process time"
     assert [line.split()[0] for line in out[1:3]] == ["base", "change"]
     calls = int(header[2].split()[0])
     assert header[2] == f"{calls} calls of {stage} x 1 rounds" and calls > 0
@@ -128,3 +128,20 @@ def test_a_repeated_stage_records_both_in_one_pass_and_reports_each_on_its_own()
         _check_stage_block(block, stage)
     fits, trees = (int(block[0].split(", ")[2].split()[0]) for block in blocks)
     assert trees > fits
+
+
+@pytest.mark.skipif(not _in_a_git_checkout(), reason="the base side is extracted from a git revision")
+def test_stage_all_reports_every_stage_in_order_and_names_those_the_workload_never_calls():
+    # loo-cv runs source-only boosting with the lambda chosen by CV: no lasso fit of its own, no ITML, no mixture.
+    not_called = {"lasso.fit_lasso", "itml.build_constraints", "itml.fit_itml", "itml.match_source_to_target",
+                  "gmm.fit_gmm", "gmm.augment"}
+    out = _smoke_run(["--stage", "all"], workload="loo-cv")
+    starts = [i for i, line in enumerate(out) if line.startswith("workload ") or line.endswith(": not called")]
+    assert starts[0] == 0
+    blocks = [out[start:end] for start, end in zip(starts, starts[1:] + [len(out)])]
+    assert len(blocks) == len(ab_interleaved.ALL_STAGES) == 9
+    for block, stage in zip(blocks, ab_interleaved.ALL_STAGES):
+        if stage in not_called:
+            assert block == [f"{stage}: not called"]
+        else:
+            _check_stage_block(block, stage, "loo-cv")

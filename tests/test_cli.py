@@ -441,7 +441,7 @@ def test_infinite_lambda_value_in_a_config_file_exits_validation(tmp_path, data_
     assert code == EXIT_VALIDATION
     assert not out_dir.exists()
     err = capsys.readouterr().err
-    assert "lambda_value must be finite and >= 0, got inf" in err
+    assert f"{cfg}: lasso.lambda_value: lambda_value must be a number in [0, inf), got inf" in err
     assert "Traceback" not in err
 
 
@@ -474,13 +474,13 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["synth", "--shift", "inf"], "--shift"),
     (["synth", "--shift", "100"], "--shift: shift_strength must be <= 50, got 100.0"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
-    (["select", "--lambda-mode", "fixed", "--lambda-value", "inf"], "--lambda-value must be finite"),
+    (["select", "--lambda-mode", "fixed", "--lambda-value", "inf"], "--lambda-value must be a number in [0, inf), got inf"),
     (["loo", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "0"], "--jobs"),
-    (["synth", "--seed", "-1"], "--seed must be >= 0"),
-    (["select", "--seed", "-1"], "--seed must be >= 0"),
-    (["loo", "--seed", "-1"], "--seed must be >= 0"),
-    (["sweep", "--seed", "-1"], "--seed must be >= 0"),
+    (["synth", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["select", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["loo", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["sweep", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
 ], ids=["synth-n-intervals", "synth-shift", "synth-shift-inf", "synth-shift-large", "select-lambda-value",
         "select-lambda-value-inf",
         "loo-jobs", "sweep-jobs", "synth-seed", "select-seed", "loo-seed", "sweep-seed"])
@@ -641,10 +641,10 @@ def test_loo_all_variants_fits_lasso_once_per_fold_and_movement(tmp_path, data_f
 
 
 @pytest.mark.parametrize("line, message", [
-    ("grid.alpha = 0.5, 1.5", "grid.alpha: alpha must be in [0, 1], got 1.5"),
-    ("grid.alpha = nan", "grid.alpha: alpha must be in [0, 1], got nan"),
-    ("grid.n_components = 0", "grid.n_components: GmmSettings: n_components must be an integer >= 1, got 0"),
-    ("grid.n_samples = 4, -1", "grid.n_samples: GmmSettings: n_samples must be an integer >= 0, got -1"),
+    ("grid.alpha = 0.5, 1.5", "grid.alpha: alpha must be a number in [0, 1], got 1.5"),
+    ("grid.alpha = nan", "grid.alpha: alpha must be a number in [0, 1], got nan"),
+    ("grid.n_components = 0", "grid.n_components: n_components must be an integer >= 1, got 0"),
+    ("grid.n_samples = 4, -1", "grid.n_samples: n_samples must be an integer >= 0, got -1"),
     ("grid.alpha =", "grid.alpha: no values"),
     ("grid.alpha = ,", "grid.alpha: no values"),
 ], ids=["alpha-above-1", "alpha-nan", "n-components-0", "n-samples-negative", "alpha-empty", "alpha-commas"])
@@ -671,13 +671,11 @@ def test_an_out_of_domain_config_value_names_the_file_whose_value_won_and_its_ke
     out_dir = tmp_path / "out"
     args = ["sweep", "--data", str(data_file), "--grid", str(grid), "--out-dir", str(out_dir)]
     assert main(args) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (f"error: {grid}: gmm.n_init: GmmSettings: "
-                                       "n_init must be an integer >= 1, got 0\n")
+    assert capsys.readouterr().err == f"error: {grid}: gmm.n_init: n_init must be an integer >= 1, got 0\n"
     # --config overrides the grid file's key, so its file is the one named.
     override.write_text("gmm.n_init = -2\n")
     assert main(args + ["--config", str(override)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (f"error: {override}: gmm.n_init: GmmSettings: "
-                                       "n_init must be an integer >= 1, got -2\n")
+    assert capsys.readouterr().err == f"error: {override}: gmm.n_init: n_init must be an integer >= 1, got -2\n"
     # Unknown keys are listed under the file each came from, and a malformed line names its file.
     grid.write_text(FAST_CONFIG + "\ngrid.alpha = 0.5\nboosting.stages = 5\n")
     override.write_text("gmm.n_component = 2\n")

@@ -18,6 +18,7 @@ from tmcda.lasso import (
     cross_validate_lambda,
     fit_lasso,
     lambda_max,
+    widen,
 )
 from tmcda.pipeline import LassoSettings, fit_selection
 from tmcda.synth import generate_synthetic_network
@@ -155,9 +156,9 @@ def test_input_validation():
         fit_lasso(np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 1.0]]), np.ones(3), 0.1)
     with pytest.raises(ValueError):
         fit_lasso(X, y, -0.5)
-    with pytest.raises(ValueError, match="lambda must be >= 0, got nan"):
+    with pytest.raises(ValueError, match=r"^lam must be a number in \[0, inf\), got nan$"):
         fit_lasso(X, y, float("nan"))
-    with pytest.raises(ValueError, match="lambda must be finite, got inf"):
+    with pytest.raises(ValueError, match=r"^lam must be a number in \[0, inf\), got inf$"):
         fit_lasso(X, y, float("inf"))
     with pytest.raises(ValueError):
         fit_lasso(X[:1], y[:1], 0.1)
@@ -680,6 +681,23 @@ def _designs_with_copies(draw):
     return X, y, tuple(kept)
 
 
+def test_widen_keeps_the_fits_standardization_which_differs_from_the_designs_in_the_last_bits():
+    # Seed 3, target I00, movement left: numpy's axis-0 sums over the canonical columns alone and over the
+    # whole design round differently, so only the fit's own means and stds give its coefficients' scale.
+    source = split_domains(generate_synthetic_network(3, 6, 1.3, 96), "I00").source
+    X, y = source.X, source.movement_labels("left").astype(float)
+    columns, std = canonical_columns(X, y)
+    index = list(columns)
+    model = fit_lasso(X[:, index], y, 0.1)
+    own = model.standardization
+    assert _bits(own.x_mean) != _bits(std.x_mean[index])
+    wide = widen(model, columns, std)
+    widened = wide.standardization
+    assert _bits(wide.coef[index]) == _bits(model.coef) and wide.intercept == model.intercept
+    assert _bits(widened.x_mean[index]) == _bits(own.x_mean) and _bits(widened.x_std[index]) == _bits(own.x_std)
+    assert _bits(widened.apply(X, index)) == _bits(own.apply(X[:, index]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_designs_with_copies(), st.sampled_from([0.5, 0.2, 0.05, 0.01]))
 def test_the_canonical_columns_are_the_first_of_each_set_of_copies_with_full_rank_and_one_support(problem, fraction):
@@ -734,9 +752,9 @@ def test_the_fit_is_the_path_at_lambda_and_zero_from_lambda_max_on():
         for got in (fit_lasso(X, y, fraction * lam_hi), fit_lasso(X, y, fraction, of_lambda_max=True)):
             assert got.lam == fraction * lam_hi and _bits(got.coef_std) == _bits(np.zeros(6))
             assert got.selected == () and got.intercept == y.mean()
-    for lam, message in ((-1.0, "lambda must be >= 0"), (math.nan, "lambda must be >= 0"), (math.inf, "finite")):
+    for lam in (-1.0, math.nan, math.inf):
         for of_lambda_max in (False, True):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=rf"^lam must be a number in \[0, inf\), got {lam}$"):
                 fit_lasso(X, y, lam, of_lambda_max=of_lambda_max)
 
 

@@ -525,7 +525,7 @@ def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3, monkeypa
     ({"alphas": [0.5]}, r"unknown grid axis\(es\): \['alphas'\]"),
     ({"alpha": []}, "grid.alpha: no values"),
     ({"n_components": [2], "n_samples": []}, "grid.n_samples: no values"),
-    ({"alpha": [0.5, 1.5]}, r"grid.alpha: alpha must be in \[0, 1\], got 1.5"),
+    ({"alpha": [0.5, 1.5]}, r"grid.alpha: alpha must be a number in \[0, 1\], got 1.5"),
     ({"n_components": [2.7, 1.2]}, "grid.n_components: 2.7 is not int-valued: it would run as 2"),
     ({"n_samples": [float("inf")]}, "grid.n_samples: cannot convert float infinity to integer"),
 ], ids=["unknown-axis", "empty-alpha", "empty-n-samples", "alpha-above-1", "fractional-count", "infinite-count"])

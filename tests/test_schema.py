@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tmcda import boosting, gmm, itml, lasso
+from tmcda import boosting, cli, gmm, itml, lasso
 from tmcda.itml import ConstraintSet, MetricError, build_constraints, fit_itml
-from tmcda.pipeline import PipelineConfig, leave_one_out
+from tmcda.pipeline import LassoSettings, PipelineConfig, leave_one_out
+from tmcda.runconfig import ConfigError, apply_entries
 from tmcda.schema import COLUMNS
-from tmcda.synth import generate_synthetic_network
+from tmcda.synth import generate_synthetic_network, label_coefficients
 from tmcda.tree import SplitPlan
 
 
@@ -161,3 +162,128 @@ def test_too_few_rows_for_a_mixture_stay_too_few_samples():
     # fit_gmm takes any number of rows; fewer than K is a TooFewSamplesError, which a sweep reads as skipped.
     with pytest.raises(gmm.TooFewSamplesError, match=r"^need at least K=2 samples, got 1$"):
         gmm.fit_gmm(_ROWS[:1], 2)
+
+
+# Every real-valued argument checked by ``real_problem``: its interval as the message writes it, the error its
+# owner raises, a call with it set to a value, and its config-file key when it is a setting.
+_CONSTRAINTS = ConstraintSet(((0, 1),), ((0, 2),), 1.0, 2.0)
+_REAL_ARGUMENTS = {
+    "alpha": ("[0, 1]", ValueError, lambda v: boosting.TrainConfig(alpha=v), "boosting.alpha"),
+    "shrinkage": ("(0, 1]", ValueError, lambda v: boosting.TrainConfig(shrinkage=v), "boosting.shrinkage"),
+    "lambda_value": ("[0, inf)", ValueError, lambda v: LassoSettings(lambda_value=v), "lasso.lambda_value"),
+    "lam_min_ratio": ("(0, 1]", ValueError, lambda v: LassoSettings(lam_min_ratio=v), "lasso.lam_min_ratio"),
+    "tol": ("(0, inf]", ValueError, lambda v: LassoSettings(tol=v), "lasso.tol"),
+    "fit_lasso lam": ("[0, inf)", ValueError, lambda v: lasso.fit_lasso(_ROWS, _VALID["y"], v), None),
+    "cross_validate_lambda lam_min_ratio": (
+        "(0, 1]", ValueError, lambda v: lasso.cross_validate_lambda(_ROWS, _VALID["y"], n_folds=2, lam_min_ratio=v),
+        None),
+    "fit_itml gamma": ("(0, inf)", MetricError, lambda v: fit_itml(np.eye(3)[:, :2], _CONSTRAINTS, gamma=v), None),
+    "fit_itml tol": ("[0, inf]", MetricError, lambda v: fit_itml(np.eye(3)[:, :2], _CONSTRAINTS, tol=v), None),
+    "fit_gmm ridge": ("[0, inf)", gmm.GMMError, lambda v: gmm.fit_gmm(_ROWS, 2, n_init=1, ridge=v), None),
+}
+
+
+def _interval_cases(interval):
+    """(value, accepted) for each end of ``interval``: a finite end, one ``np.nextafter`` step inside and one
+    outside, and an infinite end itself."""
+    lo_text, hi_text = interval[1:-1].split(", ")
+    for end, toward, closed in ((float(lo_text), float(hi_text), interval[0] == "["),
+                                (float(hi_text), float(lo_text), interval[-1] == "]")):
+        yield end, closed
+        if end == np.inf:
+            continue
+        yield float(np.nextafter(end, toward)), True
+        yield float(np.nextafter(end, np.copysign(np.inf, end - toward))), False
+
+
+@pytest.mark.parametrize("name", _REAL_ARGUMENTS)
+def test_real_arguments_refuse_non_numbers_and_values_outside_their_interval(name):
+    interval, error, call, _ = _REAL_ARGUMENTS[name]
+    field = name.split()[-1]
+    cases = [(True, False), ("0.5", False), (None, name == "fit_gmm ridge"), (np.nan, False),
+             (np.array([0.5]), False), *_interval_cases(interval)]    # ridge None is the data's own default
+    for value, accepted in cases:
+        if accepted:
+            try:
+                call(value)
+            except error as exc:    # a fit may fail on such a value (gamma 5e-324 lets a slack underflow)
+                assert not str(exc).startswith(f"{field} must be"), value
+            continue
+        with pytest.raises(error) as raised:
+            call(value)
+        assert raised.type is error, value
+        assert str(raised.value) == f"{field} must be a number in {interval}, got {value!r}"
+
+
+@pytest.mark.parametrize("name", [name for name, (*_, key) in _REAL_ARGUMENTS.items() if key])
+def test_a_real_setting_in_a_config_file_names_its_key_once(name):
+    interval, _, _, key = _REAL_ARGUMENTS[name]
+    refused = [value for value, accepted in _interval_cases(interval) if not accepted]
+    for value in (np.nan, np.inf, *refused):
+        if value == np.inf and interval.endswith("inf]"):    # lasso.tol takes inf
+            config, _ = apply_entries({key: "inf"}, allow_grid=False)
+            assert getattr(config.lasso, name) == np.inf
+            continue
+        with pytest.raises(ConfigError) as raised:
+            apply_entries({key: repr(value)}, allow_grid=False)
+        assert str(raised.value) == f"{key}: {name} must be a number in {interval}, got {value!r}"
+
+
+def test_a_settings_class_names_every_problem_without_a_class_prefix():
+    with pytest.raises(ValueError) as raised:
+        LassoSettings(cv_folds=1, tol=0)
+    assert str(raised.value) == "cv_folds must be an integer >= 2, got 1; tol must be a number in (0, inf], got 0"
+    with pytest.raises(ValueError) as raised:
+        boosting.TrainConfig(n_stages=-1, alpha=2.0)
+    assert str(raised.value) == ("n_stages must be an integer >= 0, got -1; "
+                                 "alpha must be a number in [0, 1], got 2.0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["select", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["loo", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["sweep", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["loo", "--jobs", "0"], "--jobs must be an integer >= 1, got 0"),
+    (["sweep", "--jobs", "0"], "--jobs must be an integer >= 1, got 0"),
+    (["synth", "--n-intersections", "1"], "--n-intersections must be an integer >= 2, got 1"),
+    (["synth", "--n-intervals", "0"], "--n-intervals must be an integer >= 1, got 0"),
+    (["synth", "--seed", "-1", "--n-intervals", "0"],
+     "--seed must be an integer >= 0, got -1; --n-intervals must be an integer >= 1, got 0"),
+    (["select", "--lambda-value", "-1"], "--lambda-value must be a number in [0, inf), got -1.0"),
+    (["select", "--lambda-value", "nan"], "--lambda-value must be a number in [0, inf), got nan"),
+    (["select", "--lambda-value", "inf"], "--lambda-value must be a number in [0, inf), got inf"),
+])
+def test_a_cli_flag_is_refused_by_the_shared_rule_under_its_own_name(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.csv")    # never read: the flags are checked first
+    where = {
+        "synth": ["--out", str(tmp_path / "net.csv")],
+        "select": ["--data", missing, "--out-dir", str(tmp_path / "out")],
+        "loo": ["--data", missing, "--out-dir", str(tmp_path / "out")],
+        "sweep": ["--data", missing, "--grid", missing, "--out-dir", str(tmp_path / "out")],
+    }[argv[0]]
+    assert cli.main(argv + where) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+# Every function that takes a seed, with the error class its module raises.
+_SEEDED = {
+    "synth.generate_synthetic_network": (ValueError, lambda s: generate_synthetic_network(s, 2, 1.0, 4)),
+    "synth.label_coefficients": (ValueError, lambda s: label_coefficients(s, 2, 1.0)),
+    "itml.build_constraints": (MetricError, lambda s: build_constraints(_ROWS[:3], _VALID["y"][:3], seed=s)),
+    "gmm.fit_gmm": (gmm.GMMError, lambda s: gmm.fit_gmm(_ROWS, 2, seed=s)),
+    "gmm.sample_gmm": (gmm.GMMError, lambda s: gmm.sample_gmm(gmm.fit_gmm(_ROWS, 1), 5, seed=s)),
+    "lasso.cross_validate_lambda": (ValueError, lambda s: lasso.cross_validate_lambda(_ROWS, _VALID["y"], seed=s)),
+}
+
+
+@pytest.mark.parametrize("value", [None, -1, 2.5, True, "3"], ids=repr)
+@pytest.mark.parametrize("entry", _SEEDED)
+def test_a_seed_is_a_count(entry, value):
+    # None once seeded from OS entropy, "3" ran as seed 3 and True as 1; -1 and 2.5 failed inside numpy.
+    error, call = _SEEDED[entry]
+    with pytest.raises(error) as raised:
+        call(value)
+    assert raised.type is error
+    assert str(raised.value) == f"seed must be an integer >= 0, got {value!r}"

@@ -2,7 +2,7 @@
 """Time two copies of the package on one benchmark workload, interleaved in one process.
 
     python3 tools/ab_interleaved.py --workload loo-cv --seed 12 [--inputs 20] [--rounds 5] [--base HEAD]
-        [--stage MODULE.FUNCTION ...] [--smoke]
+        [--stage MODULE.FUNCTION | all ...] [--smoke]
 
 The base side is the package at a git revision (``--base``, HEAD by
 default), extracted with ``git archive`` into a temporary directory; the
@@ -26,8 +26,11 @@ its untimed calls, every call of that function of ``tmcda.<MODULE>`` with
 its arguments and output, and the timed calls replay those recorded calls
 alone. ``--stage`` may repeat: the one untimed pass records every stage
 named, and each stage is then replayed, timed and reported on its own, in
-the order given. For each stage the two sides must record as many calls,
-and at least one. Per recorded call the
+the order given. ``--stage all`` names every pipeline stage, in pipeline
+order: ``ALL_STAGES``. For each stage the two sides must record as many
+calls; a stage that neither side calls on the workload (ITML and the
+mixture on ``loo-cv``) is reported as not called and skipped. Per recorded
+call the
 output tells whether the two sides' arguments and outputs are bitwise
 equal, and for outputs that are not, the largest relative difference of
 their arrays (max |change - base| / max |base| over each array of floats)
@@ -76,6 +79,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+ALL_STAGES = ("lasso.cross_validate_lambda", "lasso.fit_lasso", "itml.build_constraints", "itml.fit_itml",
+              "itml.match_source_to_target", "gmm.fit_gmm", "gmm.augment", "boosting.fit_gbbw", "boosting.predict")
 
 
 def _drop_package() -> None:
@@ -245,12 +250,13 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--base", default="HEAD", help="git revision of the base side (default HEAD)")
     p.add_argument("--stage", metavar="MODULE.FUNCTION", action="append", default=[],
-                   help="time only this function's calls, e.g. itml.fit_itml; may repeat")
+                   help="time only this function's calls, e.g. itml.fit_itml, or every stage's with all; may repeat")
     p.add_argument("--smoke", action="store_true", help="the benchmark's smoke sizes and settings")
     args = p.parse_args(argv)
-    stages = {stage: stage.rpartition(".")[::2] for stage in args.stage}    # (module, function), in order
+    names = [name for stage in args.stage for name in (ALL_STAGES if stage == "all" else (stage,))]
+    stages = {stage: stage.rpartition(".")[::2] for stage in names}    # (module, function), in order
     if any(not module for module, _ in stages.values()):
-        p.error("--stage takes MODULE.FUNCTION, e.g. itml.fit_itml")
+        p.error("--stage takes MODULE.FUNCTION, e.g. itml.fit_itml, or all")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
@@ -278,7 +284,7 @@ def main(argv=None) -> int:
                     recorded[stage][side] += made
         reports = [texts["base"][i] == texts["change"][i] for i in range(args.inputs)]
         for stage, by_side in recorded.items():
-            if len(by_side["base"]) != len(by_side["change"]) or not by_side["base"]:
+            if len(by_side["base"]) != len(by_side["change"]):
                 print(f"{stage}: base made {len(by_side['base'])} calls, change {len(by_side['change'])}")
                 return 1
 
@@ -291,6 +297,9 @@ def main(argv=None) -> int:
                 print(f"  {i:5d}  {'same' if reports[i] else 'DIFFERS':7s} {ratio:.4f}")
             return 0
         for stage, by_side in recorded.items():
+            if not by_side["base"]:
+                print(f"{stage}: not called")
+                continue
             replays = {side: [functools.partial(functions[stage][side], *c.args, **c.kwargs) for c in by_side[side]]
                        for side in SIDES}
             ratios = report(f"{context}, {len(replays['base'])} calls of {stage}{rounds}",
