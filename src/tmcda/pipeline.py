@@ -13,6 +13,7 @@ evaluation and parameter sweeps wrap that single-fold routine.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -33,6 +34,10 @@ VARIANTS = {
 }
 
 LAMBDA_MODES = ("cv", "fixed", "fraction")
+
+# Sweep grid axes: axis -> the settings section whose field it is. The one place an axis is named; the
+# section's settings class decides which values it takes.
+GRID_AXES = {"n_components": "gmm", "n_samples": "gmm", "alpha": "boosting"}
 
 _STAGE_IDS = {"lasso": 0, "constraints": 1, "gmm": 2}
 
@@ -451,9 +456,7 @@ def render_summary(report: EvaluationReport) -> str:
 
 @dataclass(frozen=True)
 class SweepCell:
-    n_components: int | None        # the value the cell's configs ran; None where they differ
-    n_samples: int | None
-    alpha: float | None
+    values: dict                    # axis of GRID_AXES -> the value the cell's configs ran; None where they differ
     status: str                     # "ok" | "skipped" | "failed"
     aggregates: dict
     reason: str | None = None
@@ -465,72 +468,68 @@ class SweepResult:
 
     def to_text(self) -> str:
         movements = sorted({m for c in self.cells for (_, m) in c.aggregates})
-        header = ["n_components,n_samples,alpha,status"]
-        for m in movements:
-            header.append(f",{m}_mae,{m}_rmse")
-        lines = ["".join(header)]
+        lines = [",".join([*GRID_AXES, "status", *(f"{m}_{metric}" for m in movements for metric in ("mae", "rmse"))])]
         for c in self.cells:
             by_movement = {movement: value for (_, movement), value in c.aggregates.items()}
-            k, n = ("" if v is None else v for v in (c.n_components, c.n_samples))
-            alpha = "" if c.alpha is None else _grid_value_text(c.alpha)
-            cells = [f"{k},{n},{alpha},{c.status}"]
+            row = [_grid_value_text(c.values[axis]) for axis in GRID_AXES] + [c.status]
             for m in movements:
                 agg = by_movement.get(m)
-                cells.append(",," if agg is None else f",{agg[0]:.4f},{agg[1]:.4f}")
-            lines.append("".join(cells))
+                row += ["", ""] if agg is None else [f"{agg[0]:.4f}", f"{agg[1]:.4f}"]
+            lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
 
-def _grid_value_text(value: float) -> str:
-    """``value`` with ``:g`` when that reads back as ``value``, else ``repr``: distinct values never print alike."""
+def _grid_value_text(value) -> str:
+    """A cell's value as sweep.csv prints it: blank for None, an integer as ``str`` prints it, a real with ``:g``
+    when that reads back as the value, else ``repr``: distinct values never print alike."""
+    if value is None:
+        return ""
+    if isinstance(value, numbers.Integral):
+        return str(value)
+    value = float(value)    # numpy's repr names its type
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
-
-
-# Sweep grid axes: axis -> (settings section, value type). The one place an axis is mapped.
-GRID_AXES = {"n_components": ("gmm", int), "n_samples": ("gmm", int), "alpha": ("boosting", float)}
 
 
 def grid_configs(base: PipelineConfig, grid: dict) -> list[PipelineConfig]:
     """``base`` at every cell of ``grid``: K-major, then M, then alpha.
 
     ``grid`` maps axes of ``GRID_AXES`` to value lists; a missing axis keeps
-    the base's value. An unknown axis, an empty list, a value that the axis's
-    type would change (2.7 for a count) or one its settings class rejects is
-    a ValueError.
+    the base's value. Each value goes to its section's settings class as
+    given, so its type and range are that class's to decide (a count takes an
+    integer, not 2.0 or True; None for a count is the movement default). An
+    unknown axis, an empty list or a value the class refuses is a ValueError
+    that names ``grid.<axis>``.
     """
     unknown = sorted(set(grid) - set(GRID_AXES))
     if unknown:
         raise ValueError(f"unknown grid axis(es): {unknown}")
     configs = [base]
-    for axis, (section, kind) in GRID_AXES.items():
+    for axis, section in GRID_AXES.items():
         if axis not in grid:
             continue
         values = list(grid[axis])
         if not values:
             raise ValueError(f"grid.{axis}: no values")
         try:
-            cast = [kind(value) for value in values]
-            for value, typed in zip(values, cast):
-                if typed != value and typed == typed:    # a NaN is left to the settings class
-                    raise ValueError(f"{value} is not {kind.__name__}-valued: it would run as {typed}")
-            configs = [_with(cfg, section, **{axis: typed}) for cfg in configs for typed in cast]
-        except (OverflowError, ValueError) as exc:
+            configs = [_with(cfg, section, **{axis: value}) for cfg in configs for value in values]
+        except ValueError as exc:
             raise ValueError(f"grid.{axis}: {exc}") from None
     return configs
 
 
 def ablation_sweep(data: Dataset, grid: dict, base_configs, jobs: int = 1) -> SweepResult:
-    """Run leave-one-out over a (components, samples, alpha) grid.
+    """Run leave-one-out over a grid of ``GRID_AXES`` axes (mixture size, synthetic samples, alpha).
 
     Each base config is expanded by ``grid_configs``, so cells come in its
-    order and a bad grid is its ValueError. All cells' configs run as one
+    order, a grid value is taken or refused by its settings class, and a bad
+    grid is a ValueError that names ``grid.<axis>``. All cells' configs run as one
     leave-one-out (one process pool with ``jobs`` > 1), so each fold computes
     an upstream stage once for every cell that shares its settings: alpha
     enters only boosting, and n_components/n_samples only the mixture. Each
     cell's rows are then aggregated exactly as ``leave_one_out`` would for
-    that cell alone. A cell reports the as-run n_components, n_samples and
-    alpha of its configs, each None where they differ (two movements' mixture
+    that cell alone. A cell's ``values`` hold, for each axis, the as-run
+    value of its configs, None where they differ (two movements' mixture
     defaults, say). A cell with a fold whose mixture fit is infeasible
     (``gmm.TooFewSamplesError``: more components than matched samples) is
     recorded as skipped; otherwise a cell whose every fold failed is recorded
@@ -555,16 +554,17 @@ def ablation_sweep(data: Dataset, grid: dict, base_configs, jobs: int = 1) -> Sw
     for c in range(len(configs) // width):
         cell = slice(c * width, (c + 1) * width)
         rows, aggregates = _aggregate([r for chunk in chunks for r in chunk[cell]])
-        ran = [(cfg.gmm.n_components, cfg.gmm.n_samples, cfg.boosting.alpha) for cfg in configs[cell]]
-        cell_k, cell_m, cell_a = (values[0] if len(set(values)) == 1 else None for values in zip(*ran))
+        ran = {axis: {getattr(getattr(cfg, section), axis) for cfg in configs[cell]}
+               for axis, section in GRID_AXES.items()}
+        values = {axis: same.pop() if len(same) == 1 else None for axis, same in ran.items()}
         infeasible = [
             r for r in rows
             if r.error_type is not None and issubclass(r.error_type, gmm.TooFewSamplesError)
         ]
         if infeasible:
-            cells.append(SweepCell(cell_k, cell_m, cell_a, "skipped", {}, reason=infeasible[0].error))
+            cells.append(SweepCell(values, "skipped", {}, reason=infeasible[0].error))
         elif all(r.error is not None for r in rows):
-            cells.append(SweepCell(cell_k, cell_m, cell_a, "failed", {}, reason=rows[0].error))
+            cells.append(SweepCell(values, "failed", {}, reason=rows[0].error))
         else:
-            cells.append(SweepCell(cell_k, cell_m, cell_a, "ok", aggregates))
+            cells.append(SweepCell(values, "ok", aggregates))
     return SweepResult(tuple(cells))

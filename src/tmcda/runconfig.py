@@ -5,7 +5,9 @@ field of the four settings classes is a ``<section>.<field>`` key parsed by
 its annotated type, so keys and fields cannot drift apart; one more key,
 ``seed``, sets ``PipelineConfig.master_seed``. A sweep's grid file may
 also hold ``grid.<axis> = v1, v2, ...`` for each axis of
-``pipeline.GRID_AXES``. Each command chooses the
+``pipeline.GRID_AXES``; each item is parsed as the axis's own
+``<section>.<axis>`` key is (so ``none`` in a count's list is the movement
+default), and the settings class then takes or refuses it. Each command chooses the
 movement and variant itself. Unknown keys are hard errors,
 reported all at once so a sweep cannot silently run with a misspelled
 setting.
@@ -48,13 +50,15 @@ def _derive_keys() -> dict:
 _KEYS = _derive_keys()
 
 
-def _list_of(kind):
-    """Parser of a comma-separated list of ``kind`` values; blank items are dropped."""
-    return lambda text: [kind(v) for v in text.split(",") if v.strip()]
+def _list_of(parse):
+    """Parser of a comma-separated list, each stripped item read by ``parse``; blank items are dropped."""
+    return lambda text: [parse(v.strip()) for v in text.split(",") if v.strip()]
 
 
-# A sweep's grid.<axis> keys, one per axis of the pipeline's table: key -> ("grid", axis, parser)
-_GRID_KEYS = {f"grid.{axis}": ("grid", axis, _list_of(kind)) for axis, (_, kind) in GRID_AXES.items()}
+# A sweep's grid.<axis> keys, one per axis of the pipeline's table, each item parsed as its field's key is:
+# key -> ("grid", axis, parser)
+_GRID_KEYS = {f"grid.{axis}": ("grid", axis, _list_of(_KEYS[f"{section}.{axis}"][2]))
+              for axis, section in GRID_AXES.items()}
 
 
 def parse_flat_file(path: str | Path) -> dict[str, str]:

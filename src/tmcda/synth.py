@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .schema import APPROACHES, COLUMNS, check_count
+from .schema import APPROACHES, COLUMNS, check_count, check_real
 
 # Features entering the label function, with fixed scale constants mapping
 # raw values to O(1) magnitudes. The interaction term multiplies the scaled
@@ -79,10 +79,7 @@ def _intersections(
 ) -> tuple[list[np.random.Generator], IntersectionCoefficients]:
     """Each intersection's generator, positioned after its drift draws, and the coefficients that drift gives."""
     check_count("n_intersections", n_intersections, 2)
-    if not 0 <= shift_strength < np.inf:  # NaN fails too
-        raise ValueError(f"shift_strength must be finite and >= 0, got {shift_strength}")
-    if shift_strength > MAX_SHIFT_STRENGTH:
-        raise ValueError(f"shift_strength must be <= {MAX_SHIFT_STRENGTH:g}, got {shift_strength}")
+    check_real("shift_strength", shift_strength, 0, MAX_SHIFT_STRENGTH)
     check_count("seed", seed, 0)
     rngs, drifts = [], []
     for k in range(n_intersections):

@@ -8,6 +8,7 @@ internals, so each check is a genuine second route.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -833,10 +834,10 @@ def reference_label_coefficients(seed, n_intersections, shift_strength):
 
     if n_intersections < 2:
         raise ValueError("n_intersections must be >= 2")
-    if not 0 <= shift_strength < np.inf:  # NaN fails too
-        raise ValueError(f"shift_strength must be finite and >= 0, got {shift_strength}")
-    if shift_strength > _REF_MAX_SHIFT_STRENGTH:
-        raise ValueError(f"shift_strength must be <= {_REF_MAX_SHIFT_STRENGTH:g}, got {shift_strength}")
+    # Restated with the real-number rule's wording: a bool, a string or None is no shift, and NaN fails too.
+    real = isinstance(shift_strength, numbers.Real) and not isinstance(shift_strength, bool)
+    if not (real and 0 <= shift_strength <= _REF_MAX_SHIFT_STRENGTH):
+        raise ValueError(f"shift_strength must be a number in [0, {_REF_MAX_SHIFT_STRENGTH:g}], got {shift_strength!r}")
     log_busy = np.empty(n_intersections)
     intercepts = np.empty((n_intersections, 3))
     weights = np.empty((n_intersections, 3, 6))

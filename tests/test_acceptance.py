@@ -314,7 +314,7 @@ def test_criterion_7_alpha_ablation_shape():
         data = generate_synthetic_network(seed, n_intersections=6, shift_strength=1.3,
                                           n_intervals=96)
         sweep = ablation_sweep(data, {"alpha": alphas}, _ordering_config("full", seed))
-        assert [c.alpha for c in sweep.cells] == alphas
+        assert [c.values["alpha"] for c in sweep.cells] == alphas
         assert all(c.status == "ok" for c in sweep.cells)
         values = [c.aggregates[("ITMLGMM-GBBW", "left")][0] for c in sweep.cells]
         assert np.isfinite(values).all()

@@ -15,7 +15,7 @@ from tmcda.dataset import load_table, write_table
 from tmcda.lasso import (
     canonical_columns, coefficient_report, cross_validate_lambda, fit_lasso, lambda_max, widen,
 )
-from tmcda.pipeline import VARIANTS, leave_one_out, render_summary
+from tmcda.pipeline import GRID_AXES, VARIANTS, ablation_sweep, grid_configs, leave_one_out, render_summary
 from tmcda.runconfig import ConfigError, apply_entries, parse_flat_file
 from tmcda.synth import generate_synthetic_network
 
@@ -472,7 +472,7 @@ def test_negative_seed_in_a_config_file_exits_validation_without_traceback(tmp_p
     (["synth", "--n-intervals", "0"], "--n-intervals"),
     (["synth", "--shift", "-1"], "--shift"),
     (["synth", "--shift", "inf"], "--shift"),
-    (["synth", "--shift", "100"], "--shift: shift_strength must be <= 50, got 100.0"),
+    (["synth", "--shift", "100"], "--shift: shift_strength must be a number in [0, 50], got 100.0"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "-1"], "--lambda-value"),
     (["select", "--lambda-mode", "fixed", "--lambda-value", "inf"], "--lambda-value must be a number in [0, inf), got inf"),
     (["loo", "--jobs", "0"], "--jobs"),
@@ -664,6 +664,69 @@ def test_sweep_rejects_an_out_of_domain_grid_value_before_loading_data(
     with pytest.raises(ConfigError, match=line.split(" ")[0]):
         apply_entries(parse_flat_file(grid), allow_grid=True)
 
+
+
+# (axis, value, the settings class's refusal of it, and a grid file's refusal of its text; None where the value
+# is taken). True ran as 1 and None raised a bare TypeError while grid values were cast to a type of their own
+# before the class saw them. A file's items are parsed as the <section>.<axis> key is, so text that does not
+# parse is refused in the parser's words.
+_NOT_A_FLOAT, _NOT_AN_INT = "could not convert string to float: {!r}", "invalid literal for int() with base 10: {!r}"
+_GRID_VALUES = [
+    ("alpha", True, "alpha must be a number in [0, 1], got True", _NOT_A_FLOAT.format("True")),
+    ("n_samples", True, "n_samples must be an integer >= 0, got True", _NOT_AN_INT.format("True")),
+    ("alpha", None, "alpha must be a number in [0, 1], got None", _NOT_A_FLOAT.format("none")),
+    ("n_components", None, None, None),
+    ("alpha", "0.5", "alpha must be a number in [0, 1], got '0.5'", None),
+    ("n_components", 2.0, "n_components must be an integer >= 1, got 2.0", _NOT_AN_INT.format("2.0")),
+    ("n_samples", 2.7, "n_samples must be an integer >= 0, got 2.7", _NOT_AN_INT.format("2.7")),
+    ("alpha", float("inf"), "alpha must be a number in [0, 1], got inf", "alpha must be a number in [0, 1], got inf"),
+    ("n_samples", float("inf"), "n_samples must be an integer >= 0, got inf", _NOT_AN_INT.format("inf")),
+    ("alpha", float("nan"), "alpha must be a number in [0, 1], got nan", "alpha must be a number in [0, 1], got nan"),
+    ("n_components", np.int64(2), None, None),
+    ("alpha", np.float64(0.25), None, None),
+]
+
+
+@pytest.mark.parametrize("axis, value, refusal, file_refusal", _GRID_VALUES,
+                         ids=[f"{axis}-{value!r}" for axis, value, *_ in _GRID_VALUES])
+def test_a_grid_value_is_taken_or_refused_by_its_settings_class_at_every_entry_point(
+        tmp_path, data_file, config_file, capsys, axis, value, refusal, file_refusal):
+    base = apply_entries(parse_flat_file(config_file), allow_grid=False)[0]
+    section = GRID_AXES[axis]
+    # The library's entry points: the value reaches the settings class as given, and only its refusal is renamed.
+    if refusal is None:
+        [config] = grid_configs(base, {axis: [value]})
+        assert getattr(getattr(config, section), axis) is value
+        [cell] = ablation_sweep(load_table(data_file), {axis: [value]}, base).cells
+        assert cell.status == "ok"
+        assert cell.values[axis] == getattr(getattr(config.as_run(), section), axis)
+    else:
+        for call in (lambda: grid_configs(base, {axis: [value]}),
+                     lambda: ablation_sweep(load_table(data_file), {axis: [value]}, base)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == f"grid.{axis}: {refusal}"
+    # A grid file holds the value's text after a valid one: it is refused, with the words the key gives the
+    # same text and before any data is read, or the sweep runs.
+    text = "none" if value is None else str(value)
+    key = f"{section}.{axis}"
+    if file_refusal is None:
+        apply_entries({key: text}, allow_grid=False)
+    else:
+        with pytest.raises(ConfigError) as raised:
+            apply_entries({key: text}, allow_grid=False)
+        assert str(raised.value) == f"{key}: {file_refusal}"
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"grid.{axis} = {0 if axis == 'alpha' else 1}, {text}\n")
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--data", str(data_file), "--grid", str(grid), "--config", str(config_file),
+                 "--out-dir", str(out_dir), "--movement", "left"])
+    err = capsys.readouterr().err
+    if file_refusal is None:
+        assert code == EXIT_OK and (out_dir / "sweep.csv").exists()
+    else:
+        assert (code, err) == (EXIT_VALIDATION, f"error: {grid}: grid.{axis}: {file_refusal}\n")
+        assert not out_dir.exists()
 
 def test_an_out_of_domain_config_value_names_the_file_whose_value_won_and_its_key(tmp_path, data_file, capsys):
     grid, override = tmp_path / "g.cfg", tmp_path / "c.cfg"

@@ -20,6 +20,8 @@ from tmcda.pipeline import (
     FoldResult,
     PipelineConfig,
     PipelineError,
+    SweepCell,
+    SweepResult,
     VARIANTS,
     ablation_sweep,
     evaluate,
@@ -465,12 +467,12 @@ def test_sweep_cell_reports_the_settings_its_movements_ran(data3):
     bases = [replace(_fast_cfg(movement=m, n_stages=3), gmm=GmmSettings(n_init=1)) for m in ("left", "through")]
     for order in (bases, bases[::-1]):
         cell = ablation_sweep(data3, {"alpha": [0.5]}, order).cells[0]
-        assert (cell.n_components, cell.n_samples, cell.alpha, cell.status) == (None, None, 0.5, "ok")
+        assert (cell.values, cell.status) == ({"n_components": None, "n_samples": None, "alpha": 0.5}, "ok")
     sweep = ablation_sweep(data3, {"alpha": [0.5], "n_components": [2]}, bases)
-    assert (sweep.cells[0].n_components, sweep.cells[0].n_samples) == (2, None)
+    assert sweep.cells[0].values == {"n_components": 2, "n_samples": None, "alpha": 0.5}
     assert sweep.to_text().splitlines()[1].startswith("2,,0.5,ok,")
     alone = ablation_sweep(data3, {"alpha": [0.5]}, bases[1]).cells[0]
-    assert (alone.n_components, alone.n_samples, alone.alpha) == (4, 100, 0.5)
+    assert alone.values == {"n_components": 4, "n_samples": 100, "alpha": 0.5}
 
 
 def test_an_empty_config_list_is_refused_before_any_split(data3, monkeypatch):
@@ -514,7 +516,7 @@ def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3, monkeypa
                     for b in bases
                 ]
                 cell = sweep.cells[i]
-                assert (cell.n_components, cell.n_samples, cell.alpha, cell.status) == (k, m, a, "ok")
+                assert (cell.values, cell.status) == ({"n_components": k, "n_samples": m, "alpha": a}, "ok")
                 assert cell.aggregates == leave_one_out(data3, configs).aggregates
                 assert len(cell.aggregates) == 2
                 i += 1
@@ -526,8 +528,8 @@ def test_sweep_over_k_m_alpha_grid_equals_per_cell_leave_one_out(data3, monkeypa
     ({"alpha": []}, "grid.alpha: no values"),
     ({"n_components": [2], "n_samples": []}, "grid.n_samples: no values"),
     ({"alpha": [0.5, 1.5]}, r"grid.alpha: alpha must be a number in \[0, 1\], got 1.5"),
-    ({"n_components": [2.7, 1.2]}, "grid.n_components: 2.7 is not int-valued: it would run as 2"),
-    ({"n_samples": [float("inf")]}, "grid.n_samples: cannot convert float infinity to integer"),
+    ({"n_components": [2.7, 1.2]}, "grid.n_components: n_components must be an integer >= 1, got 2.7"),
+    ({"n_samples": [float("inf")]}, "grid.n_samples: n_samples must be an integer >= 0, got inf"),
 ], ids=["unknown-axis", "empty-alpha", "empty-n-samples", "alpha-above-1", "fractional-count", "infinite-count"])
 def test_sweep_rejects_a_grid_it_cannot_run_before_any_fold(data3, monkeypatch, grid, message):
     # An unknown axis or an empty list once ran the base config as one cell,
@@ -672,13 +674,32 @@ def test_alpha_grid_shape(data3):
     sweep = ablation_sweep(data3, {"alpha": [0.0, 0.25, 0.5, 0.75, 1.0]},
                            _fast_cfg(n_stages=3))
     assert len(sweep.cells) == 5
-    assert [c.alpha for c in sweep.cells] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [c.values["alpha"] for c in sweep.cells] == [0.0, 0.25, 0.5, 0.75, 1.0]
     for cell in sweep.cells:
         assert cell.status == "ok"
         for value in cell.aggregates.values():
             assert np.isfinite(value).all()
     text = sweep.to_text()
     assert len(text.strip().splitlines()) == 6
+
+
+def test_sweep_text_prints_each_axis_value_as_before_its_cells_held_one_field_per_axis():
+    # The bytes sweep.csv had when a cell held one field per axis: an integer as str prints it (":g" would give
+    # 1.23457e+06), a blank for None, a real with ":g" where that reads back as it and repr otherwise.
+    cells = (
+        SweepCell({"n_components": 1234567, "n_samples": None, "alpha": 0.1234567}, "ok",
+                  {("ITMLGMM-GBBW", "left"): (1.25, 2.5), ("ITMLGMM-GBBW", "through"): (10.0, 12.345678)}),
+        SweepCell({"n_components": None, "n_samples": 40, "alpha": 1.0}, "skipped", {},
+                  reason="[gmm] TooFewSamplesError: x"),
+        SweepCell({"n_components": np.int64(2), "n_samples": 0, "alpha": np.float64(0.0)}, "ok",
+                  {("ITMLGMM-GBBW", "through"): (0.5, 0.75)}),
+    )
+    assert SweepResult(cells).to_text() == (
+        "n_components,n_samples,alpha,status,left_mae,left_rmse,through_mae,through_rmse\n"
+        "1234567,,0.1234567,ok,1.2500,2.5000,10.0000,12.3457\n"
+        ",40,1,skipped,,,,\n"
+        "2,0,0,ok,,,0.5000,0.7500\n"
+    )
 
 
 # ------------------------------------------------------------------ determinism

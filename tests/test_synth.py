@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def test_the_network_and_its_coefficients_equal_the_reference_byte_for_byte(seed
 
 
 @pytest.mark.parametrize("shift", [-1.0, float("nan"), float("inf"),
-                                   np.nextafter(MAX_SHIFT_STRENGTH, np.inf), 100.0])
+                                   np.nextafter(MAX_SHIFT_STRENGTH, np.inf), 100.0, True, "1", None])
 def test_an_invalid_shift_raises_the_reference_error(shift):
     for call, reference in ((lambda: label_coefficients(0, 3, shift), lambda: reference_label_coefficients(0, 3, shift)),
                             (lambda: generate_synthetic_network(0, 3, shift, 8), lambda: reference_network(0, 3, shift, 8))):
@@ -69,9 +71,10 @@ def test_zero_shift_identical_coefficients():
     assert np.all(coef.log_busy == 0.0)
 
 
-@pytest.mark.parametrize("shift", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("shift", [-1.0, float("nan"), float("inf"), True, False, "1", None])
 def test_shift_must_be_finite_and_non_negative(shift):
-    message = f"shift_strength must be finite and >= 0, got {shift}"
+    # A bool once ran as shift 0 or 1, and a string or None raised a bare TypeError.
+    message = re.escape(f"shift_strength must be a number in [0, 50], got {shift!r}")
     with pytest.raises(ValueError, match=message):
         label_coefficients(seed=0, n_intersections=3, shift_strength=shift)
     with pytest.raises(ValueError, match=message):
@@ -82,7 +85,7 @@ def test_shift_above_the_bound_is_rejected_before_the_sampler_overflows():
     data = generate_synthetic_network(0, 3, MAX_SHIFT_STRENGTH, 8)    # the bound itself is drawn
     assert data.labels.min() >= 0
     for shift in (np.nextafter(MAX_SHIFT_STRENGTH, np.inf), 100.0):
-        message = f"shift_strength must be <= 50, got {shift}"
+        message = re.escape(f"shift_strength must be a number in [0, 50], got {shift!r}")
         with pytest.raises(ValueError, match=message):
             label_coefficients(seed=0, n_intersections=3, shift_strength=shift)
         with pytest.raises(ValueError, match=message):
